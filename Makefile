@@ -23,8 +23,9 @@ PR ?= dev
 # federation forward bench (zero-copy publish crossing an inter-node link),
 # and the tagged-counter bench (interned-context probe lookup, pinned at
 # 0 allocs/op), and the mirrored publish bench (the confirm-path price of
-# synchronous replication, R=1 vs R=2).
-BENCH_PATTERN ?= BenchmarkAblationAckBatching|BenchmarkAblationWorkQueues|BenchmarkAblationDurabilityPayload|BenchmarkOverheadVsDTS|BenchmarkResilienceFaultRate|BenchmarkFig6aDstreamFeedbackRTT|BenchmarkFanoutPublishDeliver|BenchmarkDurableFanoutPublishDeliver|BenchmarkSeglogAppend|BenchmarkSeglogReplay|BenchmarkFederationForward|BenchmarkTaggedCounter|BenchmarkMirroredPublishDeliver
+# synchronous replication, R=1 vs R=2), and the pipelined publish→confirm
+# bench (broker socket writes per confirm-mode publish: confirm coalescing).
+BENCH_PATTERN ?= BenchmarkAblationAckBatching|BenchmarkAblationWorkQueues|BenchmarkAblationDurabilityPayload|BenchmarkOverheadVsDTS|BenchmarkResilienceFaultRate|BenchmarkFig6aDstreamFeedbackRTT|BenchmarkFanoutPublishDeliver|BenchmarkDurableFanoutPublishDeliver|BenchmarkSeglogAppend|BenchmarkSeglogReplay|BenchmarkFederationForward|BenchmarkTaggedCounter|BenchmarkMirroredPublishDeliver|BenchmarkPublishConfirmPipelined
 
 # MICRO_ITERS fixes the iteration count for the broker microbenchmarks:
 # unlike the figure benches (one timed scenario run each, hence 1x), the
@@ -38,7 +39,7 @@ MICRO_ITERS ?= 20000x
 # comparable across snapshots without rebuilding 10⁵ sessions per round.
 SCALE_ITERS ?= 2000x
 
-.PHONY: test race short smoke bench-snapshot
+.PHONY: test race stress fuzz short smoke bench-snapshot
 
 test:
 	$(GO) build ./...
@@ -74,6 +75,21 @@ smoke:
 race:
 	$(GO) vet ./...
 	$(GO) test -race ./...
+
+# stress reruns the concurrency-heavy packages under the race detector,
+# five times each at one and at two Ps: a schedule-dependent failure that
+# one pass at the default GOMAXPROCS lets through gets ten more chances.
+STRESS_PKGS := ./internal/broker ./internal/amqp ./internal/cluster
+stress:
+	GOMAXPROCS=1 $(GO) test -race -count=5 $(STRESS_PKGS)
+	GOMAXPROCS=2 $(GO) test -race -count=5 $(STRESS_PKGS)
+
+# fuzz gives each native fuzz target a few seconds over its seed corpus
+# (go test -fuzz takes one target and one package per run).
+FUZZTIME ?= 5s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseMethod$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime $(FUZZTIME) ./internal/wire
 
 short:
 	$(GO) test -short -count=1 .

@@ -141,6 +141,22 @@
 // past its acknowledgement — copy first to retain; autoAck deliveries,
 // gets, and returns own their bodies outright.
 //
+// # Confirm semantics
+//
+// A publisher confirm means enqueued — routed into every target queue
+// and, on a durable queue, appended to its segment log. Confirms
+// arrive batched: the broker's serve loop collects the positive
+// confirms of the publishes it processes and writes them right before
+// its next kernel read of the connection, as one basic.ack with
+// multiple=true per channel when nothing earlier on the channel is
+// still open (a federated or replicated publish waiting on
+// ClusterConfirm keeps its neighbours' acks individual). Nothing waits
+// across a blocking read, so a lone publish is still answered by one
+// plain ack in one write and latency at window 1 is unchanged; nacks,
+// returns, channel exceptions and -ok replies follow the confirms of
+// the publishes before them. amqp.Channel turns the mix of single and
+// multiple verdicts back into exactly one Confirmation per publish.
+//
 // # Durability model
 //
 // Durable storage is opt-in and per-queue: with broker.Config.DataDir
@@ -237,7 +253,9 @@
 //
 // Tier-1 verification is `go build ./... && go test ./...`; CI runs
 // -race over the whole module as a dedicated job (the telemetry probes
-// are deliberately lock-free hot-path code).
+// are deliberately lock-free hot-path code), then `make stress`
+// (-race -count=5 on broker, client and cluster at GOMAXPROCS 1 and 2),
+// and gives each wire fuzz target a few seconds (`make fuzz`).
 // Reproduce a paper figure by running its benchmark, e.g.
 //
 //	go test -bench BenchmarkFig4aDstreamWorkSharing -benchmem .

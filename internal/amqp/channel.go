@@ -29,7 +29,8 @@ type Channel struct {
 	notifyCls     []chan *Error
 	confirmMode   bool
 	publishSeq    uint64
-	confirmExpect uint64
+	confirmExpect uint64              // every confirm tag at or below it is resolved
+	confirmAhead  map[uint64]struct{} // tags above confirmExpect resolved singly
 	closed        bool
 
 	// Reconnect replay state (nil maps on legacy connections). pending
@@ -335,20 +336,20 @@ func (ch *Channel) onMethod(m wire.Method) {
 	}
 }
 
+// dispatchConfirm fans one broker confirm out to the listeners, one
+// Confirmation per publish it newly resolves. The broker batches: a
+// multiple-ack covers every tag up to its own that is not resolved yet,
+// and single verdicts (nacks, a federated queue's bridged confirms) may
+// arrive before a multiple-ack that covers lower tags, so resolution is
+// tracked per tag — each publish is confirmed exactly once.
 func (ch *Channel) dispatchConfirm(tag uint64, multiple, ack bool) {
 	ch.mu.Lock()
+	from, skip := ch.resolveConfirmLocked(tag, multiple)
+	var seqs []uint64
 	if ch.pending != nil {
 		// Reconnect-tracked channel: broker tags are per-transport, so
 		// translate them through pubMap back to client sequence numbers
 		// and release the resolved publishes from the replay set.
-		from := tag
-		if multiple {
-			from = ch.confirmExpect + 1
-		}
-		if tag > ch.confirmExpect {
-			ch.confirmExpect = tag
-		}
-		var seqs []uint64
 		for t := from; t <= tag; t++ {
 			if s, ok := ch.pubMap[t]; ok {
 				delete(ch.pubMap, t)
@@ -356,22 +357,6 @@ func (ch *Channel) dispatchConfirm(tag uint64, multiple, ack bool) {
 				seqs = append(seqs, s)
 			}
 		}
-		listeners := append([]chan Confirmation(nil), ch.confirms...)
-		ch.mu.Unlock()
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		for _, s := range seqs {
-			for _, l := range listeners {
-				l <- Confirmation{DeliveryTag: s, Ack: ack}
-			}
-		}
-		return
-	}
-	from := tag
-	if multiple {
-		from = ch.confirmExpect + 1
-	}
-	if tag > ch.confirmExpect {
-		ch.confirmExpect = tag
 	}
 	if len(ch.confirms) == 0 {
 		// No listeners registered: nothing to fan out (the common
@@ -380,12 +365,68 @@ func (ch *Channel) dispatchConfirm(tag uint64, multiple, ack bool) {
 		return
 	}
 	listeners := append([]chan Confirmation(nil), ch.confirms...)
+	tracked := ch.pending != nil
 	ch.mu.Unlock()
+	if tracked {
+		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+		for _, s := range seqs {
+			for _, l := range listeners {
+				l <- Confirmation{DeliveryTag: s, Ack: ack}
+			}
+		}
+		return
+	}
 	for t := from; t <= tag; t++ {
+		if _, dup := skip[t]; dup {
+			continue
+		}
 		for _, l := range listeners {
 			l <- Confirmation{DeliveryTag: t, Ack: ack}
 		}
 	}
+}
+
+// resolveConfirmLocked marks the tags a confirm covers as resolved and
+// returns the range [from, tag] it newly resolves, less the tags in skip,
+// which single verdicts resolved earlier. An empty range (from > tag)
+// means a duplicate. confirmExpect is the frontier — every tag at or
+// below it is resolved — and confirmAhead the single verdicts above it.
+func (ch *Channel) resolveConfirmLocked(tag uint64, multiple bool) (from uint64, skip map[uint64]struct{}) {
+	_, ahead := ch.confirmAhead[tag]
+	switch {
+	case tag <= ch.confirmExpect || (ahead && !multiple):
+		return tag + 1, nil
+	case multiple:
+		from = ch.confirmExpect + 1
+		ch.confirmExpect = tag
+		for t := range ch.confirmAhead {
+			if t <= tag {
+				if skip == nil {
+					skip = map[uint64]struct{}{}
+				}
+				skip[t] = struct{}{}
+				delete(ch.confirmAhead, t)
+			}
+		}
+	case tag == ch.confirmExpect+1:
+		from = tag
+		ch.confirmExpect = tag
+	default:
+		if ch.confirmAhead == nil {
+			ch.confirmAhead = map[uint64]struct{}{}
+		}
+		ch.confirmAhead[tag] = struct{}{}
+		return tag, nil
+	}
+	// The frontier moved: absorb the single verdicts now adjacent to it.
+	for len(ch.confirmAhead) > 0 {
+		if _, ok := ch.confirmAhead[ch.confirmExpect+1]; !ok {
+			break
+		}
+		ch.confirmExpect++
+		delete(ch.confirmAhead, ch.confirmExpect)
+	}
+	return from, skip
 }
 
 func (ch *Channel) onHeader(h *wire.ContentHeader) {
@@ -1007,6 +1048,7 @@ func (ch *Channel) replayState(fr *wire.FrameReader) error {
 	ch.loansEpoch = epoch
 	ch.replayedThrough = ch.publishSeq
 	ch.confirmExpect = 0
+	ch.confirmAhead = nil
 	ch.brokerSeq = 0
 	var pend []*pendingPublish
 	if ch.pending != nil {

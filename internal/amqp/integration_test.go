@@ -108,6 +108,11 @@ func TestLargeBodySpansFrames(t *testing.T) {
 	}
 }
 
+// TestWorkQueueRoundRobin: with prefetch 1 no consumer can hold a second
+// message, so while every consumer sits on one unacknowledged delivery
+// the queue must have handed each of them exactly one. The consumers ack
+// in lockstep — a round ends only when all of them hold a message — which
+// makes the even split exact instead of a matter of scheduling.
 func TestWorkQueueRoundRobin(t *testing.T) {
 	s := startBroker(t, broker.Config{})
 	prod := dial(t, s)
@@ -118,10 +123,11 @@ func TestWorkQueueRoundRobin(t *testing.T) {
 
 	const consumers = 4
 	const messages = 40
-	var mu sync.Mutex
-	counts := map[int]int{}
-	var received sync.WaitGroup
-	received.Add(messages)
+	type held struct {
+		consumer int
+		d        amqp.Delivery
+	}
+	got := make(chan held) // unbuffered: a consumer parks here with its one delivery
 	for i := 0; i < consumers; i++ {
 		conn := dial(t, s)
 		ch := openChannel(t, conn)
@@ -134,11 +140,7 @@ func TestWorkQueueRoundRobin(t *testing.T) {
 		}
 		go func(i int, dc <-chan amqp.Delivery) {
 			for d := range dc {
-				mu.Lock()
-				counts[i]++
-				mu.Unlock()
-				d.Ack(false)
-				received.Done()
+				got <- held{i, d}
 			}
 		}(i, dc)
 	}
@@ -147,19 +149,27 @@ func TestWorkQueueRoundRobin(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	doneCh := make(chan struct{})
-	go func() { received.Wait(); close(doneCh) }()
-	select {
-	case <-doneCh:
-	case <-time.After(10 * time.Second):
-		t.Fatal("timed out waiting for consumers")
+	counts := map[int]int{}
+	timeout := time.After(10 * time.Second)
+	for round := 0; round < messages/consumers; round++ {
+		var batch [consumers]held
+		for i := range batch {
+			select {
+			case batch[i] = <-got:
+				counts[batch[i].consumer]++
+			case <-timeout:
+				t.Fatalf("round %d: %d of %d consumers hold a delivery", round, i, consumers)
+			}
+		}
+		for _, h := range batch {
+			if err := h.d.Ack(false); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	// With prefetch 1 the distribution should be near-even.
 	for i := 0; i < consumers; i++ {
-		if counts[i] < messages/consumers/2 {
-			t.Errorf("consumer %d starved: %d of %d", i, counts[i], messages)
+		if counts[i] != messages/consumers {
+			t.Errorf("consumer %d got %d of %d, want %d", i, counts[i], messages, messages/consumers)
 		}
 	}
 }

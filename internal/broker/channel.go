@@ -26,6 +26,13 @@ type srvChannel struct {
 	unacked     map[uint64]*unackedEntry
 	pending     *pendingPublish
 	closed      bool
+
+	// ackPending holds the confirm tags of completed publishes until the
+	// connection's next flushConfirms (serve-goroutine state, no lock).
+	// bridged counts publishes handed to the cluster hook whose verdict
+	// ClusterConfirm has not yet put on the wire.
+	ackPending []uint64
+	bridged    atomic.Int64
 }
 
 // consumerEntry pairs a queue consumer with the channel that owns it.
@@ -135,12 +142,15 @@ func (ch *srvChannel) teardown() {
 	}
 }
 
-// exception sends a channel.close to the client and tears the channel down.
+// exception sends a channel.close to the client — after the confirms of the
+// publishes that preceded the failure — and tears the channel down. Serve
+// goroutine only.
 func (ch *srvChannel) exception(code uint16, text string, m wire.Method) error {
 	classID, methodID := uint16(0), uint16(0)
 	if m != nil {
 		classID, methodID = m.ID()
 	}
+	ch.conn.flushConfirms()
 	ch.teardown()
 	ch.conn.removeChannel(ch.id)
 	return ch.conn.writeMethod(ch.id, &wire.ChannelClose{
@@ -771,6 +781,12 @@ func (ch *srvChannel) onBody(b []byte) error {
 	return nil
 }
 
+// completePublish routes one fully assembled publish. A positive confirm
+// is not written here: confirmPublish records it once the message is
+// enqueued (and appended, on a durable queue), and the connection flushes
+// the pending run before its next read. Only verdicts that cannot join a
+// run are written directly, behind the run: nacks, mirror-stream
+// verdicts, and (off this goroutine) ClusterConfirm.
 func (ch *srvChannel) completePublish(p *pendingPublish) error {
 	msg, method, seq := p.msg, p.method, p.seq
 	*p = pendingPublish{}
@@ -786,13 +802,7 @@ func (ch *srvChannel) completePublish(p *pendingPublish) error {
 		// the ack IS the "mirror appended" signal the master's in-sync
 		// accounting waits on.
 		err := hook.ApplyMirror(ch.conn.vh.Name, method.Exchange, method.RoutingKey, msg)
-		if seq != 0 {
-			if err != nil {
-				return ch.conn.writeMethod(ch.id, &wire.BasicNack{DeliveryTag: seq})
-			}
-			return ch.conn.writeMethod(ch.id, &wire.BasicAck{DeliveryTag: seq})
-		}
-		return nil
+		return ch.writeVerdict(seq, err == nil)
 	}
 	if hook := ch.conn.srv.cfg.Cluster; hook != nil && method.Exchange == "" {
 		if _, local := hook.Lookup(ch.conn.vh.Name, method.RoutingKey); !local {
@@ -801,14 +811,10 @@ func (ch *srvChannel) completePublish(p *pendingPublish) error {
 			// producer's ack waits for the master's verdict; without
 			// confirm mode the forward is fire-and-forget, matching the
 			// local no-confirm contract.
-			var target ConfirmTarget
-			if seq != 0 {
-				target = ch
-			}
-			if err := hook.ForwardPublish(ch.conn.vh.Name, method.RoutingKey, msg, target, seq); err != nil {
-				if seq != 0 {
-					return ch.conn.writeMethod(ch.id, &wire.BasicNack{DeliveryTag: seq})
-				}
+			target := ch.bridge(seq)
+			if err := hook.ForwardPublish(ch.conn.vh.Name, method.RoutingKey, msg, target, seq); err != nil && seq != 0 {
+				ch.bridged.Add(-1)
+				return ch.writeVerdict(seq, false)
 			}
 			return nil
 		}
@@ -823,23 +829,14 @@ func (ch *srvChannel) completePublish(p *pendingPublish) error {
 			case err != nil && errors.Is(err, ErrNotFound):
 				return ch.exception(wire.ReplyNotFound, err.Error(), method)
 			case err != nil:
-				if ch.isConfirm() {
-					return ch.conn.writeMethod(ch.id, &wire.BasicNack{DeliveryTag: seq})
-				}
-				return nil
+				return ch.writeVerdict(seq, false)
 			}
 			if off == OffNone {
 				// Transient queue: nothing durable to mirror.
-				if ch.isConfirm() {
-					return ch.conn.writeMethod(ch.id, &wire.BasicAck{DeliveryTag: seq})
-				}
+				ch.confirmPublish(seq)
 				return nil
 			}
-			var target ConfirmTarget
-			if seq != 0 {
-				target = ch
-			}
-			hook.ReplicateAppend(ch.conn.vh.Name, method.RoutingKey, off, msg, target, seq)
+			hook.ReplicateAppend(ch.conn.vh.Name, method.RoutingKey, off, msg, ch.bridge(seq), seq)
 			return nil
 		}
 	}
@@ -850,11 +847,9 @@ func (ch *srvChannel) completePublish(p *pendingPublish) error {
 	case err != nil:
 		// Backpressure (queue full / memory alarm): reject-publish shows
 		// up as a basic.nack in confirm mode so the producer can retry.
-		if ch.isConfirm() {
-			return ch.conn.writeMethod(ch.id, &wire.BasicNack{DeliveryTag: seq})
-		}
-		return nil
+		return ch.writeVerdict(seq, false)
 	case routed == 0 && method.Mandatory:
+		ch.conn.flushConfirms()
 		if err := ch.conn.writeContent(ch.id, &wire.BasicReturn{
 			ReplyCode:  wire.ReplyNoRoute,
 			ReplyText:  "NO_ROUTE",
@@ -864,16 +859,44 @@ func (ch *srvChannel) completePublish(p *pendingPublish) error {
 			return err
 		}
 	}
-	if ch.isConfirm() {
-		return ch.conn.writeMethod(ch.id, &wire.BasicAck{DeliveryTag: seq})
-	}
+	ch.confirmPublish(seq)
 	return nil
 }
 
-func (ch *srvChannel) isConfirm() bool {
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	return ch.confirm
+// confirmPublish queues the positive confirm of publish seq (0: the
+// channel is not in confirm mode) for the connection's next flushConfirms.
+func (ch *srvChannel) confirmPublish(seq uint64) {
+	if seq == 0 {
+		return
+	}
+	if len(ch.ackPending) == 0 {
+		ch.conn.ackDirty = append(ch.conn.ackDirty, ch)
+	}
+	ch.ackPending = append(ch.ackPending, seq)
+}
+
+// writeVerdict writes the confirm of publish seq (0: none owed) directly,
+// behind the pending confirms of earlier publishes. Serve goroutine only.
+func (ch *srvChannel) writeVerdict(seq uint64, ok bool) error {
+	if seq == 0 {
+		return nil
+	}
+	ch.conn.flushConfirms()
+	if ok {
+		return ch.conn.writeMethod(ch.id, &wire.BasicAck{DeliveryTag: seq})
+	}
+	return ch.conn.writeMethod(ch.id, &wire.BasicNack{DeliveryTag: seq})
+}
+
+// bridge hands publish seq's confirm to the cluster hook: until
+// ClusterConfirm resolves it, no multiple-ack of this channel may be sent.
+// It returns the target to pass on — nil when no confirm is owed.
+func (ch *srvChannel) bridge(seq uint64) ConfirmTarget {
+	if seq == 0 {
+		return nil
+	}
+	ch.bridged.Add(1)
+	return ch
 }
 
 // redirectIfRemote answers a consume/get on a queue mastered elsewhere
@@ -907,12 +930,15 @@ func (ch *srvChannel) redirectIfRemote(vhost, queue string, m wire.Method) error
 // ClusterConfirm relays a federated publish's bridged confirm verdict to
 // the producer. It runs on the federation link's read loop; writeMethod
 // serializes on the connection's write mutex, so concurrent local acks
-// are safe. Errors are dropped — a failed write means the producer's
-// connection is already going away and teardown owns the cleanup.
+// are safe. The bridged count drops only once the verdict is on the wire:
+// a multiple-ack sent after that may cover the tag again, never instead.
+// Errors are dropped — a failed write means the producer's connection is
+// already going away and teardown owns the cleanup.
 func (ch *srvChannel) ClusterConfirm(seq uint64, ok bool) {
 	if ok {
 		_ = ch.conn.writeMethod(ch.id, &wire.BasicAck{DeliveryTag: seq})
-		return
+	} else {
+		_ = ch.conn.writeMethod(ch.id, &wire.BasicNack{DeliveryTag: seq})
 	}
-	_ = ch.conn.writeMethod(ch.id, &wire.BasicNack{DeliveryTag: seq})
+	ch.bridged.Add(-1)
 }

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"crypto/tls"
 	"errors"
 	"fmt"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"ds2hpc/internal/netem"
 	"ds2hpc/internal/wire"
 )
 
@@ -19,6 +21,15 @@ type srvConn struct {
 	fr  *wire.FrameReader
 
 	writeMu sync.Mutex
+
+	// Deferred publisher confirms. completePublish records a positive
+	// confirm on its channel and lists the channel here; flushConfirms
+	// writes them all right before the serve goroutine's next kernel
+	// read (see preReadConn), so a burst of pipelined publishes is
+	// answered by one write and nothing stays pending across a blocking
+	// read. Serve-goroutine state: no lock.
+	ackDirty []*srvChannel
+	ack      wire.BasicAck // reused per frame so the method never escapes
 
 	vh *VHost
 
@@ -41,16 +52,77 @@ type srvConn struct {
 	done      chan struct{}
 }
 
-func newSrvConn(s *Server, c net.Conn) *srvConn {
-	return &srvConn{
+// preReadConn runs hook before every Read that reaches the socket. It
+// sits directly above the socket — under tls.Server on TLS listeners,
+// where a hook above crypto/tls would fire once per buffered record
+// instead of once per kernel read.
+type preReadConn struct {
+	net.Conn
+	hook func()
+}
+
+func (c *preReadConn) Read(p []byte) (int, error) {
+	c.hook()
+	return c.Conn.Read(p)
+}
+
+// newSrvConn stacks the connection's layers over an accepted socket. Only
+// the read side goes through the pre-read hook on plain listeners: writes
+// keep the raw *net.TCPConn, which is what lets FlushFrames use writev.
+func newSrvConn(s *Server, raw net.Conn) *srvConn {
+	sc := &srvConn{
 		srv:      s,
-		c:        c,
-		fr:       wire.NewFrameReader(c, s.cfg.FrameMax+1024),
 		channels: map[uint16]*srvChannel{},
 		frameMax: s.cfg.FrameMax,
 		dispWake: make(chan struct{}, 1),
 		done:     make(chan struct{}),
 	}
+	rd := &preReadConn{Conn: raw, hook: sc.flushConfirms}
+	var r io.Reader = rd
+	sc.c = raw
+	if s.cfg.TLS != nil {
+		t := tls.Server(rd, s.cfg.TLS)
+		r, sc.c = t, t
+	}
+	sc.c = netem.Wrap(sc.c, s.cfg.Link)
+	sc.fr = wire.NewFrameReader(r, s.cfg.FrameMax+1024)
+	return sc
+}
+
+// flushConfirms writes every deferred publisher confirm of the connection
+// in one write: per channel a single basic.ack{multiple} when the pending
+// run may cover everything before it, otherwise the individual acks.
+// multiple=true claims every tag up to the run's last one, so it is only
+// sent while no confirm-bridged publish (federated, replicated) of the
+// channel is still waiting on ClusterConfirm. A lone confirm goes out as a
+// plain ack: at window 1 the wire is what it was before confirms were
+// deferred. Serve goroutine only. A write error is dropped — the
+// connection is going away and the next read reports it.
+func (sc *srvConn) flushConfirms() {
+	if len(sc.ackDirty) == 0 {
+		return
+	}
+	w := wire.GetWriter()
+	frames := 0
+	for i, ch := range sc.ackDirty {
+		tags := ch.ackPending
+		sc.ack.Multiple = len(tags) > 1 && ch.bridged.Load() == 0
+		if sc.ack.Multiple {
+			tags = tags[len(tags)-1:]
+		}
+		for _, t := range tags {
+			sc.ack.DeliveryTag = t
+			w.AppendMethodFrame(ch.id, &sc.ack)
+			frames++
+		}
+		ch.ackPending = ch.ackPending[:0]
+		sc.ackDirty[i] = nil
+	}
+	sc.ackDirty = sc.ackDirty[:0]
+	sc.writeMu.Lock()
+	_ = w.FlushFrames(sc.c, frames)
+	sc.writeMu.Unlock()
+	wire.PutWriter(w)
 }
 
 // wakeConsumer schedules a consumer for this connection's delivery loop.
@@ -233,6 +305,15 @@ func (sc *srvConn) dispatch(f wire.Frame) error {
 		m, err := wire.ParseMethod(f.Payload)
 		if err != nil {
 			return err
+		}
+		switch m.(type) {
+		case *wire.BasicPublish, *wire.BasicAck, *wire.BasicNack, *wire.BasicReject:
+			// Answered by nothing, or by a confirm that is itself deferred.
+		default:
+			// Whatever this method makes the serve goroutine write (an
+			// -ok, a channel exception, a close) follows the confirms of
+			// the publishes that came before it.
+			sc.flushConfirms()
 		}
 		if f.Channel == 0 {
 			return sc.connectionMethod(m)

@@ -86,19 +86,28 @@ func TestDurableHardKillRecovery(t *testing.T) {
 		}
 	}()
 
-	// Let the stream establish, then settle a prefix server-side through
-	// the real ack path (pop + commit — what basic.ack does), so recovery
-	// must prove settled messages stay dead.
+	// Let the stream establish — until confirms have come back for more
+	// than the prefix settled below (they arrive in batches, one per
+	// broker read) — then settle that prefix server-side through the real
+	// ack path (pop + commit — what basic.ack does), so recovery must
+	// prove settled messages stay dead.
+	const settlePrefix = 15
 	q, _ := s.VHost("/").Queue("crash-q")
 	deadline := time.Now().Add(5 * time.Second)
-	for q.Len() < 40 {
+	for {
+		mu.Lock()
+		acked := len(confirmed)
+		mu.Unlock()
+		if q.Len() >= 40 && acked > settlePrefix {
+			break
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("publisher stalled: queue depth %d", q.Len())
+			t.Fatalf("publisher stalled: queue depth %d, %d confirmed", q.Len(), acked)
 		}
 		time.Sleep(time.Millisecond)
 	}
 	settled := map[string]bool{}
-	for i := 0; i < 15; i++ {
+	for i := 0; i < settlePrefix; i++ {
 		m, off, _, _, ok := q.Get()
 		if !ok {
 			t.Fatal("settle pop came up empty")

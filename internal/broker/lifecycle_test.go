@@ -375,3 +375,62 @@ func mustPanic(t *testing.T, label string, f func()) {
 	}()
 	f()
 }
+
+// TestServerCloseReleasesQueuedBodies: a clean shutdown hands the bodies
+// still queued — ready, or requeued after a delivery — back to the pool,
+// without settling them: a durable queue's next incarnation recovers every
+// one, since Close writes no ack record for what it drops from memory.
+func TestServerCloseReleasesQueuedBodies(t *testing.T) {
+	base := wire.LoanedBytes()
+	dir := t.TempDir()
+	listen := func() *Server {
+		t.Helper()
+		s, err := Listen(Config{Addr: "127.0.0.1:0", DataDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	s := listen()
+	vh := s.VHost("/")
+	const n = 4
+	for _, q := range []struct {
+		name    string
+		durable bool
+	}{{"close-mem", false}, {"close-disk", true}} {
+		queue, err := vh.DeclareQueue(q.name, q.durable, false, false, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			m := newManaged(t, q.name, 1024)
+			if _, err := vh.Publish("", q.name, m); err != nil {
+				t.Fatal(err)
+			}
+			m.Release()
+		}
+		// One delivery comes back unacknowledged, as a dying consumer's would.
+		m, off, _, _, ok := queue.Get()
+		if !ok {
+			t.Fatal("nothing queued")
+		}
+		queue.Requeue(m, off)
+	}
+	if wire.LoanedBytes() == base {
+		t.Fatal("queued bodies hold no loans; the test would prove nothing")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkBalance(t, "after Close", base)
+
+	s = listen()
+	q, ok := s.VHost("/").Queue("close-disk")
+	if !ok || q.Len() != n {
+		t.Fatalf("durable queue recovered ok=%v len=%d, want all %d messages unsettled", ok, q.Len(), n)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkBalance(t, "after recovery and Close", base)
+}

@@ -607,6 +607,18 @@ func (q *Queue) restore(recs []*seglog.Record) {
 	telDepthPeak.Record(int64(q.ready.len()))
 }
 
+// close stops the queue for a graceful server shutdown: the segment log is
+// flushed, synced and closed first — recovery finds a clean tail with
+// every unsettled record still in it — and only then are the ready bodies
+// (connection teardown has requeued the unacked ones by now) released
+// back to the pool. Nothing is settled: no record is written for them.
+func (q *Queue) close() {
+	if q.log != nil {
+		q.log.Close()
+	}
+	q.markDeleted()
+}
+
 // crash hard-stops the queue for fault injection: the segment log is
 // crashed first (its unflushed buffer dies, exactly as under SIGKILL), and
 // only then is in-memory state torn down — releasing ready bodies back to

@@ -87,18 +87,11 @@ func Listen(cfg Config) (*Server, error) {
 	if cfg.FrameMax == 0 {
 		cfg.FrameMax = wire.DefaultFrameMax
 	}
-	var ln net.Listener
-	var err error
-	if cfg.TLS != nil {
-		ln, err = tls.Listen("tcp", cfg.Addr, cfg.TLS)
-	} else {
-		ln, err = net.Listen("tcp", cfg.Addr)
-	}
+	// The listener hands out raw sockets; newSrvConn stacks TLS and the
+	// link shaping on each one, above its pre-read hook.
+	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Link != nil {
-		ln = netem.WrapListener(ln, cfg.Link)
 	}
 	s := &Server{
 		cfg:    cfg,
@@ -192,9 +185,10 @@ func (s *Server) VHost(name string) *VHost {
 	return vh
 }
 
-// Close stops the listener, terminates all connections, and cleanly
-// closes every durable queue's segment log (flush + fsync), so a restart
-// recovers without truncation.
+// Close stops the listener, terminates all connections, cleanly closes
+// every durable queue's segment log (flush + fsync), so a restart
+// recovers without truncation, and releases the message bodies still
+// queued, so wire-loan accounting returns to zero.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -217,7 +211,7 @@ func (s *Server) Close() error {
 	}
 	s.wg.Wait()
 	for _, vh := range vhosts {
-		vh.closeLogs()
+		vh.close()
 	}
 	return err
 }

@@ -330,14 +330,9 @@ func (vh *VHost) eachQueue(fn func(*Queue)) {
 	}
 }
 
-// closeLogs flushes, syncs and closes every durable queue's segment log
-// (graceful server shutdown — recovery after this finds a clean tail).
-func (vh *VHost) closeLogs() {
-	vh.eachQueue(func(q *Queue) {
-		if q.log != nil {
-			q.log.Close()
-		}
-	})
+// close shuts every queue down for a graceful server stop. See Queue.close.
+func (vh *VHost) close() {
+	vh.eachQueue(func(q *Queue) { q.close() })
 }
 
 // crash hard-stops every queue: segment logs are crashed (unflushed

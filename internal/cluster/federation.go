@@ -119,13 +119,14 @@ func (h *fedHub) retryOutstanding(addr, vhost string, seqs []uint64, pend map[ui
 			continue
 		}
 		p.retried = true
+		// Counted before the forward: the replay's confirm can resolve, and
+		// be observed, before forwardPending returns.
+		fedRetries.Inc()
 		if ferr := nl.forwardPending(p); ferr != nil {
 			// The fresh link died too; nack this and everything after.
 			resolvePending(p, false)
 			err = ferr
-			continue
 		}
-		fedRetries.Inc()
 	}
 }
 
@@ -371,6 +372,9 @@ func (l *fedLink) forwardPending(p fedPending) error {
 	}
 	l.seq++
 	l.pending[l.seq] = p
+	// Once the lock drops the confirm path may resolve the entry and
+	// release the body, so its length is taken here.
+	size := int64(len(p.msg.Body))
 	l.pub = wire.BasicPublish{Exchange: p.exchange, RoutingKey: p.key}
 	frames := l.w.AppendContentFramesZC(1, &l.pub, &p.msg.Props, p.msg.Body, l.frameMax)
 	err := l.w.FlushFrames(l.nc, frames)
@@ -382,9 +386,9 @@ func (l *fedLink) forwardPending(p fedPending) error {
 	}
 	l.mu.Unlock()
 	fedMsgs.Inc()
-	fedBytes.Add(int64(len(p.msg.Body)))
+	fedBytes.Add(size)
 	l.msgsCtx.Inc()
-	l.bytesCtx.Add(int64(len(p.msg.Body)))
+	l.bytesCtx.Add(size)
 	return nil
 }
 
@@ -462,8 +466,10 @@ func (l *fedLink) readLoop(fr *wire.FrameReader) {
 }
 
 // settle resolves confirmed link seqs and relays verdicts to the origin
-// channels. The master acks sequentially, so next tracks the resolution
-// frontier and multiple-acks walk a contiguous range.
+// channels. Every seq below next is resolved, so a multiple-ack walks
+// [next, tag] and resolves what is still pending there — each entry
+// exactly once, whatever single verdicts (a replicated queue's bridged
+// confirms overtake the master's batched acks) arrived before it.
 func (l *fedLink) settle(tag uint64, multiple, ok bool) {
 	l.mu.Lock()
 	from := l.next
@@ -496,8 +502,14 @@ func (l *fedLink) settle(tag uint64, multiple, ok bool) {
 		}
 		n++
 	}
-	if tag >= l.next {
+	if multiple {
 		l.next = tag + 1
+	}
+	for l.next <= l.seq {
+		if _, hit := l.pending[l.next]; hit {
+			break
+		}
+		l.next++
 	}
 	l.mu.Unlock()
 	if n == 1 {

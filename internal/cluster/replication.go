@@ -111,6 +111,12 @@ type mirrorStore struct {
 
 	mu   sync.Mutex
 	reps map[string]*mirrorRep // key: qkey(vhost, queue)
+	// promoted marks the replicas handed to the broker. Mirror frames of
+	// the dead master can still be sitting in a link connection's buffers
+	// when promotion runs; applied afterwards they would open a second
+	// log over (or, for a reset, wipe) the directory the promoted queue
+	// now lives in, so they are refused instead.
+	promoted map[string]bool
 }
 
 // mirrorRep is one standby replica. Data ships can arrive out of offset
@@ -130,7 +136,7 @@ func newMirrorStore(dataDir string, opts seglog.Options) *mirrorStore {
 	// spans, which makes head compaction unsound — standby logs retain
 	// everything until promotion hands them to the broker's own policy.
 	opts.RetainAll = true
-	return &mirrorStore{dataDir: dataDir, opts: opts, reps: make(map[string]*mirrorRep)}
+	return &mirrorStore{dataDir: dataDir, opts: opts, reps: make(map[string]*mirrorRep), promoted: make(map[string]bool)}
 }
 
 func (st *mirrorStore) repDir(vhost, queue string) string {
@@ -145,6 +151,9 @@ func (st *mirrorStore) ensure(vhost, queue string) (*mirrorRep, error) {
 	defer st.mu.Unlock()
 	if rep, ok := st.reps[k]; ok {
 		return rep, nil
+	}
+	if st.promoted[k] {
+		return nil, fmt.Errorf("cluster: mirror frame for %q, which this node has been promoted to master", queue)
 	}
 	dir := st.repDir(vhost, queue)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -228,6 +237,10 @@ func (st *mirrorStore) applyAcks(vhost, queue string, body []byte) error {
 func (st *mirrorStore) reset(vhost, queue string) error {
 	k := qkey(vhost, queue)
 	st.mu.Lock()
+	if st.promoted[k] {
+		st.mu.Unlock()
+		return fmt.Errorf("cluster: mirror reset for %q, which this node has been promoted to master", queue)
+	}
 	rep := st.reps[k]
 	delete(st.reps, k)
 	st.mu.Unlock()
@@ -251,6 +264,7 @@ func (st *mirrorStore) promote(vhost, queue string) error {
 	st.mu.Lock()
 	rep := st.reps[k]
 	delete(st.reps, k)
+	st.promoted[k] = true
 	st.mu.Unlock()
 	if rep != nil {
 		rep.mu.Lock()
@@ -289,6 +303,7 @@ func (st *mirrorStore) crash() {
 	st.mu.Lock()
 	reps := st.reps
 	st.reps = make(map[string]*mirrorRep)
+	st.promoted = make(map[string]bool)
 	st.mu.Unlock()
 	for _, rep := range reps {
 		rep.mu.Lock()

@@ -382,3 +382,49 @@ func TestFedLinkRetryReplaysOnce(t *testing.T) {
 		t.Fatal("double flap: a forward that already rode its retry must nack")
 	}
 }
+
+// TestMirrorStoreRefusesFramesAfterPromotion: mirror frames of a dead
+// master that were still buffered on its link when the replica was
+// promoted must not reopen the replica (a second log over the directory
+// the promoted queue now lives in made the declare fail with "file
+// exists" and left the queue's new master without it) or wipe it.
+func TestMirrorStoreRefusesFramesAfterPromotion(t *testing.T) {
+	st := newMirrorStore(t.TempDir(), seglog.Options{})
+	msg := broker.NewMessage("", "late-q", wire.Properties{}, 16)
+	msg.AppendBody(make([]byte, 16))
+	defer msg.Release()
+	if err := st.applyData("/", "late-q", 0, msg); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.promote("/", "late-q"); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.applyData("/", "late-q", 1, msg); err == nil {
+		t.Error("data frame applied to a promoted replica")
+	}
+	if err := st.applyAcks("/", "late-q", make([]byte, 8)); err == nil {
+		t.Error("ack frame applied to a promoted replica")
+	}
+	if err := st.reset("/", "late-q"); err == nil {
+		t.Error("reset wiped a promoted replica")
+	}
+	dir := st.repDir("/", "late-q")
+	if _, err := os.Stat(filepath.Join(dir, broker.MirrorMarker)); !os.IsNotExist(err) {
+		t.Errorf("MIRROR marker back on the promoted replica (stat err %v)", err)
+	}
+	// The broker's declare still recovers the promoted log.
+	l, rec, err := seglog.Open(dir, seglog.Options{})
+	if err != nil {
+		t.Fatalf("promoted replica does not open: %v", err)
+	}
+	defer l.Close()
+	if len(rec.Unacked) != 1 {
+		t.Fatalf("promoted replica holds %d records, want 1", len(rec.Unacked))
+	}
+	// A node crash forgets the promotion: the restarted node may mirror
+	// the queue again.
+	st.crash()
+	if err := st.reset("/", "late-q"); err != nil {
+		t.Fatalf("reset after crash: %v", err)
+	}
+}

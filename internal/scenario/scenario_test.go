@@ -555,9 +555,10 @@ func TestClusterFailoverHealthEvents(t *testing.T) {
 		Faults:              []Fault{{Kind: FaultNodeKill, AtFraction: 0.4}},
 		TimeoutMS:           60000,
 	},
-		// A sub-second tick so the failover window spans several rollups
-		// (the default rules evaluate deltas per tick).
-		WithTickInterval(100*time.Millisecond),
+		// A tick far shorter than the run (~100 ms end to end), so the
+		// failover window spans several rollups: the default rules
+		// evaluate deltas per tick and need a tick before the redirect.
+		WithTickInterval(5*time.Millisecond),
 		WithHealthWatch(func(e telemetry.HealthEvent) {
 			liveMu.Lock()
 			live = append(live, e)
