@@ -7,7 +7,8 @@ SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
 GO ?= go
-# PR labels the bench snapshot file (BENCH_<PR>.json).
+# PR labels the bench snapshot file (BENCH_<PR>.json); PR=baseline
+# regenerates the one checked-in snapshot CI diffs against.
 PR ?= dev
 
 # BENCH_PATTERN selects the snapshot benchmarks: the ablation and
@@ -24,8 +25,10 @@ PR ?= dev
 # and the tagged-counter bench (interned-context probe lookup, pinned at
 # 0 allocs/op), and the mirrored publish bench (the confirm-path price of
 # synchronous replication, R=1 vs R=2), and the pipelined publish→confirm
-# bench (broker socket writes per confirm-mode publish: confirm coalescing).
-BENCH_PATTERN ?= BenchmarkAblationAckBatching|BenchmarkAblationWorkQueues|BenchmarkAblationDurabilityPayload|BenchmarkOverheadVsDTS|BenchmarkResilienceFaultRate|BenchmarkFig6aDstreamFeedbackRTT|BenchmarkFanoutPublishDeliver|BenchmarkDurableFanoutPublishDeliver|BenchmarkSeglogAppend|BenchmarkSeglogReplay|BenchmarkFederationForward|BenchmarkTaggedCounter|BenchmarkMirroredPublishDeliver|BenchmarkPublishConfirmPipelined
+# bench (broker socket writes per confirm-mode publish: confirm coalescing),
+# and the large-body bench (1 MiB amqp client <-> broker: a body copy shows
+# as ns/op, a per-message body allocation as ~1 MiB of B/op).
+BENCH_PATTERN ?= BenchmarkAblationAckBatching|BenchmarkAblationWorkQueues|BenchmarkAblationDurabilityPayload|BenchmarkOverheadVsDTS|BenchmarkResilienceFaultRate|BenchmarkFig6aDstreamFeedbackRTT|BenchmarkFanoutPublishDeliver|BenchmarkDurableFanoutPublishDeliver|BenchmarkSeglogAppend|BenchmarkSeglogReplay|BenchmarkFederationForward|BenchmarkTaggedCounter|BenchmarkMirroredPublishDeliver|BenchmarkPublishConfirmPipelined|BenchmarkLargeBodyPublishDeliver
 
 # MICRO_ITERS fixes the iteration count for the broker microbenchmarks:
 # unlike the figure benches (one timed scenario run each, hence 1x), the
@@ -90,13 +93,15 @@ FUZZTIME ?= 5s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseMethod$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzClientContent$$' -fuzztime $(FUZZTIME) ./internal/amqp
 
 short:
 	$(GO) test -short -count=1 .
 
 # bench-snapshot runs the short figure benchmarks once with -benchmem and
-# writes BENCH_$(PR).json — the machine-readable perf trajectory point for
-# this PR. Keep -benchtime 1x: the goal is a comparable snapshot per PR,
+# writes BENCH_$(PR).json — a machine-readable perf snapshot (the
+# trajectory across PRs is the table in README "Bench snapshots"). Keep
+# -benchtime 1x: the goal is a comparable snapshot per PR,
 # not statistical precision.
 # The root figure harness runs first so its TestMain telemetry snapshot
 # line is the one benchsnap embeds; the broker microbench output follows

@@ -50,8 +50,13 @@ type Snapshot struct {
 const telemetryPrefix = "TELEMETRY_SNAPSHOT: "
 
 // parseBenchLine parses one "BenchmarkX-8  N  v unit  v unit ..." line,
-// returning ok=false for non-benchmark lines.
-func parseBenchLine(line string) (Benchmark, bool) {
+// returning ok=false for non-benchmark lines. procs is the GOMAXPROCS the
+// benchmarks ran at: go test appends "-<procs>" to every name when it is
+// not 1, and the suffix is dropped so that names — which benchdiff matches
+// on — are the same in a baseline taken on one machine and a run on
+// another. (Kept, a 2-core baseline and a 4-core CI runner share no
+// benchmark and the allocs gate passes vacuously.)
+func parseBenchLine(line string, procs int) (Benchmark, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 		return Benchmark{}, false
@@ -60,7 +65,11 @@ func parseBenchLine(line string) (Benchmark, bool) {
 	if err != nil {
 		return Benchmark{}, false
 	}
-	b := Benchmark{Name: fields[0], Iters: iters, Metrics: map[string]float64{}}
+	name := fields[0]
+	if procs > 1 {
+		name = strings.TrimSuffix(name, "-"+strconv.Itoa(procs))
+	}
+	b := Benchmark{Name: name, Iters: iters, Metrics: map[string]float64{}}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
@@ -71,15 +80,15 @@ func parseBenchLine(line string) (Benchmark, bool) {
 	return b, true
 }
 
-// parse reads bench output, collecting benchmark lines and the
-// harness's telemetry snapshot line.
-func parse(r io.Reader) (Snapshot, error) {
+// parse reads the output of benchmarks run at GOMAXPROCS procs, collecting
+// benchmark lines and the harness's telemetry snapshot line.
+func parse(r io.Reader, procs int) (Snapshot, error) {
 	snap := Snapshot{GoOS: runtime.GOOS, GoArch: runtime.GOARCH}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 16*1024*1024), 16*1024*1024)
 	for sc.Scan() {
 		line := sc.Text()
-		if b, ok := parseBenchLine(line); ok {
+		if b, ok := parseBenchLine(line, procs); ok {
 			snap.Benchmarks = append(snap.Benchmarks, b)
 			continue
 		}
@@ -97,7 +106,9 @@ func parse(r io.Reader) (Snapshot, error) {
 func main() {
 	out := flag.String("out", "", "output JSON path (default stdout)")
 	flag.Parse()
-	snap, err := parse(os.Stdin)
+	// benchsnap sits at the end of the pipe the benchmarks write to: same
+	// machine, same environment, same GOMAXPROCS.
+	snap, err := parse(os.Stdin, runtime.GOMAXPROCS(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchsnap:", err)
 		os.Exit(1)

@@ -20,7 +20,7 @@ ok  	ds2hpc	12.345s
 `
 
 func TestParseBenchOutput(t *testing.T) {
-	snap, err := parse(strings.NewReader(sampleBenchOutput))
+	snap, err := parse(strings.NewReader(sampleBenchOutput), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,8 +28,13 @@ func TestParseBenchOutput(t *testing.T) {
 		t.Fatalf("parsed %d benchmarks, want 3", len(snap.Benchmarks))
 	}
 	b := snap.Benchmarks[1]
-	if b.Name != "BenchmarkAblationAckBatching/ackbatch=4-8" || b.Iters != 2 {
-		t.Fatalf("benchmark %+v", b)
+	if b.Name != "BenchmarkAblationAckBatching/ackbatch=4" || b.Iters != 2 {
+		t.Fatalf("benchmark %+v, want the -8 GOMAXPROCS suffix dropped", b)
+	}
+	// At GOMAXPROCS 1 go test appends nothing, so nothing is dropped: a
+	// sub-benchmark may really be called "flaps=1-8".
+	if one, _ := parse(strings.NewReader(sampleBenchOutput), 1); one.Benchmarks[2].Name != "BenchmarkResilienceFaultRate/DTS/flaps=1-8" {
+		t.Fatalf("at GOMAXPROCS 1 the name became %q", one.Benchmarks[2].Name)
 	}
 	for unit, want := range map[string]float64{
 		"ns/op":            34567890,
@@ -52,7 +57,7 @@ func TestParseBenchOutput(t *testing.T) {
 // line lands in the JSON artifact and decodes back into a full
 // telemetry.Snapshot (histogram buckets and peak queue depth included).
 func TestParseEmbedsTelemetrySnapshot(t *testing.T) {
-	snap, err := parse(strings.NewReader(sampleBenchOutput))
+	snap, err := parse(strings.NewReader(sampleBenchOutput), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +78,7 @@ func TestParseEmbedsTelemetrySnapshot(t *testing.T) {
 }
 
 func TestParseIgnoresMalformedTelemetry(t *testing.T) {
-	snap, err := parse(strings.NewReader("TELEMETRY_SNAPSHOT: {not json\n"))
+	snap, err := parse(strings.NewReader("TELEMETRY_SNAPSHOT: {not json\n"), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +88,7 @@ func TestParseIgnoresMalformedTelemetry(t *testing.T) {
 }
 
 func TestParseIgnoresNonBenchLines(t *testing.T) {
-	snap, err := parse(strings.NewReader("PASS\nok ds2hpc 1.2s\nBenchmarkBroken x y\n"))
+	snap, err := parse(strings.NewReader("PASS\nok ds2hpc 1.2s\nBenchmarkBroken x y\n"), 8)
 	if err != nil {
 		t.Fatal(err)
 	}

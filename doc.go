@@ -123,23 +123,32 @@
 //
 // # Memory model & zero-copy ownership
 //
-// The broker data plane copies a message body exactly once: ingest
-// assembles the frame payloads into a wire-pool buffer presized from
-// the content header's BodySize. From there the body is borrowed, never
+// A message body is copied once per receive and not at all per send:
+// ingest assembles the frame payloads into a wire-pool buffer presized
+// from the content header's BodySize (pooled by size class up to 4 MiB;
+// larger bodies allocate). From there the body is borrowed, never
 // copied — fanout/topic routing shares one refcounted broker.Message
 // across all matched queues (per-queue redelivered state lives in the
-// queue's chunked ring-deque entry, not the message), and delivery
-// writes splice the body into a vectored write straight from the shared
-// buffer. Whichever owner resolves last — ack, nack/reject discard,
-// drop-head eviction, purge, queue delete, or connection teardown —
-// returns the buffer to the pool; the wire.loaned_bytes gauge and
-// broker.body_releases counter make the lifecycle observable.
+// queue's chunked ring-deque entry, not the message), and sends —
+// broker deliveries and client publishes alike — frame around the
+// caller's slice. wire.FlushFrames decides per destination what that
+// means: one writev on a raw TCP socket; elsewhere (TLS, netem-shaped
+// sockets) pieces under 64 KiB are gathered into one write and full body
+// frames are written in place. Whichever owner resolves last — ack,
+// nack/reject discard, drop-head eviction, purge, queue delete, or
+// connection teardown — returns the buffer to the pool; the
+// wire.loaned_bytes gauge and broker.body_releases counter make the
+// lifecycle observable.
 //
 // Retention contract: broker embedders must balance Retain/Release on
 // managed messages (Message.Body is invalid after the final release).
 // Client applications must not hold a manual-ack amqp.Delivery.Body
 // past its acknowledgement — copy first to retain; autoAck deliveries,
-// gets, and returns own their bodies outright.
+// gets, and returns own their bodies outright. Publishing.Body is read
+// during Publish and never after it returns, so a producer may reuse its
+// buffer at once — except on a confirm-mode channel of a reconnecting
+// connection, where the unconfirmed publish is kept for replay with the
+// caller's slice and the body must stay unmodified until its confirm.
 //
 // # Confirm semantics
 //

@@ -429,7 +429,15 @@ func (ch *Channel) resolveConfirmLocked(tag uint64, multiple bool) (from uint64,
 	return from, skip
 }
 
-func (ch *Channel) onHeader(h *wire.ContentHeader) {
+// onHeader starts the assembly of one content body. BodySize is a 64-bit
+// field off the wire and sizes the body buffer, so a value past
+// wire.MaxBodyBytes (a corrupted or hostile header) fails the connection
+// here instead of panicking in makeslice.
+func (ch *Channel) onHeader(h *wire.ContentHeader) *Error {
+	if h.BodySize > wire.MaxBodyBytes {
+		return &Error{Code: wire.ReplyFrameError,
+			Reason: fmt.Sprintf("content header declares %d body bytes, limit %d", h.BodySize, wire.MaxBodyBytes)}
+	}
 	ch.mu.Lock()
 	ch.pendHeader = h
 	if ch.pendLoan != nil {
@@ -456,13 +464,23 @@ func (ch *Channel) onHeader(h *wire.ContentHeader) {
 	if complete {
 		ch.completeContent()
 	}
+	return nil
 }
 
-func (ch *Channel) onBody(b []byte) {
+// onBody appends one body frame to the body under assembly. A frame that
+// carries more than the header left to come would grow the body off its
+// loan and hand the application a message longer than its header says;
+// it fails the connection (whose shutdown recycles the half-built loan).
+func (ch *Channel) onBody(b []byte) *Error {
 	ch.mu.Lock()
 	if ch.pendHeader == nil {
 		ch.mu.Unlock()
-		return
+		return nil
+	}
+	if left := ch.pendHeader.BodySize - uint64(len(ch.pendBody)); uint64(len(b)) > left {
+		ch.mu.Unlock()
+		return &Error{Code: wire.ReplyFrameError,
+			Reason: fmt.Sprintf("body frame of %d bytes overruns declared body size (%d left)", len(b), left)}
 	}
 	ch.pendBody = append(ch.pendBody, b...)
 	complete := uint64(len(ch.pendBody)) >= ch.pendHeader.BodySize
@@ -470,6 +488,7 @@ func (ch *Channel) onBody(b []byte) {
 	if complete {
 		ch.completeContent()
 	}
+	return nil
 }
 
 func (ch *Channel) completeContent() {

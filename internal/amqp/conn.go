@@ -819,15 +819,17 @@ func (c *Connection) dispatchFrame(f wire.Frame, raw bool) (stop bool, e *Error)
 		if ch := c.channelByID(f.Channel); ch != nil {
 			h, err := wire.ParseContentHeader(f.Payload)
 			if err == nil {
-				ch.onHeader(h)
+				e = ch.onHeader(h)
 			}
 		}
 	case wire.FrameBody:
 		if ch := c.channelByID(f.Channel); ch != nil {
-			ch.onBody(f.Payload)
+			e = ch.onBody(f.Payload)
 		}
 	}
-	return false, nil
+	// A content frame that contradicts its header (or a header no buffer
+	// should be sized from) means the stream cannot be trusted further.
+	return e != nil, e
 }
 
 func (c *Connection) channelByID(id uint16) *Channel {
@@ -984,12 +986,16 @@ func (c *Connection) writeMethodEpoch(epoch uint64, channel uint16, m wire.Metho
 }
 
 // writeContent coalesces a publish's method+header+body frames into one
-// buffered write, atomic with respect to other writers on this connection:
-// one syscall per message instead of one per frame.
+// flush, atomic with respect to other writers on this connection. The
+// body is borrowed, not copied (wire.AppendContentFramesZC): the flush is
+// synchronous under writeMu, so the caller's slice is read before this
+// returns and not after — the same rule the broker's delivery path lives
+// by. A small message is one write; what a large one costs per
+// destination kind is wire.FlushFrames' decision.
 func (c *Connection) writeContent(channel uint16, m wire.Method, props *wire.Properties, body []byte) error {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
-	frames := w.AppendContentFrames(channel, m, props, body, c.frameMax.Load())
+	frames := w.AppendContentFramesZC(channel, m, props, body, c.frameMax.Load())
 	if err := w.Err(); err != nil {
 		return err
 	}
@@ -1010,7 +1016,7 @@ func (c *Connection) writeContent(channel uint16, m wire.Method, props *wire.Pro
 func (c *Connection) writeContentTracked(ch *Channel, seq uint64, m wire.Method, props *wire.Properties, body []byte) error {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
-	frames := w.AppendContentFrames(ch.id, m, props, body, c.frameMax.Load())
+	frames := w.AppendContentFramesZC(ch.id, m, props, body, c.frameMax.Load())
 	if err := w.Err(); err != nil {
 		return err
 	}
@@ -1042,7 +1048,7 @@ func (c *Connection) writeContentTracked(ch *Channel, seq uint64, m wire.Method,
 func (c *Connection) writeContentRaw(channel uint16, m wire.Method, props *wire.Properties, body []byte) error {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
-	frames := w.AppendContentFrames(channel, m, props, body, c.frameMax.Load())
+	frames := w.AppendContentFramesZC(channel, m, props, body, c.frameMax.Load())
 	if err := w.Err(); err != nil {
 		return err
 	}

@@ -40,7 +40,13 @@ type Publishing struct {
 	Timestamp       uint64 // UnixNano
 	Type            string
 	AppID           string
-	Body            []byte
+	// Body is borrowed, not copied. Publish reads it while it runs — the
+	// frames leave in a synchronous flush — and never after it returns,
+	// so the caller may reuse the slice at once. The one exception is a
+	// confirm-mode channel of a reconnecting connection (Config.Reconnect):
+	// the publish is kept for replay with this same slice, so there the
+	// body must stay unmodified until its confirm arrives.
+	Body []byte
 }
 
 func (p *Publishing) properties() wire.Properties {

@@ -89,12 +89,6 @@ type pendingPublish struct {
 // pendingPool recycles publish-assembly state across messages.
 var pendingPool = sync.Pool{New: func() any { return new(pendingPublish) }}
 
-// maxBodyBytes bounds the body size a single publish may declare; it
-// exists because ingest now trusts the header's BodySize to presize the
-// pooled body buffer, and an absurd declared size must fail the channel
-// rather than reserve the memory.
-const maxBodyBytes = 1 << 27 // 128 MiB, far above any paper workload
-
 func newSrvChannel(sc *srvConn, id uint16) *srvChannel {
 	return &srvChannel{
 		id:        id,
@@ -737,7 +731,7 @@ func (ch *srvChannel) onHeader(h *wire.ContentHeader) error {
 	ch.mu.Lock()
 	p := ch.pending
 	if p != nil {
-		if h.BodySize > maxBodyBytes {
+		if h.BodySize > wire.MaxBodyBytes {
 			ch.pending = nil
 			ch.mu.Unlock()
 			return ch.exception(wire.ReplyPreconditionFailed,
@@ -761,13 +755,21 @@ func (ch *srvChannel) onHeader(h *wire.ContentHeader) error {
 
 // onBody receives a body frame of an in-flight publish, copying it into
 // the presized pooled body (the frame payload itself is a reader loan
-// recycled on the next read).
+// recycled on the next read). A frame that would carry the body past the
+// size its header declared is a framing error and ends the connection
+// (teardown releases the half-built message): appending it would grow the
+// body off its loan and deliver more bytes than the header says.
 func (ch *srvChannel) onBody(b []byte) error {
 	ch.mu.Lock()
 	p := ch.pending
 	if p == nil || p.header == nil {
 		ch.mu.Unlock()
 		return fmt.Errorf("broker: body frame without header on channel %d", ch.id)
+	}
+	if left := p.header.BodySize - uint64(len(p.msg.Body)); uint64(len(b)) > left {
+		ch.mu.Unlock()
+		return fmt.Errorf("broker: body frame of %d bytes overruns declared body size %d (%d left) on channel %d",
+			len(b), p.header.BodySize, left, ch.id)
 	}
 	p.msg.AppendBody(b)
 	complete := uint64(len(p.msg.Body)) >= p.header.BodySize

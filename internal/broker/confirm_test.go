@@ -16,10 +16,11 @@ import (
 	"ds2hpc/internal/wire"
 )
 
-// countingConn counts the Write calls that reach the broker's socket.
+// countingConn counts the Write calls that reach a socket, into a counter
+// several connections may share.
 type countingConn struct {
 	net.Conn
-	writes atomic.Int64
+	writes *atomic.Int64
 }
 
 func (c *countingConn) Write(p []byte) (int, error) {
@@ -78,7 +79,7 @@ func newConfirmPeer(t testing.TB, cfg Config, secure bool) *confirmPeer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &confirmPeer{t: t, c: cli, srv: &countingConn{Conn: raw}, w: wire.NewWriter(), resolved: map[uint64]bool{}}
+	p := &confirmPeer{t: t, c: cli, srv: &countingConn{Conn: raw, writes: new(atomic.Int64)}, w: wire.NewWriter(), resolved: map[uint64]bool{}}
 	sc := newSrvConn(s, p.srv)
 	served := make(chan struct{})
 	go func() { sc.serve(); close(served) }()

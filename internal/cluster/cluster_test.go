@@ -150,8 +150,12 @@ func TestShovelMovesMessages(t *testing.T) {
 			t.Fatalf("shovel moved %d of %d (Moved=%d)", got, n, sh.Moved())
 		}
 	}
-	if sh.Moved() != int64(n) {
-		t.Errorf("Moved = %d, want %d", sh.Moved(), n)
+	// The shovel counts a message after its publish, so the last delivery
+	// can reach this consumer a moment before the count does.
+	for deadline := time.Now().Add(5 * time.Second); sh.Moved() != int64(n); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("Moved = %d, want %d", sh.Moved(), n)
+		}
 	}
 }
 

@@ -23,10 +23,17 @@ var (
 	bufPoolMisses = metrics.Default.Counter("wire.bufpool_misses")
 )
 
-// bufClassSizes are the pooled capacity classes, smallest first. The top
-// class covers a full default-size frame plus framing overhead; larger
-// requests fall through to plain allocation.
-var bufClassSizes = [...]int{1 << 10, 1 << 13, 1 << 16, DefaultFrameMax + 4096}
+// bufClassSizes are the pooled capacity classes, smallest first. The
+// first four serve frames: the fourth covers a full default-size frame
+// plus framing overhead. The powers of two above it serve whole message
+// bodies on loan (broker ingest, client manual-ack deliveries). Without
+// them every body past 132 KiB was a fresh, zeroed allocation on each
+// side — 5.1 % of ws_bulk's CPU in makeslice, 6.28 MB/op in
+// BenchmarkLargeBodyPublishDeliver against ~1 KB/op with them. 4 MiB,
+// four times the paper's largest body (the 1 MiB Lstream), is the
+// ceiling; larger requests fall through to plain allocation.
+var bufClassSizes = [...]int{1 << 10, 1 << 13, 1 << 16, DefaultFrameMax + 4096,
+	1 << 18, 1 << 19, 1 << 20, 1 << 21, 1 << 22}
 
 var bufPools [len(bufClassSizes)]sync.Pool
 
@@ -134,9 +141,11 @@ var writerPool = sync.Pool{
 }
 
 // maxPooledWriterBytes caps the buffer capacity a recycled Writer may keep.
-// It must comfortably exceed a batch writer's flush threshold plus one
-// maximum-size frame, so the delivery batching path — the workload writer
-// pooling exists for — still recycles its writers.
+// Bodies of zcMinBorrow and more are borrowed on every send path, so a
+// writer holds framing plus copied-in small bodies only: what grows one is
+// a delivery batch of small messages, up to the batch writer's flush
+// threshold plus one maximum-size frame, and the cap must comfortably
+// exceed that so the batching path still recycles its writers.
 const maxPooledWriterBytes = 1 << 20
 
 // GetWriter returns a reset Writer from the pool. Callers must return it

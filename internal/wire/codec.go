@@ -26,8 +26,9 @@ var (
 //
 // Large body payloads appended through AppendContentFramesZC are not
 // copied into the buffer: the Writer records a borrow segment instead and
-// FlushFrames emits buffer ranges and borrowed slices as one vectored
-// write. Borrowed slices must stay valid and unmodified until the flush.
+// FlushFrames emits buffer ranges and borrowed slices in order — one
+// writev on a TCP socket, gathered writes elsewhere. Borrowed slices must
+// stay valid and unmodified until the flush.
 type Writer struct {
 	buf []byte
 	err error
@@ -38,6 +39,7 @@ type Writer struct {
 	extLen int
 	iov    [][]byte // flush scratch, reused across batches
 	nb     netBufs  // vectored-write scratch; a field so WriteTo's pointer receiver never escapes a local
+	gather []byte   // gathered-write scratch for destinations without writev; at most gatherMax
 }
 
 // borrowSeg is one zero-copy splice point in the Writer's output.

@@ -23,6 +23,12 @@ const (
 // split across multiple body frames of at most this size.
 const DefaultFrameMax = 128 * 1024
 
+// MaxBodyBytes bounds the body size a content header may declare. Both
+// ends presize the body buffer from the header's BodySize, a 64-bit field
+// off the wire, so an absurd value must fail the publish or the
+// connection rather than reserve the memory (or panic in makeslice).
+const MaxBodyBytes = 1 << 27 // 128 MiB, far above any paper workload
+
 // ProtocolHeader is sent by clients as the first bytes of a connection.
 var ProtocolHeader = []byte{'D', 'S', '2', 'H', 0, 0, 9, 1}
 

@@ -90,16 +90,17 @@ func (w *Writer) AppendContentFrames(channel uint16, m Method, props *Properties
 // zcMinBorrow is the smallest body chunk AppendContentFramesZC borrows
 // instead of copying. Below it the memcpy is cheaper than an extra iovec
 // entry; above it the copy dominates and the chunk rides the vectored
-// write in place.
+// write in place. What a borrow means on a destination without writev is
+// FlushFrames' decision (gatherMax), not this one's.
 const zcMinBorrow = 2048
 
 // AppendContentFramesZC is AppendContentFrames with zero-copy bodies:
 // body chunks of at least zcMinBorrow bytes are recorded as borrow
 // segments instead of being copied into the Writer's buffer, and
-// FlushFrames stitches buffer and borrowed slices into one vectored
-// write. The caller must keep body valid and unmodified until the
+// FlushFrames stitches buffer and borrowed slices back together on the
+// way out. The caller must keep body valid and unmodified until the
 // frames are flushed (delivery paths hold the message's refcount across
-// the flush, which guarantees exactly that).
+// the flush, a publish flushes before Publish returns).
 func (w *Writer) AppendContentFramesZC(channel uint16, m Method, props *Properties, body []byte, frameMax uint32) int {
 	w.AppendMethodFrame(channel, m)
 	off := w.StartFrame(FrameHeader, channel)
@@ -133,11 +134,22 @@ func (w *Writer) AppendContentFramesZC(channel uint16, m Method, props *Properti
 	return frames
 }
 
-// FlushFrames emits every frame accumulated in the Writer with a single
-// Write call — a plain write when everything was copied in, a vectored
-// write (writev on TCP) when body segments were borrowed — resets the
-// buffer, and records the coalescing counters. frames is the number of
-// frames in the buffer (counted by the caller or returned from
+// gatherMax bounds one gathered write and is the size from which a
+// borrowed chunk is written on its own. 64 KiB is one netem pacing chunk
+// (netem.DefaultMTU): gathering a whole 256 KiB delivery batch into one
+// write cost fb_wan ~4 % of prs.msgs_per_s through netem's pacing, this
+// cap was neutral; and a full 128 KiB body frame is far past the point
+// where one more write is cheaper than the copy.
+const gatherMax = 64 * 1024
+
+// FlushFrames emits every frame accumulated in the Writer, resets the
+// buffer, and records the coalescing counters. Everything copied in goes
+// out as one Write. With borrowed body segments the destination decides:
+// a *net.TCPConn takes buffer ranges and borrowed slices as one writev;
+// on anything else (tls.Conn, netem.Conn, a bytes.Buffer) net.Buffers
+// would degrade to one Write — one TLS record, one syscall — per piece,
+// so the pieces are gathered instead (writeGathered). frames is the
+// number of frames in the buffer (counted by the caller or returned from
 // AppendContentFrames/AppendContentFramesZC).
 func (w *Writer) FlushFrames(dst io.Writer, frames int) error {
 	if w.err != nil {
@@ -163,9 +175,13 @@ func (w *Writer) FlushFrames(dst io.Writer, frames int) error {
 			iov = append(iov, w.buf[prev:])
 		}
 		w.iov = iov // keep grown scratch for reuse
-		w.nb = net.Buffers(iov)
-		_, err = w.nb.WriteTo(dst)
-		w.nb = nil // WriteTo re-sliced it; drop so nothing stays pinned
+		if tcp, ok := dst.(*net.TCPConn); ok {
+			w.nb = net.Buffers(iov)
+			_, err = w.nb.WriteTo(tcp)
+			w.nb = nil // WriteTo re-sliced it; drop so nothing stays pinned
+		} else {
+			err = w.writeGathered(dst, iov)
+		}
 	}
 	w.buf = w.buf[:0]
 	w.dropBorrows()
@@ -173,5 +189,36 @@ func (w *Writer) FlushFrames(dst io.Writer, frames int) error {
 	if frames > 1 {
 		framesCoalesced.Add(uint64(frames))
 	}
+	return err
+}
+
+// writeGathered writes pieces in order to a destination without writev.
+// Pieces under gatherMax are copied into the Writer's scratch and leave
+// in writes of at most gatherMax — a 4 or 16 KiB content triplet is one
+// Write. A piece of gatherMax or more (a full body frame's chunk) is
+// handed to dst as it is, so its bytes are not copied here; only the few
+// framing bytes around it are gathered.
+func (w *Writer) writeGathered(dst io.Writer, pieces [][]byte) error {
+	g := w.gather[:0]
+	var err error
+	for _, p := range pieces {
+		if len(g) > 0 && len(g)+len(p) > gatherMax {
+			if _, err = dst.Write(g); err != nil {
+				break
+			}
+			g = g[:0]
+		}
+		if len(p) >= gatherMax {
+			if _, err = dst.Write(p); err != nil {
+				break
+			}
+			continue
+		}
+		g = append(g, p...)
+	}
+	if err == nil && len(g) > 0 {
+		_, err = dst.Write(g)
+	}
+	w.gather = g[:0]
 	return err
 }
