@@ -27,8 +27,10 @@ PR ?= dev
 # synchronous replication, R=1 vs R=2), and the pipelined publish→confirm
 # bench (broker socket writes per confirm-mode publish: confirm coalescing),
 # and the large-body bench (1 MiB amqp client <-> broker: a body copy shows
-# as ns/op, a per-message body allocation as ~1 MiB of B/op).
-BENCH_PATTERN ?= BenchmarkAblationAckBatching|BenchmarkAblationWorkQueues|BenchmarkAblationDurabilityPayload|BenchmarkOverheadVsDTS|BenchmarkResilienceFaultRate|BenchmarkFig6aDstreamFeedbackRTT|BenchmarkFanoutPublishDeliver|BenchmarkDurableFanoutPublishDeliver|BenchmarkSeglogAppend|BenchmarkSeglogReplay|BenchmarkFederationForward|BenchmarkTaggedCounter|BenchmarkMirroredPublishDeliver|BenchmarkPublishConfirmPipelined|BenchmarkLargeBodyPublishDeliver
+# as ns/op, a per-message body allocation as ~1 MiB of B/op), and its 1 KiB
+# twin (windows 1/8/64: socket writes per message on all three legs, and the
+# one-in-flight round trip a deferred flush must not lengthen).
+BENCH_PATTERN ?= BenchmarkAblationAckBatching|BenchmarkAblationWorkQueues|BenchmarkAblationDurabilityPayload|BenchmarkOverheadVsDTS|BenchmarkResilienceFaultRate|BenchmarkFig6aDstreamFeedbackRTT|BenchmarkFanoutPublishDeliver|BenchmarkDurableFanoutPublishDeliver|BenchmarkSeglogAppend|BenchmarkSeglogReplay|BenchmarkFederationForward|BenchmarkTaggedCounter|BenchmarkMirroredPublishDeliver|BenchmarkPublishConfirmPipelined|BenchmarkLargeBodyPublishDeliver|BenchmarkSmallPublishDeliver
 
 # MICRO_ITERS fixes the iteration count for the broker microbenchmarks:
 # unlike the figure benches (one timed scenario run each, hence 1x), the

@@ -445,6 +445,13 @@ func runParticipant(args []string, role string) error {
 			}
 			report.Count++
 		}
+		// The report below says "published": make it true first. Closing
+		// the channel is a round trip behind every publish, so the broker
+		// has routed them all — a small publish is only queued for the
+		// connection's next write when Publish returns.
+		if err := ch.Close(); err != nil {
+			return err
+		}
 	case "consumer":
 		if err := ch.Qos(8, 0, false); err != nil {
 			return err

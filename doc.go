@@ -166,6 +166,20 @@
 // the publishes before them. amqp.Channel turns the mix of single and
 // multiple verdicts back into exactly one Confirmation per publish.
 //
+// Publish semantics: an amqp.Connection has one send buffer that every
+// write goes through, so wire order is call order. A publish whose body
+// is under 2 KiB (copied, so Publishing.Body is still never read after
+// Publish returns) is appended and Publish returns, starting a flush
+// goroutine if none is scheduled; every other write — RPCs, acks,
+// heartbeats, Close, a publish that borrows its body — and the publish
+// that takes the buffer to 64 KiB flush what is pending inline. Publish
+// returning nil therefore means accepted by the connection: written, or
+// queued behind at most 64 KiB for the flush that is already scheduled.
+// A dead socket surfaces on the next inline write, NotifyClose, ErrClosed
+// or the closed confirm channel, the same class of loss as bytes the
+// kernel had accepted; a confirm remains the only delivery guarantee,
+// and a process must Close before exiting. No timer, nothing to tune.
+//
 // # Durability model
 //
 // Durable storage is opt-in and per-queue: with broker.Config.DataDir

@@ -136,6 +136,12 @@ func main() {
 	elapsed := time.Since(start)
 	stop, _ := deleria.EncodeControl(&deleria.Control{Type: "stop", RunID: 7})
 	ctrlCh.Publish("", controlQueue, false, false, amqp.Publishing{Body: stop})
+	// The last message of the run: Publish has only queued it on the
+	// connection. Closing the channel is a round trip behind it, so the
+	// control queue holds it before the cluster is torn down.
+	if err := ctrlCh.Close(); err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("pipeline complete: %d batches tracked and rebuilt in %v (%.0f events/sec)\n",
 		want, elapsed.Round(time.Millisecond),

@@ -743,13 +743,21 @@ func (ch *Channel) GetNextPublishSeqNo() uint64 {
 
 // --- publish / consume ---
 
-// Publish sends a message to an exchange. On a reconnecting connection
-// in confirm mode the publish is tracked until the broker resolves it:
-// if the transport dies first, the message is queued and replayed by the
-// reconnect, so Publish reports success and the confirm (or the closed
-// confirm channel, if the reconnect budget runs out) carries the final
-// verdict — the same contract as a confirm-mode publish that made it
-// onto the wire.
+// Publish sends a message to an exchange. A nil error means the
+// connection accepted it: a body of 2 KiB or more is written, a smaller
+// one is written or queued, behind at most 64 KiB, for a flush already
+// scheduled, which any other write on the connection (an RPC, an ack,
+// Close) carries out first. A socket that died meanwhile surfaces on the
+// next inline write, NotifyClose, ErrClosed or the closed confirm channel,
+// like bytes the kernel had accepted. A confirm remains the only delivery
+// guarantee, and a process must Close before exiting.
+//
+// On a reconnecting connection in confirm mode the publish is tracked
+// until the broker resolves it: if the transport dies first, the message
+// is queued and replayed by the reconnect, so Publish reports success and
+// the confirm (or the closed confirm channel, if the reconnect budget runs
+// out) carries the final verdict — the same contract as a confirm-mode
+// publish that made it onto the wire.
 func (ch *Channel) Publish(exchange, key string, mandatory, immediate bool, msg Publishing) error {
 	ch.mu.Lock()
 	if ch.closed {

@@ -116,7 +116,13 @@ type Connection struct {
 	conn net.Conn
 	fr   *wire.FrameReader
 
-	writeMu sync.Mutex
+	// writeMu guards the send side: out, the one send buffer (outFrames
+	// counts its frames), and kicked, set while a flushSoon goroutine has
+	// yet to take writeMu — at most one per connection, none on an idle one.
+	writeMu   sync.Mutex
+	out       *wire.Writer
+	outFrames int
+	kicked    bool
 
 	mu        sync.Mutex
 	channels  map[uint16]*Channel
@@ -247,6 +253,7 @@ func dialOnce(u URI, vhost string, cfg Config) (*Connection, error) {
 	c := &Connection{
 		conn:     raw,
 		fr:       wire.NewFrameReader(raw, 0),
+		out:      wire.NewWriter(),
 		channels: map[uint16]*Channel{},
 		uri:      u,
 		vhost:    vhost,
@@ -607,6 +614,10 @@ func (c *Connection) resume(raw net.Conn) error {
 		return ErrClosed
 	}
 	c.conn = raw
+	// Nothing encoded for the dead transport may reach this one: tracked
+	// publishes await the replay below, the rest is lost as in the old socket.
+	c.out.Reset()
+	c.outFrames = 0
 	fr := wire.NewFrameReader(raw, 0)
 	c.fr = fr
 	c.epoch++
@@ -884,42 +895,82 @@ func (c *Connection) awaitResume() bool {
 	}
 }
 
-func (c *Connection) writeFrame(f wire.Frame) error {
-	w := wire.GetWriter()
-	w.AppendRawFrame(f.Type, f.Channel, f.Payload)
-	c.writeMu.Lock()
-	err := w.FlushFrames(c.conn, 1)
-	c.writeMu.Unlock()
-	wire.PutWriter(w)
-	return err
+// sendBufMax (one gathered write, wire's gatherMax) is the pending size at
+// which a publish flushes inline: memory is bounded, back-pressure kept.
+const sendBufMax = 64 * 1024
+
+// sendLocked is the one way frames reach the socket. The caller holds
+// writeMu and has checked w.Err. w's frames go behind whatever is pending
+// in the one send buffer, so wire order is call order. A frame set that
+// awaits no reply (inline false: a publish) and borrows nothing (its body
+// was copied into w) then returns at once and leaves the write to
+// flushSoon, started here unless one is already scheduled; everything
+// else flushes the lot before returning.
+func (c *Connection) sendLocked(w *wire.Writer, frames int, inline bool) error {
+	c.out.AppendWriter(w)
+	c.outFrames += frames
+	if inline || w.Len() > len(w.Bytes()) || c.out.Len() >= sendBufMax {
+		return c.flushLocked()
+	}
+	if !c.kicked {
+		c.kicked = true
+		go c.flushSoon()
+	}
+	return nil
 }
 
-func (c *Connection) writeMethod(channel uint16, m wire.Method) error {
+func (c *Connection) flushLocked() error {
+	frames := c.outFrames
+	c.outFrames = 0
+	return c.out.FlushFrames(c.conn, frames)
+}
+
+// flushSoon is the scheduled flush. It runs when the scheduler reaches it
+// — behind the publisher's burst on a busy P, at once on an idle one — so
+// a lone publish is not held back. A write error is the read loop's to see.
+func (c *Connection) flushSoon() {
+	c.writeMu.Lock()
+	c.kicked = false
+	c.flushLocked()
+	c.writeMu.Unlock()
+}
+
+// encodeMethod frames m into a pooled writer the caller recycles; a
+// marshal error is reported before a byte reaches the send buffer.
+func encodeMethod(channel uint16, m wire.Method) (*wire.Writer, error) {
 	w := wire.GetWriter()
 	w.AppendMethodFrame(channel, m)
 	if err := w.Err(); err != nil {
 		wire.PutWriter(w)
-		return err
+		return nil, err
 	}
+	return w, nil
+}
+
+func (c *Connection) writeFrame(f wire.Frame) error {
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
+	w.AppendRawFrame(f.Type, f.Channel, f.Payload)
 	c.writeMu.Lock()
-	err := w.FlushFrames(c.conn, 1)
-	c.writeMu.Unlock()
-	wire.PutWriter(w)
-	return err
+	defer c.writeMu.Unlock()
+	return c.sendLocked(w, 1, true)
+}
+
+func (c *Connection) writeMethod(channel uint16, m wire.Method) error {
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	return c.writeMethodRaw(channel, m)
 }
 
 // writeMethodRaw writes without taking writeMu: used during handshake
 // (no concurrent writers yet) and resume (writeMu already held).
 func (c *Connection) writeMethodRaw(channel uint16, m wire.Method) error {
-	w := wire.GetWriter()
-	w.AppendMethodFrame(channel, m)
-	if err := w.Err(); err != nil {
-		wire.PutWriter(w)
+	w, err := encodeMethod(channel, m)
+	if err != nil {
 		return err
 	}
-	err := w.FlushFrames(c.conn, 1)
-	wire.PutWriter(w)
-	return err
+	defer wire.PutWriter(w)
+	return c.sendLocked(w, 1, true)
 }
 
 // writeMethodGen writes a synchronous method only if the transport
@@ -929,27 +980,22 @@ func (c *Connection) writeMethodRaw(channel uint16, m wire.Method) error {
 // to suspension moments later); marshal errors stay as-is — they are
 // permanent and must not be retried.
 func (c *Connection) writeMethodGen(gen chan struct{}, channel uint16, m wire.Method) error {
-	w := wire.GetWriter()
-	w.AppendMethodFrame(channel, m)
-	if err := w.Err(); err != nil {
-		wire.PutWriter(w)
+	w, err := encodeMethod(channel, m)
+	if err != nil {
 		return err
 	}
+	defer wire.PutWriter(w)
 	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
 	c.mu.Lock()
 	ok := !c.suspended && c.genCh == gen
 	c.mu.Unlock()
-	var err error
-	if ok {
-		err = w.FlushFrames(c.conn, 1)
-		if err != nil && c.reconnectEnabled() {
-			err = errSuspended
-		}
-	} else {
+	if !ok {
+		return errSuspended
+	}
+	if err = c.sendLocked(w, 1, true); err != nil && c.reconnectEnabled() {
 		err = errSuspended
 	}
-	c.writeMu.Unlock()
-	wire.PutWriter(w)
 	return err
 }
 
@@ -958,68 +1004,68 @@ func (c *Connection) writeMethodGen(gen chan struct{}, channel uint16, m wire.Me
 // requeued the deliveries those tags named, so stale acks are dropped
 // rather than misapplied to new deliveries.
 func (c *Connection) writeMethodEpoch(epoch uint64, channel uint16, m wire.Method) error {
-	w := wire.GetWriter()
-	w.AppendMethodFrame(channel, m)
-	if err := w.Err(); err != nil {
-		wire.PutWriter(w)
+	w, err := encodeMethod(channel, m)
+	if err != nil {
 		return err
 	}
+	defer wire.PutWriter(w)
 	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
 	c.mu.Lock()
 	stale := c.epoch != epoch || c.suspended
 	c.mu.Unlock()
-	var err error
-	if stale {
-		staleAcksDropped.Inc()
-	} else {
-		err = w.FlushFrames(c.conn, 1)
-	}
-	c.writeMu.Unlock()
-	wire.PutWriter(w)
-	if err != nil && c.reconnectEnabled() {
+	if !stale {
+		if err = c.sendLocked(w, 1, true); err == nil || !c.reconnectEnabled() {
+			return err
+		}
 		// Transport died mid-ack: the broker requeues the delivery when
 		// it notices, so the ack is simply dropped.
-		staleAcksDropped.Inc()
-		return nil
 	}
-	return err
+	staleAcksDropped.Inc()
+	return nil
 }
 
-// writeContent coalesces a publish's method+header+body frames into one
-// flush, atomic with respect to other writers on this connection. The
-// body is borrowed, not copied (wire.AppendContentFramesZC): the flush is
-// synchronous under writeMu, so the caller's slice is read before this
-// returns and not after — the same rule the broker's delivery path lives
-// by. A small message is one write; what a large one costs per
-// destination kind is wire.FlushFrames' decision.
-func (c *Connection) writeContent(channel uint16, m wire.Method, props *wire.Properties, body []byte) error {
+// encodeContent frames a publish into a pooled writer the caller
+// recycles. The body is copied below wire's borrow floor and borrowed
+// from it up (wire.AppendContentFramesZC); sendLocked flushes a borrow
+// inline, so the caller's slice is read before Publish returns and not
+// after — the rule the broker's delivery path lives by.
+func (c *Connection) encodeContent(channel uint16, m wire.Method, props *wire.Properties, body []byte) (*wire.Writer, int, error) {
 	w := wire.GetWriter()
-	defer wire.PutWriter(w)
 	frames := w.AppendContentFramesZC(channel, m, props, body, c.frameMax.Load())
 	if err := w.Err(); err != nil {
-		return err
+		wire.PutWriter(w)
+		return nil, 0, err
 	}
+	return w, frames, nil
+}
+
+// writeContent sends a publish's method+header+body frames as one unit,
+// atomic with respect to other writers on this connection. A body under
+// the borrow floor shares the scheduled flush with the publishes around
+// it (sendLocked); a larger one is written before this returns, and what
+// that costs per destination kind is wire.FlushFrames' decision.
+func (c *Connection) writeContent(channel uint16, m wire.Method, props *wire.Properties, body []byte) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	return w.FlushFrames(c.conn, frames)
+	return c.writeContentRaw(channel, m, props, body)
 }
 
 // writeContentTracked writes a confirm-mode publish on a reconnecting
-// connection. The broker confirm tag is assigned inside writeMu, so tag
-// order always matches the order frames reach the wire; the epoch check
-// happens under the same lock, so a publish never races the resume
-// path's map rebuild — when the transport is suspended or the tag map
-// belongs to an older epoch, the publish stays in pending (already
-// recorded by the caller) and the replay owns it. Marshal errors are
-// permanent and propagate; socket errors mean the reconnect replay will
-// resend, so they report success.
+// connection. The broker confirm tag is assigned inside writeMu, at
+// append time, so tag order always matches the order frames reach the
+// wire; the epoch check happens under the same lock, so a publish never
+// races the resume path's map rebuild — when the transport is suspended
+// or the tag map belongs to an older epoch, the publish stays in pending
+// (already recorded by the caller) and the replay owns it. Marshal errors
+// are permanent and propagate; socket errors mean the reconnect replay
+// will resend, so they report success.
 func (c *Connection) writeContentTracked(ch *Channel, seq uint64, m wire.Method, props *wire.Properties, body []byte) error {
-	w := wire.GetWriter()
-	defer wire.PutWriter(w)
-	frames := w.AppendContentFramesZC(ch.id, m, props, body, c.frameMax.Load())
-	if err := w.Err(); err != nil {
+	w, frames, err := c.encodeContent(ch.id, m, props, body)
+	if err != nil {
 		return err
 	}
+	defer wire.PutWriter(w)
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	c.mu.Lock()
@@ -1038,19 +1084,16 @@ func (c *Connection) writeContentTracked(ch *Channel, seq uint64, m wire.Method,
 	ch.brokerSeq++
 	ch.pubMap[ch.brokerSeq] = seq
 	ch.mu.Unlock()
-	if err := w.FlushFrames(c.conn, frames); err != nil {
-		return nil // transport died mid-write; the replay resends it
-	}
+	c.sendLocked(w, frames, false) // transport died mid-write: the replay resends it
 	return nil
 }
 
-// writeContentRaw writes content during resume (writeMu held).
+// writeContentRaw writes content with writeMu held: writeContent, resume.
 func (c *Connection) writeContentRaw(channel uint16, m wire.Method, props *wire.Properties, body []byte) error {
-	w := wire.GetWriter()
-	defer wire.PutWriter(w)
-	frames := w.AppendContentFramesZC(channel, m, props, body, c.frameMax.Load())
-	if err := w.Err(); err != nil {
+	w, frames, err := c.encodeContent(channel, m, props, body)
+	if err != nil {
 		return err
 	}
-	return w.FlushFrames(c.conn, frames)
+	defer wire.PutWriter(w)
+	return c.sendLocked(w, frames, false)
 }

@@ -21,7 +21,9 @@ import (
 // after Publish returned would arrive scribbled (and trip -race). Run on
 // every destination kind FlushFrames distinguishes — raw TCP (writev),
 // TLS and a netem-wrapped socket (gathered writes, chunks in place) — at
-// the borrow floor, at the gather cap and across eight frames.
+// the borrow floor, at the gather cap and across eight frames, and with
+// 64 B and 1 KiB bodies, which are copied at Publish and wait in the
+// connection's send buffer for a write that may come after it returned.
 func TestPublishBorrowsBodyOnlyUntilItReturns(t *testing.T) {
 	id, err := tlsutil.SelfSigned("broker", "127.0.0.1")
 	if err != nil {
@@ -40,7 +42,7 @@ func TestPublishBorrowsBodyOnlyUntilItReturns(t *testing.T) {
 	castagnoli := crc32.MakeTable(crc32.Castagnoli)
 	const msgs = 40
 	for _, tr := range transports {
-		for _, size := range []int{2 << 10, 64 << 10, 1 << 20} {
+		for _, size := range []int{64, 1 << 10, 2 << 10, 64 << 10, 1 << 20} {
 			t.Run(fmt.Sprintf("%s/%d", tr.name, size), func(t *testing.T) {
 				s := startBroker(t, tr.server)
 				scheme := "amqp://"

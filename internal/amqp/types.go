@@ -40,12 +40,16 @@ type Publishing struct {
 	Timestamp       uint64 // UnixNano
 	Type            string
 	AppID           string
-	// Body is borrowed, not copied. Publish reads it while it runs — the
-	// frames leave in a synchronous flush — and never after it returns,
-	// so the caller may reuse the slice at once. The one exception is a
-	// confirm-mode channel of a reconnecting connection (Config.Reconnect):
-	// the publish is kept for replay with this same slice, so there the
-	// body must stay unmodified until its confirm arrives.
+	// Body is read while Publish runs and never after it returns, so the
+	// caller may reuse the slice at once: from 2 KiB up it is borrowed and
+	// flushed synchronously, below that copied into the connection's send
+	// buffer. Publish returning nil therefore means accepted by the
+	// connection — written, or queued behind at most 64 KiB for the flush
+	// already scheduled — never delivered (see Channel.Publish). The one
+	// exception to reuse is a confirm-mode channel of a reconnecting
+	// connection (Config.Reconnect): the publish is kept for replay with
+	// this same slice, so there the body must stay unmodified until its
+	// confirm arrives.
 	Body []byte
 }
 

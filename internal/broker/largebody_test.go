@@ -272,27 +272,49 @@ func TestBodyFrameOverrunEndsConnection(t *testing.T) {
 	}
 }
 
+// benchPublishDeliver times the pump on a fresh counted broker: ns/op,
+// B/op and allocs/op are per message and include both clients; writes/msg
+// is every socket write of both clients and the broker (TLS records under
+// tls). Run at a fixed -benchtime Nx.
+func benchPublishDeliver(b *testing.B, secure bool, queue string, body []byte, window int) {
+	cb := newCountedBroker(b, secure)
+	p := cb.open(b, queue, window)
+	p.run(body, 2*window)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	before := cb.writes.Load()
+	b.ResetTimer()
+	p.run(body, b.N)
+	b.StopTimer()
+	b.ReportMetric(float64(cb.writes.Load()-before)/float64(b.N), "writes/msg")
+}
+
 // BenchmarkLargeBodyPublishDeliver drives 1 MiB messages from an amqp
 // producer through a broker to a manual-ack amqp consumer, four in
-// flight, over counted sockets: ns/op, B/op and allocs/op are per
-// message and include both clients; writes/msg is every socket write of
-// both ends (TLS records under tls). A per-message body allocation shows
-// as ~1 MiB more B/op each, a body copy as ns/op. Run at a fixed
-// -benchtime Nx.
+// flight, over counted sockets. A per-message body allocation shows as
+// ~1 MiB more B/op each, a body copy as ns/op.
 func BenchmarkLargeBodyPublishDeliver(b *testing.B) {
 	body := bytes.Repeat([]byte{0xA5, 0x5A, 0x3C, 0xC3}, 1<<18)
 	for _, l := range confirmListeners {
 		b.Run(l.name, func(b *testing.B) {
-			cb := newCountedBroker(b, l.secure)
-			p := cb.open(b, "bench-large-q", 4)
-			p.run(body, 8)
-			b.SetBytes(int64(len(body)))
-			b.ReportAllocs()
-			before := cb.writes.Load()
-			b.ResetTimer()
-			p.run(body, b.N)
-			b.StopTimer()
-			b.ReportMetric(float64(cb.writes.Load()-before)/float64(b.N), "writes/msg")
+			benchPublishDeliver(b, l.secure, "bench-large-q", body, 4)
 		})
+	}
+}
+
+// BenchmarkSmallPublishDeliver is the same pump at 1 KiB, where what a
+// message costs is calls, not bytes: windows of 1, 8 and 64 messages in
+// flight. The test consumer's ack per message is one of the writes, so
+// the floor with every publish and delivery coalesced is ~1 writes/msg.
+// At window 1 nothing can share a write and ns/op is the one-in-flight
+// round trip, which a deferred flush must not lengthen.
+func BenchmarkSmallPublishDeliver(b *testing.B) {
+	body := bytes.Repeat([]byte{0xA5, 0x5A, 0x3C, 0xC3}, 256)
+	for _, l := range confirmListeners {
+		for _, window := range []int{1, 8, 64} {
+			b.Run(fmt.Sprintf("%s/w%d", l.name, window), func(b *testing.B) {
+				benchPublishDeliver(b, l.secure, "bench-small-q", body, window)
+			})
+		}
 	}
 }

@@ -634,6 +634,13 @@ func (s *Shovel) run(deliveries <-chan amqp.Delivery, dstCh *amqp.Channel, destQ
 					continue
 				}
 			}
+			// Without confirms the shovel is at-most-once either way: this
+			// ack follows a publish the destination socket had at best
+			// accepted. A small publish now waits in the destination
+			// connection's send buffer, so the ack can also overtake one
+			// that is not written yet — the same loss on a crash between
+			// the two, in one more place. The confirm-mode shovel waits
+			// for the broker's verdict above and is unaffected.
 			d.Ack(false)
 			moved++
 			select {

@@ -134,6 +134,20 @@ func (w *Writer) AppendContentFramesZC(channel uint16, m Method, props *Properti
 	return frames
 }
 
+// AppendWriter appends src's frames — its buffer and its borrow segments —
+// behind whatever w already holds, so frame sets encoded in writers of
+// their own leave in one flush, in append order. The caller has checked
+// src.Err; src stays its owner's to recycle, and what src borrowed w now
+// borrows too, until w is flushed.
+func (w *Writer) AppendWriter(src *Writer) {
+	base := len(w.buf)
+	w.buf = append(w.buf, src.buf...)
+	for _, s := range src.segs {
+		w.segs = append(w.segs, borrowSeg{cut: base + s.cut, ext: s.ext})
+	}
+	w.extLen += src.extLen
+}
+
 // gatherMax bounds one gathered write and is the size from which a
 // borrowed chunk is written on its own. 64 KiB is one netem pacing chunk
 // (netem.DefaultMTU): gathering a whole 256 KiB delivery batch into one

@@ -68,6 +68,42 @@ func TestZCWriterReuseAfterFlush(t *testing.T) {
 	}
 }
 
+// TestAppendWriterKeepsOrderAndBorrows checks frame sets encoded in
+// writers of their own and appended to one leave as the concatenation of
+// what each would have flushed alone — copied bytes, borrow segments and
+// the bytes after a splice point all at their shifted offsets — on a
+// destination with gathered writes, and that the flush drops the borrows.
+func TestAppendWriterKeepsOrderAndBorrows(t *testing.T) {
+	props := Properties{MessageID: "aw"}
+	small := bytes.Repeat([]byte{0x11}, 700)
+	big := bytes.Repeat([]byte{0x22}, 3*zcMinBorrow)
+	var want bytes.Buffer
+	dst := NewWriter()
+	frames := 0
+	for i, body := range [][]byte{small, big, small, big} {
+		src := NewWriter()
+		n := src.AppendContentFramesZC(uint16(i+1), &BasicPublish{RoutingKey: "k"}, &props, body, DefaultFrameMax)
+		dst.AppendWriter(src)
+		frames += n
+		if err := src.FlushFrames(&want, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if dst.Len() != want.Len() {
+		t.Fatalf("appended writer holds %d bytes, want %d", dst.Len(), want.Len())
+	}
+	var got bytes.Buffer
+	if err := dst.FlushFrames(&got, frames); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("appended frame sets did not flush as their concatenation")
+	}
+	if dst.Len() != 0 || len(dst.segs) != 0 {
+		t.Fatalf("after the flush the writer still holds %d bytes, %d borrows", dst.Len(), len(dst.segs))
+	}
+}
+
 // TestLoanBufAccounting locks in the loan API contract: LoanBuf adds the
 // loaned capacity to the outstanding gauge, ReleaseBuf returns it (and
 // recycles), AbandonBuf returns it without recycling, and nil is safe.
