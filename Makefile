@@ -58,11 +58,12 @@ test:
 # crashrestart spec hard-kills every broker node mid-run and recovers
 # durable queues from their segment logs; coldreplay attaches a late
 # consumer at offset 0 and replays retained history. The scale10k spec
-# runs 10⁴ pooled clients under a goroutine budget, via the -clients
-# override so the flag path is exercised too. The failover spec runs a
-# 3-node ring-placed cluster and hard-kills the busiest queue master
-# mid-run: consumers follow redirects to the new master and nothing
-# confirmed is lost. The failover_replicated spec raises the stakes:
+# runs 10⁴ clients packed onto a few pooled connections under a goroutine
+# budget (the other specs leave the budget at 0: one socket per client),
+# via the -clients override so the flag path is exercised too. The
+# failover spec runs a 3-node ring-placed cluster and hard-kills the
+# busiest queue master mid-run: consumers follow redirects to the new
+# master and nothing confirmed is lost. The failover_replicated spec raises the stakes:
 # replication factor 2 and a rolling double kill — master first, then the
 # node its mirror was promoted onto — survived on synchronous mirrors
 # with zero segment-log relocation.
@@ -84,7 +85,9 @@ race:
 # stress reruns the concurrency-heavy packages under the race detector,
 # five times each at one and at two Ps: a schedule-dependent failure that
 # one pass at the default GOMAXPROCS lets through gets ten more chances.
-STRESS_PKGS := ./internal/broker ./internal/amqp ./internal/cluster
+# internal/pattern is the client runtime every figure and scenario runs
+# on, with its consumers on the connection read loops.
+STRESS_PKGS := ./internal/broker ./internal/amqp ./internal/cluster ./internal/pattern
 stress:
 	GOMAXPROCS=1 $(GO) test -race -count=5 $(STRESS_PKGS)
 	GOMAXPROCS=2 $(GO) test -race -count=5 $(STRESS_PKGS)

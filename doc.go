@@ -215,11 +215,13 @@
 // (zero goroutines when idle), and a shared Pacer replaces per-client
 // timers. A physical-connection flap resumes every session mapped onto
 // it — consumers and unconfirmed publishes replay — without touching
-// sessions on sibling connections. With Tuning.GoroutineBudget set, the
-// pattern engine multiplexes all roles over a bounded worker set and
-// the deployment's total goroutine count stays under the budget
-// (asserted in TestClientScaleGoroutineBudget; BenchmarkClientScale
-// tracks ns/op per delivered message and bytes/client up to 100k).
+// sessions on sibling connections. The pattern engine runs every role
+// instance on such a session; Tuning.GoroutineBudget bounds it. At 0 it
+// is unbounded, one socket per role instance and one goroutine per
+// producer; with a budget, roles multiplex over a bounded worker set and the
+// deployment's total goroutine count stays under the budget (asserted
+// in TestClientScaleGoroutineBudget; BenchmarkClientScale tracks ns/op
+// per delivered message and bytes/client up to 100k).
 // Entry points: `streamsim scenario -clients N`, `expdriver -fig
 // scale`, and scenario.Sweep's WithParallel option for concurrent grid
 // cells.

@@ -230,6 +230,11 @@ func (p *ClientPool) Close() error {
 	p.closed = true
 	conns := p.conns
 	p.conns = nil
+	for _, pc := range conns {
+		// Under p.mu: a Session call placed before Close may still be
+		// opening its channel and will give its slot back.
+		poolSessions.Add(-int64(pc.sessions))
+	}
 	pacer := p.pacer
 	p.mu.Unlock()
 	if pacer != nil {
@@ -241,7 +246,6 @@ func (p *ClientPool) Close() error {
 			firstErr = err
 		}
 		poolConns.Add(-1)
-		poolSessions.Add(-int64(pc.sessions))
 	}
 	return firstErr
 }

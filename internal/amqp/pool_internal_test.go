@@ -2,11 +2,15 @@ package amqp
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"ds2hpc/internal/broker"
+	"ds2hpc/internal/wire"
 )
 
 // Internal tests for the client pool: placement policy, dispatch across a
@@ -126,6 +130,88 @@ func TestClientPoolSiblingSharesConn(t *testing.T) {
 	}
 	if a.Conn().IsClosed() {
 		t.Fatal("closing a sibling closed the shared connection")
+	}
+}
+
+// silentBroker completes the AMQP handshake on every connection it
+// accepts and then answers nothing, so a channel.open sent to it stays in
+// flight until the client gives up on the connection.
+func silentBroker(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	t.Cleanup(func() { ln.Close(); wg.Wait() })
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer c.Close()
+				fr := wire.NewFrameReader(c, 0)
+				w := wire.NewWriter()
+				reply := func(m wire.Method) bool {
+					w.AppendMethodFrame(0, m)
+					return w.FlushFrames(c, 1) == nil
+				}
+				if wire.ReadProtocolHeader(c) != nil || !reply(&wire.ConnectionStart{Mechanisms: "PLAIN", Locales: "en_US"}) {
+					return
+				}
+				for {
+					f, err := fr.ReadFrame()
+					if err != nil {
+						return
+					}
+					m, err := wire.ParseMethod(f.Payload)
+					if f.Type != wire.FrameMethod || err != nil {
+						continue
+					}
+					ok := true
+					switch m.(type) {
+					case *wire.ConnectionStartOk:
+						ok = reply(&wire.ConnectionTune{ChannelMax: 2047, FrameMax: wire.DefaultFrameMax})
+					case *wire.ConnectionOpen:
+						ok = reply(&wire.ConnectionOpenOk{})
+					}
+					if !ok {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return "amqp://" + ln.Addr().String()
+}
+
+// TestClientPoolCloseDuringSessions closes a pool while Session calls are
+// still opening their channels on it, as a run torn down mid-attach does:
+// every call must fail rather than hang or hand out a session, and under
+// -race Close must not read a connection's session count while an
+// in-flight Session gives its slot back.
+func TestClientPoolCloseDuringSessions(t *testing.T) {
+	const n = 4
+	p := NewClientPool(PoolConfig{URL: silentBroker(t)})
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			_, err := p.Session()
+			errs <- err
+		}()
+	}
+	waitFor(t, "sessions in flight", func() bool { _, open := p.Stats(); return open == n })
+	p.Close()
+	for i := 0; i < n; i++ {
+		if err := <-errs; !errors.Is(err, ErrPoolClosed) {
+			t.Fatalf("Session on a pool closed under it: err = %v, want ErrPoolClosed", err)
+		}
 	}
 }
 

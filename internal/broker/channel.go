@@ -140,6 +140,18 @@ func (ch *srvChannel) teardown() {
 // publishes that preceded the failure — and tears the channel down. Serve
 // goroutine only.
 func (ch *srvChannel) exception(code uint16, text string, m wire.Method) error {
+	// A node going down says nothing more. Crash tears its queues down
+	// before it drops their connections, and a channel exception for a
+	// queue the crash removed would tell a reconnecting client that its
+	// channel, not its transport, failed: the client would drop the
+	// channel instead of resuming it on a survivor.
+	srv := ch.conn.srv
+	srv.mu.Lock()
+	down := srv.closed
+	srv.mu.Unlock()
+	if down {
+		return errConnClosed
+	}
 	classID, methodID := uint16(0), uint16(0)
 	if m != nil {
 		classID, methodID = m.ID()

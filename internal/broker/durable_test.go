@@ -11,6 +11,55 @@ import (
 	"ds2hpc/internal/broker/seglog"
 )
 
+// TestCrashingNodeRaisesNoChannelException holds a node in the window
+// Crash opens — marked down, queues torn down, connections not dropped
+// yet — and consumes from a queue the crash removed. The client must see
+// its transport drop, not a channel exception: a reconnecting client
+// resumes its channels after a transport loss but gives a channel up
+// after an exception, so a consumer replaying onto a dying node was lost.
+func TestCrashingNodeRaisesNoChannelException(t *testing.T) {
+	s, err := Listen(Config{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := amqp.Dial("amqp://" + s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	ch, err := conn.Channel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ch.QueueDeclare("crash-window-q", false, false, false, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	closed := ch.NotifyClose(make(chan *amqp.Error, 1))
+
+	s.mu.Lock()
+	s.closed = true
+	vhosts := make([]*VHost, 0, len(s.vhosts))
+	for _, vh := range s.vhosts {
+		vhosts = append(vhosts, vh)
+	}
+	s.mu.Unlock()
+	for _, vh := range vhosts {
+		vh.crash()
+	}
+	if _, err := ch.Consume("crash-window-q", "", false, false, false, false, nil); err == nil {
+		t.Fatal("consume on a crashed queue succeeded")
+	}
+	if e := <-closed; e != nil {
+		t.Fatalf("crashing node raised a channel exception: %v", e)
+	}
+
+	// Let Crash run its second half: drop connections, stop accepting.
+	s.mu.Lock()
+	s.closed = false
+	s.mu.Unlock()
+	s.Crash()
+}
+
 // TestDurableHardKillRecovery is the headline crash scenario, end to end
 // over real AMQP: a publisher streams confirmed messages into a durable
 // queue (fsync=always, so confirm implies durable), the broker settles a

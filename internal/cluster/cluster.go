@@ -386,10 +386,15 @@ func (c *Cluster) Kill(i int) ([]QueueInfo, error) {
 	}
 	moved := c.dir.NodeDownWith(i, choose)
 	var first error
+	var live []QueueInfo // promoted replicas that are queues now
 	for _, q := range moved {
 		if promoted[qkey(q.VHost, q.Name)] {
-			if err := c.promoteMirror(q); err != nil && first == nil {
-				first = err
+			if err := c.promoteMirror(q); err != nil {
+				if first == nil {
+					first = err
+				}
+			} else {
+				live = append(live, q)
 			}
 			continue
 		}
@@ -404,6 +409,21 @@ func (c *Cluster) Kill(i int) ([]QueueInfo, error) {
 		vh := c.Node(q.Node).VHost(q.VHost)
 		if _, err := vh.DeclareQueue(q.Name, q.Durable, false, false, false, nil); err != nil && first == nil {
 			first = fmt.Errorf("cluster: failover declare %q on node %d: %w", q.Name, q.Node, err)
+		}
+	}
+	// Only now does the directory name the new masters. Pinned any
+	// earlier, a consumer re-dialing a new master could be answered 404
+	// (the queue not declared there yet) and a publish landing there would
+	// route to no queue.
+	for _, q := range moved {
+		c.dir.Repin(q.VHost, q.Name, q.Node)
+	}
+	for _, q := range live {
+		c.mu.Lock()
+		rm := c.repls[q.Node]
+		c.mu.Unlock()
+		if rm != nil {
+			rm.queueRegistered(q.VHost, q.Name, true)
 		}
 	}
 	// Surviving masters drop the dead node from their mirror sets
@@ -428,8 +448,8 @@ func (c *Cluster) Kill(i int) ([]QueueInfo, error) {
 // promoteMirror flips one replicated queue's standby replica on its
 // already-chosen new master (q.Node) into the live queue: the replica
 // log closes cleanly, sheds its MIRROR marker, and the declare recovers
-// it in place. The promoted master then re-establishes mirrors on the
-// surviving ring members.
+// it in place. Once Kill re-pins the queue there, the promoted master
+// re-establishes mirrors on the surviving ring members.
 func (c *Cluster) promoteMirror(q QueueInfo) error {
 	st := c.storeOf(q.Node)
 	if st == nil {
@@ -443,12 +463,6 @@ func (c *Cluster) promoteMirror(q QueueInfo) error {
 		return fmt.Errorf("cluster: promote declare %q on node %d: %w", q.Name, q.Node, err)
 	}
 	promotions.Inc()
-	c.mu.Lock()
-	rm := c.repls[q.Node]
-	c.mu.Unlock()
-	if rm != nil {
-		rm.queueRegistered(q.VHost, q.Name, true)
-	}
 	return nil
 }
 

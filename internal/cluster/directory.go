@@ -153,22 +153,18 @@ func (d *Directory) Busiest() (int, bool) {
 	return best, best >= 0
 }
 
-// NodeDown retires node i from the ring and reassigns every queue it
-// mastered to the surviving ring owners. It returns the moved queues
-// with Node already set to the new master, so the failover driver can
-// relocate durable segment logs and re-declare each queue there.
-func (d *Directory) NodeDown(i int) []QueueInfo {
-	return d.NodeDownWith(i, nil)
-}
-
-// NodeDownWith is NodeDown with a promotion chooser: for each queue the
-// dead node mastered, choose may pick the new master (a replicated
-// queue's most-advanced in-sync mirror). Returning ok=false — or a nil
-// choose — falls back to the surviving ring owner.
+// NodeDownWith retires node i from the ring and picks a new master for
+// every queue it mastered: choose may pick one (a replicated queue's
+// most-advanced in-sync mirror); returning ok=false — or a nil choose —
+// falls back to the surviving ring owner. It returns those queues with
+// Node set to the new master but leaves their pins on node i: the
+// failover driver re-creates each queue on its new master and only then
+// re-pins it (Repin), so no client is ever sent to a master that lacks
+// its queue.
 func (d *Directory) NodeDownWith(i int, choose func(QueueInfo) (int, bool)) []QueueInfo {
 	d.ring.Remove(i)
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	var moved []QueueInfo
 	for _, q := range d.queues {
 		if q.Node != i {
@@ -184,9 +180,9 @@ func (d *Directory) NodeDownWith(i int, choose func(QueueInfo) (int, bool)) []Qu
 		if !ok {
 			continue // last node down; nowhere to move
 		}
-		q.Node = to
-		ownershipChanges.Inc()
-		moved = append(moved, *q)
+		m := *q
+		m.Node = to
+		moved = append(moved, m)
 	}
 	return moved
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -241,6 +242,84 @@ func TestKillFailsOverDurableQueue(t *testing.T) {
 		case <-timeout:
 			t.Fatalf("replayed %d of %d confirmed messages after failover", len(got), n)
 		}
+	}
+}
+
+// TestKillPinsNewMasterOnlyOnceQueueExists watches the directory while a
+// kill fails a durable queue over: whenever it names a new master, that
+// node must already hold the queue. Pinned before the log was replayed
+// there, a consumer re-dialing the new master got 404 "no queue" — a dead
+// channel — and a publish landing there routed to nothing.
+func TestKillPinsNewMasterOnlyOnceQueueExists(t *testing.T) {
+	dir := t.TempDir()
+	c, err := StartWithOptions(3, Options{Federation: true}, func(int) broker.Config {
+		return broker.Config{DataDir: dir, Durability: seglog.Options{Fsync: seglog.FsyncNever}}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	qname := queueOwnedBy(t, c, 1, "pin-q")
+	conn, err := amqp.Dial("amqp://" + c.AddrFor(qname))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, _ := conn.Channel()
+	if _, err := ch.QueueDeclare(qname, true, false, false, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	// A long log makes the replay on the new master take a while.
+	if err := ch.Confirm(false); err != nil {
+		t.Fatal(err)
+	}
+	confirms := ch.NotifyPublish(make(chan amqp.Confirmation, 64))
+	const n = 60000
+	go func() {
+		for i := 0; i < n; i++ {
+			if ch.Publish("", qname, false, false, amqp.Publishing{Body: []byte("replay me")}) != nil {
+				return
+			}
+		}
+	}()
+	for i := 0; i < n; i++ {
+		select {
+		case <-confirms:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("confirm %d missing", i)
+		}
+	}
+	conn.Close()
+
+	var early atomic.Int64 // directory lookups naming a master without the queue
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if owner := c.OwnerOf(qname); owner != 1 {
+				if _, ok := c.Node(owner).VHost(defaultVHost).Queue(qname); !ok {
+					early.Add(1)
+				}
+			}
+		}
+	}()
+	_, err = c.Kill(1)
+	close(stop)
+	<-done
+	if err != nil {
+		t.Fatalf("Kill: %v", err)
+	}
+	if c.OwnerOf(qname) == 1 {
+		t.Fatal("queue not re-pinned by Kill")
+	}
+	if early.Load() > 0 {
+		t.Fatalf("directory named the new master %d times before the queue existed there", early.Load())
 	}
 }
 

@@ -2,14 +2,15 @@ package pattern
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"ds2hpc/internal/amqp"
+	"ds2hpc/internal/core"
 	"ds2hpc/internal/metrics"
 	"ds2hpc/internal/telemetry"
 	"ds2hpc/internal/workload"
@@ -18,7 +19,8 @@ import (
 // This file is the pattern role engine: every messaging pattern is declared
 // as a Graph — broker objects to set up plus producer/consumer role
 // behaviors — and executed by exactly one producer loop (runProducer) and
-// one consumer loop (runConsumer). Confirm-window, batch-ack, prefetch and
+// one consumer body (consumerCore), each role instance on a session from
+// the run's sessionManager. Confirm-window, batch-ack, prefetch and
 // completion-counting plumbing therefore lives in one place, and a new
 // pattern is a Build function returning a Topology value rather than a new
 // pair of hand-rolled client loops.
@@ -330,7 +332,8 @@ type engineProbes struct {
 	confirmLat       *telemetry.Histogram
 }
 
-// Run executes the graph under cfg.
+// Run executes the graph under cfg. The first consumer instance to fail
+// cancels the run, and its error, naming the instance, is the run's.
 func (g *Graph) Run(ctx context.Context, cfg Config) (*metrics.Result, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
@@ -351,6 +354,8 @@ func (g *Graph) Run(ctx context.Context, cfg Config) (*metrics.Result, error) {
 	}
 	ctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
 	defer cancel()
+	ctx, fail := context.WithCancelCause(ctx)
+	defer fail(nil)
 
 	for _, d := range topo.Declare {
 		if err := declareGroup(cfg, d); err != nil {
@@ -370,72 +375,32 @@ func (g *Graph) Run(ctx context.Context, cfg Config) (*metrics.Result, error) {
 			ep.countingInflight = true
 		}
 	}
-	prog := &progress{}  // counted deliveries (completion + pacing)
-	ready := &progress{} // consumer instances ready to receive
+	prog := &progress{} // counted deliveries (completion + pacing)
 	var replied atomic.Int64
 
-	// The budgeted runtime multiplexes every role channel onto pooled
-	// connections; the direct runtime keeps the goroutine-per-client
-	// model.
-	var rt clientRuntime = directRuntime{}
-	var mgr *sessionManager
-	if cfg.GoroutineBudget > 0 {
-		mgr = newSessionManager(&cfg)
-		defer mgr.Close()
-		rt = mgr
-	}
-
-	stop := make(chan struct{})
-	totalConsumers := 0
-	for _, role := range topo.Consumers {
-		totalConsumers += role.instances(&cfg)
-	}
-	consumerErr := make(chan error, totalConsumers+1)
-	var lightCores coreSet
-	if mgr != nil {
-		launchLightConsumers(ctx, &cfg, topo, mgr, col, ep, prog, ready, consumerErr, &lightCores)
-	} else {
-		for _, role := range topo.Consumers {
-			role := role
-			for i := 0; i < role.instances(&cfg); i++ {
-				go func(i int) {
-					consumerErr <- runConsumer(ctx, &cfg, role, i, col, ep, prog, ready, stop)
-				}(i)
-			}
-		}
-	}
-	if err := ready.WaitAtLeast(ctx, int64(totalConsumers)); err != nil {
-		close(stop)
-		return nil, fmt.Errorf("pattern: consumers not ready: %w", firstErr(consumerErr, err))
-	}
-	if mgr != nil {
-		// Errors during light attachment signal ready too; surface them
-		// before producing into a half-attached fleet.
-		select {
-		case err := <-consumerErr:
-			close(stop)
-			return nil, fmt.Errorf("pattern: consumers not ready: %w", err)
-		default:
-		}
+	mgr := newSessionManager(&cfg)
+	defer mgr.Close()
+	fleet := &consumerFleet{cfg: &cfg, mgr: mgr, col: col, ep: ep, prog: prog, fail: fail}
+	fleet.ctx, fleet.cancel = context.WithCancel(ctx)
+	// Deferred after mgr.Close, so it runs first: the close watches and
+	// any deferred attach have ended before the pools tear the sessions
+	// down.
+	defer fleet.stop()
+	if err := fleet.launch(topo); err != nil {
+		return nil, fmt.Errorf("pattern: consumers not ready: %w", runErr(ctx, err))
 	}
 
 	col.Start()
-	produce := func(p int) error {
-		return runProducer(ctx, &cfg, topo, rt, p, col, ep, prog, &replied)
-	}
-	if mgr != nil {
-		err = runClientsBounded(cfg.Producers, mgr.workers, produce)
-	} else {
-		err = runClients(cfg.Producers, cfg.Workload.MPI, produce)
-	}
+	err = runClients(cfg.Producers, mgr.workers, cfg.Workload.MPI, func(p int) error {
+		return runProducer(ctx, &cfg, topo, mgr, p, col, ep, prog, &replied)
+	})
 	if err == nil && topo.WaitConsumed > 0 {
 		err = prog.WaitAtLeast(ctx, topo.WaitConsumed)
 	}
 	col.Stop()
-	close(stop)
-	lightCores.stopAll()
+	fleet.stop()
 	if err != nil {
-		return nil, firstErr(consumerErr, err)
+		return nil, runErr(ctx, err)
 	}
 	if topo.Producer.Mode == FlowClosedLoop {
 		want := int64(cfg.Producers) * int64(cfg.MessagesPerProducer) * int64(topo.Producer.repliesPerMsg())
@@ -446,19 +411,13 @@ func (g *Graph) Run(ctx context.Context, cfg Config) (*metrics.Result, error) {
 	return col.Snapshot(), nil
 }
 
-// firstErr prefers a real consumer failure over the generic timeout that
-// usually follows it.
-func firstErr(consumerErr <-chan error, fallback error) error {
-	for {
-		select {
-		case err := <-consumerErr:
-			if err != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
-				return fmt.Errorf("%w (consumer: %v)", fallback, err)
-			}
-		default:
-			return fallback
-		}
+// runErr prefers the consumer failure that cancelled the run over the
+// cancellation error of whichever wait noticed it first.
+func runErr(ctx context.Context, err error) error {
+	if cause := context.Cause(ctx); cause != nil && cause != ctx.Err() {
+		return cause
 	}
+	return err
 }
 
 func (r *ConsumerRole) instances(cfg *Config) int {
@@ -508,94 +467,204 @@ func declareGroup(cfg Config, d Declarations) error {
 	return nil
 }
 
-// runConsumer is the single consumer loop: consume the role's queue with
-// the shared prefetch window, verify payloads, optionally reply, batch-ack,
-// and count deliveries toward completion.
-func runConsumer(ctx context.Context, cfg *Config, role ConsumerRole, i int,
-	col *metrics.Collector, ep *engineProbes, prog *progress, ready *progress, stop <-chan struct{}) error {
-	queue := role.Queue(i)
-	var conn *amqp.Connection
-	var ch *amqp.Channel
-	var deliveries <-chan amqp.Delivery
-	var err error
-	if role.StartAfter > 0 {
-		// A deferred role (cold replay consumer) reports ready before it
-		// attaches, so the run starts and its hot phase can produce the
-		// deliveries the threshold waits for.
-		ready.Add(1)
-		if err := prog.WaitAtLeast(ctx, role.StartAfter); err != nil {
-			return fmt.Errorf("pattern: %s %d: hot phase never reached %d: %w", role.Name, i, role.StartAfter, err)
-		}
-		if conn, ch, deliveries, err = consumerSetup(cfg, role, queue, i); err != nil {
-			return fmt.Errorf("pattern: %s %d: %w", role.Name, i, err)
-		}
+// ---------------------------------------------------------------- sessions
+
+// fixedSlack is the goroutine head-room a budgeted run reserves for its
+// own plumbing: broker accept loops, the telemetry aggregator, the fault
+// injector, the pacer, the consumer close watch, the deferred-role
+// attacher, and reconnect transients.
+const fixedSlack = 12
+
+// pooledSessionsPerConn is a budgeted run's soft fan-out target: pools
+// spread sessions across connections in chunks of this size while the
+// connection allowance lasts, then pack up to the negotiated channel
+// limit.
+const pooledSessionsPerConn = 256
+
+// sessionManager hands every role instance of one run its channel: a
+// Session from an amqp.ClientPool, plus the worker count role loops run
+// on. GoroutineBudget 0 is unbounded: each session gets a pool of its own,
+// built from its own endpoint, so each role instance dials its own socket
+// through the architecture's hop chain — and, on a shaped client path,
+// through its own NIC link, which the endpoint holds — and runs on its own
+// goroutine. A budget bounds both: sessions share one pool per dial
+// destination, and workers and a physical connection allowance shared by
+// every pool are carved out of the budget, each pooled connection charged
+// twice because the broker lives in-process (client read loop + broker
+// serve loop).
+type sessionManager struct {
+	cfg     *Config
+	workers int // concurrent role instances; 0 = unbounded
+
+	mu        sync.Mutex
+	pools     []*amqp.ClientPool           // every pool of the run
+	shared    map[poolKey]*amqp.ClientPool // budgeted runs only
+	connsLeft int
+}
+
+// poolKey names one dial destination, which a budgeted run's sessions
+// share a pool for. MSS gives every broker pod the same URL and selects
+// the pod by SNI in the endpoint's hop chain, so the queue's master node
+// is part of the key; the side is too, because a deployment may route
+// producers and consumers over different hops.
+type poolKey struct {
+	consumer bool
+	url      string
+	node     int
+}
+
+func newSessionManager(cfg *Config) *sessionManager {
+	m := &sessionManager{cfg: cfg, shared: map[poolKey]*amqp.ClientPool{}}
+	if budget := cfg.GoroutineBudget; budget > 0 {
+		m.workers = min(max(budget/8, 1), 32, cfg.Producers)
+		// An active producer costs up to three goroutines (worker +
+		// confirm listener or reply pump + drainer); a pooled connection
+		// costs two.
+		m.connsLeft = max((budget-3*m.workers-fixedSlack)/2, 1)
+	}
+	return m
+}
+
+// admit is a budgeted run's shared DialGate: one permit per connection
+// beyond each pool's first.
+func (m *sessionManager) admit() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.connsLeft <= 0 {
+		return false
+	}
+	m.connsLeft--
+	return true
+}
+
+// session opens a session that reaches queue's master node through the
+// producer or consumer endpoint, and returns what to call once the role
+// instance is done with it. An unbounded run's session has a pool — a
+// socket — of its own, and releasing it closes the socket, as a client
+// closes its dedicated connection; a budgeted run's session shares its
+// destination's pool, and releasing it frees only its channel.
+func (m *sessionManager) session(consumer bool, queue string) (*amqp.Session, func(), error) {
+	d := m.cfg.Deployment
+	var ep core.Endpoint
+	if consumer {
+		ep = d.ConsumerEndpoint(queue)
 	} else {
-		conn, ch, deliveries, err = consumerSetup(cfg, role, queue, i)
-		// The launcher blocks until every instance reports ready; signal
-		// unconditionally so a failed instance surfaces as an error rather
-		// than a hang.
-		ready.Add(1)
-		if err != nil {
-			return fmt.Errorf("pattern: %s %d: %w", role.Name, i, err)
+		ep = d.ProducerEndpoint(queue)
+	}
+	m.mu.Lock()
+	var p *amqp.ClientPool
+	if m.workers == 0 {
+		p = amqp.NewClientPool(amqp.PoolConfig{URL: ep.URL, Config: ep.Config(), SessionsPerConn: 1})
+		m.pools = append(m.pools, p)
+	} else {
+		key := poolKey{consumer: consumer, url: ep.URL, node: d.Cluster().OwnerOf(queue)}
+		if p = m.shared[key]; p == nil {
+			// The pool packs sessions. Its first connection dials ungated
+			// (a pool must be able to carry at least one session), so
+			// charge the allowance for it here.
+			m.connsLeft--
+			p = amqp.NewClientPool(amqp.PoolConfig{URL: ep.URL, Config: ep.Config(),
+				SessionsPerConn: pooledSessionsPerConn, DialGate: m.admit})
+			m.shared[key] = p
+			m.pools = append(m.pools, p)
 		}
 	}
-	defer conn.Close()
+	m.mu.Unlock()
+	s, err := p.Session()
+	if err != nil {
+		return nil, nil, err
+	}
+	if m.workers == 0 {
+		return s, func() { p.Close() }, nil
+	}
+	return s, func() { s.Close() }, nil
+}
 
-	// The delivery-handling body (verify, count, reply, batch-ack) is
-	// shared with the budgeted runtime's callback consumers.
-	core := newConsumerCore(cfg, &role, i, col, ep, prog)
-	core.ch = ch
-	for {
-		select {
-		case <-stop:
-			core.stop()
-			return nil
-		case <-ctx.Done():
-			core.stop()
-			return ctx.Err()
-		case d, ok := <-deliveries:
-			if !ok {
-				// The stream only closes mid-run when the connection died
-				// (and no reconnect policy revived it); surface that so a
-				// failed run names the dead consumer instead of a bare
-				// deadline.
-				return fmt.Errorf("pattern: %s %d: delivery stream closed", role.Name, i)
-			}
-			if err := core.handle(d); err != nil {
-				return err
-			}
-		}
+// Close tears down every pool (and with them all sessions).
+func (m *sessionManager) Close() {
+	m.mu.Lock()
+	pools := m.pools
+	m.pools = nil
+	m.mu.Unlock()
+	for _, p := range pools {
+		p.Close()
 	}
 }
 
-func consumerSetup(cfg *Config, role ConsumerRole, queue string, i int) (*amqp.Connection, *amqp.Channel, <-chan amqp.Delivery, error) {
-	conn, err := cfg.Deployment.ConsumerEndpoint(queue).Connect()
-	if err != nil {
-		return nil, nil, nil, err
+// ---------------------------------------------------------------- consumers
+
+// consumerCore is one consumer instance's per-delivery body: verify,
+// count, reply, batch-ack. The owning connection's read loop drives it
+// via ConsumeFunc; the mutex serializes handle against the final
+// stop-flush (uncontended on the hot path).
+type consumerCore struct {
+	name string // "role i", for errors
+	cfg  *Config
+	role *ConsumerRole
+	col  *metrics.Collector
+	ep   *engineProbes
+	prog *progress
+	ch   *amqp.Channel
+
+	mu           sync.Mutex
+	stopped      bool
+	consumed     *telemetry.CounterShard
+	roleConsumed *telemetry.CounterShard
+	acker        batchAcker
+}
+
+func newConsumerCore(cfg *Config, role *ConsumerRole, i int, ch *amqp.Channel, col *metrics.Collector, ep *engineProbes, prog *progress) *consumerCore {
+	return &consumerCore{
+		name:         fmt.Sprintf("%s %d", role.Name, i),
+		cfg:          cfg,
+		role:         role,
+		col:          col,
+		ep:           ep,
+		prog:         prog,
+		ch:           ch,
+		consumed:     col.ConsumedShard(i),
+		roleConsumed: ep.registry.Counter("pattern.consumed", "role="+role.Name).Shard(i),
+		acker:        batchAcker{n: cfg.AckBatch},
 	}
-	ch, err := conn.Channel()
-	if err != nil {
-		conn.Close()
-		return nil, nil, nil, err
+}
+
+// handle processes one delivery. Reply publishes and acks are
+// asynchronous operations, so running on a shared connection's read loop
+// is safe (see amqp.ConsumeFunc).
+func (cc *consumerCore) handle(d amqp.Delivery) error {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if cc.stopped {
+		return nil
 	}
-	if err := ch.Qos(cfg.Prefetch, 0, false); err != nil {
-		conn.Close()
-		return nil, nil, nil, err
+	if err := cc.cfg.Workload.Verify(d.Body); err != nil {
+		cc.col.AddError()
 	}
-	// Replay roles attach as durable-log replay consumers: the broker
-	// forces noAck and ignores prefetch credit, so consume accordingly.
-	var args amqp.Table
-	autoAck := false
-	if role.ReplayFrom != nil {
-		args = amqp.Table{"x-stream-offset": *role.ReplayFrom}
-		autoAck = true
+	cc.consumed.Add(1)
+	cc.roleConsumed.Inc()
+	if cc.role.Counts {
+		cc.prog.Add(1)
+		cc.ep.inflight.Add(-1)
 	}
-	deliveries, err := ch.Consume(queue, fmt.Sprintf("%s-%d", role.Name, i), autoAck, false, false, false, args)
-	if err != nil {
-		conn.Close()
-		return nil, nil, nil, err
+	if cc.role.Reply != nil {
+		if err := publishReply(cc.ch, cc.role.Reply, d); err != nil {
+			return err
+		}
 	}
-	return conn, ch, deliveries, nil
+	if cc.role.ReplayFrom == nil {
+		return cc.acker.add(d)
+	}
+	return nil
+}
+
+// stop flushes the batch-ack tail and drops any later deliveries, so a
+// run's final partial batch never resurfaces as a redelivery in the next
+// run on the same deployment.
+func (cc *consumerCore) stop() {
+	cc.mu.Lock()
+	cc.stopped = true
+	cc.acker.flush()
+	cc.mu.Unlock()
 }
 
 // publishReply responds to one delivery per the role's ReplySpec, echoing
@@ -621,12 +690,211 @@ func publishReply(ch *amqp.Channel, r *ReplySpec, d amqp.Delivery) error {
 	return ch.Publish(exchange, key, false, false, pub)
 }
 
+// consumerFleet is a run's consumer instances: callback consumers on
+// sessions, driven by their connections' read loops. It keeps their cores
+// for the final ack flush and watches their channels, so an instance whose
+// channel closes mid-run — its connection died without (or past) a
+// reconnect policy, or the broker closed the channel — fails the run by
+// name instead of leaving it to time out.
+type consumerFleet struct {
+	cfg  *Config
+	mgr  *sessionManager
+	col  *metrics.Collector
+	ep   *engineProbes
+	prog *progress
+	fail context.CancelCauseFunc // cancels the run
+
+	mu     sync.Mutex
+	cores  []*consumerCore
+	closes []reflect.SelectCase // cores[k]'s NotifyClose receive
+	kicks  []chan struct{}      // per close watch: wakes it to pick up a late attach
+
+	// ctx is the run's, cancelled on stop too: it bounds the watches and
+	// the deferred attacher, which wg waits for.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
+	once   sync.Once
+}
+
+// watchCases is how many instances one close watch selects over:
+// reflect.Select takes at most 65536 cases, two of which are the run's end
+// and the watch's kick.
+var watchCases = 1<<16 - 2
+
+// consumerInstance is one instance of a consumer role.
+type consumerInstance struct {
+	role *ConsumerRole
+	i    int
+}
+
+// launch attaches the consumer instances that start with the run, at
+// most mgr.workers at a time, and returns once all are subscribed or the
+// first attach fails; once ctx ends, no further attach starts. Deferred
+// (StartAfter) instances attach from one goroutine once the counting
+// roles have seen their threshold.
+func (f *consumerFleet) launch(topo *Topology) error {
+	var now, later []consumerInstance
+	for k := range topo.Consumers {
+		role := &topo.Consumers[k]
+		for i := 0; i < role.instances(f.cfg); i++ {
+			if role.StartAfter > 0 {
+				later = append(later, consumerInstance{role, i})
+			} else {
+				now = append(now, consumerInstance{role, i})
+			}
+		}
+	}
+	err := runClients(len(now), f.mgr.workers, false, func(k int) error {
+		if err := f.ctx.Err(); err != nil {
+			return err
+		}
+		return f.attach(now[k])
+	})
+	if err != nil {
+		return err
+	}
+	f.rewatch()
+	if len(later) > 0 {
+		f.wg.Add(1)
+		go func() {
+			defer f.wg.Done()
+			for _, inst := range later {
+				if f.prog.WaitAtLeast(f.ctx, inst.role.StartAfter) != nil {
+					return // the run ended first, and reports why itself
+				}
+				if err := f.attach(inst); err != nil {
+					f.fail(err)
+					return
+				}
+				f.rewatch()
+			}
+		}()
+	}
+	return nil
+}
+
+// attach opens inst's session and subscribes its callback. The core is
+// wired to the channel before basic.consume is issued: deliveries may
+// start arriving on the read loop mid-call. A handler error (a reply
+// publish failure) stops the instance and fails the run.
+func (f *consumerFleet) attach(inst consumerInstance) (err error) {
+	role, i := inst.role, inst.i
+	queue := role.Queue(i)
+	s, release, err := f.mgr.session(true, queue)
+	if err != nil {
+		return fmt.Errorf("pattern: %s %d: %w", role.Name, i, err)
+	}
+	defer func() {
+		if err != nil {
+			release()
+			err = fmt.Errorf("pattern: %s %d: %w", role.Name, i, err)
+		}
+	}()
+	if err := s.Qos(f.cfg.Prefetch, 0, false); err != nil {
+		return err
+	}
+	// Replay roles attach as durable-log replay consumers: the broker
+	// forces noAck and ignores prefetch credit, so consume accordingly.
+	var args amqp.Table
+	autoAck := false
+	if role.ReplayFrom != nil {
+		args = amqp.Table{"x-stream-offset": *role.ReplayFrom}
+		autoAck = true
+	}
+	cc := newConsumerCore(f.cfg, role, i, s.Channel, f.col, f.ep, f.prog)
+	handler := func(d amqp.Delivery) {
+		if err := cc.handle(d); err != nil {
+			cc.stop()
+			f.fail(fmt.Errorf("pattern: %s: %w", cc.name, err))
+		}
+	}
+	closed := s.NotifyClose(make(chan *amqp.Error, 1))
+	if _, err := s.ConsumeFunc(queue, fmt.Sprintf("%s-%d", role.Name, i), autoAck, false, false, args, handler); err != nil {
+		return err
+	}
+	f.mu.Lock()
+	f.cores = append(f.cores, cc)
+	f.closes = append(f.closes, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(closed)})
+	f.mu.Unlock()
+	return nil
+}
+
+// rewatch starts a close watch for each block of watchCases attached
+// instances not yet watched, and wakes the newest watch to pick up
+// instances attached since it last looked.
+func (f *consumerFleet) rewatch() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for len(f.kicks)*watchCases < len(f.closes) {
+		f.kicks = append(f.kicks, make(chan struct{}, 1))
+		f.wg.Add(1)
+		go f.watch(len(f.kicks) - 1)
+	}
+	if n := len(f.kicks); n > 0 {
+		select {
+		case f.kicks[n-1] <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// watch fails the run on the first instance of block w whose channel
+// closes before stop. One goroutine selects over a whole block's
+// NotifyClose channels, so a budgeted fleet pays a goroutine per 65534
+// consumers for the watch, not one per consumer.
+func (f *consumerFleet) watch(w int) {
+	defer f.wg.Done()
+	lo := w * watchCases
+	for {
+		f.mu.Lock()
+		hi := min(len(f.closes), lo+watchCases)
+		cases := append([]reflect.SelectCase{
+			{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(f.ctx.Done())},
+			{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(f.kicks[w])},
+		}, f.closes[lo:hi]...)
+		cores := f.cores[lo:hi]
+		f.mu.Unlock()
+		k, v, _ := reflect.Select(cases)
+		switch k {
+		case 0:
+			return
+		case 1:
+			continue
+		}
+		name := cores[k-2].name
+		err := fmt.Errorf("pattern: %s: channel closed", name)
+		if e, _ := v.Interface().(*amqp.Error); e != nil {
+			err = fmt.Errorf("pattern: %s: channel closed: %w", name, e)
+		}
+		f.fail(err)
+		return
+	}
+}
+
+// stop ends the watches and the deferred attacher and flushes every
+// instance's batch-ack tail. Sessions themselves are released by the
+// session manager's pools.
+func (f *consumerFleet) stop() {
+	f.once.Do(func() {
+		f.cancel()
+		f.wg.Wait()
+		f.mu.Lock()
+		cores := f.cores
+		f.mu.Unlock()
+		for _, c := range cores {
+			c.stop()
+		}
+	})
+}
+
+// ---------------------------------------------------------------- producers
+
 // runProducer is the single producer loop. The flow mode decides how each
 // publish is admitted (confirm slot, closed-loop window, pacing floor) and
-// how the instance completes (confirm drain, reply budget, nothing). The
-// runtime decides what a "connection" is: a dedicated socket per leg, or
-// a session on a pooled one.
-func runProducer(ctx context.Context, cfg *Config, topo *Topology, rt clientRuntime, p int,
+// how the instance completes (confirm drain, reply budget, nothing). Each
+// leg is a session from the run's session manager.
+func runProducer(ctx context.Context, cfg *Config, topo *Topology, mgr *sessionManager, p int,
 	col *metrics.Collector, ep *engineProbes, prog *progress, replied *atomic.Int64) error {
 	role := &topo.Producer
 	produced := col.ProducedShard(p)
@@ -642,15 +910,14 @@ func runProducer(ctx context.Context, cfg *Config, topo *Topology, rt clientRunt
 	if len(legs) == 0 {
 		return fmt.Errorf("pattern: %s %d: no publish legs", role.Name, p)
 	}
-	rcs := make([]roleChan, len(legs))
-	chans := make([]*amqp.Channel, len(legs))
+	sessions := make([]*amqp.Session, len(legs))
 	for j, leg := range legs {
-		rc, err := rt.open(cfg.Deployment.ProducerEndpoint(leg.anchor()))
+		s, release, err := mgr.session(false, leg.anchor())
 		if err != nil {
 			return err
 		}
-		defer rc.Close()
-		rcs[j], chans[j] = rc, rc.Channel()
+		defer release()
+		sessions[j] = s
 	}
 
 	var cw *confirmWindow
@@ -659,7 +926,7 @@ func runProducer(ctx context.Context, cfg *Config, topo *Topology, rt clientRunt
 		if len(legs) != 1 {
 			return fmt.Errorf("pattern: %s: confirm mode supports exactly one leg", role.Name)
 		}
-		if cw, err = newConfirmWindow(chans[0], cfg.Window, ep.confirmLat); err != nil {
+		if cw, err = newConfirmWindow(sessions[0].Channel, cfg.Window, ep.confirmLat); err != nil {
 			return err
 		}
 	}
@@ -671,11 +938,11 @@ func runProducer(ctx context.Context, cfg *Config, topo *Topology, rt clientRunt
 	if role.Mode == FlowClosedLoop {
 		window = make(chan struct{}, cfg.Window)
 		done = make(chan error, 1)
-		closeReplies, err := drainReplies(ctx, cfg, role, p, rcs, col, ep, replied, window, done, budget*int64(perMsg))
+		closeReplies, err := drainReplies(ctx, cfg, role, p, sessions, col, ep, replied, window, done, budget*int64(perMsg))
 		if closeReplies != nil {
-			// Releasing the reply channels when this producer finishes
-			// ends their drainer goroutines — on a pooled runtime the
-			// physical connection outlives the producer by design.
+			// Releasing the reply sessions when this producer finishes
+			// ends their drainer goroutines, before the legs themselves
+			// are released.
 			defer closeReplies()
 		}
 		if err != nil {
@@ -706,7 +973,7 @@ func runProducer(ctx context.Context, cfg *Config, topo *Topology, rt clientRunt
 			return cw.publish(ctx, legs[0].Exchange, legs[0].Key, seq, pub)
 		}
 		for j, leg := range legs {
-			if err := chans[j].Publish(leg.Exchange, leg.Key, false, false, pub); err != nil {
+			if err := sessions[j].Publish(leg.Exchange, leg.Key, false, false, pub); err != nil {
 				return err
 			}
 		}
@@ -789,31 +1056,30 @@ func runProducer(ctx context.Context, cfg *Config, topo *Topology, rt clientRunt
 // drainReplies starts the closed-loop reply pump: one consuming channel per
 // reply source feeding a shared tally that records RTTs, releases a window
 // slot per completed message, and signals done at the reply budget. Reply
-// channels open as siblings of the source's leg (same physical transport,
-// whether owned or pooled); the returned closer — non-nil even on error —
-// releases them once the producer completes. A reply stream closing
-// mid-run (connection death) fails the producer immediately rather than
-// letting it wait out the run deadline.
+// sessions open as siblings of the source's leg (same physical transport);
+// the returned closer — non-nil even on error — releases them once the
+// producer completes. A reply stream closing mid-run (connection death)
+// fails the producer immediately rather than letting it wait out the run
+// deadline.
 func drainReplies(ctx context.Context, cfg *Config, role *ProducerRole, p int,
-	rcs []roleChan, col *metrics.Collector, ep *engineProbes, replied *atomic.Int64,
+	legs []*amqp.Session, col *metrics.Collector, ep *engineProbes, replied *atomic.Int64,
 	window chan struct{}, done chan error, want int64) (func(), error) {
 	sources := role.Replies(p)
 	events := make(chan uint64, 4*cfg.Window)
 	streamClosed := make(chan int, len(sources))
-	var replyChans []roleChan
+	var replySessions []*amqp.Session
 	closeAll := func() {
-		for _, rc := range replyChans {
-			rc.Close()
+		for _, s := range replySessions {
+			s.Close()
 		}
 	}
 	for k, src := range sources {
-		sib, err := rcs[src.Leg].Sibling()
+		sib, err := legs[src.Leg].Sibling()
 		if err != nil {
 			return closeAll, err
 		}
-		replyChans = append(replyChans, sib)
-		rch := sib.Channel()
-		deliveries, err := rch.Consume(src.Queue, fmt.Sprintf("%s-reply-%d-%d", role.Name, p, k), true, false, false, false, nil)
+		replySessions = append(replySessions, sib)
+		deliveries, err := sib.Consume(src.Queue, fmt.Sprintf("%s-reply-%d-%d", role.Name, p, k), true, false, false, false, nil)
 		if err != nil {
 			return closeAll, err
 		}

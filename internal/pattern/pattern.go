@@ -7,8 +7,11 @@
 //
 // Every pattern is a declarative Graph (see engine.go): queues and
 // exchanges to declare plus producer/consumer role behaviors, executed by
-// one shared producer loop and one shared consumer loop. Run a pattern
-// with Run(ctx, name, cfg); Names lists the registered patterns.
+// one shared producer loop and one shared consumer body on one client
+// runtime, in which every role instance holds an amqp.Session from a
+// connection pool. Config.GoroutineBudget bounds that runtime; zero
+// leaves it unbounded, one pool and socket per role instance. Run a
+// pattern with Run(ctx, name, cfg); Names lists the registered patterns.
 //
 // Messaging parameters follow §5.2: two shared work queues, classic queues
 // with the "reject-publish" overflow policy so producers observe
@@ -59,16 +62,19 @@ type Config struct {
 	// QueueBytes caps each queue's ready bytes with reject-publish
 	// (default 32 MiB).
 	QueueBytes int64
-	// GoroutineBudget, when positive, switches the run to the budgeted
-	// client runtime (light.go): every role channel is a Session
-	// multiplexed onto a small pool of physical connections, consumers
-	// are event-driven ConsumeFunc state machines on the pooled read
-	// loops, and producers execute on a bounded worker pool — the whole
-	// client fleet (plus the in-process broker's per-connection serve
-	// loops) stays within this many goroutines. 10⁴–10⁵ logical clients
-	// per box become feasible; MPI rank semantics (synchronized start)
-	// do not apply under a budget. Zero keeps the goroutine-per-client
-	// model.
+	// GoroutineBudget bounds the client runtime. Every role channel is
+	// a Session from a connection pool, and consumers are ConsumeFunc
+	// callbacks on the pooled read loops. Zero is unbounded: each role
+	// instance has a pool of its own and dials its own socket (and client
+	// NIC link) through the architecture's hop chain, and each producer
+	// runs on its own goroutine, MPI workloads behind a synchronized
+	// start. A positive budget shares a pool per dial destination, packs
+	// sessions onto a few physical connections and runs producers on a
+	// bounded worker set, so the whole client fleet (plus the in-process
+	// broker's per-connection serve loops) stays within this many
+	// goroutines and 10⁴–10⁵ logical clients per box become feasible; the
+	// synchronized start applies only while every producer still has a
+	// worker of its own.
 	GoroutineBudget int
 	// Timeout bounds the whole run — declarations, consumer start-up,
 	// production, confirm drain, and the final consume wait share one
@@ -320,24 +326,38 @@ func (cw *confirmWindow) drain(ctx context.Context) error {
 	}
 }
 
-// runClients launches n clients either as plain goroutines (Deleria-style)
-// or under an MPI-like rank group (Lstream/generic), per Table 1.
-func runClients(n int, mpi bool, f func(id int) error) error {
-	if mpi {
+// runClients runs f(0..n-1) on at most workers goroutines at a time
+// (workers <= 0: one goroutine each), so 100k clients under a budget mean
+// a fixed set of loops instead of 100k goroutines. When every client has
+// a goroutine of its own and mpi is set, they run as an MPI-like rank
+// group behind an mpirun-style synchronized start (Lstream/generic,
+// Table 1); otherwise as plain goroutines (Deleria-style).
+func runClients(n, workers int, mpi bool, f func(id int) error) error {
+	if workers <= 0 || workers > n {
+		workers = n
+	}
+	if mpi && workers == n {
 		return ranks.NewGroup(n).Run(func(r *ranks.Rank) error {
-			r.Barrier() // mpirun-style synchronized start
+			r.Barrier()
 			return f(r.ID())
 		})
 	}
-	var wg sync.WaitGroup
+	idx := make(chan int)
 	errs := make([]error, n)
-	for i := 0; i < n; i++ {
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			errs[i] = f(i)
-		}(i)
+			for i := range idx {
+				errs[i] = f(i)
+			}
+		}()
 	}
+	for i := 0; i < n; i++ {
+		idx <- i
+	}
+	close(idx)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {

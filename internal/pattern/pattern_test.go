@@ -3,11 +3,16 @@ package pattern
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"ds2hpc/internal/amqp"
 	"ds2hpc/internal/core"
 	"ds2hpc/internal/fabric"
+	"ds2hpc/internal/transport"
 	"ds2hpc/internal/workload"
 )
 
@@ -226,6 +231,194 @@ func TestWorkSharingThroughMSS(t *testing.T) {
 	}
 	if res.Consumed != 20 {
 		t.Fatalf("consumed %d", res.Consumed)
+	}
+}
+
+// TestBudgetedRunPerArchitecture pins the pool key: under a budget, role
+// sessions share a connection only when their endpoints dial the same
+// destination. MSS gives every broker pod the same URL and picks the pod
+// by SNI, so a pool keyed by URL alone carried other queues' sessions to
+// the wrong pod and the broker refused their consumers.
+func TestBudgetedRunPerArchitecture(t *testing.T) {
+	for _, arch := range []core.ArchitectureName{core.DTS, core.PRSHAProxy, core.MSS} {
+		t.Run(string(arch), func(t *testing.T) {
+			d, err := core.Deploy(arch, fastOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			res, err := Run(context.Background(), WorkSharingName, Config{
+				Deployment:          d,
+				Workload:            smallWorkload(),
+				Producers:           2,
+				Consumers:           2,
+				MessagesPerProducer: 10,
+				GoroutineBudget:     64,
+				Timeout:             30 * time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Consumed != 20 {
+				t.Fatalf("consumed %d, want 20", res.Consumed)
+			}
+		})
+	}
+}
+
+// faultyConsumers routes consumer endpoints (only) through a fault
+// injector, with the given reconnect policy.
+type faultyConsumers struct {
+	core.Deployment
+	inj       *transport.Injector
+	reconnect *amqp.ReconnectPolicy
+}
+
+func (d faultyConsumers) ConsumerEndpoint(queue string) core.Endpoint {
+	e := d.Deployment.ConsumerEndpoint(queue)
+	e.Path = append(transport.Path{d.inj.Hop()}, e.Path...)
+	e.Reconnect = d.reconnect
+	return e
+}
+
+// TestConsumerDeathFailsRunPromptly cuts every consumer's connection
+// mid-run. Without a reconnect policy the run must fail well before its
+// deadline and name a dead consumer instance; with one, the consumers
+// resume and the run completes.
+func TestConsumerDeathFailsRunPromptly(t *testing.T) {
+	const producers, messages = 2, 200
+	for _, tc := range []struct {
+		name      string
+		reconnect *amqp.ReconnectPolicy
+	}{
+		{"no-reconnect", nil},
+		{"reconnect", &amqp.ReconnectPolicy{MaxAttempts: 60, Delay: 5 * time.Millisecond, MaxDelay: 50 * time.Millisecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inj := transport.NewInjector()
+			d := faultyConsumers{Deployment: deployDTS(t), inj: inj, reconnect: tc.reconnect}
+			inj.FlapAfterBytes(64<<10, 20*time.Millisecond)
+			const timeout = 8 * time.Second
+			start := time.Now()
+			res, err := Run(context.Background(), WorkSharingName, Config{
+				Deployment:          d,
+				Workload:            smallWorkload(),
+				Producers:           producers,
+				Consumers:           2,
+				MessagesPerProducer: messages,
+				Timeout:             timeout,
+			})
+			elapsed := time.Since(start)
+			if inj.Stats().Flaps == 0 {
+				t.Fatal("the armed flap never fired")
+			}
+			if tc.reconnect != nil {
+				if err != nil {
+					t.Fatalf("resumed consumers failed the run: %v", err)
+				}
+				if res.Consumed < producers*messages {
+					t.Fatalf("consumed %d < %d", res.Consumed, producers*messages)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatal("run with dead consumers succeeded")
+			}
+			if !strings.Contains(err.Error(), "cons 0") && !strings.Contains(err.Error(), "cons 1") {
+				t.Fatalf("error does not name the dead consumer: %v", err)
+			}
+			if elapsed > timeout/4 {
+				t.Fatalf("failure took %v of the %v timeout: %v", elapsed, timeout, err)
+			}
+		})
+	}
+}
+
+// TestClientLinkPerRoleInstance pins the shaped client path of an
+// unbounded run: every role instance dials through a client NIC link of
+// its own. Four producers publishing to one queue — one node, one dial
+// destination — must finish in about the time one does; four producers
+// sharing one link would take four times as long. The links are slow
+// enough that the run stays link-bound under the race detector on one
+// core.
+func TestClientLinkPerRoleInstance(t *testing.T) {
+	// 250 kB/s client NICs; nothing else is shaped.
+	p := fabric.Profile{Scale: 1, ClientRateBps: 2e6, LBWorkers: 16}
+	d, err := core.Deploy(core.DTS, core.Options{Nodes: 3, Profile: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	w := smallWorkload()
+	w.PayloadBytes = 16 << 10
+	const messages = 4 // 64 KiB per producer: ~0.26 s on its own link
+	run := func(producers int) time.Duration {
+		start := time.Now()
+		res, err := Run(context.Background(), WorkSharingName, Config{
+			Deployment:          d,
+			Workload:            w,
+			Producers:           producers,
+			Consumers:           1,
+			MessagesPerProducer: messages,
+			WorkQueues:          1,
+			Timeout:             30 * time.Second,
+		})
+		if err != nil {
+			t.Fatalf("%d producers: %v", producers, err)
+		}
+		if want := int64(producers * messages); res.Consumed != want {
+			t.Fatalf("%d producers: consumed %d, want %d", producers, res.Consumed, want)
+		}
+		return time.Since(start)
+	}
+	one, four := run(1), run(4)
+	if 2*four > 5*one {
+		t.Fatalf("4 producers took %v, 1 took %v: the producers share a client link", four, one)
+	}
+}
+
+// TestCloseWatchSpansBlocks runs the consumer close watch past
+// reflect.Select's case limit (shrunk here): instances are watched in
+// blocks, and a channel closing in a later block — attached at launch or
+// after it — still fails the run, naming the instance.
+func TestCloseWatchSpansBlocks(t *testing.T) {
+	defer func(n int) { watchCases = n }(watchCases)
+	watchCases = 2
+	for _, victim := range []int{2, 3, 4} {
+		ctx, fail := context.WithCancelCause(context.Background())
+		f := &consumerFleet{fail: fail}
+		f.ctx, f.cancel = context.WithCancel(ctx)
+		closes := make([]chan *amqp.Error, 5)
+		attach := func(k int) {
+			closes[k] = make(chan *amqp.Error, 1)
+			f.mu.Lock()
+			f.cores = append(f.cores, &consumerCore{name: fmt.Sprintf("cons %d", k)})
+			f.closes = append(f.closes, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(closes[k])})
+			f.mu.Unlock()
+		}
+		for k := 0; k < 3; k++ {
+			attach(k)
+		}
+		f.rewatch()
+		for k := 3; k < 5; k++ { // deferred attaches
+			attach(k)
+			f.rewatch()
+		}
+		if len(f.kicks) != 3 {
+			t.Fatalf("%d watches for 5 instances in blocks of 2, want 3", len(f.kicks))
+		}
+		closes[victim] <- &amqp.Error{Code: 404, Reason: "gone"}
+		select {
+		case <-ctx.Done():
+		case <-time.After(5 * time.Second):
+			t.Fatalf("cons %d closed and the run was not failed", victim)
+		}
+		want := fmt.Sprintf("cons %d: channel closed", victim)
+		if err := context.Cause(ctx); !strings.Contains(err.Error(), want) {
+			t.Fatalf("cause %q does not name %q", err, want)
+		}
+		f.stop()
+		fail(nil)
 	}
 }
 

@@ -148,10 +148,11 @@ type Tuning struct {
 	AckBatch   int   `json:"ack_batch,omitempty"`
 	Window     int   `json:"window,omitempty"`
 	QueueBytes int64 `json:"queue_bytes,omitempty"`
-	// GoroutineBudget, when positive, runs the scenario on the budgeted
-	// client runtime: role channels multiplex onto pooled connections and
-	// the whole client fleet stays within this many goroutines (see
-	// pattern.Config.GoroutineBudget). Required for 10⁴+-client specs.
+	// GoroutineBudget bounds the client runtime: role channels multiplex
+	// onto pooled connections and the whole client fleet stays within
+	// this many goroutines. Zero is unbounded, one socket per role
+	// instance (see pattern.Config.GoroutineBudget). Required for
+	// 10⁴+-client specs.
 	GoroutineBudget int `json:"goroutine_budget,omitempty"`
 }
 

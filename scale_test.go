@@ -1,9 +1,10 @@
-// Client-scale contract tests: the budgeted client runtime must hold a
-// whole work-sharing fleet — producers, consumers, pooled connections,
-// plus the in-process brokers serving them — inside one configured
-// goroutine budget, while still delivering every message. This is the
-// asserted counterpart of BenchmarkClientScale (internal/amqp), which
-// reports the same runtime's per-message cost and bytes/client.
+// Client-scale contract tests: under a goroutine budget the client
+// runtime must hold a whole work-sharing fleet — producers, consumers,
+// pooled connections, plus the in-process brokers serving them — inside
+// the budget while still delivering every message, and without one it
+// must keep one socket per role instance. This is the asserted
+// counterpart of BenchmarkClientScale (internal/amqp), which reports the
+// same runtime's per-message cost and bytes/client.
 package ds2hpc
 
 import (
@@ -15,6 +16,7 @@ import (
 
 	"ds2hpc/internal/core"
 	"ds2hpc/internal/scenario"
+	"ds2hpc/internal/telemetry"
 )
 
 // scaleSpec is a work-sharing spec tuned for fleet-size runs: client NIC
@@ -92,23 +94,36 @@ func TestClientScaleGoroutineBudget(t *testing.T) {
 	}
 }
 
-// TestClientScaleLegacyEquivalence pins the budgeted runtime to the
-// goroutine-per-client engine's observable results: same spec, same
-// delivered count, with and without a budget.
-func TestClientScaleLegacyEquivalence(t *testing.T) {
-	spec := scaleSpec(64, 0) // zero budget = legacy runtime
-	legacy, err := scenario.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Tuning.GoroutineBudget = 48
-	budgeted, err := scenario.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Result.Consumed != budgeted.Result.Consumed {
-		t.Fatalf("legacy consumed %d, budgeted consumed %d — runtimes disagree",
-			legacy.Result.Consumed, budgeted.Result.Consumed)
+// TestClientScaleSocketShape pins what the budget changes about sockets,
+// counted as the connections the brokers accept during the run. Budget 0
+// keeps the per-client sockets each architecture prices: every role
+// instance dials a connection of its own. A budget packs the same role
+// instances onto fewer connections.
+func TestClientScaleSocketShape(t *testing.T) {
+	const clients = 32
+	for _, budget := range []int{0, 48} {
+		spec := scaleSpec(clients, budget)
+		spec.MessagesPerProducer = 64
+		accepted := func() int64 {
+			return telemetry.Default.Snapshot().Counters["broker.connections_accepted"]
+		}
+		before := accepted()
+		rep, err := scenario.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+		if want := int64(clients / 2 * spec.MessagesPerProducer); rep.Result.Consumed != want {
+			t.Fatalf("budget %d: consumed %d, want %d", budget, rep.Result.Consumed, want)
+		}
+		// Work sharing declares each work queue over a connection of its
+		// own; every other connection belongs to role instances.
+		roleConns := accepted() - before - int64(spec.Tuning.WorkQueues)
+		if budget == 0 && roleConns != clients {
+			t.Fatalf("budget 0: %d connections for %d role instances, want one each", roleConns, clients)
+		}
+		if budget > 0 && (roleConns < 1 || roleConns >= clients) {
+			t.Fatalf("budget %d: %d connections for %d role instances, want fewer", budget, roleConns, clients)
+		}
 	}
 }
 
