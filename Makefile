@@ -98,6 +98,7 @@ FUZZTIME ?= 5s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseMethod$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReuse$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzClientContent$$' -fuzztime $(FUZZTIME) ./internal/amqp
 
 short:

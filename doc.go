@@ -140,6 +140,19 @@
 // wire.loaned_bytes gauge and broker.body_releases counter make the
 // lifecycle observable.
 //
+// Frames decode without allocating: each connection's frame reader owns
+// one wire.Decoder, each channel a wire.Slots — the decode targets of
+// basic.publish, basic.deliver, basic.ack/nack and the content header,
+// per channel because content assembly is. A decoded method or header is
+// valid until that channel's next frame of the same kind, so whatever
+// outlives the frame is copied out of it; its strings may be kept as
+// they are, since decoding interns against the channel's last value per
+// field and allocates a fresh string when a value changes.
+// wire.ParseMethod and wire.ParseContentHeader are that decoder without
+// slots. Publishes, acks and deliveries encode from connection-owned
+// method structs, and multiple-acks and confirm fan-out reuse channel
+// scratch, so the steady-state message path allocates nothing.
+//
 // Retention contract: broker embedders must balance Retain/Release on
 // managed messages (Message.Body is invalid after the final release).
 // Client applications must not hold a manual-ack amqp.Delivery.Body
@@ -168,7 +181,8 @@
 //
 // Publish semantics: an amqp.Connection has one send buffer that every
 // write goes through, so wire order is call order. A publish whose body
-// is under 2 KiB (copied, so Publishing.Body is still never read after
+// is under 64 KiB (copied, so Publishing.Body is still never read after
+// Publish returns; from 64 KiB up the body is borrowed and written before
 // Publish returns) is appended and Publish returns, starting a flush
 // goroutine if none is scheduled; every other write — RPCs, acks,
 // heartbeats, Close, a publish that borrows its body — and the publish

@@ -3,6 +3,7 @@ package amqp
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -55,7 +56,11 @@ type Channel struct {
 	consumeEpochs map[string]uint64
 	acker         Acknowledger // epoch-scoped acker; nil = the channel itself
 
-	// incoming content assembly
+	// incoming content assembly: pendDeliver and pendHeader point into
+	// slots, the decode targets of this channel's hot frames, which only
+	// the connection's frame reader writes. confirmFan and confirmSeqs are
+	// the frame reader's scratch for fanning confirms out.
+	slots       wire.Slots
 	pendKind    pendKind
 	pendDeliver *wire.BasicDeliver
 	pendGetOk   *wire.BasicGetOk
@@ -64,7 +69,9 @@ type Channel struct {
 	pendBody    []byte
 	// pendLoan backs pendBody with a wire-pool buffer when the content
 	// under assembly is a manual-ack consumer delivery; nil otherwise.
-	pendLoan *[]byte
+	pendLoan    *[]byte
+	confirmFan  []chan Confirmation
+	confirmSeqs []uint64
 
 	// loans maps outstanding delivery tags to the pooled buffers backing
 	// their bodies, for the transport epoch loansEpoch. Resolving a
@@ -345,7 +352,7 @@ func (ch *Channel) onMethod(m wire.Method) {
 func (ch *Channel) dispatchConfirm(tag uint64, multiple, ack bool) {
 	ch.mu.Lock()
 	from, skip := ch.resolveConfirmLocked(tag, multiple)
-	var seqs []uint64
+	seqs := ch.confirmSeqs[:0]
 	if ch.pending != nil {
 		// Reconnect-tracked channel: broker tags are per-transport, so
 		// translate them through pubMap back to client sequence numbers
@@ -358,32 +365,36 @@ func (ch *Channel) dispatchConfirm(tag uint64, multiple, ack bool) {
 			}
 		}
 	}
+	ch.confirmSeqs = seqs
 	if len(ch.confirms) == 0 {
 		// No listeners registered: nothing to fan out (the common
 		// fire-and-forget publisher), skip the listener-slice copy.
 		ch.mu.Unlock()
 		return
 	}
-	listeners := append([]chan Confirmation(nil), ch.confirms...)
+	// A copy, so the sends below run without the lock.
+	listeners := append(ch.confirmFan[:0], ch.confirms...)
+	ch.confirmFan = listeners
 	tracked := ch.pending != nil
 	ch.mu.Unlock()
 	if tracked {
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+		slices.Sort(seqs)
 		for _, s := range seqs {
 			for _, l := range listeners {
 				l <- Confirmation{DeliveryTag: s, Ack: ack}
 			}
 		}
-		return
-	}
-	for t := from; t <= tag; t++ {
-		if _, dup := skip[t]; dup {
-			continue
+	} else {
+		for t := from; t <= tag; t++ {
+			if _, dup := skip[t]; dup {
+				continue
+			}
+			for _, l := range listeners {
+				l <- Confirmation{DeliveryTag: t, Ack: ack}
+			}
 		}
-		for _, l := range listeners {
-			l <- Confirmation{DeliveryTag: t, Ack: ack}
-		}
 	}
+	clear(listeners) // the scratch keeps no listener alive after shutdown
 }
 
 // resolveConfirmLocked marks the tags a confirm covers as resolved and
@@ -744,7 +755,7 @@ func (ch *Channel) GetNextPublishSeqNo() uint64 {
 // --- publish / consume ---
 
 // Publish sends a message to an exchange. A nil error means the
-// connection accepted it: a body of 2 KiB or more is written, a smaller
+// connection accepted it: a body of 64 KiB or more is written, a smaller
 // one is written or queued, behind at most 64 KiB, for a flush already
 // scheduled, which any other write on the connection (an RPC, an ack,
 // Close) carries out first. A socket that died meanwhile surfaces on the
@@ -779,7 +790,7 @@ func (ch *Channel) Publish(exchange, key string, mandatory, immediate bool, msg 
 	}
 	ch.mu.Unlock()
 	props := msg.properties()
-	m := &wire.BasicPublish{
+	m := wire.BasicPublish{
 		Exchange: exchange, RoutingKey: key, Mandatory: mandatory, Immediate: immediate,
 	}
 	if track {
@@ -952,46 +963,45 @@ const epochCurrent = ^uint64(0)
 // abandoned by the resume.
 func (ch *Channel) releaseLoans(epoch, tag uint64, multiple bool) {
 	ch.mu.Lock()
+	defer ch.mu.Unlock()
 	if epoch != epochCurrent && epoch != ch.loansEpoch {
-		ch.mu.Unlock()
 		return
 	}
 	if !multiple {
-		p := ch.loans[tag]
+		wire.ReleaseBuf(ch.loans[tag])
 		delete(ch.loans, tag)
-		ch.mu.Unlock()
-		wire.ReleaseBuf(p)
 		return
 	}
-	var rel []*[]byte
 	for t, p := range ch.loans {
 		if t <= tag || tag == 0 {
-			rel = append(rel, p)
+			wire.ReleaseBuf(p)
 			delete(ch.loans, t)
 		}
 	}
-	ch.mu.Unlock()
-	for _, p := range rel {
-		wire.ReleaseBuf(p)
-	}
+}
+
+// settle resolves deliveries: it returns their loans and writes the
+// resolution. epoch is epochCurrent for the Channel's own Acknowledger
+// methods, which act on the live transport; an epochAcker passes the
+// epoch its deliveries arrived on.
+func (ch *Channel) settle(epoch uint64, kind settleKind, tag uint64, multiple, requeue bool) error {
+	ch.releaseLoans(epoch, tag, multiple)
+	return ch.conn.writeSettle(epoch, ch.id, kind, tag, multiple, requeue)
 }
 
 // Ack acknowledges a delivery tag.
 func (ch *Channel) Ack(tag uint64, multiple bool) error {
-	ch.releaseLoans(epochCurrent, tag, multiple)
-	return ch.conn.writeMethod(ch.id, &wire.BasicAck{DeliveryTag: tag, Multiple: multiple})
+	return ch.settle(epochCurrent, settleAck, tag, multiple, false)
 }
 
 // Nack negatively acknowledges a delivery tag.
 func (ch *Channel) Nack(tag uint64, multiple, requeue bool) error {
-	ch.releaseLoans(epochCurrent, tag, multiple)
-	return ch.conn.writeMethod(ch.id, &wire.BasicNack{DeliveryTag: tag, Multiple: multiple, Requeue: requeue})
+	return ch.settle(epochCurrent, settleNack, tag, multiple, requeue)
 }
 
 // Reject rejects a delivery tag.
 func (ch *Channel) Reject(tag uint64, requeue bool) error {
-	ch.releaseLoans(epochCurrent, tag, false)
-	return ch.conn.writeMethod(ch.id, &wire.BasicReject{DeliveryTag: tag, Requeue: requeue})
+	return ch.settle(epochCurrent, settleReject, tag, false, requeue)
 }
 
 // --- reconnect replay ---
@@ -1019,18 +1029,15 @@ type epochAcker struct {
 }
 
 func (a *epochAcker) Ack(tag uint64, multiple bool) error {
-	a.ch.releaseLoans(a.epoch, tag, multiple)
-	return a.ch.conn.writeMethodEpoch(a.epoch, a.ch.id, &wire.BasicAck{DeliveryTag: tag, Multiple: multiple})
+	return a.ch.settle(a.epoch, settleAck, tag, multiple, false)
 }
 
 func (a *epochAcker) Nack(tag uint64, multiple, requeue bool) error {
-	a.ch.releaseLoans(a.epoch, tag, multiple)
-	return a.ch.conn.writeMethodEpoch(a.epoch, a.ch.id, &wire.BasicNack{DeliveryTag: tag, Multiple: multiple, Requeue: requeue})
+	return a.ch.settle(a.epoch, settleNack, tag, multiple, requeue)
 }
 
 func (a *epochAcker) Reject(tag uint64, requeue bool) error {
-	a.ch.releaseLoans(a.epoch, tag, false)
-	return a.ch.conn.writeMethodEpoch(a.epoch, a.ch.id, &wire.BasicReject{DeliveryTag: tag, Requeue: requeue})
+	return a.ch.settle(a.epoch, settleReject, tag, false, requeue)
 }
 
 // replayState re-establishes this channel on a fresh transport during
@@ -1110,7 +1117,7 @@ func (ch *Channel) replayState(fr *wire.FrameReader) error {
 	}
 	for _, p := range pend {
 		props := p.msg.properties()
-		err := ch.conn.writeContentRaw(ch.id, &wire.BasicPublish{
+		err := ch.conn.writeContentRaw(ch.id, wire.BasicPublish{
 			Exchange: p.exchange, RoutingKey: p.key,
 			Mandatory: p.mandatory, Immediate: p.immediate,
 		}, &props, p.msg.Body)

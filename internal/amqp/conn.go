@@ -112,17 +112,28 @@ type Config struct {
 // Connection is a client connection multiplexing channels over one socket.
 type Connection struct {
 	// conn and fr are the live transport; both are replaced on reconnect
-	// (conn under mu+writeMu, fr under mu with no read loop running).
+	// (conn under mu+writeMu, fr under mu with no read loop running). dec
+	// belongs to whichever goroutine reads fr: the read loop, or resume
+	// while no read loop runs.
 	conn net.Conn
 	fr   *wire.FrameReader
+	dec  wire.Decoder
 
 	// writeMu guards the send side: out, the one send buffer (outFrames
 	// counts its frames), and kicked, set while a flushSoon goroutine has
 	// yet to take writeMu — at most one per connection, none on an idle one.
+	// pub, ack, nack and reject are the method scratch publishes and
+	// delivery resolutions encode from, so no method struct escapes to the
+	// heap per call.
 	writeMu   sync.Mutex
 	out       *wire.Writer
 	outFrames int
 	kicked    bool
+	flush     func() // flushSoon, bound once: a go statement on a method value allocates
+	pub       wire.BasicPublish
+	ack       wire.BasicAck
+	nack      wire.BasicNack
+	reject    wire.BasicReject
 
 	mu        sync.Mutex
 	channels  map[uint16]*Channel
@@ -262,6 +273,7 @@ func dialOnce(u URI, vhost string, cfg Config) (*Connection, error) {
 		done:     make(chan struct{}),
 		hbStop:   make(chan struct{}),
 	}
+	c.flush = c.flushSoon
 	c.frameMax.Store(wire.DefaultFrameMax)
 	hb, err := c.handshake(c.fr)
 	if err != nil {
@@ -774,7 +786,12 @@ func (c *Connection) dispatchFrame(f wire.Frame, raw bool) (stop bool, e *Error)
 	switch f.Type {
 	case wire.FrameHeartbeat:
 	case wire.FrameMethod:
-		m, err := wire.ParseMethod(f.Payload)
+		ch := c.channelByID(f.Channel)
+		var slots *wire.Slots
+		if ch != nil {
+			slots = &ch.slots
+		}
+		m, err := c.dec.Method(f.Payload, slots)
 		if err != nil {
 			return true, &Error{Code: wire.ReplySyntaxError, Reason: err.Error()}
 		}
@@ -806,7 +823,7 @@ func (c *Connection) dispatchFrame(f wire.Frame, raw bool) (stop bool, e *Error)
 			switch x := m.(type) {
 			case *wire.ChannelClose:
 				c.writeMethodRaw(f.Channel, &wire.ChannelCloseOk{})
-				if ch := c.channelByID(f.Channel); ch != nil {
+				if ch != nil {
 					c.removeChannel(f.Channel)
 					ch.shutdown(&Error{Code: x.ReplyCode, Reason: x.ReplyText})
 				}
@@ -823,12 +840,12 @@ func (c *Connection) dispatchFrame(f wire.Frame, raw bool) (stop bool, e *Error)
 				return false, nil
 			}
 		}
-		if ch := c.channelByID(f.Channel); ch != nil {
+		if ch != nil {
 			ch.onMethod(m)
 		}
 	case wire.FrameHeader:
 		if ch := c.channelByID(f.Channel); ch != nil {
-			h, err := wire.ParseContentHeader(f.Payload)
+			h, err := c.dec.Header(f.Payload, &ch.slots)
 			if err == nil {
 				e = ch.onHeader(h)
 			}
@@ -896,7 +913,8 @@ func (c *Connection) awaitResume() bool {
 }
 
 // sendBufMax (one gathered write, wire's gatherMax) is the pending size at
-// which a publish flushes inline: memory is bounded, back-pressure kept.
+// which a publish flushes inline — memory is bounded, back-pressure kept —
+// and the body size from which a publish borrows its body.
 const sendBufMax = 64 * 1024
 
 // sendLocked is the one way frames reach the socket. The caller holds
@@ -914,7 +932,7 @@ func (c *Connection) sendLocked(w *wire.Writer, frames int, inline bool) error {
 	}
 	if !c.kicked {
 		c.kicked = true
-		go c.flushSoon()
+		go c.flush()
 	}
 	return nil
 }
@@ -999,40 +1017,73 @@ func (c *Connection) writeMethodGen(gen chan struct{}, channel uint16, m wire.Me
 	return err
 }
 
-// writeMethodEpoch writes an acknowledgement-class method only while the
-// transport epoch still matches: after a reconnect the broker has
-// requeued the deliveries those tags named, so stale acks are dropped
-// rather than misapplied to new deliveries.
-func (c *Connection) writeMethodEpoch(epoch uint64, channel uint16, m wire.Method) error {
-	w, err := encodeMethod(channel, m)
-	if err != nil {
-		return err
-	}
-	defer wire.PutWriter(w)
+// settleKind is the method a delivery resolution goes out as.
+type settleKind uint8
+
+const (
+	settleAck settleKind = iota
+	settleNack
+	settleReject
+)
+
+// writeSettle writes one delivery resolution — basic.ack, basic.nack or
+// basic.reject — encoded from the method scratch under writeMu. With an
+// epoch other than epochCurrent it writes only while that transport epoch
+// is still live: after a reconnect the broker has requeued the deliveries
+// those tags named, so stale resolutions are dropped rather than
+// misapplied to new deliveries.
+func (c *Connection) writeSettle(epoch uint64, channel uint16, kind settleKind, tag uint64, multiple, requeue bool) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	c.mu.Lock()
-	stale := c.epoch != epoch || c.suspended
-	c.mu.Unlock()
-	if !stale {
-		if err = c.sendLocked(w, 1, true); err == nil || !c.reconnectEnabled() {
-			return err
+	if epoch != epochCurrent {
+		c.mu.Lock()
+		stale := c.epoch != epoch || c.suspended
+		c.mu.Unlock()
+		if stale {
+			staleAcksDropped.Inc()
+			return nil
 		}
+	}
+	var m wire.Method
+	switch kind {
+	case settleAck:
+		c.ack = wire.BasicAck{DeliveryTag: tag, Multiple: multiple}
+		m = &c.ack
+	case settleNack:
+		c.nack = wire.BasicNack{DeliveryTag: tag, Multiple: multiple, Requeue: requeue}
+		m = &c.nack
+	default:
+		c.reject = wire.BasicReject{DeliveryTag: tag, Requeue: requeue}
+		m = &c.reject
+	}
+	err := c.writeMethodRaw(channel, m)
+	if err != nil && epoch != epochCurrent && c.reconnectEnabled() {
 		// Transport died mid-ack: the broker requeues the delivery when
 		// it notices, so the ack is simply dropped.
+		staleAcksDropped.Inc()
+		return nil
 	}
-	staleAcksDropped.Inc()
-	return nil
+	return err
 }
 
-// encodeContent frames a publish into a pooled writer the caller
-// recycles. The body is copied below wire's borrow floor and borrowed
-// from it up (wire.AppendContentFramesZC); sendLocked flushes a borrow
-// inline, so the caller's slice is read before Publish returns and not
-// after — the rule the broker's delivery path lives by.
-func (c *Connection) encodeContent(channel uint16, m wire.Method, props *wire.Properties, body []byte) (*wire.Writer, int, error) {
+// encodeContentLocked frames a publish into a pooled writer the caller
+// recycles; the caller holds writeMu, since the method encodes from the
+// scratch. A body under sendBufMax is copied in, to share a write with
+// the publishes around it: on a tls.Conn or a wrapped socket the write
+// would copy it anyway (wire's gathered writes), and a borrow costs a
+// write of its own. From sendBufMax up the body is borrowed
+// (wire.AppendContentFramesZC), and sendLocked flushes a borrow inline,
+// so the caller's slice is read before Publish returns and not after —
+// the rule the broker's delivery path lives by.
+func (c *Connection) encodeContentLocked(channel uint16, m wire.BasicPublish, props *wire.Properties, body []byte) (*wire.Writer, int, error) {
+	c.pub = m
 	w := wire.GetWriter()
-	frames := w.AppendContentFramesZC(channel, m, props, body, c.frameMax.Load())
+	var frames int
+	if len(body) < sendBufMax {
+		frames = w.AppendContentFrames(channel, &c.pub, props, body, c.frameMax.Load())
+	} else {
+		frames = w.AppendContentFramesZC(channel, &c.pub, props, body, c.frameMax.Load())
+	}
 	if err := w.Err(); err != nil {
 		wire.PutWriter(w)
 		return nil, 0, err
@@ -1042,10 +1093,10 @@ func (c *Connection) encodeContent(channel uint16, m wire.Method, props *wire.Pr
 
 // writeContent sends a publish's method+header+body frames as one unit,
 // atomic with respect to other writers on this connection. A body under
-// the borrow floor shares the scheduled flush with the publishes around
-// it (sendLocked); a larger one is written before this returns, and what
+// sendBufMax shares the scheduled flush with the publishes around it
+// (sendLocked); a larger one is written before this returns, and what
 // that costs per destination kind is wire.FlushFrames' decision.
-func (c *Connection) writeContent(channel uint16, m wire.Method, props *wire.Properties, body []byte) error {
+func (c *Connection) writeContent(channel uint16, m wire.BasicPublish, props *wire.Properties, body []byte) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	return c.writeContentRaw(channel, m, props, body)
@@ -1060,14 +1111,14 @@ func (c *Connection) writeContent(channel uint16, m wire.Method, props *wire.Pro
 // (already recorded by the caller) and the replay owns it. Marshal errors
 // are permanent and propagate; socket errors mean the reconnect replay
 // will resend, so they report success.
-func (c *Connection) writeContentTracked(ch *Channel, seq uint64, m wire.Method, props *wire.Properties, body []byte) error {
-	w, frames, err := c.encodeContent(ch.id, m, props, body)
+func (c *Connection) writeContentTracked(ch *Channel, seq uint64, m wire.BasicPublish, props *wire.Properties, body []byte) error {
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	w, frames, err := c.encodeContentLocked(ch.id, m, props, body)
 	if err != nil {
 		return err
 	}
 	defer wire.PutWriter(w)
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
 	c.mu.Lock()
 	epoch, suspended := c.epoch, c.suspended
 	c.mu.Unlock()
@@ -1089,8 +1140,8 @@ func (c *Connection) writeContentTracked(ch *Channel, seq uint64, m wire.Method,
 }
 
 // writeContentRaw writes content with writeMu held: writeContent, resume.
-func (c *Connection) writeContentRaw(channel uint16, m wire.Method, props *wire.Properties, body []byte) error {
-	w, frames, err := c.encodeContent(channel, m, props, body)
+func (c *Connection) writeContentRaw(channel uint16, m wire.BasicPublish, props *wire.Properties, body []byte) error {
+	w, frames, err := c.encodeContentLocked(channel, m, props, body)
 	if err != nil {
 		return err
 	}

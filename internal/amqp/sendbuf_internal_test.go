@@ -11,6 +11,7 @@ import (
 	"crypto/tls"
 	"net"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -156,29 +157,35 @@ var sendBufTransports = []struct {
 }{{"plain", false}, {"tls", true}}
 
 // TestSmallPublishesShareWrites: on one P, where the scheduled flush runs
-// once the publisher yields, 64 back-to-back 1 KiB publishes leave in at
-// most 3 writes (the buffer reaches its 64 KiB mark once on the way) and
-// the stream is exactly 64 encoded publishes.
+// once the publisher yields, back-to-back publishes of bodies under the
+// 64 KiB borrow floor share writes — 64 x 1 KiB leave in at most 3 (the
+// buffer reaches its 64 KiB mark once on the way), 16 x 4 KiB and
+// 4 x 16 KiB in at most 2 — and the stream is exactly the encoded
+// publishes.
 func TestSmallPublishesShareWrites(t *testing.T) {
 	for _, tr := range sendBufTransports {
 		t.Run(tr.name, func(t *testing.T) {
-			c, ch, rec := dialRecorded(t, tr.secure)
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-			msg := Publishing{MessageID: "m", Body: bytes.Repeat([]byte{0x5A}, 1024)}
-			one := wantPublish(c, ch, msg)
-			rec.mark()
-			for i := 0; i < 64; i++ {
-				if err := ch.Publish("", "sb-q", false, false, msg); err != nil {
-					t.Fatal(err)
-				}
-			}
-			rec.awaitBytes(t, 64*len(one))
-			sizes, stream := rec.snapshot()
-			if len(sizes) > 3 {
-				t.Fatalf("64 x 1 KiB publishes took %d writes %v, want at most 3", len(sizes), sizes)
-			}
-			if !bytes.Equal(stream, bytes.Repeat(one, 64)) {
-				t.Fatalf("stream of %d bytes is not 64 encoded publishes (%d bytes)", len(stream), 64*len(one))
+			for _, tc := range []struct{ size, n, maxWrites int }{{1 << 10, 64, 3}, {4 << 10, 16, 2}, {16 << 10, 4, 2}} {
+				t.Run(strconv.Itoa(tc.size), func(t *testing.T) {
+					c, ch, rec := dialRecorded(t, tr.secure)
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+					msg := Publishing{MessageID: "m", Body: bytes.Repeat([]byte{0x5A}, tc.size)}
+					one := wantPublish(c, ch, msg)
+					rec.mark()
+					for i := 0; i < tc.n; i++ {
+						if err := ch.Publish("", "sb-q", false, false, msg); err != nil {
+							t.Fatal(err)
+						}
+					}
+					rec.awaitBytes(t, tc.n*len(one))
+					sizes, stream := rec.snapshot()
+					if len(sizes) > tc.maxWrites {
+						t.Fatalf("%d x %d B publishes took %d writes %v, want at most %d", tc.n, tc.size, len(sizes), sizes, tc.maxWrites)
+					}
+					if !bytes.Equal(stream, bytes.Repeat(one, tc.n)) {
+						t.Fatalf("stream of %d bytes is not %d encoded publishes (%d bytes)", len(stream), tc.n, tc.n*len(one))
+					}
+				})
 			}
 		})
 	}

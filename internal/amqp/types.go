@@ -41,7 +41,7 @@ type Publishing struct {
 	Type            string
 	AppID           string
 	// Body is read while Publish runs and never after it returns, so the
-	// caller may reuse the slice at once: from 2 KiB up it is borrowed and
+	// caller may reuse the slice at once: from 64 KiB up it is borrowed and
 	// flushed synchronously, below that copied into the connection's send
 	// buffer. Publish returning nil therefore means accepted by the
 	// connection — written, or queued behind at most 64 KiB for the flush

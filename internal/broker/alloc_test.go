@@ -1,6 +1,8 @@
 package broker
 
 import (
+	"encoding/binary"
+	"net"
 	"testing"
 
 	"ds2hpc/internal/broker/seglog"
@@ -223,5 +225,222 @@ func TestAllocsDurableFanoutPublishDeliver(t *testing.T) {
 	got := testing.AllocsPerRun(200, cycle)
 	if got > 1 {
 		t.Fatalf("durable fanout publish→deliver allocates %.1f objects/op, want <= 1", got)
+	}
+}
+
+// discardConn is a broker-side socket whose peer reads nothing: every
+// write succeeds and vanishes.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
+func (discardConn) Close() error                { return nil }
+
+// dispatchConn is a connection of a live server that the test drives
+// frame by frame through dispatch, with channel 1 open; what the broker
+// writes back is discarded.
+func dispatchConn(t *testing.T, cfg Config) *srvConn {
+	t.Helper()
+	cfg.Addr = "127.0.0.1:0"
+	s, err := Listen(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	sc := newSrvConn(s, discardConn{})
+	sc.vh = s.VHost("/")
+	t.Cleanup(sc.shutdown)
+	dispatchMethod(t, sc, 1, &wire.ChannelOpen{})
+	return sc
+}
+
+func methodFrame(t *testing.T, channel uint16, m wire.Method) wire.Frame {
+	t.Helper()
+	payload, err := wire.EncodeMethod(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire.Frame{Type: wire.FrameMethod, Channel: channel, Payload: payload}
+}
+
+func dispatchMethod(t *testing.T, sc *srvConn, channel uint16, m wire.Method) {
+	t.Helper()
+	if err := sc.dispatch(methodFrame(t, channel, m)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAllocsPublishIngest locks in the ingest path: a confirm-mode publish
+// that srvConn.dispatch decodes from its method, header and body frames,
+// assembles, routes to a queue and confirms allocates nothing per message
+// once warm. The frames decode into the channel's slots, the routing key
+// and properties repeat the strings the slots already hold, and the
+// confirm encodes from the connection's scratch.
+func TestAllocsPublishIngest(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a fraction of Puts under the race detector; zero-alloc assertion not meaningful")
+	}
+	sc := dispatchConn(t, Config{})
+	dispatchMethod(t, sc, 1, &wire.ConfirmSelect{})
+	dispatchMethod(t, sc, 1, &wire.QueueDeclare{Queue: "ingest-q"})
+	q, _ := sc.vh.Queue("ingest-q")
+	header, err := wire.EncodeContentHeader(&wire.ContentHeader{
+		ClassID:  wire.ClassBasic,
+		BodySize: 1024,
+		Properties: wire.Properties{
+			ContentType: "application/octet-stream", ReplyTo: "reply-q",
+			DeliveryMode: wire.Persistent, Timestamp: 12345,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := []wire.Frame{
+		methodFrame(t, 1, &wire.BasicPublish{RoutingKey: "ingest-q"}),
+		{Type: wire.FrameHeader, Channel: 1, Payload: header},
+		{Type: wire.FrameBody, Channel: 1, Payload: make([]byte, 1024)},
+	}
+	cycle := func() {
+		for _, f := range frames {
+			if err := sc.dispatch(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sc.flushConfirms()
+		m, _, _, _, ok := q.Get()
+		if !ok {
+			t.Fatal("publish not queued")
+		}
+		if m.RoutingKey != "ingest-q" || m.Props.ReplyTo != "reply-q" || len(m.Body) != 1024 {
+			t.Fatalf("queued %q reply-to %q with %d body bytes", m.RoutingKey, m.Props.ReplyTo, len(m.Body))
+		}
+		m.Release()
+	}
+	for i := 0; i < 8; i++ {
+		cycle() // warm the pools and the slots' strings
+	}
+	if got := testing.AllocsPerRun(200, cycle); got > 0 {
+		t.Fatalf("publish ingest allocates %.1f objects/op, want 0", got)
+	}
+}
+
+// ackChannel is channel 1 of a dispatchConn consuming from one durable
+// and one transient queue. Its deliveries are handed out by hand (take),
+// the way sendDeliverBatch parks them in the unacked map, so acks can be
+// driven through dispatch without a delivery loop.
+type ackChannel struct {
+	t      *testing.T
+	sc     *srvConn
+	ch     *srvChannel
+	queues [2]*Queue
+	cons   [2]*consumer
+	msg    *Message
+}
+
+func newAckChannel(t *testing.T) *ackChannel {
+	t.Helper()
+	sc := dispatchConn(t, Config{DataDir: t.TempDir(), Durability: seglog.Options{Fsync: seglog.FsyncNever}})
+	a := &ackChannel{t: t, sc: sc, ch: sc.channel(1), msg: &Message{RoutingKey: "q", Body: make([]byte, 1024)}}
+	for i, durable := range []bool{true, false} {
+		q, err := sc.vh.DeclareQueue([]string{"ack-durable", "ack-transient"}[i], durable, false, false, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := q.AddConsumer("c", false, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.queues[i], a.cons[i] = q, c
+	}
+	return a
+}
+
+// take publishes one message to queue i and parks its delivery as unacked.
+func (a *ackChannel) take(i int) {
+	if err := a.queues[i].Publish(a.msg); err != nil {
+		a.t.Fatal(err)
+	}
+	var d delivery
+	select {
+	case d = <-a.cons[i].outbox:
+	default:
+		a.t.Fatal("no delivery pumped")
+	}
+	a.queues[i].DeliveryDoneN(a.cons[i], 1)
+	a.ch.mu.Lock()
+	a.ch.deliveryTag++
+	a.ch.unacked[a.ch.deliveryTag] = newUnacked(a.queues[i], a.cons[i], d.msg, d.off)
+	a.ch.mu.Unlock()
+}
+
+// settle resolves every delivery so far with one multiple-ack (or
+// multiple-nack with requeue) frame through dispatch.
+func (a *ackChannel) settle(requeue bool) {
+	var m wire.Method = &wire.BasicAck{DeliveryTag: a.ch.deliveryTag, Multiple: true}
+	if requeue {
+		m = &wire.BasicNack{DeliveryTag: a.ch.deliveryTag, Multiple: true, Requeue: true}
+	}
+	dispatchMethod(a.t, a.sc, 1, m)
+	if n := len(a.ch.unacked); n != 0 {
+		a.t.Fatalf("%d deliveries still unacked", n)
+	}
+}
+
+// TestAllocsMultipleAck locks in multiple-ack resolution: deliveries of a
+// durable and a transient queue, interleaved on one channel and resolved
+// by one basic.ack{multiple} that srvConn.dispatch decodes, are sorted
+// and grouped per (queue, consumer) in the channel's reused scratch —
+// credit restored and durable offsets committed per group — without an
+// allocation once warm, durable appends included. The ack frame is
+// encoded ahead and its tag patched, so the test allocates nothing
+// itself.
+func TestAllocsMultipleAck(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a fraction of Puts under the race detector; zero-alloc assertion not meaningful")
+	}
+	a := newAckChannel(t)
+	ack := methodFrame(t, 1, &wire.BasicAck{Multiple: true})
+	cycle := func() {
+		for i := 0; i < 8; i++ {
+			a.take(i % 2)
+		}
+		binary.BigEndian.PutUint64(ack.Payload[4:12], a.ch.deliveryTag)
+		if err := a.sc.dispatch(ack); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		cycle() // warm the scratch, the ring chunks and the log's buffers
+	}
+	if got := testing.AllocsPerRun(200, cycle); got > 0 {
+		t.Fatalf("multiple-ack resolution allocates %.1f objects/op, want 0", got)
+	}
+	if n := len(a.ch.unacked); n != 0 {
+		t.Fatalf("%d deliveries still unacked", n)
+	}
+}
+
+// TestMultipleRequeueReusesDurableGroup: the multiple-ack scratch hands a
+// group the slices of the group that sat in its slot before. A transient
+// queue's requeue that inherits a durable group's offset slice must still
+// read as "no offsets" — every message back on its queue, marked
+// redelivered — not index an empty slice.
+func TestMultipleRequeueReusesDurableGroup(t *testing.T) {
+	a := newAckChannel(t)
+	a.take(0) // durable first: slot 0 becomes the durable group, with offsets
+	a.take(1)
+	a.settle(false)
+	a.take(1) // transient first: slot 0 goes to the transient group
+	a.take(0)
+	a.settle(true)
+	for i, q := range a.queues {
+		var d delivery
+		select {
+		case d = <-a.cons[i].outbox:
+		default:
+			t.Fatalf("%s: requeued message not redelivered", q.Name)
+		}
+		if !d.redelivered {
+			t.Fatalf("%s: requeued message not marked redelivered", q.Name)
+		}
 	}
 }

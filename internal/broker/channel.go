@@ -1,9 +1,10 @@
 package broker
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -33,6 +34,13 @@ type srvChannel struct {
 	// ClusterConfirm has not yet put on the wire.
 	ackPending []uint64
 	bridged    atomic.Int64
+
+	// Serve-goroutine state, no lock: the decode targets of this
+	// channel's hot frames, and the scratch a multiple-ack resolves its
+	// deliveries in (basicAck).
+	slots       wire.Slots
+	ackResolved []taggedEntry
+	ackGroups   []ackGroup
 }
 
 // consumerEntry pairs a queue consumer with the channel that owns it.
@@ -78,16 +86,22 @@ func releaseUnacked(ua *unackedEntry) {
 // pendingPublish accumulates a basic.publish across method/header/body.
 // The message is created when the content header arrives — its pooled
 // body buffer is presized from the header's BodySize, so multi-frame
-// bodies assemble into one loan with zero reallocation.
+// bodies assemble into one loan with zero reallocation. The method is a
+// copy: the decoded one lives in the channel's slots.
 type pendingPublish struct {
-	method *wire.BasicPublish
-	header *wire.ContentHeader
-	msg    *Message
-	seq    uint64
+	method   wire.BasicPublish
+	msg      *Message // nil until the content header
+	bodySize uint64
+	seq      uint64
 }
 
 // pendingPool recycles publish-assembly state across messages.
 var pendingPool = sync.Pool{New: func() any { return new(pendingPublish) }}
+
+func recyclePending(p *pendingPublish) {
+	*p = pendingPublish{}
+	pendingPool.Put(p)
+}
 
 func newSrvChannel(sc *srvConn, id uint16) *srvChannel {
 	return &srvChannel{
@@ -308,7 +322,7 @@ func (ch *srvChannel) onMethod(m wire.Method) error {
 		return ch.conn.writeMethod(ch.id, &wire.BasicCancelOk{ConsumerTag: x.ConsumerTag})
 	case *wire.BasicPublish:
 		p := pendingPool.Get().(*pendingPublish)
-		p.method, p.header, p.msg, p.seq = x, nil, nil, 0
+		p.method = *x
 		ch.mu.Lock()
 		if ch.confirm {
 			ch.publishSeq++
@@ -391,15 +405,18 @@ func (ch *srvChannel) basicConsume(x *wire.BasicConsume) error {
 	ch.consumers[tag] = ce
 	ch.mu.Unlock()
 
+	// consume-ok goes out before the consumer is armed: once armed, the
+	// delivery loop may write deliveries at once, and a client that reads
+	// them before the -ok can have its consumer's buffer filled while
+	// Consume still waits for the reply.
+	if !x.NoWait {
+		err = ch.conn.writeMethod(ch.id, &wire.BasicConsumeOk{ConsumerTag: tag})
+	}
 	// Hand delivery writing to the connection's event-driven loop: the
 	// wake hook schedules this consumer whenever its outbox has work, so
 	// an idle consumer costs a map entry, not a parked goroutine.
 	cons.SetWake(func() { ch.conn.wakeConsumer(ce) })
-
-	if x.NoWait {
-		return nil
-	}
-	return ch.conn.writeMethod(ch.id, &wire.BasicConsumeOk{ConsumerTag: tag})
+	return err
 }
 
 // maxDeliveryBatch caps how many queued deliveries one writer drains into a
@@ -485,8 +502,8 @@ var (
 func (ch *srvChannel) sendDeliverBatch(ce *consumerEntry, batch []delivery) {
 	var msgs [maxDeliveryBatch]*Message
 	var tags [maxDeliveryBatch]uint64
-	var offs [maxDeliveryBatch]uint64
 	var redeliv [maxDeliveryBatch]bool
+	offs := &ch.conn.dispOffs
 	ch.mu.Lock()
 	if ch.closed {
 		ch.mu.Unlock()
@@ -595,14 +612,20 @@ type ackGroup struct {
 	offs  []uint64   // durable offsets: commit targets (ack/discard) or requeue offsets, parallel to msgs
 }
 
+// taggedEntry is an unacked delivery taken out of the map with its tag.
+type taggedEntry struct {
+	tag uint64
+	ua  *unackedEntry
+}
+
 // basicAck resolves unacked deliveries. ack=true acknowledges; ack=false
 // with requeue returns messages to their queues; ack=false without requeue
 // discards them (dead-lettering is out of scope). Multiple-ack paths batch
-// per-queue work: one credit restore and one pump per (queue, consumer).
+// per-queue work: one credit restore and one pump per (queue, consumer),
+// in the channel's reused scratch (serve goroutine only).
 func (ch *srvChannel) basicAck(tag uint64, multiple, ack, requeue bool) error {
 	if !multiple {
-		// Fast path: a single-tag resolution needs no batching machinery
-		// (and no slice allocations).
+		// Fast path: a single-tag resolution needs no batching machinery.
 		ch.mu.Lock()
 		ua, ok := ch.unacked[tag]
 		delete(ch.unacked, tag)
@@ -615,31 +638,34 @@ func (ch *srvChannel) basicAck(tag uint64, multiple, ack, requeue bool) error {
 		return nil
 	}
 	ch.mu.Lock()
-	var tags []uint64
-	var entries []*unackedEntry
+	entries := ch.ackResolved[:0]
 	for t, ua := range ch.unacked {
 		if t <= tag || tag == 0 {
-			tags = append(tags, t)
-			entries = append(entries, ua)
+			entries = append(entries, taggedEntry{t, ua})
 			delete(ch.unacked, t)
 		}
 	}
 	ch.mu.Unlock()
+	defer func() {
+		clear(entries) // the entries recycle below; keep no pointers to them
+		ch.ackResolved = entries[:0]
+	}()
 	if len(entries) == 0 {
 		return nil
 	}
 	if len(entries) == 1 {
-		ch.resolveEntry(entries[0], ack, requeue)
-		releaseUnacked(entries[0])
+		ch.resolveEntry(entries[0].ua, ack, requeue)
+		releaseUnacked(entries[0].ua)
 		return nil
 	}
 	// Resolve in delivery-tag order so batch requeues restore queue order.
-	sort.Sort(byTag{tags, entries})
+	slices.SortFunc(entries, func(a, b taggedEntry) int { return cmp.Compare(a.tag, b.tag) })
 	ackBatches.Inc()
 	acksBatched.Add(uint64(len(entries)))
 
-	var groups []ackGroup
-	for _, ua := range entries {
+	groups := ch.ackGroups[:0]
+	for _, e := range entries {
+		ua := e.ua
 		var g *ackGroup
 		for i := range groups {
 			if groups[i].queue == ua.queue && groups[i].cons == ua.cons {
@@ -648,16 +674,18 @@ func (ch *srvChannel) basicAck(tag uint64, multiple, ack, requeue bool) error {
 			}
 		}
 		if g == nil {
-			groups = append(groups, ackGroup{queue: ua.queue, cons: ua.cons})
+			// Reuse the slot's slices from earlier batches.
+			groups = slices.Grow(groups, 1)[:len(groups)+1]
 			g = &groups[len(groups)-1]
+			*g = ackGroup{queue: ua.queue, cons: ua.cons, msgs: g.msgs[:0], offs: g.offs[:0]}
 		}
 		if ua.cons != nil {
 			g.n++
 		}
 		// Durable queues track offsets per entry: as requeue offsets
 		// (parallel to msgs) or commit targets (ack/discard). Non-durable
-		// groups skip the slice entirely — the batched-ack fast path must
-		// not pick up an allocation for queues with nothing to commit.
+		// groups leave the slice empty, which RequeueAll and CommitAll read
+		// as "no offsets".
 		if ua.queue.log != nil {
 			g.offs = append(g.offs, ua.off)
 		}
@@ -691,9 +719,15 @@ func (ch *srvChannel) basicAck(tag uint64, multiple, ack, requeue bool) error {
 	}
 	// The groups hold their own message-pointer copies; the resolved
 	// entries can recycle now.
-	for _, ua := range entries {
-		releaseUnacked(ua)
+	for _, e := range entries {
+		releaseUnacked(e.ua)
 	}
+	for i := range groups {
+		g := &groups[i]
+		clear(g.msgs)
+		g.queue, g.cons = nil, nil
+	}
+	ch.ackGroups = groups[:0]
 	return nil
 }
 
@@ -723,19 +757,6 @@ func (ch *srvChannel) resolveEntry(ua *unackedEntry, ack, requeue bool) {
 	}
 }
 
-// byTag sorts parallel tag/entry slices by delivery tag.
-type byTag struct {
-	tags    []uint64
-	entries []*unackedEntry
-}
-
-func (s byTag) Len() int           { return len(s.tags) }
-func (s byTag) Less(i, j int) bool { return s.tags[i] < s.tags[j] }
-func (s byTag) Swap(i, j int) {
-	s.tags[i], s.tags[j] = s.tags[j], s.tags[i]
-	s.entries[i], s.entries[j] = s.entries[j], s.entries[i]
-}
-
 // onHeader receives the content header of an in-flight publish and
 // creates the pooled message, presizing its body buffer from the
 // header's BodySize so every body frame appends without reallocating.
@@ -747,9 +768,9 @@ func (ch *srvChannel) onHeader(h *wire.ContentHeader) error {
 			ch.pending = nil
 			ch.mu.Unlock()
 			return ch.exception(wire.ReplyPreconditionFailed,
-				fmt.Sprintf("declared body size %d exceeds limit", h.BodySize), p.method)
+				fmt.Sprintf("declared body size %d exceeds limit", h.BodySize), &p.method)
 		}
-		p.header = h
+		p.bodySize = h.BodySize
 		p.msg = NewMessage(p.method.Exchange, p.method.RoutingKey, h.Properties, int(h.BodySize))
 		if h.BodySize == 0 {
 			ch.pending = nil
@@ -774,17 +795,17 @@ func (ch *srvChannel) onHeader(h *wire.ContentHeader) error {
 func (ch *srvChannel) onBody(b []byte) error {
 	ch.mu.Lock()
 	p := ch.pending
-	if p == nil || p.header == nil {
+	if p == nil || p.msg == nil {
 		ch.mu.Unlock()
 		return fmt.Errorf("broker: body frame without header on channel %d", ch.id)
 	}
-	if left := p.header.BodySize - uint64(len(p.msg.Body)); uint64(len(b)) > left {
+	if left := p.bodySize - uint64(len(p.msg.Body)); uint64(len(b)) > left {
 		ch.mu.Unlock()
 		return fmt.Errorf("broker: body frame of %d bytes overruns declared body size %d (%d left) on channel %d",
-			len(b), p.header.BodySize, left, ch.id)
+			len(b), p.bodySize, left, ch.id)
 	}
 	p.msg.AppendBody(b)
-	complete := uint64(len(p.msg.Body)) >= p.header.BodySize
+	complete := uint64(len(p.msg.Body)) >= p.bodySize
 	if complete {
 		ch.pending = nil
 	}
@@ -802,9 +823,8 @@ func (ch *srvChannel) onBody(b []byte) error {
 // run are written directly, behind the run: nacks, mirror-stream
 // verdicts, and (off this goroutine) ClusterConfirm.
 func (ch *srvChannel) completePublish(p *pendingPublish) error {
-	msg, method, seq := p.msg, p.method, p.seq
-	*p = pendingPublish{}
-	pendingPool.Put(p)
+	defer recyclePending(p)
+	msg, method, seq := p.msg, &p.method, p.seq
 	// The publisher's reference covers routing and the mandatory-return
 	// write below; the queues' references are retained by vhost.Publish.
 	defer msg.Release()

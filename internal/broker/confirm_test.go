@@ -371,6 +371,28 @@ func TestMultipleAckNeverCoversBridgedConfirm(t *testing.T) {
 	}
 }
 
+// TestConsumeOkPrecedesDeliveries: with 100 messages ready, the first
+// frame a basic.consume draws on its channel is basic.consume-ok. A
+// delivery first would be read while the client's Consume still waits for
+// its reply, and enough of them fill the consumer's buffer before Consume
+// has returned it to anyone who drains it.
+func TestConsumeOkPrecedesDeliveries(t *testing.T) {
+	const ready = 100
+	p := newConfirmPeer(t, Config{}, false)
+	p.declare("ready-q", nil)
+	for i := 0; i < ready; i++ {
+		p.publish("", "ready-q", false)
+	}
+	p.flush()
+	p.readAcks(ready)
+	p.method(1, &wire.BasicConsume{Queue: "ready-q", ConsumerTag: "c"})
+	p.flush()
+	m := p.next()
+	if _, ok := m.(*wire.BasicConsumeOk); !ok {
+		t.Fatalf("first frame after basic.consume is %T, want basic.consume-ok", m)
+	}
+}
+
 // BenchmarkPublishConfirmPipelined measures the broker's confirm path
 // over a real socket: bursts of 64 publishes, each burst written at once
 // and then awaited, so confirm coalescing shows as writes/msg (broker

@@ -19,8 +19,10 @@ type srvConn struct {
 	srv *Server
 	c   net.Conn
 	fr  *wire.FrameReader
+	dec wire.Decoder // serve goroutine only; hot frames land in their channel's slots
 
 	writeMu sync.Mutex
+	deliver wire.BasicDeliver // writeMu scratch: a delivery batch encodes from it, so the method never escapes
 
 	// Deferred publisher confirms. completePublish records a positive
 	// confirm on its channel and lists the channel here; flushConfirms
@@ -44,6 +46,11 @@ type srvConn struct {
 	dispMu    sync.Mutex
 	dispReady []*consumerEntry
 	dispWake  chan struct{}
+	// dispOffs is delivery-loop scratch: the durable offsets a noAck batch
+	// commits. A field, not a local array: the offsets reach the queue's
+	// commit hook, a func value, which would move a local to the heap on
+	// every batch.
+	dispOffs [maxDeliveryBatch]uint64
 
 	frameMax  uint32
 	heartbeat time.Duration
@@ -302,7 +309,14 @@ func (sc *srvConn) dispatch(f wire.Frame) error {
 	case wire.FrameHeartbeat:
 		return nil
 	case wire.FrameMethod:
-		m, err := wire.ParseMethod(f.Payload)
+		// Channel 0, and a channel before its channel.open, have no slots:
+		// their methods decode into fresh values.
+		ch := sc.channel(f.Channel)
+		var slots *wire.Slots
+		if ch != nil {
+			slots = &ch.slots
+		}
+		m, err := sc.dec.Method(f.Payload, slots)
 		if err != nil {
 			return err
 		}
@@ -318,13 +332,13 @@ func (sc *srvConn) dispatch(f wire.Frame) error {
 		if f.Channel == 0 {
 			return sc.connectionMethod(m)
 		}
-		return sc.channelMethod(f.Channel, m)
+		return sc.channelMethod(f.Channel, ch, m)
 	case wire.FrameHeader:
 		ch := sc.channel(f.Channel)
 		if ch == nil {
 			return fmt.Errorf("broker: header frame on unknown channel %d", f.Channel)
 		}
-		h, err := wire.ParseContentHeader(f.Payload)
+		h, err := sc.dec.Header(f.Payload, &ch.slots)
 		if err != nil {
 			return err
 		}
@@ -358,7 +372,9 @@ func (sc *srvConn) channel(id uint16) *srvChannel {
 	return sc.channels[id]
 }
 
-func (sc *srvConn) channelMethod(id uint16, m wire.Method) error {
+// channelMethod handles method m on channel id; ch is that channel, nil
+// when it is not open.
+func (sc *srvConn) channelMethod(id uint16, ch *srvChannel, m wire.Method) error {
 	if _, ok := m.(*wire.ChannelOpen); ok {
 		ch := newSrvChannel(sc, id)
 		sc.chMu.Lock()
@@ -366,7 +382,6 @@ func (sc *srvConn) channelMethod(id uint16, m wire.Method) error {
 		sc.chMu.Unlock()
 		return sc.writeMethod(id, &wire.ChannelOpenOk{})
 	}
-	ch := sc.channel(id)
 	if ch == nil {
 		// A late close-ok for a channel the server already closed.
 		if _, ok := m.(*wire.ChannelCloseOk); ok {
@@ -456,13 +471,14 @@ func (sc *srvConn) writeDeliveries(channel uint16, consumerTag string, msgs []*M
 	defer sc.writeMu.Unlock()
 	frames := 0
 	var bytesOut uint64
-	deliver := wire.BasicDeliver{ConsumerTag: consumerTag}
+	deliver := &sc.deliver
+	deliver.ConsumerTag = consumerTag
 	for i, msg := range msgs {
 		deliver.DeliveryTag = tags[i]
 		deliver.Redelivered = redelivered[i]
 		deliver.Exchange = msg.Exchange
 		deliver.RoutingKey = msg.RoutingKey
-		frames += w.AppendContentFramesZC(channel, &deliver, &msg.Props, msg.Body, sc.frameMax)
+		frames += w.AppendContentFramesZC(channel, deliver, &msg.Props, msg.Body, sc.frameMax)
 		bytesOut += uint64(len(msg.Body))
 		if w.Len() >= deliveryFlushBytes {
 			if err := w.Err(); err != nil {

@@ -206,14 +206,10 @@ func TestContentTripletIsOneSocketWrite(t *testing.T) {
 				// Prefetch 1: each delivery is a write of its own, and the
 				// ack that releases the next one draws no reply.
 				p.call(1, &wire.BasicQos{PrefetchCount: 1}, &wire.BasicQosOk{})
-				p.method(1, &wire.BasicConsume{Queue: "onewrite-q", ConsumerTag: "c"})
-				p.flush()
+				p.call(1, &wire.BasicConsume{Queue: "onewrite-q", ConsumerTag: "c"}, &wire.BasicConsumeOk{})
 				var before int64
 				for i := 0; i < warm+counted; i++ {
 					m := p.next()
-					if _, ok := m.(*wire.BasicConsumeOk); ok {
-						m = p.next() // the delivery loop may beat the serve goroutine's consume-ok
-					}
 					d, ok := m.(*wire.BasicDeliver)
 					if !ok {
 						t.Fatalf("got %T, want basic.deliver", m)

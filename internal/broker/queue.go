@@ -342,8 +342,8 @@ func (q *Queue) Requeue(m *Message, off uint64) {
 
 // RequeueAll returns a batch of messages to the head of the queue in one
 // lock acquisition, preserving their order (msgs[0] ends up at the head).
-// offs, when non-nil, carries the entries' segment-log offsets parallel
-// to msgs; nil means offNone throughout (non-durable callers).
+// offs, when non-empty, carries the entries' segment-log offsets parallel
+// to msgs; empty means offNone throughout (non-durable callers).
 func (q *Queue) RequeueAll(msgs []*Message, offs []uint64) {
 	if len(msgs) == 0 {
 		return
@@ -358,7 +358,7 @@ func (q *Queue) RequeueAll(msgs []*Message, offs []uint64) {
 	}
 	for i := len(msgs) - 1; i >= 0; i-- {
 		off := offNone
-		if offs != nil {
+		if len(offs) > 0 {
 			off = offs[i]
 		}
 		q.requeueLocked(msgs[i], off)

@@ -82,41 +82,70 @@ func TestAllocsFrameDecode(t *testing.T) {
 	}
 }
 
-// TestAllocsMethodRoundTrip bounds the per-message cost of method and
-// header parsing (struct + retained strings); regressions here show up
-// directly as per-message broker allocations.
+// TestAllocsMethodRoundTrip pins the per-message cost of method and header
+// decoding. Through one reused Decoder and Slots — how the broker and the
+// client read frames — a steady stream of the hot frames allocates
+// nothing: the reader is the Decoder's own, the targets are the slots,
+// and a string that repeats keeps the slot's copy. The ParseMethod and
+// ParseContentHeader wrappers allocate what they return.
 func TestAllocsMethodRoundTrip(t *testing.T) {
-	payload, err := EncodeMethod(&BasicPublish{RoutingKey: "ws-q-0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := testing.AllocsPerRun(200, func() {
-		if _, err := ParseMethod(payload); err != nil {
+	var methods [][]byte
+	for _, m := range []Method{
+		&BasicPublish{RoutingKey: "ws-q-0", Mandatory: true},
+		&BasicDeliver{ConsumerTag: "ctag-1-1", DeliveryTag: 7, Exchange: "bcast", RoutingKey: "ws-q-0"},
+		&BasicAck{DeliveryTag: 9, Multiple: true},
+		&BasicNack{DeliveryTag: 10, Requeue: true},
+	} {
+		payload, err := EncodeMethod(m)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	// One Reader, one method struct, one retained routing-key string.
-	if got > 3 {
-		t.Fatalf("basic.publish parse allocates %.1f objects/op, want <= 3", got)
+		methods = append(methods, payload)
 	}
-
 	header, err := EncodeContentHeader(&ContentHeader{
 		ClassID:  ClassBasic,
 		BodySize: 2048,
 		Properties: Properties{
-			ContentType: "application/octet-stream",
-			Timestamp:   12345,
+			ContentType: "application/octet-stream", ReplyTo: "reply-q",
+			DeliveryMode: Persistent, Timestamp: 12345,
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	var d Decoder
+	var s Slots
+	decode := func() {
+		for _, p := range methods {
+			if _, err := d.Method(p, &s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := d.Header(header, &s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode() // the first frame of a stream allocates its strings
+	if got := testing.AllocsPerRun(200, decode); got != 0 {
+		t.Fatalf("decoding into reused slots allocates %.1f objects/op, want 0", got)
+	}
+
+	got := testing.AllocsPerRun(200, func() {
+		if _, err := ParseMethod(methods[0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The Decoder, the method struct, the routing-key string.
+	if got > 3 {
+		t.Fatalf("basic.publish parse allocates %.1f objects/op, want <= 3", got)
 	}
 	got = testing.AllocsPerRun(200, func() {
 		if _, err := ParseContentHeader(header); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// One Reader and one header struct; the content type is interned.
+	// The header struct and the reply-to string; the content type is interned.
 	if got > 2 {
 		t.Fatalf("content-header parse allocates %.1f objects/op, want <= 2", got)
 	}

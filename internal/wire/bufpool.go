@@ -141,8 +141,9 @@ var writerPool = sync.Pool{
 }
 
 // maxPooledWriterBytes caps the buffer capacity a recycled Writer may keep.
-// Bodies of zcMinBorrow and more are borrowed on every send path, so a
-// writer holds framing plus copied-in small bodies only: what grows one is
+// The broker's sends borrow bodies of zcMinBorrow and more, and a client
+// publish copies in one body under 64 KiB at most, so a writer holds
+// framing plus copied-in small bodies only: what grows one is
 // a delivery batch of small messages, up to the batch writer's flush
 // threshold plus one maximum-size frame, and the cap must comfortably
 // exceed that so the batching path still recycles its writers.

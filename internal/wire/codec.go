@@ -224,16 +224,32 @@ var internTable = map[string]string{
 
 // ShortStr reads a length-prefixed string of at most 255 bytes.
 func (r *Reader) ShortStr() string {
+	var s string
+	r.shortStrInto(&s)
+	return s
+}
+
+// shortStrInto reads a short string into *dst. A value equal to the one
+// *dst already holds is kept, so a field decoded into a reused target (a
+// channel's Slots) costs no allocation while it repeats; well-known
+// protocol strings resolve through the intern table; anything else is
+// copied out of the payload.
+func (r *Reader) shortStrInto(dst *string) {
 	n := int(r.Octet())
 	if !r.need(n) {
-		return ""
+		*dst = ""
+		return
 	}
 	b := r.buf[r.pos : r.pos+n]
 	r.pos += n
-	if s, ok := internTable[string(b)]; ok {
-		return s
+	if *dst == string(b) {
+		return
 	}
-	return string(b)
+	if s, ok := internTable[string(b)]; ok {
+		*dst = s
+		return
+	}
+	*dst = string(b)
 }
 
 // LongStr reads a 32-bit length-prefixed byte string. The returned slice

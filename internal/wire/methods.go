@@ -1,7 +1,5 @@
 package wire
 
-import "fmt"
-
 // Class identifiers, following the AMQP 0-9-1 numbering that RabbitMQ uses.
 const (
 	ClassConnection uint16 = 10
@@ -53,20 +51,12 @@ func EncodeMethod(m Method) ([]byte, error) {
 	return w.Bytes(), w.Err()
 }
 
-// ParseMethod decodes a method-frame payload into a typed Method.
+// ParseMethod decodes a method-frame payload into a freshly allocated
+// Method the caller keeps. It is the Decoder with no slots, for cold paths
+// and tests; frame readers decode through their own Decoder.
 func ParseMethod(payload []byte) (Method, error) {
-	r := NewReader(payload)
-	classID := r.Short()
-	methodID := r.Short()
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	m := newMethod(classID, methodID)
-	if m == nil {
-		return nil, fmt.Errorf("wire: unknown method %d.%d", classID, methodID)
-	}
-	m.Unmarshal(r)
-	return m, r.Err()
+	var d Decoder
+	return d.Method(payload, nil)
 }
 
 func newMethod(classID, methodID uint16) Method {
@@ -739,8 +729,8 @@ func (m *BasicPublish) Marshal(w *Writer) {
 }
 func (m *BasicPublish) Unmarshal(r *Reader) {
 	r.Short()
-	m.Exchange = r.ShortStr()
-	m.RoutingKey = r.ShortStr()
+	r.shortStrInto(&m.Exchange)
+	r.shortStrInto(&m.RoutingKey)
 	m.Mandatory = r.Bool()
 	m.Immediate = r.Bool()
 }
@@ -785,11 +775,11 @@ func (m *BasicDeliver) Marshal(w *Writer) {
 	w.ShortStr(m.RoutingKey)
 }
 func (m *BasicDeliver) Unmarshal(r *Reader) {
-	m.ConsumerTag = r.ShortStr()
+	r.shortStrInto(&m.ConsumerTag)
 	m.DeliveryTag = r.LongLong()
 	m.Redelivered = r.Bool()
-	m.Exchange = r.ShortStr()
-	m.RoutingKey = r.ShortStr()
+	r.shortStrInto(&m.Exchange)
+	r.shortStrInto(&m.RoutingKey)
 }
 
 // BasicGet synchronously fetches one message.

@@ -156,54 +156,57 @@ func marshalContentHeader(w *Writer, classID uint16, bodySize uint64, p *Propert
 	}
 }
 
-// ParseContentHeader decodes a header-frame payload.
+// ParseContentHeader decodes a header-frame payload into a freshly
+// allocated header the caller keeps. It is the Decoder with no slots, for
+// cold paths and tests.
 func ParseContentHeader(payload []byte) (*ContentHeader, error) {
-	r := NewReader(payload)
-	h := &ContentHeader{}
+	var d Decoder
+	return d.Header(payload, nil)
+}
+
+// unmarshalContentHeader decodes a header-frame payload into h, assigning
+// every field: a property the flags leave out is cleared, so a header
+// decoded into a reused slot never keeps a value of the one before it.
+func unmarshalContentHeader(r *Reader, h *ContentHeader) {
 	h.ClassID = r.Short()
 	r.Short() // weight
 	h.BodySize = r.LongLong()
 	flags := r.Short()
 
 	p := &h.Properties
-	if flags&flagContentType != 0 {
-		p.ContentType = r.ShortStr()
-	}
-	if flags&flagContentEncoding != 0 {
-		p.ContentEncoding = r.ShortStr()
-	}
+	r.propStr(flags&flagContentType != 0, &p.ContentType)
+	r.propStr(flags&flagContentEncoding != 0, &p.ContentEncoding)
+	p.Headers = nil
 	if flags&flagHeaders != 0 {
 		p.Headers = r.ReadTable()
 	}
+	p.DeliveryMode = 0
 	if flags&flagDeliveryMode != 0 {
 		p.DeliveryMode = r.Octet()
 	}
+	p.Priority = 0
 	if flags&flagPriority != 0 {
 		p.Priority = r.Octet()
 	}
-	if flags&flagCorrelationID != 0 {
-		p.CorrelationID = r.ShortStr()
-	}
-	if flags&flagReplyTo != 0 {
-		p.ReplyTo = r.ShortStr()
-	}
-	if flags&flagExpiration != 0 {
-		p.Expiration = r.ShortStr()
-	}
-	if flags&flagMessageID != 0 {
-		p.MessageID = r.ShortStr()
-	}
+	r.propStr(flags&flagCorrelationID != 0, &p.CorrelationID)
+	r.propStr(flags&flagReplyTo != 0, &p.ReplyTo)
+	r.propStr(flags&flagExpiration != 0, &p.Expiration)
+	r.propStr(flags&flagMessageID != 0, &p.MessageID)
+	p.Timestamp = 0
 	if flags&flagTimestamp != 0 {
 		p.Timestamp = r.LongLong()
 	}
-	if flags&flagType != 0 {
-		p.Type = r.ShortStr()
+	r.propStr(flags&flagType != 0, &p.Type)
+	r.propStr(flags&flagUserID != 0, &p.UserID)
+	r.propStr(flags&flagAppID != 0, &p.AppID)
+}
+
+// propStr decodes an optional short-string property into *dst, or clears
+// it when the property is absent.
+func (r *Reader) propStr(present bool, dst *string) {
+	if present {
+		r.shortStrInto(dst)
+	} else {
+		*dst = ""
 	}
-	if flags&flagUserID != 0 {
-		p.UserID = r.ShortStr()
-	}
-	if flags&flagAppID != 0 {
-		p.AppID = r.ShortStr()
-	}
-	return h, r.Err()
 }
