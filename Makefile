@@ -11,25 +11,8 @@ GO ?= go
 # regenerates the one checked-in snapshot CI diffs against.
 PR ?= dev
 
-# BENCH_PATTERN selects the snapshot benchmarks: the ablation and
-# overhead benches (the figure harness hot paths), the resilience
-# fault-rate sweep introduced with the transport hop stack, the
-# Fig6a feedback bench so the embedded telemetry snapshot's rtt_ns
-# histogram carries real round-trip samples (tail latency, not just
-# means), the broker fanout publish→deliver microbench (the zero-copy
-# data-plane trajectory point) plus its durable twin (the price of
-# crash safety on the same path), and the raw seglog append/replay
-# benches (the durability engine in isolation), and the durability×payload
-# cross (fsync tax vs payload amortization on durable queues), and the
-# federation forward bench (zero-copy publish crossing an inter-node link),
-# and the tagged-counter bench (interned-context probe lookup, pinned at
-# 0 allocs/op), and the mirrored publish bench (the confirm-path price of
-# synchronous replication, R=1 vs R=2), and the pipelined publish→confirm
-# bench (broker socket writes per confirm-mode publish: confirm coalescing),
-# and the large-body bench (1 MiB amqp client <-> broker: a body copy shows
-# as ns/op, a per-message body allocation as ~1 MiB of B/op), and its 1 KiB
-# twin (windows 1/8/64: socket writes per message on all three legs, and the
-# one-in-flight round trip a deferred flush must not lengthen).
+# BENCH_PATTERN selects the snapshot benchmarks; README "Bench snapshots"
+# says what each one pins.
 BENCH_PATTERN ?= BenchmarkAblationAckBatching|BenchmarkAblationWorkQueues|BenchmarkAblationDurabilityPayload|BenchmarkOverheadVsDTS|BenchmarkResilienceFaultRate|BenchmarkFig6aDstreamFeedbackRTT|BenchmarkFanoutPublishDeliver|BenchmarkDurableFanoutPublishDeliver|BenchmarkSeglogAppend|BenchmarkSeglogReplay|BenchmarkFederationForward|BenchmarkTaggedCounter|BenchmarkMirroredPublishDeliver|BenchmarkPublishConfirmPipelined|BenchmarkLargeBodyPublishDeliver|BenchmarkSmallPublishDeliver
 
 # MICRO_ITERS fixes the iteration count for the broker microbenchmarks:
@@ -50,23 +33,8 @@ test:
 	$(GO) build ./...
 	$(GO) test ./...
 
-# smoke exercises the declarative scenario path end to end: every
-# checked-in example spec (short scale) runs through `streamsim scenario`,
-# including the fault-script and pipeline specs. The linkflap spec runs
-# a second time with -watch so the live telemetry rollup path (probe →
-# aggregator → OnTick) is exercised under injected faults. The
-# crashrestart spec hard-kills every broker node mid-run and recovers
-# durable queues from their segment logs; coldreplay attaches a late
-# consumer at offset 0 and replays retained history. The scale10k spec
-# runs 10⁴ clients packed onto a few pooled connections under a goroutine
-# budget (the other specs leave the budget at 0: one socket per client),
-# via the -clients override so the flag path is exercised too. The
-# failover spec runs a 3-node ring-placed cluster and hard-kills the
-# busiest queue master mid-run: consumers follow redirects to the new
-# master and nothing confirmed is lost. The failover_replicated spec raises the stakes:
-# replication factor 2 and a rolling double kill — master first, then the
-# node its mirror was promoted onto — survived on synchronous mirrors
-# with zero segment-log relocation.
+# smoke runs every checked-in example spec through `streamsim scenario`;
+# README "Bench snapshots" says what each one pins.
 smoke:
 	$(GO) run ./cmd/streamsim scenario examples/scenario/worksharing.json
 	$(GO) run ./cmd/streamsim scenario examples/scenario/pipeline.json

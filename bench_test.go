@@ -17,6 +17,7 @@
 package ds2hpc
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -24,11 +25,10 @@ import (
 	"testing"
 	"time"
 
-	"ds2hpc/internal/broker/seglog"
 	"ds2hpc/internal/core"
-	"ds2hpc/internal/fabric"
 	"ds2hpc/internal/metrics"
-	"ds2hpc/internal/sim"
+	"ds2hpc/internal/pattern"
+	"ds2hpc/internal/scenario"
 	"ds2hpc/internal/telemetry"
 	"ds2hpc/internal/workload"
 )
@@ -48,55 +48,31 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// benchScale shrinks the fabric (and payloads via benchWorkload) so a full
-// `go test -bench=.` pass completes in minutes on a laptop while keeping
-// every capacity ratio of the paper's testbed.
+// benchScale shrinks the fabric (and, through scenario.PaperPoint, the
+// payloads) so a full `go test -bench=.` pass completes in minutes on a
+// laptop while keeping every capacity ratio of the paper's testbed.
 const benchScale = 0.1
 
 // benchConsumerCounts samples the paper's 1-64 consumer x-axis.
 var benchConsumerCounts = []int{1, 4, 16}
 
-// payloadDivisor shrinks workload payloads in proportion to benchScale.
-const payloadDivisor = 8
-
-func benchOptions() core.Options {
-	return core.Options{
-		Nodes:       3,
-		Profile:     fabric.ACE(benchScale),
-		MemoryLimit: 1 << 30,
-	}
-}
-
-func benchWorkload(w workload.Workload) workload.Workload {
-	return w.Scaled(payloadDivisor)
-}
-
-// messagesFor keeps per-point message counts roughly proportional to the
-// paper's ratio between workload sizes without taking minutes per point.
-func messagesFor(w workload.Workload) int {
-	switch w.Name {
-	case "Dstream":
-		return 48
-	case "Lstream":
-		return 8
-	default: // generic
-		return 6
-	}
-}
+// benchMessages is the Dstream message budget per producer of one bench
+// data point (PaperPoint scales it down for the larger workloads).
+const benchMessages = 48
 
 // runPoint executes one experiment data point inside a benchmark.
-func runPoint(b *testing.B, exp sim.Experiment) *metrics.Result {
+func runPoint(b *testing.B, spec scenario.Spec) *metrics.Result {
 	b.Helper()
 	var last *metrics.Result
 	for i := 0; i < b.N; i++ {
-		pt, err := sim.Run(exp)
+		rep, err := scenario.Run(context.Background(), spec)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if pt.Infeasible {
+		if rep.Infeasible {
 			b.Skip("infeasible for this architecture (paper: no data point)")
 		}
-		last = pt.Result
+		last = rep.Result
 	}
 	if last != nil {
 		b.ReportMetric(last.Throughput, "msgs_per_sec")
@@ -108,30 +84,13 @@ func runPoint(b *testing.B, exp sim.Experiment) *metrics.Result {
 	return last
 }
 
-func baseExperiment(arch core.ArchitectureName, w workload.Workload, pat sim.PatternName, consumers int) sim.Experiment {
-	exp := sim.Experiment{
-		Architecture:        arch,
-		Workload:            benchWorkload(w),
-		Pattern:             pat,
-		Consumers:           consumers,
-		Producers:           consumers,
-		MessagesPerProducer: messagesFor(w),
-		Runs:                1,
-		Options:             benchOptions(),
-		Window:              4,
-		Timeout:             90 * time.Second,
-	}
-	if pat == sim.PatternBroadcast || pat == sim.PatternBroadcastGather {
-		exp.Producers = 1
-	}
-	if pat == sim.PatternFeedback {
-		// The feedback pattern is a closed loop (each reply gates the
-		// next request); a shallow window keeps the offered load in the
-		// regime the paper measured, where RTT rather than saturation
-		// dominates.
-		exp.Window = 2
-	}
-	return exp
+// benchSpec is one figure data point at bench size: one run within a 90 s
+// deadline.
+func benchSpec(arch core.ArchitectureName, w workload.Workload, pat string, consumers int) scenario.Spec {
+	spec := scenario.PaperPoint(arch, w.Name, pat, consumers, benchScale, benchMessages)
+	spec.Runs = 1
+	spec.TimeoutMS = (90 * time.Second).Milliseconds()
+	return spec
 }
 
 // --------------------------------------------------------------- Table 1
@@ -163,7 +122,7 @@ func benchWorkSharing(b *testing.B, w workload.Workload) {
 	for _, arch := range core.AllArchitectures {
 		for _, n := range benchConsumerCounts {
 			b.Run(string(arch)+"/cons="+itoa(n), func(b *testing.B) {
-				runPoint(b, baseExperiment(arch, w, sim.PatternWorkSharing, n))
+				runPoint(b, benchSpec(arch, w, pattern.WorkSharingName, n))
 			})
 		}
 	}
@@ -183,20 +142,14 @@ func BenchmarkFig4bLstreamWorkSharing(b *testing.B) {
 
 // --------------------------------------------------------------- Figure 5
 
-// fig56Architectures are the variants shown in Figures 5 and 6 (Stunnel is
-// excluded after its poor work-sharing results, §5.4).
-var fig56Architectures = []core.ArchitectureName{
-	core.DTS, core.PRSHAProxy, core.PRSHAProxy4Conns, core.MSS,
-}
-
 // BenchmarkFig5RTTCDF reproduces Figure 5: per-message RTT distributions
 // under work sharing with feedback. The p80_ms metric is the CDF's 80th
 // percentile (the paper's headline CDF statistic).
 func BenchmarkFig5RTTCDF(b *testing.B) {
 	for _, w := range []workload.Workload{workload.Dstream, workload.Lstream} {
-		for _, arch := range fig56Architectures {
+		for _, arch := range scenario.Fig56Architectures {
 			b.Run(w.Name+"/"+string(arch)+"/cons=16", func(b *testing.B) {
-				res := runPoint(b, baseExperiment(arch, w, sim.PatternFeedback, 16))
+				res := runPoint(b, benchSpec(arch, w, pattern.FeedbackName, 16))
 				if res != nil && res.RTTCount() > 0 {
 					// Emit three CDF probes so the distribution shape is
 					// visible in the bench output.
@@ -211,10 +164,10 @@ func BenchmarkFig5RTTCDF(b *testing.B) {
 // --------------------------------------------------------------- Figure 6
 
 func benchFeedback(b *testing.B, w workload.Workload) {
-	for _, arch := range fig56Architectures {
+	for _, arch := range scenario.Fig56Architectures {
 		for _, n := range benchConsumerCounts {
 			b.Run(string(arch)+"/cons="+itoa(n), func(b *testing.B) {
-				runPoint(b, baseExperiment(arch, w, sim.PatternFeedback, n))
+				runPoint(b, benchSpec(arch, w, pattern.FeedbackName, n))
 			})
 		}
 	}
@@ -234,18 +187,13 @@ func BenchmarkFig6bLstreamFeedbackRTT(b *testing.B) {
 
 // --------------------------------------------------------------- Figure 7
 
-// fig78Architectures are the variants shown in Figures 7 and 8.
-var fig78Architectures = []core.ArchitectureName{
-	core.DTS, core.PRSHAProxy, core.MSS,
-}
-
 // BenchmarkFig7aBroadcastThroughput reproduces Figure 7a: generic-workload
 // broadcast throughput, one producer fanning out to N consumers.
 func BenchmarkFig7aBroadcastThroughput(b *testing.B) {
-	for _, arch := range fig78Architectures {
+	for _, arch := range scenario.Fig78Architectures {
 		for _, n := range benchConsumerCounts {
 			b.Run(string(arch)+"/cons="+itoa(n), func(b *testing.B) {
-				runPoint(b, baseExperiment(arch, workload.Generic, sim.PatternBroadcast, n))
+				runPoint(b, benchSpec(arch, workload.Generic, pattern.BroadcastName, n))
 			})
 		}
 	}
@@ -254,10 +202,10 @@ func BenchmarkFig7aBroadcastThroughput(b *testing.B) {
 // BenchmarkFig7bBroadcastGatherRTT reproduces Figure 7b: median RTT when
 // the producer also gathers one reply per consumer per broadcast.
 func BenchmarkFig7bBroadcastGatherRTT(b *testing.B) {
-	for _, arch := range fig78Architectures {
+	for _, arch := range scenario.Fig78Architectures {
 		for _, n := range benchConsumerCounts {
 			b.Run(string(arch)+"/cons="+itoa(n), func(b *testing.B) {
-				runPoint(b, baseExperiment(arch, workload.Generic, sim.PatternBroadcastGather, n))
+				runPoint(b, benchSpec(arch, workload.Generic, pattern.BroadcastGatherName, n))
 			})
 		}
 	}
@@ -268,9 +216,9 @@ func BenchmarkFig7bBroadcastGatherRTT(b *testing.B) {
 // BenchmarkFig8BroadcastGatherCDF reproduces Figure 8: RTT distributions
 // for broadcast and gather at a high consumer count.
 func BenchmarkFig8BroadcastGatherCDF(b *testing.B) {
-	for _, arch := range fig78Architectures {
+	for _, arch := range scenario.Fig78Architectures {
 		b.Run(string(arch)+"/cons=16", func(b *testing.B) {
-			res := runPoint(b, baseExperiment(arch, workload.Generic, sim.PatternBroadcastGather, 16))
+			res := runPoint(b, benchSpec(arch, workload.Generic, pattern.BroadcastGatherName, 16))
 			if res != nil && res.RTTCount() > 0 {
 				b.ReportMetric(float64(res.PercentileRTT(50))/1e6, "p50_ms")
 				b.ReportMetric(float64(res.PercentileRTT(95))/1e6, "p95_ms")
@@ -286,9 +234,9 @@ func BenchmarkFig8BroadcastGatherCDF(b *testing.B) {
 func BenchmarkAblationWorkQueues(b *testing.B) {
 	for _, queues := range []int{1, 2} {
 		b.Run("queues="+itoa(queues), func(b *testing.B) {
-			exp := baseExperiment(core.DTS, workload.Dstream, sim.PatternWorkSharing, 8)
-			exp.WorkQueues = queues
-			runPoint(b, exp)
+			spec := benchSpec(core.DTS, workload.Dstream, pattern.WorkSharingName, 8)
+			spec.Tuning.WorkQueues = queues
+			runPoint(b, spec)
 		})
 	}
 }
@@ -321,13 +269,13 @@ func reportHotPath(b *testing.B, before map[string]uint64) {
 func BenchmarkAblationAckBatching(b *testing.B) {
 	for _, batch := range []int{1, 4, 16} {
 		b.Run("ackbatch="+itoa(batch), func(b *testing.B) {
-			exp := baseExperiment(core.DTS, workload.Dstream, sim.PatternWorkSharing, 8)
-			exp.AckBatch = batch
+			spec := benchSpec(core.DTS, workload.Dstream, pattern.WorkSharingName, 8)
+			spec.Tuning.AckBatch = batch
 			// The prefetch window must cover the batch or the batch can
 			// never fill (see pattern.Config).
-			exp.Prefetch = 2 * batch
+			spec.Tuning.Prefetch = 2 * batch
 			before := metrics.Default.Snapshot()
-			runPoint(b, exp)
+			runPoint(b, spec)
 			reportHotPath(b, before)
 		})
 	}
@@ -337,9 +285,9 @@ func BenchmarkAblationAckBatching(b *testing.B) {
 func BenchmarkAblationPrefetch(b *testing.B) {
 	for _, prefetch := range []int{1, 8, 64} {
 		b.Run("prefetch="+itoa(prefetch), func(b *testing.B) {
-			exp := baseExperiment(core.DTS, workload.Dstream, sim.PatternWorkSharing, 8)
-			exp.Prefetch = prefetch
-			runPoint(b, exp)
+			spec := benchSpec(core.DTS, workload.Dstream, pattern.WorkSharingName, 8)
+			spec.Tuning.Prefetch = prefetch
+			runPoint(b, spec)
 		})
 	}
 }
@@ -353,9 +301,9 @@ func BenchmarkAblationMSSBypass(b *testing.B) {
 			name = "bypass-lb"
 		}
 		b.Run(name, func(b *testing.B) {
-			exp := baseExperiment(core.MSS, workload.Dstream, sim.PatternWorkSharing, 8)
-			exp.Options.BypassLB = bypass
-			runPoint(b, exp)
+			spec := benchSpec(core.MSS, workload.Dstream, pattern.WorkSharingName, 8)
+			spec.Deployment.BypassLB = bypass
+			runPoint(b, spec)
 		})
 	}
 }
@@ -365,22 +313,13 @@ func BenchmarkAblationMSSBypass(b *testing.B) {
 // tax each policy charges and how larger payloads amortize the per-append
 // sync (the write is payload-dominated, the fsync is not).
 func BenchmarkAblationDurabilityPayload(b *testing.B) {
-	policies := []struct {
-		name  string
-		fsync seglog.Fsync
-	}{
-		{"never", seglog.FsyncNever},
-		{"interval", seglog.FsyncInterval},
-		{"always", seglog.FsyncAlways},
-	}
-	for _, pol := range policies {
+	for _, fsync := range []string{"never", "interval", "always"} {
 		for _, payload := range []int{512, 8192} {
-			b.Run("fsync="+pol.name+"/payload="+itoa(payload), func(b *testing.B) {
-				exp := baseExperiment(core.DTS, workload.Dstream, sim.PatternWorkSharing, 8)
-				exp.Workload.PayloadBytes = payload
-				exp.Options.DataDir = b.TempDir()
-				exp.Options.Durability = seglog.Options{Fsync: pol.fsync, FsyncEvery: 5 * time.Millisecond}
-				runPoint(b, exp)
+			b.Run("fsync="+fsync+"/payload="+itoa(payload), func(b *testing.B) {
+				spec := benchSpec(core.DTS, workload.Dstream, pattern.WorkSharingName, 8)
+				spec.Workload.PayloadBytes = payload
+				spec.Deployment.Durability = &scenario.Durability{Fsync: fsync, FsyncIntervalMS: 5}
+				runPoint(b, spec)
 			})
 		}
 	}
@@ -389,14 +328,14 @@ func BenchmarkAblationDurabilityPayload(b *testing.B) {
 // BenchmarkOverheadVsDTS reproduces the §5.3 overhead numbers: PRS and MSS
 // throughput overhead relative to the DTS baseline at 8 consumers.
 func BenchmarkOverheadVsDTS(b *testing.B) {
-	base, err := sim.Run(baseExperiment(core.DTS, workload.Dstream, sim.PatternWorkSharing, 8))
+	base, err := scenario.Run(context.Background(), benchSpec(core.DTS, workload.Dstream, pattern.WorkSharingName, 8))
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, arch := range []core.ArchitectureName{core.PRSHAProxy, core.MSS} {
 		b.Run(string(arch), func(b *testing.B) {
 			before := metrics.Default.Snapshot()
-			res := runPoint(b, baseExperiment(arch, workload.Dstream, sim.PatternWorkSharing, 8))
+			res := runPoint(b, benchSpec(arch, workload.Dstream, pattern.WorkSharingName, 8))
 			if res != nil {
 				b.ReportMetric(metrics.Overhead(base.Result.Throughput, res.Throughput), "overhead_x")
 			}

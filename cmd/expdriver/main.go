@@ -64,19 +64,19 @@ func main() {
 	}
 	if want("6a") {
 		d.figure("Figure 6a: Dstream median RTT, work sharing with feedback (ms)",
-			workload.Dstream, "work-sharing-feedback", fig56Archs, true)
+			workload.Dstream, "work-sharing-feedback", scenario.Fig56Architectures, true)
 	}
 	if want("6b") {
 		d.figure("Figure 6b: Lstream median RTT, work sharing with feedback (ms)",
-			workload.Lstream, "work-sharing-feedback", fig56Archs, true)
+			workload.Lstream, "work-sharing-feedback", scenario.Fig56Architectures, true)
 	}
 	if want("7a") {
 		d.figure("Figure 7a: generic broadcast throughput (msgs/sec)",
-			workload.Generic, "broadcast", fig78Archs, false)
+			workload.Generic, "broadcast", scenario.Fig78Architectures, false)
 	}
 	if want("7b") {
 		d.figure("Figure 7b: generic broadcast+gather median RTT (ms)",
-			workload.Generic, "broadcast-gather", fig78Archs, true)
+			workload.Generic, "broadcast-gather", scenario.Fig78Architectures, true)
 	}
 	if want("8") {
 		d.fig8()
@@ -99,41 +99,19 @@ func main() {
 	}
 }
 
-var fig56Archs = []core.ArchitectureName{core.DTS, core.PRSHAProxy, core.PRSHAProxy4Conns, core.MSS}
-var fig78Archs = []core.ArchitectureName{core.DTS, core.PRSHAProxy, core.MSS}
-
 type driver struct {
 	counts []int
 	failed bool
 }
 
-func (d *driver) spec(w workload.Workload, pat string, arch core.ArchitectureName) scenario.Spec {
-	msgs := *msgsFlag
-	switch w.Name {
-	case "Lstream":
-		msgs = max(2, msgs/6)
-	case "generic":
-		msgs = max(2, msgs/8)
-	}
-	spec := scenario.Spec{
-		Deployment: scenario.Deployment{
-			Architecture:     string(arch),
-			Nodes:            3,
-			FabricScale:      *scaleFlag,
-			MemoryLimitBytes: 1 << 30,
-		},
-		Workload:            scenario.Workload{Name: w.Name, PayloadDivisor: 8},
-		Pattern:             pat,
-		MessagesPerProducer: msgs,
-		Runs:                *runsFlag,
-		Tuning:              scenario.Tuning{Window: 4},
-		// One deadline covers the whole run (production plus drain), so
-		// allow what the old per-phase 5-minute budgets added up to.
-		TimeoutMS: (15 * time.Minute).Milliseconds(),
-	}
-	if pat == "work-sharing-feedback" {
-		spec.Tuning.Window = 2
-	}
+// spec is the paper's data point for one figure cell (consumers 0 leaves
+// the counts to scenario.Sweep).
+func (d *driver) spec(w workload.Workload, pat string, arch core.ArchitectureName, consumers int) scenario.Spec {
+	spec := scenario.PaperPoint(arch, w.Name, pat, consumers, *scaleFlag, *msgsFlag)
+	spec.Runs = *runsFlag
+	// One deadline covers the whole run (production plus drain), so
+	// allow what the old per-phase 5-minute budgets added up to.
+	spec.TimeoutMS = (15 * time.Minute).Milliseconds()
 	return spec
 }
 
@@ -149,7 +127,7 @@ func (d *driver) figure(title string, w workload.Workload, pat string,
 	rows := [][]string{header}
 	for _, arch := range archs {
 		row := []string{string(arch)}
-		points, err := scenario.Sweep(context.Background(), d.spec(w, pat, arch), d.counts)
+		points, err := scenario.Sweep(context.Background(), d.spec(w, pat, arch, 0), d.counts)
 		for _, pt := range points {
 			switch {
 			case pt.Infeasible:
@@ -191,11 +169,8 @@ func (d *driver) cdf(title string) {
 	n := d.counts[len(d.counts)-1]
 	rows := [][]string{{"workload", "architecture", "p50_ms", "p80_ms", "p95_ms", "frac<2*p50"}}
 	for _, w := range []workload.Workload{workload.Dstream, workload.Lstream} {
-		for _, arch := range fig56Archs {
-			spec := d.spec(w, "work-sharing-feedback", arch)
-			spec.Consumers = n
-			spec.Producers = n
-			rep, err := scenario.Run(context.Background(), spec)
+		for _, arch := range scenario.Fig56Architectures {
+			rep, err := scenario.Run(context.Background(), d.spec(w, "work-sharing-feedback", arch, n))
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "expdriver: fig5 %s/%s: %v\n", w.Name, arch, err)
 				d.failed = true
@@ -219,11 +194,8 @@ func (d *driver) fig8() {
 	fmt.Println("== Figure 8: broadcast+gather RTT CDF probes")
 	n := d.counts[len(d.counts)-1]
 	rows := [][]string{{"architecture", "p50_ms", "p80_ms", "p95_ms"}}
-	for _, arch := range fig78Archs {
-		spec := d.spec(workload.Generic, "broadcast-gather", arch)
-		spec.Consumers = n
-		spec.Producers = 1
-		rep, err := scenario.Run(context.Background(), spec)
+	for _, arch := range scenario.Fig78Architectures {
+		rep, err := scenario.Run(context.Background(), d.spec(workload.Generic, "broadcast-gather", arch, n))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "expdriver: fig8 %s: %v\n", arch, err)
 			d.failed = true
@@ -385,10 +357,7 @@ func (d *driver) failover() {
 }
 
 func (d *driver) point(arch core.ArchitectureName, consumers int) *metrics.Result {
-	spec := d.spec(workload.Dstream, "work-sharing", arch)
-	spec.Consumers = consumers
-	spec.Producers = consumers
-	rep, err := scenario.Run(context.Background(), spec)
+	rep, err := scenario.Run(context.Background(), d.spec(workload.Dstream, "work-sharing", arch, consumers))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "expdriver: overhead %s: %v\n", arch, err)
 		d.failed = true
@@ -425,11 +394,4 @@ func parseCounts(s string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

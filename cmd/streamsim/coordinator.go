@@ -1,4 +1,4 @@
-package sim
+package main
 
 import (
 	"bufio"
@@ -112,7 +112,7 @@ func (c *Coordinator) Wait(timeout time.Duration) (*metrics.Result, error) {
 		return c.col.Snapshot(), nil
 	case <-time.After(timeout):
 		c.stopOnce.Do(c.col.Stop)
-		return nil, fmt.Errorf("sim: coordinator timed out with %d/%d reports",
+		return nil, fmt.Errorf("coordinator timed out with %d/%d reports",
 			c.reportCount(), c.expected)
 	}
 }
@@ -157,8 +157,10 @@ func (c *Coordinator) serve(conn net.Conn) {
 	if err != nil {
 		return
 	}
+	// The report is outside input: a negative count would be subtracted
+	// from the aggregate, so it is refused like a malformed report.
 	var report ReportMsg
-	if err := json.Unmarshal(line, &report); err != nil {
+	if err := json.Unmarshal(line, &report); err != nil || report.Count < 0 || report.Errors < 0 {
 		return
 	}
 	c.mu.Lock()
@@ -167,9 +169,7 @@ func (c *Coordinator) serve(conn net.Conn) {
 	} else {
 		c.col.AddProduced(report.Count)
 	}
-	for i := int64(0); i < report.Errors; i++ {
-		c.col.AddError()
-	}
+	c.col.AddErrors(report.Errors)
 	for _, ns := range report.RTTNanos {
 		c.col.AddRTT(time.Duration(ns))
 	}
@@ -211,7 +211,7 @@ func Join(coordAddr string, hello HelloMsg) (*Participant, AssignMsg, error) {
 	}
 	if assign.Err != "" {
 		conn.Close()
-		return nil, AssignMsg{}, fmt.Errorf("sim: coordinator refused: %s", assign.Err)
+		return nil, AssignMsg{}, fmt.Errorf("coordinator refused: %s", assign.Err)
 	}
 	return p, assign, nil
 }

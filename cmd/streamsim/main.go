@@ -8,7 +8,8 @@
 //
 //   - local: deploy an architecture in-process and run a full experiment
 //     (pattern × workload × producer/consumer counts), printing throughput
-//     and RTT statistics. This is the flag-driven equivalent of a spec.
+//     and RTT statistics. The flags build a scenario spec, which runs and
+//     reports exactly as `scenario` would.
 //
 //   - distributed: a `coordinator` role assigns queues to remote `producer`
 //     and `consumer` processes (which may run on other hosts against a
@@ -44,12 +45,8 @@ import (
 	"time"
 
 	"ds2hpc/internal/amqp"
-	"ds2hpc/internal/core"
-	"ds2hpc/internal/fabric"
-	"ds2hpc/internal/metrics"
 	"ds2hpc/internal/pattern"
 	"ds2hpc/internal/scenario"
-	"ds2hpc/internal/sim"
 	"ds2hpc/internal/telemetry"
 	"ds2hpc/internal/telemetry/forwarder"
 	"ds2hpc/internal/workload"
@@ -252,7 +249,16 @@ func printReport(rep *scenario.Report) {
 			spec.Deployment.Architecture, spec.Producers)
 		return
 	}
-	printResult(rep.Result, max(spec.Runs, 1))
+	r := rep.Result
+	fmt.Printf("consumed:       %d msgs over %d run(s)\n", r.Consumed, max(spec.Runs, 1))
+	fmt.Printf("throughput:     %.1f msgs/sec (aggregate)\n", r.Throughput)
+	if r.RTTCount() > 0 {
+		fmt.Printf("median RTT:     %v\n", r.MedianRTT())
+		fmt.Printf("p80 / p95 RTT:  %v / %v\n", r.PercentileRTT(80), r.PercentileRTT(95))
+	}
+	if r.Errors > 0 {
+		fmt.Printf("backpressure:   %d rejected publishes retried\n", r.Errors)
+	}
 	if rep.P50 > 0 {
 		fmt.Printf("p50/p95/p99:    %v / %v / %v\n", rep.P50, rep.P95, rep.P99)
 	}
@@ -292,20 +298,8 @@ func printReport(rep *scenario.Report) {
 	}
 }
 
-// printResult writes the shared result block of the scenario and local
-// modes.
-func printResult(r *metrics.Result, runs int) {
-	fmt.Printf("consumed:       %d msgs over %d run(s)\n", r.Consumed, runs)
-	fmt.Printf("throughput:     %.1f msgs/sec (aggregate)\n", r.Throughput)
-	if r.RTTCount() > 0 {
-		fmt.Printf("median RTT:     %v\n", r.MedianRTT())
-		fmt.Printf("p80 / p95 RTT:  %v / %v\n", r.PercentileRTT(80), r.PercentileRTT(95))
-	}
-	if r.Errors > 0 {
-		fmt.Printf("backpressure:   %d rejected publishes retried\n", r.Errors)
-	}
-}
-
+// runLocal is the flag-driven form of a scenario: the flags build one Spec
+// on the paper's three-node, 1 GiB deployment, run like a spec file.
 func runLocal(args []string) error {
 	fs := flag.NewFlagSet("local", flag.ContinueOnError)
 	arch := fs.String("arch", "DTS", "architecture: DTS, PRS(Stunnel), PRS(HAProxy), PRS(HAProxy,4conns), MSS")
@@ -327,39 +321,26 @@ func runLocal(args []string) error {
 		return err
 	}
 	defer stop()
-	w, err := workload.ByName(*wl)
-	if err != nil {
-		return err
-	}
-	exp := sim.Experiment{
-		Architecture:        core.ArchitectureName(*arch),
-		Workload:            w.Scaled(*payloadDiv),
-		Pattern:             sim.PatternName(*pat),
+	rep, err := scenario.Run(context.Background(), scenario.Spec{
+		Deployment: scenario.Deployment{
+			Architecture:     *arch,
+			Nodes:            3,
+			FabricScale:      *scale,
+			MemoryLimitBytes: 1 << 30,
+		},
+		Workload:            scenario.Workload{Name: *wl, PayloadDivisor: *payloadDiv},
+		Pattern:             *pat,
 		Producers:           *producers,
 		Consumers:           *consumers,
 		MessagesPerProducer: *msgs,
 		Runs:                *runs,
-		Options: core.Options{
-			Nodes:       3,
-			Profile:     fabric.ACE(*scale),
-			MemoryLimit: 1 << 30,
-		},
 		// One deadline covers the whole run (production plus drain).
-		Timeout: 15 * time.Minute,
-	}
-	pt, err := sim.Run(exp)
+		TimeoutMS: (15 * time.Minute).Milliseconds(),
+	})
 	if err != nil {
 		return err
 	}
-	if pt.Infeasible {
-		fmt.Printf("%s with %d producers is infeasible (tunnel connection limit)\n",
-			*arch, *producers)
-		return nil
-	}
-	fmt.Printf("architecture:   %s\n", *arch)
-	fmt.Printf("workload:       %s (%d B payloads)\n", w.Name, exp.Workload.PayloadBytes)
-	fmt.Printf("pattern:        %s\n", *pat)
-	printResult(pt.Result, *runs)
+	printReport(rep)
 	return nil
 }
 
@@ -375,8 +356,8 @@ func runCoordinator(args []string) error {
 		return err
 	}
 
-	coord, err := sim.NewCoordinator(*addr, *participants, func(h sim.HelloMsg) sim.AssignMsg {
-		return sim.AssignMsg{
+	coord, err := NewCoordinator(*addr, *participants, func(h HelloMsg) AssignMsg {
+		return AssignMsg{
 			Queue:    fmt.Sprintf("ws-q-%d", h.ID%*queues),
 			Endpoint: *endpoint,
 			Messages: *msgs,
@@ -411,7 +392,7 @@ func runParticipant(args []string, role string) error {
 		fs.Usage()
 		return fmt.Errorf("%s: -coord is required", role)
 	}
-	p, assign, err := sim.Join(*coord, sim.HelloMsg{Role: role, ID: *id})
+	p, assign, err := Join(*coord, HelloMsg{Role: role, ID: *id})
 	if err != nil {
 		return err
 	}
@@ -428,7 +409,7 @@ func runParticipant(args []string, role string) error {
 		return err
 	}
 
-	report := sim.ReportMsg{Role: role, ID: *id}
+	report := ReportMsg{Role: role, ID: *id}
 	switch role {
 	case "producer":
 		gen := workload.NewGenerator(workload.Dstream, *id)

@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
-
-	"ds2hpc/internal/sim"
 )
 
 // TestLocalExperiment smoke-tests the `streamsim local` mode end to end: a
@@ -126,8 +124,8 @@ func TestParticipantRequiresCoordinator(t *testing.T) {
 // consumer running against an rmq-server-equivalent broker.
 func TestCoordinatorAggregatesParticipants(t *testing.T) {
 	endpoint := brokerURL(t)
-	coord, err := sim.NewCoordinator("127.0.0.1:0", 2, func(h sim.HelloMsg) sim.AssignMsg {
-		return sim.AssignMsg{Queue: "ws-q-0", Endpoint: endpoint, Messages: 3}
+	coord, err := NewCoordinator("127.0.0.1:0", 2, func(h HelloMsg) AssignMsg {
+		return AssignMsg{Queue: "ws-q-0", Endpoint: endpoint, Messages: 3}
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -39,9 +39,8 @@
 //	                    shared role engine
 //	internal/scenario   the declarative experiment surface: a
 //	                    JSON-serializable Spec per data point, executed
-//	                    by scenario.Run
-//	internal/sim        Experiment adapter over scenario, plus the
-//	                    distributed coordinator
+//	                    by scenario.Run; PaperPoint builds the Spec of
+//	                    a paper figure point
 //	internal/fabric     emulated ACE testbed capacities
 //	internal/netem      link shaping (rate, latency)
 //	internal/workload   Table 1 payload generators (Dstream, Lstream,
@@ -53,8 +52,9 @@
 //	                    synchronous queue mirrors with in-sync
 //	                    promotion, queue-master failover, and the
 //	                    Shovel mover
-//	cmd/                rmq-server, streamsim, scistream, s3m,
-//	                    expdriver, benchsnap
+//	cmd/                rmq-server, streamsim (with the §5.2 distributed
+//	                    coordinator), scistream, s3m, expdriver,
+//	                    benchsnap
 //	examples/           runnable end-to-end scenarios
 //
 // # Connection paths

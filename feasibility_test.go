@@ -15,8 +15,8 @@ import (
 	"ds2hpc/internal/core"
 	"ds2hpc/internal/fabric"
 	"ds2hpc/internal/pattern"
+	"ds2hpc/internal/scenario"
 	"ds2hpc/internal/scistream"
-	"ds2hpc/internal/sim"
 	"ds2hpc/internal/workload"
 )
 
@@ -81,8 +81,8 @@ func TestStunnelCeilingEndToEnd(t *testing.T) {
 
 // TestStunnelInfeasibleSurfacesThroughPattern pins how the ceiling
 // surfaces to experiment code: pattern runs report ErrInfeasible, and the
-// sim layer turns that into an Infeasible point (the paper's missing data
-// points) instead of an error.
+// scenario layer turns that into an Infeasible report (the paper's missing
+// data points) instead of an error.
 func TestStunnelInfeasibleSurfacesThroughPattern(t *testing.T) {
 	dep, err := core.Deploy(core.PRSStunnel, feasibilityOptions())
 	if err != nil {
@@ -104,20 +104,19 @@ func TestStunnelInfeasibleSurfacesThroughPattern(t *testing.T) {
 		t.Fatalf("pattern error = %v, want ErrInfeasible", err)
 	}
 
-	pt, err := sim.RunOn(dep, sim.Experiment{
-		Architecture:        core.PRSStunnel,
-		Workload:            w,
-		Pattern:             sim.PatternWorkSharing,
+	rep, err := scenario.RunOn(context.Background(), dep, scenario.Spec{
+		Deployment:          scenario.Deployment{Architecture: string(core.PRSStunnel)},
+		Workload:            scenario.Workload{Name: w.Name, PayloadBytes: w.PayloadBytes},
+		Pattern:             pattern.WorkSharingName,
 		Producers:           scistream.StunnelMaxStreams + 1,
 		Consumers:           2,
 		MessagesPerProducer: 1,
-		Runs:                1,
-		Timeout:             10 * time.Second,
+		TimeoutMS:           10000,
 	})
 	if err != nil {
-		t.Fatalf("sim must absorb infeasibility, got %v", err)
+		t.Fatalf("scenario must absorb infeasibility, got %v", err)
 	}
-	if !pt.Infeasible {
-		t.Fatal("sim point must be marked infeasible")
+	if !rep.Infeasible {
+		t.Fatal("scenario report must be marked infeasible")
 	}
 }

@@ -31,34 +31,14 @@ const testMessages = 4
 // testConsumers is the consumer (and, outside broadcast, producer) count.
 const testConsumers = 2
 
-// testSpec shrinks a benchmark experiment to test size, mirroring
-// baseExperiment in bench_test.go (same fabric scale, payload divisor and
-// tuning) with the small figure-test message budget.
+// testSpec is one figure data point at test size: the paper's policy
+// (scenario.PaperPoint, at the benchmarks' fabric scale) with a flat
+// budget of testMessages for every workload.
 func testSpec(arch core.ArchitectureName, w workload.Workload, pat string, consumers int) scenario.Spec {
-	spec := scenario.Spec{
-		Deployment: scenario.Deployment{
-			Architecture:     string(arch),
-			Nodes:            3,
-			FabricScale:      benchScale,
-			MemoryLimitBytes: 1 << 30,
-		},
-		Workload:            scenario.Workload{Name: w.Name, PayloadDivisor: payloadDivisor},
-		Pattern:             pat,
-		Producers:           consumers,
-		Consumers:           consumers,
-		MessagesPerProducer: testMessages,
-		Runs:                1,
-		Tuning:              scenario.Tuning{Window: 4},
-		TimeoutMS:           (30 * time.Second).Milliseconds(),
-	}
-	if pat == "broadcast" || pat == "broadcast-gather" {
-		spec.Producers = 1
-	}
-	if pat == "work-sharing-feedback" {
-		// Closed loop: a shallow window keeps the offered load in the
-		// regime the paper measured (see baseExperiment).
-		spec.Tuning.Window = 2
-	}
+	spec := scenario.PaperPoint(arch, w.Name, pat, consumers, benchScale, testMessages)
+	spec.MessagesPerProducer = testMessages
+	spec.Runs = 1
+	spec.TimeoutMS = (30 * time.Second).Milliseconds()
 	return spec
 }
 
@@ -139,7 +119,7 @@ func TestFig4bLstreamWorkSharing(t *testing.T) {
 // --------------------------------------------------------------- Figure 5
 
 func TestFig5RTTCDF(t *testing.T) {
-	for _, arch := range shortArchs(fig56Architectures) {
+	for _, arch := range shortArchs(scenario.Fig56Architectures) {
 		arch := arch
 		t.Run(string(arch), func(t *testing.T) {
 			res := testPoint(t, testSpec(arch, workload.Dstream, "work-sharing-feedback", testConsumers))
@@ -166,7 +146,7 @@ func TestFig5RTTCDF(t *testing.T) {
 // --------------------------------------------------------------- Figure 6
 
 func testFeedback(t *testing.T, w workload.Workload) {
-	for _, arch := range shortArchs(fig56Architectures) {
+	for _, arch := range shortArchs(scenario.Fig56Architectures) {
 		arch := arch
 		t.Run(string(arch), func(t *testing.T) {
 			res := testPoint(t, testSpec(arch, w, "work-sharing-feedback", testConsumers))
@@ -187,7 +167,7 @@ func TestFig6bLstreamFeedbackRTT(t *testing.T) { testFeedback(t, workload.Lstrea
 // --------------------------------------------------------------- Figure 7
 
 func TestFig7aBroadcastThroughput(t *testing.T) {
-	for _, arch := range shortArchs(fig78Architectures) {
+	for _, arch := range shortArchs(scenario.Fig78Architectures) {
 		arch := arch
 		t.Run(string(arch), func(t *testing.T) {
 			res := testPoint(t, testSpec(arch, workload.Generic, "broadcast", testConsumers))
@@ -201,7 +181,7 @@ func TestFig7aBroadcastThroughput(t *testing.T) {
 }
 
 func TestFig7bBroadcastGatherRTT(t *testing.T) {
-	for _, arch := range shortArchs(fig78Architectures) {
+	for _, arch := range shortArchs(scenario.Fig78Architectures) {
 		arch := arch
 		t.Run(string(arch), func(t *testing.T) {
 			res := testPoint(t, testSpec(arch, workload.Generic, "broadcast-gather", testConsumers))

@@ -62,8 +62,8 @@ func (c *Collector) AddConsumed(n int64) { c.consumed.Add(n) }
 // AddProduced counts published messages.
 func (c *Collector) AddProduced(n int64) { c.produced.Add(n) }
 
-// AddError counts failures (rejected publishes, timeouts).
-func (c *Collector) AddError() { c.errors.Inc() }
+// AddErrors counts failures (rejected publishes, timeouts).
+func (c *Collector) AddErrors(n int64) { c.errors.Add(n) }
 
 // ConsumedShard returns a per-instance shard of the consumed counter so
 // concurrent consumer loops increment disjoint cache lines; capture it
@@ -162,21 +162,13 @@ func (r *Result) FractionUnder(d time.Duration) float64 {
 }
 
 // Overhead is the paper's derived metric: how much worse `other` is than
-// the DTS baseline. For throughput it is base/other (2.0 = "2x overhead",
-// i.e. half the baseline's throughput); for RTT it is other/base.
+// the DTS baseline in throughput: base/other (2.0 = "2x overhead", i.e.
+// half the baseline's throughput).
 func Overhead(baseThroughput, otherThroughput float64) float64 {
 	if otherThroughput <= 0 {
 		return math.Inf(1)
 	}
 	return baseThroughput / otherThroughput
-}
-
-// RTTOverhead computes latency overhead relative to baseline.
-func RTTOverhead(baseRTT, otherRTT time.Duration) float64 {
-	if baseRTT <= 0 {
-		return math.Inf(1)
-	}
-	return float64(otherRTT) / float64(baseRTT)
 }
 
 // Merge combines run results (averaging throughput, merging RTT

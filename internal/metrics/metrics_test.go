@@ -28,7 +28,7 @@ func TestCollectorBasics(t *testing.T) {
 	c.Start()
 	c.AddConsumed(10)
 	c.AddProduced(12)
-	c.AddError()
+	c.AddErrors(1)
 	c.AddRTT(30 * time.Millisecond)
 	c.AddRTT(10 * time.Millisecond)
 	c.AddRTT(20 * time.Millisecond)
@@ -183,9 +183,6 @@ func TestOverhead(t *testing.T) {
 	}
 	if !math.IsInf(Overhead(100, 0), 1) {
 		t.Error("zero throughput should be infinite overhead")
-	}
-	if got := RTTOverhead(100*time.Millisecond, 690*time.Millisecond); math.Abs(got-6.9) > 0.01 {
-		t.Errorf("rtt overhead = %f", got)
 	}
 }
 

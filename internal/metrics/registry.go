@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -68,18 +67,6 @@ func (r *Registry) Snapshot() map[string]uint64 {
 	for name, c := range r.counters {
 		out[name] = c.Load()
 	}
-	return out
-}
-
-// Names returns the registered counter names in sorted order.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		out = append(out, name)
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -638,7 +638,7 @@ func (cc *consumerCore) handle(d amqp.Delivery) error {
 		return nil
 	}
 	if err := cc.cfg.Workload.Verify(d.Body); err != nil {
-		cc.col.AddError()
+		cc.col.AddErrors(1)
 	}
 	cc.consumed.Add(1)
 	cc.roleConsumed.Inc()
@@ -1009,7 +1009,7 @@ func runProducer(ctx context.Context, cfg *Config, topo *Topology, mgr *sessionM
 		if cw != nil {
 			// Republish anything the broker rejected under backpressure.
 			for _, again := range cw.takeNacked() {
-				col.AddError()
+				col.AddErrors(1)
 				time.Sleep(time.Millisecond) // §5.2: detect, back off, retry
 				if err := send(again); err != nil {
 					return err
@@ -1035,7 +1035,7 @@ func runProducer(ctx context.Context, cfg *Config, topo *Topology, mgr *sessionM
 				return fmt.Errorf("pattern: %s %d could not place %d messages: %w", role.Name, p, len(retries), err)
 			}
 			for _, again := range retries {
-				col.AddError()
+				col.AddErrors(1)
 				time.Sleep(2 * time.Millisecond)
 				if err := send(again); err != nil {
 					return err

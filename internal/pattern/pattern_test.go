@@ -473,6 +473,23 @@ func TestRegisteredNames(t *testing.T) {
 	}
 }
 
+// TestEveryPatternNameHasRoleGraph keeps the exported pattern names and the
+// registry in lockstep: each name resolves to a role graph that carries
+// the same name, so a Spec can never name a pattern the engine cannot run.
+func TestEveryPatternNameHasRoleGraph(t *testing.T) {
+	for _, name := range []string{BroadcastName, BroadcastGatherName, PipelineName, WorkSharingName, FeedbackName} {
+		t.Run(name, func(t *testing.T) {
+			g, ok := Lookup(name)
+			if !ok {
+				t.Fatalf("pattern %q has no registered role graph (registered: %v)", name, Names())
+			}
+			if g.Name != name {
+				t.Fatalf("graph name %q != pattern name %q", g.Name, name)
+			}
+		})
+	}
+}
+
 func TestNameOnSameNode(t *testing.T) {
 	d := deployDTS(t)
 	cl := d.Cluster()

@@ -380,10 +380,8 @@ func runOn(ctx context.Context, dep core.Deployment, inj *transport.Injector, sp
 	agg.Start()
 	defer agg.Stop()
 
-	restartFault := spec.brokerRestart()
-	killFault := spec.nodeKill()
-	rollingFault := spec.rollingNodeKill()
 	restarts, kills := 0, 0
+	watch := crashWatcher(dep, spec, &restarts, &kills)
 	redirects := metrics.Default.Counter("amqp.redirects")
 	federated := telemetry.Default.Counter("cluster.federation_msgs")
 	redirBase, fedBase := int64(redirects.Load()), federated.Load()
@@ -399,41 +397,16 @@ func runOn(ctx context.Context, dep core.Deployment, inj *transport.Injector, sp
 		cfg.Collector = col
 		lm.beginRun(col)
 		stopWatch := func() {}
-		if restartFault != nil {
-			// The watcher must finish (including the restart half of its
-			// cycle) before dep.Close, or a restarted node would leak.
+		if watch != nil {
+			// The watcher must finish (including the restart half of a
+			// broker-restart cycle) before dep.Close, or a restarted node
+			// would leak.
 			stop := make(chan struct{})
 			done := make(chan struct{})
 			base := lm.consumed()
-			at := int64(restartFault.AtFraction * float64(spec.totalMessages()))
 			go func() {
 				defer close(done)
-				watchBrokerRestart(dep, *restartFault, at,
-					func() int64 { return lm.consumed() - base }, stop, &restarts)
-			}()
-			stopWatch = func() { close(stop); <-done }
-		}
-		if killFault != nil {
-			stop := make(chan struct{})
-			done := make(chan struct{})
-			base := lm.consumed()
-			at := int64(killFault.AtFraction * float64(spec.totalMessages()))
-			go func() {
-				defer close(done)
-				watchNodeKill(dep, *killFault, at,
-					func() int64 { return lm.consumed() - base }, stop, &kills)
-			}()
-			stopWatch = func() { close(stop); <-done }
-		}
-		if rollingFault != nil {
-			stop := make(chan struct{})
-			done := make(chan struct{})
-			base := lm.consumed()
-			total := spec.totalMessages()
-			go func() {
-				defer close(done)
-				watchRollingNodeKill(dep, *rollingFault, total,
-					func() int64 { return lm.consumed() - base }, stop, &kills)
+				watch(func() int64 { return lm.consumed() - base }, stop)
 			}()
 			stopWatch = func() { close(stop); <-done }
 		}
@@ -477,6 +450,32 @@ func runOn(ctx context.Context, dep core.Deployment, inj *transport.Injector, sp
 		o.forwarder.ForwardSnapshot(telemetry.Default.Snapshot())
 	}
 	return rep, nil
+}
+
+// crashWatcher returns the watcher of the spec's broker-restart, node-kill
+// or rolling-node-kill fault (Validate allows at most one of them), or nil
+// when none is declared. The watcher polls the run's consumed count until
+// stop closes; completed cycles count into *restarts or *kills.
+func crashWatcher(dep core.Deployment, spec Spec, restarts, kills *int) func(consumed func() int64, stop <-chan struct{}) {
+	total := spec.totalMessages()
+	for _, f := range spec.Faults {
+		at := int64(f.AtFraction * float64(total))
+		switch f.Kind {
+		case FaultBrokerRestart:
+			return func(consumed func() int64, stop <-chan struct{}) {
+				watchBrokerRestart(dep, f, at, consumed, stop, restarts)
+			}
+		case FaultNodeKill:
+			return func(consumed func() int64, stop <-chan struct{}) {
+				watchNodeKill(dep, f, at, consumed, stop, kills)
+			}
+		case FaultRollingNodeKill:
+			return func(consumed func() int64, stop <-chan struct{}) {
+				watchRollingNodeKill(dep, f, total, consumed, stop, kills)
+			}
+		}
+	}
+	return nil
 }
 
 // watchBrokerRestart executes one broker-restart fault cycle: poll the

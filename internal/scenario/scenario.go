@@ -248,6 +248,53 @@ func Load(path string) (Spec, error) {
 	return spec, nil
 }
 
+// Fig56Architectures are the variants of Figures 5 and 6 (Stunnel is
+// dropped after its poor work-sharing results, §5.4).
+var Fig56Architectures = []core.ArchitectureName{core.DTS, core.PRSHAProxy, core.PRSHAProxy4Conns, core.MSS}
+
+// Fig78Architectures are the variants of Figures 7 and 8.
+var Fig78Architectures = []core.ArchitectureName{core.DTS, core.PRSHAProxy, core.MSS}
+
+// PaperPoint is the Spec of one figure data point of §5 on the ACE fabric
+// scaled by scale: three broker nodes with a 1 GiB memory limit, payloads
+// shrunk by 8 in proportion to the scaled links, a confirm window of 4 (2
+// for the feedback pattern, a closed loop where round-trip time rather
+// than saturation should dominate, as in the paper's runs), and as many
+// producers as consumers except for single-producer patterns. msgs is the
+// Dstream budget per producer; Lstream and generic get a sixth and an
+// eighth of it (at least 2), roughly the paper's ratio between workload
+// sizes. Callers set Runs and TimeoutMS.
+func PaperPoint(arch core.ArchitectureName, wl, pat string, consumers int, scale float64, msgs int) Spec {
+	switch wl {
+	case workload.Lstream.Name:
+		msgs = max(2, msgs/6)
+	case workload.Generic.Name:
+		msgs = max(2, msgs/8)
+	}
+	producers := consumers
+	if g, ok := pattern.Lookup(pat); ok && g.SingleProducer {
+		producers = 1
+	}
+	window := 4
+	if pat == pattern.FeedbackName {
+		window = 2
+	}
+	return Spec{
+		Deployment: Deployment{
+			Architecture:     string(arch),
+			Nodes:            3,
+			FabricScale:      scale,
+			MemoryLimitBytes: 1 << 30,
+		},
+		Workload:            Workload{Name: wl, PayloadDivisor: 8},
+		Pattern:             pat,
+		Producers:           producers,
+		Consumers:           consumers,
+		MessagesPerProducer: msgs,
+		Tuning:              Tuning{Window: window},
+	}
+}
+
 // Validate checks the spec without deploying anything. All reported
 // problems wrap ErrBadSpec.
 func (s Spec) Validate() error {
@@ -576,36 +623,6 @@ func (s Spec) needsInjector() bool {
 		}
 	}
 	return false
-}
-
-// brokerRestart returns the broker-restart fault step, if declared.
-func (s Spec) brokerRestart() *Fault {
-	for i := range s.Faults {
-		if s.Faults[i].Kind == FaultBrokerRestart {
-			return &s.Faults[i]
-		}
-	}
-	return nil
-}
-
-// nodeKill returns the node-kill fault step, if declared.
-func (s Spec) nodeKill() *Fault {
-	for i := range s.Faults {
-		if s.Faults[i].Kind == FaultNodeKill {
-			return &s.Faults[i]
-		}
-	}
-	return nil
-}
-
-// rollingNodeKill returns the rolling-node-kill fault step, if declared.
-func (s Spec) rollingNodeKill() *Fault {
-	for i := range s.Faults {
-		if s.Faults[i].Kind == FaultRollingNodeKill {
-			return &s.Faults[i]
-		}
-	}
-	return nil
 }
 
 // totalMessages is the scenario's per-run production budget, the base of

@@ -237,24 +237,31 @@ func TestRunOnRejectsFaultScript(t *testing.T) {
 	}
 }
 
-// TestRunExecutesSpec is the end-to-end smoke of the declarative path: a
-// small work-sharing spec must deploy, run, and report.
-func TestRunExecutesSpec(t *testing.T) {
-	rep, err := Run(context.Background(), Spec{
-		Name: "unit-smoke",
+// smallSpec is a small point on arch: 2 producers and 2 consumers, a
+// fast control plane so only the data path is timed, and a 30 s budget.
+func smallSpec(arch, pat string, msgs int) Spec {
+	return Spec{
 		Deployment: Deployment{
-			Architecture:         "DTS",
+			Architecture:         arch,
 			FabricScale:          0.2,
 			DisableClientShaping: true,
 			FastControlPlane:     true,
 		},
 		Workload:            Workload{Name: "Dstream", PayloadBytes: 2048},
-		Pattern:             "work-sharing",
+		Pattern:             pat,
 		Producers:           2,
 		Consumers:           2,
-		MessagesPerProducer: 6,
+		MessagesPerProducer: msgs,
 		TimeoutMS:           30000,
-	})
+	}
+}
+
+// TestRunExecutesSpec is the end-to-end smoke of the declarative path: a
+// small work-sharing spec must deploy, run, and report.
+func TestRunExecutesSpec(t *testing.T) {
+	spec := smallSpec("DTS", "work-sharing", 6)
+	spec.Name = "unit-smoke"
+	rep, err := Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,23 +273,83 @@ func TestRunExecutesSpec(t *testing.T) {
 	}
 }
 
+// TestRunWorkSharing checks Run merges every run of a point into one
+// result: two runs of 2x8 messages consume 32.
+func TestRunWorkSharing(t *testing.T) {
+	spec := smallSpec("DTS", "work-sharing", 8)
+	spec.Runs = 2
+	rep, err := Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Infeasible {
+		t.Fatal("DTS must be feasible")
+	}
+	if rep.Result.Consumed != 32 {
+		t.Fatalf("consumed %d, want 32", rep.Result.Consumed)
+	}
+}
+
+// TestRunFeedbackCollectsRTTs checks the feedback pattern keeps one
+// round-trip sample per message across both runs.
+func TestRunFeedbackCollectsRTTs(t *testing.T) {
+	spec := smallSpec("DTS", "work-sharing-feedback", 8)
+	spec.Runs = 2
+	rep, err := Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Result.RTTCount() != 32 {
+		t.Fatalf("RTTs %d, want 32", rep.Result.RTTCount())
+	}
+}
+
+// TestRunUnknownPattern checks a pattern with no role graph is a typed
+// ErrBadSpec from Run, not a deploy-then-fail.
+func TestRunUnknownPattern(t *testing.T) {
+	_, err := Run(context.Background(), smallSpec("DTS", "nope", 8))
+	if !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("err = %v, want ErrBadSpec", err)
+	}
+}
+
+// TestRunAndSweepRejectBadSpecs pins the up-front validation of both entry
+// points: a broken point fails fast with ErrBadSpec from Run and from
+// Sweep alike, instead of hanging or failing deep inside a run.
+func TestRunAndSweepRejectBadSpecs(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*Spec)
+	}{
+		{"negative producers", func(s *Spec) { s.Producers = -1 }},
+		{"negative consumers", func(s *Spec) { s.Consumers = -4 }},
+		{"zero messages", func(s *Spec) { s.MessagesPerProducer = 0 }},
+		{"negative messages", func(s *Spec) { s.MessagesPerProducer = -8 }},
+		{"negative runs", func(s *Spec) { s.Runs = -1 }},
+		{"unknown pattern", func(s *Spec) { s.Pattern = "no-such-pattern" }},
+		{"unknown workload", func(s *Spec) { s.Workload.Name = "Xstream" }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := smallSpec("DTS", "work-sharing", 8)
+			tc.mutate(&s)
+			if _, err := Run(context.Background(), s); !errors.Is(err, ErrBadSpec) {
+				t.Fatalf("Run err = %v, want ErrBadSpec", err)
+			}
+			if _, err := Sweep(context.Background(), s, []int{1}); !errors.Is(err, ErrBadSpec) {
+				t.Fatalf("Sweep err = %v, want ErrBadSpec", err)
+			}
+		})
+	}
+}
+
 // TestRunMarksInfeasible checks the Stunnel ceiling surfaces as an
 // Infeasible report, not an error.
 func TestRunMarksInfeasible(t *testing.T) {
-	rep, err := Run(context.Background(), Spec{
-		Deployment: Deployment{
-			Architecture:         "PRS(Stunnel)",
-			FabricScale:          0.2,
-			DisableClientShaping: true,
-			FastControlPlane:     true,
-		},
-		Workload:            Workload{Name: "Dstream", PayloadBytes: 2048},
-		Pattern:             "work-sharing",
-		Producers:           32,
-		Consumers:           32,
-		MessagesPerProducer: 1,
-		TimeoutMS:           10000,
-	})
+	spec := smallSpec("PRS(Stunnel)", "work-sharing", 1)
+	spec.Producers, spec.Consumers = 32, 32
+	spec.TimeoutMS = 10000
+	rep, err := Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,19 +361,7 @@ func TestRunMarksInfeasible(t *testing.T) {
 // TestSweepScalesProducers checks sweep semantics (equal producer and
 // consumer counts except single-producer patterns).
 func TestSweepScalesProducers(t *testing.T) {
-	spec := Spec{
-		Deployment: Deployment{
-			Architecture:         "DTS",
-			FabricScale:          0.2,
-			DisableClientShaping: true,
-			FastControlPlane:     true,
-		},
-		Workload:            Workload{Name: "Dstream", PayloadBytes: 2048},
-		Pattern:             "work-sharing",
-		MessagesPerProducer: 2,
-		TimeoutMS:           30000,
-	}
-	points, err := Sweep(context.Background(), spec, []int{1, 2})
+	points, err := Sweep(context.Background(), smallSpec("DTS", "work-sharing", 2), []int{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,6 +371,101 @@ func TestSweepScalesProducers(t *testing.T) {
 	for _, pt := range points {
 		if pt.Spec.Producers != pt.Spec.Consumers {
 			t.Fatalf("producers %d != consumers %d", pt.Spec.Producers, pt.Spec.Consumers)
+		}
+	}
+}
+
+// TestSweepScalesProducersWithConsumers checks each cell's producer count
+// follows its pattern: work-sharing runs one producer per consumer, while
+// a single-producer pattern (broadcast) keeps one producer at every size.
+func TestSweepScalesProducersWithConsumers(t *testing.T) {
+	for _, pat := range []string{"work-sharing", "broadcast"} {
+		points, err := Sweep(context.Background(), smallSpec("DTS", pat, 2), []int{1, 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(points) != 2 {
+			t.Fatalf("%s: points %d", pat, len(points))
+		}
+		for _, pt := range points {
+			want := pt.Spec.Consumers
+			if pat == "broadcast" {
+				want = 1
+			}
+			if pt.Spec.Producers != want {
+				t.Fatalf("%s: %d consumers ran %d producers, want %d", pat, pt.Spec.Consumers, pt.Spec.Producers, want)
+			}
+		}
+	}
+}
+
+// TestStunnelSweepMarksInfeasible crosses the Stunnel ceiling inside one
+// sweep: both cells share one deployment, the 1-consumer cell runs and the
+// 32-consumer cell (32 producers on a 16-stream tunnel) is infeasible.
+func TestStunnelSweepMarksInfeasible(t *testing.T) {
+	points, err := Sweep(context.Background(), smallSpec("PRS(Stunnel)", "work-sharing", 2), []int{1, 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(points) != 2 {
+		t.Fatalf("points %d", len(points))
+	}
+	if points[0].Infeasible {
+		t.Fatal("1 consumer must be feasible on stunnel")
+	}
+	if !points[1].Infeasible {
+		t.Fatal("32 consumers must be infeasible on stunnel")
+	}
+}
+
+// TestPaperPoint pins PaperPoint, one point per pattern, against the specs
+// the figure drivers wrote out by hand before it existed (expdriver's
+// defaults: scale 0.1, 48 messages, one run, 15 minutes; the last row is
+// the figure tests' pipeline point).
+func TestPaperPoint(t *testing.T) {
+	paper := func(arch, wl, pat string, prod, cons, msgs, window int) Spec {
+		return Spec{
+			Deployment: Deployment{
+				Architecture:     arch,
+				Nodes:            3,
+				FabricScale:      0.1,
+				MemoryLimitBytes: 1 << 30,
+			},
+			Workload:            Workload{Name: wl, PayloadDivisor: 8},
+			Pattern:             pat,
+			Producers:           prod,
+			Consumers:           cons,
+			MessagesPerProducer: msgs,
+			Tuning:              Tuning{Window: window},
+		}
+	}
+	cases := []struct {
+		name string
+		got  Spec
+		want Spec
+	}{
+		{"overhead work-sharing",
+			PaperPoint(core.PRSHAProxy, "Dstream", "work-sharing", 4, 0.1, 48),
+			paper("PRS(HAProxy)", "Dstream", "work-sharing", 4, 4, 48, 4)},
+		{"fig5 feedback",
+			PaperPoint(core.PRSHAProxy4Conns, "Lstream", "work-sharing-feedback", 16, 0.1, 48),
+			paper("PRS(HAProxy,4conns)", "Lstream", "work-sharing-feedback", 16, 16, 8, 2)},
+		{"fig7a broadcast cell",
+			PaperPoint(core.MSS, "generic", "broadcast", 16, 0.1, 48),
+			paper("MSS", "generic", "broadcast", 1, 16, 6, 4)},
+		{"fig8 broadcast-gather",
+			PaperPoint(core.DTS, "generic", "broadcast-gather", 16, 0.1, 48),
+			paper("DTS", "generic", "broadcast-gather", 1, 16, 6, 4)},
+		{"figure-test pipeline",
+			PaperPoint(core.DTS, "Dstream", "pipeline", 2, 0.1, 4),
+			paper("DTS", "Dstream", "pipeline", 2, 2, 4, 4)},
+	}
+	for _, tc := range cases {
+		if !reflect.DeepEqual(tc.got, tc.want) {
+			t.Errorf("%s:\n got %+v\nwant %+v", tc.name, tc.got, tc.want)
+		}
+		if err := tc.got.Validate(); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
 		}
 	}
 }
