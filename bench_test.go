@@ -244,22 +244,23 @@ func BenchmarkAblationWorkQueues(b *testing.B) {
 // reportHotPath reports the broker hot-path counter deltas of one run as
 // benchmark metrics: wire buffer-pool hit rate, frames coalesced per write,
 // delivery/ack batching factors, and residual routing-shard contention.
-func reportHotPath(b *testing.B, before map[string]uint64) {
+func reportHotPath(b *testing.B, before map[string]int64) {
 	b.Helper()
-	d := metrics.Delta(before, metrics.Default.Snapshot())
-	if hits, misses := d["wire.bufpool_hits"], d["wire.bufpool_misses"]; hits+misses > 0 {
+	after := telemetry.Default.Snapshot().Counters
+	d := func(name string) int64 { return after[name] - before[name] }
+	if hits, misses := d("wire.bufpool_hits"), d("wire.bufpool_misses"); hits+misses > 0 {
 		b.ReportMetric(float64(hits)/float64(hits+misses), "bufpool_hit_rate")
 	}
-	if w := d["wire.coalesced_writes"]; w > 0 {
-		b.ReportMetric(float64(d["wire.frames_coalesced"])/float64(w), "frames_per_write")
+	if w := d("wire.coalesced_writes"); w > 0 {
+		b.ReportMetric(float64(d("wire.frames_coalesced"))/float64(w), "frames_per_write")
 	}
-	if n := d["broker.delivery_batches"]; n > 0 {
-		b.ReportMetric(float64(d["broker.deliveries_batched"])/float64(n), "deliveries_per_batch")
+	if n := d("broker.delivery_batches"); n > 0 {
+		b.ReportMetric(float64(d("broker.deliveries_batched"))/float64(n), "deliveries_per_batch")
 	}
-	if n := d["broker.ack_batches"]; n > 0 {
-		b.ReportMetric(float64(d["broker.acks_batched"])/float64(n), "acks_per_batch")
+	if n := d("broker.ack_batches"); n > 0 {
+		b.ReportMetric(float64(d("broker.acks_batched"))/float64(n), "acks_per_batch")
 	}
-	if c := d["broker.shard_contention"]; c > 0 {
+	if c := d("broker.shard_contention"); c > 0 {
 		b.ReportMetric(float64(c)/float64(b.N), "shard_contention/op")
 	}
 }
@@ -274,7 +275,7 @@ func BenchmarkAblationAckBatching(b *testing.B) {
 			// The prefetch window must cover the batch or the batch can
 			// never fill (see pattern.Config).
 			spec.Tuning.Prefetch = 2 * batch
-			before := metrics.Default.Snapshot()
+			before := telemetry.Default.Snapshot().Counters
 			runPoint(b, spec)
 			reportHotPath(b, before)
 		})
@@ -334,7 +335,7 @@ func BenchmarkOverheadVsDTS(b *testing.B) {
 	}
 	for _, arch := range []core.ArchitectureName{core.PRSHAProxy, core.MSS} {
 		b.Run(string(arch), func(b *testing.B) {
-			before := metrics.Default.Snapshot()
+			before := telemetry.Default.Snapshot().Counters
 			res := runPoint(b, benchSpec(arch, workload.Dstream, pattern.WorkSharingName, 8))
 			if res != nil {
 				b.ReportMetric(metrics.Overhead(base.Result.Throughput, res.Throughput), "overhead_x")

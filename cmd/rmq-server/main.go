@@ -84,7 +84,7 @@ func run(args []string, sig <-chan os.Signal, out io.Writer, started func(addrs 
 			fmt.Fprintln(out, "wrote rmq-server-ca.pem (client trust root)")
 		}
 	}
-	cl, err := cluster.StartWith(*nodes, func(i int) broker.Config {
+	cl, err := cluster.StartWithOptions(*nodes, cluster.Options{}, func(i int) broker.Config {
 		c := cfg
 		if i == 0 {
 			c.Addr = *addr

@@ -28,9 +28,9 @@
 //	                    histogram), tick aggregator with ring-buffered
 //	                    time series, Prometheus/JSON exporters and the
 //	                    opt-in HTTP endpoint
-//	internal/metrics    experiment metrics (throughput, RTT CDFs) built
-//	                    on telemetry probes, plus the hot-path counter
-//	                    registry
+//	internal/metrics    experiment results (throughput, RTT CDFs, run
+//	                    merging, overhead vs DTS) built on telemetry
+//	                    probes
 //	internal/core       architecture deployments (DTS, PRS variants,
 //	                    MSS), each a transport.Path hop composition
 //	internal/pattern    messaging patterns as declarative role graphs

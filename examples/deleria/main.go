@@ -32,7 +32,7 @@ const (
 func main() {
 	// A 3-node cluster like the paper's DSN deployment. The forward
 	// buffer and event builder live on their hash-assigned master nodes.
-	cl, err := cluster.Start(3, broker.Config{})
+	cl, err := cluster.StartWithOptions(3, cluster.Options{}, func(int) broker.Config { return broker.Config{} })
 	if err != nil {
 		log.Fatal(err)
 	}

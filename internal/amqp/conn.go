@@ -11,16 +11,16 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ds2hpc/internal/metrics"
+	"ds2hpc/internal/telemetry"
 	"ds2hpc/internal/wire"
 )
 
 var (
-	reconnectsTotal   = metrics.Default.Counter("amqp.reconnects")
-	reconnectFailures = metrics.Default.Counter("amqp.reconnect_failures")
-	replayedPublishes = metrics.Default.Counter("amqp.replayed_publishes")
-	staleAcksDropped  = metrics.Default.Counter("amqp.stale_acks_dropped")
-	redirectsFollowed = metrics.Default.Counter("amqp.redirects")
+	reconnectsTotal   = telemetry.Default.Counter("amqp.reconnects")
+	reconnectFailures = telemetry.Default.Counter("amqp.reconnect_failures")
+	replayedPublishes = telemetry.Default.Counter("amqp.replayed_publishes")
+	staleAcksDropped  = telemetry.Default.Counter("amqp.stale_acks_dropped")
+	redirectsFollowed = telemetry.Default.Counter("amqp.redirects")
 )
 
 // errSuspended reports a synchronous call interrupted by a transport loss

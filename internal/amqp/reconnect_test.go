@@ -7,7 +7,7 @@ import (
 
 	"ds2hpc/internal/amqp"
 	"ds2hpc/internal/broker"
-	"ds2hpc/internal/metrics"
+	"ds2hpc/internal/telemetry"
 	"ds2hpc/internal/transport"
 )
 
@@ -201,7 +201,8 @@ func TestReconnectGivesUpAfterMaxAttempts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	before := metrics.Default.Snapshot()
+	failures := telemetry.Default.Counter("amqp.reconnect_failures")
+	before := failures.Load()
 	in.Partition() // never healed
 	select {
 	case _, ok := <-deliveries:
@@ -214,8 +215,7 @@ func TestReconnectGivesUpAfterMaxAttempts(t *testing.T) {
 	if !c.IsClosed() {
 		t.Fatal("connection must be closed after exhausting attempts")
 	}
-	d := metrics.Delta(before, metrics.Default.Snapshot())
-	if d["amqp.reconnect_failures"] == 0 {
+	if failures.Load() == before {
 		t.Fatal("reconnect failure not counted")
 	}
 }

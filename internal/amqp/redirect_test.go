@@ -6,7 +6,7 @@ import (
 
 	"ds2hpc/internal/amqp"
 	"ds2hpc/internal/broker"
-	"ds2hpc/internal/metrics"
+	"ds2hpc/internal/telemetry"
 )
 
 // redirectHook is a minimal broker.ClusterHook that declares one queue
@@ -28,8 +28,8 @@ func (h *redirectHook) EnsureRemoteQueue(vhost, queue string, durable bool) erro
 func (h *redirectHook) ForwardPublish(vhost, queue string, m *broker.Message, target broker.ConfirmTarget, seq uint64) error {
 	return nil
 }
-func (h *redirectHook) NoteRedirect(vhost, queue string)       {}
-func (h *redirectHook) Replicated(vhost, queue string) bool    { return false }
+func (h *redirectHook) NoteRedirect(vhost, queue string)    {}
+func (h *redirectHook) Replicated(vhost, queue string) bool { return false }
 func (h *redirectHook) ReplicateAppend(vhost, queue string, off uint64, m *broker.Message, target broker.ConfirmTarget, seq uint64) {
 }
 func (h *redirectHook) ReplicateSettle(vhost, queue string, off uint64, offs []uint64) {}
@@ -55,7 +55,7 @@ func TestClientFollowsRedirect(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	followed := metrics.Default.Counter("amqp.redirects")
+	followed := telemetry.Default.Counter("amqp.redirects")
 	base := followed.Load()
 
 	conn, err := amqp.DialConfig("amqp://"+wrong.Addr(), amqp.Config{Reconnect: testPolicy()})

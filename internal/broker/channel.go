@@ -8,7 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"ds2hpc/internal/metrics"
+	"ds2hpc/internal/telemetry"
 	"ds2hpc/internal/wire"
 )
 
@@ -489,8 +489,8 @@ func drainOutbox(ce *consumerEntry) {
 }
 
 var (
-	deliveryBatches   = metrics.Default.Counter("broker.delivery_batches")
-	deliveriesBatched = metrics.Default.Counter("broker.deliveries_batched")
+	deliveryBatches   = telemetry.Default.Counter("broker.delivery_batches")
+	deliveriesBatched = telemetry.Default.Counter("broker.deliveries_batched")
 )
 
 // sendDeliverBatch assigns delivery tags to a batch of deliveries under
@@ -537,7 +537,7 @@ func (ch *srvChannel) sendDeliverBatch(ce *consumerEntry, batch []delivery) {
 	ch.mu.Unlock()
 
 	deliveryBatches.Inc()
-	deliveriesBatched.Add(uint64(len(batch)))
+	deliveriesBatched.Add(int64(len(batch)))
 	err := ch.conn.writeDeliveries(ch.id, ce.tag, msgs[:len(batch)], tags[:len(batch)], redeliv[:len(batch)])
 	if ce.noAck {
 		// noAck deliveries resolve immediately: restore credit (even on a
@@ -597,8 +597,8 @@ func (ch *srvChannel) basicGet(x *wire.BasicGet) error {
 }
 
 var (
-	ackBatches  = metrics.Default.Counter("broker.ack_batches")
-	acksBatched = metrics.Default.Counter("broker.acks_batched")
+	ackBatches  = telemetry.Default.Counter("broker.ack_batches")
+	acksBatched = telemetry.Default.Counter("broker.acks_batched")
 )
 
 // ackGroup accumulates the resolutions of a multiple-ack that target the
@@ -661,7 +661,7 @@ func (ch *srvChannel) basicAck(tag uint64, multiple, ack, requeue bool) error {
 	// Resolve in delivery-tag order so batch requeues restore queue order.
 	slices.SortFunc(entries, func(a, b taggedEntry) int { return cmp.Compare(a.tag, b.tag) })
 	ackBatches.Inc()
-	acksBatched.Add(uint64(len(entries)))
+	acksBatched.Add(int64(len(entries)))
 
 	groups := ch.ackGroups[:0]
 	for _, e := range entries {

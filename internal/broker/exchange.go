@@ -4,7 +4,7 @@ import (
 	"strings"
 	"sync"
 
-	"ds2hpc/internal/metrics"
+	"ds2hpc/internal/telemetry"
 )
 
 // Exchange kinds.
@@ -38,7 +38,7 @@ type bindingShard struct {
 // shardContention counts lock acquisitions on routing/registry shards that
 // found the shard already held — the residual contention the sharding did
 // not eliminate.
-var shardContention = metrics.Default.Counter("broker.shard_contention")
+var shardContention = telemetry.Default.Counter("broker.shard_contention")
 
 func lockShard(mu *sync.RWMutex) {
 	if !mu.TryLock() {

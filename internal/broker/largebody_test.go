@@ -15,7 +15,7 @@ import (
 	"time"
 
 	"ds2hpc/internal/amqp"
-	"ds2hpc/internal/metrics"
+	"ds2hpc/internal/telemetry"
 	"ds2hpc/internal/tlsutil"
 	"ds2hpc/internal/wire"
 )
@@ -173,7 +173,7 @@ func TestLargeBodiesRecycle(t *testing.T) {
 	base := wire.LoanedBytes()
 	cb := newCountedBroker(t, false)
 	body := bytes.Repeat([]byte{0xA5, 0x5A, 0x3C, 0xC3}, 1<<18)
-	misses := metrics.Default.Counter("wire.bufpool_misses")
+	misses := telemetry.Default.Counter("wire.bufpool_misses")
 	// One message in flight: every warm buffer is taken once per message,
 	// so none sits out two GC cycles and is dropped from its pool.
 	p := cb.open(t, "recycle-q", 1)

@@ -131,23 +131,14 @@ func (c *Cluster) nodeOrNil(i int) *broker.Server {
 	return c.nodes[i]
 }
 
-// Start launches n broker nodes with the shared configuration. Each node
-// gets its own listener; cfg.Addr must be empty or a ":0" pattern.
-func Start(n int, cfg broker.Config) (*Cluster, error) {
-	return StartWith(n, func(int) broker.Config { return cfg })
-}
-
-// StartWith launches n broker nodes, asking configFor for each node's
-// configuration — used to give every node its own emulated DSN link.
-// When a node's config sets DataDir, the cluster appends a node-<i>
-// subdirectory so nodes sharing a base directory never collide, and a
-// restarted node recovers exactly its own durable state.
-func StartWith(n int, configFor func(i int) broker.Config) (*Cluster, error) {
-	return StartWithOptions(n, Options{}, configFor)
-}
-
-// StartWithOptions is StartWith with explicit cluster options (see
-// Options.Federation for what the hook changes).
+// StartWithOptions launches n broker nodes under the cluster options
+// (see Options.Federation for what the hook changes), asking configFor
+// for each node's configuration — used to give every node its own
+// emulated DSN link. Each node gets its own listener; a config's Addr
+// must be empty or a ":0" pattern. When a node's config sets DataDir,
+// the cluster appends a node-<i> subdirectory so nodes sharing a base
+// directory never collide, and a restarted node recovers exactly its
+// own durable state.
 func StartWithOptions(n int, opts Options, configFor func(i int) broker.Config) (*Cluster, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cluster: need at least one node, got %d", n)

@@ -10,7 +10,7 @@ import (
 )
 
 func TestStartAndClose(t *testing.T) {
-	c, err := Start(3, broker.Config{})
+	c, err := StartWithOptions(3, Options{}, func(int) broker.Config { return broker.Config{} })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,13 +29,13 @@ func TestStartAndClose(t *testing.T) {
 }
 
 func TestStartRejectsZeroNodes(t *testing.T) {
-	if _, err := Start(0, broker.Config{}); err == nil {
+	if _, err := StartWithOptions(0, Options{}, func(int) broker.Config { return broker.Config{} }); err == nil {
 		t.Fatal("expected error")
 	}
 }
 
 func TestPlacementIsStableAndSpread(t *testing.T) {
-	c, err := Start(3, broker.Config{})
+	c, err := StartWithOptions(3, Options{}, func(int) broker.Config { return broker.Config{} })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestPlacementIsStableAndSpread(t *testing.T) {
 }
 
 func TestClusterEndToEndAcrossNodes(t *testing.T) {
-	c, err := Start(3, broker.Config{})
+	c, err := StartWithOptions(3, Options{}, func(int) broker.Config { return broker.Config{} })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestClusterEndToEndAcrossNodes(t *testing.T) {
 }
 
 func TestShovelMovesMessages(t *testing.T) {
-	c, err := Start(2, broker.Config{})
+	c, err := StartWithOptions(2, Options{}, func(int) broker.Config { return broker.Config{} })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestShovelMovesMessages(t *testing.T) {
 }
 
 func TestShovelSourceMissingQueue(t *testing.T) {
-	c, err := Start(1, broker.Config{})
+	c, err := StartWithOptions(1, Options{}, func(int) broker.Config { return broker.Config{} })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"ds2hpc/internal/amqp"
 	"ds2hpc/internal/broker"
 	"ds2hpc/internal/broker/seglog"
-	"ds2hpc/internal/metrics"
 	"ds2hpc/internal/telemetry"
 )
 
@@ -42,7 +41,7 @@ func TestConsumeRedirectsToMaster(t *testing.T) {
 	qname := queueOwnedBy(t, c, 0, "redir-q")
 	wrong := c.Node(1).Addr()
 
-	followed := metrics.Default.Counter("amqp.redirects")
+	followed := telemetry.Default.Counter("amqp.redirects")
 	base := followed.Load()
 
 	cons, err := amqp.DialConfig("amqp://"+wrong, amqp.Config{Reconnect: testReconnect})

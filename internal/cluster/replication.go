@@ -365,7 +365,7 @@ type replQueue struct {
 
 	mu       sync.Mutex
 	mirrors  map[int]*replMirror
-	joining  map[int]bool // mirror establishment in flight
+	joining  map[int]bool            // mirror establishment in flight
 	pending  map[uint64]*replPending // master offset -> withheld confirm
 	shipSeq  uint64
 	insync   int

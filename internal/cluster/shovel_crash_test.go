@@ -16,7 +16,8 @@ import (
 func shovelCrashCluster(t *testing.T) *Cluster {
 	t.Helper()
 	dir := t.TempDir()
-	c, err := Start(2, broker.Config{DataDir: dir, Durability: seglog.Options{Fsync: seglog.FsyncAlways}})
+	cfg := broker.Config{DataDir: dir, Durability: seglog.Options{Fsync: seglog.FsyncAlways}}
+	c, err := StartWithOptions(2, Options{}, func(int) broker.Config { return cfg })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,8 +22,8 @@ import (
 	"ds2hpc/internal/telemetry"
 )
 
-// RTTSample is one per-message round-trip measurement.
-type RTTSample = time.Duration
+// Default aliases telemetry.Default for bench/, its only reader; the next change to bench/ removes it.
+var Default = telemetry.Default
 
 // rttHist mirrors every recorded RTT into the process-wide telemetry
 // registry, so exporters (and the bench snapshot) see the cumulative
@@ -133,26 +133,6 @@ func (r *Result) MedianRTT() time.Duration { return r.PercentileRTT(50) }
 // buckets — within one bucket width of the exact nearest-rank sample.
 func (r *Result) PercentileRTT(p float64) time.Duration {
 	return time.Duration(r.RTT.Quantile(p))
-}
-
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	RTT time.Duration
-	P   float64 // cumulative probability in (0, 1]
-}
-
-// CDF returns up to points evenly spaced points of the RTT CDF, as plotted
-// in the paper's Figures 5 and 8, read from the histogram buckets.
-func (r *Result) CDF(points int) []CDFPoint {
-	raw := r.RTT.CDF(points)
-	if raw == nil {
-		return nil
-	}
-	out := make([]CDFPoint, len(raw))
-	for i, p := range raw {
-		out[i] = CDFPoint{RTT: time.Duration(p.V), P: p.P}
-	}
-	return out
 }
 
 // FractionUnder reports the fraction of RTTs at or below the threshold

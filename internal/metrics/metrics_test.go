@@ -133,30 +133,8 @@ func TestPercentileEmpty(t *testing.T) {
 	if r.MedianRTT() != 0 {
 		t.Fatal("empty median should be zero")
 	}
-	if r.CDF(10) != nil {
-		t.Fatal("empty CDF should be nil")
-	}
 	if (&Result{}).MedianRTT() != 0 {
 		t.Fatal("nil-histogram median should be zero")
-	}
-}
-
-func TestCDFMonotonic(t *testing.T) {
-	c := NewCollector()
-	for i := 0; i < 1000; i++ {
-		c.AddRTT(time.Duration(i) * time.Microsecond)
-	}
-	cdf := c.Snapshot().CDF(20)
-	if len(cdf) != 20 {
-		t.Fatalf("points = %d", len(cdf))
-	}
-	for i := 1; i < len(cdf); i++ {
-		if cdf[i].P < cdf[i-1].P || cdf[i].RTT < cdf[i-1].RTT {
-			t.Fatal("CDF not monotonic")
-		}
-	}
-	if last := cdf[len(cdf)-1]; last.P != 1.0 {
-		t.Fatalf("CDF must reach 1.0, got %f", last.P)
 	}
 }
 

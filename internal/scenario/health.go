@@ -60,7 +60,7 @@ func DefaultHealthRules() []telemetry.HealthRule {
 			Source: "consumed",
 			Kind:   telemetry.RuleBelow,
 			Warn:   0, Critical: 0, // equal thresholds: warn-only
-			For:    3,
+			For: 3,
 		},
 		{
 			Name:   "under-replicated",

@@ -197,35 +197,33 @@ func (lm *liveMetrics) endRun(col *metrics.Collector) {
 	lm.mu.Unlock()
 }
 
+// since reads the named process-wide counter as its growth since the
+// call, so a scenario reports its own activity, not the process's
+// lifetime total (a sweep runs many scenarios in one process).
+func since(name string) func() int64 {
+	c := telemetry.Default.Counter(name)
+	base := c.Load()
+	return func() int64 { return c.Load() - base }
+}
+
 // observe registers the scenario's rollup sources and returns their
 // names, so teardown can Unobserve each one before the probes it reads
-// go away. Process-cumulative counters (reconnects, injector stats
-// shared across a sweep) are baselined at registration so the rollups
-// report this scenario's activity, not the process's lifetime totals.
-func (lm *liveMetrics) observe(agg *telemetry.Aggregator, inj *transport.Injector) []string {
+// go away. cumulative holds the baselined process-wide counters (see
+// since), each sampled as a gauge under its key; injector stats shared
+// across a sweep are baselined here the same way.
+func (lm *liveMetrics) observe(agg *telemetry.Aggregator, inj *transport.Injector, cumulative map[string]func() int64) []string {
 	names := []string{
-		"consumed", "produced", "errors", "reconnects", "redirects",
-		"federated", "federation_links", "queue_depth",
+		"consumed", "produced", "errors", "federation_links", "queue_depth",
 		"sessions", "conns", "goroutines",
+		"mirror_lag", "insync_mirrors", "underreplicated",
 	}
 	agg.ObserveCounter("consumed", lm.consumed)
 	agg.ObserveCounter("produced", lm.produced)
 	agg.ObserveGauge("errors", lm.errors)
-	reconnects := metrics.Default.Counter("amqp.reconnects")
-	recBase := int64(reconnects.Load())
-	agg.ObserveGauge("reconnects", func() int64 {
-		return int64(reconnects.Load()) - recBase
-	})
-	redirects := metrics.Default.Counter("amqp.redirects")
-	redirBase := int64(redirects.Load())
-	agg.ObserveGauge("redirects", func() int64 {
-		return int64(redirects.Load()) - redirBase
-	})
-	federated := telemetry.Default.Counter("cluster.federation_msgs")
-	fedBase := int64(federated.Load())
-	agg.ObserveGauge("federated", func() int64 {
-		return int64(federated.Load()) - fedBase
-	})
+	for name, read := range cumulative {
+		agg.ObserveGauge(name, read)
+		names = append(names, name)
+	}
 	// Health-check sources: the live federation link count (the flap
 	// rule watches it drop) and the total broker backlog summed across
 	// every queue's tagged depth gauge.
@@ -234,22 +232,8 @@ func (lm *liveMetrics) observe(agg *telemetry.Aggregator, inj *transport.Injecto
 	agg.ObserveGauge("queue_depth", func() int64 {
 		return telemetry.Default.SumGauges("broker.queue_depth")
 	})
-	// Replication sources: promotion/catch-up counters (baselined like
-	// the other process-cumulative counters) and the live mirror gauges
-	// the under-replicated health rule watches.
-	names = append(names,
-		"promotions", "mirror_catchups", "mirror_lag",
-		"insync_mirrors", "underreplicated")
-	promoted := telemetry.Default.Counter("cluster.promotions")
-	promBase := promoted.Load()
-	agg.ObserveGauge("promotions", func() int64 {
-		return promoted.Load() - promBase
-	})
-	catchups := telemetry.Default.Counter("cluster.mirror_catchups")
-	cuBase := catchups.Load()
-	agg.ObserveGauge("mirror_catchups", func() int64 {
-		return catchups.Load() - cuBase
-	})
+	// Replication sources: the live mirror gauges the under-replicated
+	// health rule watches.
 	agg.ObserveGauge("mirror_lag", telemetry.Default.Gauge("cluster.mirror_lag").Load)
 	agg.ObserveGauge("insync_mirrors", telemetry.Default.Gauge("cluster.insync_mirrors").Load)
 	agg.ObserveGauge("underreplicated", telemetry.Default.Gauge("cluster.underreplicated_queues").Load)
@@ -337,11 +321,24 @@ func runOn(ctx context.Context, dep core.Deployment, inj *transport.Injector, sp
 		Timeout:             spec.timeout(),
 	}
 
+	// One baselined reader per process-wide counter feeds both its
+	// rollup and its Report field.
+	redirects := since("amqp.redirects")
+	federated := since("cluster.federation_msgs")
+	promoted := since("cluster.promotions")
+	catchups := since("cluster.mirror_catchups")
+
 	// The aggregator spans all of the scenario's runs: the timeline is
 	// the scenario's, with completed-run totals folded into the rates.
 	lm := &liveMetrics{}
 	agg := telemetry.NewAggregator(o.tick)
-	sources := lm.observe(agg, inj)
+	sources := lm.observe(agg, inj, map[string]func() int64{
+		"reconnects":      since("amqp.reconnects"),
+		"redirects":       redirects,
+		"federated":       federated,
+		"promotions":      promoted,
+		"mirror_catchups": catchups,
+	})
 	// Unobserve after the deferred final Stop (defers run LIFO): the
 	// sources read closures over this scenario's deployment, and a
 	// sweep's next cell re-registers its own under the same names.
@@ -382,12 +379,6 @@ func runOn(ctx context.Context, dep core.Deployment, inj *transport.Injector, sp
 
 	restarts, kills := 0, 0
 	watch := crashWatcher(dep, spec, &restarts, &kills)
-	redirects := metrics.Default.Counter("amqp.redirects")
-	federated := telemetry.Default.Counter("cluster.federation_msgs")
-	redirBase, fedBase := int64(redirects.Load()), federated.Load()
-	promoted := telemetry.Default.Counter("cluster.promotions")
-	catchups := telemetry.Default.Counter("cluster.mirror_catchups")
-	promBase, cuBase := promoted.Load(), catchups.Load()
 	var runs []*metrics.Result
 	for r := 0; r < spec.runs(); r++ {
 		if inj != nil {
@@ -441,10 +432,10 @@ func runOn(ctx context.Context, dep core.Deployment, inj *transport.Injector, sp
 	}
 	rep.BrokerRestarts = restarts
 	rep.NodeKills = kills
-	rep.Redirects = int64(redirects.Load()) - redirBase
-	rep.FederatedMsgs = federated.Load() - fedBase
-	rep.Promotions = promoted.Load() - promBase
-	rep.MirrorCatchups = catchups.Load() - cuBase
+	rep.Redirects = redirects()
+	rep.FederatedMsgs = federated()
+	rep.Promotions = promoted()
+	rep.MirrorCatchups = catchups()
 	rep.HealthEvents = mon.Events()
 	if o.forwarder != nil {
 		o.forwarder.ForwardSnapshot(telemetry.Default.Snapshot())

@@ -28,9 +28,12 @@
 //     relative error of at most one bucket width (~3%).
 //
 // A Registry names probes (optionally with key=value tags) and hands
-// out stable pointers; Default is the process-wide registry. GaugeFunc
-// and CounterFunc register read-at-export callbacks for values another
-// subsystem already maintains (a queue's depth, an atomic server stat).
+// out stable pointers; Default is the process-wide registry. Every
+// process-wide counter registers there, the hot-path ones (wire,
+// transport, broker batching, client reconnects) at package init.
+// GaugeFunc and CounterFunc register read-at-export callbacks for
+// values another subsystem already maintains (a queue's depth, an
+// atomic server stat).
 //
 // # Tagged contexts
 //

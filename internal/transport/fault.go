@@ -7,15 +7,15 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ds2hpc/internal/metrics"
+	"ds2hpc/internal/telemetry"
 )
 
 var (
-	injectedResets = metrics.Default.Counter("transport.injected_resets")
-	refusedDials   = metrics.Default.Counter("transport.refused_dials")
-	injectedFlaps  = metrics.Default.Counter("transport.injected_flaps")
-	spikedWrites   = metrics.Default.Counter("transport.spiked_writes")
-	faultDials     = metrics.Default.Counter("transport.fault_dials")
+	injectedResets = telemetry.Default.Counter("transport.injected_resets")
+	refusedDials   = telemetry.Default.Counter("transport.refused_dials")
+	injectedFlaps  = telemetry.Default.Counter("transport.injected_flaps")
+	spikedWrites   = telemetry.Default.Counter("transport.spiked_writes")
+	faultDials     = telemetry.Default.Counter("transport.fault_dials")
 )
 
 // ErrInjected is the error surfaced by connections and dials that an

@@ -7,14 +7,13 @@ import (
 	"sync"
 	"time"
 
-	"ds2hpc/internal/metrics"
 	"ds2hpc/internal/telemetry"
 )
 
 var (
-	relays     = metrics.Default.Counter("transport.relays")
-	halfCloses = metrics.Default.Counter("transport.half_closes")
-	relayBytes = metrics.Default.Counter("transport.relay_bytes")
+	relays     = telemetry.Default.Counter("transport.relays")
+	halfCloses = telemetry.Default.Counter("transport.half_closes")
+	relayBytes = telemetry.Default.Counter("transport.relay_bytes")
 )
 
 // ErrAdmissionClosed reports an admission gate torn down while a
@@ -38,9 +37,8 @@ func Relay(a, b net.Conn) {
 // "tier=prs" for a PRS S2DS hop, "tier=mss" for the MSS balancer), so
 // per-tier throughput is a first-class series. ContextNone skips the
 // tagged charge. The counter resolves once per relay — the per-write
-// path stays atomic adds. (The tagged family is distinct from
-// transport.relay_bytes, which mirrors into the telemetry registry via
-// the metrics bridge under its own name.)
+// path stays atomic adds. (The tagged family is distinct from the
+// untagged transport.relay_bytes total, which every relay charges.)
 func RelayCtx(a, b net.Conn, ctx telemetry.Context) {
 	relays.Inc()
 	var tagged *telemetry.Counter
@@ -90,7 +88,7 @@ type countingWriter struct {
 }
 
 func (cw *countingWriter) charge(n int64) {
-	relayBytes.Add(uint64(n))
+	relayBytes.Add(n)
 	if cw.tagged != nil {
 		cw.tagged.Add(n)
 	}

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"ds2hpc/internal/metrics"
 	"ds2hpc/internal/telemetry"
 )
 
@@ -13,14 +12,14 @@ import (
 // steady-state publish/deliver traffic with payloads under a pooled size
 // class performs zero per-message heap allocations in the codec.
 //
-// Pool effectiveness is observable through the metrics registry:
+// Pool effectiveness is observable through the telemetry registry:
 //
 //	wire.bufpool_hits    buffer requests served from a pool
 //	wire.bufpool_misses  requests allocating fresh (cold pool or oversize)
 
 var (
-	bufPoolHits   = metrics.Default.Counter("wire.bufpool_hits")
-	bufPoolMisses = metrics.Default.Counter("wire.bufpool_misses")
+	bufPoolHits   = telemetry.Default.Counter("wire.bufpool_hits")
+	bufPoolMisses = telemetry.Default.Counter("wire.bufpool_misses")
 )
 
 // bufClassSizes are the pooled capacity classes, smallest first. The

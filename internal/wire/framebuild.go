@@ -5,20 +5,20 @@ import (
 	"io"
 	"net"
 
-	"ds2hpc/internal/metrics"
+	"ds2hpc/internal/telemetry"
 )
 
 // Frame building: hot-path senders encode complete frames — header, payload
 // and frame-end — directly into one Writer buffer and emit the whole batch
 // with a single Write call, instead of one write syscall per frame section.
-// Effectiveness is observable through the metrics registry:
+// Effectiveness is observable through the telemetry registry:
 //
 //	wire.frames_coalesced  frames that shared a Write with other frames
 //	wire.coalesced_writes  batched Write calls issued via FlushFrames
 
 var (
-	framesCoalesced = metrics.Default.Counter("wire.frames_coalesced")
-	coalescedWrites = metrics.Default.Counter("wire.coalesced_writes")
+	framesCoalesced = telemetry.Default.Counter("wire.frames_coalesced")
+	coalescedWrites = telemetry.Default.Counter("wire.coalesced_writes")
 )
 
 // netBufs keeps the net import out of the pure-codec file while letting
@@ -201,7 +201,7 @@ func (w *Writer) FlushFrames(dst io.Writer, frames int) error {
 	w.dropBorrows()
 	coalescedWrites.Inc()
 	if frames > 1 {
-		framesCoalesced.Add(uint64(frames))
+		framesCoalesced.Add(int64(frames))
 	}
 	return err
 }

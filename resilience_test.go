@@ -20,9 +20,9 @@ import (
 	"ds2hpc/internal/amqp"
 	"ds2hpc/internal/core"
 	"ds2hpc/internal/fabric"
-	"ds2hpc/internal/metrics"
 	"ds2hpc/internal/pattern"
 	"ds2hpc/internal/scenario"
+	"ds2hpc/internal/telemetry"
 	"ds2hpc/internal/transport"
 	"ds2hpc/internal/workload"
 )
@@ -98,7 +98,8 @@ func TestResilienceWorkSharingAcrossLinkFlap(t *testing.T) {
 		arch := arch
 		t.Run(string(arch), func(t *testing.T) {
 			const producers, consumers, messages = 2, 2, 16
-			before := metrics.Default.Snapshot()
+			reconnects := telemetry.Default.Counter("amqp.reconnects")
+			before := reconnects.Load()
 			rep, err := scenario.Run(context.Background(), resilienceSpec(arch, producers, consumers, messages))
 			if err != nil {
 				t.Fatalf("run did not survive the flap: %v", err)
@@ -110,8 +111,7 @@ func TestResilienceWorkSharingAcrossLinkFlap(t *testing.T) {
 			if rep.Faults.Flaps == 0 {
 				t.Fatal("scripted flap never fired")
 			}
-			d := metrics.Delta(before, metrics.Default.Snapshot())
-			if d["amqp.reconnects"] == 0 {
+			if reconnects.Load() == before {
 				t.Fatal("no client reconnected across the flap")
 			}
 		})
@@ -180,17 +180,17 @@ func BenchmarkResilienceFaultRate(b *testing.B) {
 						DownMS:        50,
 					}}
 				}
-				var reconnects uint64
+				reconnectsTotal := telemetry.Default.Counter("amqp.reconnects")
+				var reconnects int64
 				var last float64
 				for i := 0; i < b.N; i++ {
-					before := metrics.Default.Snapshot()
+					before := reconnectsTotal.Load()
 					rep, err := scenario.Run(context.Background(), spec)
 					if err != nil {
 						b.Fatal(err)
 					}
 					last = rep.Result.Throughput
-					d := metrics.Delta(before, metrics.Default.Snapshot())
-					reconnects += d["amqp.reconnects"]
+					reconnects += reconnectsTotal.Load() - before
 				}
 				b.ReportMetric(last, "msgs_per_sec")
 				b.ReportMetric(float64(reconnects)/float64(b.N), "reconnects/op")
