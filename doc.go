@@ -225,10 +225,15 @@
 // runtime: amqp.ClientPool owns a few physical connections and hands
 // out Session handles mapped onto channels (least-loaded placement,
 // soft SessionsPerConn target, hard cap at the negotiated channel-max),
-// ConsumeFunc consumers are dispatched from the connection read loop
-// (zero goroutines when idle), and a shared Pacer replaces per-client
-// timers. A physical-connection flap resumes every session mapped onto
-// it — consumers and unconfirmed publishes replay — without touching
+// consumers are callbacks dispatched from the connection's one owner
+// goroutine (zero goroutines when idle; Consume is a channel adapter over
+// the same path), and a shared Pacer replaces per-client timers. The
+// owner is the only frame reader and the only closer of what the library
+// sends on: an undrained listener stalls its connection until Close,
+// which then closes it, and Close and Cancel block until the owner is
+// done, so they are never called from a ConsumeFunc handler. A
+// physical-connection flap resumes every session mapped onto it —
+// consumers and unconfirmed publishes replay — without touching
 // sessions on sibling connections. The pattern engine runs every role
 // instance on such a session; Tuning.GoroutineBudget bounds it. At 0 it
 // is unbounded, one socket per role instance and one goroutine per

@@ -9,21 +9,34 @@ import (
 
 // TestAllocsClientDeliveryDispatch locks in the client's per-message path
 // at zero allocations once warm: a delivery dispatched from its method,
-// header and body frames into a manual-ack callback consumer, which acks
-// it; a publish; and the broker's confirm of it, fanned out to a
-// listener. Frames decode into the channel's slots, the ack and the
-// publish encode from the connection's scratch, and the confirm fan-out
-// reuses the channel's. The frames are encoded ahead and their tags
-// patched, so the test allocates nothing itself.
+// header and body frames into a manual-ack consumer, which acks it; a
+// publish; and the broker's confirm of it, fanned out to a listener.
+// Both consumer forms run it: a ConsumeFunc callback, and Consume's
+// channel adapter (the path every bench workload consumes through), whose
+// delivery is received from its channel. Frames decode into the channel's
+// slots, the ack and the publish encode from the connection's scratch,
+// and the confirm fan-out reuses the channel's. The frames are encoded
+// ahead and their tags patched, so the test allocates nothing itself.
 func TestAllocsClientDeliveryDispatch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a fraction of Puts under the race detector; zero-alloc assertion not meaningful")
 	}
+	for _, adapter := range []bool{false, true} {
+		name := "callback"
+		if adapter {
+			name = "consume-adapter"
+		}
+		t.Run(name, func(t *testing.T) { allocsDeliveryDispatch(t, adapter) })
+	}
+}
+
+func allocsDeliveryDispatch(t *testing.T, adapter bool) {
 	c := &Connection{
 		conn:     discardConn{},
 		out:      wire.NewWriter(),
 		channels: map[uint16]*Channel{},
 		genCh:    make(chan struct{}),
+		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
 		hbStop:   make(chan struct{}),
 	}
@@ -34,12 +47,20 @@ func TestAllocsClientDeliveryDispatch(t *testing.T) {
 	ch.confirmMode = true
 	confirms := ch.NotifyPublish(make(chan Confirmation, 1))
 	delivered := 0
-	ch.consumers["c"] = &clientConsumer{fn: func(d Delivery) {
+	ack := func(d Delivery) {
 		delivered++
 		if err := d.Ack(false); err != nil {
 			t.Error(err)
 		}
-	}}
+	}
+	var deliveries chan Delivery
+	if adapter {
+		cc := ch.channelConsumer()
+		deliveries = cc.deliveries
+		ch.consumers["c"] = cc
+	} else {
+		ch.consumers["c"] = &clientConsumer{fn: ack}
+	}
 
 	frame := func(ftype byte, payload []byte) wire.Frame {
 		return wire.Frame{Type: ftype, Channel: 1, Payload: payload}
@@ -67,15 +88,18 @@ func TestAllocsClientDeliveryDispatch(t *testing.T) {
 		tag++
 		binary.BigEndian.PutUint64(deliver[deliverTagAt:], tag)
 		for _, f := range frames {
-			if stop, e := c.dispatchFrame(f, false); stop {
+			if stop, e := c.dispatchFrame(f); stop {
 				t.Fatalf("delivery dispatch stopped the connection: %v", e)
 			}
+		}
+		if adapter {
+			ack(<-deliveries)
 		}
 		if err := ch.Publish("", "q", false, false, Publishing{Body: body}); err != nil {
 			t.Fatal(err)
 		}
 		binary.BigEndian.PutUint64(confirm[4:], tag)
-		if stop, e := c.dispatchFrame(frame(wire.FrameMethod, confirm), false); stop {
+		if stop, e := c.dispatchFrame(frame(wire.FrameMethod, confirm)); stop {
 			t.Fatalf("confirm dispatch stopped the connection: %v", e)
 		}
 		if cf := <-confirms; cf.DeliveryTag != tag || !cf.Ack {

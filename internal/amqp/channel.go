@@ -6,21 +6,25 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"time"
 
 	"ds2hpc/internal/wire"
 )
 
 // Channel is a client channel: the unit of declaration, publishing, and
 // consuming. One outstanding synchronous call is allowed at a time; content
-// flows (deliveries, confirms, returns) are asynchronous.
+// flows (deliveries, confirms, returns) are asynchronous and come from the
+// connection's owner goroutine, which also closes every channel it sends
+// on (see Connection).
 type Channel struct {
 	conn *Connection
 	id   uint16
 
+	// rpc carries replies from the owner, which closes it when the channel
+	// ends. quit, closed by Close, releases the owner's sends to this
+	// channel's consumers and listeners.
 	callMu sync.Mutex
 	rpc    chan wire.Method
-	gets   chan getResult
+	quit   chan struct{}
 
 	mu            sync.Mutex
 	consumers     map[string]*clientConsumer
@@ -33,33 +37,37 @@ type Channel struct {
 	confirmExpect uint64              // every confirm tag at or below it is resolved
 	confirmAhead  map[uint64]struct{} // tags above confirmExpect resolved singly
 	closed        bool
+	quitting      bool // quit is closed
+
+	// gen is the transport generation the channel's state was last
+	// established on (its opening, or a replay); a method the replay
+	// re-applies is recorded only while gen is the one it goes out on.
+	// gate, written under conn.writeMu and mu, is non-nil from a transport
+	// loss until the replay has re-opened the channel and written its
+	// pending publishes: application writes wait for it to close.
+	gen  chan struct{}
+	gate chan struct{}
 
 	// Reconnect replay state (nil maps on legacy connections). pending
 	// holds confirm-mode publishes the broker has not yet resolved,
 	// keyed by client sequence number; pubMap maps the current
 	// transport's broker confirm tags back onto those sequence numbers;
-	// qosSpec and consumeSpecs record declarations to re-apply.
+	// qosSpec records the prefetch to re-apply (consumers carry their own
+	// spec).
 	pending   map[uint64]*pendingPublish
 	pubMap    map[uint64]uint64
 	brokerSeq uint64
-	mapEpoch  uint64 // transport epoch pubMap/brokerSeq are valid for
 	// replayedThrough is the highest client sequence number covered by a
-	// resume's replay: every publish at or below it was either already
-	// resolved or republished by the replay, so its own (blocked) write
-	// must not also reach the wire.
+	// replay: every publish at or below it was either already resolved or
+	// republished by the replay, so its own (blocked) write must not also
+	// reach the wire.
 	replayedThrough uint64
 	qosSpec         *wire.BasicQos
-	consumeSpecs    map[string]*wire.BasicConsume
-	// consumeEpochs records, per consumer tag, the transport epoch its
-	// basic.consume last landed on, so overlapping replay passes never
-	// subscribe a tag twice on the same transport.
-	consumeEpochs map[string]uint64
-	acker         Acknowledger // epoch-scoped acker; nil = the channel itself
+	acker           Acknowledger // epoch-scoped acker; nil = the channel itself
 
 	// incoming content assembly: pendDeliver and pendHeader point into
 	// slots, the decode targets of this channel's hot frames, which only
-	// the connection's frame reader writes. confirmFan and confirmSeqs are
-	// the frame reader's scratch for fanning confirms out.
+	// the owner writes. confirmSeqs is its scratch for fanning confirms out.
 	slots       wire.Slots
 	pendKind    pendKind
 	pendDeliver *wire.BasicDeliver
@@ -70,7 +78,6 @@ type Channel struct {
 	// pendLoan backs pendBody with a wire-pool buffer when the content
 	// under assembly is a manual-ack consumer delivery; nil otherwise.
 	pendLoan    *[]byte
-	confirmFan  []chan Confirmation
 	confirmSeqs []uint64
 
 	// loans maps outstanding delivery tags to the pooled buffers backing
@@ -82,17 +89,20 @@ type Channel struct {
 	loansEpoch uint64
 }
 
-// clientConsumer is one registered consumer: its delivery stream plus the
-// ack mode, which decides whether delivery bodies may live on pooled
-// buffers (manual ack has a resolution point to release at; autoAck hands
-// body ownership to the application outright). Exactly one of deliveries
-// and fn is set: channel consumers get a buffered stream drained by their
-// own goroutine; callback consumers (ConsumeFunc) are invoked straight
-// from the connection read loop and cost no goroutine while idle.
+// clientConsumer is one registered consumer: the basic.consume it was
+// subscribed with (replayed on every new transport) and the callback the
+// owner hands each delivery to. The spec's ack mode decides whether
+// delivery bodies may live on pooled buffers (manual ack has a resolution
+// point to release at; autoAck hands body ownership to the application
+// outright). A Consume consumer's callback is the channel adapter, which
+// sends on deliveries; cancel, closed by Cancel, releases a send blocked
+// on it.
 type clientConsumer struct {
-	deliveries chan Delivery
+	spec       wire.BasicConsume
 	fn         func(Delivery)
-	noAck      bool
+	deliveries chan Delivery
+	cancel     chan struct{}
+	cancelled  bool // under the channel's mu
 }
 
 type pendKind int
@@ -104,27 +114,26 @@ const (
 	pendReturnKind
 )
 
-type getResult struct {
-	d     *Delivery
-	empty bool
+// gotMessage is basic.get-ok with its content: Get's reply.
+type gotMessage struct {
+	wire.BasicGetOk
+	d Delivery
 }
 
+// newChannel builds channel id; the caller holds c.mu.
 func newChannel(c *Connection, id uint16) *Channel {
 	ch := &Channel{
 		conn:      c,
 		id:        id,
 		rpc:       make(chan wire.Method, 8),
-		gets:      make(chan getResult, 1),
+		quit:      make(chan struct{}),
 		consumers: map[string]*clientConsumer{},
 		loans:     map[uint64]*[]byte{},
+		gen:       c.genCh,
 	}
 	if c.reconnectEnabled() {
-		ch.consumeSpecs = map[string]*wire.BasicConsume{}
-		ch.consumeEpochs = map[string]uint64{}
-		// The caller (Connection.Channel) holds c.mu, so read the epoch
-		// field directly rather than through currentEpoch.
 		ch.acker = &epochAcker{ch: ch, epoch: c.epoch}
-		ch.mapEpoch = c.epoch
+		ch.loansEpoch = c.epoch
 	}
 	return ch
 }
@@ -149,82 +158,117 @@ func retriable(m wire.Method) bool {
 	return true
 }
 
+func (ch *Channel) isClosed() bool {
+	ch.mu.Lock()
+	defer ch.mu.Unlock()
+	return ch.closed
+}
+
 // call sends a synchronous method and waits for its -ok response. On a
 // reconnecting connection a call interrupted by a transport loss waits
 // for the resume and re-issues itself — for idempotent methods only
-// (declarations re-apply cleanly, a freshly-created channel re-opens
-// empty, consume specs are only recorded — and hence only auto-replayed
-// — after a successful call; deletes and purges instead surface the
-// interruption). Without a policy the call fails fast, as before.
+// (declarations re-apply cleanly; deletes and purges instead surface the
+// interruption). Without a policy the call fails fast.
 func (ch *Channel) call(m wire.Method) (wire.Method, error) {
-	resp, _, err := ch.callE(m)
-	return resp, err
+	return ch.invoke(m, false)
 }
 
-// callE is call, additionally reporting the transport epoch the
-// successful attempt landed on.
-func (ch *Channel) callE(m wire.Method) (wire.Method, uint64, error) {
+// invoke is call, or with noWait a write that awaits no reply.
+func (ch *Channel) invoke(m wire.Method, noWait bool) (wire.Method, error) {
 	for {
-		resp, epoch, err := ch.callOnce(m)
-		if err == nil || !ch.conn.reconnectEnabled() ||
-			!errors.Is(err, errSuspended) || !retriable(m) {
-			return resp, epoch, err
+		gen, err := ch.conn.admit()
+		if err != nil {
+			return nil, err
 		}
-		// Transport loss mid-call: wait out the reconnect and re-issue.
-		if !ch.conn.awaitResume() {
-			return nil, 0, ErrClosed
+		resp, err := ch.callOnce(gen, m, noWait)
+		if !errors.Is(err, errSuspended) || !retriable(m) {
+			return resp, err
 		}
 	}
 }
 
-// callOnce is a single call attempt; it fails with errSuspended when a
-// transport loss interrupts it, and on success reports the transport
-// epoch the method landed on (the write is generation-validated, so the
-// captured epoch is exact).
-func (ch *Channel) callOnce(m wire.Method) (wire.Method, uint64, error) {
+// callNoted issues m, a method the replay re-applies on every new
+// transport, after note has recorded it in the channel's state. note runs
+// under mu while the channel's state still belongs to the transport m
+// goes out on, so either m lands there or the next transport's replay
+// applies it — once either way, which is why an interrupted call is not
+// re-issued but completes when the connection resumes.
+func (ch *Channel) callNoted(m wire.Method, noWait bool, note func() error) error {
+	for {
+		gen, err := ch.conn.admit()
+		if err != nil {
+			return err
+		}
+		ch.mu.Lock()
+		if ch.closed {
+			ch.mu.Unlock()
+			return ErrClosed
+		}
+		if ch.gen != gen {
+			ch.mu.Unlock()
+			continue // the transport changed since admit: wait out its replay
+		}
+		err = note()
+		ch.mu.Unlock()
+		if err != nil {
+			return err
+		}
+		_, err = ch.callOnce(gen, m, noWait)
+		if errors.Is(err, errSuspended) {
+			if !ch.conn.awaitResume() {
+				return ErrClosed
+			}
+			return nil
+		}
+		return err
+	}
+}
+
+// callOnce is a single call attempt against the transport of generation
+// gen; it fails with errSuspended when that transport is lost first.
+func (ch *Channel) callOnce(gen chan struct{}, m wire.Method, noWait bool) (wire.Method, error) {
 	ch.callMu.Lock()
 	defer ch.callMu.Unlock()
-	ch.mu.Lock()
-	if ch.closed {
-		ch.mu.Unlock()
-		return nil, 0, ErrClosed
-	}
-	ch.mu.Unlock()
-	gen, suspended, epoch := ch.conn.genState()
-	if suspended {
-		return nil, 0, errSuspended
+	return ch.callLocked(gen, m, noWait)
+}
+
+func (ch *Channel) callLocked(gen chan struct{}, m wire.Method, noWait bool) (wire.Method, error) {
+	if ch.isClosed() {
+		return nil, ErrClosed
 	}
 	if err := ch.conn.writeMethodGen(gen, ch.id, m); err != nil {
 		if err == errSuspended {
-			// The read loop may not have noticed the dead socket yet;
-			// don't spin against it.
-			time.Sleep(time.Millisecond)
+			<-gen // closed once the owner has seen the loss
 		}
-		return nil, 0, err
+		return nil, err
 	}
+	if noWait {
+		return nil, nil
+	}
+	var resp wire.Method
+	ok := true
 	select {
-	case resp, ok := <-ch.rpc:
-		if !ok {
-			return nil, 0, ErrClosed
-		}
-		return resp, epoch, nil
+	case resp, ok = <-ch.rpc:
 	case <-gen:
 		// The transport died mid-call. The reply may have raced in just
-		// before the read loop exited; prefer it if so.
+		// before the owner saw the loss; prefer it if so.
 		select {
-		case resp, ok := <-ch.rpc:
-			if !ok {
-				return nil, 0, ErrClosed
-			}
-			return resp, epoch, nil
+		case resp, ok = <-ch.rpc:
 		default:
-			return nil, 0, errSuspended
+			return nil, errSuspended
 		}
 	}
+	if !ok {
+		return nil, ErrClosed
+	}
+	return resp, nil
 }
 
-// shutdown terminates the channel, notifying consumers and listeners.
-func (ch *Channel) shutdown(err *Error) {
+// shutdown terminates the channel, closing its consumers' delivery
+// channels and its listeners. Only the owner calls it. reply, when set,
+// is the reply to queue for the caller waiting on rpc (Close's close-ok),
+// which it reads once everything else is closed.
+func (ch *Channel) shutdown(err *Error, reply wire.Method) {
 	ch.mu.Lock()
 	if ch.closed {
 		ch.mu.Unlock()
@@ -239,6 +283,7 @@ func (ch *Channel) shutdown(err *Error) {
 	ch.returns = nil
 	notify := ch.notifyCls
 	ch.notifyCls = nil
+	gate := ch.gate
 	// Unresolved delivery bodies: the application may still drain and
 	// read buffered deliveries after shutdown, so abandon their loans to
 	// the garbage collector rather than recycling under the holder. The
@@ -253,7 +298,9 @@ func (ch *Channel) shutdown(err *Error) {
 	ch.mu.Unlock()
 	wire.ReleaseBuf(pendLoan)
 
-	close(ch.rpc)
+	if gate != nil {
+		close(gate) // writers waiting on it see the channel closed
+	}
 	for _, cc := range consumers {
 		if cc.deliveries != nil {
 			close(cc.deliveries)
@@ -274,23 +321,33 @@ func (ch *Channel) shutdown(err *Error) {
 		}
 		close(n)
 	}
+	if reply != nil {
+		ch.reply(reply)
+	}
+	close(ch.rpc)
 }
 
-// Close performs an orderly channel shutdown.
+// Close performs an orderly channel shutdown and returns once the owner
+// has closed the channel's deliveries and listeners. Never call it from a
+// ConsumeFunc handler.
 func (ch *Channel) Close() error {
 	ch.mu.Lock()
 	if ch.closed {
 		ch.mu.Unlock()
 		return nil
 	}
+	if !ch.quitting {
+		ch.quitting = true
+		close(ch.quit)
+	}
 	ch.mu.Unlock()
 	_, err := ch.call(&wire.ChannelClose{ReplyCode: wire.ReplySuccess, ReplyText: "bye"})
-	ch.conn.removeChannel(ch.id)
-	ch.shutdown(nil)
 	return err
 }
 
-// NotifyClose registers a listener for channel exceptions.
+// NotifyClose registers a listener for channel exceptions. The owner
+// sends the exception, if the listener has room, then closes it. A
+// listener registered after shutdown is closed at once.
 func (ch *Channel) NotifyClose(c chan *Error) chan *Error {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
@@ -302,14 +359,26 @@ func (ch *Channel) NotifyClose(c chan *Error) chan *Error {
 	return c
 }
 
-// --- reader-side dispatch (called from the connection read loop) ---
+// --- owner-side dispatch ---
 
 func (ch *Channel) onMethod(m wire.Method) {
 	switch x := m.(type) {
 	case *wire.ChannelClose:
 		ch.conn.writeMethod(ch.id, &wire.ChannelCloseOk{})
 		ch.conn.removeChannel(ch.id)
-		ch.shutdown(&Error{Code: x.ReplyCode, Reason: x.ReplyText})
+		ch.shutdown(&Error{Code: x.ReplyCode, Reason: x.ReplyText}, nil)
+	case *wire.ChannelCloseOk:
+		ch.conn.removeChannel(ch.id)
+		ch.shutdown(nil, x)
+	case *wire.BasicCancelOk:
+		ch.mu.Lock()
+		cc := ch.consumers[x.ConsumerTag]
+		delete(ch.consumers, x.ConsumerTag)
+		ch.mu.Unlock()
+		if cc != nil && cc.deliveries != nil {
+			close(cc.deliveries)
+		}
+		ch.reply(x)
 	case *wire.BasicDeliver:
 		ch.mu.Lock()
 		ch.pendKind = pendDeliverKind
@@ -320,11 +389,6 @@ func (ch *Channel) onMethod(m wire.Method) {
 		ch.pendKind = pendGetOkKind
 		ch.pendGetOk = x
 		ch.mu.Unlock()
-	case *wire.BasicGetEmpty:
-		select {
-		case ch.gets <- getResult{empty: true}:
-		default:
-		}
 	case *wire.BasicReturn:
 		ch.mu.Lock()
 		ch.pendKind = pendReturnKind
@@ -335,11 +399,16 @@ func (ch *Channel) onMethod(m wire.Method) {
 	case *wire.BasicNack:
 		ch.dispatchConfirm(x.DeliveryTag, x.Multiple, false)
 	default:
-		select {
-		case ch.rpc <- m:
-		default:
-			// No waiter; drop (e.g. late -ok after timeout).
-		}
+		ch.reply(m)
+	}
+}
+
+// reply hands a synchronous reply to the caller waiting on rpc; with no
+// waiter (a late -ok) it is dropped.
+func (ch *Channel) reply(m wire.Method) {
+	select {
+	case ch.rpc <- m:
+	default:
 	}
 }
 
@@ -366,35 +435,46 @@ func (ch *Channel) dispatchConfirm(tag uint64, multiple, ack bool) {
 		}
 	}
 	ch.confirmSeqs = seqs
-	if len(ch.confirms) == 0 {
-		// No listeners registered: nothing to fan out (the common
-		// fire-and-forget publisher), skip the listener-slice copy.
-		ch.mu.Unlock()
-		return
-	}
-	// A copy, so the sends below run without the lock.
-	listeners := append(ch.confirmFan[:0], ch.confirms...)
-	ch.confirmFan = listeners
+	// Only the owner closes listeners or sends on them, so the slice may
+	// be read after unlocking: registration only appends past its length.
+	listeners := ch.confirms
 	tracked := ch.pending != nil
 	ch.mu.Unlock()
+	if len(listeners) == 0 {
+		return // the common fire-and-forget publisher
+	}
 	if tracked {
 		slices.Sort(seqs)
 		for _, s := range seqs {
 			for _, l := range listeners {
-				l <- Confirmation{DeliveryTag: s, Ack: ack}
+				ch.sendConfirm(l, Confirmation{DeliveryTag: s, Ack: ack})
 			}
 		}
-	} else {
-		for t := from; t <= tag; t++ {
-			if _, dup := skip[t]; dup {
-				continue
-			}
-			for _, l := range listeners {
-				l <- Confirmation{DeliveryTag: t, Ack: ack}
-			}
+		return
+	}
+	for t := from; t <= tag; t++ {
+		if _, dup := skip[t]; dup {
+			continue
+		}
+		for _, l := range listeners {
+			ch.sendConfirm(l, Confirmation{DeliveryTag: t, Ack: ack})
 		}
 	}
-	clear(listeners) // the scratch keeps no listener alive after shutdown
+}
+
+// sendConfirm blocks on a full listener until it drains or the channel or
+// connection is being closed.
+func (ch *Channel) sendConfirm(l chan Confirmation, cf Confirmation) {
+	select {
+	case l <- cf: // the common case, without locking the stop channels
+		return
+	default:
+	}
+	select {
+	case l <- cf:
+	case <-ch.quit:
+	case <-ch.conn.quit:
+	}
 }
 
 // resolveConfirmLocked marks the tags a confirm covers as resolved and
@@ -461,7 +541,7 @@ func (ch *Channel) onHeader(h *wire.ContentHeader) *Error {
 	// else (autoAck, gets, returns) gets a plain heap body whose
 	// ownership passes to the receiver.
 	if ch.pendKind == pendDeliverKind && ch.pendDeliver != nil {
-		if cc := ch.consumers[ch.pendDeliver.ConsumerTag]; cc != nil && !cc.noAck {
+		if cc := ch.consumers[ch.pendDeliver.ConsumerTag]; cc != nil && !cc.spec.NoAck {
 			ch.pendLoan = wire.LoanBuf(int(h.BodySize))
 		}
 	}
@@ -535,38 +615,22 @@ func (ch *Channel) completeContent() {
 		d.RoutingKey = deliver.RoutingKey
 		d.Body = body
 		ch.mu.Lock()
-		var dc chan Delivery
-		var fn func(Delivery)
-		if cc := ch.consumers[deliver.ConsumerTag]; cc != nil {
-			dc, fn = cc.deliveries, cc.fn
-		}
+		cc := ch.consumers[deliver.ConsumerTag]
 		if loan != nil {
-			if (dc != nil || fn != nil) && !ch.closed {
+			if cc != nil && !ch.closed {
 				// The resolution of this tag releases the body buffer.
 				ch.loans[deliver.DeliveryTag] = loan
 			} else {
 				// Undeliverable: nobody will ever see the body; recycle.
 				wire.ReleaseBuf(loan)
-				loan = nil
 			}
 		}
 		ch.mu.Unlock()
-		switch {
-		case fn != nil:
-			// Callback consumers run on the connection read loop: no
-			// goroutine per idle consumer, and a slow handler throttles
-			// the socket exactly like a full delivery channel would. The
-			// handler must not issue synchronous calls on this connection
-			// (the reply could never be read); async publishes and acks
-			// are safe.
-			fn(d)
-		case dc != nil:
-			// Blocking here applies natural backpressure to the socket,
-			// like a TCP receive window filling up.
-			func() {
-				defer func() { recover() }() // tolerate a channel closed mid-send
-				dc <- d
-			}()
+		if cc != nil {
+			// Every consumer is a callback run on the owner: no goroutine
+			// per idle consumer, and a slow one — or Consume's adapter on a
+			// full channel — throttles the socket like a TCP receive window.
+			cc.fn(d)
 		}
 	case pendGetOkKind:
 		d := deliveryFromProps(&header.Properties)
@@ -577,21 +641,22 @@ func (ch *Channel) completeContent() {
 		d.RoutingKey = getOk.RoutingKey
 		d.MessageCount = getOk.MessageCount
 		d.Body = body
-		select {
-		case ch.gets <- getResult{d: &d}:
-		default:
-		}
+		ch.reply(&gotMessage{BasicGetOk: *getOk, d: d})
 	case pendReturnKind:
 		ch.mu.Lock()
-		listeners := append([]chan Return(nil), ch.returns...)
+		listeners := ch.returns
 		ch.mu.Unlock()
 		for _, l := range listeners {
-			l <- Return{
+			select {
+			case l <- Return{
 				ReplyCode:  ret.ReplyCode,
 				ReplyText:  ret.ReplyText,
 				Exchange:   ret.Exchange,
 				RoutingKey: ret.RoutingKey,
 				Body:       body,
+			}:
+			case <-ch.quit:
+			case <-ch.conn.quit:
 			}
 		}
 	}
@@ -605,15 +670,9 @@ func (ch *Channel) QueueDeclare(name string, durable, autoDelete, exclusive, noW
 		Queue: name, Durable: durable, AutoDelete: autoDelete,
 		Exclusive: exclusive, NoWait: noWait, Arguments: args,
 	}
-	if noWait {
-		ch.callMu.Lock()
-		err := ch.conn.writeMethod(ch.id, m)
-		ch.callMu.Unlock()
+	resp, err := ch.invoke(m, noWait)
+	if err != nil || noWait {
 		return Queue{Name: name}, err
-	}
-	resp, err := ch.call(m)
-	if err != nil {
-		return Queue{}, err
 	}
 	ok, good := resp.(*wire.QueueDeclareOk)
 	if !good {
@@ -682,45 +741,32 @@ func (ch *Channel) Qos(prefetchCount, prefetchSize int, global bool) error {
 	m := &wire.BasicQos{
 		PrefetchSize: uint32(prefetchSize), PrefetchCount: uint16(prefetchCount), Global: global,
 	}
-	_, err := ch.call(m)
-	if err == nil && ch.conn.reconnectEnabled() {
-		spec := *m
-		ch.mu.Lock()
-		ch.qosSpec = &spec
-		ch.mu.Unlock()
-	}
-	return err
+	return ch.callNoted(m, false, func() error {
+		if ch.conn.reconnectEnabled() {
+			spec := *m
+			ch.qosSpec = &spec
+		}
+		return nil
+	})
 }
 
 // Confirm puts the channel into publisher-confirm mode.
 func (ch *Channel) Confirm(noWait bool) error {
-	if noWait {
-		ch.mu.Lock()
+	return ch.callNoted(&wire.ConfirmSelect{NoWait: noWait}, noWait, func() error {
 		ch.confirmMode = true
 		if ch.conn.reconnectEnabled() && ch.pending == nil {
 			ch.pending = map[uint64]*pendingPublish{}
 			ch.pubMap = map[uint64]uint64{}
 		}
-		ch.mu.Unlock()
-		ch.callMu.Lock()
-		defer ch.callMu.Unlock()
-		return ch.conn.writeMethod(ch.id, &wire.ConfirmSelect{NoWait: true})
-	}
-	_, err := ch.call(&wire.ConfirmSelect{})
-	if err == nil {
-		ch.mu.Lock()
-		ch.confirmMode = true
-		if ch.conn.reconnectEnabled() && ch.pending == nil {
-			ch.pending = map[uint64]*pendingPublish{}
-			ch.pubMap = map[uint64]uint64{}
-		}
-		ch.mu.Unlock()
-	}
-	return err
+		return nil
+	})
 }
 
-// NotifyPublish registers a confirm listener. The channel must be in
-// confirm mode. Listeners must be drained promptly.
+// NotifyPublish registers a confirm listener; the channel must be in
+// confirm mode. The connection's owner sends every Confirmation on it and
+// closes it when the channel ends. Drain it: a full listener stalls the
+// whole connection (no frame is read) until it drains or Close is called,
+// and Close then closes it.
 func (ch *Channel) NotifyPublish(c chan Confirmation) chan Confirmation {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
@@ -732,7 +778,8 @@ func (ch *Channel) NotifyPublish(c chan Confirmation) chan Confirmation {
 	return c
 }
 
-// NotifyReturn registers a listener for unroutable mandatory messages.
+// NotifyReturn registers a listener for unroutable mandatory messages,
+// under the same contract as NotifyPublish.
 func (ch *Channel) NotifyReturn(c chan Return) chan Return {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
@@ -768,7 +815,8 @@ func (ch *Channel) GetNextPublishSeqNo() uint64 {
 // is queued and replayed by the reconnect, so Publish reports success and
 // the confirm (or the closed confirm channel, if the reconnect budget runs
 // out) carries the final verdict — the same contract as a confirm-mode
-// publish that made it onto the wire.
+// publish that made it onto the wire. A publish made during an outage,
+// tracked or not, waits until the reconnect has re-opened the channel.
 func (ch *Channel) Publish(exchange, key string, mandatory, immediate bool, msg Publishing) error {
 	ch.mu.Lock()
 	if ch.closed {
@@ -794,159 +842,130 @@ func (ch *Channel) Publish(exchange, key string, mandatory, immediate bool, msg 
 		Exchange: exchange, RoutingKey: key, Mandatory: mandatory, Immediate: immediate,
 	}
 	if track {
-		// The broker confirm tag is assigned inside the write lock
-		// (writeContentTracked), so tag order always matches wire order
-		// even with concurrent publishers on this channel; a publish that
-		// cannot reach the live transport stays in pending for the
-		// reconnect replay, and the confirm (or the closed confirm
-		// channel, if the reconnect budget runs out) carries the final
-		// verdict.
 		return ch.conn.writeContentTracked(ch, seq, m, &props, msg.Body)
 	}
-	return ch.conn.writeContent(ch.id, m, &props, msg.Body)
+	return ch.conn.writeContent(ch, m, &props, msg.Body)
 }
 
-// Consume starts a consumer and returns its delivery channel.
+// Consume starts a consumer and returns its delivery channel. It is an
+// adapter over the callback path ConsumeFunc uses: the callback, run by
+// the connection's owner, sends each delivery on a channel buffered to
+// 16, so an undrained channel stalls the connection until Cancel, Close
+// or the connection's Close, and the owner closes it when the consumer
+// ends.
 func (ch *Channel) Consume(queue, consumerTag string, autoAck, exclusive, noLocal, noWait bool, args Table) (<-chan Delivery, error) {
-	cc := &clientConsumer{deliveries: make(chan Delivery, 16), noAck: autoAck}
-	if _, err := ch.consume(queue, consumerTag, cc, exclusive, noLocal, args); err != nil {
+	cc := ch.channelConsumer()
+	if _, err := ch.consume(queue, consumerTag, autoAck, exclusive, noLocal, args, cc); err != nil {
 		return nil, err
 	}
 	return cc.deliveries, nil
 }
 
+// channelConsumer builds Consume's adapter: a callback consumer whose
+// callback hands each delivery to a buffered channel, giving up on it once
+// the consumer is cancelled or its channel or connection is being closed.
+func (ch *Channel) channelConsumer() *clientConsumer {
+	// The buffer lets the owner hand over a burst without waiting on the
+	// consumer goroutine for each delivery.
+	cc := &clientConsumer{deliveries: make(chan Delivery, 16), cancel: make(chan struct{})}
+	quit, connQuit := ch.quit, ch.conn.quit
+	cc.fn = func(d Delivery) {
+		select {
+		case cc.deliveries <- d: // the common case, without locking the stop channels
+			return
+		default:
+		}
+		select {
+		case cc.deliveries <- d:
+		case <-cc.cancel:
+		case <-quit:
+		case <-connQuit:
+		}
+	}
+	return cc
+}
+
 // ConsumeFunc starts a callback consumer: fn runs for every delivery,
-// invoked directly from the connection's read loop, so an idle consumer
-// costs a map entry instead of a goroutine parked on a channel. This is
-// what lets one multiplexed connection carry thousands of logical
+// invoked directly by the connection's owner goroutine, so an idle
+// consumer costs a map entry instead of a goroutine parked on a channel.
+// This is what lets one multiplexed connection carry thousands of logical
 // consumers (see ClientPool). It returns the (possibly generated)
 // consumer tag for Cancel.
 //
-// Because fn runs on the read loop, it must not make synchronous calls
-// (declares, Qos, Consume, Get, Close) on any channel of the same
-// connection — the response could never be read. Asynchronous operations
-// (Publish, Ack/Nack/Reject) are safe, as is anything on a different
-// connection. A slow fn exerts backpressure on the whole shared
-// connection, exactly like an undrained Consume channel. On reconnecting
-// connections the subscription is replayed like any other consumer; fn
-// is retained across transport epochs.
+// Because fn runs on the owner, it must not make synchronous calls
+// (declares, Qos, Consume, Get, Cancel, Close) on any channel of the same
+// connection, nor close the connection — the reply could never be read,
+// and Close waits for the owner. Asynchronous operations (Publish,
+// Ack/Nack/Reject) are safe, as is anything on a different connection. A
+// slow fn exerts backpressure on the whole shared connection, exactly
+// like an undrained Consume channel. On reconnecting connections the
+// subscription is replayed like any other consumer; fn is retained across
+// transport epochs.
 func (ch *Channel) ConsumeFunc(queue, consumerTag string, autoAck, exclusive, noLocal bool, args Table, fn func(Delivery)) (string, error) {
 	if fn == nil {
 		return "", errors.New("amqp: ConsumeFunc requires a handler")
 	}
-	return ch.consume(queue, consumerTag, &clientConsumer{fn: fn, noAck: autoAck}, exclusive, noLocal, args)
+	return ch.consume(queue, consumerTag, autoAck, exclusive, noLocal, args, &clientConsumer{fn: fn})
 }
 
 // consume registers cc under consumerTag (generating one if empty) and
-// issues basic.consume, recording the replay spec on reconnecting
-// connections. It is the shared body of Consume and ConsumeFunc.
-func (ch *Channel) consume(queue, consumerTag string, cc *clientConsumer, exclusive, noLocal bool, args Table) (string, error) {
-	ch.mu.Lock()
-	if consumerTag == "" {
-		ch.consumerSeq++
-		consumerTag = fmt.Sprintf("ctag-%d-%d", ch.id, ch.consumerSeq)
-	}
-	if _, dup := ch.consumers[consumerTag]; dup {
-		ch.mu.Unlock()
-		return "", fmt.Errorf("amqp: duplicate consumer tag %q", consumerTag)
-	}
-	ch.consumers[consumerTag] = cc
-	ch.mu.Unlock()
-
-	m := &wire.BasicConsume{
-		Queue: queue, ConsumerTag: consumerTag,
-		NoAck: cc.noAck, Exclusive: exclusive, NoLocal: noLocal, Arguments: args,
-	}
-	_, epoch, err := ch.callE(m)
+// issues basic.consume. The registration is the replay's record: a
+// subscription interrupted by a transport loss completes through the
+// replay.
+func (ch *Channel) consume(queue, consumerTag string, autoAck, exclusive, noLocal bool, args Table, cc *clientConsumer) (string, error) {
+	cc.spec = wire.BasicConsume{Queue: queue, NoAck: autoAck, Exclusive: exclusive, NoLocal: noLocal, Arguments: args}
+	err := ch.callNoted(&cc.spec, false, func() error {
+		if consumerTag == "" {
+			ch.consumerSeq++
+			consumerTag = fmt.Sprintf("ctag-%d-%d", ch.id, ch.consumerSeq)
+		}
+		if _, dup := ch.consumers[consumerTag]; dup {
+			return fmt.Errorf("amqp: duplicate consumer tag %q", consumerTag)
+		}
+		cc.spec.ConsumerTag = consumerTag
+		ch.consumers[consumerTag] = cc
+		return nil
+	})
 	if err != nil {
 		ch.mu.Lock()
-		delete(ch.consumers, consumerTag)
+		if ch.consumers[consumerTag] == cc {
+			delete(ch.consumers, consumerTag)
+		}
 		ch.mu.Unlock()
 		return "", err
-	}
-	if ch.conn.reconnectEnabled() {
-		spec := *m
-		ch.mu.Lock()
-		ch.consumeSpecs[consumerTag] = &spec
-		ch.consumeEpochs[consumerTag] = epoch
-		ch.mu.Unlock()
 	}
 	return consumerTag, nil
 }
 
-// Cancel stops a consumer and closes its delivery channel (if any).
+// Cancel stops a consumer and returns once the owner has removed it and
+// closed its delivery channel (if any); deliveries still in flight for it
+// are dropped rather than waited on. Never call it from a ConsumeFunc
+// handler.
 func (ch *Channel) Cancel(consumerTag string, noWait bool) error {
-	_, err := ch.call(&wire.BasicCancel{ConsumerTag: consumerTag})
 	ch.mu.Lock()
-	cc, ok := ch.consumers[consumerTag]
-	delete(ch.consumers, consumerTag)
-	delete(ch.consumeSpecs, consumerTag)
-	delete(ch.consumeEpochs, consumerTag)
-	ch.mu.Unlock()
-	if ok && cc.deliveries != nil {
-		close(cc.deliveries)
+	if cc := ch.consumers[consumerTag]; cc != nil && !cc.cancelled {
+		cc.cancelled = true
+		if cc.cancel != nil {
+			close(cc.cancel)
+		}
 	}
+	ch.mu.Unlock()
+	_, err := ch.call(&wire.BasicCancel{ConsumerTag: consumerTag})
 	return err
 }
 
 // Get synchronously fetches one message; ok is false if the queue is
-// empty. Like call, a Get interrupted by a transport loss on a
+// empty. Like any call, a Get interrupted by a transport loss on a
 // reconnecting connection waits out the resume and re-issues itself.
 func (ch *Channel) Get(queue string, autoAck bool) (Delivery, bool, error) {
-	for {
-		d, ok, err := ch.getOnce(queue, autoAck)
-		if err == nil || !ch.conn.reconnectEnabled() || !errors.Is(err, errSuspended) {
-			return d, ok, err
-		}
-		if !ch.conn.awaitResume() {
-			return Delivery{}, false, ErrClosed
-		}
-	}
-}
-
-func (ch *Channel) getOnce(queue string, autoAck bool) (Delivery, bool, error) {
-	ch.callMu.Lock()
-	defer ch.callMu.Unlock()
-	ch.mu.Lock()
-	if ch.closed {
-		ch.mu.Unlock()
-		return Delivery{}, false, ErrClosed
-	}
-	ch.mu.Unlock()
-	// Drain any stale result.
-	select {
-	case <-ch.gets:
-	default:
-	}
-	gen, suspended, _ := ch.conn.genState()
-	if suspended {
-		return Delivery{}, false, errSuspended
-	}
-	if err := ch.conn.writeMethodGen(gen, ch.id, &wire.BasicGet{Queue: queue, NoAck: autoAck}); err != nil {
-		if err == errSuspended {
-			time.Sleep(time.Millisecond)
-		}
+	resp, err := ch.call(&wire.BasicGet{Queue: queue, NoAck: autoAck})
+	if err != nil {
 		return Delivery{}, false, err
 	}
-	select {
-	case res := <-ch.gets:
-		if res.empty {
-			return Delivery{}, false, nil
-		}
-		return *res.d, true, nil
-	case <-gen:
-		select {
-		case res := <-ch.gets:
-			if res.empty {
-				return Delivery{}, false, nil
-			}
-			return *res.d, true, nil
-		default:
-			return Delivery{}, false, errSuspended
-		}
-	case <-ch.conn.done:
-		return Delivery{}, false, ErrClosed
+	if got, ok := resp.(*gotMessage); ok {
+		return got.d, true, nil
 	}
+	return Delivery{}, false, nil // basic.get-empty
 }
 
 // --- Acknowledger ---
@@ -960,7 +979,7 @@ const epochCurrent = ^uint64(0)
 // wire pool: the application promised (by acking/nacking/rejecting) that
 // it is done with them. Loans from an older transport epoch are left
 // alone — their tags belong to a dead transport and were already
-// abandoned by the resume.
+// abandoned by the replay.
 func (ch *Channel) releaseLoans(epoch, tag uint64, multiple bool) {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
@@ -986,7 +1005,7 @@ func (ch *Channel) releaseLoans(epoch, tag uint64, multiple bool) {
 // epoch its deliveries arrived on.
 func (ch *Channel) settle(epoch uint64, kind settleKind, tag uint64, multiple, requeue bool) error {
 	ch.releaseLoans(epoch, tag, multiple)
-	return ch.conn.writeSettle(epoch, ch.id, kind, tag, multiple, requeue)
+	return ch.conn.writeSettle(ch, epoch, kind, tag, multiple, requeue)
 }
 
 // Ack acknowledges a delivery tag.
@@ -1040,19 +1059,22 @@ func (a *epochAcker) Reject(tag uint64, requeue bool) error {
 	return a.ch.settle(a.epoch, settleReject, tag, false, requeue)
 }
 
-// replayState re-establishes this channel on a fresh transport during
-// resume: channel.open, QoS, confirm mode, and every pending
-// confirm-mode publish, republished in client sequence order so the new
-// transport's broker confirm tags (1..n) map back onto the original
-// sequence numbers. The caller holds the connection's writeMu and owns
-// the frame reader; consumers are replayed separately once the read
-// loop is live (replayConsumers).
-func (ch *Channel) replayState(fr *wire.FrameReader) error {
+// replayState re-establishes this channel on the transport of generation
+// gen: channel.open, QoS and confirm mode through the ordinary call path,
+// then every pending confirm-mode publish, republished in client sequence
+// order so the new transport's broker confirm tags (1..n) map back onto
+// the original sequence numbers, and the channel's gate opens behind
+// them. It returns the consumers for replayConsumers. Only errSuspended
+// (the transport died) is returned; a channel the broker closes is
+// skipped.
+func (ch *Channel) replayState(gen chan struct{}) ([]*clientConsumer, error) {
+	c := ch.conn
 	ch.mu.Lock()
 	if ch.closed {
 		ch.mu.Unlock()
-		return nil
+		return nil, nil
 	}
+	ch.gen = gen
 	// Drop any content assembly that was cut off mid-message (its loan
 	// was never handed out, so it can recycle), and abandon the dead
 	// transport's delivery-body loans: the broker requeued those
@@ -1069,17 +1091,13 @@ func (ch *Channel) replayState(fr *wire.FrameReader) error {
 		delete(ch.loans, t)
 		wire.AbandonBuf(p)
 	}
-	epoch := ch.conn.currentEpoch()
-	ch.acker = &epochAcker{ch: ch, epoch: epoch}
-	qos := ch.qosSpec
-	confirm := ch.confirmMode
+	// The owner bumped the epoch before starting this replay and changes
+	// it again only after the replay has exited.
+	ch.acker = &epochAcker{ch: ch, epoch: c.epoch}
+	ch.loansEpoch = c.epoch
 	// Rebuild the confirm-tag mapping: the broker numbers publishes per
 	// transport, and the replay below re-publishes every pending message
-	// in ascending sequence order. Marking the map current for the new
-	// epoch reopens direct publishing (writes queue on writeMu until the
-	// resume releases it).
-	ch.mapEpoch = epoch
-	ch.loansEpoch = epoch
+	// in ascending sequence order.
 	ch.replayedThrough = ch.publishSeq
 	ch.confirmExpect = 0
 	ch.confirmAhead = nil
@@ -1090,7 +1108,7 @@ func (ch *Channel) replayState(fr *wire.FrameReader) error {
 		for s := range ch.pending {
 			seqs = append(seqs, s)
 		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+		slices.Sort(seqs)
 		ch.pubMap = make(map[uint64]uint64, len(seqs))
 		pend = make([]*pendingPublish, 0, len(seqs))
 		for _, s := range seqs {
@@ -1099,72 +1117,81 @@ func (ch *Channel) replayState(fr *wire.FrameReader) error {
 			pend = append(pend, ch.pending[s])
 		}
 	}
+	calls := []wire.Method{&wire.ChannelOpen{}}
+	if ch.qosSpec != nil {
+		spec := *ch.qosSpec
+		calls = append(calls, &spec)
+	}
+	if ch.confirmMode {
+		calls = append(calls, &wire.ConfirmSelect{})
+	}
+	consumers := make([]*clientConsumer, 0, len(ch.consumers))
+	for _, cc := range ch.consumers {
+		if !cc.cancelled {
+			consumers = append(consumers, cc)
+		}
+	}
 	ch.mu.Unlock()
+	sort.Slice(consumers, func(i, j int) bool { return consumers[i].spec.ConsumerTag < consumers[j].spec.ConsumerTag })
 
-	if _, err := ch.conn.replayCall(fr, ch.id, &wire.ChannelOpen{}); err != nil {
-		return err
-	}
-	if qos != nil {
-		spec := *qos
-		if _, err := ch.conn.replayCall(fr, ch.id, &spec); err != nil {
-			return err
+	for _, m := range calls {
+		if _, err := ch.callOnce(gen, m, false); err != nil {
+			if errors.Is(err, errSuspended) {
+				return nil, err
+			}
+			return nil, nil
 		}
 	}
-	if confirm {
-		if _, err := ch.conn.replayCall(fr, ch.id, &wire.ConfirmSelect{}); err != nil {
-			return err
-		}
+	c.writeMu.Lock()
+	defer c.writeMu.Unlock()
+	c.mu.Lock()
+	live := c.genCh == gen
+	c.mu.Unlock()
+	if !live {
+		return nil, errSuspended
 	}
 	for _, p := range pend {
 		props := p.msg.properties()
-		err := ch.conn.writeContentRaw(ch.id, wire.BasicPublish{
+		w, frames, err := c.encodeContentLocked(ch.id, wire.BasicPublish{
 			Exchange: p.exchange, RoutingKey: p.key,
 			Mandatory: p.mandatory, Immediate: p.immediate,
 		}, &props, p.msg.Body)
 		if err != nil {
-			return err
+			continue // it failed its own Publish the same way
 		}
+		c.sendLocked(w, frames, false) // a dead socket is the next replay's
+		wire.PutWriter(w)
 		replayedPublishes.Inc()
 	}
-	return nil
-}
-
-// replayConsumers re-issues basic.consume, through the normal
-// synchronous path (the read loop routes the -ok and the redeliveries
-// that follow), for every registered consumer whose subscription has not
-// already landed on the target transport epoch or later. It uses the
-// single-attempt call and aborts quietly on a further fault: the
-// reconnect that follows kicks another replay pass, and the landing
-// epoch records keep any overlap from double-subscribing a tag on one
-// transport (which the broker rejects).
-func (ch *Channel) replayConsumers(target uint64) {
 	ch.mu.Lock()
-	if ch.closed {
-		ch.mu.Unlock()
-		return
-	}
-	tags := make([]string, 0, len(ch.consumeSpecs))
-	for tag := range ch.consumeSpecs {
-		if ch.consumeEpochs[tag] < target {
-			tags = append(tags, tag)
-		}
-	}
-	sort.Strings(tags)
-	specs := make([]*wire.BasicConsume, 0, len(tags))
-	for _, tag := range tags {
-		spec := *ch.consumeSpecs[tag]
-		specs = append(specs, &spec)
+	if ch.gate != nil && !ch.closed {
+		close(ch.gate)
+		ch.gate = nil
 	}
 	ch.mu.Unlock()
-	for _, spec := range specs {
-		_, epoch, err := ch.callOnce(spec)
-		if err != nil {
-			return
-		}
+	return consumers, nil
+}
+
+// replayConsumers re-issues basic.consume for each consumer replayState
+// found, through the ordinary call path (the owner routes the -ok and
+// the redeliveries that follow). Each is re-checked under callMu, which
+// Cancel's basic.cancel also takes, so a consumer cancelled meanwhile is
+// skipped and one cancelled later is cancelled on this transport too; a
+// tag is never subscribed twice on one transport.
+func (ch *Channel) replayConsumers(gen chan struct{}, consumers []*clientConsumer) error {
+	for _, cc := range consumers {
+		ch.callMu.Lock()
 		ch.mu.Lock()
-		if _, still := ch.consumeSpecs[spec.ConsumerTag]; still && epoch > ch.consumeEpochs[spec.ConsumerTag] {
-			ch.consumeEpochs[spec.ConsumerTag] = epoch
-		}
+		want := ch.consumers[cc.spec.ConsumerTag] == cc && !cc.cancelled
 		ch.mu.Unlock()
+		var err error
+		if want {
+			_, err = ch.callLocked(gen, &cc.spec, false)
+		}
+		ch.callMu.Unlock()
+		if err != nil {
+			return err
+		}
 	}
+	return nil
 }

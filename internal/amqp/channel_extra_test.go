@@ -33,12 +33,13 @@ func TestQueueUnbindStopsRouting(t *testing.T) {
 	q, _ := ch.QueueDeclare("ub-q", false, false, false, false, nil)
 	ch.QueueBind(q.Name, "k", "ub-x", false, nil)
 	ch.Publish("ub-x", "k", false, false, amqp.Publishing{Body: []byte("a")})
-	time.Sleep(50 * time.Millisecond)
+	// The unbind and the gets are synchronous calls on the publishing
+	// channel, whose frames the broker serves in order: each is the
+	// barrier for the publish before it.
 	if err := ch.QueueUnbind(q.Name, "k", "ub-x", nil); err != nil {
 		t.Fatal(err)
 	}
 	ch.Publish("ub-x", "k", false, false, amqp.Publishing{Body: []byte("b")})
-	time.Sleep(50 * time.Millisecond)
 	d, ok, _ := ch.Get(q.Name, true)
 	if !ok || string(d.Body) != "a" {
 		t.Fatalf("first get: ok=%v body=%q", ok, d.Body)
@@ -105,7 +106,6 @@ func TestCancelStopsDeliveries(t *testing.T) {
 		t.Fatal("delivery after cancel")
 	}
 	ch.Publish("", q.Name, false, false, amqp.Publishing{Body: []byte("parked")})
-	time.Sleep(50 * time.Millisecond)
 	if _, ok, _ := ch.Get(q.Name, true); !ok {
 		t.Fatal("message lost after cancel")
 	}

@@ -30,7 +30,7 @@ func TestDispatchConfirmResolvesEachTagOnce(t *testing.T) {
 	}
 	const offset = 100 // client seq = broker tag + offset on the tracked channel
 	for _, tracked := range []bool{false, true} {
-		ch := &Channel{confirms: []chan Confirmation{make(chan Confirmation, 32)}}
+		ch := &Channel{conn: &Connection{}, confirms: []chan Confirmation{make(chan Confirmation, 32)}}
 		if tracked {
 			ch.pending = map[uint64]*pendingPublish{}
 			ch.pubMap = map[uint64]uint64{}

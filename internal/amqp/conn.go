@@ -59,21 +59,21 @@ func (p ReconnectPolicy) withDefaults() ReconnectPolicy {
 
 // retry runs attempt up to MaxAttempts times under the policy's backoff
 // schedule (immediate first try, then Delay doubling to MaxDelay),
-// stopping early when attempt reports success or stop asks to abort. It
-// is the single backoff implementation shared by the initial dial and
-// the mid-run reconnect loop.
-func (p ReconnectPolicy) retry(stop func() bool, attempt func() bool) bool {
+// stopping early when attempt reports success or stop is closed, which
+// also cuts a backoff short. It is the single backoff implementation
+// shared by the initial dial and the mid-run reconnect loop.
+func (p ReconnectPolicy) retry(stop <-chan struct{}, attempt func() bool) bool {
 	delay := p.Delay
 	for i := 0; i < p.MaxAttempts; i++ {
 		if i > 0 {
-			time.Sleep(delay)
-			delay *= 2
-			if delay > p.MaxDelay {
-				delay = p.MaxDelay
+			t := time.NewTimer(delay)
+			select {
+			case <-t.C:
+			case <-stop:
+				t.Stop()
+				return false
 			}
-		}
-		if stop != nil && stop() {
-			return false
+			delay = min(2*delay, p.MaxDelay)
 		}
 		if attempt() {
 			return true
@@ -110,13 +110,19 @@ type Config struct {
 }
 
 // Connection is a client connection multiplexing channels over one socket.
+//
+// One goroutine owns the transport: it reads every frame, redials and
+// handshakes between transports, and is the only closer of the channels
+// the library sends on — deliveries, confirm and return listeners, close
+// notifications. Its sends on them also wait on Close, so an undrained
+// listener stalls the connection until Close, which then closes it.
+// Connection.Close, Channel.Close and Channel.Cancel ask the owner to end
+// what they end and return once it has; never call them (or any other
+// synchronous method) from a ConsumeFunc handler, which runs on the owner.
 type Connection struct {
-	// conn and fr are the live transport; both are replaced on reconnect
-	// (conn under mu+writeMu, fr under mu with no read loop running). dec
-	// belongs to whichever goroutine reads fr: the read loop, or resume
-	// while no read loop runs.
+	// conn is the live transport, replaced on reconnect under mu and
+	// writeMu. dec belongs to the owner goroutine.
 	conn net.Conn
-	fr   *wire.FrameReader
 	dec  wire.Decoder
 
 	// writeMu guards the send side: out, the one send buffer (outFrames
@@ -124,7 +130,8 @@ type Connection struct {
 	// yet to take writeMu — at most one per connection, none on an idle one.
 	// pub, ack, nack and reject are the method scratch publishes and
 	// delivery resolutions encode from, so no method struct escapes to the
-	// heap per call.
+	// heap per call. down is set from a transport loss until the next
+	// handshake completes; epoch (also under mu) counts transport losses.
 	writeMu   sync.Mutex
 	out       *wire.Writer
 	outFrames int
@@ -134,46 +141,36 @@ type Connection struct {
 	ack       wire.BasicAck
 	nack      wire.BasicNack
 	reject    wire.BasicReject
+	down      bool
 
 	mu        sync.Mutex
 	channels  map[uint16]*Channel
 	nextCh    uint16
 	freeCh    []uint16 // ids of closed channels, reused before growing nextCh
+	quitting  bool     // Close was called; the owner is winding down
 	closed    bool
 	closeErr  error
 	notifyCls []chan *Error
-	suspended bool
-	epoch     uint64        // bumped per successful reconnect
-	genCh     chan struct{} // closed when the current transport dies
-	resumedCh chan struct{} // closed when a suspension ends (resume/shutdown)
-	// replayActive/replayAgain serialize consumer replay: one replayer
-	// goroutine at a time, re-running while reconnects keep landing.
-	replayActive bool
-	replayAgain  bool
+	epoch     uint64
+	// genCh identifies the transport synchronous calls may go out on: the
+	// owner closes it (and clears it) when a reconnecting connection loses
+	// its transport, and makes a new one per handshake.
+	genCh chan struct{}
+	// resumedCh is non-nil from a transport loss until the replay has
+	// re-established every channel, when it is closed (as it is when the
+	// connection closes): what suspended callers park on.
+	resumedCh chan struct{}
 
 	uri   URI
 	vhost string
 	cfg   Config
 
-	// deferredConfirms collects confirmations read during a resume (only
-	// the resume goroutine touches it); they are delivered to listeners
-	// after writeMu is released, so a listener's drainer blocked on a
-	// write can never deadlock the resume.
-	deferredConfirms []deferredConfirm
-
 	frameMax   atomic.Uint32
 	chanMax    atomic.Uint32
 	reconnects atomic.Uint64
-	done       chan struct{}
+	quit       chan struct{} // closed by Close: releases the owner's sends
+	done       chan struct{} // closed by the owner once everything is closed
 	hbStop     chan struct{}
-}
-
-// deferredConfirm is one broker confirmation buffered during resume.
-type deferredConfirm struct {
-	channel  uint16
-	tag      uint64
-	multiple bool
-	ack      bool
 }
 
 // Error is a connection or channel exception.
@@ -255,7 +252,7 @@ func DialConfig(url string, cfg Config) (*Connection, error) {
 }
 
 // dialOnce performs one dial + protocol handshake and starts the
-// connection's background loops.
+// connection's owner goroutine.
 func dialOnce(u URI, vhost string, cfg Config) (*Connection, error) {
 	raw, err := dialTransport(u, cfg)
 	if err != nil {
@@ -263,19 +260,20 @@ func dialOnce(u URI, vhost string, cfg Config) (*Connection, error) {
 	}
 	c := &Connection{
 		conn:     raw,
-		fr:       wire.NewFrameReader(raw, 0),
 		out:      wire.NewWriter(),
 		channels: map[uint16]*Channel{},
 		uri:      u,
 		vhost:    vhost,
 		cfg:      cfg,
 		genCh:    make(chan struct{}),
+		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
 		hbStop:   make(chan struct{}),
 	}
 	c.flush = c.flushSoon
 	c.frameMax.Store(wire.DefaultFrameMax)
-	hb, err := c.handshake(c.fr)
+	fr := wire.NewFrameReader(raw, 0)
+	hb, err := c.handshake(raw, fr)
 	if err != nil {
 		raw.Close()
 		return nil, err
@@ -283,33 +281,34 @@ func dialOnce(u URI, vhost string, cfg Config) (*Connection, error) {
 	if hb > 0 {
 		go c.heartbeatLoop(hb)
 	}
-	go c.readLoop(c.fr)
+	go c.run(fr)
 	return c, nil
 }
 
 // reconnectEnabled reports whether this connection tracks reconnect state.
 func (c *Connection) reconnectEnabled() bool { return c.cfg.Reconnect != nil }
 
-// currentEpoch returns the transport epoch (bumped per reconnect).
-func (c *Connection) currentEpoch() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epoch
-}
-
 // Reconnects reports how many times the connection has reconnected.
 func (c *Connection) Reconnects() uint64 { return c.reconnects.Load() }
 
-// handshake negotiates the protocol on the current transport. Writes go
-// straight to the socket: at dial time the connection is not yet shared,
-// and at resume time the caller holds writeMu. It returns the negotiated
-// heartbeat interval (zero when disabled).
-func (c *Connection) handshake(fr *wire.FrameReader) (time.Duration, error) {
+// handshake negotiates the protocol on raw, which nothing else writes to
+// yet: at dial time the connection is not shared, and after a loss every
+// other writer waits for the replay. It returns the negotiated heartbeat
+// interval (zero when disabled).
+func (c *Connection) handshake(raw net.Conn, fr *wire.FrameReader) (time.Duration, error) {
 	cfg := c.cfg
-	if err := wire.WriteProtocolHeader(c.conn); err != nil {
+	write := func(m wire.Method) error {
+		w, err := encodeMethod(0, m)
+		if err != nil {
+			return err
+		}
+		defer wire.PutWriter(w)
+		return w.FlushFrames(raw, 1)
+	}
+	if err := wire.WriteProtocolHeader(raw); err != nil {
 		return 0, err
 	}
-	m, err := c.readMethod(fr)
+	m, err := readMethod(fr)
 	if err != nil {
 		return 0, err
 	}
@@ -320,7 +319,7 @@ func (c *Connection) handshake(fr *wire.FrameReader) (time.Duration, error) {
 	if props == nil {
 		props = Table{"product": "ds2hpc-client"}
 	}
-	if err := c.writeMethodRaw(0, &wire.ConnectionStartOk{
+	if err := write(&wire.ConnectionStartOk{
 		ClientProperties: props,
 		Mechanism:        "PLAIN",
 		Response:         []byte("\x00guest\x00guest"),
@@ -328,7 +327,7 @@ func (c *Connection) handshake(fr *wire.FrameReader) (time.Duration, error) {
 	}); err != nil {
 		return 0, err
 	}
-	m, err = c.readMethod(fr)
+	m, err = readMethod(fr)
 	if err != nil {
 		return 0, err
 	}
@@ -351,15 +350,15 @@ func (c *Connection) handshake(fr *wire.FrameReader) (time.Duration, error) {
 	if tune.Heartbeat < hb {
 		hb = tune.Heartbeat
 	}
-	if err := c.writeMethodRaw(0, &wire.ConnectionTuneOk{
+	if err := write(&wire.ConnectionTuneOk{
 		ChannelMax: tune.ChannelMax, FrameMax: frameMax, Heartbeat: hb,
 	}); err != nil {
 		return 0, err
 	}
-	if err := c.writeMethodRaw(0, &wire.ConnectionOpen{VirtualHost: c.vhost}); err != nil {
+	if err := write(&wire.ConnectionOpen{VirtualHost: c.vhost}); err != nil {
 		return 0, err
 	}
-	m, err = c.readMethod(fr)
+	m, err = readMethod(fr)
 	if err != nil {
 		return 0, err
 	}
@@ -369,7 +368,7 @@ func (c *Connection) handshake(fr *wire.FrameReader) (time.Duration, error) {
 	return time.Duration(hb) * time.Second, nil
 }
 
-func (c *Connection) readMethod(fr *wire.FrameReader) (wire.Method, error) {
+func readMethod(fr *wire.FrameReader) (wire.Method, error) {
 	for {
 		f, err := fr.ReadFrame()
 		if err != nil {
@@ -393,7 +392,7 @@ func (c *Connection) heartbeatLoop(interval time.Duration) {
 		case <-c.hbStop:
 			return
 		case <-t.C:
-			c.writeFrame(wire.Frame{Type: wire.FrameHeartbeat})
+			c.writeHeartbeat()
 		}
 	}
 }
@@ -408,37 +407,55 @@ func (c *Connection) ChannelMax() int { return int(c.chanMax.Load()) }
 
 // Channel opens a new channel. Ids of cleanly closed channels are
 // recycled, so long-lived connections can churn through far more than
-// ChannelMax short-lived channels.
+// ChannelMax short-lived channels. A channel registered before a
+// transport loss is opened by the reconnect's replay, so an interrupted
+// channel.open is not re-issued.
 func (c *Connection) Channel() (*Channel, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
-	}
-	var id uint16
-	if n := len(c.freeCh); n > 0 {
-		id = c.freeCh[n-1]
-		c.freeCh = c.freeCh[:n-1]
-	} else {
-		if uint32(c.nextCh) >= c.chanMax.Load() {
-			c.mu.Unlock()
-			return nil, ErrChannelMax
+	var ch *Channel
+	var gen chan struct{}
+	for ch == nil {
+		var err error
+		if gen, err = c.admit(); err != nil {
+			return nil, err
 		}
-		c.nextCh++
-		id = c.nextCh
+		c.mu.Lock()
+		if c.genCh != gen {
+			c.mu.Unlock()
+			continue // lost the transport since admit: wait out its replay
+		}
+		var id uint16
+		if n := len(c.freeCh); n > 0 {
+			id = c.freeCh[n-1]
+			c.freeCh = c.freeCh[:n-1]
+		} else {
+			if uint32(c.nextCh) >= c.chanMax.Load() {
+				c.mu.Unlock()
+				return nil, ErrChannelMax
+			}
+			c.nextCh++
+			id = c.nextCh
+		}
+		ch = newChannel(c, id)
+		c.channels[id] = ch
+		c.mu.Unlock()
 	}
-	ch := newChannel(c, id)
-	c.channels[id] = ch
-	c.mu.Unlock()
-
-	if _, err := ch.call(&wire.ChannelOpen{}); err != nil {
-		c.removeChannel(id)
+	_, err := ch.callOnce(gen, &wire.ChannelOpen{}, false)
+	if errors.Is(err, errSuspended) {
+		if c.awaitResume() {
+			return ch, nil
+		}
+		err = ErrClosed
+	}
+	if err != nil {
+		c.removeChannel(ch.id)
 		return nil, err
 	}
 	return ch, nil
 }
 
-// NotifyClose registers a listener for abnormal connection shutdown.
+// NotifyClose registers a listener for abnormal connection shutdown. The
+// owner sends the exception, if there is one and the listener has room,
+// then closes it. A listener registered after shutdown is closed at once.
 func (c *Connection) NotifyClose(ch chan *Error) chan *Error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -450,17 +467,29 @@ func (c *Connection) NotifyClose(ch chan *Error) chan *Error {
 	return ch
 }
 
-// Close performs an orderly shutdown.
+// Close performs an orderly shutdown: a best-effort connection.close,
+// then the socket is closed, and Close returns once the owner has closed
+// every channel and listener. Never call it from a ConsumeFunc handler.
 func (c *Connection) Close() error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return nil
 	}
+	first := !c.quitting
+	c.quitting = true
+	conn := c.conn
 	c.mu.Unlock()
-	// Best-effort close handshake; tolerate a dead peer.
-	c.writeMethod(0, &wire.ConnectionClose{ReplyCode: wire.ReplySuccess, ReplyText: "bye"})
-	c.shutdown(nil)
+	if first {
+		c.writeMu.Lock()
+		if !c.down {
+			c.writeMethodLocked(0, &wire.ConnectionClose{ReplyCode: wire.ReplySuccess, ReplyText: "bye"})
+		}
+		c.writeMu.Unlock()
+		close(c.quit)
+		conn.Close()
+	}
+	<-c.done
 	return nil
 }
 
@@ -471,20 +500,207 @@ func (c *Connection) IsClosed() bool {
 	return c.closed
 }
 
+// run is the owner goroutine: it serves one transport at a time and, on a
+// reconnecting connection, redials between them and starts each new
+// transport's replay. It alone shuts the connection down.
+func (c *Connection) run(fr *wire.FrameReader) {
+	var replaying chan struct{} // closed when the current transport's replay exits
+	for {
+		e, resumable := c.serve(fr)
+		quitting := c.lose()
+		if replaying != nil {
+			<-replaying // its calls fail now that the generation is closed
+			replaying = nil
+		}
+		if quitting {
+			e = nil
+		}
+		if quitting || !resumable || !c.reconnectEnabled() {
+			c.shutdown(e)
+			return
+		}
+		c.hold()
+		var gen chan struct{}
+		fr, gen = c.redial()
+		if fr == nil {
+			select {
+			case <-c.quit:
+				e = nil
+			default:
+				reconnectFailures.Inc()
+				e = &Error{Code: wire.ReplyInternalError, Reason: "amqp: reconnect attempts exhausted"}
+			}
+			c.shutdown(e)
+			return
+		}
+		c.reconnects.Add(1)
+		reconnectsTotal.Inc()
+		replaying = make(chan struct{})
+		go c.replay(gen, replaying)
+	}
+}
+
+// serve reads and dispatches fr's frames until the transport ends. It
+// returns the exception to surface, and whether a reconnect may follow:
+// a transport failure or a redirect, not the broker closing the
+// connection.
+func (c *Connection) serve(fr *wire.FrameReader) (*Error, bool) {
+	for {
+		f, err := fr.ReadFrame()
+		if err != nil {
+			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
+				return nil, true
+			}
+			return &Error{Code: wire.ReplyInternalError, Reason: err.Error()}, true
+		}
+		if stop, e := c.dispatchFrame(f); stop {
+			// A redirect is not a failure: dispatchFrame retargeted the dial
+			// URI, and the replay re-establishes channels on the master.
+			return e, e != nil && e.Code == wire.ReplyRedirect
+		}
+	}
+}
+
+// lose marks the current transport dead: on a reconnecting connection its
+// generation is closed, which fails the calls waiting on it, and the
+// connection is suspended. The socket is closed so writers fail fast. It
+// reports whether Close was called.
+func (c *Connection) lose() bool {
+	c.mu.Lock()
+	quitting := c.quitting
+	if c.reconnectEnabled() && c.genCh != nil {
+		close(c.genCh)
+		c.genCh = nil
+		if c.resumedCh == nil {
+			c.resumedCh = make(chan struct{})
+		}
+	}
+	conn := c.conn
+	c.mu.Unlock()
+	conn.Close()
+	return quitting
+}
+
+// hold closes every channel's gate for the outage: application writes on
+// a channel wait until the replay has re-established it, and deliveries
+// of the dead transport belong to an older epoch.
+func (c *Connection) hold() {
+	c.writeMu.Lock()
+	c.mu.Lock()
+	c.down = true
+	c.epoch++
+	for _, ch := range c.channels {
+		ch.mu.Lock()
+		if ch.gate == nil && !ch.closed {
+			ch.gate = make(chan struct{})
+		}
+		ch.mu.Unlock()
+	}
+	c.mu.Unlock()
+	c.writeMu.Unlock()
+}
+
+// redial dials and handshakes a new transport under the reconnect policy,
+// returning its frame reader and generation, or nil once the attempts are
+// exhausted or Close was called.
+func (c *Connection) redial() (fr *wire.FrameReader, gen chan struct{}) {
+	c.cfg.Reconnect.withDefaults().retry(c.quit, func() bool {
+		raw, err := dialTransport(c.dialURI(), c.cfg)
+		if err != nil {
+			// The target is unreachable — a dead master, not a flapping
+			// path — so rotate to the next seed; a surviving node will
+			// redirect any consumer that actually belongs elsewhere.
+			c.advanceSeed()
+			return false
+		}
+		if fr, gen = c.install(raw); fr == nil {
+			raw.Close()
+			return false
+		}
+		return true
+	})
+	return fr, gen
+}
+
+// install makes raw the connection's transport and handshakes on it.
+// Nothing encoded for the dead transport may reach this one: tracked
+// publishes await the replay, the rest is lost as in the old socket.
+func (c *Connection) install(raw net.Conn) (*wire.FrameReader, chan struct{}) {
+	c.writeMu.Lock()
+	c.mu.Lock()
+	quitting := c.quitting
+	if !quitting {
+		c.conn = raw
+	}
+	c.mu.Unlock()
+	c.out.Reset()
+	c.outFrames = 0
+	c.writeMu.Unlock()
+	if quitting {
+		return nil, nil
+	}
+	fr := wire.NewFrameReader(raw, 0)
+	if _, err := c.handshake(raw, fr); err != nil {
+		return nil, nil
+	}
+	gen := make(chan struct{})
+	c.writeMu.Lock()
+	c.mu.Lock()
+	c.down = false
+	c.genCh = gen
+	c.mu.Unlock()
+	c.writeMu.Unlock()
+	return fr, gen
+}
+
+// replay re-establishes every channel on the transport of generation gen
+// while the owner serves it, through the ordinary call path: first each
+// channel's channel.open, QoS, confirm mode and pending publishes, which
+// opens that channel's gate, then the consumers of all of them, so no
+// delivery (and no handler) runs before every gate is open. A transport
+// loss ends the pass; the next transport's replay starts over. Once it
+// completes, the connection resumes.
+func (c *Connection) replay(gen chan struct{}, done chan struct{}) {
+	defer close(done)
+	c.mu.Lock()
+	chans := make([]*Channel, 0, len(c.channels))
+	for _, ch := range c.channels {
+		chans = append(chans, ch)
+	}
+	c.mu.Unlock()
+	sort.Slice(chans, func(i, j int) bool { return chans[i].id < chans[j].id })
+	consumers := make([][]*clientConsumer, len(chans))
+	for i, ch := range chans {
+		var err error
+		if consumers[i], err = ch.replayState(gen); errors.Is(err, errSuspended) {
+			return
+		}
+	}
+	for i, ch := range chans {
+		if errors.Is(ch.replayConsumers(gen, consumers[i]), errSuspended) {
+			return
+		}
+	}
+	c.mu.Lock()
+	if c.genCh == gen && c.resumedCh != nil {
+		close(c.resumedCh)
+		c.resumedCh = nil
+	}
+	c.mu.Unlock()
+}
+
+// shutdown ends the connection for good. Only the owner calls it: it
+// closes every channel (and with them every delivery, confirm, return and
+// notify channel the library sends on), then the connection's own close
+// listeners, and finally done, which Close waits for.
 func (c *Connection) shutdown(err *Error) {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
 	c.closed = true
 	if err != nil {
 		c.closeErr = err
 	}
-	if c.resumedCh != nil {
-		close(c.resumedCh) // release awaitResume waiters; they see closed
-		c.resumedCh = nil
-	}
+	resumed := c.resumedCh
+	c.resumedCh = nil
 	conn := c.conn
 	chans := make([]*Channel, 0, len(c.channels))
 	for _, ch := range c.channels {
@@ -495,11 +711,13 @@ func (c *Connection) shutdown(err *Error) {
 	c.notifyCls = nil
 	c.mu.Unlock()
 
-	close(c.done)
+	if resumed != nil {
+		close(resumed) // release waiters; they see closed
+	}
 	close(c.hbStop)
 	conn.Close()
 	for _, ch := range chans {
-		ch.shutdown(err)
+		ch.shutdown(err, nil)
 	}
 	for _, n := range notify {
 		if err != nil {
@@ -510,60 +728,7 @@ func (c *Connection) shutdown(err *Error) {
 		}
 		close(n)
 	}
-}
-
-// beginReconnect suspends the connection after a transport loss when the
-// configuration allows reconnecting: in-flight synchronous calls are
-// failed (they select on the generation channel), writers queue
-// confirm-tracked publishes, and a background loop redials. It reports
-// whether reconnection was started.
-func (c *Connection) beginReconnect() bool {
-	c.mu.Lock()
-	if c.closed || !c.reconnectEnabled() || c.suspended {
-		c.mu.Unlock()
-		return false
-	}
-	c.suspended = true
-	close(c.genCh)
-	c.resumedCh = make(chan struct{})
-	conn := c.conn
-	c.mu.Unlock()
-	conn.Close() // writers fail fast on the dead socket
-	go c.reconnectLoop()
-	return true
-}
-
-func (c *Connection) reconnectLoop() {
-	closed := func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.closed // user Close won the race; shutdown already ran
-	}
-	ok := c.cfg.Reconnect.withDefaults().retry(closed, func() bool {
-		raw, err := dialTransport(c.dialURI(), c.cfg)
-		if err != nil {
-			// The target is unreachable — a dead master, not a flapping
-			// path — so rotate to the next seed; a surviving node will
-			// redirect any consumer that actually belongs elsewhere.
-			c.advanceSeed()
-			return false
-		}
-		if err := c.resume(raw); err != nil {
-			raw.Close()
-			return false
-		}
-		return true
-	})
-	if ok {
-		c.reconnects.Add(1)
-		reconnectsTotal.Inc()
-		return
-	}
-	if closed() {
-		return
-	}
-	reconnectFailures.Inc()
-	c.shutdown(&Error{Code: wire.ReplyInternalError, Reason: "amqp: reconnect attempts exhausted"})
+	close(c.done)
 }
 
 // dialURI snapshots the current dial target under the connection lock
@@ -608,181 +773,9 @@ func nextSeed(cur string, seeds []string) string {
 	return seeds[(idx+1)%len(seeds)]
 }
 
-// resume installs the new transport, redoes the protocol handshake, and
-// replays channel state: channel.open, QoS, confirm mode, and every
-// unconfirmed confirm-mode publish (in sequence order, so broker confirm
-// tags map back onto the original client sequence numbers). Consumers are
-// re-established through the normal RPC path once the read loop is live.
-// It holds writeMu throughout, so no application write can interleave
-// with the replay, and is the sole frame reader until the new read loop
-// starts.
-func (c *Connection) resume(raw net.Conn) error {
-	c.writeMu.Lock()
-
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		c.writeMu.Unlock()
-		return ErrClosed
-	}
-	c.conn = raw
-	// Nothing encoded for the dead transport may reach this one: tracked
-	// publishes await the replay below, the rest is lost as in the old socket.
-	c.out.Reset()
-	c.outFrames = 0
-	fr := wire.NewFrameReader(raw, 0)
-	c.fr = fr
-	c.epoch++
-	chans := make([]*Channel, 0, len(c.channels))
-	for _, ch := range c.channels {
-		chans = append(chans, ch)
-	}
-	c.mu.Unlock()
-	sort.Slice(chans, func(i, j int) bool { return chans[i].id < chans[j].id })
-	c.deferredConfirms = c.deferredConfirms[:0]
-
-	if _, err := c.handshake(fr); err != nil {
-		c.writeMu.Unlock()
-		return err
-	}
-	for _, ch := range chans {
-		if err := ch.replayState(fr); err != nil {
-			c.writeMu.Unlock()
-			return err
-		}
-	}
-	c.mu.Lock()
-	c.suspended = false
-	c.genCh = make(chan struct{})
-	if c.resumedCh != nil {
-		close(c.resumedCh)
-		c.resumedCh = nil
-	}
-	c.mu.Unlock()
-	c.writeMu.Unlock()
-
-	// Deliver confirmations that arrived during the replay now that the
-	// write lock is free (their listeners' drainers may themselves be
-	// blocked on writes), and before the read loop can deliver newer
-	// ones, preserving per-channel confirm order.
-	deferred := c.deferredConfirms
-	c.deferredConfirms = nil
-	for _, dc := range deferred {
-		if ch := c.channelByID(dc.channel); ch != nil {
-			ch.dispatchConfirm(dc.tag, dc.multiple, dc.ack)
-		}
-	}
-	go c.readLoop(fr)
-	// Consumers go through the regular synchronous path: the read loop
-	// must be live to route their -ok replies (and the deliveries that
-	// follow immediately behind them).
-	c.kickConsumerReplay()
-	return nil
-}
-
-// kickConsumerReplay runs consumer re-subscription on a single replayer
-// goroutine, re-running while further reconnects land. Serializing the
-// passes (plus the per-consumer landing-epoch records in the channels)
-// guarantees a consumer tag is never subscribed twice on one transport,
-// which the broker would reject as a duplicate.
-func (c *Connection) kickConsumerReplay() {
-	c.mu.Lock()
-	if c.replayActive {
-		c.replayAgain = true
-		c.mu.Unlock()
-		return
-	}
-	c.replayActive = true
-	c.mu.Unlock()
-	go func() {
-		for {
-			c.mu.Lock()
-			target := c.epoch
-			chans := make([]*Channel, 0, len(c.channels))
-			for _, ch := range c.channels {
-				chans = append(chans, ch)
-			}
-			c.mu.Unlock()
-			sort.Slice(chans, func(i, j int) bool { return chans[i].id < chans[j].id })
-			for _, ch := range chans {
-				ch.replayConsumers(target)
-			}
-			c.mu.Lock()
-			if !c.replayAgain {
-				c.replayActive = false
-				c.mu.Unlock()
-				return
-			}
-			c.replayAgain = false
-			c.mu.Unlock()
-		}
-	}()
-}
-
-// replayCall performs one synchronous method call during resume: the
-// caller holds writeMu and owns the frame reader. Unrelated frames that
-// arrive first (confirms for channels replayed earlier) are dispatched
-// like the read loop would.
-func (c *Connection) replayCall(fr *wire.FrameReader, channel uint16, m wire.Method) (wire.Method, error) {
-	if err := c.writeMethodRaw(channel, m); err != nil {
-		return nil, err
-	}
-	for {
-		f, err := fr.ReadFrame()
-		if err != nil {
-			return nil, err
-		}
-		if f.Type == wire.FrameMethod && f.Channel == channel {
-			resp, err := wire.ParseMethod(f.Payload)
-			if err != nil {
-				return nil, err
-			}
-			if cl, ok := resp.(*wire.ChannelClose); ok {
-				return nil, &Error{Code: cl.ReplyCode, Reason: cl.ReplyText}
-			}
-			return resp, nil
-		}
-		if stop, e := c.dispatchFrame(f, true); stop {
-			if e != nil {
-				return nil, e
-			}
-			return nil, ErrClosed
-		}
-	}
-}
-
-func (c *Connection) readLoop(fr *wire.FrameReader) {
-	for {
-		f, err := fr.ReadFrame()
-		if err != nil {
-			if c.beginReconnect() {
-				return
-			}
-			var e *Error
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				e = &Error{Code: wire.ReplyInternalError, Reason: err.Error()}
-			}
-			c.shutdown(e)
-			return
-		}
-		if stop, e := c.dispatchFrame(f, false); stop {
-			if e != nil && e.Code == wire.ReplyRedirect && c.beginReconnect() {
-				// Redirect, not failure: dispatchFrame retargeted the
-				// dial URI; the reconnect machinery replays channel
-				// state and consumers on the queue's master.
-				return
-			}
-			c.shutdown(e)
-			return
-		}
-	}
-}
-
-// dispatchFrame routes one inbound frame to its channel. raw marks calls
-// from the resume path, where writeMu is already held and protocol
-// replies must bypass it. It reports whether the connection must stop,
-// with the exception to surface.
-func (c *Connection) dispatchFrame(f wire.Frame, raw bool) (stop bool, e *Error) {
+// dispatchFrame routes one inbound frame to its channel. It reports
+// whether the connection must stop, with the exception to surface.
+func (c *Connection) dispatchFrame(f wire.Frame) (stop bool, e *Error) {
 	switch f.Type {
 	case wire.FrameHeartbeat:
 	case wire.FrameMethod:
@@ -800,55 +793,28 @@ func (c *Connection) dispatchFrame(f wire.Frame, raw bool) (stop bool, e *Error)
 				if cl.ReplyCode == wire.ReplyRedirect && cl.ReplyText != "" && c.reconnectEnabled() {
 					// Connection-level redirect: the broker names the
 					// queue's master in the reply text. Point the dial
-					// target there before surfacing the stop — the read
-					// loop turns a 302 into a reconnect, and the resume
-					// path's failed attempt redials the new address.
+					// target there before surfacing the stop — the owner
+					// turns a 302 into a reconnect to the new address.
 					c.setTarget(cl.ReplyText)
 					redirectsFollowed.Inc()
 				}
-				if raw {
-					c.writeMethodRaw(0, &wire.ConnectionCloseOk{})
-				} else {
-					c.writeMethod(0, &wire.ConnectionCloseOk{})
-				}
+				c.writeMethod(0, &wire.ConnectionCloseOk{})
 				return true, &Error{Code: cl.ReplyCode, Reason: cl.ReplyText}
 			}
 			return false, nil
-		}
-		if raw {
-			// Resume-path dispatch holds writeMu, so protocol replies
-			// bypass it and confirmations — whose listeners may be
-			// drained by a goroutine blocked on a write — are buffered
-			// for delivery after the lock is released.
-			switch x := m.(type) {
-			case *wire.ChannelClose:
-				c.writeMethodRaw(f.Channel, &wire.ChannelCloseOk{})
-				if ch != nil {
-					c.removeChannel(f.Channel)
-					ch.shutdown(&Error{Code: x.ReplyCode, Reason: x.ReplyText})
-				}
-				return false, nil
-			case *wire.BasicAck:
-				c.deferredConfirms = append(c.deferredConfirms, deferredConfirm{
-					channel: f.Channel, tag: x.DeliveryTag, multiple: x.Multiple, ack: true,
-				})
-				return false, nil
-			case *wire.BasicNack:
-				c.deferredConfirms = append(c.deferredConfirms, deferredConfirm{
-					channel: f.Channel, tag: x.DeliveryTag, multiple: x.Multiple, ack: false,
-				})
-				return false, nil
-			}
 		}
 		if ch != nil {
 			ch.onMethod(m)
 		}
 	case wire.FrameHeader:
 		if ch := c.channelByID(f.Channel); ch != nil {
+			// A header that fails to decode has already scribbled on the
+			// slot an assembly in progress points into: stop, as for a method.
 			h, err := c.dec.Header(f.Payload, &ch.slots)
-			if err == nil {
-				e = ch.onHeader(h)
+			if err != nil {
+				return true, &Error{Code: wire.ReplySyntaxError, Reason: err.Error()}
 			}
+			e = ch.onHeader(h)
 		}
 	case wire.FrameBody:
 		if ch := c.channelByID(f.Channel); ch != nil {
@@ -878,38 +844,29 @@ func (c *Connection) removeChannel(id uint16) {
 	c.mu.Unlock()
 }
 
-// genState snapshots the current transport generation for synchronous
-// calls — the channel closes if the transport dies — together with the
-// matching epoch: a write validated against the generation (writeMethodGen)
-// is guaranteed to land on exactly that epoch's transport.
-func (c *Connection) genState() (chan struct{}, bool, uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.genCh, c.suspended, c.epoch
+// admit waits out a suspension and returns the generation of the live
+// transport, which an application's synchronous call is then written
+// against (writeMethodGen), or ErrClosed.
+func (c *Connection) admit() (chan struct{}, error) {
+	for {
+		c.mu.Lock()
+		closed, wait, gen := c.closed, c.resumedCh, c.genCh
+		c.mu.Unlock()
+		switch {
+		case closed:
+			return nil, ErrClosed
+		case wait == nil:
+			return gen, nil
+		}
+		<-wait // parks on the outage's resumed channel, not a poll
+	}
 }
 
 // awaitResume blocks while the connection is suspended, reporting true
-// once it is live again and false once it is closed for good. Waiters
-// park on the per-outage resumed channel rather than polling.
+// once it is live again and false once it is closed for good.
 func (c *Connection) awaitResume() bool {
-	for {
-		c.mu.Lock()
-		closed, suspended, wait := c.closed, c.suspended, c.resumedCh
-		c.mu.Unlock()
-		if closed {
-			return false
-		}
-		if !suspended {
-			return true
-		}
-		if wait == nil {
-			// Suspension without a wait channel cannot normally happen;
-			// degrade to a short sleep rather than spinning.
-			time.Sleep(time.Millisecond)
-			continue
-		}
-		<-wait
-	}
+	_, err := c.admit()
+	return err == nil
 }
 
 // sendBufMax (one gathered write, wire's gatherMax) is the pending size at
@@ -945,7 +902,7 @@ func (c *Connection) flushLocked() error {
 
 // flushSoon is the scheduled flush. It runs when the scheduler reaches it
 // — behind the publisher's burst on a busy P, at once on an idle one — so
-// a lone publish is not held back. A write error is the read loop's to see.
+// a lone publish is not held back. A write error is the owner's to see.
 func (c *Connection) flushSoon() {
 	c.writeMu.Lock()
 	c.kicked = false
@@ -965,24 +922,27 @@ func encodeMethod(channel uint16, m wire.Method) (*wire.Writer, error) {
 	return w, nil
 }
 
-func (c *Connection) writeFrame(f wire.Frame) error {
+// writeHeartbeat sends a heartbeat frame unless the transport is down.
+func (c *Connection) writeHeartbeat() {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
-	w.AppendRawFrame(f.Type, f.Channel, f.Payload)
+	w.AppendRawFrame(wire.FrameHeartbeat, 0, nil)
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	return c.sendLocked(w, 1, true)
+	if !c.down {
+		c.sendLocked(w, 1, true)
+	}
 }
 
+// writeMethod is the owner's write of a protocol reply (close-ok): it
+// waits for no gate, since the owner is what opens them.
 func (c *Connection) writeMethod(channel uint16, m wire.Method) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	return c.writeMethodRaw(channel, m)
+	return c.writeMethodLocked(channel, m)
 }
 
-// writeMethodRaw writes without taking writeMu: used during handshake
-// (no concurrent writers yet) and resume (writeMu already held).
-func (c *Connection) writeMethodRaw(channel uint16, m wire.Method) error {
+func (c *Connection) writeMethodLocked(channel uint16, m wire.Method) error {
 	w, err := encodeMethod(channel, m)
 	if err != nil {
 		return err
@@ -994,8 +954,8 @@ func (c *Connection) writeMethodRaw(channel uint16, m wire.Method) error {
 // writeMethodGen writes a synchronous method only if the transport
 // generation still matches gen, so a call never lands on a transport
 // whose reply would go to a different waiter. Socket failures on a
-// reconnecting connection surface as errSuspended (the read loop flips
-// to suspension moments later); marshal errors stay as-is — they are
+// reconnecting connection close the socket, so the owner sees the loss
+// too, and surface as errSuspended; marshal errors stay as-is — they are
 // permanent and must not be retried.
 func (c *Connection) writeMethodGen(gen chan struct{}, channel uint16, m wire.Method) error {
 	w, err := encodeMethod(channel, m)
@@ -1006,12 +966,13 @@ func (c *Connection) writeMethodGen(gen chan struct{}, channel uint16, m wire.Me
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	c.mu.Lock()
-	ok := !c.suspended && c.genCh == gen
+	ok := c.genCh == gen
 	c.mu.Unlock()
 	if !ok {
 		return errSuspended
 	}
 	if err = c.sendLocked(w, 1, true); err != nil && c.reconnectEnabled() {
+		c.conn.Close()
 		err = errSuspended
 	}
 	return err
@@ -1029,20 +990,15 @@ const (
 // writeSettle writes one delivery resolution — basic.ack, basic.nack or
 // basic.reject — encoded from the method scratch under writeMu. With an
 // epoch other than epochCurrent it writes only while that transport epoch
-// is still live: after a reconnect the broker has requeued the deliveries
-// those tags named, so stale resolutions are dropped rather than
-// misapplied to new deliveries.
-func (c *Connection) writeSettle(epoch uint64, channel uint16, kind settleKind, tag uint64, multiple, requeue bool) error {
+// is still live, and never while ch's gate is held: after a transport loss
+// the broker requeues the deliveries those tags named, so stale
+// resolutions are dropped rather than misapplied to new deliveries.
+func (c *Connection) writeSettle(ch *Channel, epoch uint64, kind settleKind, tag uint64, multiple, requeue bool) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	if epoch != epochCurrent {
-		c.mu.Lock()
-		stale := c.epoch != epoch || c.suspended
-		c.mu.Unlock()
-		if stale {
-			staleAcksDropped.Inc()
-			return nil
-		}
+	if ch.gate != nil || (epoch != epochCurrent && epoch != c.epoch) {
+		staleAcksDropped.Inc()
+		return nil
 	}
 	var m wire.Method
 	switch kind {
@@ -1056,7 +1012,7 @@ func (c *Connection) writeSettle(epoch uint64, channel uint16, kind settleKind, 
 		c.reject = wire.BasicReject{DeliveryTag: tag, Requeue: requeue}
 		m = &c.reject
 	}
-	err := c.writeMethodRaw(channel, m)
+	err := c.writeMethodLocked(ch.id, m)
 	if err != nil && epoch != epochCurrent && c.reconnectEnabled() {
 		// Transport died mid-ack: the broker requeues the delivery when
 		// it notices, so the ack is simply dropped.
@@ -1091,44 +1047,62 @@ func (c *Connection) encodeContentLocked(channel uint16, m wire.BasicPublish, pr
 	return w, frames, nil
 }
 
+// lockOpen takes writeMu for an application write on ch, first waiting
+// for ch's gate: after a transport loss nothing may reach the channel
+// before its replay has re-opened it.
+func (c *Connection) lockOpen(ch *Channel) error {
+	c.writeMu.Lock()
+	for ch.gate != nil {
+		gate := ch.gate
+		c.writeMu.Unlock()
+		<-gate
+		if ch.isClosed() {
+			return ErrClosed
+		}
+		c.writeMu.Lock()
+	}
+	return nil
+}
+
 // writeContent sends a publish's method+header+body frames as one unit,
 // atomic with respect to other writers on this connection. A body under
 // sendBufMax shares the scheduled flush with the publishes around it
 // (sendLocked); a larger one is written before this returns, and what
 // that costs per destination kind is wire.FlushFrames' decision.
-func (c *Connection) writeContent(channel uint16, m wire.BasicPublish, props *wire.Properties, body []byte) error {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	return c.writeContentRaw(channel, m, props, body)
-}
-
-// writeContentTracked writes a confirm-mode publish on a reconnecting
-// connection. The broker confirm tag is assigned inside writeMu, at
-// append time, so tag order always matches the order frames reach the
-// wire; the epoch check happens under the same lock, so a publish never
-// races the resume path's map rebuild — when the transport is suspended
-// or the tag map belongs to an older epoch, the publish stays in pending
-// (already recorded by the caller) and the replay owns it. Marshal errors
-// are permanent and propagate; socket errors mean the reconnect replay
-// will resend, so they report success.
-func (c *Connection) writeContentTracked(ch *Channel, seq uint64, m wire.BasicPublish, props *wire.Properties, body []byte) error {
-	c.writeMu.Lock()
+func (c *Connection) writeContent(ch *Channel, m wire.BasicPublish, props *wire.Properties, body []byte) error {
+	if err := c.lockOpen(ch); err != nil {
+		return err
+	}
 	defer c.writeMu.Unlock()
 	w, frames, err := c.encodeContentLocked(ch.id, m, props, body)
 	if err != nil {
 		return err
 	}
 	defer wire.PutWriter(w)
-	c.mu.Lock()
-	epoch, suspended := c.epoch, c.suspended
-	c.mu.Unlock()
+	return c.sendLocked(w, frames, false)
+}
+
+// writeContentTracked writes a confirm-mode publish on a reconnecting
+// connection. The broker confirm tag is assigned inside writeMu, at
+// append time, so tag order always matches the order frames reach the
+// wire. Past the gate the channel's replay is done: a publish it carried
+// (recorded before its snapshot) is not written here as well, which would
+// put it on the wire twice and shift every later confirm mapping. Marshal
+// errors are permanent and propagate; socket errors mean the reconnect
+// replay will resend, so they report success, as does a channel closed
+// meanwhile, whose closed confirm listener carries the verdict.
+func (c *Connection) writeContentTracked(ch *Channel, seq uint64, m wire.BasicPublish, props *wire.Properties, body []byte) error {
+	if c.lockOpen(ch) != nil {
+		return nil
+	}
+	defer c.writeMu.Unlock()
+	w, frames, err := c.encodeContentLocked(ch.id, m, props, body)
+	if err != nil {
+		return err
+	}
+	defer wire.PutWriter(w)
 	ch.mu.Lock()
-	// Skip the write when the replay owns this publish: the transport is
-	// suspended, the tag map belongs to another epoch, or a resume ran
-	// between this publish's bookkeeping and its (writeMu-blocked) write
-	// — the rebuild snapshot included it, so writing here too would put
-	// it on the wire twice and shift every later confirm mapping.
-	if suspended || epoch != ch.mapEpoch || seq <= ch.replayedThrough {
+	if seq <= ch.replayedThrough {
 		ch.mu.Unlock()
 		return nil
 	}
@@ -1137,14 +1111,4 @@ func (c *Connection) writeContentTracked(ch *Channel, seq uint64, m wire.BasicPu
 	ch.mu.Unlock()
 	c.sendLocked(w, frames, false) // transport died mid-write: the replay resends it
 	return nil
-}
-
-// writeContentRaw writes content with writeMu held: writeContent, resume.
-func (c *Connection) writeContentRaw(channel uint16, m wire.BasicPublish, props *wire.Properties, body []byte) error {
-	w, frames, err := c.encodeContentLocked(channel, m, props, body)
-	if err != nil {
-		return err
-	}
-	defer wire.PutWriter(w)
-	return c.sendLocked(w, frames, false)
 }

@@ -178,6 +178,7 @@ func FuzzClientContent(f *testing.F) {
 		base := wire.LoanedBytes()
 		c := &Connection{
 			conn:     discardConn{},
+			out:      wire.NewWriter(),
 			channels: map[uint16]*Channel{},
 			genCh:    make(chan struct{}),
 			done:     make(chan struct{}),
@@ -193,7 +194,7 @@ func FuzzClientContent(f *testing.F) {
 			}
 		}
 		ch.consumers["manual"] = &clientConsumer{fn: check}
-		ch.consumers["auto"] = &clientConsumer{fn: check, noAck: true}
+		ch.consumers["auto"] = &clientConsumer{fn: check, spec: wire.BasicConsume{NoAck: true}}
 		returns := ch.NotifyReturn(make(chan Return, 64))
 
 		fr := wire.NewFrameReader(bytes.NewReader(data), 0)
@@ -213,7 +214,7 @@ func FuzzClientContent(f *testing.F) {
 			if len(returns) == cap(returns) {
 				<-returns
 			}
-			if stop, e := c.dispatchFrame(fm, false); stop {
+			if stop, e := c.dispatchFrame(fm); stop {
 				if e == nil {
 					t.Error("dispatch stopped the connection without an error")
 				}

@@ -326,8 +326,8 @@ func TestDropHeadOverflow(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		ch.Publish("", q.Name, false, false, amqp.Publishing{Body: []byte{byte('0' + i)}})
 	}
-	// Give the broker a moment to process the publishes.
-	time.Sleep(100 * time.Millisecond)
+	// The broker serves a channel's frames in order: the Get below is
+	// routed after every publish before it.
 	d1, ok1, _ := ch.Get(q.Name, true)
 	d2, ok2, _ := ch.Get(q.Name, true)
 	_, ok3, _ := ch.Get(q.Name, true)
@@ -474,7 +474,6 @@ func TestGetAndPurge(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		ch.Publish("", "gp", false, false, amqp.Publishing{Body: []byte("g")})
 	}
-	time.Sleep(50 * time.Millisecond)
 	d, ok, err := ch.Get("gp", false)
 	if err != nil || !ok {
 		t.Fatalf("get: ok=%v err=%v", ok, err)
@@ -495,7 +494,6 @@ func TestQueueDelete(t *testing.T) {
 	ch := openChannel(t, c)
 	ch.QueueDeclare("del", false, false, false, false, nil)
 	ch.Publish("", "del", false, false, amqp.Publishing{Body: []byte("x")})
-	time.Sleep(50 * time.Millisecond)
 	n, err := ch.QueueDelete("del", false, false, false)
 	if err != nil || n != 1 {
 		t.Fatalf("delete = %d, %v", n, err)

@@ -232,7 +232,9 @@ func TestPoolSharedConnFlapResumesOnlyItsSessions(t *testing.T) {
 	defer p.Close()
 
 	// Four sessions over two connections, each with its own queue and a
-	// channel-based consumer.
+	// channel-based consumer. The consumers ack: an auto-ack delivery the
+	// broker writes to the dead transport before it sees the loss is gone,
+	// while an unacked one is requeued and redelivered after the resume.
 	var sessions []*Session
 	var inboxes []<-chan Delivery
 	for i := 0; i < 4; i++ {
@@ -244,7 +246,7 @@ func TestPoolSharedConnFlapResumesOnlyItsSessions(t *testing.T) {
 		if _, err := sess.QueueDeclare(q, false, false, false, false, nil); err != nil {
 			t.Fatal(err)
 		}
-		deliveries, err := sess.Consume(q, "", true, false, false, false, nil)
+		deliveries, err := sess.Consume(q, "", false, false, false, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,6 +276,7 @@ func TestPoolSharedConnFlapResumesOnlyItsSessions(t *testing.T) {
 			if string(d.Body) != body {
 				t.Fatalf("session %d: got %q, want %q", i, d.Body, body)
 			}
+			d.Ack(false)
 		case <-time.After(5 * time.Second):
 			t.Fatalf("session %d: no delivery of %q", i, body)
 		}

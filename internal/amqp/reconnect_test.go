@@ -232,10 +232,11 @@ func TestReconnectDisabledKeepsLegacyFailFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	closed := c.NotifyClose(make(chan *amqp.Error, 1))
 	in.ResetConns()
-	deadline := time.Now().Add(5 * time.Second)
-	for !c.IsClosed() && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
 	}
 	if !c.IsClosed() {
 		t.Fatal("legacy connection must fail fast on transport loss")

@@ -8,6 +8,7 @@ package amqp_test
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"net"
 	"strconv"
 	"sync"
@@ -58,11 +59,13 @@ func (tp *tap) Hop() transport.Hop {
 }
 
 // tapped is what one transport carried: the first frame on a channel
-// after the connection handshake, and the message id of every publish
-// whose frames all made it onto the socket, in wire order.
+// after the connection handshake, the message id of every publish whose
+// frames all made it onto the socket, in wire order, and how often each
+// consumer tag was subscribed.
 type tapped struct {
 	first     wire.Method
 	published []uint64
+	consumes  map[string]int
 }
 
 func (tp *tap) transports(t *testing.T) []tapped {
@@ -77,7 +80,7 @@ func (tp *tap) transports(t *testing.T) []tapped {
 		if len(stream) < 8 {
 			continue // cut before the protocol header
 		}
-		var tr tapped
+		tr := tapped{consumes: map[string]int{}}
 		var id uint64 // of the publish being assembled; 0 = none
 		var left uint64
 		fr := wire.NewFrameReader(bytes.NewReader(stream[8:]), 0)
@@ -98,6 +101,9 @@ func (tp *tap) transports(t *testing.T) []tapped {
 				if tr.first == nil {
 					tr.first = m
 				}
+				if bc, ok := m.(*wire.BasicConsume); ok {
+					tr.consumes[bc.ConsumerTag]++
+				}
 			case wire.FrameHeader:
 				h, err := wire.ParseContentHeader(f.Payload)
 				if err != nil {
@@ -116,28 +122,37 @@ func (tp *tap) transports(t *testing.T) []tapped {
 	return out
 }
 
-// TestLinkCutMidBurstDropsTheSendBuffer pipelines 2000 small confirm-mode
-// publishes through a fault injector and cuts the link part-way. Whatever
-// sat in the send buffer at the cut was encoded for the dead transport:
-// the new one must open with the replay (channel.open first, publishes in
-// ascending sequence, none twice), every publish must be confirmed exactly
-// once, and the queue must hold every sequence number — more than once
-// only where the replay legitimately resent a publish whose confirm the
-// cut swallowed, so never more often than transports carried it.
+// TestLinkCutMidBurstDropsTheSendBuffer pipelines small confirm-mode
+// publishes through a fault injector and cuts the link part-way, on a
+// seeded schedule: per seed, one to three ResetConns or Flap cuts at
+// random points of the burst, with a manual-ack consumer on the same
+// connection. Whatever sat in the send buffer at a cut was encoded for the
+// dead transport: each new one must open with the replay (channel.open
+// first, publishes in ascending sequence, none twice, no consumer tag
+// subscribed twice), every publish must be confirmed exactly once and
+// consumed at least once, and the queue must hold every sequence number —
+// more than once only where the replay legitimately resent a publish
+// whose confirm the cut swallowed, so never more often than transports
+// carried it. The run ends in Close with confirms outstanding, which
+// closes the listener and the delivery channel and returns every loan.
 func TestLinkCutMidBurstDropsTheSendBuffer(t *testing.T) {
-	const total = 2000
-	cuts := []struct {
-		at  int
-		cut func(in *transport.Injector)
-	}{
-		{150, (*transport.Injector).ResetConns},
-		{1000, (*transport.Injector).ResetConns},
-		{1900, func(in *transport.Injector) { in.Flap(20 * time.Millisecond) }},
-	}
+	const total, tail = 400, 64
 	body := bytes.Repeat([]byte{0xC3}, 256)
-	for _, cut := range cuts {
-		t.Run(fmt.Sprintf("cut-at-%d", cut.at), func(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			cuts := map[int]func(in *transport.Injector){}
+			for n := 1 + rng.Intn(3); len(cuts) < n; {
+				at := 50 + rng.Intn(total-100)
+				if rng.Intn(2) == 0 {
+					cuts[at] = (*transport.Injector).ResetConns
+				} else {
+					d := time.Duration(5+rng.Intn(20)) * time.Millisecond
+					cuts[at] = func(in *transport.Injector) { in.Flap(d) }
+				}
+			}
 			s := startBroker(t, broker.Config{})
+			base := wire.LoanedBytes()
 			in, tp := transport.NewInjector(), &tap{}
 			conn, err := amqp.DialConfig("amqp://"+s.Addr(), amqp.Config{
 				Dial:      transport.Path{in.Hop(), tp.Hop()}.Dial(),
@@ -148,21 +163,55 @@ func TestLinkCutMidBurstDropsTheSendBuffer(t *testing.T) {
 			}
 			defer conn.Close()
 			ch := openChannel(t, conn)
-			if _, err := ch.QueueDeclare("cut-q", false, false, false, false, nil); err != nil {
+			if err := ch.ExchangeDeclare("cut-x", "fanout", false, false, false, false, nil); err != nil {
 				t.Fatal(err)
+			}
+			for _, q := range []string{"cut-q", "cut-c"} {
+				if _, err := ch.QueueDeclare(q, false, false, false, false, nil); err != nil {
+					t.Fatal(err)
+				}
+				if err := ch.QueueBind(q, "", "cut-x", false, nil); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if err := ch.Confirm(false); err != nil {
 				t.Fatal(err)
 			}
 			confirms := ch.NotifyPublish(make(chan amqp.Confirmation, total))
-			for i := 1; i <= total; i++ {
-				if i == cut.at {
-					cut.cut(in)
+
+			cch := openChannel(t, conn)
+			if err := cch.Qos(32, 0, false); err != nil {
+				t.Fatal(err)
+			}
+			deliveries, err := cch.Consume("cut-c", "cut-consumer", false, false, false, false, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var consumedMu sync.Mutex
+			consumed := map[uint64]bool{}
+			consumerDone := make(chan struct{})
+			go func() {
+				defer close(consumerDone)
+				for d := range deliveries {
+					id, _ := strconv.ParseUint(d.MessageID, 10, 64)
+					consumedMu.Lock()
+					consumed[id] = true
+					consumedMu.Unlock()
+					d.Ack(false) // one acked on a dead transport is dropped and redelivered
 				}
-				err := ch.Publish("", "cut-q", false, false, amqp.Publishing{MessageID: strconv.Itoa(i), Body: body})
-				if err != nil {
+			}()
+
+			publish := func(i int) {
+				t.Helper()
+				if err := ch.Publish("cut-x", "", false, false, amqp.Publishing{MessageID: strconv.Itoa(i), Body: body}); err != nil {
 					t.Fatalf("publish %d: %v", i, err)
 				}
+			}
+			for i := 1; i <= total; i++ {
+				if cut := cuts[i]; cut != nil {
+					cut(in)
+				}
+				publish(i)
 			}
 			confirmed := map[uint64]bool{}
 			timeout := time.After(30 * time.Second)
@@ -178,8 +227,31 @@ func TestLinkCutMidBurstDropsTheSendBuffer(t *testing.T) {
 				}
 			}
 			if conn.Reconnects() == 0 {
-				t.Fatal("the cut never made the connection reconnect")
+				t.Fatal("the cuts never made the connection reconnect")
 			}
+			waitFor(t, "every publish consumed", func() bool {
+				consumedMu.Lock()
+				defer consumedMu.Unlock()
+				return len(consumed) >= total
+			})
+
+			// Close behind a burst whose confirms are still outstanding.
+			for i := total + 1; i <= total+tail; i++ {
+				publish(i)
+			}
+			closed := make(chan error, 1)
+			go func() { closed <- conn.Close() }()
+			select {
+			case err := <-closed:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Close with confirms outstanding never returned")
+			}
+			for range confirms {
+			}
+			<-consumerDone
 
 			carried := map[uint64]int{}
 			for i, tr := range tp.transports(t) {
@@ -192,6 +264,11 @@ func TestLinkCutMidBurstDropsTheSendBuffer(t *testing.T) {
 					}
 					carried[id]++
 				}
+				for tag, n := range tr.consumes {
+					if n > 1 {
+						t.Fatalf("transport %d subscribes consumer %q %d times", i, tag, n)
+					}
+				}
 			}
 
 			drain := dial(t, s)
@@ -200,14 +277,14 @@ func TestLinkCutMidBurstDropsTheSendBuffer(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			deliveries, err := dch.Consume("cut-q", "", true, false, false, false, nil)
+			drained, err := dch.Consume("cut-q", "", true, false, false, false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			queued := map[uint64]int{}
 			for n := 0; n < q.Messages; n++ {
 				select {
-				case d := <-deliveries:
+				case d := <-drained:
 					id, _ := strconv.ParseUint(d.MessageID, 10, 64)
 					queued[id]++
 				case <-time.After(10 * time.Second):
@@ -219,6 +296,13 @@ func TestLinkCutMidBurstDropsTheSendBuffer(t *testing.T) {
 					t.Fatalf("publish %d is queued %d times and was carried by %d transport(s)", id, queued[id], carried[id])
 				}
 			}
+			vh := s.VHost("/")
+			for _, q := range []string{"cut-q", "cut-c"} {
+				if _, err := vh.DeleteQueue(q, false, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitFor(t, "loans back to the baseline", func() bool { return wire.LoanedBytes() == base })
 		})
 	}
 }

@@ -462,7 +462,7 @@ func crashWatcher(dep core.Deployment, spec Spec, restarts, kills *int) func(con
 			}
 		case FaultRollingNodeKill:
 			return func(consumed func() int64, stop <-chan struct{}) {
-				watchRollingNodeKill(dep, f, total, consumed, stop, kills)
+				watchRollingNodeKill(dep, f, total, spec.Deployment.ReplicationFactor, consumed, stop, kills)
 			}
 		}
 	}
@@ -543,11 +543,19 @@ func watchNodeKill(dep core.Deployment, f Fault, at int64,
 // of the production budget. The first victim is the fault's explicit pick
 // or the busiest master; each subsequent victim is the node the previous
 // failover moved the most queues onto — the schedule chases the promoted
-// masters, the worst case for a replicated deployment. Killed nodes stay
-// down for the rest of the run. Each completed kill increments *kills.
-func watchRollingNodeKill(dep core.Deployment, f Fault, total int64,
+// masters, the worst case for a replicated deployment. Like a rolling
+// restart waiting for readiness, a later victim also waits, while enough
+// nodes survive to hold rf copies, until every queue the previous failover
+// moved has re-mirrored its history (for at most resyncWait): a mirror
+// killed mid catch-up has no complete history to promote. Killed nodes
+// stay down for the rest of the run. Each completed kill increments
+// *kills.
+func watchRollingNodeKill(dep core.Deployment, f Fault, total int64, rf int,
 	consumed func() int64, stop <-chan struct{}, kills *int) {
+	const resyncWait = 2 * time.Second
 	cl := dep.Cluster()
+	catchups := telemetry.Default.Counter("cluster.mirror_catchups")
+	resynced := func() bool { return true }
 	tick := time.NewTicker(time.Millisecond)
 	defer tick.Stop()
 	victim := -1
@@ -556,7 +564,7 @@ func watchRollingNodeKill(dep core.Deployment, f Fault, total int64,
 	}
 	for k := 0; k < f.Count; k++ {
 		at := int64((f.AtFraction + float64(k)*f.EveryFraction) * float64(total))
-		for consumed() < at {
+		for consumed() < at || !resynced() {
 			select {
 			case <-stop:
 				return
@@ -570,11 +578,16 @@ func watchRollingNodeKill(dep core.Deployment, f Fault, total int64,
 			}
 			victim = busiest
 		}
+		base := catchups.Load()
 		moved, err := cl.Kill(victim)
 		if err != nil {
 			return
 		}
 		*kills++
+		if cl.Size()-*kills >= rf {
+			want, deadline := int64(len(moved)), time.Now().Add(resyncWait)
+			resynced = func() bool { return catchups.Load()-base >= want || time.Now().After(deadline) }
+		}
 		// The next victim is the node the failover promoted the most
 		// queues onto; -1 (nothing moved) falls back to the busiest
 		// master when the next threshold arrives.
