@@ -177,7 +177,12 @@
 // plain ack in one write and latency at window 1 is unchanged; nacks,
 // returns, channel exceptions and -ok replies follow the confirms of
 // the publishes before them. amqp.Channel turns the mix of single and
-// multiple verdicts back into exactly one Confirmation per publish.
+// multiple verdicts back into exactly one Confirmation per publish
+// through one confirm log per channel, reconnecting or not: a publish is
+// tagged when its frames are appended to the send buffer, so tags follow
+// wire order, and a reconnect's replay renumbers the unresolved publishes
+// 1..k for the new transport and republishes them in sequence order. A
+// reconnect policy only makes the log keep each publish until its verdict.
 //
 // Publish semantics: an amqp.Connection has one send buffer that every
 // write goes through, so wire order is call order. A publish whose body
@@ -227,14 +232,13 @@
 // soft SessionsPerConn target, hard cap at the negotiated channel-max),
 // consumers are callbacks dispatched from the connection's one owner
 // goroutine (zero goroutines when idle; Consume is a channel adapter over
-// the same path), and a shared Pacer replaces per-client timers. The
-// owner is the only frame reader and the only closer of what the library
-// sends on: an undrained listener stalls its connection until Close,
-// which then closes it, and Close and Cancel block until the owner is
-// done, so they are never called from a ConsumeFunc handler. A
-// physical-connection flap resumes every session mapped onto it —
-// consumers and unconfirmed publishes replay — without touching
-// sessions on sibling connections. The pattern engine runs every role
+// the same path). The owner is the only frame reader and the only closer
+// of what the library sends on: an undrained listener stalls its
+// connection until Close, which then closes it, and Close and Cancel
+// block until the owner is done, so they are never called from a
+// ConsumeFunc handler. A physical-connection flap resumes every session
+// mapped onto it — consumers and unconfirmed publishes replay — without
+// touching sessions on sibling connections. The pattern engine runs every role
 // instance on such a session; Tuning.GoroutineBudget bounds it. At 0 it
 // is unbounded, one socket per role instance and one goroutine per
 // producer; with a budget, roles multiplex over a bounded worker set and the

@@ -3,7 +3,6 @@ package amqp
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 
@@ -26,48 +25,34 @@ type Channel struct {
 	rpc    chan wire.Method
 	quit   chan struct{}
 
-	mu            sync.Mutex
-	consumers     map[string]*clientConsumer
-	consumerSeq   int
-	confirms      []chan Confirmation
-	returns       []chan Return
-	notifyCls     []chan *Error
-	confirmMode   bool
-	publishSeq    uint64
-	confirmExpect uint64              // every confirm tag at or below it is resolved
-	confirmAhead  map[uint64]struct{} // tags above confirmExpect resolved singly
-	closed        bool
-	quitting      bool // quit is closed
+	mu          sync.Mutex
+	consumers   map[string]*clientConsumer
+	consumerSeq int
+	confirms    []chan Confirmation
+	returns     []chan Return
+	notifyCls   []chan *Error
+	confirmMode bool
+	log         confirmLog // confirm-mode publishes until their verdicts
+	closed      bool
+	quitting    bool // quit is closed
 
 	// gen is the transport generation the channel's state was last
 	// established on (its opening, or a replay); a method the replay
 	// re-applies is recorded only while gen is the one it goes out on.
 	// gate, written under conn.writeMu and mu, is non-nil from a transport
 	// loss until the replay has re-opened the channel and written its
-	// pending publishes: application writes wait for it to close.
+	// unresolved publishes: application writes wait for it to close.
 	gen  chan struct{}
 	gate chan struct{}
 
-	// Reconnect replay state (nil maps on legacy connections). pending
-	// holds confirm-mode publishes the broker has not yet resolved,
-	// keyed by client sequence number; pubMap maps the current
-	// transport's broker confirm tags back onto those sequence numbers;
-	// qosSpec records the prefetch to re-apply (consumers carry their own
-	// spec).
-	pending   map[uint64]*pendingPublish
-	pubMap    map[uint64]uint64
-	brokerSeq uint64
-	// replayedThrough is the highest client sequence number covered by a
-	// replay: every publish at or below it was either already resolved or
-	// republished by the replay, so its own (blocked) write must not also
-	// reach the wire.
-	replayedThrough uint64
-	qosSpec         *wire.BasicQos
-	acker           Acknowledger // epoch-scoped acker; nil = the channel itself
+	// Reconnect replay state: qosSpec records the prefetch to re-apply
+	// (consumers carry their own spec, the log the unresolved publishes).
+	qosSpec *wire.BasicQos
+	acker   Acknowledger // epoch-scoped acker; nil = the channel itself
 
 	// incoming content assembly: pendDeliver and pendHeader point into
 	// slots, the decode targets of this channel's hot frames, which only
-	// the owner writes. confirmSeqs is its scratch for fanning confirms out.
+	// the owner writes.
 	slots       wire.Slots
 	pendKind    pendKind
 	pendDeliver *wire.BasicDeliver
@@ -77,8 +62,7 @@ type Channel struct {
 	pendBody    []byte
 	// pendLoan backs pendBody with a wire-pool buffer when the content
 	// under assembly is a manual-ack consumer delivery; nil otherwise.
-	pendLoan    *[]byte
-	confirmSeqs []uint64
+	pendLoan *[]byte
 
 	// loans maps outstanding delivery tags to the pooled buffers backing
 	// their bodies, for the transport epoch loansEpoch. Resolving a
@@ -136,14 +120,6 @@ func newChannel(c *Connection, id uint16) *Channel {
 		ch.loansEpoch = c.epoch
 	}
 	return ch
-}
-
-// pendingPublish is one confirm-mode publish awaiting broker resolution,
-// retained so a reconnect can replay it.
-type pendingPublish struct {
-	exchange, key        string
-	mandatory, immediate bool
-	msg                  Publishing
 }
 
 // retriable reports whether a synchronous method is safe to re-issue
@@ -284,6 +260,7 @@ func (ch *Channel) shutdown(err *Error, reply wire.Method) {
 	notify := ch.notifyCls
 	ch.notifyCls = nil
 	gate := ch.gate
+	ch.log.close()
 	// Unresolved delivery bodies: the application may still drain and
 	// read buffered deliveries after shutdown, so abandon their loans to
 	// the garbage collector rather than recycling under the holder. The
@@ -412,52 +389,23 @@ func (ch *Channel) reply(m wire.Method) {
 	}
 }
 
-// dispatchConfirm fans one broker confirm out to the listeners, one
-// Confirmation per publish it newly resolves. The broker batches: a
-// multiple-ack covers every tag up to its own that is not resolved yet,
-// and single verdicts (nacks, a federated queue's bridged confirms) may
-// arrive before a multiple-ack that covers lower tags, so resolution is
-// tracked per tag — each publish is confirmed exactly once.
+// dispatchConfirm fans one broker verdict out to the listeners: one
+// Confirmation per publish the log newly resolves, in sequence order. The
+// broker batches (a multiple-ack covers every tag up to its own), and
+// single verdicts (nacks, a federated queue's bridged confirms) may
+// overtake a multiple-ack covering lower tags; the log confirms each
+// publish exactly once either way.
 func (ch *Channel) dispatchConfirm(tag uint64, multiple, ack bool) {
 	ch.mu.Lock()
-	from, skip := ch.resolveConfirmLocked(tag, multiple)
-	seqs := ch.confirmSeqs[:0]
-	if ch.pending != nil {
-		// Reconnect-tracked channel: broker tags are per-transport, so
-		// translate them through pubMap back to client sequence numbers
-		// and release the resolved publishes from the replay set.
-		for t := from; t <= tag; t++ {
-			if s, ok := ch.pubMap[t]; ok {
-				delete(ch.pubMap, t)
-				delete(ch.pending, s)
-				seqs = append(seqs, s)
-			}
-		}
-	}
-	ch.confirmSeqs = seqs
-	// Only the owner closes listeners or sends on them, so the slice may
-	// be read after unlocking: registration only appends past its length.
+	seqs := ch.log.resolve(tag, multiple)
+	// Only the owner resolves, closes listeners or sends on them, so both
+	// slices may be read after unlocking: seqs stays the log's until the
+	// owner's next verdict, and registration only appends past its length.
 	listeners := ch.confirms
-	tracked := ch.pending != nil
 	ch.mu.Unlock()
-	if len(listeners) == 0 {
-		return // the common fire-and-forget publisher
-	}
-	if tracked {
-		slices.Sort(seqs)
-		for _, s := range seqs {
-			for _, l := range listeners {
-				ch.sendConfirm(l, Confirmation{DeliveryTag: s, Ack: ack})
-			}
-		}
-		return
-	}
-	for t := from; t <= tag; t++ {
-		if _, dup := skip[t]; dup {
-			continue
-		}
+	for _, s := range seqs {
 		for _, l := range listeners {
-			ch.sendConfirm(l, Confirmation{DeliveryTag: t, Ack: ack})
+			ch.sendConfirm(l, Confirmation{DeliveryTag: s, Ack: ack})
 		}
 	}
 }
@@ -475,49 +423,6 @@ func (ch *Channel) sendConfirm(l chan Confirmation, cf Confirmation) {
 	case <-ch.quit:
 	case <-ch.conn.quit:
 	}
-}
-
-// resolveConfirmLocked marks the tags a confirm covers as resolved and
-// returns the range [from, tag] it newly resolves, less the tags in skip,
-// which single verdicts resolved earlier. An empty range (from > tag)
-// means a duplicate. confirmExpect is the frontier — every tag at or
-// below it is resolved — and confirmAhead the single verdicts above it.
-func (ch *Channel) resolveConfirmLocked(tag uint64, multiple bool) (from uint64, skip map[uint64]struct{}) {
-	_, ahead := ch.confirmAhead[tag]
-	switch {
-	case tag <= ch.confirmExpect || (ahead && !multiple):
-		return tag + 1, nil
-	case multiple:
-		from = ch.confirmExpect + 1
-		ch.confirmExpect = tag
-		for t := range ch.confirmAhead {
-			if t <= tag {
-				if skip == nil {
-					skip = map[uint64]struct{}{}
-				}
-				skip[t] = struct{}{}
-				delete(ch.confirmAhead, t)
-			}
-		}
-	case tag == ch.confirmExpect+1:
-		from = tag
-		ch.confirmExpect = tag
-	default:
-		if ch.confirmAhead == nil {
-			ch.confirmAhead = map[uint64]struct{}{}
-		}
-		ch.confirmAhead[tag] = struct{}{}
-		return tag, nil
-	}
-	// The frontier moved: absorb the single verdicts now adjacent to it.
-	for len(ch.confirmAhead) > 0 {
-		if _, ok := ch.confirmAhead[ch.confirmExpect+1]; !ok {
-			break
-		}
-		ch.confirmExpect++
-		delete(ch.confirmAhead, ch.confirmExpect)
-	}
-	return from, skip
 }
 
 // onHeader starts the assembly of one content body. BodySize is a 64-bit
@@ -754,10 +659,7 @@ func (ch *Channel) Qos(prefetchCount, prefetchSize int, global bool) error {
 func (ch *Channel) Confirm(noWait bool) error {
 	return ch.callNoted(&wire.ConfirmSelect{NoWait: noWait}, noWait, func() error {
 		ch.confirmMode = true
-		if ch.conn.reconnectEnabled() && ch.pending == nil {
-			ch.pending = map[uint64]*pendingPublish{}
-			ch.pubMap = map[uint64]uint64{}
-		}
+		ch.log.keep = ch.conn.reconnectEnabled()
 		return nil
 	})
 }
@@ -796,7 +698,7 @@ func (ch *Channel) NotifyReturn(c chan Return) chan Return {
 func (ch *Channel) GetNextPublishSeqNo() uint64 {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
-	return ch.publishSeq + 1
+	return ch.log.seq + 1
 }
 
 // --- publish / consume ---
@@ -810,41 +712,19 @@ func (ch *Channel) GetNextPublishSeqNo() uint64 {
 // like bytes the kernel had accepted. A confirm remains the only delivery
 // guarantee, and a process must Close before exiting.
 //
-// On a reconnecting connection in confirm mode the publish is tracked
-// until the broker resolves it: if the transport dies first, the message
-// is queued and replayed by the reconnect, so Publish reports success and
-// the confirm (or the closed confirm channel, if the reconnect budget runs
+// In confirm mode the publish takes its sequence number as its frames are
+// appended, in wire order; one rejected before that (a marshal error, a
+// closed channel) takes none. On a reconnecting connection the channel's
+// log also keeps it until the broker resolves it: if the transport dies
+// first, the reconnect replays it, so Publish reports success and the
+// confirm (or the closed confirm channel, if the reconnect budget runs
 // out) carries the final verdict — the same contract as a confirm-mode
-// publish that made it onto the wire. A publish made during an outage,
-// tracked or not, waits until the reconnect has re-opened the channel.
+// publish that made it onto the wire. A publish made during an outage
+// waits until the reconnect has re-opened the channel.
 func (ch *Channel) Publish(exchange, key string, mandatory, immediate bool, msg Publishing) error {
-	ch.mu.Lock()
-	if ch.closed {
-		ch.mu.Unlock()
-		return ErrClosed
-	}
-	track := false
-	var seq uint64
-	if ch.confirmMode {
-		ch.publishSeq++
-		if ch.pending != nil {
-			track = true
-			seq = ch.publishSeq
-			ch.pending[seq] = &pendingPublish{
-				exchange: exchange, key: key,
-				mandatory: mandatory, immediate: immediate, msg: msg,
-			}
-		}
-	}
-	ch.mu.Unlock()
-	props := msg.properties()
-	m := wire.BasicPublish{
-		Exchange: exchange, RoutingKey: key, Mandatory: mandatory, Immediate: immediate,
-	}
-	if track {
-		return ch.conn.writeContentTracked(ch, seq, m, &props, msg.Body)
-	}
-	return ch.conn.writeContent(ch, m, &props, msg.Body)
+	return ch.conn.writeContent(ch, &pendingPublish{
+		exchange: exchange, key: key, mandatory: mandatory, immediate: immediate, msg: msg,
+	})
 }
 
 // Consume starts a consumer and returns its delivery channel. It is an
@@ -1061,12 +941,11 @@ func (a *epochAcker) Reject(tag uint64, requeue bool) error {
 
 // replayState re-establishes this channel on the transport of generation
 // gen: channel.open, QoS and confirm mode through the ordinary call path,
-// then every pending confirm-mode publish, republished in client sequence
-// order so the new transport's broker confirm tags (1..n) map back onto
-// the original sequence numbers, and the channel's gate opens behind
-// them. It returns the consumers for replayConsumers. Only errSuspended
-// (the transport died) is returned; a channel the broker closes is
-// skipped.
+// then every publish the log holds unresolved, republished in sequence
+// order under the tags 1..k the log renumbers them to, and the channel's
+// gate opens behind them. It returns the consumers for replayConsumers.
+// Only errSuspended (the transport died) is returned; a channel the broker
+// closes is skipped.
 func (ch *Channel) replayState(gen chan struct{}) ([]*clientConsumer, error) {
 	c := ch.conn
 	ch.mu.Lock()
@@ -1095,28 +974,6 @@ func (ch *Channel) replayState(gen chan struct{}) ([]*clientConsumer, error) {
 	// it again only after the replay has exited.
 	ch.acker = &epochAcker{ch: ch, epoch: c.epoch}
 	ch.loansEpoch = c.epoch
-	// Rebuild the confirm-tag mapping: the broker numbers publishes per
-	// transport, and the replay below re-publishes every pending message
-	// in ascending sequence order.
-	ch.replayedThrough = ch.publishSeq
-	ch.confirmExpect = 0
-	ch.confirmAhead = nil
-	ch.brokerSeq = 0
-	var pend []*pendingPublish
-	if ch.pending != nil {
-		seqs := make([]uint64, 0, len(ch.pending))
-		for s := range ch.pending {
-			seqs = append(seqs, s)
-		}
-		slices.Sort(seqs)
-		ch.pubMap = make(map[uint64]uint64, len(seqs))
-		pend = make([]*pendingPublish, 0, len(seqs))
-		for _, s := range seqs {
-			ch.brokerSeq++
-			ch.pubMap[ch.brokerSeq] = s
-			pend = append(pend, ch.pending[s])
-		}
-	}
 	calls := []wire.Method{&wire.ChannelOpen{}}
 	if ch.qosSpec != nil {
 		spec := *ch.qosSpec
@@ -1150,14 +1007,15 @@ func (ch *Channel) replayState(gen chan struct{}) ([]*clientConsumer, error) {
 	if !live {
 		return nil, errSuspended
 	}
+	// Renumbered under writeMu, so the tags are the replayed publishes' wire
+	// order, ahead of any publish waiting on the gate.
+	ch.mu.Lock()
+	pend := ch.log.replay(nil)
+	ch.mu.Unlock()
 	for _, p := range pend {
-		props := p.msg.properties()
-		w, frames, err := c.encodeContentLocked(ch.id, wire.BasicPublish{
-			Exchange: p.exchange, RoutingKey: p.key,
-			Mandatory: p.mandatory, Immediate: p.immediate,
-		}, &props, p.msg.Body)
+		w, frames, err := c.encodePublishLocked(ch.id, p)
 		if err != nil {
-			continue // it failed its own Publish the same way
+			continue // unreachable: it encoded when first published
 		}
 		c.sendLocked(w, frames, false) // a dead socket is the next replay's
 		wire.PutWriter(w)

@@ -8,8 +8,9 @@ import (
 // TestDispatchConfirmResolvesEachTagOnce feeds a channel the confirm
 // stream a batching broker produces — multiple-acks interleaved with
 // single verdicts that overtake them — and checks every publish is
-// confirmed exactly once with its own verdict, on a plain channel and on
-// a reconnect-tracked one (broker tags mapped through pubMap).
+// confirmed exactly once with its own verdict, on a plain channel (client
+// seq = broker tag) and on a reconnect-tracked one whose log a replay
+// renumbered (client seq = broker tag + 100).
 func TestDispatchConfirmResolvesEachTagOnce(t *testing.T) {
 	stream := []struct {
 		tag      uint64
@@ -31,12 +32,21 @@ func TestDispatchConfirmResolvesEachTagOnce(t *testing.T) {
 	const offset = 100 // client seq = broker tag + offset on the tracked channel
 	for _, tracked := range []bool{false, true} {
 		ch := &Channel{conn: &Connection{}, confirms: []chan Confirmation{make(chan Confirmation, 32)}}
+		ch.log.keep = tracked
+		n := uint64(12)
 		if tracked {
-			ch.pending = map[uint64]*pendingPublish{}
-			ch.pubMap = map[uint64]uint64{}
-			for tag := uint64(1); tag <= 12; tag++ {
-				ch.pending[tag+offset] = &pendingPublish{}
-				ch.pubMap[tag] = tag + offset
+			n += offset
+		}
+		for i := uint64(0); i < n; i++ {
+			ch.log.append(&pendingPublish{})
+		}
+		if tracked {
+			// The first 100 are confirmed on a transport that then dies; the
+			// replay renumbers the other 12 to tags 1..12.
+			ch.log.resolve(offset, true)
+			ch.log.cut()
+			if k := len(ch.log.replay(nil)); k != 12 {
+				t.Fatalf("replay republishes %d publishes, want 12", k)
 			}
 		}
 		for _, v := range stream {
@@ -56,11 +66,8 @@ func TestDispatchConfirmResolvesEachTagOnce(t *testing.T) {
 				t.Errorf("tracked=%v: verdict {%d multiple=%v} resolved %v, want %v", tracked, v.tag, v.multiple, got, v.want)
 			}
 		}
-		if len(ch.pending) != 0 || len(ch.pubMap) != 0 {
-			t.Errorf("tracked channel left %d pending, %d mapped", len(ch.pending), len(ch.pubMap))
-		}
-		if ch.confirmExpect != 12 || len(ch.confirmAhead) != 0 {
-			t.Errorf("tracked=%v: frontier %d, %d ahead; want 12, 0", tracked, ch.confirmExpect, len(ch.confirmAhead))
+		if left := len(ch.log.q) - ch.log.head; left != 0 || ch.log.base != 12 {
+			t.Errorf("tracked=%v: log holds %d publishes past tag %d; want 0 past 12", tracked, left, ch.log.base)
 		}
 	}
 }

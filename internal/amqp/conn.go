@@ -582,8 +582,9 @@ func (c *Connection) lose() bool {
 }
 
 // hold closes every channel's gate for the outage: application writes on
-// a channel wait until the replay has re-established it, and deliveries
-// of the dead transport belong to an older epoch.
+// a channel wait until the replay has re-established it, deliveries of the
+// dead transport belong to an older epoch, and each confirm log holds its
+// unresolved publishes for the replay.
 func (c *Connection) hold() {
 	c.writeMu.Lock()
 	c.mu.Lock()
@@ -594,6 +595,7 @@ func (c *Connection) hold() {
 		if ch.gate == nil && !ch.closed {
 			ch.gate = make(chan struct{})
 		}
+		ch.log.cut()
 		ch.mu.Unlock()
 	}
 	c.mu.Unlock()
@@ -623,8 +625,8 @@ func (c *Connection) redial() (fr *wire.FrameReader, gen chan struct{}) {
 }
 
 // install makes raw the connection's transport and handshakes on it.
-// Nothing encoded for the dead transport may reach this one: tracked
-// publishes await the replay, the rest is lost as in the old socket.
+// Nothing encoded for the dead transport may reach this one: publishes the
+// confirm logs keep await the replay, the rest is lost as in the old socket.
 func (c *Connection) install(raw net.Conn) (*wire.FrameReader, chan struct{}) {
 	c.writeMu.Lock()
 	c.mu.Lock()
@@ -655,7 +657,7 @@ func (c *Connection) install(raw net.Conn) (*wire.FrameReader, chan struct{}) {
 
 // replay re-establishes every channel on the transport of generation gen
 // while the owner serves it, through the ordinary call path: first each
-// channel's channel.open, QoS, confirm mode and pending publishes, which
+// channel's channel.open, QoS, confirm mode and unresolved publishes, which
 // opens that channel's gate, then the consumers of all of them, so no
 // delivery (and no handler) runs before every gate is open. A transport
 // loss ends the pass; the next transport's replay starts over. Once it
@@ -1022,7 +1024,7 @@ func (c *Connection) writeSettle(ch *Channel, epoch uint64, kind settleKind, tag
 	return err
 }
 
-// encodeContentLocked frames a publish into a pooled writer the caller
+// encodePublishLocked frames a publish into a pooled writer the caller
 // recycles; the caller holds writeMu, since the method encodes from the
 // scratch. A body under sendBufMax is copied in, to share a write with
 // the publishes around it: on a tls.Conn or a wrapped socket the write
@@ -1031,14 +1033,17 @@ func (c *Connection) writeSettle(ch *Channel, epoch uint64, kind settleKind, tag
 // (wire.AppendContentFramesZC), and sendLocked flushes a borrow inline,
 // so the caller's slice is read before Publish returns and not after —
 // the rule the broker's delivery path lives by.
-func (c *Connection) encodeContentLocked(channel uint16, m wire.BasicPublish, props *wire.Properties, body []byte) (*wire.Writer, int, error) {
-	c.pub = m
+func (c *Connection) encodePublishLocked(channel uint16, p *pendingPublish) (*wire.Writer, int, error) {
+	c.pub = wire.BasicPublish{
+		Exchange: p.exchange, RoutingKey: p.key, Mandatory: p.mandatory, Immediate: p.immediate,
+	}
+	props := p.msg.properties()
 	w := wire.GetWriter()
 	var frames int
-	if len(body) < sendBufMax {
-		frames = w.AppendContentFrames(channel, &c.pub, props, body, c.frameMax.Load())
+	if len(p.msg.Body) < sendBufMax {
+		frames = w.AppendContentFrames(channel, &c.pub, &props, p.msg.Body, c.frameMax.Load())
 	} else {
-		frames = w.AppendContentFramesZC(channel, &c.pub, props, body, c.frameMax.Load())
+		frames = w.AppendContentFramesZC(channel, &c.pub, &props, p.msg.Body, c.frameMax.Load())
 	}
 	if err := w.Err(); err != nil {
 		wire.PutWriter(w)
@@ -1068,47 +1073,30 @@ func (c *Connection) lockOpen(ch *Channel) error {
 // atomic with respect to other writers on this connection. A body under
 // sendBufMax shares the scheduled flush with the publishes around it
 // (sendLocked); a larger one is written before this returns, and what
-// that costs per destination kind is wire.FlushFrames' decision.
-func (c *Connection) writeContent(ch *Channel, m wire.BasicPublish, props *wire.Properties, body []byte) error {
+// that costs per destination kind is wire.FlushFrames' decision. In
+// confirm mode the channel's log tags the publish here, under writeMu, so
+// tags follow wire order. A publish the log keeps reports success on a
+// dead socket: the replay resends it. Marshal errors are permanent and
+// reach no log.
+func (c *Connection) writeContent(ch *Channel, p *pendingPublish) error {
 	if err := c.lockOpen(ch); err != nil {
 		return err
 	}
 	defer c.writeMu.Unlock()
-	w, frames, err := c.encodeContentLocked(ch.id, m, props, body)
-	if err != nil {
-		return err
-	}
-	defer wire.PutWriter(w)
-	return c.sendLocked(w, frames, false)
-}
-
-// writeContentTracked writes a confirm-mode publish on a reconnecting
-// connection. The broker confirm tag is assigned inside writeMu, at
-// append time, so tag order always matches the order frames reach the
-// wire. Past the gate the channel's replay is done: a publish it carried
-// (recorded before its snapshot) is not written here as well, which would
-// put it on the wire twice and shift every later confirm mapping. Marshal
-// errors are permanent and propagate; socket errors mean the reconnect
-// replay will resend, so they report success, as does a channel closed
-// meanwhile, whose closed confirm listener carries the verdict.
-func (c *Connection) writeContentTracked(ch *Channel, seq uint64, m wire.BasicPublish, props *wire.Properties, body []byte) error {
-	if c.lockOpen(ch) != nil {
-		return nil
-	}
-	defer c.writeMu.Unlock()
-	w, frames, err := c.encodeContentLocked(ch.id, m, props, body)
+	w, frames, err := c.encodePublishLocked(ch.id, p)
 	if err != nil {
 		return err
 	}
 	defer wire.PutWriter(w)
 	ch.mu.Lock()
-	if seq <= ch.replayedThrough {
+	if ch.closed {
 		ch.mu.Unlock()
+		return ErrClosed
+	}
+	kept := ch.confirmMode && ch.log.append(p) != 0 && ch.log.keep
+	ch.mu.Unlock()
+	if err = c.sendLocked(w, frames, false); kept {
 		return nil
 	}
-	ch.brokerSeq++
-	ch.pubMap[ch.brokerSeq] = seq
-	ch.mu.Unlock()
-	c.sendLocked(w, frames, false) // transport died mid-write: the replay resends it
-	return nil
+	return err
 }

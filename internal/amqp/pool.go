@@ -68,9 +68,6 @@ type ClientPool struct {
 	mu     sync.Mutex
 	conns  []*poolConn
 	closed bool
-
-	pacerOnce sync.Once
-	pacer     *Pacer
 }
 
 // poolConn is one physical connection and its session count.
@@ -198,14 +195,6 @@ func (p *ClientPool) release(pc *poolConn) {
 	poolSessions.Add(-1)
 }
 
-// Pacer returns the pool's shared deadline scheduler, starting it on
-// first use. All paced writes and backoffs across the pool's sessions
-// share its single timer goroutine.
-func (p *ClientPool) Pacer() *Pacer {
-	p.pacerOnce.Do(func() { p.pacer = NewPacer() })
-	return p.pacer
-}
-
 // Stats reports the pool's live connection and session counts.
 func (p *ClientPool) Stats() (conns, sessions int) {
 	p.mu.Lock()
@@ -235,11 +224,7 @@ func (p *ClientPool) Close() error {
 		// opening its channel and will give its slot back.
 		poolSessions.Add(-int64(pc.sessions))
 	}
-	pacer := p.pacer
 	p.mu.Unlock()
-	if pacer != nil {
-		pacer.Stop()
-	}
 	var firstErr error
 	for _, pc := range conns {
 		if err := pc.conn.Close(); err != nil && firstErr == nil {

@@ -1,7 +1,6 @@
 package amqp
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -13,9 +12,9 @@ import (
 	"ds2hpc/internal/wire"
 )
 
-// Internal tests for the client pool: placement policy, dispatch across a
-// transport flap, and the shared pacer. They live inside the package so a
-// test can target one physical connection's socket directly.
+// Internal tests for the client pool: placement policy and dispatch across
+// a transport flap. They live inside the package so a test can target one
+// physical connection's socket directly.
 
 func poolBroker(t *testing.T) *broker.Server {
 	t.Helper()
@@ -338,56 +337,5 @@ func TestPoolSharedConnFlapResumesOnlyItsSessions(t *testing.T) {
 	}
 	if conns, open := p.Stats(); conns != 2 || open != 4 {
 		t.Fatalf("after flap: %d conns / %d sessions, want 2 / 4", conns, open)
-	}
-}
-
-func TestPacerScheduleAndSleep(t *testing.T) {
-	p := NewPacer()
-	defer p.Stop()
-
-	// Callbacks fire in deadline order, not submission order.
-	order := make(chan int, 3)
-	p.Schedule(30*time.Millisecond, func() { order <- 3 })
-	p.Schedule(10*time.Millisecond, func() { order <- 1 })
-	p.Schedule(20*time.Millisecond, func() { order <- 2 })
-	for want := 1; want <= 3; want++ {
-		select {
-		case got := <-order:
-			if got != want {
-				t.Fatalf("fired %d before %d", got, want)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("timer %d never fired", want)
-		}
-	}
-
-	start := time.Now()
-	if err := p.Sleep(context.Background(), 15*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d < 15*time.Millisecond {
-		t.Fatalf("Sleep returned after %v, want >= 15ms", d)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := p.Sleep(ctx, time.Hour); err != context.Canceled {
-		t.Fatalf("cancelled Sleep returned %v, want context.Canceled", err)
-	}
-}
-
-func TestPacerStopUnblocksSleepers(t *testing.T) {
-	p := NewPacer()
-	done := make(chan error, 1)
-	go func() { done <- p.Sleep(context.Background(), time.Hour) }()
-	waitFor(t, "sleeper parked", func() bool { return p.Len() == 1 })
-	p.Stop()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("Sleep survived Stop without error")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Sleep blocked across Stop")
 	}
 }

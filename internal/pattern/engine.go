@@ -471,8 +471,8 @@ func declareGroup(cfg Config, d Declarations) error {
 
 // fixedSlack is the goroutine head-room a budgeted run reserves for its
 // own plumbing: broker accept loops, the telemetry aggregator, the fault
-// injector, the pacer, the consumer close watch, the deferred-role
-// attacher, and reconnect transients.
+// injector, the consumer close watch, the deferred-role attacher, and
+// reconnect transients.
 const fixedSlack = 12
 
 // pooledSessionsPerConn is a budgeted run's soft fan-out target: pools
