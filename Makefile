@@ -13,7 +13,7 @@ PR ?= dev
 
 # BENCH_PATTERN selects the snapshot benchmarks; README "Bench snapshots"
 # says what each one pins.
-BENCH_PATTERN ?= BenchmarkAblationAckBatching|BenchmarkAblationWorkQueues|BenchmarkAblationDurabilityPayload|BenchmarkOverheadVsDTS|BenchmarkResilienceFaultRate|BenchmarkFig6aDstreamFeedbackRTT|BenchmarkFanoutPublishDeliver|BenchmarkDurableFanoutPublishDeliver|BenchmarkSeglogAppend|BenchmarkSeglogReplay|BenchmarkFederationForward|BenchmarkTaggedCounter|BenchmarkMirroredPublishDeliver|BenchmarkPublishConfirmPipelined|BenchmarkLargeBodyPublishDeliver|BenchmarkSmallPublishDeliver
+BENCH_PATTERN ?= BenchmarkAblationAckBatching|BenchmarkAblationWorkQueues|BenchmarkAblationDurabilityPayload|BenchmarkOverheadVsDTS|BenchmarkResilienceFaultRate|BenchmarkFig6aDstreamFeedbackRTT|BenchmarkFanoutPublishDeliver|BenchmarkDurableFanoutPublishDeliver|BenchmarkSeglogAppend|BenchmarkSeglogReplay|BenchmarkFederationForward|BenchmarkTaggedCounter|BenchmarkMirroredPublishDeliver|BenchmarkPublishConfirmPipelined|BenchmarkLargeBodyPublishDeliver|BenchmarkSmallPublishDeliver|BenchmarkDeploy
 
 # MICRO_ITERS fixes the iteration count for the broker microbenchmarks:
 # unlike the figure benches (one timed scenario run each, hence 1x), the
@@ -54,8 +54,9 @@ race:
 # five times each at one and at two Ps: a schedule-dependent failure that
 # one pass at the default GOMAXPROCS lets through gets ten more chances.
 # internal/pattern is the client runtime every figure and scenario runs
-# on, with its consumers on the connection read loops.
-STRESS_PKGS := ./internal/broker ./internal/amqp ./internal/cluster ./internal/pattern
+# on, with its consumers on the connection read loops; internal/scistream
+# handles each control connection's requests concurrently.
+STRESS_PKGS := ./internal/broker ./internal/amqp ./internal/cluster ./internal/pattern ./internal/scistream
 stress:
 	GOMAXPROCS=1 $(GO) test -race -count=5 $(STRESS_PKGS)
 	GOMAXPROCS=2 $(GO) test -race -count=5 $(STRESS_PKGS)
@@ -80,10 +81,13 @@ short:
 # not statistical precision.
 # The root figure harness runs first so its TestMain telemetry snapshot
 # line is the one benchsnap embeds; the broker microbench output follows
-# in the same stream, then the client-scale sweep (1k/10k/100k pooled
-# clients — ns/op per delivered message, bytes/client, conns).
+# in the same stream, then the per-architecture deploy cost (200 deploys
+# each: one is too noisy to compare, MICRO_ITERS of them take minutes),
+# then the client-scale sweep (1k/10k/100k pooled clients — ns/op per
+# delivered message, bytes/client, conns).
 bench-snapshot:
 	( $(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x -benchmem . && \
 	  $(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime $(MICRO_ITERS) -benchmem ./internal/broker ./internal/broker/seglog ./internal/cluster ./internal/telemetry && \
+	  $(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 200x -benchmem ./internal/core && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkClientScale' -benchtime $(SCALE_ITERS) -benchmem ./internal/amqp ) \
 		| $(GO) run ./cmd/benchsnap -out BENCH_$(PR).json

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -103,6 +104,62 @@ func TestDeployPRSHAProxy4Conns(t *testing.T) {
 	roundTrip(t, d)
 }
 
+// TestDeployPRSControlRound pins PRS set-up to one control round: a 3-node
+// deploy opens one control connection to each S2CS (two control TLS
+// handshakes, where a session-at-a-time client opened six), every node's
+// session relays to its own node, and Deploy returns with each session's
+// tunnel pool warm: one tunnel each, four in the 4-conns variant.
+func TestDeployPRSControlRound(t *testing.T) {
+	for _, c := range []struct {
+		name ArchitectureName
+		warm int
+	}{{PRSHAProxy, 1}, {PRSHAProxy4Conns, 4}} {
+		t.Run(string(c.name), func(t *testing.T) {
+			dep, err := Deploy(c.name, testOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dep.Close()
+			d := dep.(*prsDeployment)
+			if n := d.prodCS.ControlConns() + d.consCS.ControlConns(); n != 2 {
+				t.Errorf("%d control connections, want 2 (one per S2CS)", n)
+			}
+			if len(d.sessions) != d.cl.Size() {
+				t.Fatalf("%d sessions for %d nodes", len(d.sessions), d.cl.Size())
+			}
+			for i, sess := range d.sessions {
+				out, ok := d.prodCS.Outbound(sess.UID)
+				if !ok {
+					t.Fatalf("session %d: no outbound proxy under %q", i, sess.UID)
+				}
+				if n := out.Idle(); n != c.warm {
+					t.Errorf("session %d: %d warm tunnels at Deploy return, want %d", i, n, c.warm)
+				}
+			}
+			for i, sess := range d.sessions {
+				conn, err := d.opts.endpoint("amqp://" + sess.ClientAddr).Connect()
+				if err != nil {
+					t.Fatalf("session %d: %v", i, err)
+				}
+				ch, err := conn.Channel()
+				if err != nil {
+					t.Fatal(err)
+				}
+				q := fmt.Sprintf("control-round-%d", i)
+				if _, err := ch.QueueDeclare(q, false, false, false, false, nil); err != nil {
+					t.Fatal(err)
+				}
+				conn.Close()
+				for j := 0; j < d.cl.Size(); j++ {
+					if _, has := d.cl.Node(j).VHost("/").Queue(q); has != (j == i) {
+						t.Errorf("queue declared through session %d: on node %d = %v", i, j, has)
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestDeployPRSStunnel(t *testing.T) {
 	d, err := Deploy(PRSStunnel, testOptions())
 	if err != nil {
@@ -158,5 +215,27 @@ func TestQueueMasterAffinity(t *testing.T) {
 		if p.URL != c.URL {
 			t.Errorf("queue %s: producer %s != consumer %s", q, p.URL, c.URL)
 		}
+	}
+}
+
+// BenchmarkDeploy prices one deploy-and-close of each architecture on
+// unshaped links: for PRS that includes minting its three identities and
+// the control round that sets up one SciStream session per node.
+func BenchmarkDeploy(b *testing.B) {
+	opts := Options{Nodes: 3, Profile: fabric.Profile{Scale: 1, LBWorkers: 16}}
+	for _, c := range []struct {
+		short string
+		name  ArchitectureName
+	}{{"DTS", DTS}, {"PRS", PRSHAProxy}, {"MSS", MSS}} {
+		b.Run(c.short, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d, err := Deploy(c.name, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				d.Close()
+			}
+		})
 	}
 }

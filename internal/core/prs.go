@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 
 	"ds2hpc/internal/broker"
 	"ds2hpc/internal/cluster"
@@ -52,18 +54,22 @@ func DeployPRS(opts Options, tunnel scistream.Tunnel, numConn int) (Deployment, 
 
 	// Each S2CS generates its own self-signed certificate on startup;
 	// the tunnel identity is shared so both S2DS peers trust each other.
-	tunnelID, err := tlsutil.SelfSigned("s2ds-tunnel", "127.0.0.1")
-	if err != nil {
+	// The three are independent, so they are minted concurrently.
+	var ids [3]*tlsutil.Identity
+	var idErrs [3]error
+	var minting sync.WaitGroup
+	for i, cn := range []string{"s2ds-tunnel", "prod-s2cs", "cons-s2cs"} {
+		minting.Add(1)
+		go func() {
+			defer minting.Done()
+			ids[i], idErrs[i] = tlsutil.SelfSigned(cn, "127.0.0.1")
+		}()
+	}
+	minting.Wait()
+	if err := errors.Join(idErrs[:]...); err != nil {
 		return fail(err)
 	}
-	prodID, err := tlsutil.SelfSigned("prod-s2cs", "127.0.0.1")
-	if err != nil {
-		return fail(err)
-	}
-	consID, err := tlsutil.SelfSigned("cons-s2cs", "127.0.0.1")
-	if err != nil {
-		return fail(err)
-	}
+	tunnelID, prodID, consID := ids[0], ids[1], ids[2]
 
 	wan := opts.Profile.WANLink("overlay-wan")
 	prodCS, err := scistream.NewS2CS(scistream.S2CSConfig{
@@ -106,10 +112,11 @@ func DeployPRS(opts Options, tunnel scistream.Tunnel, numConn int) (Deployment, 
 		d.name = PRSHAProxy
 	}
 
-	// One session per broker node for queue-master affinity.
-	uc := &scistream.S2UC{}
-	for i := 0; i < cl.Size(); i++ {
-		sess, err := uc.CreateSession(scistream.SessionRequest{
+	// One session per broker node for queue-master affinity, all created
+	// in one control round.
+	reqs := make([]scistream.SessionRequest, cl.Size())
+	for i := range reqs {
+		reqs[i] = scistream.SessionRequest{
 			ProducerS2CS: prodCS.Addr(),
 			ConsumerS2CS: consCS.Addr(),
 			ProducerCert: prodID.CertPEM,
@@ -117,12 +124,12 @@ func DeployPRS(opts Options, tunnel scistream.Tunnel, numConn int) (Deployment, 
 			Targets:      []string{cl.Node(i).Addr()},
 			Tunnel:       tunnel,
 			NumConn:      numConn,
-		})
-		if err != nil {
-			d.Close()
-			return nil, fmt.Errorf("core: prs session for node %d: %w", i, err)
 		}
-		d.sessions = append(d.sessions, sess)
+	}
+	uc := &scistream.S2UC{}
+	if d.sessions, err = uc.CreateSessions(reqs); err != nil {
+		d.Close()
+		return nil, fmt.Errorf("core: prs sessions: %w", err)
 	}
 	return d, nil
 }

@@ -31,6 +31,11 @@ const (
 	muxFIN  byte = 3 // half/full close
 )
 
+// maxFrame bounds one mux frame's payload: writers split at it and the
+// read loop closes a mux whose peer announces a longer frame, so a corrupt
+// or hostile header cannot make it allocate.
+const maxFrame = 64 * 1024
+
 // ErrTooManyStreams is returned when the Stunnel stream cap is exceeded.
 var ErrTooManyStreams = errors.New("scistream: tunnel stream limit reached")
 
@@ -164,6 +169,8 @@ func (m *Mux) writeFrame(typ byte, id uint32, payload []byte) error {
 func (m *Mux) readLoop() {
 	defer m.Close()
 	var hdr [9]byte
+	// One payload buffer for the mux's lifetime: push copies out of it.
+	buf := make([]byte, maxFrame)
 	for {
 		if _, err := io.ReadFull(m.conn, hdr[:]); err != nil {
 			return
@@ -171,12 +178,12 @@ func (m *Mux) readLoop() {
 		typ := hdr[0]
 		id := binary.BigEndian.Uint32(hdr[1:5])
 		n := binary.BigEndian.Uint32(hdr[5:9])
-		var payload []byte
-		if n > 0 {
-			payload = make([]byte, n)
-			if _, err := io.ReadFull(m.conn, payload); err != nil {
-				return
-			}
+		if n > maxFrame {
+			return
+		}
+		payload := buf[:n]
+		if _, err := io.ReadFull(m.conn, payload); err != nil {
+			return
 		}
 		switch typ {
 		case muxSYN:
@@ -287,10 +294,9 @@ func (s *muxStream) Write(p []byte) (int, error) {
 	}
 	// Chunk writes so one stream cannot hold the tunnel write lock for an
 	// arbitrarily long burst.
-	const chunk = 64 * 1024
 	written := 0
 	for written < len(p) {
-		end := written + chunk
+		end := written + maxFrame
 		if end > len(p) {
 			end = len(p)
 		}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"ds2hpc/internal/netem"
 	"ds2hpc/internal/tlsutil"
@@ -13,7 +15,9 @@ import (
 
 // ControlRequest is the JSON message S2UC sends to an S2CS instance. It
 // corresponds to the `s2uc inbound-request` / `s2uc outbound-request`
-// commands shown in the paper's §4.4 deployment.
+// commands shown in the paper's §4.4 deployment. A control connection
+// carries a stream of requests, and the S2CS answers each with one
+// ControlResponse, in request order.
 type ControlRequest struct {
 	// Type is "inbound" (consumer side: expose a WAN proxy in front of
 	// the streaming service) or "outbound" (producer side: expose a local
@@ -66,16 +70,31 @@ type S2CSConfig struct {
 	DialTarget DialFunc
 }
 
+// Control-connection bounds.
+const (
+	// controlIdle is how long a control connection may wait for its next
+	// request before the S2CS stops reading it.
+	controlIdle = 30 * time.Second
+	// controlInflight bounds the requests one control connection has
+	// being handled or awaiting their response's turn; the S2CS reads no
+	// further request until one of them is answered.
+	controlInflight = 16
+)
+
 // S2CS is a running control server. One instance runs on each facility's
 // gateway node in the paper's deployment (PS2CS and CS2CS pods).
 type S2CS struct {
 	cfg      S2CSConfig
 	ln       net.Listener
 	flowLink *netem.Link // shared across all stunnel tunnels
+	done     chan struct{}
+	serving  sync.WaitGroup // accept loop and control connections
+	accepted atomic.Uint64
 
 	mu        sync.Mutex
 	inbounds  map[string]*Inbound
 	outbounds map[string]*Outbound
+	conns     map[net.Conn]struct{}
 	nextUID   int
 	closed    bool
 }
@@ -96,12 +115,15 @@ func NewS2CS(cfg S2CSConfig) (*S2CS, error) {
 	s := &S2CS{
 		cfg:       cfg,
 		ln:        ln,
+		done:      make(chan struct{}),
 		inbounds:  map[string]*Inbound{},
 		outbounds: map[string]*Outbound{},
+		conns:     map[net.Conn]struct{}{},
 	}
 	if cfg.TunnelFlowRate > 0 {
 		s.flowLink = netem.NewLink("stunnel-flow", cfg.TunnelFlowRate, 0)
 	}
+	s.serving.Add(1)
 	go s.acceptLoop()
 	return s, nil
 }
@@ -109,14 +131,23 @@ func NewS2CS(cfg S2CSConfig) (*S2CS, error) {
 // Addr is the control endpoint address.
 func (s *S2CS) Addr() string { return s.ln.Addr().String() }
 
-// Close stops the control server and all proxies it launched.
+// Close stops the control server and all proxies it launched. It closes
+// open control connections and returns once their goroutines have exited;
+// a request still being handled closes its own proxy when it finishes.
 func (s *S2CS) Close() error {
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return nil
+	}
 	s.closed = true
+	close(s.done)
 	ins := s.inbounds
 	outs := s.outbounds
+	conns := s.conns
 	s.inbounds = map[string]*Inbound{}
 	s.outbounds = map[string]*Outbound{}
+	s.conns = map[net.Conn]struct{}{}
 	s.mu.Unlock()
 	for _, in := range ins {
 		in.Close()
@@ -124,7 +155,12 @@ func (s *S2CS) Close() error {
 	for _, o := range outs {
 		o.Close()
 	}
-	return s.ln.Close()
+	err := s.ln.Close()
+	for c := range conns {
+		c.Close()
+	}
+	s.serving.Wait()
+	return err
 }
 
 // Inbound returns the inbound proxy for a session UID (for tests/metrics).
@@ -135,24 +171,89 @@ func (s *S2CS) Inbound(uid string) (*Inbound, bool) {
 	return in, ok
 }
 
+// Outbound returns the outbound proxy for a session UID (for tests/metrics).
+func (s *S2CS) Outbound(uid string) (*Outbound, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	o, ok := s.outbounds[uid]
+	return o, ok
+}
+
+// ControlConns reports total accepted control connections.
+func (s *S2CS) ControlConns() uint64 { return s.accepted.Load() }
+
 func (s *S2CS) acceptLoop() {
+	defer s.serving.Done()
 	for {
 		c, err := s.ln.Accept()
 		if err != nil {
 			return
 		}
+		s.accepted.Add(1)
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			c.Close()
+			return
+		}
+		s.conns[c] = struct{}{}
+		s.serving.Add(1)
+		s.mu.Unlock()
 		go s.serve(c)
 	}
 }
 
+// serve answers the requests on one control connection. Each request is
+// handled on its own goroutine, so a client that pipelines a batch has it
+// handled concurrently, and a second goroutine writes the responses in
+// request order. At most controlInflight requests are outstanding; the
+// connection ends when the client closes it, sends a request that does not
+// decode, or sends nothing for controlIdle, and in every case the requests
+// already read are still answered.
 func (s *S2CS) serve(c net.Conn) {
-	defer c.Close()
-	var req ControlRequest
-	if err := json.NewDecoder(c).Decode(&req); err != nil {
-		return
+	defer s.serving.Done()
+	defer func() {
+		s.mu.Lock()
+		delete(s.conns, c)
+		s.mu.Unlock()
+		c.Close()
+	}()
+	// The writer holds one response channel out of pending while it waits,
+	// so pending's capacity plus that one is the in-flight bound.
+	pending := make(chan chan *ControlResponse, controlInflight-1)
+	written := make(chan struct{})
+	go s.writeResponses(c, pending, written)
+	dec := json.NewDecoder(c)
+	for {
+		c.SetReadDeadline(time.Now().Add(controlIdle))
+		req := new(ControlRequest)
+		if err := dec.Decode(req); err != nil {
+			break
+		}
+		resp := make(chan *ControlResponse, 1)
+		pending <- resp
+		go func() { resp <- s.handle(req) }()
 	}
-	resp := s.handle(&req)
-	json.NewEncoder(c).Encode(resp)
+	close(pending)
+	<-written
+}
+
+// writeResponses writes each pending response once its handler delivers
+// it and closes written when pending is drained. After a write error or
+// Close it stops writing but keeps draining, so the reader never blocks on
+// a full pending queue.
+func (s *S2CS) writeResponses(c net.Conn, pending <-chan chan *ControlResponse, written chan<- struct{}) {
+	defer close(written)
+	enc := json.NewEncoder(c)
+	ok := true
+	for resp := range pending {
+		select {
+		case r := <-resp:
+			ok = ok && enc.Encode(r) == nil
+		case <-s.done:
+			ok = false
+		}
+	}
 }
 
 func (s *S2CS) handle(req *ControlRequest) *ControlResponse {

@@ -279,6 +279,13 @@ func (o *Outbound) Addr() string { return o.ln.Addr().String() }
 // Relayed reports total relayed connections.
 func (o *Outbound) Relayed() uint64 { return o.relayed.Load() }
 
+// Idle reports pre-warmed tunnel connections not yet leased to a client.
+func (o *Outbound) Idle() int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return len(o.pool)
+}
+
 // Close stops the proxy and its tunnels.
 func (o *Outbound) Close() error {
 	o.mu.Lock()

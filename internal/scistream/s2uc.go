@@ -1,11 +1,13 @@
 package scistream
 
 import (
+	"bytes"
 	"crypto/tls"
-	"crypto/x509"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
+	"sync"
 	"time"
 
 	"ds2hpc/internal/tlsutil"
@@ -19,7 +21,9 @@ type SessionRequest struct {
 	ProducerS2CS string
 	ConsumerS2CS string
 	// ProducerCert and ConsumerCert are the PEM server certificates used
-	// to trust each control endpoint (`--server_cert` in the paper).
+	// to trust each control endpoint (`--server_cert` in the paper). Both
+	// are required: the user client never sends an unauthenticated
+	// control request.
 	ProducerCert []byte
 	ConsumerCert []byte
 	// Targets are the streaming-service endpoints behind the consumer
@@ -47,81 +51,161 @@ type S2UC struct {
 	Timeout time.Duration
 }
 
-// CreateSession performs the inbound-request / outbound-request pair from
-// the paper's §4.4 and returns the resulting connection map.
-func (u *S2UC) CreateSession(req SessionRequest) (*Session, error) {
-	if req.NumConn <= 0 {
-		req.NumConn = 1
+// CreateSessions performs the paper's §4.4 inbound-request /
+// outbound-request pair for every request and returns the sessions in
+// request order. All requests must name the same two control servers with
+// the same certificates; a missing certificate is an error before anything
+// is dialed. It opens one pinned TLS control connection to each server,
+// both dialed concurrently, pipelines every inbound request to the
+// consumer side, then every outbound request (each carrying its inbound's
+// UID and WAN proxy) to the producer side. The S2CS handles a pipelined
+// batch concurrently, so the outbound proxies' tunnel pre-warms overlap.
+func (u *S2UC) CreateSessions(reqs []SessionRequest) ([]*Session, error) {
+	if len(reqs) == 0 {
+		return nil, nil
 	}
-	if req.Tunnel == "" {
-		req.Tunnel = TunnelHAProxy
+	first := reqs[0]
+	if len(first.ProducerCert) == 0 || len(first.ConsumerCert) == 0 {
+		return nil, errors.New("scistream: session request needs both S2CS certificates")
 	}
-	// Step 1: inbound request to the consumer-side S2CS creates the
-	// WAN-facing proxy (PROXY) and the session UID.
-	inResp, err := u.control(req.ConsumerS2CS, req.ConsumerCert, &ControlRequest{
-		Type:          "inbound",
-		Tunnel:        string(req.Tunnel),
-		NumConn:       req.NumConn,
-		ReceiverPorts: req.Targets,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("scistream: inbound request: %w", err)
+	for _, r := range reqs[1:] {
+		if r.ProducerS2CS != first.ProducerS2CS || r.ConsumerS2CS != first.ConsumerS2CS ||
+			!bytes.Equal(r.ProducerCert, first.ProducerCert) || !bytes.Equal(r.ConsumerCert, first.ConsumerCert) {
+			return nil, errors.New("scistream: session requests name different control servers")
+		}
 	}
-	// Step 2: outbound request to the producer-side S2CS creates the
-	// application-facing proxy tunneled to PROXY.
-	outResp, err := u.control(req.ProducerS2CS, req.ProducerCert, &ControlRequest{
-		Type:        "outbound",
-		UID:         inResp.UID,
-		Tunnel:      string(req.Tunnel),
-		NumConn:     req.NumConn,
-		RemoteProxy: inResp.ProxyAddr,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("scistream: outbound request: %w", err)
-	}
-	return &Session{
-		UID:             inResp.UID,
-		ClientAddr:      outResp.ProxyAddr,
-		RemoteProxyAddr: inResp.ProxyAddr,
-	}, nil
-}
-
-func (u *S2UC) control(addr string, certPEM []byte, req *ControlRequest) (*ControlResponse, error) {
 	timeout := u.Timeout
 	if timeout == 0 {
 		timeout = 10 * time.Second
 	}
-	var pool *x509.CertPool
-	if certPEM != nil {
-		p, err := tlsutil.PoolFromPEM(certPEM)
-		if err != nil {
-			return nil, err
-		}
-		pool = p
+	deadline := time.Now().Add(timeout)
+
+	// The producer side's handshake overlaps the inbound exchange; the
+	// outbound requests wait for it.
+	type dialed struct {
+		c   *tls.Conn
+		err error
 	}
-	raw, err := net.DialTimeout("tcp", addr, timeout)
+	prodc := make(chan dialed, 1)
+	go func() {
+		c, err := dialControl(first.ProducerS2CS, first.ProducerCert, deadline)
+		prodc <- dialed{c, err}
+	}()
+	producer := sync.OnceValue(func() dialed { return <-prodc })
+	defer func() {
+		if p := producer(); p.c != nil {
+			p.c.Close()
+		}
+	}()
+	cons, err := dialControl(first.ConsumerS2CS, first.ConsumerCert, deadline)
+	if err != nil {
+		return nil, fmt.Errorf("scistream: consumer S2CS: %w", err)
+	}
+	defer cons.Close()
+
+	// Step 1: inbound requests to the consumer-side S2CS create the
+	// WAN-facing proxies (PROXY) and the session UIDs.
+	ins := make([]ControlRequest, len(reqs))
+	for i, r := range reqs {
+		tunnel, numConn := r.driver()
+		ins[i] = ControlRequest{Type: "inbound", Tunnel: tunnel, NumConn: numConn, ReceiverPorts: r.Targets}
+	}
+	inResps, err := exchange(cons, ins)
+	if err != nil {
+		return nil, fmt.Errorf("scistream: inbound request: %w", err)
+	}
+	// Step 2: outbound requests to the producer-side S2CS create the
+	// application-facing proxies tunneled to each PROXY.
+	outs := make([]ControlRequest, len(reqs))
+	for i, r := range reqs {
+		tunnel, numConn := r.driver()
+		outs[i] = ControlRequest{Type: "outbound", UID: inResps[i].UID, Tunnel: tunnel, NumConn: numConn, RemoteProxy: inResps[i].ProxyAddr}
+	}
+	prod := producer()
+	if prod.err != nil {
+		return nil, fmt.Errorf("scistream: producer S2CS: %w", prod.err)
+	}
+	outResps, err := exchange(prod.c, outs)
+	if err != nil {
+		return nil, fmt.Errorf("scistream: outbound request: %w", err)
+	}
+	sessions := make([]*Session, len(reqs))
+	for i := range reqs {
+		sessions[i] = &Session{
+			UID:             inResps[i].UID,
+			ClientAddr:      outResps[i].ProxyAddr,
+			RemoteProxyAddr: inResps[i].ProxyAddr,
+		}
+	}
+	return sessions, nil
+}
+
+// driver returns the request's tunnel driver and connection count with
+// their defaults applied.
+func (r SessionRequest) driver() (string, int) {
+	tunnel, numConn := r.Tunnel, r.NumConn
+	if tunnel == "" {
+		tunnel = TunnelHAProxy
+	}
+	if numConn <= 0 {
+		numConn = 1
+	}
+	return string(tunnel), numConn
+}
+
+// dialControl opens a TLS control connection that trusts only certPEM.
+func dialControl(addr string, certPEM []byte, deadline time.Time) (*tls.Conn, error) {
+	pool, err := tlsutil.PoolFromPEM(certPEM)
+	if err != nil {
+		return nil, err
+	}
+	raw, err := net.DialTimeout("tcp", addr, time.Until(deadline))
 	if err != nil {
 		return nil, err
 	}
 	host, _, _ := net.SplitHostPort(addr)
-	cfg := &tls.Config{ServerName: host}
-	if pool != nil {
-		cfg.RootCAs = pool
-	} else {
-		cfg.InsecureSkipVerify = true
-	}
-	c := tls.Client(raw, cfg)
-	defer c.Close()
-	c.SetDeadline(time.Now().Add(timeout))
-	if err := json.NewEncoder(c).Encode(req); err != nil {
+	c := tls.Client(raw, &tls.Config{ServerName: host, RootCAs: pool})
+	c.SetDeadline(deadline)
+	if err := c.Handshake(); err != nil {
+		raw.Close()
 		return nil, err
 	}
-	var resp ControlResponse
-	if err := json.NewDecoder(c).Decode(&resp); err != nil {
+	return c, nil
+}
+
+// exchange pipelines reqs on c; the first error response fails it.
+func exchange(c net.Conn, reqs []ControlRequest) ([]ControlResponse, error) {
+	resps, err := pipeline(c, reqs)
+	if err != nil {
 		return nil, err
 	}
-	if resp.Err != "" {
-		return nil, fmt.Errorf("scistream: control error: %s", resp.Err)
+	for _, r := range resps {
+		if r.Err != "" {
+			return nil, fmt.Errorf("scistream: control error: %s", r.Err)
+		}
 	}
-	return &resp, nil
+	return resps, nil
+}
+
+// pipeline writes every request on c in one write and reads one response
+// per request, error responses included.
+func pipeline(c net.Conn, reqs []ControlRequest) ([]ControlResponse, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for i := range reqs {
+		if err := enc.Encode(&reqs[i]); err != nil {
+			return nil, err
+		}
+	}
+	if _, err := c.Write(buf.Bytes()); err != nil {
+		return nil, err
+	}
+	resps := make([]ControlResponse, len(reqs))
+	dec := json.NewDecoder(c)
+	for i := range resps {
+		if err := dec.Decode(&resps[i]); err != nil {
+			return nil, err
+		}
+	}
+	return resps, nil
 }

@@ -2,9 +2,11 @@ package scistream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -172,6 +174,50 @@ func TestMuxCloseDeliversEOF(t *testing.T) {
 	}
 }
 
+func TestMuxRejectsOversizedFrame(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			accepted <- c
+		}
+	}()
+	raw, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	m := NewMux(<-accepted, true, 0)
+	defer m.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var hdr [9]byte
+	hdr[0] = muxDATA
+	binary.BigEndian.PutUint32(hdr[1:5], 1)
+	binary.BigEndian.PutUint32(hdr[5:9], 1<<31)
+	if _, err := raw.Write(hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-m.done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("mux still open after a 2 GiB frame header")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<30 {
+		t.Fatalf("mux allocated %d bytes for an oversized frame", grew)
+	}
+	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := raw.Read(make([]byte, 1)); err == nil {
+		t.Fatal("peer connection still open")
+	}
+}
+
 // --- end-to-end session over proxies ---
 
 // echoServer is a stand-in streaming service.
@@ -220,7 +266,7 @@ func newSessionForTest(t *testing.T, tun Tunnel, numConn int, targets ...string)
 	t.Cleanup(func() { consCS.Close() })
 
 	uc := &S2UC{}
-	sess, err := uc.CreateSession(SessionRequest{
+	sessions, err := uc.CreateSessions([]SessionRequest{{
 		ProducerS2CS: prodCS.Addr(),
 		ConsumerS2CS: consCS.Addr(),
 		ProducerCert: prodID.CertPEM,
@@ -228,11 +274,11 @@ func newSessionForTest(t *testing.T, tun Tunnel, numConn int, targets ...string)
 		Targets:      targets,
 		Tunnel:       tun,
 		NumConn:      numConn,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sess
+	return sessions[0]
 }
 
 func checkEcho(t *testing.T, addr string, msg string) {
@@ -334,15 +380,155 @@ func TestControlRejectsBadRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cs.Close()
+	for _, bad := range []struct {
+		req  ControlRequest
+		what string
+	}{
+		{ControlRequest{Type: "inbound"}, "inbound without receiver_ports"},
+		{ControlRequest{Type: "outbound"}, "outbound without remote_proxy"},
+		{ControlRequest{Type: "bogus"}, "unknown type"},
+	} {
+		c, err := dialControl(cs.Addr(), id.CertPEM, time.Now().Add(5*time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := exchange(c, []ControlRequest{bad.req}); err == nil {
+			t.Errorf("%s should fail", bad.what)
+		}
+		c.Close()
+	}
+}
+
+func TestCreateSessionsRequiresCertificates(t *testing.T) {
+	id, err := tlsutil.SelfSigned("cs", "127.0.0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := NewS2CS(S2CSConfig{Identity: id})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cs.Close()
 	uc := &S2UC{}
-	if _, err := uc.control(cs.Addr(), id.CertPEM, &ControlRequest{Type: "inbound"}); err == nil {
-		t.Error("inbound without receiver_ports should fail")
+	_, err = uc.CreateSessions([]SessionRequest{{
+		ProducerS2CS: cs.Addr(),
+		ConsumerS2CS: cs.Addr(),
+		ProducerCert: id.CertPEM,
+		Targets:      []string{"127.0.0.1:1"},
+	}})
+	if err == nil {
+		t.Fatal("a session request without the consumer certificate must fail")
 	}
-	if _, err := uc.control(cs.Addr(), id.CertPEM, &ControlRequest{Type: "outbound"}); err == nil {
-		t.Error("outbound without remote_proxy should fail")
+	if n := cs.ControlConns(); n != 0 {
+		t.Fatalf("%d control connections opened before the certificate check", n)
 	}
-	if _, err := uc.control(cs.Addr(), id.CertPEM, &ControlRequest{Type: "bogus"}); err == nil {
-		t.Error("unknown type should fail")
+}
+
+// TestS2CSPipelinesRequests sends one batch on one control connection: an
+// outbound request whose tunnel pre-warm the gate below holds, a bad
+// request, an inbound request, and a second held outbound. The gate
+// releases its tunnel dials only once both are open at once, so the batch
+// completes promptly only if the S2CS handles the requests concurrently,
+// and the responses must still come back in request order.
+func TestS2CSPipelinesRequests(t *testing.T) {
+	target := echoServer(t)
+	gate, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gate.Close()
+	var (
+		mu            sync.Mutex
+		open, maxOpen int
+		both          = make(chan struct{})
+		bothOnce      sync.Once
+	)
+	go func() {
+		for {
+			c, err := gate.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			open++
+			maxOpen = max(maxOpen, open)
+			if open == 2 {
+				bothOnce.Do(func() { close(both) })
+			}
+			mu.Unlock()
+			go func() {
+				select {
+				case <-both:
+				case <-time.After(5 * time.Second):
+				}
+				mu.Lock()
+				open--
+				mu.Unlock()
+				c.Close()
+			}()
+		}
+	}()
+
+	id, err := tlsutil.SelfSigned("cs", "127.0.0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	cs, err := NewS2CS(S2CSConfig{Identity: id})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cs.Close()
+	c, err := dialControl(cs.Addr(), id.CertPEM, time.Now().Add(20*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	held := ControlRequest{Type: "outbound", Tunnel: string(TunnelHAProxy), NumConn: 1, RemoteProxy: gate.Addr().String()}
+	resps, err := pipeline(c, []ControlRequest{
+		held,
+		{Type: "bogus"},
+		{Type: "inbound", Tunnel: string(TunnelHAProxy), NumConn: 1, ReceiverPorts: []string{target}},
+		held,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	concurrent := maxOpen
+	mu.Unlock()
+	if concurrent != 2 {
+		t.Errorf("held outbound requests were handled one after the other (max %d tunnel dials open)", concurrent)
+	}
+	if r := resps[0]; r.Err != "" || r.ProxyAddr == "" {
+		t.Errorf("response 0 = %+v, want the first outbound proxy", r)
+	} else if _, ok := cs.Outbound(r.UID); !ok {
+		t.Errorf("response 0 names %q, which is no outbound session", r.UID)
+	}
+	if r := resps[1]; r.Err == "" {
+		t.Errorf("response 1 = %+v, want the bad request's error", r)
+	}
+	if r := resps[2]; r.Err != "" {
+		t.Errorf("response 2 = %+v, want the inbound proxy", r)
+	} else if _, ok := cs.Inbound(r.UID); !ok {
+		t.Errorf("response 2 names %q, which is no inbound session", r.UID)
+	}
+	if r := resps[3]; r.Err != "" || r.UID == resps[0].UID {
+		t.Errorf("response 3 = %+v, want a second outbound proxy", r)
+	}
+
+	// Close ends the still-open control connection and its goroutines.
+	cs.Close()
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := c.Read(make([]byte, 1)); err == nil {
+		t.Error("control connection open after Close")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after Close, %d before the S2CS started", n, base)
 	}
 }
 

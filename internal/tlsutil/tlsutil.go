@@ -25,6 +25,8 @@ type Identity struct {
 	Pool *x509.CertPool
 	// PEM-encoded certificate, as handed out by `s2uc --server_cert`.
 	CertPEM []byte
+	// PEM-encoded private key, so the identity can be saved and shared.
+	KeyPEM []byte
 }
 
 // SelfSigned creates a fresh self-signed server identity for the given
@@ -69,15 +71,22 @@ func SelfSigned(commonName string, hosts ...string) (*Identity, error) {
 		return nil, fmt.Errorf("tlsutil: marshal key: %w", err)
 	}
 	keyPEM := pem.EncodeToMemory(&pem.Block{Type: "EC PRIVATE KEY", Bytes: keyDER})
+	return FromPEM(certPEM, keyPEM)
+}
+
+// FromPEM loads an identity from a PEM certificate and its PEM private
+// key, as saved from another identity's CertPEM and KeyPEM. Processes
+// that load the same pair share one identity (and trust root).
+func FromPEM(certPEM, keyPEM []byte) (*Identity, error) {
 	cert, err := tls.X509KeyPair(certPEM, keyPEM)
 	if err != nil {
 		return nil, fmt.Errorf("tlsutil: key pair: %w", err)
 	}
-	pool := x509.NewCertPool()
-	if !pool.AppendCertsFromPEM(certPEM) {
-		return nil, fmt.Errorf("tlsutil: pool append failed")
+	pool, err := PoolFromPEM(certPEM)
+	if err != nil {
+		return nil, err
 	}
-	return &Identity{Cert: cert, Pool: pool, CertPEM: certPEM}, nil
+	return &Identity{Cert: cert, Pool: pool, CertPEM: certPEM, KeyPEM: keyPEM}, nil
 }
 
 // ServerConfig returns a TLS config that serves this identity.

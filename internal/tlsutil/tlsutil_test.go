@@ -156,3 +156,34 @@ func TestSelfSignedDefaultsToLoopback(t *testing.T) {
 	}
 	conn.Close()
 }
+
+func TestFromPEMRoundTrip(t *testing.T) {
+	id, err := SelfSigned("shared", "127.0.0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := FromPEM(id.CertPEM, id.KeyPEM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A peer holding the loaded copy must pass the original's mTLS check.
+	ln, err := tls.Listen("tcp", "127.0.0.1:0", id.MutualServerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			c.(*tls.Conn).Handshake()
+			c.Close()
+		}
+	}()
+	conn, err := tls.Dial("tcp", ln.Addr().String(), loaded.MutualClientConfig("127.0.0.1"))
+	if err != nil {
+		t.Fatalf("loaded identity rejected: %v", err)
+	}
+	conn.Close()
+	if _, err := FromPEM(id.CertPEM, []byte("not a key")); err == nil {
+		t.Fatal("expected error for garbage key PEM")
+	}
+}
