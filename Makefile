@@ -70,6 +70,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReuse$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzClientContent$$' -fuzztime $(FUZZTIME) ./internal/amqp
 	$(GO) test -run '^$$' -fuzz '^FuzzConfirmLog$$' -fuzztime $(FUZZTIME) ./internal/amqp
+	$(GO) test -run '^$$' -fuzz '^FuzzInbound$$' -fuzztime $(FUZZTIME) ./internal/amqp
 
 short:
 	$(GO) test -short -count=1 .

@@ -157,7 +157,11 @@
 // managed messages (Message.Body is invalid after the final release).
 // Client applications must not hold a manual-ack amqp.Delivery.Body
 // past its acknowledgement — copy first to retain; autoAck deliveries,
-// gets, and returns own their bodies outright. Publishing.Body is read
+// gets, and returns own their bodies outright. On the client one receive
+// core per channel assembles each message and owns the loans of the
+// current transport epoch: a reconnect abandons the bodies the
+// application still holds to the garbage collector, and their acks, which
+// name tags of the dead transport, are dropped. Publishing.Body is read
 // during Publish and never after it returns, so a producer may reuse its
 // buffer at once — except on a confirm-mode channel of a reconnecting
 // connection, where the unconfirmed publish is kept for replay with the

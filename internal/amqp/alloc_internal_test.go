@@ -13,7 +13,8 @@ import (
 // publish; and the broker's confirm of it, fanned out to a listener.
 // Both consumer forms run it: a ConsumeFunc callback, and Consume's
 // channel adapter (the path every bench workload consumes through), whose
-// delivery is received from its channel. Frames decode into the channel's
+// delivery is received from its channel; each acks singly and, as every
+// bench consumer does, with multiple set. Frames decode into the channel's
 // slots, the ack and the publish encode from the connection's scratch,
 // and the confirm fan-out reuses the channel's. The frames are encoded
 // ahead and their tags patched, so the test allocates nothing itself.
@@ -21,16 +22,21 @@ func TestAllocsClientDeliveryDispatch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a fraction of Puts under the race detector; zero-alloc assertion not meaningful")
 	}
-	for _, adapter := range []bool{false, true} {
-		name := "callback"
-		if adapter {
-			name = "consume-adapter"
+	for _, multiple := range []bool{false, true} {
+		for _, adapter := range []bool{false, true} {
+			name := "callback"
+			if adapter {
+				name = "consume-adapter"
+			}
+			if multiple {
+				name += "-multiple-ack"
+			}
+			t.Run(name, func(t *testing.T) { allocsDeliveryDispatch(t, adapter, multiple) })
 		}
-		t.Run(name, func(t *testing.T) { allocsDeliveryDispatch(t, adapter) })
 	}
 }
 
-func allocsDeliveryDispatch(t *testing.T, adapter bool) {
+func allocsDeliveryDispatch(t *testing.T, adapter, multiple bool) {
 	c := &Connection{
 		conn:     discardConn{},
 		out:      wire.NewWriter(),
@@ -49,7 +55,7 @@ func allocsDeliveryDispatch(t *testing.T, adapter bool) {
 	delivered := 0
 	ack := func(d Delivery) {
 		delivered++
-		if err := d.Ack(false); err != nil {
+		if err := d.Ack(multiple); err != nil {
 			t.Error(err)
 		}
 	}
@@ -112,8 +118,8 @@ func allocsDeliveryDispatch(t *testing.T, adapter bool) {
 	if got := testing.AllocsPerRun(200, cycle); got > 0 {
 		t.Fatalf("client message path allocates %.1f objects/op, want 0", got)
 	}
-	if want := 8 + 201; delivered != want || len(ch.loans) != 0 {
-		t.Fatalf("%d deliveries reached the consumer (want %d), %d body loans outstanding", delivered, want, len(ch.loans))
+	if want := 8 + 201; delivered != want || len(ch.in.held) != 0 {
+		t.Fatalf("%d deliveries reached the consumer (want %d), %d body loans outstanding", delivered, want, len(ch.in.held))
 	}
 	c.shutdown(nil)
 }

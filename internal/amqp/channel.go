@@ -48,29 +48,13 @@ type Channel struct {
 	// Reconnect replay state: qosSpec records the prefetch to re-apply
 	// (consumers carry their own spec, the log the unresolved publishes).
 	qosSpec *wire.BasicQos
-	acker   Acknowledger // epoch-scoped acker; nil = the channel itself
 
-	// incoming content assembly: pendDeliver and pendHeader point into
-	// slots, the decode targets of this channel's hot frames, which only
-	// the owner writes.
-	slots       wire.Slots
-	pendKind    pendKind
-	pendDeliver *wire.BasicDeliver
-	pendGetOk   *wire.BasicGetOk
-	pendReturn  *wire.BasicReturn
-	pendHeader  *wire.ContentHeader
-	pendBody    []byte
-	// pendLoan backs pendBody with a wire-pool buffer when the content
-	// under assembly is a manual-ack consumer delivery; nil otherwise.
-	pendLoan *[]byte
-
-	// loans maps outstanding delivery tags to the pooled buffers backing
-	// their bodies, for the transport epoch loansEpoch. Resolving a
-	// delivery (ack/nack/reject, including multiple) returns the buffer
-	// to the pool; a reconnect abandons the epoch's loans to the garbage
-	// collector, since the application may still hold those bodies.
-	loans      map[uint64]*[]byte
-	loansEpoch uint64
+	// slots are the decode targets of this channel's hot frames, which
+	// only the owner writes; in assembles content from them and keeps the
+	// delivery-body loans of the transport epoch acker settles.
+	slots wire.Slots
+	in    inbound
+	acker *epochAcker
 }
 
 // clientConsumer is one registered consumer: the basic.consume it was
@@ -89,15 +73,6 @@ type clientConsumer struct {
 	cancelled  bool // under the channel's mu
 }
 
-type pendKind int
-
-const (
-	pendNone pendKind = iota
-	pendDeliverKind
-	pendGetOkKind
-	pendReturnKind
-)
-
 // gotMessage is basic.get-ok with its content: Get's reply.
 type gotMessage struct {
 	wire.BasicGetOk
@@ -112,13 +87,10 @@ func newChannel(c *Connection, id uint16) *Channel {
 		rpc:       make(chan wire.Method, 8),
 		quit:      make(chan struct{}),
 		consumers: map[string]*clientConsumer{},
-		loans:     map[uint64]*[]byte{},
+		in:        inbound{held: map[uint64]*[]byte{}},
 		gen:       c.genCh,
 	}
-	if c.reconnectEnabled() {
-		ch.acker = &epochAcker{ch: ch, epoch: c.epoch}
-		ch.loansEpoch = c.epoch
-	}
+	ch.cut(c.epoch)
 	return ch
 }
 
@@ -261,19 +233,11 @@ func (ch *Channel) shutdown(err *Error, reply wire.Method) {
 	ch.notifyCls = nil
 	gate := ch.gate
 	ch.log.close()
-	// Unresolved delivery bodies: the application may still drain and
-	// read buffered deliveries after shutdown, so abandon their loans to
-	// the garbage collector rather than recycling under the holder. The
-	// half-assembled body (if any) was never handed out — recycle it.
-	for t, p := range ch.loans {
-		delete(ch.loans, t)
-		wire.AbandonBuf(p)
-	}
-	pendLoan := ch.pendLoan
-	ch.pendLoan = nil
-	ch.pendBody = nil
+	// The application may still drain and read buffered deliveries after
+	// shutdown: the core abandons their loans.
+	ch.in.close()
+	ch.recycle()
 	ch.mu.Unlock()
-	wire.ReleaseBuf(pendLoan)
 
 	if gate != nil {
 		close(gate) // writers waiting on it see the channel closed
@@ -289,15 +253,7 @@ func (ch *Channel) shutdown(err *Error, reply wire.Method) {
 	for _, rc := range returns {
 		close(rc)
 	}
-	for _, n := range notify {
-		if err != nil {
-			select {
-			case n <- err:
-			default:
-			}
-		}
-		close(n)
-	}
+	notifyClosed(notify, err)
 	if reply != nil {
 		ch.reply(reply)
 	}
@@ -326,14 +282,35 @@ func (ch *Channel) Close() error {
 // sends the exception, if the listener has room, then closes it. A
 // listener registered after shutdown is closed at once.
 func (ch *Channel) NotifyClose(c chan *Error) chan *Error {
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	if ch.closed {
+	return listen(&ch.mu, &ch.closed, &ch.notifyCls, c)
+}
+
+// listen registers c on *list under mu, or closes it at once if *closed
+// (the owner has shut the channel or connection down): the owner sends on
+// and closes every listener.
+func listen[T any](mu *sync.Mutex, closed *bool, list *[]chan T, c chan T) chan T {
+	mu.Lock()
+	defer mu.Unlock()
+	if *closed {
 		close(c)
-		return c
+	} else {
+		*list = append(*list, c)
 	}
-	ch.notifyCls = append(ch.notifyCls, c)
 	return c
+}
+
+// notifyClosed sends err, if any, to each listener with room, then
+// closes it.
+func notifyClosed(listeners []chan *Error, err *Error) {
+	for _, n := range listeners {
+		if err != nil {
+			select {
+			case n <- err:
+			default:
+			}
+		}
+		close(n)
+	}
 }
 
 // --- owner-side dispatch ---
@@ -356,20 +333,11 @@ func (ch *Channel) onMethod(m wire.Method) {
 			close(cc.deliveries)
 		}
 		ch.reply(x)
-	case *wire.BasicDeliver:
+	case *wire.BasicDeliver, *wire.BasicGetOk, *wire.BasicReturn:
 		ch.mu.Lock()
-		ch.pendKind = pendDeliverKind
-		ch.pendDeliver = x
-		ch.mu.Unlock()
-	case *wire.BasicGetOk:
-		ch.mu.Lock()
-		ch.pendKind = pendGetOkKind
-		ch.pendGetOk = x
-		ch.mu.Unlock()
-	case *wire.BasicReturn:
-		ch.mu.Lock()
-		ch.pendKind = pendReturnKind
-		ch.pendReturn = x
+		cc := ch.consumers[deliveryConsumer(m)]
+		ch.in.begin(m, cc != nil && !cc.spec.NoAck)
+		ch.recycle()
 		ch.mu.Unlock()
 	case *wire.BasicAck:
 		ch.dispatchConfirm(x.DeliveryTag, x.Multiple, true)
@@ -405,166 +373,97 @@ func (ch *Channel) dispatchConfirm(tag uint64, multiple, ack bool) {
 	ch.mu.Unlock()
 	for _, s := range seqs {
 		for _, l := range listeners {
-			ch.sendConfirm(l, Confirmation{DeliveryTag: s, Ack: ack})
+			send(ch, l, Confirmation{DeliveryTag: s, Ack: ack})
 		}
 	}
 }
 
-// sendConfirm blocks on a full listener until it drains or the channel or
+// send blocks on a full listener until it drains or the channel or
 // connection is being closed.
-func (ch *Channel) sendConfirm(l chan Confirmation, cf Confirmation) {
+func send[T any](ch *Channel, l chan T, v T) {
 	select {
-	case l <- cf: // the common case, without locking the stop channels
+	case l <- v: // the common case, without locking the stop channels
 		return
 	default:
 	}
 	select {
-	case l <- cf:
+	case l <- v:
 	case <-ch.quit:
 	case <-ch.conn.quit:
 	}
 }
 
-// onHeader starts the assembly of one content body. BodySize is a 64-bit
-// field off the wire and sizes the body buffer, so a value past
-// wire.MaxBodyBytes (a corrupted or hostile header) fails the connection
-// here instead of panicking in makeslice.
+// onHeader and onBody feed the receive core one content frame each and
+// hand a completed message to its receiver. An error (a header no buffer
+// should be sized from, a body frame overrunning its header) fails the
+// connection.
 func (ch *Channel) onHeader(h *wire.ContentHeader) *Error {
-	if h.BodySize > wire.MaxBodyBytes {
-		return &Error{Code: wire.ReplyFrameError,
-			Reason: fmt.Sprintf("content header declares %d body bytes, limit %d", h.BodySize, wire.MaxBodyBytes)}
-	}
 	ch.mu.Lock()
-	ch.pendHeader = h
-	if ch.pendLoan != nil {
-		// A previous assembly was cut off before completing; recycle it.
-		wire.ReleaseBuf(ch.pendLoan)
-		ch.pendLoan = nil
-	}
-	// Manual-ack consumer deliveries assemble into a pooled buffer
-	// presized from BodySize; the ack is the release point. Everything
-	// else (autoAck, gets, returns) gets a plain heap body whose
-	// ownership passes to the receiver.
-	if ch.pendKind == pendDeliverKind && ch.pendDeliver != nil {
-		if cc := ch.consumers[ch.pendDeliver.ConsumerTag]; cc != nil && !cc.spec.NoAck {
-			ch.pendLoan = wire.LoanBuf(int(h.BodySize))
-		}
-	}
-	if ch.pendLoan != nil {
-		ch.pendBody = (*ch.pendLoan)[:0]
-	} else {
-		ch.pendBody = make([]byte, 0, h.BodySize)
-	}
-	complete := h.BodySize == 0
-	ch.mu.Unlock()
-	if complete {
-		ch.completeContent()
-	}
-	return nil
+	return ch.assembled(ch.in.header(h, wire.LoanBuf))
 }
 
-// onBody appends one body frame to the body under assembly. A frame that
-// carries more than the header left to come would grow the body off its
-// loan and hand the application a message longer than its header says;
-// it fails the connection (whose shutdown recycles the half-built loan).
 func (ch *Channel) onBody(b []byte) *Error {
 	ch.mu.Lock()
-	if ch.pendHeader == nil {
-		ch.mu.Unlock()
-		return nil
-	}
-	if left := ch.pendHeader.BodySize - uint64(len(ch.pendBody)); uint64(len(b)) > left {
-		ch.mu.Unlock()
-		return &Error{Code: wire.ReplyFrameError,
-			Reason: fmt.Sprintf("body frame of %d bytes overruns declared body size (%d left)", len(b), left)}
-	}
-	ch.pendBody = append(ch.pendBody, b...)
-	complete := uint64(len(ch.pendBody)) >= ch.pendHeader.BodySize
-	ch.mu.Unlock()
-	if complete {
-		ch.completeContent()
-	}
-	return nil
+	return ch.assembled(ch.in.body(b))
 }
 
-func (ch *Channel) completeContent() {
-	ch.mu.Lock()
-	kind := ch.pendKind
-	header := ch.pendHeader
-	body := ch.pendBody
-	loan := ch.pendLoan
-	deliver := ch.pendDeliver
-	getOk := ch.pendGetOk
-	ret := ch.pendReturn
-	ch.pendKind = pendNone
-	ch.pendHeader = nil
-	ch.pendBody = nil
-	ch.pendLoan = nil
-	ch.pendDeliver = nil
-	ch.pendGetOk = nil
-	ch.pendReturn = nil
-	ch.mu.Unlock()
-	if header == nil {
-		wire.ReleaseBuf(loan)
-		return
+// recycle hands the loans the core let go back to the pool, or to the
+// garbage collector; the caller holds mu.
+func (ch *Channel) recycle() {
+	release, abandon := ch.in.out()
+	for _, p := range release {
+		wire.ReleaseBuf(p)
 	}
+	for _, p := range abandon {
+		wire.AbandonBuf(p)
+	}
+}
 
-	switch kind {
-	case pendDeliverKind:
-		d := deliveryFromProps(&header.Properties)
-		d.Acknowledger = ch.currentAcker()
-		d.ConsumerTag = deliver.ConsumerTag
-		d.DeliveryTag = deliver.DeliveryTag
-		d.Redelivered = deliver.Redelivered
-		d.Exchange = deliver.Exchange
-		d.RoutingKey = deliver.RoutingKey
-		d.Body = body
-		ch.mu.Lock()
-		cc := ch.consumers[deliver.ConsumerTag]
-		if loan != nil {
-			if cc != nil && !ch.closed {
-				// The resolution of this tag releases the body buffer.
-				ch.loans[deliver.DeliveryTag] = loan
-			} else {
-				// Undeliverable: nobody will ever see the body; recycle.
-				wire.ReleaseBuf(loan)
-			}
-		}
+// deliveryConsumer is the consumer tag of a basic.deliver, "" otherwise.
+func deliveryConsumer(m wire.Method) string {
+	if d, ok := m.(*wire.BasicDeliver); ok {
+		return d.ConsumerTag
+	}
+	return ""
+}
+
+// assembled ends a core step, entered under mu: it recycles, unlocks and,
+// when the step completed c, hands it to its receiver — a delivery to its
+// consumer's callback, a get-ok to the Get waiting on rpc, a return to the
+// return listeners.
+func (ch *Channel) assembled(c content, done bool, e *Error) *Error {
+	ch.recycle()
+	if !done {
 		ch.mu.Unlock()
-		if cc != nil {
-			// Every consumer is a callback run on the owner: no goroutine
-			// per idle consumer, and a slow one — or Consume's adapter on a
-			// full channel — throttles the socket like a TCP receive window.
-			cc.fn(d)
+		return e
+	}
+	acker, listeners := ch.acker, ch.returns
+	cc := ch.consumers[deliveryConsumer(c.method)]
+	ch.mu.Unlock()
+	d := deliveryFromProps(&c.header.Properties)
+	d.Acknowledger, d.Body = acker, c.body
+	switch m := c.method.(type) {
+	case *wire.BasicDeliver:
+		if cc == nil {
+			return e
 		}
-	case pendGetOkKind:
-		d := deliveryFromProps(&header.Properties)
-		d.Acknowledger = ch.currentAcker()
-		d.DeliveryTag = getOk.DeliveryTag
-		d.Redelivered = getOk.Redelivered
-		d.Exchange = getOk.Exchange
-		d.RoutingKey = getOk.RoutingKey
-		d.MessageCount = getOk.MessageCount
-		d.Body = body
-		ch.reply(&gotMessage{BasicGetOk: *getOk, d: d})
-	case pendReturnKind:
-		ch.mu.Lock()
-		listeners := ch.returns
-		ch.mu.Unlock()
+		d.ConsumerTag, d.DeliveryTag, d.Redelivered = m.ConsumerTag, m.DeliveryTag, m.Redelivered
+		d.Exchange, d.RoutingKey = m.Exchange, m.RoutingKey
+		// Every consumer is a callback run on the owner: no goroutine per
+		// idle consumer, and a slow one — or Consume's adapter on a full
+		// channel — throttles the socket like a TCP receive window.
+		cc.fn(d)
+	case *wire.BasicGetOk:
+		d.DeliveryTag, d.Redelivered, d.MessageCount = m.DeliveryTag, m.Redelivered, m.MessageCount
+		d.Exchange, d.RoutingKey = m.Exchange, m.RoutingKey
+		ch.reply(&gotMessage{BasicGetOk: *m, d: d})
+	case *wire.BasicReturn:
+		ret := Return{ReplyCode: m.ReplyCode, ReplyText: m.ReplyText, Exchange: m.Exchange, RoutingKey: m.RoutingKey, Body: c.body}
 		for _, l := range listeners {
-			select {
-			case l <- Return{
-				ReplyCode:  ret.ReplyCode,
-				ReplyText:  ret.ReplyText,
-				Exchange:   ret.Exchange,
-				RoutingKey: ret.RoutingKey,
-				Body:       body,
-			}:
-			case <-ch.quit:
-			case <-ch.conn.quit:
-			}
+			send(ch, l, ret)
 		}
 	}
+	return e
 }
 
 // --- declarations ---
@@ -670,27 +569,13 @@ func (ch *Channel) Confirm(noWait bool) error {
 // whole connection (no frame is read) until it drains or Close is called,
 // and Close then closes it.
 func (ch *Channel) NotifyPublish(c chan Confirmation) chan Confirmation {
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	if ch.closed {
-		close(c)
-		return c
-	}
-	ch.confirms = append(ch.confirms, c)
-	return c
+	return listen(&ch.mu, &ch.closed, &ch.confirms, c)
 }
 
 // NotifyReturn registers a listener for unroutable mandatory messages,
 // under the same contract as NotifyPublish.
 func (ch *Channel) NotifyReturn(c chan Return) chan Return {
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	if ch.closed {
-		close(c)
-		return c
-	}
-	ch.returns = append(ch.returns, c)
-	return c
+	return listen(&ch.mu, &ch.closed, &ch.returns, c)
 }
 
 // GetNextPublishSeqNo returns the sequence number the next Publish will use
@@ -850,93 +735,75 @@ func (ch *Channel) Get(queue string, autoAck bool) (Delivery, bool, error) {
 
 // --- Acknowledger ---
 
-// epochCurrent passed as the epoch to releaseLoans means "whatever epoch
-// the loan registry currently belongs to" — used by the Channel's own
-// Acknowledger methods, which always act on the live transport.
-const epochCurrent = ^uint64(0)
-
-// releaseLoans returns the pooled bodies of resolved deliveries to the
-// wire pool: the application promised (by acking/nacking/rejecting) that
-// it is done with them. Loans from an older transport epoch are left
-// alone — their tags belong to a dead transport and were already
-// abandoned by the replay.
-func (ch *Channel) releaseLoans(epoch, tag uint64, multiple bool) {
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	if epoch != epochCurrent && epoch != ch.loansEpoch {
-		return
-	}
-	if !multiple {
-		wire.ReleaseBuf(ch.loans[tag])
-		delete(ch.loans, tag)
-		return
-	}
-	for t, p := range ch.loans {
-		if t <= tag || tag == 0 {
-			wire.ReleaseBuf(p)
-			delete(ch.loans, t)
-		}
-	}
+// cut starts transport epoch epoch on the receive side, under mu: the core
+// abandons the loans the application holds, and deliveries get a new acker.
+func (ch *Channel) cut(epoch uint64) {
+	ch.in.cut(epoch)
+	ch.recycle()
+	ch.acker = &epochAcker{ch: ch, epoch: epoch}
 }
 
-// settle resolves deliveries: it returns their loans and writes the
-// resolution. epoch is epochCurrent for the Channel's own Acknowledger
-// methods, which act on the live transport; an epochAcker passes the
-// epoch its deliveries arrived on.
+// settle resolves deliveries of transport epoch epoch: the core releases
+// their loans (the application promised it is done with the bodies), and
+// the resolution is written unless that epoch has ended.
 func (ch *Channel) settle(epoch uint64, kind settleKind, tag uint64, multiple, requeue bool) error {
-	ch.releaseLoans(epoch, tag, multiple)
+	ch.mu.Lock()
+	ch.in.settle(epoch, tag, multiple)
+	ch.recycle()
+	ch.mu.Unlock()
 	return ch.conn.writeSettle(ch, epoch, kind, tag, multiple, requeue)
 }
 
-// Ack acknowledges a delivery tag.
-func (ch *Channel) Ack(tag uint64, multiple bool) error {
-	return ch.settle(epochCurrent, settleAck, tag, multiple, false)
-}
-
-// Nack negatively acknowledges a delivery tag.
-func (ch *Channel) Nack(tag uint64, multiple, requeue bool) error {
-	return ch.settle(epochCurrent, settleNack, tag, multiple, requeue)
-}
-
-// Reject rejects a delivery tag.
-func (ch *Channel) Reject(tag uint64, requeue bool) error {
-	return ch.settle(epochCurrent, settleReject, tag, false, requeue)
-}
-
-// --- reconnect replay ---
-
-// currentAcker returns the acknowledger deliveries should carry: the
-// channel itself on legacy connections, or the transport-epoch-scoped
-// acker on reconnecting connections (so acknowledgements for deliveries
-// of a dead transport are dropped instead of misapplied to tags the new
-// transport reassigned).
-func (ch *Channel) currentAcker() Acknowledger {
+// epoch is the transport epoch the channel's deliveries belong to now.
+func (ch *Channel) epoch() uint64 {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
-	if ch.acker != nil {
-		return ch.acker
-	}
-	return ch
+	return ch.in.epoch
 }
 
-// epochAcker resolves deliveries only while the transport epoch they
-// were delivered on is still current. After a reconnect the broker has
-// requeued those deliveries, so stale acknowledgements become no-ops.
+// Ack acknowledges a delivery tag of the current transport.
+func (ch *Channel) Ack(tag uint64, multiple bool) error {
+	return ch.settle(ch.epoch(), settleAck, tag, multiple, false)
+}
+
+// Nack negatively acknowledges a delivery tag of the current transport.
+func (ch *Channel) Nack(tag uint64, multiple, requeue bool) error {
+	return ch.settle(ch.epoch(), settleNack, tag, multiple, requeue)
+}
+
+// Reject rejects a delivery tag of the current transport.
+func (ch *Channel) Reject(tag uint64, requeue bool) error {
+	return ch.settle(ch.epoch(), settleReject, tag, false, requeue)
+}
+
+// epochAcker is the Acknowledger of one transport epoch's deliveries. After
+// a transport loss the broker requeues them, so their resolutions are
+// dropped instead of misapplied to the tags the new transport reuses — as
+// is one whose write fails on a reconnecting connection, a transport going.
 type epochAcker struct {
 	ch    *Channel
 	epoch uint64
 }
 
 func (a *epochAcker) Ack(tag uint64, multiple bool) error {
-	return a.ch.settle(a.epoch, settleAck, tag, multiple, false)
+	return a.settle(settleAck, tag, multiple, false)
 }
 
 func (a *epochAcker) Nack(tag uint64, multiple, requeue bool) error {
-	return a.ch.settle(a.epoch, settleNack, tag, multiple, requeue)
+	return a.settle(settleNack, tag, multiple, requeue)
 }
 
 func (a *epochAcker) Reject(tag uint64, requeue bool) error {
-	return a.ch.settle(a.epoch, settleReject, tag, false, requeue)
+	return a.settle(settleReject, tag, false, requeue)
+}
+
+func (a *epochAcker) settle(kind settleKind, tag uint64, multiple, requeue bool) error {
+	err := a.ch.settle(a.epoch, kind, tag, multiple, requeue)
+	if err != nil && a.ch.conn.reconnectEnabled() {
+		staleAcksDropped.Inc()
+		return nil
+	}
+	return err
 }
 
 // replayState re-establishes this channel on the transport of generation
@@ -954,26 +821,6 @@ func (ch *Channel) replayState(gen chan struct{}) ([]*clientConsumer, error) {
 		return nil, nil
 	}
 	ch.gen = gen
-	// Drop any content assembly that was cut off mid-message (its loan
-	// was never handed out, so it can recycle), and abandon the dead
-	// transport's delivery-body loans: the broker requeued those
-	// deliveries, but the application may still hold the bodies.
-	ch.pendKind = pendNone
-	ch.pendHeader = nil
-	ch.pendBody = nil
-	wire.ReleaseBuf(ch.pendLoan)
-	ch.pendLoan = nil
-	ch.pendDeliver = nil
-	ch.pendGetOk = nil
-	ch.pendReturn = nil
-	for t, p := range ch.loans {
-		delete(ch.loans, t)
-		wire.AbandonBuf(p)
-	}
-	// The owner bumped the epoch before starting this replay and changes
-	// it again only after the replay has exited.
-	ch.acker = &epochAcker{ch: ch, epoch: c.epoch}
-	ch.loansEpoch = c.epoch
 	calls := []wire.Method{&wire.ChannelOpen{}}
 	if ch.qosSpec != nil {
 		spec := *ch.qosSpec

@@ -457,14 +457,7 @@ func (c *Connection) Channel() (*Channel, error) {
 // owner sends the exception, if there is one and the listener has room,
 // then closes it. A listener registered after shutdown is closed at once.
 func (c *Connection) NotifyClose(ch chan *Error) chan *Error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		close(ch)
-		return ch
-	}
-	c.notifyCls = append(c.notifyCls, ch)
-	return ch
+	return listen(&c.mu, &c.closed, &c.notifyCls, ch)
 }
 
 // Close performs an orderly shutdown: a best-effort connection.close,
@@ -582,9 +575,9 @@ func (c *Connection) lose() bool {
 }
 
 // hold closes every channel's gate for the outage: application writes on
-// a channel wait until the replay has re-established it, deliveries of the
-// dead transport belong to an older epoch, and each confirm log holds its
-// unresolved publishes for the replay.
+// a channel wait until the replay has re-established it, each confirm log
+// holds its unresolved publishes for the replay, and each receive core
+// starts the next epoch, abandoning the dead transport's delivery loans.
 func (c *Connection) hold() {
 	c.writeMu.Lock()
 	c.mu.Lock()
@@ -596,6 +589,7 @@ func (c *Connection) hold() {
 			ch.gate = make(chan struct{})
 		}
 		ch.log.cut()
+		ch.cut(c.epoch)
 		ch.mu.Unlock()
 	}
 	c.mu.Unlock()
@@ -721,15 +715,7 @@ func (c *Connection) shutdown(err *Error) {
 	for _, ch := range chans {
 		ch.shutdown(err, nil)
 	}
-	for _, n := range notify {
-		if err != nil {
-			select {
-			case n <- err:
-			default:
-			}
-		}
-		close(n)
-	}
+	notifyClosed(notify, err)
 	close(c.done)
 }
 
@@ -990,15 +976,15 @@ const (
 )
 
 // writeSettle writes one delivery resolution — basic.ack, basic.nack or
-// basic.reject — encoded from the method scratch under writeMu. With an
-// epoch other than epochCurrent it writes only while that transport epoch
-// is still live, and never while ch's gate is held: after a transport loss
-// the broker requeues the deliveries those tags named, so stale
-// resolutions are dropped rather than misapplied to new deliveries.
+// basic.reject — encoded from the method scratch under writeMu, while the
+// transport epoch of its deliveries is live and ch's gate is not held:
+// after a transport loss the broker requeues the deliveries those tags
+// named, so stale resolutions are dropped rather than misapplied to new
+// deliveries.
 func (c *Connection) writeSettle(ch *Channel, epoch uint64, kind settleKind, tag uint64, multiple, requeue bool) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	if ch.gate != nil || (epoch != epochCurrent && epoch != c.epoch) {
+	if ch.gate != nil || epoch != c.epoch {
 		staleAcksDropped.Inc()
 		return nil
 	}
@@ -1014,14 +1000,7 @@ func (c *Connection) writeSettle(ch *Channel, epoch uint64, kind settleKind, tag
 		c.reject = wire.BasicReject{DeliveryTag: tag, Requeue: requeue}
 		m = &c.reject
 	}
-	err := c.writeMethodLocked(ch.id, m)
-	if err != nil && epoch != epochCurrent && c.reconnectEnabled() {
-		// Transport died mid-ack: the broker requeues the delivery when
-		// it notices, so the ack is simply dropped.
-		staleAcksDropped.Inc()
-		return nil
-	}
-	return err
+	return c.writeMethodLocked(ch.id, m)
 }
 
 // encodePublishLocked frames a publish into a pooled writer the caller

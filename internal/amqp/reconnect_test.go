@@ -1,7 +1,9 @@
 package amqp_test
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -9,6 +11,7 @@ import (
 	"ds2hpc/internal/broker"
 	"ds2hpc/internal/telemetry"
 	"ds2hpc/internal/transport"
+	"ds2hpc/internal/wire"
 )
 
 // testPolicy is a fast retry schedule suited to in-process brokers.
@@ -278,4 +281,102 @@ func TestReconnectAcrossLinkFlap(t *testing.T) {
 	if conn.Reconnects() == 0 {
 		t.Fatal("connection never reconnected")
 	}
+}
+
+// TestReconnectDropsStaleAckAfterRedelivery holds a manual-ack delivery across a
+// link cut and acks it only after the reconnect has redelivered it, under
+// the same tag, on the new transport. The old ack names a delivery of the
+// dead transport: it must not reach the new one, where it would settle the
+// redelivery; it counts as one stale ack; and the redelivered body, on a
+// loan of its own, stays intact until its own ack, after which the loans
+// are back to the baseline.
+func TestReconnectDropsStaleAckAfterRedelivery(t *testing.T) {
+	s := startBroker(t, broker.Config{})
+	base := wire.LoanedBytes()
+	in, tp := transport.NewInjector(), &tap{}
+	conn, err := amqp.DialConfig("amqp://"+s.Addr(), amqp.Config{
+		Dial:      transport.Path{in.Hop(), tp.Hop()}.Dial(),
+		Reconnect: testPolicy(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	ch := openChannel(t, conn)
+	if _, err := ch.QueueDeclare("stale-q", false, false, false, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := ch.Qos(1, 0, false); err != nil {
+		t.Fatal(err)
+	}
+	deliveries, err := ch.Consume("stale-q", "stale-c", false, false, false, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.Repeat([]byte{0xA5}, 4096)
+	if err := openChannel(t, dial(t, s)).Publish("", "stale-q", false, false, amqp.Publishing{Body: body}); err != nil {
+		t.Fatal(err)
+	}
+	next := func(what string) amqp.Delivery {
+		t.Helper()
+		select {
+		case d, ok := <-deliveries:
+			if !ok {
+				t.Fatalf("deliveries closed before the %s", what)
+			}
+			return d
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no %s", what)
+		}
+		return amqp.Delivery{}
+	}
+	old := next("delivery")
+
+	in.ResetConns()
+	again := next("redelivery")
+	if !again.Redelivered || again.DeliveryTag != old.DeliveryTag || !bytes.Equal(again.Body, body) {
+		t.Fatalf("redelivery: tag %d (old %d), redelivered=%v, %d-byte body", again.DeliveryTag, old.DeliveryTag, again.Redelivered, len(again.Body))
+	}
+	newAcks := func() []uint64 {
+		trs := tp.transports(t)
+		return trs[len(trs)-1].acks
+	}
+
+	stale := telemetry.Default.Counter("amqp.stale_acks_dropped")
+	before := stale.Load()
+	if err := old.Ack(false); err != nil {
+		t.Fatalf("stale ack: %v", err)
+	}
+	if got := stale.Load() - before; got != 1 {
+		t.Fatalf("stale acks dropped went up by %d, want 1", got)
+	}
+	if acks := newAcks(); len(acks) != 0 {
+		t.Fatalf("the new transport carried acks %v before the redelivery's own", acks)
+	}
+	// Had the stale ack released the redelivery's loan, these loans of its
+	// size would take the buffer back and scribble over the body.
+	var probes [8]*[]byte
+	for i := range probes {
+		probes[i] = wire.LoanBuf(len(body))
+		*probes[i] = append(*probes[i], make([]byte, len(body))...)
+	}
+	for _, p := range probes {
+		wire.ReleaseBuf(p)
+	}
+	if !bytes.Equal(again.Body, body) || !bytes.Equal(old.Body, body) {
+		t.Fatal("a body changed before its own ack")
+	}
+
+	if err := again.Ack(false); err != nil {
+		t.Fatal(err)
+	}
+	if acks := newAcks(); !slices.Equal(acks, []uint64{again.DeliveryTag}) {
+		t.Fatalf("the new transport carried acks %v, want only the redelivery's %d", acks, again.DeliveryTag)
+	}
+	q, _ := s.VHost("/").Queue("stale-q")
+	waitFor(t, "the broker to settle the redelivery", func() bool { return q.Len() == 0 && q.Stats().Acked == 1 })
+	if _, err := s.VHost("/").DeleteQueue("stale-q", false, false); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "loans back to the baseline", func() bool { return wire.LoanedBytes() == base })
 }

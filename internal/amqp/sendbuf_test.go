@@ -60,12 +60,13 @@ func (tp *tap) Hop() transport.Hop {
 
 // tapped is what one transport carried: the first frame on a channel
 // after the connection handshake, the message id of every publish whose
-// frames all made it onto the socket, in wire order, and how often each
-// consumer tag was subscribed.
+// frames all made it onto the socket, in wire order, how often each
+// consumer tag was subscribed, and the tag of every basic.ack.
 type tapped struct {
 	first     wire.Method
 	published []uint64
 	consumes  map[string]int
+	acks      []uint64
 }
 
 func (tp *tap) transports(t *testing.T) []tapped {
@@ -101,8 +102,11 @@ func (tp *tap) transports(t *testing.T) []tapped {
 				if tr.first == nil {
 					tr.first = m
 				}
-				if bc, ok := m.(*wire.BasicConsume); ok {
-					tr.consumes[bc.ConsumerTag]++
+				switch x := m.(type) {
+				case *wire.BasicConsume:
+					tr.consumes[x.ConsumerTag]++
+				case *wire.BasicAck:
+					tr.acks = append(tr.acks, x.DeliveryTag)
 				}
 			case wire.FrameHeader:
 				h, err := wire.ParseContentHeader(f.Payload)

@@ -13,11 +13,8 @@ import (
 // Table re-exports the wire field table for client arguments.
 type Table = wire.Table
 
-// Errors returned by the client.
-var (
-	ErrClosed          = errors.New("amqp: connection/channel closed")
-	ErrDeliveryTimeout = errors.New("amqp: delivery timed out")
-)
+// ErrClosed is returned by operations on a closed connection or channel.
+var ErrClosed = errors.New("amqp: connection/channel closed")
 
 // Queue describes a declared queue.
 type Queue struct {
@@ -99,7 +96,10 @@ type Delivery struct {
 	MessageCount uint32
 }
 
-// Acknowledger resolves deliveries (implemented by *Channel).
+// Acknowledger resolves deliveries. Each delivery carries the one of the
+// transport epoch it arrived on, which drops the resolution once that
+// transport is gone (the broker requeues its deliveries); *Channel's own
+// Ack, Nack and Reject act on the current transport.
 type Acknowledger interface {
 	Ack(tag uint64, multiple bool) error
 	Nack(tag uint64, multiple, requeue bool) error
