@@ -262,12 +262,13 @@
 // and a metadata directory any node can answer maps a queue name to its
 // current master. A client talking to the wrong node is handled two
 // ways: publishes are forwarded to the master over an inter-node
-// federation link (an AMQP connection in confirm mode; bodies cross it
-// zero-copy as borrowed refcounted buffers and the master's ack is
-// bridged back to the origin producer), while consumes redirect the
-// whole connection — the broker answers connection.close 302 with the
-// master's address, and amqp.Config.Reconnect re-dials it and replays
-// channel state there. Config.Seeds gives clients the full node list so
+// federation link (an internal/amqp connection in confirm mode with
+// bounded handshakes; bodies of 64 KiB and up cross it zero-copy as
+// borrowed refcounted buffers, smaller ones are copied into the send
+// buffer, and the master's ack is bridged back to the origin producer),
+// while consumes redirect the whole connection — the broker answers
+// connection.close 302 with the master's address, and
+// amqp.Config.Reconnect re-dials it and replays channel state there. Config.Seeds gives clients the full node list so
 // a dead dial target rotates instead of dead-ending.
 //
 // Failover, in sequence: a queue-master dies → the ring drops the node

@@ -189,8 +189,17 @@ func DialTLS(url string, tlsCfg *tls.Config) (*Connection, error) {
 	return DialConfig(url, Config{TLS: tlsCfg})
 }
 
+// handshakeTimeout bounds a transport's setup, the TLS handshake and the
+// AMQP negotiation, on the first dial and on every redial: a peer that
+// accepts the connection and then says nothing fails the dial instead of
+// hanging it (a transport whose SetDeadline is a no-op stays unbounded).
+// A variable so tests can shorten it.
+var handshakeTimeout = 10 * time.Second
+
 // dialTransport dials the raw transport for u, applying TLS when the
-// scheme or configuration asks for it.
+// scheme or configuration asks for it. The returned conn carries the
+// handshake deadline, which the caller clears once the AMQP handshake is
+// done.
 func dialTransport(u URI, cfg Config) (net.Conn, error) {
 	dial := cfg.Dial
 	if dial == nil {
@@ -202,6 +211,7 @@ func dialTransport(u URI, cfg Config) (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
+	raw.SetDeadline(time.Now().Add(handshakeTimeout))
 	if u.Scheme == "amqps" || cfg.TLS != nil {
 		tcfg := cfg.TLS
 		if tcfg == nil {
@@ -278,6 +288,7 @@ func dialOnce(u URI, vhost string, cfg Config) (*Connection, error) {
 		raw.Close()
 		return nil, err
 	}
+	raw.SetDeadline(time.Time{})
 	if hb > 0 {
 		go c.heartbeatLoop(hb)
 	}
@@ -639,6 +650,7 @@ func (c *Connection) install(raw net.Conn) (*wire.FrameReader, chan struct{}) {
 	if _, err := c.handshake(raw, fr); err != nil {
 		return nil, nil
 	}
+	raw.SetDeadline(time.Time{})
 	gen := make(chan struct{})
 	c.writeMu.Lock()
 	c.mu.Lock()

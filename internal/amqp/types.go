@@ -36,6 +36,7 @@ type Publishing struct {
 	MessageID       string
 	Timestamp       uint64 // UnixNano
 	Type            string
+	UserID          string
 	AppID           string
 	// Body is read while Publish runs and never after it returns, so the
 	// caller may reuse the slice at once: from 64 KiB up it is borrowed and
@@ -63,6 +64,7 @@ func (p *Publishing) properties() wire.Properties {
 		MessageID:       p.MessageID,
 		Timestamp:       p.Timestamp,
 		Type:            p.Type,
+		UserID:          p.UserID,
 		AppID:           p.AppID,
 	}
 }

@@ -1,67 +1,57 @@
 package cluster
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"net"
 	"sort"
 	"sync"
 	"time"
 
+	"ds2hpc/internal/amqp"
 	"ds2hpc/internal/broker"
 	"ds2hpc/internal/telemetry"
 	"ds2hpc/internal/transport"
-	"ds2hpc/internal/wire"
 )
 
 // Federation: the inter-node link layer. When a publish (or declare)
 // lands on a node that does not master its queue, the node forwards it
-// to the master over a fedLink — an ordinary AMQP client connection the
+// to the master over a fedLink — an internal/amqp client connection the
 // hub dials lazily per (master address, vhost), carried over whatever
 // transport.DialFunc the deployment uses between its broker nodes (plain
-// TCP in PRS/MSS, the TLS hop in DTS).
-//
-// The forward path is zero-copy end to end: the sender holds the
-// message's refcount and appends its pooled body to the link's writer as
-// borrowed iovec segments (AppendContentFramesZC), so a federated body
-// crosses the link with the same zero-copy discipline a local delivery
-// uses — no per-hop copy is reintroduced.
+// TCP in PRS/MSS, the TLS hop in DTS), with bounded handshakes. A forward
+// is a client publish: bodies of 64 KiB and up are borrowed (zero-copy,
+// like a local delivery), smaller ones copied into the send buffer.
 //
 // Links run in confirm mode and bridge confirms: every forward records
-// the origin channel and its publish seq; when the master acks, the
-// origin channel relays the verdict to the producer. A link failure
-// gives everything outstanding one bounded immediate replay on a freshly
-// dialed link (each forward retains its message for exactly this); what
-// cannot be replayed — the redial failed, or the forward already rode a
-// retry — is nacked, so producers retry through their normal confirm
-// machinery. One TCP reset therefore costs one in-process resend instead
-// of a producer-visible replay storm.
+// its origin channel and publish seq under the link's sequence number,
+// and the link relays the client's one confirmation per publish to that
+// origin. A link failure gives everything outstanding one bounded
+// immediate replay on a freshly dialed link (each forward retains its
+// message for exactly this); what cannot be replayed — the redial failed,
+// or the forward already rode a retry — is nacked, so producers retry
+// through their normal confirm machinery. The link is fail-fast, not a
+// reconnecting client: redialing a dead master would hold back the nack
+// that reroutes producers, and its replay would resend a forward twice.
 //
 // The replication layer rides the same links: mirror ships are forwards
 // whose exchange names a reserved "!mirror.*" operation (see
 // replication.go), so forward carries an explicit wire exchange/key pair
 // distinct from the message's own envelope.
 
-// fedRPCTimeout bounds synchronous link operations (handshake, remote
-// queue declares).
+// fedRPCTimeout bounds link setup and remote queue declares.
 const fedRPCTimeout = 10 * time.Second
 
 // fedHub owns one node's federation links.
 type fedHub struct {
 	node int
 	dir  *Directory
-	dial transport.DialFunc
+	dial transport.DialFunc // nil: the client's default TCP dial
 
 	mu    sync.Mutex
 	links map[string]*fedLink // key: addr + "\x00" + vhost
 }
 
 func newFedHub(node int, dir *Directory, dial transport.DialFunc) *fedHub {
-	if dial == nil {
-		dial = func(network, addr string) (net.Conn, error) {
-			return net.DialTimeout(network, addr, fedRPCTimeout)
-		}
-	}
 	return &fedHub{node: node, dir: dir, dial: dial, links: make(map[string]*fedLink)}
 }
 
@@ -76,14 +66,9 @@ func (h *fedHub) link(addr, vhost string) (*fedLink, error) {
 	if l, ok := h.links[key]; ok && !l.isDead() {
 		return l, nil
 	}
-	nc, err := h.dial("tcp", addr)
+	l, err := newFedLink(addr, vhost, h)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: federation dial %s: %w", addr, err)
-	}
-	l, err := newFedLink(nc, addr, vhost, h)
-	if err != nil {
-		nc.Close()
-		return nil, fmt.Errorf("cluster: federation handshake %s: %w", addr, err)
+		return nil, fmt.Errorf("cluster: federation link %s: %w", addr, err)
 	}
 	h.links[key] = l
 	fedLinks.Add(1)
@@ -93,10 +78,7 @@ func (h *fedHub) link(addr, vhost string) (*fedLink, error) {
 // closeAll tears down every link (node shutdown).
 func (h *fedHub) closeAll() {
 	h.mu.Lock()
-	links := make([]*fedLink, 0, len(h.links))
-	for _, l := range h.links {
-		links = append(links, l)
-	}
+	links := h.links
 	h.links = make(map[string]*fedLink)
 	h.mu.Unlock()
 	for _, l := range links {
@@ -156,27 +138,22 @@ func resolvePending(p fedPending, ok bool) {
 	}
 }
 
-// fedLink is one AMQP connection to a sibling node, channel 1 open in
-// confirm mode. Writes serialize on mu; confirms resolve on the read
-// loop goroutine.
+// fedLink is one client connection to a sibling node with one channel in
+// confirm mode. sendMu pairs a forward's sequence number with its publish;
+// mu guards the rest and is never held across a write, so a forward
+// blocked on the socket cannot stall the confirm relay (and with it the
+// client's reader, and the master writing acks behind it).
 type fedLink struct {
-	nc       net.Conn
-	addr     string
-	vhost    string
-	frameMax uint32
-	hub      *fedHub // nil for hub-less links (tests); disables the failure replay
+	addr  string
+	vhost string
+	hub   *fedHub // nil for hub-less links (tests); disables the failure replay
+	conn  *amqp.Connection
+	ch    *amqp.Channel
 
+	sendMu  sync.Mutex
 	mu      sync.Mutex
-	w       *wire.Writer
-	pub     wire.BasicPublish     // reused per forward so the method never escapes
-	seq     uint64                // last link-local publish seq issued
-	next    uint64                // lowest possibly-outstanding seq
-	pending map[uint64]fedPending // link seq -> origin
-	dead    bool
-	err     error
-
-	rpcMu sync.Mutex       // one synchronous RPC in flight at a time
-	rpc   chan wire.Method // declare-ok / channel errors for the RPC waiter
+	pending map[uint64]fedPending // client publish seq -> origin
+	err     error                 // non-nil once the link is dead
 
 	// Per-sibling tagged series (cluster.federation_link_*{link=addr}),
 	// captured once at link setup alongside the untagged cluster totals.
@@ -184,128 +161,68 @@ type fedLink struct {
 	bytesCtx *telemetry.Counter
 }
 
-// newFedLink performs the client-side AMQP handshake on nc, opens
-// channel 1 in confirm mode, and starts the read loop. addr tags the
-// link's per-sibling telemetry series; the interned context makes the
-// tagged counters one map hit at link setup and plain atomic adds on
-// the forward path.
-func newFedLink(nc net.Conn, addr, vhost string, hub *fedHub) (*fedLink, error) {
+// newFedLink dials addr through the hub's dialer, opens a channel in
+// confirm mode and starts the confirm relay. Without heartbeats, a killed
+// sibling fails the link by read and write errors. addr tags the link's
+// per-sibling telemetry series, interned once here.
+func newFedLink(addr, vhost string, hub *fedHub) (*fedLink, error) {
+	var dial transport.DialFunc
+	if hub != nil {
+		dial = hub.dial
+	}
+	conn, err := amqp.DialConfig("amqp://"+addr, amqp.Config{
+		Dial:       dial,
+		VHost:      vhost,
+		Properties: amqp.Table{"product": "ds2hpc-federation"},
+	})
+	if err != nil {
+		return nil, err
+	}
+	stop := time.AfterFunc(fedRPCTimeout, func() { conn.Close() })
+	ch, err := conn.Channel()
+	if err == nil {
+		err = ch.Confirm(false)
+	}
+	stop.Stop()
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
 	ctx := telemetry.Intern("link=" + addr)
 	l := &fedLink{
-		nc:       nc,
 		addr:     addr,
 		vhost:    vhost,
 		hub:      hub,
-		w:        wire.NewWriter(),
-		next:     1,
+		conn:     conn,
+		ch:       ch,
 		pending:  make(map[uint64]fedPending),
-		rpc:      make(chan wire.Method, 1),
 		msgsCtx:  telemetry.Default.CounterCtx("cluster.federation_link_msgs", ctx),
 		bytesCtx: telemetry.Default.CounterCtx("cluster.federation_link_bytes", ctx),
 	}
-	nc.SetDeadline(time.Now().Add(fedRPCTimeout))
-	fr := wire.NewFrameReader(nc, 0)
-	if err := l.handshake(fr); err != nil {
-		return nil, err
-	}
-	nc.SetDeadline(time.Time{})
-	go l.readLoop(fr)
+	// Room for the burst one multiple-ack resolves.
+	go l.relay(ch.NotifyPublish(make(chan amqp.Confirmation, 256)))
 	return l, nil
 }
 
-func (l *fedLink) handshake(fr *wire.FrameReader) error {
-	if err := wire.WriteProtocolHeader(l.nc); err != nil {
-		return err
-	}
-	if _, err := l.expect(fr, &wire.ConnectionStart{}); err != nil {
-		return err
-	}
-	if err := l.send(&wire.ConnectionStartOk{
-		ClientProperties: wire.Table{"product": "ds2hpc-federation"},
-		Mechanism:        "PLAIN",
-		Response:         []byte("\x00guest\x00guest"),
-		Locale:           "en_US",
-	}); err != nil {
-		return err
-	}
-	m, err := l.expect(fr, &wire.ConnectionTune{})
-	if err != nil {
-		return err
-	}
-	tune := m.(*wire.ConnectionTune)
-	l.frameMax = tune.FrameMax
-	if l.frameMax == 0 {
-		l.frameMax = wire.DefaultFrameMax
-	}
-	fr.SetFrameMax(l.frameMax + 1024)
-	// Heartbeat 0: the link detects death by write/read errors; a killed
-	// sibling fails the next forward, which is what triggers re-routing.
-	if err := l.send(&wire.ConnectionTuneOk{ChannelMax: tune.ChannelMax, FrameMax: l.frameMax}); err != nil {
-		return err
-	}
-	if err := l.send(&wire.ConnectionOpen{VirtualHost: l.vhost}); err != nil {
-		return err
-	}
-	if _, err := l.expect(fr, &wire.ConnectionOpenOk{}); err != nil {
-		return err
-	}
-	if err := l.sendCh(&wire.ChannelOpen{}); err != nil {
-		return err
-	}
-	if _, err := l.expect(fr, &wire.ChannelOpenOk{}); err != nil {
-		return err
-	}
-	if err := l.sendCh(&wire.ConfirmSelect{}); err != nil {
-		return err
-	}
-	if _, err := l.expect(fr, &wire.ConfirmSelectOk{}); err != nil {
-		return err
-	}
-	return nil
-}
-
-func (l *fedLink) send(m wire.Method) error   { return l.sendOn(0, m) }
-func (l *fedLink) sendCh(m wire.Method) error { return l.sendOn(1, m) }
-
-func (l *fedLink) sendOn(ch uint16, m wire.Method) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.dead {
-		return l.err
-	}
-	l.w.AppendMethodFrame(ch, m)
-	return l.w.FlushFrames(l.nc, 1)
-}
-
-// expect reads method frames until one matching want's type arrives
-// (heartbeats skipped); used only during the synchronous handshake.
-func (l *fedLink) expect(fr *wire.FrameReader, want wire.Method) (wire.Method, error) {
-	wantC, wantM := want.ID()
-	for {
-		f, err := fr.ReadFrame()
-		if err != nil {
-			return nil, err
-		}
-		if f.Type != wire.FrameMethod {
-			continue
-		}
-		m, err := wire.ParseMethod(f.Payload)
-		if err != nil {
-			return nil, err
-		}
-		if c, id := m.ID(); c == wantC && id == wantM {
-			return m, nil
-		}
-		if cl, ok := m.(*wire.ConnectionClose); ok {
-			return nil, fmt.Errorf("connection.close %d: %s", cl.ReplyCode, cl.ReplyText)
+// relay hands each confirmation to its forward's origin until the channel
+// ends, and then fails the link.
+func (l *fedLink) relay(confirms <-chan amqp.Confirmation) {
+	for c := range confirms {
+		l.mu.Lock()
+		p, ok := l.pending[c.DeliveryTag]
+		delete(l.pending, c.DeliveryTag)
+		l.mu.Unlock()
+		if ok {
+			resolvePending(p, c.Ack)
 		}
 	}
+	l.fail(errors.New("cluster: federation link closed"))
 }
 
 func (l *fedLink) isDead() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.dead
+	return l.err != nil
 }
 
 // fail marks the link dead. With a hub attached, the outstanding forwards
@@ -315,16 +232,15 @@ func (l *fedLink) fail(err error) { l.failWith(err, true) }
 
 func (l *fedLink) failWith(err error, retry bool) {
 	l.mu.Lock()
-	if l.dead {
+	if l.err != nil {
 		l.mu.Unlock()
 		return
 	}
-	l.dead = true
 	l.err = err
 	pend := l.pending
 	l.pending = make(map[uint64]fedPending)
 	l.mu.Unlock()
-	l.nc.Close()
+	l.conn.Close()
 	fedLinks.Add(-1)
 	if len(pend) == 0 {
 		return
@@ -335,7 +251,7 @@ func (l *fedLink) failWith(err error, retry bool) {
 			seqs = append(seqs, s)
 		}
 		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		// Replay off the read-loop goroutine: the redial and re-forwards
+		// Replay off the failing goroutine: the redial and re-forwards
 		// must not block whatever failed the link.
 		go l.hub.retryOutstanding(l.addr, l.vhost, seqs, pend)
 		return
@@ -347,11 +263,10 @@ func (l *fedLink) failWith(err error, retry bool) {
 
 // forward ships one publish across the link under the wire envelope
 // (exchange, key) — "" + queue for an ordinary federated publish, a
-// "!mirror.*" pair for replication ships. The borrowed body segments are
-// flushed before forward returns; the message itself is retained in the
+// "!mirror.*" pair for replication ships. The message is retained in the
 // pending entry until its confirm resolves, so a link failure can replay
-// it. The steady-state path allocates nothing: pooled writer buffer,
-// borrowed body iovecs, map slot reuse, refcount adds.
+// it. The steady-state path allocates nothing: the client's pooled
+// writers, map slot reuse, refcount adds.
 func (l *fedLink) forward(exchange, key string, m *broker.Message, target broker.ConfirmTarget, origSeq uint64) error {
 	m.Retain()
 	err := l.forwardPending(fedPending{target: target, seq: origSeq, msg: m, exchange: exchange, key: key})
@@ -364,27 +279,29 @@ func (l *fedLink) forward(exchange, key string, m *broker.Message, target broker
 // forwardPending ships one pending entry (fresh or replayed); on success
 // the entry's message reference is owned by the pending table.
 func (l *fedLink) forwardPending(p fedPending) error {
+	m := p.msg
+	// Once pending, the entry may be resolved and its reference dropped at
+	// any time, so the publish reads the body under a reference of its own.
+	m.Retain()
+	defer m.Release()
+	l.sendMu.Lock()
+	defer l.sendMu.Unlock()
 	l.mu.Lock()
-	if l.dead {
-		err := l.err
-		l.mu.Unlock()
-		return err
-	}
-	l.seq++
-	l.pending[l.seq] = p
-	// Once the lock drops the confirm path may resolve the entry and
-	// release the body, so its length is taken here.
-	size := int64(len(p.msg.Body))
-	l.pub = wire.BasicPublish{Exchange: p.exchange, RoutingKey: p.key}
-	frames := l.w.AppendContentFramesZC(1, &l.pub, &p.msg.Props, p.msg.Body, l.frameMax)
-	err := l.w.FlushFrames(l.nc, frames)
-	if err != nil {
-		delete(l.pending, l.seq)
-		l.mu.Unlock()
-		l.fail(err)
-		return err
+	err := l.err
+	if err == nil {
+		l.pending[l.ch.GetNextPublishSeqNo()] = p
 	}
 	l.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	if err := l.ch.Publish(p.exchange, p.key, false, false, publishing(m)); err != nil {
+		// Failed under sendMu, so no later forward reuses the entry's
+		// sequence number: the failing link replays it once or nacks it.
+		l.fail(err)
+		return nil
+	}
+	size := int64(len(m.Body))
 	fedMsgs.Inc()
 	fedBytes.Add(size)
 	l.msgsCtx.Inc()
@@ -392,131 +309,38 @@ func (l *fedLink) forwardPending(p fedPending) error {
 	return nil
 }
 
-// declare runs a synchronous queue.declare on the link and waits for the
-// declare-ok — the ensure-on-master half of a location-transparent
-// declare.
+// publishing is m as a client publish: every property, and the body.
+func publishing(m *broker.Message) amqp.Publishing {
+	p := &m.Props
+	return amqp.Publishing{
+		ContentType:     p.ContentType,
+		ContentEncoding: p.ContentEncoding,
+		Headers:         p.Headers,
+		DeliveryMode:    p.DeliveryMode,
+		Priority:        p.Priority,
+		CorrelationID:   p.CorrelationID,
+		ReplyTo:         p.ReplyTo,
+		Expiration:      p.Expiration,
+		MessageID:       p.MessageID,
+		Timestamp:       p.Timestamp,
+		Type:            p.Type,
+		UserID:          p.UserID,
+		AppID:           p.AppID,
+		Body:            m.Body,
+	}
+}
+
+// declare runs a synchronous queue.declare on the link — the
+// ensure-on-master half of a location-transparent declare. A master that
+// does not answer within fedRPCTimeout fails the link, which ends the
+// call.
 func (l *fedLink) declare(queue string, durable bool) error {
-	l.rpcMu.Lock()
-	defer l.rpcMu.Unlock()
-	if err := l.sendCh(&wire.QueueDeclare{Queue: queue, Durable: durable}); err != nil {
-		return err
+	stop := time.AfterFunc(fedRPCTimeout, func() {
+		l.fail(fmt.Errorf("cluster: remote declare %q: timeout", queue))
+	})
+	defer stop.Stop()
+	if _, err := l.ch.QueueDeclare(queue, durable, false, false, false, nil); err != nil {
+		return fmt.Errorf("cluster: remote declare %q: %w", queue, err)
 	}
-	select {
-	case m := <-l.rpc:
-		switch x := m.(type) {
-		case *wire.QueueDeclareOk:
-			return nil
-		case *wire.ChannelClose:
-			return fmt.Errorf("cluster: remote declare %q: %d %s", queue, x.ReplyCode, x.ReplyText)
-		default:
-			return fmt.Errorf("cluster: remote declare %q: unexpected %T", queue, m)
-		}
-	case <-time.After(fedRPCTimeout):
-		return fmt.Errorf("cluster: remote declare %q: timeout", queue)
-	}
-}
-
-// readLoop drains confirms (and RPC replies) from the master. Acks and
-// nacks are decoded in place from the frame payload — the hot path runs
-// without a method allocation per confirm.
-func (l *fedLink) readLoop(fr *wire.FrameReader) {
-	for {
-		f, err := fr.ReadFrame()
-		if err != nil {
-			l.fail(err)
-			return
-		}
-		if f.Type != wire.FrameMethod || len(f.Payload) < 4 {
-			continue // heartbeats; content frames (no mandatory returns expected)
-		}
-		classID := binary.BigEndian.Uint16(f.Payload[0:2])
-		methodID := binary.BigEndian.Uint16(f.Payload[2:4])
-		if classID == wire.ClassBasic && (methodID == 80 || methodID == 120) && len(f.Payload) >= 13 {
-			// basic.ack / basic.nack: tag u64 at [4:12], multiple at [12].
-			tag := binary.BigEndian.Uint64(f.Payload[4:12])
-			multiple := f.Payload[12] != 0
-			l.settle(tag, multiple, methodID == 80)
-			continue
-		}
-		m, err := wire.ParseMethod(f.Payload)
-		if err != nil {
-			l.fail(err)
-			return
-		}
-		switch x := m.(type) {
-		case *wire.QueueDeclareOk:
-			select {
-			case l.rpc <- m:
-			default:
-			}
-		case *wire.ChannelClose:
-			select {
-			case l.rpc <- m:
-			default:
-			}
-			l.fail(fmt.Errorf("cluster: federation channel closed: %d %s", x.ReplyCode, x.ReplyText))
-			return
-		case *wire.ConnectionClose:
-			l.fail(fmt.Errorf("cluster: federation connection closed: %d %s", x.ReplyCode, x.ReplyText))
-			return
-		default:
-			// basic.return etc: ignore; forwards are not mandatory.
-		}
-	}
-}
-
-// settle resolves confirmed link seqs and relays verdicts to the origin
-// channels. Every seq below next is resolved, so a multiple-ack walks
-// [next, tag] and resolves what is still pending there — each entry
-// exactly once, whatever single verdicts (a replicated queue's bridged
-// confirms overtake the master's batched acks) arrived before it.
-func (l *fedLink) settle(tag uint64, multiple, ok bool) {
-	l.mu.Lock()
-	from := l.next
-	if !multiple {
-		from = tag
-	}
-	if tag < from {
-		l.mu.Unlock()
-		return
-	}
-	// Resolve [from, tag] while holding entries aside; relay (and drop the
-	// replay references) after unlock so a confirm write that blocks
-	// cannot stall the link's bookkeeping.
-	var single fedPending
-	var batch []fedPending
-	n := 0
-	for t := from; t <= tag; t++ {
-		p, hit := l.pending[t]
-		if !hit {
-			continue
-		}
-		delete(l.pending, t)
-		if n == 0 {
-			single = p
-		} else {
-			if batch == nil {
-				batch = append(batch, single)
-			}
-			batch = append(batch, p)
-		}
-		n++
-	}
-	if multiple {
-		l.next = tag + 1
-	}
-	for l.next <= l.seq {
-		if _, hit := l.pending[l.next]; hit {
-			break
-		}
-		l.next++
-	}
-	l.mu.Unlock()
-	if n == 1 {
-		resolvePending(single, ok)
-		return
-	}
-	for _, p := range batch {
-		resolvePending(p, ok)
-	}
+	return nil
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"fmt"
 	"net"
 	"os"
@@ -310,9 +309,7 @@ func flakyMaster(ln net.Listener, dropFirst int) {
 				if err != nil {
 					return
 				}
-				if f.Type == wire.FrameMethod && len(f.Payload) >= 4 &&
-					binary.BigEndian.Uint16(f.Payload[0:2]) == wire.ClassBasic &&
-					binary.BigEndian.Uint16(f.Payload[2:4]) == 40 {
+				if isPublish(f) {
 					return // swallow the publish, reset the link
 				}
 			}
