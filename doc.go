@@ -17,7 +17,8 @@
 //	                    content-header encodings
 //	internal/broker     the broker: sharded exchange routing and queue
 //	                    registries, prefetch-aware queues, batched
-//	                    delivery writers and multiple-ack resolution
+//	                    delivery writers and one outbound delivery core
+//	                    per channel that settles every delivery
 //	internal/amqp       client library (connections, channels, confirms)
 //	                    with bounded auto-reconnect and publish replay
 //	internal/transport  the client→service hop stack: Path/Hop dial
@@ -150,8 +151,9 @@
 // field and allocates a fresh string when a value changes.
 // wire.ParseMethod and wire.ParseContentHeader are that decoder without
 // slots. Publishes, acks and deliveries encode from connection-owned
-// method structs, and multiple-acks and confirm fan-out reuse channel
-// scratch, so the steady-state message path allocates nothing.
+// method structs, and settlements and confirm fan-out reuse channel
+// scratch, so the steady-state message path allocates nothing. Deliveries
+// unsettled when their channel closes are requeued in delivery order.
 //
 // Retention contract: broker embedders must balance Retain/Release on
 // managed messages (Message.Body is invalid after the final release).

@@ -74,8 +74,8 @@ func TestAllocsVHostPublish(t *testing.T) {
 }
 
 // TestAllocsConsumerDeliveryCycle bounds the publish→pump→ack cycle with a
-// live consumer: one pooled unacked-entry reuse aside, pushing a message
-// through a consumer's outbox and acknowledging it must not allocate.
+// live consumer: pushing a message through a consumer's outbox and
+// acknowledging it must not allocate.
 func TestAllocsConsumerDeliveryCycle(t *testing.T) {
 	q := NewQueue("q", QueueLimits{})
 	cons, err := q.AddConsumer("ctag", false, 8)
@@ -92,7 +92,7 @@ func TestAllocsConsumerDeliveryCycle(t *testing.T) {
 		default:
 			t.Fatal("no delivery pumped")
 		}
-		q.DeliveryDoneN(cons, 1)
+		q.Pump()
 		q.AckN(cons, 1)
 	}
 	for i := 0; i < 8; i++ {
@@ -149,7 +149,7 @@ func TestAllocsFanoutPublishDeliverManaged(t *testing.T) {
 			default:
 				t.Fatal("no delivery pumped")
 			}
-			queues[i].DeliveryDoneN(c, 1)
+			queues[i].Pump()
 			queues[i].AckN(c, 1)
 			d.msg.Release() // the queue's reference, resolved by the ack
 		}
@@ -214,7 +214,7 @@ func TestAllocsDurableFanoutPublishDeliver(t *testing.T) {
 			default:
 				t.Fatal("no delivery pumped")
 			}
-			queues[i].DeliveryDoneN(c, 1)
+			queues[i].Pump()
 			queues[i].AckN(c, 1)
 			d.msg.Release() // the queue's reference, resolved by the ack
 		}
@@ -325,8 +325,8 @@ func TestAllocsPublishIngest(t *testing.T) {
 
 // ackChannel is channel 1 of a dispatchConn consuming from one durable
 // and one transient queue. Its deliveries are handed out by hand (take),
-// the way sendDeliverBatch parks them in the unacked map, so acks can be
-// driven through dispatch without a delivery loop.
+// the way sendDeliverBatch issues them to the channel's outbound core, so
+// acks can be driven through dispatch without a delivery loop.
 type ackChannel struct {
 	t      *testing.T
 	sc     *srvConn
@@ -354,22 +354,37 @@ func newAckChannel(t *testing.T) *ackChannel {
 	return a
 }
 
-// take publishes one message to queue i and parks its delivery as unacked.
+// take publishes one message to queue i and issues its delivery.
 func (a *ackChannel) take(i int) {
 	if err := a.queues[i].Publish(a.msg); err != nil {
 		a.t.Fatal(err)
 	}
+	a.issue(i)
+}
+
+// issue hands the next delivery in queue i's consumer outbox to the
+// channel's outbound core under the next delivery tag.
+func (a *ackChannel) issue(i int) {
 	var d delivery
 	select {
 	case d = <-a.cons[i].outbox:
 	default:
 		a.t.Fatal("no delivery pumped")
 	}
-	a.queues[i].DeliveryDoneN(a.cons[i], 1)
+	a.queues[i].Pump()
 	a.ch.mu.Lock()
 	a.ch.deliveryTag++
-	a.ch.unacked[a.ch.deliveryTag] = newUnacked(a.queues[i], a.cons[i], d.msg, d.off)
+	a.ch.out.issue(a.ch.deliveryTag, a.queues[i], a.cons[i], d.msg, d.off)
 	a.ch.mu.Unlock()
+}
+
+// send dispatches frame f, a basic.ack or basic.nack encoded ahead, with
+// its delivery tag patched to the channel's last one.
+func (a *ackChannel) send(f wire.Frame) {
+	binary.BigEndian.PutUint64(f.Payload[4:12], a.ch.deliveryTag)
+	if err := a.sc.dispatch(f); err != nil {
+		a.t.Fatal(err)
+	}
 }
 
 // settle resolves every delivery so far with one multiple-ack (or
@@ -380,50 +395,70 @@ func (a *ackChannel) settle(requeue bool) {
 		m = &wire.BasicNack{DeliveryTag: a.ch.deliveryTag, Multiple: true, Requeue: true}
 	}
 	dispatchMethod(a.t, a.sc, 1, m)
-	if n := len(a.ch.unacked); n != 0 {
-		a.t.Fatalf("%d deliveries still unacked", n)
+	if n := a.ch.out.live; n != 0 {
+		a.t.Fatalf("%d deliveries still unsettled", n)
 	}
 }
 
-// TestAllocsMultipleAck locks in multiple-ack resolution: deliveries of a
-// durable and a transient queue, interleaved on one channel and resolved
-// by one basic.ack{multiple} that srvConn.dispatch decodes, are sorted
-// and grouped per (queue, consumer) in the channel's reused scratch —
+// TestAllocsMultipleAck locks in settlement through the outbound core:
+// deliveries of a durable and a transient queue, interleaved on one
+// channel and resolved by one basic.ack{multiple} that srvConn.dispatch
+// decodes, are grouped per (queue, consumer) in the core's reused result —
 // credit restored and durable offsets committed per group — without an
-// allocation once warm, durable appends included. The ack frame is
-// encoded ahead and its tag patched, so the test allocates nothing
-// itself.
+// allocation once warm, durable appends included. So are a single-tag
+// basic.ack and a single basic.nack{requeue}, whose message comes back
+// redelivered and is then acked. The frames are encoded ahead and their
+// tags patched, so the test allocates nothing itself.
 func TestAllocsMultipleAck(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a fraction of Puts under the race detector; zero-alloc assertion not meaningful")
 	}
 	a := newAckChannel(t)
-	ack := methodFrame(t, 1, &wire.BasicAck{Multiple: true})
-	cycle := func() {
+	multiple := methodFrame(t, 1, &wire.BasicAck{Multiple: true})
+	single := methodFrame(t, 1, &wire.BasicAck{})
+	nack := methodFrame(t, 1, &wire.BasicNack{Requeue: true})
+	for _, c := range []struct {
+		name  string
+		cycle func()
+	}{
+		{"multiple ack", func() {
+			for i := 0; i < 8; i++ {
+				a.take(i % 2)
+			}
+			a.send(multiple)
+		}},
+		{"single ack", func() {
+			a.take(0)
+			a.send(single)
+			a.take(1)
+			a.send(single)
+		}},
+		{"single nack requeue", func() {
+			for i := 0; i < 2; i++ {
+				a.take(i)
+				a.send(nack)
+				a.issue(i) // the requeued message, redelivered
+				a.send(single)
+			}
+		}},
+	} {
 		for i := 0; i < 8; i++ {
-			a.take(i % 2)
+			c.cycle() // warm the scratch, the ring chunks and the log's buffers
 		}
-		binary.BigEndian.PutUint64(ack.Payload[4:12], a.ch.deliveryTag)
-		if err := a.sc.dispatch(ack); err != nil {
-			t.Fatal(err)
+		if got := testing.AllocsPerRun(200, c.cycle); got > 0 {
+			t.Fatalf("%s allocates %.1f objects/op, want 0", c.name, got)
 		}
-	}
-	for i := 0; i < 8; i++ {
-		cycle() // warm the scratch, the ring chunks and the log's buffers
-	}
-	if got := testing.AllocsPerRun(200, cycle); got > 0 {
-		t.Fatalf("multiple-ack resolution allocates %.1f objects/op, want 0", got)
-	}
-	if n := len(a.ch.unacked); n != 0 {
-		t.Fatalf("%d deliveries still unacked", n)
+		if n := a.ch.out.live; n != 0 {
+			t.Fatalf("%s: %d deliveries still unsettled", c.name, n)
+		}
 	}
 }
 
-// TestMultipleRequeueReusesDurableGroup: the multiple-ack scratch hands a
-// group the slices of the group that sat in its slot before. A transient
-// queue's requeue that inherits a durable group's offset slice must still
-// read as "no offsets" — every message back on its queue, marked
-// redelivered — not index an empty slice.
+// TestMultipleRequeueReusesDurableGroup: the outbound core's reused
+// result hands a group the slices of the group that sat in its slot
+// before. A transient queue's requeue that inherits a durable group's
+// offset slice must carry only its own offsets — every message back on
+// its queue, marked redelivered.
 func TestMultipleRequeueReusesDurableGroup(t *testing.T) {
 	a := newAckChannel(t)
 	a.take(0) // durable first: slot 0 becomes the durable group, with offsets

@@ -59,7 +59,7 @@ func BenchmarkDurableFanoutPublishDeliver(b *testing.B) {
 				msg.Release() // publisher's reference
 				for j, c := range conss {
 					d := <-c.outbox
-					queues[j].DeliveryDoneN(c, 1)
+					queues[j].Pump()
 					queues[j].AckN(c, 1)
 					d.msg.Release() // queue's reference, resolved by the ack
 				}
@@ -106,7 +106,7 @@ func BenchmarkFanoutPublishDeliver(b *testing.B) {
 				msg.Release() // publisher's reference
 				for j, c := range conss {
 					d := <-c.outbox
-					queues[j].DeliveryDoneN(c, 1)
+					queues[j].Pump()
 					queues[j].AckN(c, 1)
 					d.msg.Release() // queue's reference, resolved by the ack
 				}

@@ -94,11 +94,11 @@ func TestQueueConsumerCredit(t *testing.T) {
 		t.Fatalf("outbox = %d, want 2", got)
 	}
 	<-c.outbox
-	q.DeliveryDone(c) // drained one, but no ack yet: credit still 0
+	q.Pump() // drained one, but no ack yet: credit still 0
 	if got := len(c.outbox); got != 1 {
 		t.Fatalf("outbox after drain = %d, want 1", got)
 	}
-	q.Ack(c) // returns one credit
+	q.AckN(c, 1) // returns one credit
 	if got := len(c.outbox); got != 2 {
 		t.Fatalf("outbox after ack = %d, want 2", got)
 	}
@@ -481,7 +481,7 @@ func TestConsumerWriterDrainTimeliness(t *testing.T) {
 	go func() {
 		for i := 0; i < total; i++ {
 			<-c.outbox
-			q.DeliveryDone(c)
+			q.Pump()
 		}
 		close(done)
 	}()

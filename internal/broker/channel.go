@@ -1,10 +1,8 @@
 package broker
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -24,7 +22,7 @@ type srvChannel struct {
 	publishSeq  uint64
 	deliveryTag uint64
 	consumers   map[string]*consumerEntry
-	unacked     map[uint64]*unackedEntry
+	out         outbound
 	pending     *pendingPublish
 	closed      bool
 
@@ -36,11 +34,8 @@ type srvChannel struct {
 	bridged    atomic.Int64
 
 	// Serve-goroutine state, no lock: the decode targets of this
-	// channel's hot frames, and the scratch a multiple-ack resolves its
-	// deliveries in (basicAck).
-	slots       wire.Slots
-	ackResolved []taggedEntry
-	ackGroups   []ackGroup
+	// channel's hot frames.
+	slots wire.Slots
 }
 
 // consumerEntry pairs a queue consumer with the channel that owns it.
@@ -55,32 +50,6 @@ type consumerEntry struct {
 	noAck     bool
 	ch        *srvChannel
 	scheduled atomic.Bool
-}
-
-// unackedEntry tracks one outstanding delivery awaiting acknowledgement.
-// off is the entry's segment-log offset (offNone on non-durable queues),
-// committed when the delivery settles as acked or discarded.
-type unackedEntry struct {
-	queue *Queue
-	cons  *consumer // nil for basic.get deliveries
-	msg   *Message
-	off   uint64
-}
-
-// unackedPool recycles unacked-delivery entries; an entry is owned by
-// exactly one map slot, so whoever deletes it (ack/nack/teardown) releases
-// it once resolved.
-var unackedPool = sync.Pool{New: func() any { return new(unackedEntry) }}
-
-func newUnacked(q *Queue, c *consumer, m *Message, off uint64) *unackedEntry {
-	ua := unackedPool.Get().(*unackedEntry)
-	ua.queue, ua.cons, ua.msg, ua.off = q, c, m, off
-	return ua
-}
-
-func releaseUnacked(ua *unackedEntry) {
-	*ua = unackedEntry{}
-	unackedPool.Put(ua)
 }
 
 // pendingPublish accumulates a basic.publish across method/header/body.
@@ -108,12 +77,11 @@ func newSrvChannel(sc *srvConn, id uint16) *srvChannel {
 		id:        id,
 		conn:      sc,
 		consumers: map[string]*consumerEntry{},
-		unacked:   map[uint64]*unackedEntry{},
 	}
 }
 
-// teardown cancels consumers and requeues unacked messages (connection or
-// channel close).
+// teardown cancels consumers and requeues the unsettled deliveries in
+// delivery-tag order (connection or channel close).
 func (ch *srvChannel) teardown() {
 	ch.mu.Lock()
 	if ch.closed {
@@ -122,10 +90,9 @@ func (ch *srvChannel) teardown() {
 	}
 	ch.closed = true
 	consumers := ch.consumers
-	unacked := ch.unacked
+	unsettled := ch.out.teardown()
 	pending := ch.pending
 	ch.consumers = map[string]*consumerEntry{}
-	ch.unacked = map[uint64]*unackedEntry{}
 	ch.pending = nil
 	ch.mu.Unlock()
 
@@ -141,13 +108,7 @@ func (ch *srvChannel) teardown() {
 		// safe — each delivery is received exactly once.)
 		drainOutbox(ce)
 	}
-	for _, ua := range unacked {
-		if ua.cons != nil {
-			ua.queue.Release(ua.cons)
-		}
-		ua.queue.Requeue(ua.msg, ua.off)
-		releaseUnacked(ua)
-	}
+	applySettled(unsettled)
 }
 
 // exception sends a channel.close to the client — after the confirms of the
@@ -451,7 +412,7 @@ fill:
 	}
 	if n > 0 {
 		ch.sendDeliverBatch(ce, batch[:n])
-		ce.queue.DeliveryDoneN(ce.cons, n)
+		ce.queue.Pump()
 	}
 	// Unschedule, then re-check: a delivery (or close) that raced the
 	// drain above re-schedules the entry instead of being stranded.
@@ -497,8 +458,8 @@ var (
 // one channel-lock hold and writes all their frames as one coalesced
 // batch. The redelivered flag travels with the delivery (per-queue
 // state), so a concurrent requeue of the shared message cannot flip it
-// mid-serialization. The batch's message references are either parked in
-// the unacked map, requeued, or released — never dropped.
+// mid-serialization. The batch's message references are either issued to
+// the channel's outbound core, requeued, or released — never dropped.
 func (ch *srvChannel) sendDeliverBatch(ce *consumerEntry, batch []delivery) {
 	var msgs [maxDeliveryBatch]*Message
 	var tags [maxDeliveryBatch]uint64
@@ -525,13 +486,13 @@ func (ch *srvChannel) sendDeliverBatch(ce *consumerEntry, batch []delivery) {
 		offs[i] = d.off
 		redeliv[i] = d.redelivered
 		if !ce.noAck {
-			// The unacked entry takes over the queue's reference; the
+			// The outbound entry takes over the queue's reference; the
 			// write below needs its own — the moment the entry exists, a
 			// concurrent teardown may requeue the message, and another
 			// consumer could resolve it while these frames are still
 			// being serialized.
 			d.msg.Retain()
-			ch.unacked[tags[i]] = newUnacked(ce.queue, ce.cons, d.msg, d.off)
+			ch.out.issue(tags[i], ce.queue, ce.cons, d.msg, d.off)
 		}
 	}
 	ch.mu.Unlock()
@@ -554,7 +515,7 @@ func (ch *srvChannel) sendDeliverBatch(ce *consumerEntry, batch []delivery) {
 	for _, d := range batch {
 		d.msg.Release()
 	}
-	_ = err // on error the connection is going away; teardown requeues unacked
+	_ = err // on error the connection is going away; teardown requeues the unsettled
 }
 
 func (ch *srvChannel) basicGet(x *wire.BasicGet) error {
@@ -571,13 +532,20 @@ func (ch *srvChannel) basicGet(x *wire.BasicGet) error {
 		return ch.conn.writeMethod(ch.id, &wire.BasicGetEmpty{})
 	}
 	ch.mu.Lock()
+	if ch.closed {
+		// A server close tore the channel down after the pop: the message
+		// goes back, and the connection is on its way out.
+		ch.mu.Unlock()
+		q.Requeue(msg, off)
+		return nil
+	}
 	ch.deliveryTag++
 	tag := ch.deliveryTag
 	if !x.NoAck {
-		// As in sendDeliverBatch: the unacked entry takes the queue's
+		// As in sendDeliverBatch: the outbound entry takes the queue's
 		// reference, the write holds its own.
 		msg.Retain()
-		ch.unacked[tag] = newUnacked(q, nil, msg, off)
+		ch.out.issue(tag, q, nil, msg, off)
 	}
 	ch.mu.Unlock()
 	err := ch.conn.writeContent(ch.id, &wire.BasicGetOk{
@@ -601,160 +569,54 @@ var (
 	acksBatched = telemetry.Default.Counter("broker.acks_batched")
 )
 
-// ackGroup accumulates the resolutions of a multiple-ack that target the
-// same queue and consumer, so credit is restored (and the queue re-pumped)
-// in one lock acquisition per group instead of one per message.
-type ackGroup struct {
-	queue *Queue
-	cons  *consumer
-	n     int        // deliveries resolved for cons
-	msgs  []*Message // messages to requeue, in delivery-tag order
-	offs  []uint64   // durable offsets: commit targets (ack/discard) or requeue offsets, parallel to msgs
-}
-
-// taggedEntry is an unacked delivery taken out of the map with its tag.
-type taggedEntry struct {
-	tag uint64
-	ua  *unackedEntry
-}
-
-// basicAck resolves unacked deliveries. ack=true acknowledges; ack=false
-// with requeue returns messages to their queues; ack=false without requeue
-// discards them (dead-lettering is out of scope). Multiple-ack paths batch
-// per-queue work: one credit restore and one pump per (queue, consumer),
-// in the channel's reused scratch (serve goroutine only).
+// basicAck settles deliveries through the channel's outbound core.
+// ack=true acknowledges; ack=false with requeue returns messages to their
+// queues; ack=false without requeue discards them (dead-lettering is out
+// of scope).
 func (ch *srvChannel) basicAck(tag uint64, multiple, ack, requeue bool) error {
-	if !multiple {
-		// Fast path: a single-tag resolution needs no batching machinery.
-		ch.mu.Lock()
-		ua, ok := ch.unacked[tag]
-		delete(ch.unacked, tag)
-		ch.mu.Unlock()
-		if !ok {
-			return nil
-		}
-		ch.resolveEntry(ua, ack, requeue)
-		releaseUnacked(ua)
-		return nil
-	}
 	ch.mu.Lock()
-	entries := ch.ackResolved[:0]
-	for t, ua := range ch.unacked {
-		if t <= tag || tag == 0 {
-			entries = append(entries, taggedEntry{t, ua})
-			delete(ch.unacked, t)
-		}
-	}
+	gs := ch.out.settle(tag, multiple, ack, requeue)
 	ch.mu.Unlock()
-	defer func() {
-		clear(entries) // the entries recycle below; keep no pointers to them
-		ch.ackResolved = entries[:0]
-	}()
-	if len(entries) == 0 {
-		return nil
+	if n := applySettled(gs); multiple && n > 1 {
+		ackBatches.Inc()
+		acksBatched.Add(int64(n))
 	}
-	if len(entries) == 1 {
-		ch.resolveEntry(entries[0].ua, ack, requeue)
-		releaseUnacked(entries[0].ua)
-		return nil
-	}
-	// Resolve in delivery-tag order so batch requeues restore queue order.
-	slices.SortFunc(entries, func(a, b taggedEntry) int { return cmp.Compare(a.tag, b.tag) })
-	ackBatches.Inc()
-	acksBatched.Add(int64(len(entries)))
-
-	groups := ch.ackGroups[:0]
-	for _, e := range entries {
-		ua := e.ua
-		var g *ackGroup
-		for i := range groups {
-			if groups[i].queue == ua.queue && groups[i].cons == ua.cons {
-				g = &groups[i]
-				break
-			}
-		}
-		if g == nil {
-			// Reuse the slot's slices from earlier batches.
-			groups = slices.Grow(groups, 1)[:len(groups)+1]
-			g = &groups[len(groups)-1]
-			*g = ackGroup{queue: ua.queue, cons: ua.cons, msgs: g.msgs[:0], offs: g.offs[:0]}
-		}
-		if ua.cons != nil {
-			g.n++
-		}
-		// Durable queues track offsets per entry: as requeue offsets
-		// (parallel to msgs) or commit targets (ack/discard). Non-durable
-		// groups leave the slice empty, which RequeueAll and CommitAll read
-		// as "no offsets".
-		if ua.queue.log != nil {
-			g.offs = append(g.offs, ua.off)
-		}
-		if !ack && requeue {
-			g.msgs = append(g.msgs, ua.msg)
-		} else {
-			// Acked or discarded: the unacked entry's reference resolves
-			// here; the last owner returns the body to the pool.
-			ua.msg.Release()
-		}
-	}
-	for i := range groups {
-		g := &groups[i]
-		switch {
-		case ack:
-			if g.cons != nil {
-				g.queue.AckN(g.cons, g.n)
-			}
-			g.queue.CommitAll(g.offs)
-		case requeue:
-			if g.cons != nil {
-				g.queue.ReleaseN(g.cons, g.n)
-			}
-			g.queue.RequeueAll(g.msgs, g.offs)
-		default:
-			if g.cons != nil {
-				g.queue.ReleaseN(g.cons, g.n)
-			}
-			g.queue.CommitAll(g.offs)
-		}
-	}
-	// The groups hold their own message-pointer copies; the resolved
-	// entries can recycle now.
-	for _, e := range entries {
-		releaseUnacked(e.ua)
-	}
-	for i := range groups {
-		g := &groups[i]
-		clear(g.msgs)
-		g.queue, g.cons = nil, nil
-	}
-	ch.ackGroups = groups[:0]
 	return nil
 }
 
-// resolveEntry applies a single delivery resolution (the non-batched
-// path). Requeue hands the entry's message reference back to the queue;
-// ack and discard release it and commit the durable offset — both settle
-// the message for good, so neither may replay after a restart.
-func (ch *srvChannel) resolveEntry(ua *unackedEntry, ack, requeue bool) {
-	switch {
-	case ack:
-		if ua.cons != nil {
-			ua.queue.Ack(ua.cons)
+// applySettled does the queue work of settled deliveries, outside ch.mu,
+// with one credit restore and one requeue or commit per group, and
+// returns how many deliveries the groups hold. Requeue hands each
+// message's reference back to its queue; ack and discard release it and
+// commit the durable offset, since both settle the message for good and
+// neither may replay after a restart.
+func applySettled(gs []settleGroup) int {
+	n := 0
+	for i := range gs {
+		g := &gs[i]
+		n += len(g.msgs)
+		if !g.requeue {
+			// Drop the references before the credit below lets the queue
+			// push more deliveries, so their bodies are back in the pool
+			// first.
+			for _, m := range g.msgs {
+				m.Release()
+			}
 		}
-		ua.msg.Release()
-		ua.queue.Commit(ua.off)
-	case requeue:
-		if ua.cons != nil {
-			ua.queue.Release(ua.cons)
+		switch {
+		case g.cons == nil:
+		case g.ack:
+			g.queue.AckN(g.cons, len(g.msgs))
+		default:
+			g.queue.ReleaseN(g.cons, len(g.msgs))
 		}
-		ua.queue.Requeue(ua.msg, ua.off)
-	default:
-		if ua.cons != nil {
-			ua.queue.Release(ua.cons)
+		if g.requeue {
+			g.queue.RequeueAll(g.msgs, g.offs)
+		} else {
+			g.queue.CommitAll(g.offs)
 		}
-		ua.msg.Release()
-		ua.queue.Commit(ua.off)
 	}
+	return n
 }
 
 // onHeader receives the content header of an in-flight publish and

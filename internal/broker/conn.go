@@ -46,6 +46,7 @@ type srvConn struct {
 	dispMu    sync.Mutex
 	dispReady []*consumerEntry
 	dispWake  chan struct{}
+	dispDone  chan struct{} // closed once no delivery loop runs or can start
 	// dispOffs is delivery-loop scratch: the durable offsets a noAck batch
 	// commits. A field, not a local array: the offsets reach the queue's
 	// commit hook, a func value, which would move a local to the heap on
@@ -82,6 +83,7 @@ func newSrvConn(s *Server, raw net.Conn) *srvConn {
 		channels: map[uint16]*srvChannel{},
 		frameMax: s.cfg.FrameMax,
 		dispWake: make(chan struct{}, 1),
+		dispDone: make(chan struct{}),
 		done:     make(chan struct{}),
 	}
 	rd := &preReadConn{Conn: raw, hook: sc.flushConfirms}
@@ -157,6 +159,7 @@ func (sc *srvConn) wakeConsumer(ce *consumerEntry) {
 // consumers on a connection cost zero goroutines; the loop exits with
 // the connection (channel teardown drains what it leaves behind).
 func (sc *srvConn) deliveryLoop() {
+	defer close(sc.dispDone)
 	var batch []*consumerEntry
 	for {
 		sc.dispMu.Lock()
@@ -176,7 +179,7 @@ func (sc *srvConn) deliveryLoop() {
 	}
 }
 
-// shutdown tears the connection down and requeues unacked deliveries.
+// shutdown tears the connection down and requeues unsettled deliveries.
 func (sc *srvConn) shutdown() {
 	sc.closeOnce.Do(func() {
 		close(sc.done)
@@ -191,6 +194,12 @@ func (sc *srvConn) shutdown() {
 		for _, ch := range chans {
 			ch.teardown()
 		}
+		// Wait out the delivery loop, which may still hold the references
+		// of a batch it is writing: once shutdown returns, every delivery
+		// is settled, requeued or released. A loop not started by now
+		// never starts.
+		sc.dispOnce.Do(func() { close(sc.dispDone) })
+		<-sc.dispDone
 	})
 }
 

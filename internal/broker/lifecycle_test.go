@@ -1,8 +1,11 @@
 package broker
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
+	"ds2hpc/internal/amqp"
 	"ds2hpc/internal/broker/seglog"
 	"ds2hpc/internal/wire"
 )
@@ -429,6 +432,151 @@ func TestServerCloseReleasesQueuedBodies(t *testing.T) {
 	if !ok || q.Len() != n {
 		t.Fatalf("durable queue recovered ok=%v len=%d, want all %d messages unsettled", ok, q.Len(), n)
 	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkBalance(t, "after recovery and Close", base)
+}
+
+// settleLog is a ClusterHook that masters every queue locally and counts
+// the durable settlements the broker commits, per offset.
+type settleLog struct {
+	bridgeHook
+	mu      sync.Mutex
+	settled map[uint64]int
+}
+
+func (h *settleLog) ReplicateSettle(_, _ string, off uint64, offs []uint64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if offs == nil {
+		offs = []uint64{off}
+	}
+	for _, o := range offs {
+		h.settled[o]++
+	}
+}
+
+// TestChannelCloseRacingAcks closes the server while a client's consumer
+// streams multiple acks over deliveries of a durable and a transient
+// queue on one channel, so the channel teardown that Server.Close runs
+// races the serve goroutine's settles. Each durable message is then either settled once
+// or back on the queue, never both: on reconnect to a server recovering
+// the same directory, nothing settled is delivered again and everything
+// unsettled is. Every body returns to the pool.
+func TestChannelCloseRacingAcks(t *testing.T) {
+	const n = 256
+	base := wire.LoanedBytes()
+	hook := &settleLog{settled: map[uint64]int{}}
+	cfg := Config{Addr: "127.0.0.1:0", DataDir: t.TempDir(), Durability: seglog.Options{Fsync: seglog.FsyncNever}, Cluster: hook}
+	s, err := Listen(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offs := map[string]uint64{} // durable body → offset
+	for _, name := range []string{"race-durable", "race-transient"} {
+		q, err := s.VHost("/").DeclareQueue(name, name == "race-durable", false, false, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			body := fmt.Sprint(i)
+			m := NewMessage("", name, wire.Properties{}, len(body))
+			m.AppendBody([]byte(body))
+			off, err := q.PublishOff(m) // the queue takes the reference
+			if err != nil {
+				t.Fatal(err)
+			}
+			if q.log != nil {
+				offs[body] = off
+			}
+		}
+	}
+
+	conn, err := amqp.Dial("amqp://" + s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := conn.Channel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ch.Qos(32, 0, false); err != nil {
+		t.Fatal(err)
+	}
+	// Both consumers run on the connection's owner goroutine, which acks
+	// every fourth delivery of either queue with one multiple ack.
+	halfway := make(chan struct{})
+	got := 0
+	onDelivery := func(d amqp.Delivery) {
+		got++
+		if got%4 == 0 {
+			_ = d.Ack(true) // fails once the server is gone
+		}
+		if got == n/2 {
+			close(halfway)
+		}
+	}
+	for _, name := range []string{"race-durable", "race-transient"} {
+		if _, err := ch.ConsumeFunc(name, "", false, false, false, nil, onDelivery); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-halfway
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close() // waits for the owner goroutine, and so for the last ack
+	checkBalance(t, "after Close", base)
+
+	hook.mu.Lock()
+	for off, times := range hook.settled {
+		if times != 1 {
+			t.Errorf("offset %d settled %d times", off, times)
+		}
+	}
+	settled := len(hook.settled)
+	hook.mu.Unlock()
+	if settled == 0 {
+		t.Fatal("no durable settlement before Close; the race went untested")
+	}
+	cfg.Cluster = &settleLog{settled: map[uint64]int{}}
+	s, err = Listen(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err = amqp.Dial("amqp://" + s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ch, err = conn.Channel(); err != nil {
+		t.Fatal(err)
+	}
+	redelivered := 0
+	for {
+		d, ok, err := ch.Get("race-durable", true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		off, known := offs[string(d.Body)]
+		if !known {
+			t.Fatalf("recovered unknown body %q", d.Body)
+		}
+		hook.mu.Lock()
+		times := hook.settled[off]
+		hook.mu.Unlock()
+		if times != 0 {
+			t.Fatalf("body %q was settled and is delivered again", d.Body)
+		}
+		redelivered++
+	}
+	if redelivered+settled != n {
+		t.Fatalf("%d settled and %d delivered again, want %d in all", settled, redelivered, n)
+	}
+	conn.Close()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

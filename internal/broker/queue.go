@@ -342,8 +342,7 @@ func (q *Queue) Requeue(m *Message, off uint64) {
 
 // RequeueAll returns a batch of messages to the head of the queue in one
 // lock acquisition, preserving their order (msgs[0] ends up at the head).
-// offs, when non-empty, carries the entries' segment-log offsets parallel
-// to msgs; empty means offNone throughout (non-durable callers).
+// offs carries the entries' segment-log offsets, parallel to msgs.
 func (q *Queue) RequeueAll(msgs []*Message, offs []uint64) {
 	if len(msgs) == 0 {
 		return
@@ -357,11 +356,7 @@ func (q *Queue) RequeueAll(msgs []*Message, offs []uint64) {
 		return
 	}
 	for i := len(msgs) - 1; i >= 0; i-- {
-		off := offNone
-		if len(offs) > 0 {
-			off = offs[i]
-		}
-		q.requeueLocked(msgs[i], off)
+		q.requeueLocked(msgs[i], offs[i])
 	}
 	q.pumpLocked()
 }
@@ -381,7 +376,7 @@ func (q *Queue) requeueLocked(m *Message, off uint64) {
 // AddConsumer registers a consumer with the given prefetch limit (0 means
 // unlimited) and returns it. The channel layer must drain c.outbox (its
 // connection's delivery loop, scheduled by the consumer's wake hook) and
-// call q.DeliveryDone(c) after each send.
+// call q.Pump() after each batch it sends.
 func (q *Queue) AddConsumer(tag string, noAck bool, prefetch int) (*consumer, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -488,9 +483,6 @@ func (q *Queue) RemoveConsumer(c *consumer) {
 	}
 }
 
-// Ack returns one prefetch slot to the consumer and pumps the queue.
-func (q *Queue) Ack(c *consumer) { q.AckN(c, 1) }
-
 // AckN acknowledges n deliveries for consumer c, restoring n prefetch slots
 // and re-pumping in a single lock acquisition (multiple-ack batching).
 func (q *Queue) AckN(c *consumer, n int) {
@@ -541,12 +533,8 @@ func (q *Queue) CommitAll(offs []uint64) {
 // catch-up scans; it never mutates the log directly.
 func (q *Queue) Log() *seglog.Log { return q.log }
 
-// Release returns one prefetch slot without counting an acknowledgement
-// (nack/reject paths and channel teardown).
-func (q *Queue) Release(c *consumer) { q.ReleaseN(c, 1) }
-
 // ReleaseN returns n prefetch slots without counting acknowledgements, in a
-// single lock acquisition.
+// single lock acquisition (nack/reject paths and channel teardown).
 func (q *Queue) ReleaseN(c *consumer, n int) {
 	if n <= 0 {
 		return
@@ -559,13 +547,10 @@ func (q *Queue) ReleaseN(c *consumer, n int) {
 	q.pumpLocked()
 }
 
-// DeliveryDone signals that a consumer's writer drained one delivery from
-// its outbox, freeing buffer room; the queue may be able to push more.
-func (q *Queue) DeliveryDone(c *consumer) { q.DeliveryDoneN(c, 1) }
-
-// DeliveryDoneN signals that a consumer's writer drained n deliveries from
-// its outbox, re-pumping once for the whole batch.
-func (q *Queue) DeliveryDoneN(c *consumer, n int) {
+// Pump signals that a consumer's writer drained deliveries from its
+// outbox, freeing buffer room: the queue pushes what now fits, once for
+// the whole batch.
+func (q *Queue) Pump() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.pumpLocked()
