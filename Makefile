@@ -71,6 +71,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzClientContent$$' -fuzztime $(FUZZTIME) ./internal/amqp
 	$(GO) test -run '^$$' -fuzz '^FuzzConfirmLog$$' -fuzztime $(FUZZTIME) ./internal/amqp
 	$(GO) test -run '^$$' -fuzz '^FuzzInbound$$' -fuzztime $(FUZZTIME) ./internal/amqp
+	$(GO) test -run '^$$' -fuzz '^FuzzSubscriptions$$' -fuzztime $(FUZZTIME) ./internal/amqp
 	$(GO) test -run '^$$' -fuzz '^FuzzOutbound$$' -fuzztime $(FUZZTIME) ./internal/broker
 
 short:

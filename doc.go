@@ -189,6 +189,11 @@
 // wire order, and a reconnect's replay renumbers the unresolved publishes
 // 1..k for the new transport and republishes them in sequence order. A
 // reconnect policy only makes the log keep each publish until its verdict.
+// The rest of what a new transport must re-establish is one replay record
+// per channel: confirm mode, the prefetch in force, and the consumers in
+// subscription order. A reconnect re-applies confirm mode, then each
+// consumer under the prefetch it subscribed with, then the prefetch in
+// force.
 //
 // Publish semantics: an amqp.Connection has one send buffer that every
 // write goes through, so wire order is call order. A publish whose body
@@ -243,8 +248,9 @@
 // connection until Close, which then closes it, and Close and Cancel
 // block until the owner is done, so they are never called from a
 // ConsumeFunc handler. A physical-connection flap resumes every session
-// mapped onto it — consumers and unconfirmed publishes replay — without
-// touching sessions on sibling connections. The pattern engine runs every role
+// mapped onto it — consumers, each under its own prefetch, and
+// unconfirmed publishes replay — without touching sessions on sibling
+// connections. The pattern engine runs every role
 // instance on such a session; Tuning.GoroutineBudget bounds it. At 0 it
 // is unbounded, one socket per role instance and one goroutine per
 // producer; with a budget, roles multiplex over a bounded worker set and the

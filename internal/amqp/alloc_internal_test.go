@@ -50,7 +50,7 @@ func allocsDeliveryDispatch(t *testing.T, adapter, multiple bool) {
 	c.frameMax.Store(wire.DefaultFrameMax)
 	ch := newChannel(c, 1)
 	c.channels[1] = ch
-	ch.confirmMode = true
+	ch.subs.confirm = true
 	confirms := ch.NotifyPublish(make(chan Confirmation, 1))
 	delivered := 0
 	ack := func(d Delivery) {
@@ -63,9 +63,9 @@ func allocsDeliveryDispatch(t *testing.T, adapter, multiple bool) {
 	if adapter {
 		cc := ch.channelConsumer()
 		deliveries = cc.deliveries
-		ch.consumers["c"] = cc
+		ch.subs.add("c", cc)
 	} else {
-		ch.consumers["c"] = &clientConsumer{fn: ack}
+		ch.subs.add("c", &clientConsumer{fn: ack})
 	}
 
 	frame := func(ftype byte, payload []byte) wire.Frame {

@@ -3,7 +3,6 @@ package amqp
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"ds2hpc/internal/wire"
@@ -25,16 +24,14 @@ type Channel struct {
 	rpc    chan wire.Method
 	quit   chan struct{}
 
-	mu          sync.Mutex
-	consumers   map[string]*clientConsumer
-	consumerSeq int
-	confirms    []chan Confirmation
-	returns     []chan Return
-	notifyCls   []chan *Error
-	confirmMode bool
-	log         confirmLog // confirm-mode publishes until their verdicts
-	closed      bool
-	quitting    bool // quit is closed
+	mu        sync.Mutex
+	subs      subscriptions // confirm mode, prefetch and consumers to replay
+	confirms  []chan Confirmation
+	returns   []chan Return
+	notifyCls []chan *Error
+	log       confirmLog // confirm-mode publishes until their verdicts
+	closed    bool
+	quitting  bool // quit is closed
 
 	// gen is the transport generation the channel's state was last
 	// established on (its opening, or a replay); a method the replay
@@ -45,32 +42,12 @@ type Channel struct {
 	gen  chan struct{}
 	gate chan struct{}
 
-	// Reconnect replay state: qosSpec records the prefetch to re-apply
-	// (consumers carry their own spec, the log the unresolved publishes).
-	qosSpec *wire.BasicQos
-
 	// slots are the decode targets of this channel's hot frames, which
 	// only the owner writes; in assembles content from them and keeps the
 	// delivery-body loans of the transport epoch acker settles.
 	slots wire.Slots
 	in    inbound
 	acker *epochAcker
-}
-
-// clientConsumer is one registered consumer: the basic.consume it was
-// subscribed with (replayed on every new transport) and the callback the
-// owner hands each delivery to. The spec's ack mode decides whether
-// delivery bodies may live on pooled buffers (manual ack has a resolution
-// point to release at; autoAck hands body ownership to the application
-// outright). A Consume consumer's callback is the channel adapter, which
-// sends on deliveries; cancel, closed by Cancel, releases a send blocked
-// on it.
-type clientConsumer struct {
-	spec       wire.BasicConsume
-	fn         func(Delivery)
-	deliveries chan Delivery
-	cancel     chan struct{}
-	cancelled  bool // under the channel's mu
 }
 
 // gotMessage is basic.get-ok with its content: Get's reply.
@@ -82,13 +59,13 @@ type gotMessage struct {
 // newChannel builds channel id; the caller holds c.mu.
 func newChannel(c *Connection, id uint16) *Channel {
 	ch := &Channel{
-		conn:      c,
-		id:        id,
-		rpc:       make(chan wire.Method, 8),
-		quit:      make(chan struct{}),
-		consumers: map[string]*clientConsumer{},
-		in:        inbound{held: map[uint64]*[]byte{}},
-		gen:       c.genCh,
+		conn: c,
+		id:   id,
+		rpc:  make(chan wire.Method, 8),
+		quit: make(chan struct{}),
+		subs: subscriptions{id: id},
+		in:   inbound{held: map[uint64]*[]byte{}},
+		gen:  c.genCh,
 	}
 	ch.cut(c.epoch)
 	return ch
@@ -223,8 +200,8 @@ func (ch *Channel) shutdown(err *Error, reply wire.Method) {
 		return
 	}
 	ch.closed = true
-	consumers := ch.consumers
-	ch.consumers = map[string]*clientConsumer{}
+	consumers := ch.subs.cons
+	ch.subs.cons = nil
 	confirms := ch.confirms
 	ch.confirms = nil
 	returns := ch.returns
@@ -326,8 +303,8 @@ func (ch *Channel) onMethod(m wire.Method) {
 		ch.shutdown(nil, x)
 	case *wire.BasicCancelOk:
 		ch.mu.Lock()
-		cc := ch.consumers[x.ConsumerTag]
-		delete(ch.consumers, x.ConsumerTag)
+		cc := ch.subs.find(x.ConsumerTag)
+		ch.subs.drop(cc)
 		ch.mu.Unlock()
 		if cc != nil && cc.deliveries != nil {
 			close(cc.deliveries)
@@ -335,7 +312,7 @@ func (ch *Channel) onMethod(m wire.Method) {
 		ch.reply(x)
 	case *wire.BasicDeliver, *wire.BasicGetOk, *wire.BasicReturn:
 		ch.mu.Lock()
-		cc := ch.consumers[deliveryConsumer(m)]
+		cc := ch.subs.find(deliveryConsumer(m))
 		ch.in.begin(m, cc != nil && !cc.spec.NoAck)
 		ch.recycle()
 		ch.mu.Unlock()
@@ -438,7 +415,7 @@ func (ch *Channel) assembled(c content, done bool, e *Error) *Error {
 		return e
 	}
 	acker, listeners := ch.acker, ch.returns
-	cc := ch.consumers[deliveryConsumer(c.method)]
+	cc := ch.subs.find(deliveryConsumer(c.method))
 	ch.mu.Unlock()
 	d := deliveryFromProps(&c.header.Properties)
 	d.Acknowledger, d.Body = acker, c.body
@@ -540,16 +517,14 @@ func (ch *Channel) ExchangeDelete(name string, ifUnused, noWait bool) error {
 
 // --- QoS / confirm ---
 
-// Qos sets the prefetch window applied to subsequent consumers.
+// Qos sets the prefetch window applied to subsequent consumers; a
+// reconnect re-applies to each consumer the window it subscribed under.
 func (ch *Channel) Qos(prefetchCount, prefetchSize int, global bool) error {
 	m := &wire.BasicQos{
 		PrefetchSize: uint32(prefetchSize), PrefetchCount: uint16(prefetchCount), Global: global,
 	}
 	return ch.callNoted(m, false, func() error {
-		if ch.conn.reconnectEnabled() {
-			spec := *m
-			ch.qosSpec = &spec
-		}
+		ch.subs.qos = *m
 		return nil
 	})
 }
@@ -557,7 +532,7 @@ func (ch *Channel) Qos(prefetchCount, prefetchSize int, global bool) error {
 // Confirm puts the channel into publisher-confirm mode.
 func (ch *Channel) Confirm(noWait bool) error {
 	return ch.callNoted(&wire.ConfirmSelect{NoWait: noWait}, noWait, func() error {
-		ch.confirmMode = true
+		ch.subs.confirm = true
 		ch.log.keep = ch.conn.reconnectEnabled()
 		return nil
 	})
@@ -652,7 +627,7 @@ func (ch *Channel) channelConsumer() *clientConsumer {
 
 // ConsumeFunc starts a callback consumer: fn runs for every delivery,
 // invoked directly by the connection's owner goroutine, so an idle
-// consumer costs a map entry instead of a goroutine parked on a channel.
+// consumer costs a slice entry instead of a goroutine parked on a channel.
 // This is what lets one multiplexed connection carry thousands of logical
 // consumers (see ClientPool). It returns the (possibly generated)
 // consumer tag for Cancel.
@@ -679,23 +654,13 @@ func (ch *Channel) ConsumeFunc(queue, consumerTag string, autoAck, exclusive, no
 // replay.
 func (ch *Channel) consume(queue, consumerTag string, autoAck, exclusive, noLocal bool, args Table, cc *clientConsumer) (string, error) {
 	cc.spec = wire.BasicConsume{Queue: queue, NoAck: autoAck, Exclusive: exclusive, NoLocal: noLocal, Arguments: args}
-	err := ch.callNoted(&cc.spec, false, func() error {
-		if consumerTag == "" {
-			ch.consumerSeq++
-			consumerTag = fmt.Sprintf("ctag-%d-%d", ch.id, ch.consumerSeq)
-		}
-		if _, dup := ch.consumers[consumerTag]; dup {
-			return fmt.Errorf("amqp: duplicate consumer tag %q", consumerTag)
-		}
-		cc.spec.ConsumerTag = consumerTag
-		ch.consumers[consumerTag] = cc
-		return nil
+	err := ch.callNoted(&cc.spec, false, func() (err error) {
+		consumerTag, err = ch.subs.add(consumerTag, cc)
+		return err
 	})
 	if err != nil {
 		ch.mu.Lock()
-		if ch.consumers[consumerTag] == cc {
-			delete(ch.consumers, consumerTag)
-		}
+		ch.subs.drop(cc)
 		ch.mu.Unlock()
 		return "", err
 	}
@@ -708,7 +673,7 @@ func (ch *Channel) consume(queue, consumerTag string, autoAck, exclusive, noLoca
 // handler.
 func (ch *Channel) Cancel(consumerTag string, noWait bool) error {
 	ch.mu.Lock()
-	if cc := ch.consumers[consumerTag]; cc != nil && !cc.cancelled {
+	if cc := ch.subs.find(consumerTag); cc != nil && !cc.cancelled {
 		cc.cancelled = true
 		if cc.cancel != nil {
 			close(cc.cancel)
@@ -754,28 +719,6 @@ func (ch *Channel) settle(epoch uint64, kind settleKind, tag uint64, multiple, r
 	return ch.conn.writeSettle(ch, epoch, kind, tag, multiple, requeue)
 }
 
-// epoch is the transport epoch the channel's deliveries belong to now.
-func (ch *Channel) epoch() uint64 {
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	return ch.in.epoch
-}
-
-// Ack acknowledges a delivery tag of the current transport.
-func (ch *Channel) Ack(tag uint64, multiple bool) error {
-	return ch.settle(ch.epoch(), settleAck, tag, multiple, false)
-}
-
-// Nack negatively acknowledges a delivery tag of the current transport.
-func (ch *Channel) Nack(tag uint64, multiple, requeue bool) error {
-	return ch.settle(ch.epoch(), settleNack, tag, multiple, requeue)
-}
-
-// Reject rejects a delivery tag of the current transport.
-func (ch *Channel) Reject(tag uint64, requeue bool) error {
-	return ch.settle(ch.epoch(), settleReject, tag, false, requeue)
-}
-
 // epochAcker is the Acknowledger of one transport epoch's deliveries. After
 // a transport loss the broker requeues them, so their resolutions are
 // dropped instead of misapplied to the tags the new transport reuses — as
@@ -807,43 +750,31 @@ func (a *epochAcker) settle(kind settleKind, tag uint64, multiple, requeue bool)
 }
 
 // replayState re-establishes this channel on the transport of generation
-// gen: channel.open, QoS and confirm mode through the ordinary call path,
-// then every publish the log holds unresolved, republished in sequence
-// order under the tags 1..k the log renumbers them to, and the channel's
-// gate opens behind them. It returns the consumers for replayConsumers.
-// Only errSuspended (the transport died) is returned; a channel the broker
-// closes is skipped.
-func (ch *Channel) replayState(gen chan struct{}) ([]*clientConsumer, error) {
+// gen: channel.open and confirm mode through the ordinary call path, then
+// every publish the log holds unresolved, republished in sequence order
+// under the tags 1..k the log renumbers them to, and the channel's gate
+// opens behind them. Only errSuspended (the transport died) is returned; a
+// channel the broker closes is skipped.
+func (ch *Channel) replayState(gen chan struct{}) error {
 	c := ch.conn
 	ch.mu.Lock()
 	if ch.closed {
 		ch.mu.Unlock()
-		return nil, nil
+		return nil
 	}
 	ch.gen = gen
 	calls := []wire.Method{&wire.ChannelOpen{}}
-	if ch.qosSpec != nil {
-		spec := *ch.qosSpec
-		calls = append(calls, &spec)
-	}
-	if ch.confirmMode {
+	if ch.subs.confirm {
 		calls = append(calls, &wire.ConfirmSelect{})
 	}
-	consumers := make([]*clientConsumer, 0, len(ch.consumers))
-	for _, cc := range ch.consumers {
-		if !cc.cancelled {
-			consumers = append(consumers, cc)
-		}
-	}
 	ch.mu.Unlock()
-	sort.Slice(consumers, func(i, j int) bool { return consumers[i].spec.ConsumerTag < consumers[j].spec.ConsumerTag })
 
 	for _, m := range calls {
 		if _, err := ch.callOnce(gen, m, false); err != nil {
 			if errors.Is(err, errSuspended) {
-				return nil, err
+				return err
 			}
-			return nil, nil
+			return nil
 		}
 	}
 	c.writeMu.Lock()
@@ -852,7 +783,7 @@ func (ch *Channel) replayState(gen chan struct{}) ([]*clientConsumer, error) {
 	live := c.genCh == gen
 	c.mu.Unlock()
 	if !live {
-		return nil, errSuspended
+		return errSuspended
 	}
 	// Renumbered under writeMu, so the tags are the replayed publishes' wire
 	// order, ahead of any publish waiting on the gate.
@@ -874,24 +805,32 @@ func (ch *Channel) replayState(gen chan struct{}) ([]*clientConsumer, error) {
 		ch.gate = nil
 	}
 	ch.mu.Unlock()
-	return consumers, nil
+	return nil
 }
 
-// replayConsumers re-issues basic.consume for each consumer replayState
-// found, through the ordinary call path (the owner routes the -ok and
-// the redeliveries that follow). Each is re-checked under callMu, which
-// Cancel's basic.cancel also takes, so a consumer cancelled meanwhile is
-// skipped and one cancelled later is cancelled on this transport too; a
-// tag is never subscribed twice on one transport.
-func (ch *Channel) replayConsumers(gen chan struct{}, consumers []*clientConsumer) error {
-	for _, cc := range consumers {
+// replaySubscriptions re-issues the record's basic.qos and basic.consume
+// calls on the transport of generation gen, through the ordinary call
+// path (the owner routes each -ok and the redeliveries that follow). Each
+// consumer is re-checked under callMu, which Cancel's basic.cancel also
+// takes, so a consumer cancelled meanwhile is skipped and one cancelled
+// later is cancelled on this transport too; a tag is never subscribed
+// twice on one transport.
+func (ch *Channel) replaySubscriptions(gen chan struct{}) error {
+	ch.mu.Lock()
+	calls := ch.subs.replay()
+	ch.mu.Unlock()
+	for _, m := range calls {
 		ch.callMu.Lock()
-		ch.mu.Lock()
-		want := ch.consumers[cc.spec.ConsumerTag] == cc && !cc.cancelled
-		ch.mu.Unlock()
+		want := true
+		if spec, ok := m.(*wire.BasicConsume); ok {
+			ch.mu.Lock()
+			cc := ch.subs.find(spec.ConsumerTag)
+			want = cc != nil && &cc.spec == spec && !cc.cancelled
+			ch.mu.Unlock()
+		}
 		var err error
 		if want {
-			_, err = ch.callLocked(gen, &cc.spec, false)
+			_, err = ch.callLocked(gen, m, false)
 		}
 		ch.callMu.Unlock()
 		if err != nil {

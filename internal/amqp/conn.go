@@ -30,9 +30,10 @@ var errSuspended = errors.New("amqp: connection lost mid-call (reconnecting)")
 
 // ReconnectPolicy bounds automatic reconnection after an abnormal
 // transport loss. While reconnecting, confirm-mode publishes are queued
-// and replayed, consumers are re-established, and deliveries left
-// unacknowledged on the dead transport are requeued by the broker; the
-// connection shuts down for good once MaxAttempts dials fail.
+// and replayed, consumers are re-established in subscription order under
+// the prefetch each subscribed with, and deliveries left unacknowledged
+// on the dead transport are requeued by the broker; the connection shuts
+// down for good once MaxAttempts dials fail.
 type ReconnectPolicy struct {
 	// MaxAttempts bounds redial attempts per outage (default 8).
 	MaxAttempts int
@@ -663,11 +664,12 @@ func (c *Connection) install(raw net.Conn) (*wire.FrameReader, chan struct{}) {
 
 // replay re-establishes every channel on the transport of generation gen
 // while the owner serves it, through the ordinary call path: first each
-// channel's channel.open, QoS, confirm mode and unresolved publishes, which
-// opens that channel's gate, then the consumers of all of them, so no
-// delivery (and no handler) runs before every gate is open. A transport
-// loss ends the pass; the next transport's replay starts over. Once it
-// completes, the connection resumes.
+// channel's channel.open, confirm mode and unresolved publishes, which
+// opens that channel's gate, then the prefetch and consumers of each
+// channel's replay record, so no delivery (and no handler) runs before
+// every gate is open. A transport loss ends the pass; the next
+// transport's replay starts over. Once it completes, the connection
+// resumes.
 func (c *Connection) replay(gen chan struct{}, done chan struct{}) {
 	defer close(done)
 	c.mu.Lock()
@@ -677,15 +679,13 @@ func (c *Connection) replay(gen chan struct{}, done chan struct{}) {
 	}
 	c.mu.Unlock()
 	sort.Slice(chans, func(i, j int) bool { return chans[i].id < chans[j].id })
-	consumers := make([][]*clientConsumer, len(chans))
-	for i, ch := range chans {
-		var err error
-		if consumers[i], err = ch.replayState(gen); errors.Is(err, errSuspended) {
+	for _, ch := range chans {
+		if errors.Is(ch.replayState(gen), errSuspended) {
 			return
 		}
 	}
-	for i, ch := range chans {
-		if errors.Is(ch.replayConsumers(gen, consumers[i]), errSuspended) {
+	for _, ch := range chans {
+		if errors.Is(ch.replaySubscriptions(gen), errSuspended) {
 			return
 		}
 	}
@@ -1084,7 +1084,7 @@ func (c *Connection) writeContent(ch *Channel, p *pendingPublish) error {
 		ch.mu.Unlock()
 		return ErrClosed
 	}
-	kept := ch.confirmMode && ch.log.append(p) != 0 && ch.log.keep
+	kept := ch.subs.confirm && ch.log.append(p) != 0 && ch.log.keep
 	ch.mu.Unlock()
 	if err = c.sendLocked(w, frames, false); kept {
 		return nil

@@ -193,8 +193,8 @@ func FuzzClientContent(f *testing.F) {
 				t.Errorf("delivered %d body bytes under a header declaring %d", len(d.Body), want)
 			}
 		}
-		ch.consumers["manual"] = &clientConsumer{fn: check}
-		ch.consumers["auto"] = &clientConsumer{fn: check, spec: wire.BasicConsume{NoAck: true}}
+		ch.subs.add("manual", &clientConsumer{fn: check})
+		ch.subs.add("auto", &clientConsumer{fn: check, spec: wire.BasicConsume{NoAck: true}})
 		returns := ch.NotifyReturn(make(chan Return, 64))
 
 		fr := wire.NewFrameReader(bytes.NewReader(data), 0)

@@ -376,11 +376,10 @@ func TestPrefetchLimitsInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Take 2 deliveries without acking; a third must not arrive.
-	var tags []uint64
+	var last amqp.Delivery
 	for i := 0; i < 2; i++ {
 		select {
-		case d := <-dc:
-			tags = append(tags, d.DeliveryTag)
+		case last = <-dc:
 		case <-time.After(3 * time.Second):
 			t.Fatal("missing initial deliveries")
 		}
@@ -391,7 +390,7 @@ func TestPrefetchLimitsInFlight(t *testing.T) {
 	case <-time.After(300 * time.Millisecond):
 	}
 	// Batch-ack both; more must flow.
-	if err := ch.Ack(tags[1], true); err != nil {
+	if err := last.Ack(true); err != nil {
 		t.Fatal(err)
 	}
 	select {

@@ -380,3 +380,55 @@ func TestReconnectDropsStaleAckAfterRedelivery(t *testing.T) {
 	}
 	waitFor(t, "loans back to the baseline", func() bool { return wire.LoanedBytes() == base })
 }
+
+// TestReconnectKeepsPerConsumerPrefetch subscribes two consumers under
+// different prefetch windows and cuts the link: the replay must give each
+// consumer back the window it subscribed under, not the channel's last
+// one. Consumer a, subscribed under prefetch 1, holds one unacked
+// delivery on the new transport although ten are ready.
+func TestReconnectKeepsPerConsumerPrefetch(t *testing.T) {
+	s := startBroker(t, broker.Config{})
+	in := transport.NewInjector()
+	conn := dialFaulted(t, s, in)
+	ch := openChannel(t, conn)
+	for _, q := range []string{"qa", "qb"} {
+		if _, err := ch.QueueDeclare(q, false, false, false, false, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ch.Qos(1, 0, false); err != nil {
+		t.Fatal(err)
+	}
+	da, err := ch.Consume("qa", "a", false, false, false, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ch.Qos(100, 0, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ch.Consume("qb", "b", false, false, false, false, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	in.ResetConns()
+	waitFor(t, "the reconnect", func() bool { return conn.Reconnects() > 0 })
+	pub := openChannel(t, conn)
+	for i := 0; i < 10; i++ {
+		if err := pub.Publish("", "qa", false, false, amqp.Publishing{Body: []byte{byte(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := 0
+	window := time.After(500 * time.Millisecond)
+	for counting := true; counting; {
+		select {
+		case <-da:
+			held++
+		case <-window:
+			counting = false
+		}
+	}
+	if held != 1 {
+		t.Fatalf("consumer a holds %d unacked deliveries after the replay, want 1 (prefetch 1)", held)
+	}
+}

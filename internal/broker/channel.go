@@ -430,20 +430,23 @@ fill:
 	}
 }
 
-// drainOutbox returns a closed consumer's undelivered outbox to its queue
-// (a requeue racing a queue delete releases the message instead). Replay
-// deliveries never re-enter the ring — their messages are log re-reads,
-// not queue-owned references.
+// drainOutbox returns a closed consumer's undelivered outbox to the head
+// of its queue in outbox order (a requeue racing a queue delete releases
+// the messages instead). Replay deliveries never re-enter the ring — their
+// messages are log re-reads, not queue-owned references.
 func drainOutbox(ce *consumerEntry) {
+	var msgs []*Message
+	var offs []uint64
 	for {
 		select {
 		case d := <-ce.cons.outbox:
 			if ce.cons.replay {
 				d.msg.Release()
 			} else {
-				ce.queue.Requeue(d.msg, d.off)
+				msgs, offs = append(msgs, d.msg), append(offs, d.off)
 			}
 		default:
+			ce.queue.RequeueAll(msgs, offs)
 			return
 		}
 	}

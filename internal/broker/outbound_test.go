@@ -378,6 +378,38 @@ func TestChannelCloseRequeuesInDeliveryOrder(t *testing.T) {
 	}
 }
 
+// TestChannelCloseRequeuesOutboxInOrder closes a channel whose consumer
+// still has 8 deliveries in its outbox: they go back to the head of their
+// queue in the order they were queued.
+func TestChannelCloseRequeuesOutboxInOrder(t *testing.T) {
+	const n = 8
+	sc := dispatchConn(t, Config{})
+	// Keep the delivery loop from starting, as shutdown does, so every
+	// delivery stays in the outbox.
+	sc.dispOnce.Do(func() { close(sc.dispDone) })
+	dispatchMethod(t, sc, 1, &wire.QueueDeclare{Queue: "outbox-q"})
+	q, _ := sc.vh.Queue("outbox-q")
+	for i := 0; i < n; i++ {
+		if err := q.Publish(&Message{RoutingKey: "outbox-q", Body: []byte{byte(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dispatchMethod(t, sc, 1, &wire.BasicConsume{Queue: "outbox-q", ConsumerTag: "c"})
+	if q.Len() != 0 {
+		t.Fatalf("%d messages left in the queue, want all %d in the outbox", q.Len(), n)
+	}
+	dispatchMethod(t, sc, 1, &wire.ChannelClose{})
+	for i := 0; i < n; i++ {
+		m, _, _, _, ok := q.Get()
+		if !ok {
+			t.Fatalf("message %d not requeued", i)
+		}
+		if m.Body[0] != byte(i) {
+			t.Fatalf("requeued message %d is body %d, want %d", i, m.Body[0], i)
+		}
+	}
+}
+
 // TestGetAfterTeardownRequeues: a basic.get that pops its message after a
 // server close has torn its channel down from another goroutine puts the
 // message back instead of issuing it to the torn-down core, where nothing

@@ -295,17 +295,18 @@ func (l *fedLink) forwardPending(p fedPending) error {
 	if err != nil {
 		return err
 	}
-	if err := l.ch.Publish(p.exchange, p.key, false, false, publishing(m)); err != nil {
-		// Failed under sendMu, so no later forward reuses the entry's
-		// sequence number: the failing link replays it once or nacks it.
-		l.fail(err)
-		return nil
-	}
+	// Counted before the publish: its confirm, and the delivery on the
+	// remote master, may otherwise be seen before the count.
 	size := int64(len(m.Body))
 	fedMsgs.Inc()
 	fedBytes.Add(size)
 	l.msgsCtx.Inc()
 	l.bytesCtx.Add(size)
+	if err := l.ch.Publish(p.exchange, p.key, false, false, publishing(m)); err != nil {
+		// Failed under sendMu, so no later forward reuses the entry's
+		// sequence number: the failing link replays it once or nacks it.
+		l.fail(err)
+	}
 	return nil
 }
 

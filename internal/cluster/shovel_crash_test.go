@@ -145,6 +145,17 @@ func TestShovelSurvivesSourceNodeRestart(t *testing.T) {
 
 	publishConfirmed(t, c, 0, 12)
 	waitMoved(t, sh, 12)
+	// Settled means acked at the source broker. The shovel counts an ack
+	// once it is written, and one still in flight when the node crashes
+	// is redelivered after recovery, as at-least-once allows.
+	src, _ := c.Node(0).VHost("/").Queue("src-q")
+	deadline := time.Now().Add(5 * time.Second)
+	for src.Stats().Acked < 12 {
+		if time.Now().After(deadline) {
+			t.Fatalf("source broker acked %d of 12 moved messages", src.Stats().Acked)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 
 	c.Crash(0)
 	if err := c.Restart(0); err != nil {
