@@ -172,23 +172,25 @@
 // # Confirm semantics
 //
 // A publisher confirm means enqueued — routed into every target queue
-// and, on a durable queue, appended to its segment log. Confirms
-// arrive batched: the broker's serve loop collects the positive
-// confirms of the publishes it processes and writes them right before
-// its next kernel read of the connection, as one basic.ack with
-// multiple=true per channel when nothing earlier on the channel is
-// still open (a federated or replicated publish waiting on
-// ClusterConfirm keeps its neighbours' acks individual). Nothing waits
-// across a blocking read, so a lone publish is still answered by one
-// plain ack in one write and latency at window 1 is unchanged; nacks,
-// returns, channel exceptions and -ok replies follow the confirms of
-// the publishes before them. amqp.Channel turns the mix of single and
-// multiple verdicts back into exactly one Confirmation per publish
-// through one confirm log per channel, reconnecting or not: a publish is
-// tagged when its frames are appended to the send buffer, so tags follow
-// wire order, and a reconnect's replay renumbers the unresolved publishes
-// 1..k for the new transport and republishes them in sequence order. A
-// reconnect policy only makes the log keep each publish until its verdict.
+// and, on a durable queue, appended to its segment log. Confirms arrive
+// batched: the broker records each verdict (ack, nack, mirror verdict)
+// in the channel's publish core and writes them right before its next
+// kernel read of the connection. A tag is open from its basic.publish
+// until its verdict is known: while its body assembles, or while a
+// federated or replicated publish waits on ClusterConfirm. Before the
+// first open tag each run of like verdicts is one frame, multiple=true
+// when it holds more than one; behind it verdicts go out singly. A
+// bridged verdict arriving after its channel closed is dropped, and a
+// basic.publish that cuts off the previous publish's content ends the
+// connection. A lone publish is still answered by one plain ack in one
+// write; returns, channel exceptions and -ok replies follow the verdicts
+// of the publishes before them. amqp.Channel turns the mix back into
+// exactly one Confirmation per publish through one confirm log per
+// channel, reconnecting or not: a publish is tagged when its frames are
+// appended to the send buffer, so tags follow wire order, and a
+// reconnect's replay renumbers the unresolved publishes 1..k for the new
+// transport and republishes them in sequence order. A reconnect policy
+// only makes the log keep each publish until its verdict.
 // The rest of what a new transport must re-establish is one replay record
 // per channel: confirm mode, the prefetch in force, and the consumers in
 // subscription order. A reconnect re-applies confirm mode, then each

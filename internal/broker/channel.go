@@ -11,31 +11,25 @@ import (
 )
 
 // srvChannel is the server-side state of one client channel: consumers,
-// unacknowledged deliveries, confirm mode, and in-flight publish assembly.
+// the outbound core of its unsettled deliveries, and the inbound core of
+// its publishes and their confirms.
 type srvChannel struct {
 	id   uint16
 	conn *srvConn
 
 	mu          sync.Mutex
 	prefetch    int
-	confirm     bool
-	publishSeq  uint64
 	deliveryTag uint64
 	consumers   map[string]*consumerEntry
 	out         outbound
-	pending     *pendingPublish
+	in          inbound
 	closed      bool
 
-	// ackPending holds the confirm tags of completed publishes until the
-	// connection's next flushConfirms (serve-goroutine state, no lock).
-	// bridged counts publishes handed to the cluster hook whose verdict
-	// ClusterConfirm has not yet put on the wire.
-	ackPending []uint64
-	bridged    atomic.Int64
-
-	// Serve-goroutine state, no lock: the decode targets of this
+	// Serve-goroutine state, no lock: whether the channel is on the
+	// connection's ackDirty list, and the decode targets of this
 	// channel's hot frames.
-	slots wire.Slots
+	listed bool
+	slots  wire.Slots
 }
 
 // consumerEntry pairs a queue consumer with the channel that owns it.
@@ -50,26 +44,6 @@ type consumerEntry struct {
 	noAck     bool
 	ch        *srvChannel
 	scheduled atomic.Bool
-}
-
-// pendingPublish accumulates a basic.publish across method/header/body.
-// The message is created when the content header arrives — its pooled
-// body buffer is presized from the header's BodySize, so multi-frame
-// bodies assemble into one loan with zero reallocation. The method is a
-// copy: the decoded one lives in the channel's slots.
-type pendingPublish struct {
-	method   wire.BasicPublish
-	msg      *Message // nil until the content header
-	bodySize uint64
-	seq      uint64
-}
-
-// pendingPool recycles publish-assembly state across messages.
-var pendingPool = sync.Pool{New: func() any { return new(pendingPublish) }}
-
-func recyclePending(p *pendingPublish) {
-	*p = pendingPublish{}
-	pendingPool.Put(p)
 }
 
 func newSrvChannel(sc *srvConn, id uint16) *srvChannel {
@@ -91,14 +65,13 @@ func (ch *srvChannel) teardown() {
 	ch.closed = true
 	consumers := ch.consumers
 	unsettled := ch.out.teardown()
-	pending := ch.pending
+	cut := ch.in.teardown()
 	ch.consumers = map[string]*consumerEntry{}
-	ch.pending = nil
 	ch.mu.Unlock()
 
-	if pending != nil && pending.msg != nil {
+	if cut != nil {
 		// A publish cut off mid-assembly: drop the half-built body.
-		pending.msg.Release()
+		cut.Release()
 	}
 	for _, ce := range consumers {
 		ce.queue.RemoveConsumer(ce.cons)
@@ -168,18 +141,12 @@ func (ch *srvChannel) onMethod(m wire.Method) error {
 		if _, err := vh.DeclareExchange(x.Exchange, x.Type, x.Passive); err != nil {
 			return ch.exception(errorCode(err), err.Error(), m)
 		}
-		if x.NoWait {
-			return nil
-		}
-		return ch.conn.writeMethod(ch.id, &wire.ExchangeDeclareOk{})
+		return ch.reply(x.NoWait, &wire.ExchangeDeclareOk{})
 	case *wire.ExchangeDelete:
 		if err := vh.DeleteExchange(x.Exchange, x.IfUnused); err != nil {
 			return ch.exception(errorCode(err), err.Error(), m)
 		}
-		if x.NoWait {
-			return nil
-		}
-		return ch.conn.writeMethod(ch.id, &wire.ExchangeDeleteOk{})
+		return ch.reply(x.NoWait, &wire.ExchangeDeleteOk{})
 
 	case *wire.QueueDeclare:
 		if hook := ch.conn.srv.cfg.Cluster; hook != nil && x.Queue != "" {
@@ -190,10 +157,7 @@ func (ch *srvChannel) onMethod(m wire.Method) error {
 				if err := hook.EnsureRemoteQueue(vh.Name, x.Queue, x.Durable); err != nil {
 					return ch.exception(wire.ReplyResourceError, err.Error(), m)
 				}
-				if x.NoWait {
-					return nil
-				}
-				return ch.conn.writeMethod(ch.id, &wire.QueueDeclareOk{Queue: x.Queue})
+				return ch.reply(x.NoWait, &wire.QueueDeclareOk{Queue: x.Queue})
 			}
 		}
 		q, err := vh.DeclareQueue(x.Queue, x.Durable, x.Exclusive, x.AutoDelete, x.Passive, x.Arguments)
@@ -203,10 +167,7 @@ func (ch *srvChannel) onMethod(m wire.Method) error {
 		if hook := ch.conn.srv.cfg.Cluster; hook != nil {
 			hook.RegisterQueue(vh.Name, q.Name, x.Durable)
 		}
-		if x.NoWait {
-			return nil
-		}
-		return ch.conn.writeMethod(ch.id, &wire.QueueDeclareOk{
+		return ch.reply(x.NoWait, &wire.QueueDeclareOk{
 			Queue:         q.Name,
 			MessageCount:  uint32(q.Len()),
 			ConsumerCount: uint32(q.ConsumerCount()),
@@ -221,10 +182,7 @@ func (ch *srvChannel) onMethod(m wire.Method) error {
 			return ch.exception(wire.ReplyNotFound, fmt.Sprintf("no exchange %q", x.Exchange), m)
 		}
 		e.Bind(q, x.RoutingKey)
-		if x.NoWait {
-			return nil
-		}
-		return ch.conn.writeMethod(ch.id, &wire.QueueBindOk{})
+		return ch.reply(x.NoWait, &wire.QueueBindOk{})
 	case *wire.QueueUnbind:
 		q, ok := vh.Queue(x.Queue)
 		if !ok {
@@ -240,10 +198,7 @@ func (ch *srvChannel) onMethod(m wire.Method) error {
 			return ch.exception(wire.ReplyNotFound, fmt.Sprintf("no queue %q", x.Queue), m)
 		}
 		n := q.Purge()
-		if x.NoWait {
-			return nil
-		}
-		return ch.conn.writeMethod(ch.id, &wire.QueuePurgeOk{MessageCount: uint32(n)})
+		return ch.reply(x.NoWait, &wire.QueuePurgeOk{MessageCount: uint32(n)})
 	case *wire.QueueDelete:
 		n, err := vh.DeleteQueue(x.Queue, x.IfUnused, x.IfEmpty)
 		if err != nil {
@@ -257,10 +212,7 @@ func (ch *srvChannel) onMethod(m wire.Method) error {
 			}
 		}
 		ch.mu.Unlock()
-		if x.NoWait {
-			return nil
-		}
-		return ch.conn.writeMethod(ch.id, &wire.QueueDeleteOk{MessageCount: uint32(n)})
+		return ch.reply(x.NoWait, &wire.QueueDeleteOk{MessageCount: uint32(n)})
 
 	case *wire.BasicQos:
 		ch.mu.Lock()
@@ -277,25 +229,13 @@ func (ch *srvChannel) onMethod(m wire.Method) error {
 		if ok {
 			ce.queue.RemoveConsumer(ce.cons)
 		}
-		if x.NoWait {
-			return nil
-		}
-		return ch.conn.writeMethod(ch.id, &wire.BasicCancelOk{ConsumerTag: x.ConsumerTag})
+		return ch.reply(x.NoWait, &wire.BasicCancelOk{ConsumerTag: x.ConsumerTag})
 	case *wire.BasicPublish:
-		p := pendingPool.Get().(*pendingPublish)
-		p.method = *x
 		ch.mu.Lock()
-		if ch.confirm {
-			ch.publishSeq++
-			p.seq = ch.publishSeq
-		}
-		prev := ch.pending
-		ch.pending = p
+		err := ch.in.begin(x)
 		ch.mu.Unlock()
-		if prev != nil && prev.msg != nil {
-			// Protocol misuse: a new publish started before the previous
-			// one's body completed. Drop the half-assembled message.
-			prev.msg.Release()
+		if err != nil {
+			return fmt.Errorf("broker: %w on channel %d", err, ch.id)
 		}
 		return nil
 	case *wire.BasicGet:
@@ -309,12 +249,9 @@ func (ch *srvChannel) onMethod(m wire.Method) error {
 
 	case *wire.ConfirmSelect:
 		ch.mu.Lock()
-		ch.confirm = true
+		ch.in.confirm = true
 		ch.mu.Unlock()
-		if x.NoWait {
-			return nil
-		}
-		return ch.conn.writeMethod(ch.id, &wire.ConfirmSelectOk{})
+		return ch.reply(x.NoWait, &wire.ConfirmSelectOk{})
 	default:
 		return ch.exception(wire.ReplyNotImplemented, fmt.Sprintf("method %T", m), m)
 	}
@@ -378,6 +315,14 @@ func (ch *srvChannel) basicConsume(x *wire.BasicConsume) error {
 	// an idle consumer costs a map entry, not a parked goroutine.
 	cons.SetWake(func() { ch.conn.wakeConsumer(ce) })
 	return err
+}
+
+// reply writes m, the -ok of a method, unless the method said no-wait.
+func (ch *srvChannel) reply(noWait bool, m wire.Method) error {
+	if noWait {
+		return nil
+	}
+	return ch.conn.writeMethod(ch.id, m)
 }
 
 // maxDeliveryBatch caps how many queued deliveries one writer drains into a
@@ -622,30 +567,19 @@ func applySettled(gs []settleGroup) int {
 	return n
 }
 
-// onHeader receives the content header of an in-flight publish and
-// creates the pooled message, presizing its body buffer from the
-// header's BodySize so every body frame appends without reallocating.
+// onHeader receives the content header of an in-flight publish; the core
+// creates its pooled message, presized from the header's BodySize so
+// every body frame appends without reallocating.
 func (ch *srvChannel) onHeader(h *wire.ContentHeader) error {
 	ch.mu.Lock()
-	p := ch.pending
-	if p != nil {
-		if h.BodySize > wire.MaxBodyBytes {
-			ch.pending = nil
-			ch.mu.Unlock()
-			return ch.exception(wire.ReplyPreconditionFailed,
-				fmt.Sprintf("declared body size %d exceeds limit", h.BodySize), &p.method)
-		}
-		p.bodySize = h.BodySize
-		p.msg = NewMessage(p.method.Exchange, p.method.RoutingKey, h.Properties, int(h.BodySize))
-		if h.BodySize == 0 {
-			ch.pending = nil
-		}
-	}
+	p, done, err := ch.in.header(h, NewMessage)
 	ch.mu.Unlock()
-	if p == nil {
-		return fmt.Errorf("broker: header frame without publish on channel %d", ch.id)
-	}
-	if h.BodySize == 0 {
+	switch {
+	case errors.Is(err, errBodyLimit):
+		return ch.exception(wire.ReplyPreconditionFailed, err.Error(), &wire.BasicPublish{})
+	case err != nil:
+		return fmt.Errorf("broker: %w on channel %d", err, ch.id)
+	case done:
 		return ch.completePublish(p)
 	}
 	return nil
@@ -653,101 +587,81 @@ func (ch *srvChannel) onHeader(h *wire.ContentHeader) error {
 
 // onBody receives a body frame of an in-flight publish, copying it into
 // the presized pooled body (the frame payload itself is a reader loan
-// recycled on the next read). A frame that would carry the body past the
-// size its header declared is a framing error and ends the connection
-// (teardown releases the half-built message): appending it would grow the
-// body off its loan and deliver more bytes than the header says.
+// recycled on the next read). A framing error the core reports ends the
+// connection, and teardown releases the half-built message.
 func (ch *srvChannel) onBody(b []byte) error {
 	ch.mu.Lock()
-	p := ch.pending
-	if p == nil || p.msg == nil {
-		ch.mu.Unlock()
-		return fmt.Errorf("broker: body frame without header on channel %d", ch.id)
-	}
-	if left := p.bodySize - uint64(len(p.msg.Body)); uint64(len(b)) > left {
-		ch.mu.Unlock()
-		return fmt.Errorf("broker: body frame of %d bytes overruns declared body size %d (%d left) on channel %d",
-			len(b), p.bodySize, left, ch.id)
-	}
-	p.msg.AppendBody(b)
-	complete := uint64(len(p.msg.Body)) >= p.bodySize
-	if complete {
-		ch.pending = nil
-	}
+	p, done, err := ch.in.body(b)
 	ch.mu.Unlock()
-	if complete {
+	switch {
+	case err != nil:
+		return fmt.Errorf("broker: %w on channel %d", err, ch.id)
+	case done:
 		return ch.completePublish(p)
 	}
 	return nil
 }
 
-// completePublish routes one fully assembled publish. A positive confirm
-// is not written here: confirmPublish records it once the message is
-// enqueued (and appended, on a durable queue), and the connection flushes
-// the pending run before its next read. Only verdicts that cannot join a
-// run are written directly, behind the run: nacks, mirror-stream
-// verdicts, and (off this goroutine) ClusterConfirm.
-func (ch *srvChannel) completePublish(p *pendingPublish) error {
-	defer recyclePending(p)
-	msg, method, seq := p.msg, &p.method, p.seq
+// completePublish routes one fully assembled publish and decides its
+// confirm. A verdict known here is recorded on the channel's inbound
+// core, and the connection flushes it before its next read; a forwarded
+// or replicated publish's tag stays open until the hook resolves it
+// through ClusterConfirm. No lock is held across a hook call, since the
+// hook may call ClusterConfirm back on this goroutine.
+func (ch *srvChannel) completePublish(p publish) error {
+	msg, method, tag := p.msg, &p.method, p.tag
+	vh, hook := ch.conn.vh, ch.conn.srv.cfg.Cluster
 	// The publisher's reference covers routing and the mandatory-return
 	// write below; the queues' references are retained by vhost.Publish.
 	defer msg.Release()
 	ch.conn.srv.Stats.MessagesIn.Add(1)
 	ch.conn.srv.Stats.BytesIn.Add(uint64(len(msg.Body)))
-	if hook := ch.conn.srv.cfg.Cluster; hook != nil && IsMirrorExchange(method.Exchange) {
+	var target ConfirmTarget // the bridge, nil when no confirm is owed
+	if tag != 0 {
+		target = ch
+	}
+	if hook != nil && IsMirrorExchange(method.Exchange) {
 		// Inbound mirror-stream frame from a master's federation link:
 		// apply to the standby replica and answer the link's confirm —
 		// the ack IS the "mirror appended" signal the master's in-sync
 		// accounting waits on.
-		err := hook.ApplyMirror(ch.conn.vh.Name, method.Exchange, method.RoutingKey, msg)
-		return ch.writeVerdict(seq, err == nil)
+		ch.verdict(tag, hook.ApplyMirror(vh.Name, method.Exchange, method.RoutingKey, msg) == nil)
+		return nil
 	}
-	if hook := ch.conn.srv.cfg.Cluster; hook != nil && method.Exchange == "" {
-		if _, local := hook.Lookup(ch.conn.vh.Name, method.RoutingKey); !local {
+	direct := hook != nil && method.Exchange == ""
+	if direct {
+		if _, local := hook.Lookup(vh.Name, method.RoutingKey); !local {
 			// Default-exchange publish to a remotely-mastered queue:
 			// forward over the federation link. Confirm-bridged — the
 			// producer's ack waits for the master's verdict; without
 			// confirm mode the forward is fire-and-forget, matching the
 			// local no-confirm contract.
-			target := ch.bridge(seq)
-			if err := hook.ForwardPublish(ch.conn.vh.Name, method.RoutingKey, msg, target, seq); err != nil && seq != 0 {
-				ch.bridged.Add(-1)
-				return ch.writeVerdict(seq, false)
+			if hook.ForwardPublish(vh.Name, method.RoutingKey, msg, target, tag) != nil {
+				ch.verdict(tag, false)
 			}
-			return nil
-		}
-		if hook.Replicated(ch.conn.vh.Name, method.RoutingKey) {
-			// Locally mastered replicated queue: append locally (offset
-			// tracked), then stream to mirrors. The producer's confirm is
-			// withheld — ReplicateAppend resolves it via ClusterConfirm
-			// once the in-sync set has appended (or lagging mirrors are
-			// evicted).
-			off, err := ch.conn.vh.PublishTracked(method.RoutingKey, msg)
-			switch {
-			case err != nil && errors.Is(err, ErrNotFound):
-				return ch.exception(wire.ReplyNotFound, err.Error(), method)
-			case err != nil:
-				return ch.writeVerdict(seq, false)
-			}
-			if off == OffNone {
-				// Transient queue: nothing durable to mirror.
-				ch.confirmPublish(seq)
-				return nil
-			}
-			hook.ReplicateAppend(ch.conn.vh.Name, method.RoutingKey, off, msg, ch.bridge(seq), seq)
 			return nil
 		}
 	}
-	routed, err := ch.conn.vh.Publish(method.Exchange, method.RoutingKey, msg)
+	routed := 1 // PublishTracked reaches its one queue or fails
+	var err error
+	if direct && hook.Replicated(vh.Name, method.RoutingKey) {
+		// Locally mastered replicated queue: append locally (offset
+		// tracked), then stream to mirrors. The producer's confirm is
+		// withheld — ReplicateAppend resolves it via ClusterConfirm once
+		// the in-sync set has appended (or lagging mirrors are evicted).
+		// A transient queue has nothing durable to mirror.
+		var off uint64
+		if off, err = vh.PublishTracked(method.RoutingKey, msg); err == nil && off != OffNone {
+			hook.ReplicateAppend(vh.Name, method.RoutingKey, off, msg, target, tag)
+			return nil
+		}
+	} else {
+		routed, err = vh.Publish(method.Exchange, method.RoutingKey, msg)
+	}
 	switch {
-	case err != nil && errors.Is(err, ErrNotFound):
-		return ch.exception(wire.ReplyNotFound, err.Error(), method)
-	case err != nil:
-		// Backpressure (queue full / memory alarm): reject-publish shows
-		// up as a basic.nack in confirm mode so the producer can retry.
-		return ch.writeVerdict(seq, false)
-	case routed == 0 && method.Mandatory:
+	case errors.Is(err, ErrNotFound):
+		return ch.exception(wire.ReplyNotFound, err.Error(), &wire.BasicPublish{})
+	case err == nil && routed == 0 && method.Mandatory:
 		ch.conn.flushConfirms()
 		if err := ch.conn.writeContent(ch.id, &wire.BasicReturn{
 			ReplyCode:  wire.ReplyNoRoute,
@@ -758,44 +672,25 @@ func (ch *srvChannel) completePublish(p *pendingPublish) error {
 			return err
 		}
 	}
-	ch.confirmPublish(seq)
+	// Backpressure (queue full, memory alarm) nacks, so a producer in
+	// confirm mode can retry.
+	ch.verdict(tag, err == nil)
 	return nil
 }
 
-// confirmPublish queues the positive confirm of publish seq (0: the
-// channel is not in confirm mode) for the connection's next flushConfirms.
-func (ch *srvChannel) confirmPublish(seq uint64) {
-	if seq == 0 {
+// verdict records the serve goroutine's verdict on publish tag (0: none
+// is owed) and lists the channel for the connection's next flushConfirms.
+func (ch *srvChannel) verdict(tag uint64, ok bool) {
+	if tag == 0 {
 		return
 	}
-	if len(ch.ackPending) == 0 {
+	ch.mu.Lock()
+	ch.in.resolve(tag, ok)
+	ch.mu.Unlock()
+	if !ch.listed {
+		ch.listed = true
 		ch.conn.ackDirty = append(ch.conn.ackDirty, ch)
 	}
-	ch.ackPending = append(ch.ackPending, seq)
-}
-
-// writeVerdict writes the confirm of publish seq (0: none owed) directly,
-// behind the pending confirms of earlier publishes. Serve goroutine only.
-func (ch *srvChannel) writeVerdict(seq uint64, ok bool) error {
-	if seq == 0 {
-		return nil
-	}
-	ch.conn.flushConfirms()
-	if ok {
-		return ch.conn.writeMethod(ch.id, &wire.BasicAck{DeliveryTag: seq})
-	}
-	return ch.conn.writeMethod(ch.id, &wire.BasicNack{DeliveryTag: seq})
-}
-
-// bridge hands publish seq's confirm to the cluster hook: until
-// ClusterConfirm resolves it, no multiple-ack of this channel may be sent.
-// It returns the target to pass on — nil when no confirm is owed.
-func (ch *srvChannel) bridge(seq uint64) ConfirmTarget {
-	if seq == 0 {
-		return nil
-	}
-	ch.bridged.Add(1)
-	return ch
 }
 
 // redirectIfRemote answers a consume/get on a queue mastered elsewhere
@@ -826,18 +721,15 @@ func (ch *srvChannel) redirectIfRemote(vhost, queue string, m wire.Method) error
 	return errConnClosed
 }
 
-// ClusterConfirm relays a federated publish's bridged confirm verdict to
-// the producer. It runs on the federation link's read loop; writeMethod
-// serializes on the connection's write mutex, so concurrent local acks
-// are safe. The bridged count drops only once the verdict is on the wire:
-// a multiple-ack sent after that may cover the tag again, never instead.
-// Errors are dropped — a failed write means the producer's connection is
-// already going away and teardown owns the cleanup.
+// ClusterConfirm resolves a bridged publish's tag with the verdict of its
+// master or mirrors, and writes what that made writable on this channel.
+// It runs on a federation link's read loop, or on the serve goroutine
+// inside the hook call that bridged the publish. A channel closed since
+// the publish drops the verdict: a channel reopened under its id numbers
+// its own publishes from 1.
 func (ch *srvChannel) ClusterConfirm(seq uint64, ok bool) {
-	if ok {
-		_ = ch.conn.writeMethod(ch.id, &wire.BasicAck{DeliveryTag: seq})
-	} else {
-		_ = ch.conn.writeMethod(ch.id, &wire.BasicNack{DeliveryTag: seq})
-	}
-	ch.bridged.Add(-1)
+	ch.mu.Lock()
+	ch.in.resolve(seq, ok)
+	ch.mu.Unlock()
+	ch.conn.writeConfirms([]*srvChannel{ch})
 }

@@ -8,6 +8,7 @@ package broker
 import (
 	"crypto/tls"
 	"net"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -366,6 +367,55 @@ func TestMultipleAckNeverCoversBridgedConfirm(t *testing.T) {
 			p.flush()
 			if ack, ok := p.next().(*wire.BasicAck); !ok || ack.DeliveryTag != 6 || !ack.Multiple {
 				t.Fatalf("got %+v, want multiple ack 6 once nothing is bridged", ack)
+			}
+
+			// An open tag stops the multiple-ack prefix, not the batching:
+			// the acks before it still share a frame.
+			p.publish("", "bridge-q", false) // 7
+			p.publish("", "bridge-q", false) // 8
+			p.publish("", "remote", false)   // 9: bridged, held
+			p.publish("", "bridge-q", false) // 10
+			p.flush()
+			if ack, ok := p.next().(*wire.BasicAck); !ok || ack.DeliveryTag != 8 || !ack.Multiple {
+				t.Fatalf("got %+v, want multiple ack 8 before the open publish 9", ack)
+			}
+			if ack, ok := p.next().(*wire.BasicAck); !ok || ack.DeliveryTag != 10 || ack.Multiple {
+				t.Fatalf("got %+v, want single ack 10 while publish 9 is open", ack)
+			}
+			held = <-hook.held
+			if held.seq != 9 {
+				t.Fatalf("bridged seq %d, want 9", held.seq)
+			}
+			held.target.ClusterConfirm(held.seq, true)
+			if ack, ok := p.next().(*wire.BasicAck); !ok || ack.DeliveryTag != 9 || ack.Multiple {
+				t.Fatalf("got %+v, want the bridged single ack 9", ack)
+			}
+		})
+	}
+}
+
+// TestClusterConfirmAfterChannelReopen: a bridged verdict that arrives
+// after its channel closed is dropped. The client reuses the id of a
+// cleanly closed channel, so writing it would confirm the reopened
+// channel's publish of the same tag with another publish's verdict.
+func TestClusterConfirmAfterChannelReopen(t *testing.T) {
+	for _, l := range confirmListeners {
+		t.Run(l.name, func(t *testing.T) {
+			hook := &bridgeHook{held: make(chan heldConfirm, 2)}
+			p := newConfirmPeer(t, Config{Cluster: hook}, l.secure)
+			p.publish("", "remote", false)
+			p.flush()
+			old := <-hook.held
+			p.call(1, &wire.ChannelClose{}, &wire.ChannelCloseOk{})
+			p.call(1, &wire.ChannelOpen{}, &wire.ChannelOpenOk{})
+			p.call(1, &wire.ConfirmSelect{}, &wire.ConfirmSelectOk{})
+			p.publish("", "remote", false)
+			p.flush()
+			cur := <-hook.held
+			old.target.ClusterConfirm(old.seq, true)
+			cur.target.ClusterConfirm(cur.seq, false)
+			if m := p.next(); !reflect.DeepEqual(m, &wire.BasicNack{DeliveryTag: 1}) {
+				t.Fatalf("first verdict on the reopened channel is %T %+v, want the nack of its own publish 1", m, m)
 			}
 		})
 	}

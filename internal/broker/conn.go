@@ -21,17 +21,19 @@ type srvConn struct {
 	fr  *wire.FrameReader
 	dec wire.Decoder // serve goroutine only; hot frames land in their channel's slots
 
+	// Lock order: writeMu, then a channel's mu. writeConfirms alone holds
+	// both; every other writer drops ch.mu before it takes writeMu.
 	writeMu sync.Mutex
 	deliver wire.BasicDeliver // writeMu scratch: a delivery batch encodes from it, so the method never escapes
+	ack     wire.BasicAck     // writeMu scratch for confirm frames, likewise
+	nack    wire.BasicNack
 
-	// Deferred publisher confirms. completePublish records a positive
-	// confirm on its channel and lists the channel here; flushConfirms
-	// writes them all right before the serve goroutine's next kernel
-	// read (see preReadConn), so a burst of pipelined publishes is
-	// answered by one write and nothing stays pending across a blocking
-	// read. Serve-goroutine state: no lock.
+	// ackDirty lists the channels the serve goroutine recorded verdicts on
+	// since its last flushConfirms, which writes them before the next
+	// kernel read (see preReadConn): a burst of pipelined publishes is
+	// answered by one write, and nothing waits across a blocking read.
+	// Serve-goroutine state: no lock.
 	ackDirty []*srvChannel
-	ack      wire.BasicAck // reused per frame so the method never escapes
 
 	vh *VHost
 
@@ -98,37 +100,43 @@ func newSrvConn(s *Server, raw net.Conn) *srvConn {
 	return sc
 }
 
-// flushConfirms writes every deferred publisher confirm of the connection
-// in one write: per channel a single basic.ack{multiple} when the pending
-// run may cover everything before it, otherwise the individual acks.
-// multiple=true claims every tag up to the run's last one, so it is only
-// sent while no confirm-bridged publish (federated, replicated) of the
-// channel is still waiting on ClusterConfirm. A lone confirm goes out as a
-// plain ack: at window 1 the wire is what it was before confirms were
-// deferred. Serve goroutine only. A write error is dropped — the
-// connection is going away and the next read reports it.
+// flushConfirms writes the verdicts of every channel on ackDirty in one
+// write, right before the serve goroutine's next kernel read. Serve
+// goroutine only.
 func (sc *srvConn) flushConfirms() {
 	if len(sc.ackDirty) == 0 {
 		return
 	}
-	w := wire.GetWriter()
-	frames := 0
+	sc.writeConfirms(sc.ackDirty)
 	for i, ch := range sc.ackDirty {
-		tags := ch.ackPending
-		sc.ack.Multiple = len(tags) > 1 && ch.bridged.Load() == 0
-		if sc.ack.Multiple {
-			tags = tags[len(tags)-1:]
-		}
-		for _, t := range tags {
-			sc.ack.DeliveryTag = t
-			w.AppendMethodFrame(ch.id, &sc.ack)
-			frames++
-		}
-		ch.ackPending = ch.ackPending[:0]
+		ch.listed = false
 		sc.ackDirty[i] = nil
 	}
 	sc.ackDirty = sc.ackDirty[:0]
+}
+
+// writeConfirms writes the frames the inbound cores of chs emit in one
+// write. Drain and write share one writeMu hold, so whichever goroutine
+// flushes, a channel's frames reach the wire in the order its core
+// emitted them. A write error is dropped: the connection is going away.
+func (sc *srvConn) writeConfirms(chs []*srvChannel) {
+	w := wire.GetWriter()
+	frames := 0
 	sc.writeMu.Lock()
+	for _, ch := range chs {
+		ch.mu.Lock()
+		for _, f := range ch.in.flush() {
+			if f.nack {
+				sc.nack.DeliveryTag, sc.nack.Multiple = f.tag, f.multiple
+				w.AppendMethodFrame(ch.id, &sc.nack)
+			} else {
+				sc.ack.DeliveryTag, sc.ack.Multiple = f.tag, f.multiple
+				w.AppendMethodFrame(ch.id, &sc.ack)
+			}
+			frames++
+		}
+		ch.mu.Unlock()
+	}
 	_ = w.FlushFrames(sc.c, frames)
 	sc.writeMu.Unlock()
 	wire.PutWriter(w)
@@ -224,6 +232,9 @@ func (sc *srvConn) serve() {
 			if errors.Is(err, errConnClosed) {
 				return
 			}
+			// A framing error ends the connection, but the publishes
+			// before it were routed: their verdicts still go out.
+			sc.flushConfirms()
 			sc.srv.logf("broker: dispatch: %v", err)
 			return
 		}
@@ -412,26 +423,14 @@ func (sc *srvConn) removeChannel(id uint16) {
 func (sc *srvConn) writeFrame(f wire.Frame) error {
 	w := wire.GetWriter()
 	w.AppendRawFrame(f.Type, f.Channel, f.Payload)
-	sc.writeMu.Lock()
-	err := w.FlushFrames(sc.c, 1)
-	sc.writeMu.Unlock()
-	wire.PutWriter(w)
-	return err
+	return sc.write(w, 1)
 }
 
 // writeMethod encodes and writes a method frame with a single write.
 func (sc *srvConn) writeMethod(channel uint16, m wire.Method) error {
 	w := wire.GetWriter()
 	w.AppendMethodFrame(channel, m)
-	if err := w.Err(); err != nil {
-		wire.PutWriter(w)
-		return err
-	}
-	sc.writeMu.Lock()
-	err := w.FlushFrames(sc.c, 1)
-	sc.writeMu.Unlock()
-	wire.PutWriter(w)
-	return err
+	return sc.write(w, 1)
 }
 
 // writeContent coalesces the method + header + body frame triplet of one
@@ -441,20 +440,21 @@ func (sc *srvConn) writeMethod(channel uint16, m wire.Method) error {
 // message reference across this call, which every delivery path does.
 func (sc *srvConn) writeContent(channel uint16, m wire.Method, props *wire.Properties, body []byte) error {
 	w := wire.GetWriter()
-	defer wire.PutWriter(w)
-	frames := w.AppendContentFramesZC(channel, m, props, body, sc.frameMax)
-	if err := w.Err(); err != nil {
-		return err
-	}
-	sc.writeMu.Lock()
-	err := w.FlushFrames(sc.c, frames)
-	sc.writeMu.Unlock()
-	if err != nil {
+	if err := sc.write(w, w.AppendContentFramesZC(channel, m, props, body, sc.frameMax)); err != nil {
 		return err
 	}
 	sc.srv.Stats.MessagesOut.Add(1)
 	sc.srv.Stats.BytesOut.Add(uint64(len(body)))
 	return nil
+}
+
+// write puts the frames w holds on the wire in one write under writeMu,
+// unless encoding them failed, and recycles w.
+func (sc *srvConn) write(w *wire.Writer, frames int) error {
+	defer wire.PutWriter(w)
+	sc.writeMu.Lock()
+	defer sc.writeMu.Unlock()
+	return w.FlushFrames(sc.c, frames)
 }
 
 // deliveryFlushBytes bounds how many coalesced bytes accumulate across

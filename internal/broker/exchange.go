@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"slices"
 	"strings"
 	"sync"
 
@@ -105,13 +106,7 @@ func (e *Exchange) Unbind(q *Queue, key string) {
 	s := e.shardFor(key)
 	lockShard(&s.mu)
 	defer s.mu.Unlock()
-	out := s.bindings[:0]
-	for _, b := range s.bindings {
-		if !(b.queue == q && b.key == key) {
-			out = append(out, b)
-		}
-	}
-	s.bindings = out
+	s.bindings = slices.DeleteFunc(s.bindings, func(b binding) bool { return b.queue == q && b.key == key })
 	s.dropDirect(q, key)
 }
 
@@ -120,13 +115,7 @@ func (e *Exchange) UnbindQueue(q *Queue) {
 	for i := range e.shards {
 		s := &e.shards[i]
 		lockShard(&s.mu)
-		out := s.bindings[:0]
-		for _, b := range s.bindings {
-			if b.queue != q {
-				out = append(out, b)
-			}
-		}
-		s.bindings = out
+		s.bindings = slices.DeleteFunc(s.bindings, func(b binding) bool { return b.queue == q })
 		for key := range s.direct {
 			s.dropDirect(q, key)
 		}
@@ -142,12 +131,7 @@ func (s *bindingShard) dropDirect(q *Queue, key string) {
 	if !ok {
 		return
 	}
-	out := qs[:0]
-	for _, x := range qs {
-		if x != q {
-			out = append(out, x)
-		}
-	}
+	out := slices.DeleteFunc(qs, func(x *Queue) bool { return x == q })
 	if len(out) == 0 {
 		delete(s.direct, key)
 	} else {
@@ -194,22 +178,13 @@ func (e *Exchange) routeAppend(routingKey string, dst []*Queue) []*Queue {
 		rlockShard(&s.mu)
 		for _, b := range s.bindings {
 			match := e.Kind == KindFanout || topicMatch(b.key, routingKey)
-			if match && !containsQueue(dst[start:], b.queue) {
+			if match && !slices.Contains(dst[start:], b.queue) {
 				dst = append(dst, b.queue)
 			}
 		}
 		s.mu.RUnlock()
 	}
 	return dst
-}
-
-func containsQueue(qs []*Queue, q *Queue) bool {
-	for _, x := range qs {
-		if x == q {
-			return true
-		}
-	}
-	return false
 }
 
 // topicMatch implements AMQP topic matching: patterns are dot-separated
@@ -231,15 +206,9 @@ func topicMatchWords(pat, key []string) bool {
 	}
 	switch pat[0] {
 	case "#":
-		// "#" can match zero words…
-		if topicMatchWords(pat[1:], key) {
-			return true
-		}
-		// …or one-or-more words.
-		if len(key) > 0 {
-			return topicMatchWords(pat, key[1:])
-		}
-		return false
+		// "#" matches zero words, or one word and then whatever it
+		// matches after it.
+		return topicMatchWords(pat[1:], key) || len(key) > 0 && topicMatchWords(pat, key[1:])
 	case "*":
 		return len(key) > 0 && topicMatchWords(pat[1:], key[1:])
 	default:

@@ -239,32 +239,47 @@ func TestContentTripletIsOneSocketWrite(t *testing.T) {
 	}
 }
 
-// TestBodyFrameOverrunEndsConnection: body frames carrying more than the
-// header declared are a framing error — the connection ends, nothing is
-// routed, and the half-built body's loan is returned.
+// TestBodyFrameOverrunEndsConnection: content that breaks its framing
+// is a framing error — body frames carrying more than the header
+// declared, or a basic.publish before the previous publish's body
+// completed. The connection ends, the broker writes nothing (not even the
+// confirm of a complete publish behind the cut-off one), and the
+// half-built body's loan is returned.
 func TestBodyFrameOverrunEndsConnection(t *testing.T) {
-	for _, frames := range [][]int{{11}, {6, 6}} {
+	header, err := wire.EncodeContentHeader(&wire.ContentHeader{ClassID: wire.ClassBasic, BodySize: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// publish appends basic.publish and its header, then a body frame of
+	// each size in bodies.
+	publish := func(p *confirmPeer, bodies ...int) {
+		p.method(1, &wire.BasicPublish{RoutingKey: "overrun-q"})
+		p.w.AppendRawFrame(wire.FrameHeader, 1, header)
+		for _, n := range bodies {
+			p.w.AppendRawFrame(wire.FrameBody, 1, make([]byte, n))
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		frames func(p *confirmPeer)
+	}{
+		{"overrun 11", func(p *confirmPeer) { publish(p, 11) }},
+		{"overrun 6+6", func(p *confirmPeer) { publish(p, 6, 6) }},
+		{"cut off at 5 of 10", func(p *confirmPeer) { publish(p, 5); publish(p, 10) }},
+	} {
 		base := wire.LoanedBytes()
 		p := newConfirmPeer(t, Config{}, false)
 		p.declare("overrun-q", nil)
-		p.method(1, &wire.BasicPublish{RoutingKey: "overrun-q"})
-		header, err := wire.EncodeContentHeader(&wire.ContentHeader{ClassID: wire.ClassBasic, BodySize: 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.w.AppendRawFrame(wire.FrameHeader, 1, header)
-		for _, n := range frames {
-			p.w.AppendRawFrame(wire.FrameBody, 1, make([]byte, n))
-		}
+		tc.frames(p)
 		p.flush()
 		if f, err := p.fr.ReadFrame(); err == nil {
-			t.Fatalf("frames %v: broker answered an overrunning body with frame type %d, want the connection closed", frames, f.Type)
+			t.Fatalf("%s: broker answered with frame type %d, want the connection closed", tc.name, f.Type)
 		}
 		deadline := time.Now().Add(5 * time.Second)
 		for wire.LoanedBytes() != base && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond) // teardown follows the close the peer saw
 		}
-		checkBalance(t, fmt.Sprintf("after overrun %v", frames), base)
+		checkBalance(t, "after "+tc.name, base)
 	}
 }
 

@@ -364,10 +364,7 @@ func (q *Queue) RequeueAll(msgs []*Message, offs []uint64) {
 // requeueLocked inserts m at the head (caller holds q.mu).
 func (q *Queue) requeueLocked(m *Message, off uint64) {
 	q.ready.pushFront(qitem{msg: m, off: off, redelivered: true})
-	q.bytes += m.size()
-	if q.onBytes != nil {
-		q.onBytes(m.size())
-	}
+	q.addBytesLocked(m.size())
 	q.stats.Requeued++
 	q.tel.requeued.Inc()
 	telDepthPeak.Record(int64(q.ready.len()))
@@ -378,26 +375,11 @@ func (q *Queue) requeueLocked(m *Message, off uint64) {
 // connection's delivery loop, scheduled by the consumer's wake hook) and
 // call q.Pump() after each batch it sends.
 func (q *Queue) AddConsumer(tag string, noAck bool, prefetch int) (*consumer, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.deleted {
-		return nil, errors.New("broker: queue deleted")
-	}
 	credit := prefetch
 	if credit <= 0 {
 		credit = creditUnlimited
 	}
-	c := &consumer{
-		tag:    tag,
-		noAck:  noAck,
-		credit: credit,
-		outbox: make(chan delivery, outboxCap),
-		closed: make(chan struct{}),
-		q:      q,
-	}
-	q.consumers = append(q.consumers, c)
-	q.pumpLocked()
-	return c, nil
+	return q.addConsumer(&consumer{tag: tag, noAck: noAck, credit: credit})
 }
 
 // AddReplayConsumer registers a consumer fed from the queue's segment log
@@ -411,23 +393,24 @@ func (q *Queue) AddReplayConsumer(tag string, from uint64) (*consumer, error) {
 	if q.log == nil {
 		return nil, fmt.Errorf("%w: queue %q is not durable, cannot replay", ErrPreconditionFailed, q.Name)
 	}
+	c, err := q.addConsumer(&consumer{tag: tag, noAck: true, replay: true, credit: creditUnlimited})
+	if err == nil {
+		go q.replayLoop(c, from)
+	}
+	return c, err
+}
+
+// addConsumer gives c its outbox and registers it, unless the queue is
+// deleted, then pumps (which passes over a replay consumer).
+func (q *Queue) addConsumer(c *consumer) (*consumer, error) {
+	c.outbox, c.closed, c.q = make(chan delivery, outboxCap), make(chan struct{}), q
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	if q.deleted {
-		q.mu.Unlock()
 		return nil, errors.New("broker: queue deleted")
 	}
-	c := &consumer{
-		tag:    tag,
-		noAck:  true,
-		replay: true,
-		credit: creditUnlimited,
-		outbox: make(chan delivery, outboxCap),
-		closed: make(chan struct{}),
-		q:      q,
-	}
 	q.consumers = append(q.consumers, c)
-	q.mu.Unlock()
-	go q.replayLoop(c, from)
+	q.pumpLocked()
 	return c, nil
 }
 
@@ -556,23 +539,21 @@ func (q *Queue) Pump() {
 	q.pumpLocked()
 }
 
-// markDeleted flags the queue as gone, cancels all consumers, and releases
-// every ready message, returning the consumers so the channel layer can
-// clean up.
-func (q *Queue) markDeleted() []*consumer {
+// markDeleted flags the queue as gone, cancels all consumers (waking
+// their delivery loops, which return their outboxes), and releases every
+// ready message.
+func (q *Queue) markDeleted() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.deleted = true
-	cs := q.consumers
-	q.consumers = nil
-	for _, c := range cs {
+	for _, c := range q.consumers {
 		close(c.closed)
 		c.notify()
 	}
+	q.consumers = nil
 	for q.ready.len() > 0 {
 		q.popLocked().msg.Release()
 	}
-	return cs
 }
 
 // restore re-enqueues the unacked records a segment-log recovery handed
@@ -584,10 +565,7 @@ func (q *Queue) restore(recs []*seglog.Record) {
 		m := NewMessage(r.Exchange, r.Key, r.Props, len(r.Body))
 		m.AppendBody(r.Body)
 		q.ready.pushBack(qitem{msg: m, off: r.Offset, redelivered: true})
-		q.bytes += m.size()
-		if q.onBytes != nil {
-			q.onBytes(m.size())
-		}
+		q.addBytesLocked(m.size())
 	}
 	telDepthPeak.Record(int64(q.ready.len()))
 }
@@ -618,8 +596,6 @@ func (q *Queue) crash() {
 
 // --- internal (callers hold q.mu) ---
 
-func (q *Queue) lenLocked() int { return q.ready.len() }
-
 func (q *Queue) overLimitLocked(m *Message) bool {
 	if q.Limits.MaxLen > 0 && q.ready.len()+1 > q.Limits.MaxLen {
 		return true
@@ -632,20 +608,23 @@ func (q *Queue) overLimitLocked(m *Message) bool {
 
 func (q *Queue) pushLocked(m *Message, off uint64) {
 	q.ready.pushBack(qitem{msg: m, off: off})
-	q.bytes += m.size()
-	if q.onBytes != nil {
-		q.onBytes(m.size())
-	}
+	q.addBytesLocked(m.size())
 	telDepthPeak.Record(int64(q.ready.len()))
 }
 
 func (q *Queue) popLocked() qitem {
 	it := q.ready.popFront()
-	q.bytes -= it.msg.size()
-	if q.onBytes != nil {
-		q.onBytes(-it.msg.size())
-	}
+	q.addBytesLocked(-it.msg.size())
 	return it
+}
+
+// addBytesLocked accounts d ready payload bytes to the queue and, through
+// onBytes, to its vhost.
+func (q *Queue) addBytesLocked(d int64) {
+	q.bytes += d
+	if q.onBytes != nil {
+		q.onBytes(d)
+	}
 }
 
 // pumpLocked delivers ready messages round-robin to consumers that have

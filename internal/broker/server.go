@@ -190,21 +190,10 @@ func (s *Server) VHost(name string) *VHost {
 // recovers without truncation, and releases the message bodies still
 // queued, so wire-loan accounting returns to zero.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	conns, vhosts, ok := s.stop()
+	if !ok {
 		return nil
 	}
-	s.closed = true
-	conns := make([]*srvConn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	vhosts := make([]*VHost, 0, len(s.vhosts))
-	for _, vh := range s.vhosts {
-		vhosts = append(vhosts, vh)
-	}
-	s.mu.Unlock()
 	err := s.ln.Close()
 	for _, c := range conns {
 		c.shutdown()
@@ -226,10 +215,27 @@ func (s *Server) Close() error {
 // on-disk state is what a subsequent Listen with the same DataDir
 // recovers.
 func (s *Server) Crash() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	conns, vhosts, ok := s.stop()
+	if !ok {
 		return
+	}
+	s.ln.Close()
+	for _, vh := range vhosts {
+		vh.crash()
+	}
+	for _, c := range conns {
+		c.shutdown()
+	}
+	s.wg.Wait()
+}
+
+// stop marks the server closed and returns its connections and vhosts,
+// or false if it was closed already.
+func (s *Server) stop() ([]*srvConn, []*VHost, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, nil, false
 	}
 	s.closed = true
 	conns := make([]*srvConn, 0, len(s.conns))
@@ -240,15 +246,7 @@ func (s *Server) Crash() {
 	for _, vh := range s.vhosts {
 		vhosts = append(vhosts, vh)
 	}
-	s.mu.Unlock()
-	s.ln.Close()
-	for _, vh := range vhosts {
-		vh.crash()
-	}
-	for _, c := range conns {
-		c.shutdown()
-	}
-	s.wg.Wait()
+	return conns, vhosts, true
 }
 
 func (s *Server) acceptLoop() {

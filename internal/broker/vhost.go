@@ -239,20 +239,52 @@ func (vh *VHost) Queue(name string) (*Queue, bool) {
 // DeleteQueue removes a queue and all its bindings, returning the purged
 // message count.
 func (vh *VHost) DeleteQueue(name string, ifUnused, ifEmpty bool) (int, error) {
+	q, n, err := vh.removeQueue(name, func(q *Queue) error {
+		switch {
+		case ifUnused && q.ConsumerCount() > 0:
+			return fmt.Errorf("%w: queue %q has consumers", ErrPreconditionFailed, name)
+		case ifEmpty && q.Len() > 0:
+			return fmt.Errorf("%w: queue %q not empty", ErrPreconditionFailed, name)
+		}
+		return nil
+	})
+	if err == nil && q.log != nil {
+		// Explicit deletion removes the on-disk history too — unlike a
+		// crash or close, there is nothing left to recover.
+		q.log.Remove()
+	}
+	return n, err
+}
+
+// SurrenderQueue removes a queue from this vhost WITHOUT deleting its
+// on-disk history: the segment log is flushed, synced and closed, so a
+// new master can recover it — the rebalance-on-join handoff. The caller
+// is responsible for having quiesced the queue first (no consumers, no
+// in-flight publishes).
+func (vh *VHost) SurrenderQueue(name string) error {
+	q, _, err := vh.removeQueue(name, func(*Queue) error { return nil })
+	if err == nil && q.log != nil {
+		q.log.Close()
+	}
+	return err
+}
+
+// removeQueue takes a queue out of the registry, if check allows it
+// under the registry lock, then drops its telemetry and bindings and
+// marks it deleted. It returns the queue and its ready count at removal.
+func (vh *VHost) removeQueue(name string, check func(*Queue) error) (*Queue, int, error) {
 	s := vh.queueShard(name)
 	lockShard(&s.mu)
 	q, ok := s.m[name]
+	var err error
 	if !ok {
-		s.mu.Unlock()
-		return 0, fmt.Errorf("%w: queue %q", ErrNotFound, name)
+		err = fmt.Errorf("%w: queue %q", ErrNotFound, name)
+	} else {
+		err = check(q)
 	}
-	if ifUnused && q.ConsumerCount() > 0 {
+	if err != nil {
 		s.mu.Unlock()
-		return 0, fmt.Errorf("%w: queue %q has consumers", ErrPreconditionFailed, name)
-	}
-	if ifEmpty && q.Len() > 0 {
-		s.mu.Unlock()
-		return 0, fmt.Errorf("%w: queue %q not empty", ErrPreconditionFailed, name)
+		return nil, 0, err
 	}
 	n := q.Len()
 	delete(s.m, name)
@@ -271,47 +303,7 @@ func (vh *VHost) DeleteQueue(name string, ifUnused, ifEmpty bool) (int, error) {
 		}
 	}
 	q.markDeleted()
-	if q.log != nil {
-		// Explicit deletion removes the on-disk history too — unlike a
-		// crash or close, there is nothing left to recover.
-		q.log.Remove()
-	}
-	return n, nil
-}
-
-// SurrenderQueue removes a queue from this vhost WITHOUT deleting its
-// on-disk history: the segment log is flushed, synced and closed, so a
-// new master can recover it — the rebalance-on-join handoff. The caller
-// is responsible for having quiesced the queue first (no consumers, no
-// in-flight publishes).
-func (vh *VHost) SurrenderQueue(name string) error {
-	s := vh.queueShard(name)
-	lockShard(&s.mu)
-	q, ok := s.m[name]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: queue %q", ErrNotFound, name)
-	}
-	delete(s.m, name)
-	s.mu.Unlock()
-	unregisterQueueTelemetry(name)
-	for i := range vh.exchanges {
-		es := &vh.exchanges[i]
-		rlockShard(&es.mu)
-		exchanges := make([]*Exchange, 0, len(es.m))
-		for _, e := range es.m {
-			exchanges = append(exchanges, e)
-		}
-		es.mu.RUnlock()
-		for _, e := range exchanges {
-			e.UnbindQueue(q)
-		}
-	}
-	q.markDeleted()
-	if q.log != nil {
-		q.log.Close()
-	}
-	return nil
+	return q, n, nil
 }
 
 // eachQueue calls fn for every queue currently registered.
@@ -439,18 +431,4 @@ func (vh *VHost) PublishTracked(queue string, m *Message) (uint64, error) {
 		return OffNone, err
 	}
 	return off, nil
-}
-
-// QueueNames returns the declared queue names (stable order not guaranteed).
-func (vh *VHost) QueueNames() []string {
-	var out []string
-	for i := range vh.queues {
-		s := &vh.queues[i]
-		rlockShard(&s.mu)
-		for n := range s.m {
-			out = append(out, n)
-		}
-		s.mu.RUnlock()
-	}
-	return out
 }
