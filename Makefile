@@ -74,6 +74,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSubscriptions$$' -fuzztime $(FUZZTIME) ./internal/amqp
 	$(GO) test -run '^$$' -fuzz '^FuzzOutbound$$' -fuzztime $(FUZZTIME) ./internal/broker
 	$(GO) test -run '^$$' -fuzz '^FuzzInbound$$' -fuzztime $(FUZZTIME) ./internal/broker
+	$(GO) test -run '^$$' -fuzz '^FuzzMirrorSet$$' -fuzztime $(FUZZTIME) ./internal/cluster
 
 short:
 	$(GO) test -short -count=1 .

@@ -297,20 +297,19 @@
 // With deployment.replication_factor R ≥ 2, each durable queue
 // additionally keeps R−1 synchronous mirrors on distinct ring nodes:
 // the master streams every publish and settle to its mirrors over
-// confirm-mode federation links, and withholds the producer's confirm
-// until the in-sync mirror set has appended (a lagging mirror is
-// evicted after a bounded window rather than stalling confirms
-// forever, surfacing as the under-replicated health rule). Killing a
-// replicated master then promotes the most-advanced in-sync mirror in
-// place — zero segment-log relocation, nothing read from the dead
-// node's disk — and a restarted node re-enters as a catching-up mirror
-// that resyncs from the live master before rejoining the in-sync set.
-// The rolling-node-kill fault chases the promoted masters across the
-// cluster (examples/scenario/failover_replicated.json,
+// confirm-mode federation links; a mirror gates producer confirms from
+// the end of its catch-up scan, and a lagging one is let off after a
+// bounded window (those confirms then certify the master's disk alone).
+// Killing a replicated master promotes an in-sync mirror in place —
+// nothing read from the dead node's disk — and only a mirror whose
+// replica holds every offset confirmed and not settled; with none, the
+// queue relocates as an unreplicated one does. Each queue's protocol is
+// one pure core (internal/cluster/mirrorset.go). A restarted node
+// re-enters as a catching-up mirror. The rolling-node-kill fault chases
+// the promoted masters (examples/scenario/failover_replicated.json,
 // TestRollingNodeKillScenario); cluster.promotions, mirror_catchups,
 // mirror_lag, insync_mirrors and underreplicated_queues trace it, and
-// BenchmarkMirroredPublishDeliver prices the confirm path at R=1 vs
-// R=2.
+// BenchmarkMirroredPublishDeliver prices the confirm path at R=1 vs R=2.
 //
 // # Running the suite
 //

@@ -648,7 +648,7 @@ func (ch *srvChannel) completePublish(p publish) error {
 		// Locally mastered replicated queue: append locally (offset
 		// tracked), then stream to mirrors. The producer's confirm is
 		// withheld — ReplicateAppend resolves it via ClusterConfirm once
-		// the in-sync set has appended (or lagging mirrors are evicted).
+		// the gating mirrors have appended (or the lag clock lets them off).
 		// A transient queue has nothing durable to mirror.
 		var off uint64
 		if off, err = vh.PublishTracked(method.RoutingKey, msg); err == nil && off != OffNone {

@@ -44,16 +44,16 @@ type ClusterHook interface {
 	// NoteRedirect records that this node answered an operation on the
 	// queue with a connection-level redirect (telemetry only).
 	NoteRedirect(vhost, queue string)
-	// Replicated reports whether this node masters the queue with live
-	// mirrors — whether a local publish must go through ReplicateAppend
-	// so its confirm is withheld until the in-sync set has appended.
+	// Replicated reports whether this node masters the queue as a
+	// replicated queue — whether a local publish must go through
+	// ReplicateAppend, which withholds its confirm while mirrors gate it.
 	// Implementations keep this an atomic fast path: on an R=1 cluster it
 	// must cost nothing on the per-publish hot path.
 	Replicated(vhost, queue string) bool
 	// ReplicateAppend streams one locally appended publish (at segment-log
 	// offset off) to the queue's mirrors. The producer's confirm (seq on
-	// target) is withheld until every in-sync mirror has appended the
-	// record, or until lagging mirrors are evicted from the in-sync set —
+	// target) is withheld until every gating mirror has appended the
+	// record, or until lagging mirrors are evicted —
 	// the callee ALWAYS eventually resolves target.ClusterConfirm(seq, _).
 	// The callee takes its own message references for the ships; the
 	// caller's reference only covers the call.

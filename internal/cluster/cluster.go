@@ -25,29 +25,22 @@
 // follow its master in the placement walk. The master streams appends
 // and settles to each mirror over the same confirm-mode federation links
 // (reserved "!mirror.*" exchanges) and withholds producer confirms until
-// the in-sync mirror set has appended; a mirror that lags past the
-// bounded catch-up window is evicted from the in-sync set so confirms
-// always resolve. A joining (or rejoining) mirror is wiped and caught up
-// from a scan of the master's log while live ships flow concurrently,
-// then turns in-sync once the stream drains. See replication.go.
+// the mirrors that gate them have appended. See replication.go.
 //
-// Failover: Kill hard-crashes a node and retires it from the ring. Every
-// queue it mastered is reassigned: a replicated queue promotes its
-// most-advanced in-sync mirror — the standby log is already on the new
-// master's disk, so no segment-log directory moves — and the promoted
-// master re-establishes mirrors on the survivors. Unreplicated durable
-// queues fall back to the legacy path: reassigned to a surviving ring
-// owner, segment-log directory moved there (the shared-storage model of
-// a rescheduled pod) and replayed; transient queues restart empty.
+// Failover: Kill hard-crashes a node and retires it from the ring. A
+// replicated queue it mastered promotes a mirror only if one is in-sync,
+// its replica holding every offset the master confirmed and has not
+// settled. Any other durable queue relocates to a surviving ring owner
+// (the shared-storage model of a rescheduled pod); transient queues
+// restart empty. Either way the new master mirrors the queue afresh.
 // Clients ride the failover through amqp.Config.Reconnect: dead-address
 // dials rotate through Config.Seeds, a survivor redirects mis-routed
 // consumers to the new master, and channel state plus unconfirmed
 // publishes replay on arrival. Restart re-registers the node with the
 // ring and runs a rebalance-on-join audit: quiescent unreplicated queues
 // whose ring placement points at the rejoined node move back to it, and
-// replicated queues re-establish it as a catching-up mirror wherever
-// placement wants one. Moved (pinned) masters otherwise stay put — no
-// blanket failback.
+// replicated queues re-establish it as a mirror where placement wants
+// one. Moved (pinned) masters otherwise stay put — no blanket failback.
 //
 // A Shovel component moves messages between queues on different nodes (the
 // RabbitMQ shovel plugin equivalent), which the Deleria example uses to link
@@ -166,7 +159,7 @@ func StartWithOptions(n int, opts Options, configFor func(i int) broker.Config) 
 			hook := &nodeHook{node: i, dir: c.dir, hub: c.hubs[i]}
 			if factor >= 2 && nodeCfg.DataDir != "" {
 				c.stores[i] = newMirrorStore(nodeCfg.DataDir, nodeCfg.Durability)
-				c.repls[i] = newReplManager(c, i, factor, c.hubs[i])
+				c.repls[i] = &replManager{c: c, node: i, factor: factor, hub: c.hubs[i], queues: make(map[string]*replQueue)}
 				hook.store = c.stores[i]
 				hook.repl = c.repls[i]
 			}
@@ -335,61 +328,59 @@ func (c *Cluster) rebalanceOnJoin(i int) {
 
 // Kill fails node i: the node is hard-crashed (as Crash), retired from
 // the placement ring, and every queue it mastered is reassigned. A
-// replicated queue promotes its most-advanced in-sync mirror: the
-// standby segment log already sits on the promoted node's own disk, so
-// the failover reads nothing from the dead node's directory — no
-// segment-log relocation — and the promoted master re-establishes
-// mirrors on the survivors. Unreplicated durable queues take the legacy
-// path: reassigned to a surviving ring owner, segment-log directory
-// carried over (shared-storage failover: the rescheduled pod mounts the
-// same volume) and replayed there; transient queues restart empty.
+// replicated queue with an in-sync mirror promotes the most advanced one,
+// whose standby log already sits on its own disk. Any other durable queue
+// relocates to a surviving ring owner: a stale standby replica there is
+// discarded, and the dead node's segment-log directory is carried over
+// (shared-storage failover) and replayed. Transient queues restart empty.
 // It returns the reassigned queues with Node set to each new master.
 // Clients follow via their reconnect policy: dials to the dead address
 // rotate through Config.Seeds, and the first survivor they reach
 // redirects mis-routed consumers to the new master.
 func (c *Cluster) Kill(i int) ([]QueueInfo, error) {
-	c.Node(i).Crash()
 	c.mu.Lock()
 	deadDir := c.cfgs[i].DataDir
 	deadHub := c.hubs[i]
 	deadRepl := c.repls[i]
 	deadStore := c.stores[i]
 	repls := append([]*replManager(nil), c.repls...)
+	hubs, deadAddr := append([]*fedHub(nil), c.hubs...), c.addrs[i]
 	c.mu.Unlock()
+	// Survivors drop their links to the node before it dies, or its death
+	// would replay what they carry to whatever listens there next.
+	for j, h := range hubs {
+		if h != nil && j != i {
+			h.closeTo(deadAddr)
+		}
+	}
+	c.Node(i).Crash()
 	if deadStore != nil {
 		deadStore.crash()
 	}
 	// The dead master's in-process replication state outlives its broker:
-	// it is exactly the in-sync census the promotion chooser needs.
+	// its cores know which mirrors are promotable.
 	promoted := make(map[string]bool)
-	var choose func(QueueInfo) (int, bool)
-	if deadRepl != nil {
-		choose = func(q QueueInfo) (int, bool) {
-			if !q.Durable {
-				return 0, false
-			}
-			node, ok := deadRepl.choosePromotion(q)
-			if ok {
-				promoted[qkey(q.VHost, q.Name)] = true
-			}
-			return node, ok
-		}
-	}
-	moved := c.dir.NodeDownWith(i, choose)
+	moved := c.dir.NodeDownWith(i, func(q QueueInfo) (int, bool) {
+		node, ok := deadRepl.choosePromotion(q)
+		promoted[qkey(q.VHost, q.Name)] = ok
+		return node, ok
+	})
 	var first error
-	var live []QueueInfo // promoted replicas that are queues now
 	for _, q := range moved {
 		if promoted[qkey(q.VHost, q.Name)] {
-			if err := c.promoteMirror(q); err != nil {
-				if first == nil {
-					first = err
-				}
-			} else {
-				live = append(live, q)
+			if err := c.promoteMirror(q); err != nil && first == nil {
+				first = err
 			}
 			continue
 		}
 		if q.Durable && deadDir != "" {
+			// A standby replica of the queue on the new master is stale;
+			// the relocated log takes its directory.
+			if st := c.storeOf(q.Node); st != nil {
+				if err := st.wipe(q.VHost, q.Name, true); err != nil && first == nil {
+					first = err
+				}
+			}
 			if err := c.moveQueueLog(deadDir, q); err != nil && first == nil {
 				first = err
 			}
@@ -405,16 +396,12 @@ func (c *Cluster) Kill(i int) ([]QueueInfo, error) {
 	// Only now does the directory name the new masters. Pinned any
 	// earlier, a consumer re-dialing a new master could be answered 404
 	// (the queue not declared there yet) and a publish landing there would
-	// route to no queue.
+	// route to no queue. Pinned, each new master mirrors its durable
+	// queues afresh.
 	for _, q := range moved {
 		c.dir.Repin(q.VHost, q.Name, q.Node)
-	}
-	for _, q := range live {
-		c.mu.Lock()
-		rm := c.repls[q.Node]
-		c.mu.Unlock()
-		if rm != nil {
-			rm.queueRegistered(q.VHost, q.Name, true)
+		if rm := repls[q.Node]; rm != nil {
+			rm.queueRegistered(q.VHost, q.Name, q.Durable)
 		}
 	}
 	// Surviving masters drop the dead node from their mirror sets

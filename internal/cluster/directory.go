@@ -155,12 +155,11 @@ func (d *Directory) Busiest() (int, bool) {
 
 // NodeDownWith retires node i from the ring and picks a new master for
 // every queue it mastered: choose may pick one (a replicated queue's
-// most-advanced in-sync mirror); returning ok=false — or a nil choose —
-// falls back to the surviving ring owner. It returns those queues with
-// Node set to the new master but leaves their pins on node i: the
-// failover driver re-creates each queue on its new master and only then
-// re-pins it (Repin), so no client is ever sent to a master that lacks
-// its queue.
+// promotable mirror); returning ok=false falls back to the surviving ring
+// owner. It returns those queues with Node set to the new master but
+// leaves their pins on node i: the failover driver re-creates each queue
+// on its new master and only then re-pins it (Repin), so no client is
+// ever sent to a master that lacks its queue.
 func (d *Directory) NodeDownWith(i int, choose func(QueueInfo) (int, bool)) []QueueInfo {
 	d.ring.Remove(i)
 	d.mu.RLock()
@@ -170,10 +169,7 @@ func (d *Directory) NodeDownWith(i int, choose func(QueueInfo) (int, bool)) []Qu
 		if q.Node != i {
 			continue
 		}
-		to, ok := 0, false
-		if choose != nil {
-			to, ok = choose(*q)
-		}
+		to, ok := choose(*q)
 		if !ok {
 			to, ok = d.ring.Owner(q.Name)
 		}

@@ -75,14 +75,22 @@ func (h *fedHub) link(addr, vhost string) (*fedLink, error) {
 	return l, nil
 }
 
-// closeAll tears down every link (node shutdown).
-func (h *fedHub) closeAll() {
+// closeAll tears down every link (node shutdown), and closeTo the links to
+// addr, whose node was killed. Neither replays: everything outstanding is
+// nacked, not handed to whatever listens at the address next.
+func (h *fedHub) closeAll() { h.closeTo("") }
+
+func (h *fedHub) closeTo(addr string) {
 	h.mu.Lock()
-	links := h.links
-	h.links = make(map[string]*fedLink)
+	var links []*fedLink
+	for k, l := range h.links {
+		if addr == "" || l.addr == addr {
+			links = append(links, l)
+			delete(h.links, k)
+		}
+	}
 	h.mu.Unlock()
 	for _, l := range links {
-		// Node shutdown: no replay — nack everything outstanding.
 		l.failWith(fmt.Errorf("cluster: federation link closed"), false)
 	}
 }

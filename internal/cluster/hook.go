@@ -79,19 +79,11 @@ func (h *nodeHook) Replicated(vhost, queue string) bool {
 }
 
 func (h *nodeHook) ReplicateAppend(vhost, queue string, off uint64, m *broker.Message, target broker.ConfirmTarget, seq uint64) {
-	if h.repl == nil {
-		if target != nil {
-			target.ClusterConfirm(seq, true)
-		}
-		return
-	}
 	h.repl.replicateAppend(vhost, queue, off, m, target, seq)
 }
 
 func (h *nodeHook) ReplicateSettle(vhost, queue string, off uint64, offs []uint64) {
-	if h.repl != nil {
-		h.repl.replicateSettle(vhost, queue, off, offs)
-	}
+	h.repl.replicateSettle(vhost, queue, off, offs)
 }
 
 func (h *nodeHook) ApplyMirror(vhost, exchange, key string, m *broker.Message) error {

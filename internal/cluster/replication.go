@@ -2,13 +2,14 @@ package cluster
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ds2hpc/internal/broker"
@@ -22,23 +23,10 @@ import (
 // nodes that follow its master in the placement walk. The master streams
 // three kinds of frames to each mirror over the ordinary confirm-mode
 // federation links (reserved "!mirror.*" exchanges, see broker.ClusterHook):
-//
-//   - data ships: one per locally appended publish, carrying the record and
-//     its master-assigned segment-log offset (16-hex-digit routing-key
-//     prefix). The producer's confirm is withheld until every in-sync
-//     mirror has confirmed its append.
-//   - settle ships: batches of ack offsets, fire-and-forget — a mirror
-//     that misses acks merely redelivers, which at-least-once permits.
-//   - reset ships: wipe the standby replica before a fresh catch-up.
-//
-// A mirror joins catching-up: the master snapshots its log frontier, scans
-// everything below it to the mirror while live ships flow concurrently
-// above it (the mirror dedupes the overlap by offset), and marks the mirror
-// in-sync once the scan and every outstanding ship have drained. In-sync
-// mirrors gate confirms; a mirror that stays lagged past replLagWindow is
-// evicted from the in-sync set so confirms always resolve. Kill promotes
-// the most-advanced in-sync mirror — its standby log is already on the new
-// master's disk, so failover performs no segment-log relocation.
+// data ships (one record at its master offset), settle ships (a batch of
+// settled offsets; a mirror that misses one merely redelivers) and reset
+// ships (wipe the replica before a catch-up). Each queue's protocol is the
+// pure core mirrorSet (mirrorset.go); replQueue carries out its work.
 //
 // Scope: replication covers default-exchange publishes to durable queues —
 // the same data plane the federation layer forwards. Named-exchange
@@ -47,9 +35,8 @@ import (
 // does not change log state, so mirrors converge on the master's
 // (ready + unacked) record set, not its in-memory delivery order.
 
-// replLagWindow bounds how long an in-sync mirror may sit on an
-// unconfirmed data ship before it is evicted from the in-sync set (and the
-// withheld producer confirms it owed are released).
+// replLagWindow bounds how long a mirror may owe a withheld producer
+// confirm before the lag clock releases what it owes.
 const replLagWindow = 500 * time.Millisecond
 
 var (
@@ -58,6 +45,7 @@ var (
 	mirrorLag       = telemetry.Default.Gauge("cluster.mirror_lag")
 	insyncMirrors   = telemetry.Default.Gauge("cluster.insync_mirrors")
 	underReplicated = telemetry.Default.Gauge("cluster.underreplicated_queues")
+	mirrorEvictions = telemetry.Default.Counter("cluster.mirror_evictions")
 	fedRetries      = telemetry.Default.Counter("cluster.federation_retries")
 )
 
@@ -89,12 +77,8 @@ func parseMirrorKey(key string) (uint64, string, error) {
 // synchronous ships (the pre-catch-up reset).
 type confirmWaiter chan bool
 
-func (c confirmWaiter) ClusterConfirm(seq uint64, ok bool) {
-	select {
-	case c <- ok:
-	default:
-	}
-}
+// ClusterConfirm never blocks: a forward is resolved exactly once.
+func (c confirmWaiter) ClusterConfirm(_ uint64, ok bool) { c <- ok }
 
 // ---------------------------------------------------------------------------
 // Mirror side: the standby replica store.
@@ -111,12 +95,10 @@ type mirrorStore struct {
 
 	mu   sync.Mutex
 	reps map[string]*mirrorRep // key: qkey(vhost, queue)
-	// promoted marks the replicas handed to the broker. Mirror frames of
-	// the dead master can still be sitting in a link connection's buffers
-	// when promotion runs; applied afterwards they would open a second
-	// log over (or, for a reset, wipe) the directory the promoted queue
-	// now lives in, so they are refused instead.
-	promoted map[string]bool
+	// refused marks the queues this node took over as master. Frames of
+	// the dead master still in a link's buffers would otherwise open a
+	// second log over (or wipe) the directory the queue now lives in.
+	refused map[string]bool
 }
 
 // mirrorRep is one standby replica. Data ships can arrive out of offset
@@ -136,7 +118,7 @@ func newMirrorStore(dataDir string, opts seglog.Options) *mirrorStore {
 	// spans, which makes head compaction unsound — standby logs retain
 	// everything until promotion hands them to the broker's own policy.
 	opts.RetainAll = true
-	return &mirrorStore{dataDir: dataDir, opts: opts, reps: make(map[string]*mirrorRep), promoted: make(map[string]bool)}
+	return &mirrorStore{dataDir: dataDir, opts: opts, reps: make(map[string]*mirrorRep), refused: make(map[string]bool)}
 }
 
 func (st *mirrorStore) repDir(vhost, queue string) string {
@@ -152,8 +134,8 @@ func (st *mirrorStore) ensure(vhost, queue string) (*mirrorRep, error) {
 	if rep, ok := st.reps[k]; ok {
 		return rep, nil
 	}
-	if st.promoted[k] {
-		return nil, fmt.Errorf("cluster: mirror frame for %q, which this node has been promoted to master", queue)
+	if st.refused[k] {
+		return nil, fmt.Errorf("cluster: mirror frame for %q, which this node has taken over as master", queue)
 	}
 	dir := st.repDir(vhost, queue)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -234,25 +216,17 @@ func (st *mirrorStore) applyAcks(vhost, queue string, body []byte) error {
 
 // reset wipes the standby replica — the master sends it before every
 // catch-up so the scan lands on a clean slate.
-func (st *mirrorStore) reset(vhost, queue string) error {
-	k := qkey(vhost, queue)
-	st.mu.Lock()
-	if st.promoted[k] {
-		st.mu.Unlock()
-		return fmt.Errorf("cluster: mirror reset for %q, which this node has been promoted to master", queue)
+func (st *mirrorStore) reset(vhost, queue string) error { return st.wipe(vhost, queue, false) }
+
+// wipe takes the replica out of the store and removes its directory;
+// refuse as for detach clears the way for a queue relocated here.
+func (st *mirrorStore) wipe(vhost, queue string, refuse bool) error {
+	rep, err := st.detach(vhost, queue, refuse)
+	if err != nil {
+		return err
 	}
-	rep := st.reps[k]
-	delete(st.reps, k)
-	st.mu.Unlock()
-	if rep != nil {
-		rep.mu.Lock()
-		rep.log.Close()
-		rep.mu.Unlock()
-	}
-	if err := os.RemoveAll(st.repDir(vhost, queue)); err != nil {
-		return fmt.Errorf("cluster: mirror reset %q: %w", queue, err)
-	}
-	return nil
+	_ = rep.close() // the replica goes whole: a failed close loses nothing
+	return os.RemoveAll(st.repDir(vhost, queue))
 }
 
 // promote hands the standby replica to the broker: the log is closed
@@ -260,25 +234,40 @@ func (st *mirrorStore) reset(vhost, queue string) error {
 // declare on this node recovers it as an ordinary durable queue. No data
 // moves — promotion is a rename-free ownership flip on local disk.
 func (st *mirrorStore) promote(vhost, queue string) error {
-	k := qkey(vhost, queue)
-	st.mu.Lock()
-	rep := st.reps[k]
-	delete(st.reps, k)
-	st.promoted[k] = true
-	st.mu.Unlock()
-	if rep != nil {
-		rep.mu.Lock()
-		err := rep.log.Close()
-		rep.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("cluster: mirror promote %q: %w", queue, err)
-		}
+	rep, _ := st.detach(vhost, queue, true)
+	if err := rep.close(); err != nil {
+		return fmt.Errorf("cluster: mirror promote %q: %w", queue, err)
 	}
 	err := os.Remove(filepath.Join(st.repDir(vhost, queue), broker.MirrorMarker))
 	if err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("cluster: mirror promote %q: %w", queue, err)
 	}
 	return nil
+}
+
+// detach takes the queue's open replica, if any, out of the store. refuse
+// marks the queue as refused; without it, detaching one so marked fails.
+func (st *mirrorStore) detach(vhost, queue string, refuse bool) (*mirrorRep, error) {
+	k := qkey(vhost, queue)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.refused[k] && !refuse {
+		return nil, fmt.Errorf("cluster: mirror reset for %q, which this node has taken over as master", queue)
+	}
+	rep := st.reps[k]
+	delete(st.reps, k)
+	st.refused[k] = st.refused[k] || refuse
+	return rep, nil
+}
+
+// close closes a detached replica's log; a nil replica has none.
+func (rep *mirrorRep) close() error {
+	if rep == nil {
+		return nil
+	}
+	rep.mu.Lock()
+	defer rep.mu.Unlock()
+	return rep.log.Close()
 }
 
 // nextOffset reports how far the replica has applied (0 when this node
@@ -303,7 +292,7 @@ func (st *mirrorStore) crash() {
 	st.mu.Lock()
 	reps := st.reps
 	st.reps = make(map[string]*mirrorRep)
-	st.promoted = make(map[string]bool)
+	st.refused = make(map[string]bool)
 	st.mu.Unlock()
 	for _, rep := range reps {
 		rep.mu.Lock()
@@ -315,64 +304,27 @@ func (st *mirrorStore) crash() {
 // ---------------------------------------------------------------------------
 // Master side: per-queue replication state.
 
-const (
-	mirCatchingUp = iota // scanning history; live ships flow but don't gate confirms
-	mirInSync            // gates producer confirms
-)
+var errMirrorEvicted = errors.New("cluster: mirror evicted")
 
-// replShip is one outstanding frame on a mirror's link: a data ship
-// (confirm-gating when the mirror is in-sync) or a settle ship.
-type replShip struct {
-	off  uint64
-	data bool
-	at   time.Time
-}
-
-// replPending is one withheld producer confirm: resolved when need in-sync
-// appends have confirmed, or when the owing laggards are evicted.
-type replPending struct {
-	target broker.ConfirmTarget
-	seq    uint64
-	need   int
-	at     time.Time
-}
-
-// replMirror is the master's view of one mirror.
-type replMirror struct {
-	node        int
-	state       int
-	catchupDone bool
-	outstanding map[uint64]replShip // shipID -> ship
-	target      *mirrorShipTarget
-}
-
-// mirrorShipTarget routes a ship's link confirm back to its queue's
-// replication state; the link seq it bridges is the per-queue shipID.
-type mirrorShipTarget struct {
-	rq   *replQueue
-	node int
-}
-
-func (t *mirrorShipTarget) ClusterConfirm(shipID uint64, ok bool) {
-	t.rq.shipDone(t.node, shipID, ok)
-}
-
-// replQueue is the master-side replication state of one queue.
+// replQueue is one queue's replication on its master: the core, driven
+// under mu, and the one path its ships take.
 type replQueue struct {
 	rm    *replManager
 	vhost string
 	name  string
 
-	mu       sync.Mutex
-	mirrors  map[int]*replMirror
-	joining  map[int]bool            // mirror establishment in flight
-	pending  map[uint64]*replPending // master offset -> withheld confirm
-	shipSeq  uint64
-	insync   int
-	underrep bool
-	timerOn  bool
-	dropped  bool
+	mu  sync.Mutex
+	set mirrorSet
+	lag *time.Timer // the lag clock: re-armed while the core withholds confirms
 }
+
+// workBuf is stack room for one call's work: a ship per mirror at most.
+type workBuf struct {
+	ships    [4]replShip
+	confirms [4]producerConfirm
+}
+
+func (b *workBuf) work() mirrorWork { return mirrorWork{ships: b.ships[:0], confirms: b.confirms[:0]} }
 
 // replManager owns one node's master-side replication state across all
 // the queues it masters.
@@ -384,17 +336,27 @@ type replManager struct {
 
 	mu     sync.Mutex
 	queues map[string]*replQueue
-	count  atomic.Int64 // len(queues): the per-publish fast-path gate
 }
 
-func newReplManager(c *Cluster, node, factor int, hub *fedHub) *replManager {
-	return &replManager{c: c, node: node, factor: factor, hub: hub, queues: make(map[string]*replQueue)}
-}
-
+// get returns a replicated queue this node masters, or nil.
 func (rm *replManager) get(vhost, queue string) *replQueue {
+	if rm == nil {
+		return nil
+	}
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
 	return rm.queues[qkey(vhost, queue)]
+}
+
+// all snapshots the queues this node masters.
+func (rm *replManager) all() []*replQueue {
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	qs := make([]*replQueue, 0, len(rm.queues))
+	for _, rq := range rm.queues {
+		qs = append(qs, rq)
+	}
+	return qs
 }
 
 // queueRegistered is the replication entry point: a durable queue this
@@ -402,29 +364,17 @@ func (rm *replManager) get(vhost, queue string) *replQueue {
 // Idempotent — redeclares and recovery re-registrations re-run the
 // (also idempotent) mirror reconcile.
 func (rm *replManager) queueRegistered(vhost, queue string, durable bool) {
-	if !durable || rm.factor < 2 {
-		return
-	}
-	if rm.c.dir.Owner(vhost, queue) != rm.node {
+	if !durable || rm.factor < 2 || rm.c.dir.Owner(vhost, queue) != rm.node {
 		return
 	}
 	k := qkey(vhost, queue)
 	rm.mu.Lock()
 	rq := rm.queues[k]
 	if rq == nil {
-		rq = &replQueue{
-			rm:      rm,
-			vhost:   vhost,
-			name:    queue,
-			mirrors: make(map[int]*replMirror),
-			joining: make(map[int]bool),
-			pending: make(map[uint64]*replPending),
-		}
+		rq = &replQueue{rm: rm, vhost: vhost, name: queue, set: newMirrorSet(rm.factor - 1)}
+		rq.lag = time.AfterFunc(replLagWindow/2, rq.onLagTimer)
 		rm.queues[k] = rq
-		rm.count.Store(int64(len(rm.queues)))
-		rq.mu.Lock()
-		rq.updateUnderRepLocked()
-		rq.mu.Unlock()
+		underReplicated.Add(1) // no mirror yet
 	}
 	rm.mu.Unlock()
 	rm.ensureMirrors(rq)
@@ -433,203 +383,187 @@ func (rm *replManager) queueRegistered(vhost, queue string, durable bool) {
 // desiredMirrors walks the ring clockwise from the queue's placement
 // point, collecting up to factor-1 live nodes other than this master.
 func (rm *replManager) desiredMirrors(queue string) []int {
-	owners := rm.c.dir.Ring().Owners(queue, rm.factor+1)
-	out := make([]int, 0, rm.factor-1)
-	for _, n := range owners {
-		if n == rm.node || len(out) >= rm.factor-1 {
-			continue
-		}
-		out = append(out, n)
-	}
-	return out
+	owners := slices.DeleteFunc(rm.c.dir.Ring().Owners(queue, rm.factor+1), func(n int) bool { return n == rm.node })
+	return owners[:min(len(owners), rm.factor-1)]
 }
 
-// ensureMirrors starts establishment for every desired mirror that is
-// neither live nor already joining. Safe to call repeatedly (reconcile on
-// topology changes).
+// ensureMirrors starts establishment for every desired mirror the queue
+// does not have. Safe to call repeatedly (reconcile on topology changes).
 func (rm *replManager) ensureMirrors(rq *replQueue) {
 	for _, node := range rm.desiredMirrors(rq.name) {
 		rq.mu.Lock()
-		_, have := rq.mirrors[node]
-		busy := have || rq.joining[node] || rq.dropped
-		if !busy {
-			rq.joining[node] = true
-		}
+		join := rq.set.join(node)
 		rq.mu.Unlock()
-		if busy {
-			continue
+		if join != 0 {
+			go rm.establishMirror(rq, node, join)
 		}
-		go rm.establishMirror(rq, node)
 	}
 }
 
-// establishMirror brings one mirror from cold to in-sync: reset the
-// standby replica, register the mirror (live ships start flowing),
-// snapshot the master frontier, scan the history below it across the
-// link, and let the in-sync transition fire once everything outstanding
-// drains. Aborts (dial failure, eviction mid-scan) leave the mirror
-// absent; the next reconcile retries.
-func (rm *replManager) establishMirror(rq *replQueue, node int) {
-	defer func() {
-		rq.mu.Lock()
-		delete(rq.joining, node)
-		rq.mu.Unlock()
-	}()
-	self := rm.c.nodeOrNil(rm.node)
-	if self == nil {
-		return // cluster still starting; the next reconcile retries
-	}
-	q, ok := self.VHost(rq.vhost).Queue(rq.name)
-	if !ok || q.Log() == nil {
-		return
-	}
-	addr := rm.c.dir.Addr(node)
-	if addr == "" {
-		return
-	}
-	l, err := rm.hub.link(addr, rq.vhost)
+// establishMirror catches one joined mirror up and tells the core its scan
+// is done; one that could not be caught up leaves the set, and the next
+// reconcile retries.
+func (rm *replManager) establishMirror(rq *replQueue, node int, join uint64) {
+	err := rm.catchUp(rq, node, join)
+	var b workBuf
+	w := b.work()
+	rq.mu.Lock()
 	if err != nil {
-		return
+		w = rq.set.leave(w, 0, join)
+	} else {
+		w = rq.set.scanDone(w, join)
 	}
-	// Wipe the standby replica before registering for live ships, so no
-	// live ship can land pre-reset and be erased after its confirm.
+	rq.mu.Unlock()
+	rq.carry(w, nil)
+}
+
+// catchUp wipes a joined mirror's replica, makes the mirror ready at the
+// master log's frontier and ships the history below it across.
+func (rm *replManager) catchUp(rq *replQueue, node int, join uint64) error {
+	var q *broker.Queue
+	if self := rm.c.nodeOrNil(rm.node); self != nil { // nil while the cluster starts
+		q, _ = self.VHost(rq.vhost).Queue(rq.name)
+	}
+	if q == nil || q.Log() == nil {
+		return fmt.Errorf("cluster: no durable queue %q to mirror", rq.name)
+	}
+	// Wipe the replica before the mirror is ready, so no live ship can land
+	// before the reset and be erased after its confirm.
 	reset := broker.NewMessage(broker.MirrorResetExchange, rq.name, wire.Properties{}, 0)
-	w := make(confirmWaiter, 1)
-	err = l.forward(broker.MirrorResetExchange, rq.name, reset, w, 1)
+	wiped := make(confirmWaiter, 1)
+	rq.send(node, broker.MirrorResetExchange, rq.name, reset, wiped, 0)
 	reset.Release()
-	if err != nil {
-		return
-	}
+	ok := false
 	select {
-	case ok := <-w:
-		if !ok {
-			return
-		}
+	case ok = <-wiped:
 	case <-time.After(fedRPCTimeout):
-		return
 	}
-	m := &replMirror{node: node, state: mirCatchingUp, outstanding: make(map[uint64]replShip)}
-	m.target = &mirrorShipTarget{rq: rq, node: node}
+	if !ok {
+		return fmt.Errorf("cluster: mirror reset of %q on node %d failed", rq.name, node)
+	}
+	// Live ships and the scan overlap at the frontier (a publish between
+	// its append and its live ship lands in both); the mirror dedupes.
 	rq.mu.Lock()
-	if _, dup := rq.mirrors[node]; dup || rq.dropped {
-		rq.mu.Unlock()
-		return
-	}
-	rq.mirrors[node] = m
-	// Everything below startOff is the scan's job; everything at or above
-	// it arrives as live ships. The two streams overlap at the boundary
-	// (a publish between the append and its live ship registration lands
-	// in both) and the mirror dedupes by offset.
-	startOff := q.Log().NextOffset()
+	frontier := q.Log().NextOffset()
+	ok = rq.set.ready(join, frontier)
 	rq.mu.Unlock()
-	if startOff > 0 {
-		err := q.Log().Scan(
-			func(rec *seglog.Record) error {
-				if rec.Offset >= startOff {
-					return nil
-				}
-				return rq.shipRecord(l, m, rec)
-			},
-			func(off uint64) error { return rq.shipCatchupAck(l, m, off) },
-		)
-		if err != nil {
-			return // evicted mid-scan or link failed; ship nacks clean up
-		}
+	if !ok {
+		return errMirrorEvicted
 	}
-	rq.mu.Lock()
-	if rq.mirrors[node] != m {
-		rq.mu.Unlock()
-		return
-	}
-	m.catchupDone = true
-	rq.maybeInsyncLocked(m)
-	rq.mu.Unlock()
-	if startOff > 0 {
+	err := q.Log().Scan(
+		func(rec *seglog.Record) error {
+			return rq.catchup(join, rec.Offset, false, func() *broker.Message {
+				msg := broker.NewMessage(rec.Exchange, rec.Key, rec.Props, len(rec.Body))
+				msg.AppendBody(rec.Body)
+				return msg
+			})
+		},
+		func(off uint64) error {
+			return rq.catchup(join, off, true, func() *broker.Message { return settleFrame(rq.name, []uint64{off}) })
+		},
+	)
+	if err == nil && frontier > 0 {
 		mirrorCatchups.Inc()
 	}
-}
-
-var errMirrorEvicted = fmt.Errorf("cluster: mirror evicted")
-
-// shipRecord streams one scanned history record to a catching-up mirror.
-func (rq *replQueue) shipRecord(l *fedLink, m *replMirror, rec *seglog.Record) error {
-	msg := broker.NewMessage(rec.Exchange, rec.Key, rec.Props, len(rec.Body))
-	msg.AppendBody(rec.Body)
-	rq.mu.Lock()
-	if rq.mirrors[m.node] != m {
-		rq.mu.Unlock()
-		msg.Release()
-		return errMirrorEvicted
-	}
-	rq.shipSeq++
-	id := rq.shipSeq
-	m.outstanding[id] = replShip{off: rec.Offset, data: true, at: time.Now()}
-	rq.mu.Unlock()
-	mirrorLag.Add(1)
-	err := l.forward(broker.MirrorDataExchange, mirrorKey(rec.Offset, rq.name), msg, m.target, id)
-	msg.Release()
-	if err != nil {
-		// The link never took the ship; resolve it ourselves.
-		rq.shipDone(m.node, id, false)
-	}
 	return err
 }
 
-// shipCatchupAck streams one scanned settle to a catching-up mirror.
-func (rq *replQueue) shipCatchupAck(l *fedLink, m *replMirror, off uint64) error {
+// catchup sends the scan's ship of off, if the core issues one, in the
+// frame frame builds.
+func (rq *replQueue) catchup(join, off uint64, settle bool, frame func() *broker.Message) error {
+	var b workBuf
+	rq.mu.Lock()
+	w, ok := rq.set.catchup(b.work(), join, off, settle)
+	rq.mu.Unlock()
+	if !ok {
+		return errMirrorEvicted
+	}
+	if len(w.ships) > 0 {
+		msg := frame()
+		rq.carry(w, msg)
+		msg.Release()
+	}
+	return nil
+}
+
+// settleFrame is a settle ship's frame: the offsets as big-endian u64s.
+func settleFrame(queue string, offs []uint64) *broker.Message {
+	msg := broker.NewMessage(broker.MirrorAckExchange, queue, wire.Properties{}, 8*len(offs))
 	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], off)
-	msg := broker.NewMessage(broker.MirrorAckExchange, rq.name, wire.Properties{}, 8)
-	msg.AppendBody(b[:])
+	for _, o := range offs {
+		binary.BigEndian.PutUint64(b[:], o)
+		msg.AppendBody(b[:])
+	}
+	return msg
+}
+
+// carry does a call's work once rq.mu is released: census to the gauges,
+// ships down the ship path in the frame msg, confirms to their producers.
+func (rq *replQueue) carry(w mirrorWork, msg *broker.Message) {
+	mirrorLag.Add(int64(w.lag))
+	insyncMirrors.Add(int64(w.insync))
+	underReplicated.Add(int64(w.under))
+	mirrorEvictions.Add(int64(w.evicted))
+	for _, sh := range w.ships {
+		exchange, key := broker.MirrorAckExchange, rq.name
+		if !sh.settle {
+			exchange, key = broker.MirrorDataExchange, mirrorKey(sh.off, rq.name)
+		}
+		rq.send(sh.node, exchange, key, msg, rq, sh.id)
+	}
+	for _, c := range w.confirms {
+		c.target.ClusterConfirm(c.seq, true)
+	}
+}
+
+// send is the one path a frame to a mirror takes. It resolves the link at
+// send time, so no frame rides a link that died since the last, and nacks
+// a frame no link took.
+func (rq *replQueue) send(node int, exchange, key string, msg *broker.Message, target broker.ConfirmTarget, id uint64) {
+	sent := false
+	if addr := rq.rm.c.dir.Addr(node); addr != "" { // none while the node starts
+		if l, err := rq.rm.hub.link(addr, rq.vhost); err == nil {
+			sent = l.forward(exchange, key, msg, target, id) == nil
+		}
+	}
+	if !sent {
+		target.ClusterConfirm(id, false)
+	}
+}
+
+// ClusterConfirm takes a mirror's verdict on the ship the core numbered id.
+func (rq *replQueue) ClusterConfirm(id uint64, ok bool) {
+	var b workBuf
 	rq.mu.Lock()
-	if rq.mirrors[m.node] != m {
-		rq.mu.Unlock()
-		msg.Release()
-		return errMirrorEvicted
-	}
-	rq.shipSeq++
-	id := rq.shipSeq
-	m.outstanding[id] = replShip{at: time.Now()}
+	w := rq.set.verdict(b.work(), id, ok)
 	rq.mu.Unlock()
-	mirrorLag.Add(1)
-	err := l.forward(broker.MirrorAckExchange, rq.name, msg, m.target, id)
-	msg.Release()
-	if err != nil {
-		rq.shipDone(m.node, id, false)
-	}
-	return err
+	rq.carry(w, nil)
 }
 
-// linkTo resolves a mirror node's live federation link.
-func (rm *replManager) linkTo(node int, vhost string) (*fedLink, error) {
-	addr := rm.c.dir.Addr(node)
-	if addr == "" {
-		return nil, fmt.Errorf("cluster: mirror node %d has no address", node)
+// onLagTimer ticks the lag clock, so a wedged mirror cannot stall
+// producers for longer than the lag window.
+func (rq *replQueue) onLagTimer() {
+	var b workBuf
+	rq.mu.Lock()
+	w := rq.set.tick(b.work(), time.Now())
+	if w.arm {
+		rq.lag.Reset(replLagWindow / 2)
 	}
-	return rm.hub.link(addr, vhost)
+	rq.mu.Unlock()
+	rq.carry(w, nil)
 }
 
-// replicated answers the broker's per-publish fast path: does this queue
-// have live mirrors that must gate its confirms?
+// replicated answers the broker's per-publish fast path. A replicated
+// queue's publishes go through replicateAppend even with no mirror ready,
+// so a mirror made ready between this answer and the append still gets
+// the record, by scan or by live ship.
 func (rm *replManager) replicated(vhost, queue string) bool {
-	if rm == nil || rm.count.Load() == 0 {
-		return false
-	}
-	rq := rm.get(vhost, queue)
-	if rq == nil {
-		return false
-	}
-	rq.mu.Lock()
-	n := len(rq.mirrors)
-	rq.mu.Unlock()
-	return n > 0
+	return rm.get(vhost, queue) != nil
 }
 
-// replicateAppend ships one locally appended publish to every mirror and
-// withholds the producer's confirm until the in-sync set has appended.
-// Always eventually resolves target (the ClusterHook contract): directly
-// when no in-sync mirror exists, via shipDone when they confirm, via
-// eviction when they lag or die.
+// replicateAppend ships one locally appended publish to the mirrors. It
+// always resolves target (the ClusterHook contract): now when no mirror
+// gates, else through the mirrors' verdicts or their eviction.
 func (rm *replManager) replicateAppend(vhost, queue string, off uint64, msg *broker.Message, target broker.ConfirmTarget, seq uint64) {
 	rq := rm.get(vhost, queue)
 	if rq == nil {
@@ -638,334 +572,92 @@ func (rm *replManager) replicateAppend(vhost, queue string, off uint64, msg *bro
 		}
 		return
 	}
-	type shipOut struct {
-		node int
-		id   uint64
-		t    *mirrorShipTarget
-	}
-	ships := make([]shipOut, 0, 2)
-	now := time.Now()
+	var b workBuf
 	rq.mu.Lock()
-	need := 0
-	for node, m := range rq.mirrors {
-		rq.shipSeq++
-		m.outstanding[rq.shipSeq] = replShip{off: off, data: true, at: now}
-		if m.state == mirInSync {
-			need++
-		}
-		ships = append(ships, shipOut{node: node, id: rq.shipSeq, t: m.target})
-	}
-	if need > 0 && target != nil {
-		rq.pending[off] = &replPending{target: target, seq: seq, need: need, at: now}
-		rq.armTimerLocked()
-		target = nil // resolution deferred to shipDone / eviction
+	w := rq.set.append(b.work(), off, producerConfirm{target: target, seq: seq}, time.Now())
+	if w.arm {
+		rq.lag.Reset(replLagWindow / 2)
 	}
 	rq.mu.Unlock()
-	mirrorLag.Add(int64(len(ships)))
-	if len(ships) > 0 {
-		key := mirrorKey(off, queue)
-		for _, sh := range ships {
-			l, err := rm.linkTo(sh.node, vhost)
-			if err != nil {
-				rq.shipDone(sh.node, sh.id, false)
-				continue
-			}
-			if err := l.forward(broker.MirrorDataExchange, key, msg, sh.t, sh.id); err != nil {
-				rq.shipDone(sh.node, sh.id, false)
-			}
-		}
-	}
-	if target != nil {
-		// No in-sync mirror to wait for: the local append is durable, so
-		// the confirm semantics degrade to R=1 until a mirror syncs.
-		target.ClusterConfirm(seq, true)
-	}
+	rq.carry(w, msg)
 }
 
 // replicateSettle streams committed settlements (single offset or batch)
-// to every mirror, fire-and-forget for the consumer but confirm-tracked
-// on the link so in-sync transitions wait for them.
+// to the mirrors: fire-and-forget for the consumer, confirm-tracked on
+// the link.
 func (rm *replManager) replicateSettle(vhost, queue string, off uint64, offs []uint64) {
-	if rm.count.Load() == 0 {
-		return
-	}
 	rq := rm.get(vhost, queue)
-	if rq == nil {
+	if rq == nil || (offs != nil && len(offs) == 0) {
 		return
 	}
+	var b workBuf
 	rq.mu.Lock()
-	n := len(rq.mirrors)
+	w := rq.set.settle(b.work())
 	rq.mu.Unlock()
-	if n == 0 || (offs != nil && len(offs) == 0) {
+	if len(w.ships) == 0 {
 		return
 	}
-	count := 1
-	if offs != nil {
-		count = len(offs)
-	}
-	msg := broker.NewMessage(broker.MirrorAckExchange, queue, wire.Properties{}, 8*count)
-	var b [8]byte
 	if offs == nil {
-		binary.BigEndian.PutUint64(b[:], off)
-		msg.AppendBody(b[:])
-	} else {
-		for _, o := range offs {
-			binary.BigEndian.PutUint64(b[:], o)
-			msg.AppendBody(b[:])
-		}
+		offs = []uint64{off}
 	}
-	type shipOut struct {
-		node int
-		id   uint64
-		t    *mirrorShipTarget
-	}
-	ships := make([]shipOut, 0, 2)
-	now := time.Now()
-	rq.mu.Lock()
-	for node, m := range rq.mirrors {
-		rq.shipSeq++
-		m.outstanding[rq.shipSeq] = replShip{at: now}
-		ships = append(ships, shipOut{node: node, id: rq.shipSeq, t: m.target})
-	}
-	rq.mu.Unlock()
-	mirrorLag.Add(int64(len(ships)))
-	for _, sh := range ships {
-		l, err := rm.linkTo(sh.node, vhost)
-		if err != nil {
-			rq.shipDone(sh.node, sh.id, false)
-			continue
-		}
-		if err := l.forward(broker.MirrorAckExchange, queue, msg, sh.t, sh.id); err != nil {
-			rq.shipDone(sh.node, sh.id, false)
-		}
-	}
+	msg := settleFrame(queue, offs)
+	rq.carry(w, msg)
 	msg.Release()
-}
-
-// shipDone resolves one outstanding ship (called from the link read loop
-// via mirrorShipTarget, or synchronously on a forward that never left).
-// A nack evicts the mirror — a standby that failed an append has
-// diverged and must re-enter through reset + catch-up.
-func (rq *replQueue) shipDone(node int, shipID uint64, ok bool) {
-	var fire []*replPending
-	rq.mu.Lock()
-	m := rq.mirrors[node]
-	if m == nil {
-		rq.mu.Unlock()
-		return // evicted; its eviction already settled the gauges
-	}
-	s, hit := m.outstanding[shipID]
-	if !hit {
-		rq.mu.Unlock()
-		return
-	}
-	delete(m.outstanding, shipID)
-	mirrorLag.Add(-1)
-	if !ok {
-		rq.evictLocked(m, &fire)
-	} else {
-		if s.data && m.state == mirInSync {
-			if p := rq.pending[s.off]; p != nil {
-				p.need--
-				if p.need <= 0 {
-					delete(rq.pending, s.off)
-					fire = append(fire, p)
-				}
-			}
-		}
-		rq.maybeInsyncLocked(m)
-	}
-	rq.mu.Unlock()
-	for _, p := range fire {
-		p.target.ClusterConfirm(p.seq, true)
-	}
-}
-
-// maybeInsyncLocked promotes a catching-up mirror to in-sync once its
-// history scan is complete and nothing it was shipped is outstanding.
-func (rq *replQueue) maybeInsyncLocked(m *replMirror) {
-	if m.state != mirCatchingUp || !m.catchupDone || len(m.outstanding) != 0 {
-		return
-	}
-	m.state = mirInSync
-	rq.insync++
-	insyncMirrors.Add(1)
-	rq.updateUnderRepLocked()
-}
-
-// evictLocked removes a mirror. An in-sync mirror's outstanding data
-// ships were counted in their offsets' withheld confirms; eviction
-// releases that debt so the confirms resolve (collected into fire).
-func (rq *replQueue) evictLocked(m *replMirror, fire *[]*replPending) {
-	if rq.mirrors[m.node] != m {
-		return
-	}
-	delete(rq.mirrors, m.node)
-	if m.state == mirInSync {
-		m.state = mirCatchingUp
-		rq.insync--
-		insyncMirrors.Add(-1)
-		for _, s := range m.outstanding {
-			if !s.data {
-				continue
-			}
-			if p := rq.pending[s.off]; p != nil {
-				p.need--
-				if p.need <= 0 {
-					delete(rq.pending, s.off)
-					*fire = append(*fire, p)
-				}
-			}
-		}
-	}
-	mirrorLag.Add(-int64(len(m.outstanding)))
-	m.outstanding = make(map[uint64]replShip)
-	rq.updateUnderRepLocked()
-}
-
-// updateUnderRepLocked keeps the under-replicated gauge in step with the
-// queue's in-sync census (under-replicated: fewer than factor-1 in-sync
-// mirrors).
-func (rq *replQueue) updateUnderRepLocked() {
-	under := !rq.dropped && rq.insync < rq.rm.factor-1
-	if under == rq.underrep {
-		return
-	}
-	rq.underrep = under
-	if under {
-		underReplicated.Add(1)
-	} else {
-		underReplicated.Add(-1)
-	}
-}
-
-// armTimerLocked schedules the lag sweep while confirms are withheld.
-func (rq *replQueue) armTimerLocked() {
-	if rq.timerOn || len(rq.pending) == 0 {
-		return
-	}
-	rq.timerOn = true
-	time.AfterFunc(replLagWindow/2, rq.onLagTimer)
-}
-
-// onLagTimer evicts in-sync mirrors sitting on data ships older than the
-// lag window, releasing the confirms they owed — the bounded catch-up
-// window that keeps a wedged mirror from stalling producers forever. A
-// safety net also force-resolves any confirm withheld past twice the
-// window (the local append is durable either way).
-func (rq *replQueue) onLagTimer() {
-	var fire []*replPending
-	now := time.Now()
-	cutoff := now.Add(-replLagWindow)
-	rq.mu.Lock()
-	rq.timerOn = false
-	var evict []*replMirror
-	for _, m := range rq.mirrors {
-		if m.state != mirInSync {
-			continue
-		}
-		for _, s := range m.outstanding {
-			if s.data && s.at.Before(cutoff) {
-				evict = append(evict, m)
-				break
-			}
-		}
-	}
-	for _, m := range evict {
-		rq.evictLocked(m, &fire)
-	}
-	stale := now.Add(-2 * replLagWindow)
-	for off, p := range rq.pending {
-		if p.need <= 0 || p.at.Before(stale) {
-			delete(rq.pending, off)
-			fire = append(fire, p)
-		}
-	}
-	rq.armTimerLocked()
-	rq.mu.Unlock()
-	for _, p := range fire {
-		p.target.ClusterConfirm(p.seq, true)
-	}
 }
 
 // nodeDown drops a dead node from every queue's mirror set, releasing any
 // confirms it owed.
 func (rm *replManager) nodeDown(node int) {
-	rm.mu.Lock()
-	qs := make([]*replQueue, 0, len(rm.queues))
-	for _, rq := range rm.queues {
-		qs = append(qs, rq)
-	}
-	rm.mu.Unlock()
-	for _, rq := range qs {
-		var fire []*replPending
+	for _, rq := range rm.all() {
+		var b workBuf
 		rq.mu.Lock()
-		if m := rq.mirrors[node]; m != nil {
-			rq.evictLocked(m, &fire)
-		}
+		w := rq.set.leave(b.work(), node, 0)
 		rq.mu.Unlock()
-		for _, p := range fire {
-			p.target.ClusterConfirm(p.seq, true)
-		}
+		rq.carry(w, nil)
 	}
 }
 
 // choosePromotion picks the dead master's successor for one of its
-// queues: the most-advanced in-sync mirror, falling back to the
-// most-advanced mirror of any state, judged by how far each standby
-// replica has applied. ok=false (no surviving mirror) falls back to the
-// legacy ring-owner failover.
+// queues: the live promotable mirror whose replica has applied furthest.
+// ok=false (none, or no replicated queue) relocates the queue instead.
 func (rm *replManager) choosePromotion(q QueueInfo) (int, bool) {
 	rq := rm.get(q.VHost, q.Name)
 	if rq == nil {
 		return 0, false
 	}
-	type cand struct {
-		node   int
-		insync bool
-		off    uint64
+	rq.mu.Lock()
+	nodes := rq.set.promotable()
+	rq.mu.Unlock()
+	best, bestOff := -1, uint64(0)
+	for _, node := range nodes {
+		st := rm.c.storeOf(node)
+		if st == nil || !rm.c.dir.Ring().Has(node) {
+			continue // the mirror died too
+		}
+		if off := st.nextOffset(q.VHost, q.Name); best < 0 || off > bestOff {
+			best, bestOff = node, off
+		}
+	}
+	return best, best >= 0
+}
+
+// InSyncMirrors reports how many mirrors of the queue a kill of its
+// master could promote (0 for an unreplicated queue).
+func (c *Cluster) InSyncMirrors(vhost, queue string) int {
+	rq := c.repls[c.dir.Owner(vhost, queue)].get(vhost, queue) // repls is fixed at start
+	if rq == nil {
+		return 0
 	}
 	rq.mu.Lock()
-	cands := make([]cand, 0, len(rq.mirrors))
-	for node, m := range rq.mirrors {
-		if !rm.c.dir.Ring().Has(node) {
-			continue // mirror died too
-		}
-		st := rm.c.storeOf(node)
-		if st == nil {
-			continue
-		}
-		cands = append(cands, cand{node: node, insync: m.state == mirInSync, off: st.nextOffset(q.VHost, q.Name)})
-	}
-	rq.mu.Unlock()
-	best := -1
-	var bestOff uint64
-	bestInsync := false
-	for _, cd := range cands {
-		switch {
-		case best < 0,
-			cd.insync && !bestInsync,
-			cd.insync == bestInsync && cd.off > bestOff:
-			best, bestOff, bestInsync = cd.node, cd.off, cd.insync
-		}
-	}
-	if best < 0 {
-		return 0, false
-	}
-	return best, true
+	defer rq.mu.Unlock()
+	return rq.set.insync
 }
 
 // reconcileAll re-runs mirror placement for every mastered queue — the
 // rebalance-on-join audit's replication half: a node re-entering the ring
 // is re-established (reset + catch-up) wherever placement wants it.
 func (rm *replManager) reconcileAll() {
-	rm.mu.Lock()
-	qs := make([]*replQueue, 0, len(rm.queues))
-	for _, rq := range rm.queues {
-		qs = append(qs, rq)
-	}
-	rm.mu.Unlock()
-	for _, rq := range qs {
+	for _, rq := range rm.all() {
 		rm.ensureMirrors(rq)
 	}
 }
@@ -977,21 +669,12 @@ func (rm *replManager) reset() {
 	rm.mu.Lock()
 	qs := rm.queues
 	rm.queues = make(map[string]*replQueue)
-	rm.count.Store(0)
 	rm.mu.Unlock()
 	for _, rq := range qs {
+		var b workBuf
 		rq.mu.Lock()
-		rq.dropped = true
-		for _, m := range rq.mirrors {
-			if m.state == mirInSync {
-				rq.insync--
-				insyncMirrors.Add(-1)
-			}
-			mirrorLag.Add(-int64(len(m.outstanding)))
-		}
-		rq.mirrors = make(map[int]*replMirror)
-		rq.pending = make(map[uint64]*replPending)
-		rq.updateUnderRepLocked()
+		w := rq.set.drop(b.work())
 		rq.mu.Unlock()
+		rq.carry(w, nil)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -282,6 +283,152 @@ func TestRestartRejoinsAsMirror(t *testing.T) {
 	// replicated and its history drainable from the current master.
 	waitGauge(t, insync, insyncBase, 1, "insync_mirrors after rejoin")
 	drainAll(t, c, c.OwnerOf(qname), qname, n)
+}
+
+// writeGate holds the writes of the federation connections dialed to one
+// address: once armed, they pass budget bytes between them, and then every
+// write waits until the gate is released.
+type writeGate struct {
+	mu       sync.Mutex
+	addr     string
+	armed    bool
+	budget   int
+	released chan struct{}
+	once     sync.Once
+}
+
+func newWriteGate() *writeGate { return &writeGate{released: make(chan struct{})} }
+
+func (g *writeGate) dial(network, addr string) (net.Conn, error) {
+	nc, err := net.Dial(network, addr)
+	g.mu.Lock()
+	gated := addr == g.addr
+	g.mu.Unlock()
+	if err != nil || !gated {
+		return nc, err
+	}
+	return &gatedConn{Conn: nc, g: g}, nil
+}
+
+// watch gates the connections dialed to addr from now on.
+func (g *writeGate) watch(addr string) {
+	g.mu.Lock()
+	g.addr = addr
+	g.mu.Unlock()
+}
+
+func (g *writeGate) arm(budget int) {
+	g.mu.Lock()
+	g.armed, g.budget = true, budget
+	g.mu.Unlock()
+}
+
+func (g *writeGate) release() { g.once.Do(func() { close(g.released) }) }
+
+// take returns how many of n bytes may be written before the gate holds.
+func (g *writeGate) take(n int) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if !g.armed {
+		return n
+	}
+	n = min(n, g.budget)
+	g.budget -= n
+	return n
+}
+
+type gatedConn struct {
+	net.Conn
+	g *writeGate
+}
+
+func (c *gatedConn) Write(p []byte) (int, error) {
+	n := c.g.take(len(p))
+	if n == len(p) {
+		return c.Conn.Write(p)
+	}
+	w, err := c.Conn.Write(p[:n])
+	if err != nil {
+		return w, err
+	}
+	<-c.g.released
+	rest, err := c.Conn.Write(p[n:])
+	return w + rest, err
+}
+
+// TestKillDuringCatchupKeepsHistory kills a replicated queue's master
+// while its only mirror is still catching up after a restart: the link to
+// the mirror stalls after 32 KiB, so the replica holds part of the
+// master's 2,000 confirmed messages. A half-scanned replica must not be
+// promoted; the queue relocates onto a clean directory instead, and every
+// confirmed message survives. The restarted mirror must also be caught up
+// on a live link, not evicted by a ship on the link its restart killed.
+func TestKillDuringCatchupKeepsHistory(t *testing.T) {
+	gate := newWriteGate()
+	c, err := StartWithOptions(3, Options{Federation: true, ReplicationFactor: 2, FedDial: gate.dial}, func(int) broker.Config {
+		return broker.Config{DataDir: t.TempDir(), Durability: seglog.Options{Fsync: seglog.FsyncNever}}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	t.Cleanup(gate.release) // runs first: a held write would hang Close
+
+	qname := queueOwnedBy(t, c, 0, "half-q")
+	mirror := -1
+	for _, n := range c.Directory().Ring().Owners(qname, 3) {
+		if n != 0 {
+			mirror = n
+			break
+		}
+	}
+	gate.watch(c.Addrs()[mirror])
+	const n = 2000
+	publishReplicated(t, c, qname, n)
+
+	if _, err := c.Kill(mirror); err != nil {
+		t.Fatalf("Kill(%d): %v", mirror, err)
+	}
+	gate.arm(32 << 10)
+	if err := c.Restart(mirror); err != nil {
+		t.Fatalf("Restart(%d): %v", mirror, err)
+	}
+	// The restarted mirror applies offsets until the gate holds its link.
+	st := c.storeOf(mirror)
+	deadline := time.Now().Add(5 * time.Second)
+	applied, still := uint64(0), 0
+	for applied == 0 || still < 20 {
+		if time.Now().After(deadline) {
+			t.Fatalf("mirror replica at offset %d after 5 s (still for %d polls): the catch-up never ran, or never stalled", applied, still)
+		}
+		time.Sleep(10 * time.Millisecond)
+		if now := st.nextOffset("/", qname); now != applied {
+			applied, still = now, 0
+		} else {
+			still++
+		}
+	}
+	if applied >= n {
+		t.Fatalf("the gate let the whole catch-up through (%d offsets)", applied)
+	}
+
+	// Kill's link teardown waits behind the held write; let it go shortly.
+	release := time.AfterFunc(300*time.Millisecond, gate.release)
+	defer release.Stop()
+	moved, err := c.Kill(0)
+	if err != nil {
+		t.Fatalf("Kill(0): %v", err)
+	}
+	master := -1
+	for _, q := range moved {
+		if q.Name == qname {
+			master = q.Node
+		}
+	}
+	if master < 0 {
+		t.Fatalf("queue %s not reassigned by Kill (moved=%v)", qname, moved)
+	}
+	drainAll(t, c, master, qname, n)
 }
 
 // flakyMaster accepts link connections: the first dropFirst connections

@@ -86,8 +86,8 @@ type Options struct {
 	Federation bool
 	// ReplicationFactor R >= 2 gives every durable queue R-1 synchronous
 	// mirrors on distinct cluster nodes: producer confirms wait for the
-	// in-sync mirror set, and a queue-master kill promotes the
-	// most-advanced in-sync mirror instead of relocating segment logs.
+	// gating mirrors, and a queue-master kill promotes an in-sync mirror
+	// instead of relocating segment logs (and relocates without one).
 	// Requires Federation and DataDir.
 	ReplicationFactor int
 }

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
 	"ds2hpc/internal/amqp"
+	"ds2hpc/internal/cluster"
 	"ds2hpc/internal/core"
 	"ds2hpc/internal/metrics"
 	"ds2hpc/internal/pattern"
@@ -546,15 +548,13 @@ func watchNodeKill(dep core.Deployment, f Fault, at int64,
 // masters, the worst case for a replicated deployment. Like a rolling
 // restart waiting for readiness, a later victim also waits, while enough
 // nodes survive to hold rf copies, until every queue the previous failover
-// moved has re-mirrored its history (for at most resyncWait): a mirror
-// killed mid catch-up has no complete history to promote. Killed nodes
-// stay down for the rest of the run. Each completed kill increments
-// *kills.
+// moved has rf-1 in-sync mirrors again (for at most resyncWait): killed
+// without one, the queue relocates. Killed nodes stay down for the rest of
+// the run. Each completed kill increments *kills.
 func watchRollingNodeKill(dep core.Deployment, f Fault, total int64, rf int,
 	consumed func() int64, stop <-chan struct{}, kills *int) {
 	const resyncWait = 2 * time.Second
 	cl := dep.Cluster()
-	catchups := telemetry.Default.Counter("cluster.mirror_catchups")
 	resynced := func() bool { return true }
 	tick := time.NewTicker(time.Millisecond)
 	defer tick.Stop()
@@ -578,15 +578,18 @@ func watchRollingNodeKill(dep core.Deployment, f Fault, total int64, rf int,
 			}
 			victim = busiest
 		}
-		base := catchups.Load()
 		moved, err := cl.Kill(victim)
 		if err != nil {
 			return
 		}
 		*kills++
 		if cl.Size()-*kills >= rf {
-			want, deadline := int64(len(moved)), time.Now().Add(resyncWait)
-			resynced = func() bool { return catchups.Load()-base >= want || time.Now().After(deadline) }
+			deadline := time.Now().Add(resyncWait)
+			resynced = func() bool {
+				return time.Now().After(deadline) || !slices.ContainsFunc(moved, func(q cluster.QueueInfo) bool {
+					return q.Durable && cl.InSyncMirrors(q.VHost, q.Name) < rf-1
+				})
+			}
 		}
 		// The next victim is the node the failover promoted the most
 		// queues onto; -1 (nothing moved) falls back to the busiest
