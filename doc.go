@@ -152,8 +152,12 @@
 // wire.ParseMethod and wire.ParseContentHeader are that decoder without
 // slots. Publishes, acks and deliveries encode from connection-owned
 // method structs, and settlements and confirm fan-out reuse channel
-// scratch, so the steady-state message path allocates nothing. Deliveries
-// unsettled when their channel closes are requeued in delivery order.
+// scratch, so the steady-state message path allocates nothing. A
+// delivery is in one place at a time: its queue's ready ring, its
+// consumer's pending ring, or its channel's outbound core once issued. A
+// channel close puts every delivery it holds, unsettled or not yet taken,
+// back at the head of its queue in delivery order before
+// channel.close-ok is written.
 //
 // Retention contract: broker embedders must balance Retain/Release on
 // managed messages (Message.Body is invalid after the final release).

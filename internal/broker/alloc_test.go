@@ -73,8 +73,8 @@ func TestAllocsVHostPublish(t *testing.T) {
 	}
 }
 
-// TestAllocsConsumerDeliveryCycle bounds the publish→pump→ack cycle with a
-// live consumer: pushing a message through a consumer's outbox and
+// TestAllocsConsumerDeliveryCycle bounds the publish→pump→take→ack cycle
+// with a live consumer: pushing a message through a consumer's ring and
 // acknowledging it must not allocate.
 func TestAllocsConsumerDeliveryCycle(t *testing.T) {
 	q := NewQueue("q", QueueLimits{})
@@ -87,12 +87,9 @@ func TestAllocsConsumerDeliveryCycle(t *testing.T) {
 		if err := q.Publish(msg); err != nil {
 			t.Fatal(err)
 		}
-		select {
-		case <-cons.outbox:
-		default:
+		if _, ok := takeOne(q, cons); !ok {
 			t.Fatal("no delivery pumped")
 		}
-		q.Pump()
 		q.AckN(cons, 1)
 	}
 	for i := 0; i < 8; i++ {
@@ -143,13 +140,10 @@ func TestAllocsFanoutPublishDeliverManaged(t *testing.T) {
 		}
 		m.Release() // publisher's reference
 		for i, c := range conss {
-			var d delivery
-			select {
-			case d = <-c.outbox:
-			default:
+			d, ok := takeOne(queues[i], c)
+			if !ok {
 				t.Fatal("no delivery pumped")
 			}
-			queues[i].Pump()
 			queues[i].AckN(c, 1)
 			d.msg.Release() // the queue's reference, resolved by the ack
 		}
@@ -208,13 +202,10 @@ func TestAllocsDurableFanoutPublishDeliver(t *testing.T) {
 		}
 		m.Release() // publisher's reference
 		for i, c := range conss {
-			var d delivery
-			select {
-			case d = <-c.outbox:
-			default:
+			d, ok := takeOne(queues[i], c)
+			if !ok {
 				t.Fatal("no delivery pumped")
 			}
-			queues[i].Pump()
 			queues[i].AckN(c, 1)
 			d.msg.Release() // the queue's reference, resolved by the ack
 		}
@@ -325,7 +316,7 @@ func TestAllocsPublishIngest(t *testing.T) {
 
 // ackChannel is channel 1 of a dispatchConn consuming from one durable
 // and one transient queue. Its deliveries are handed out by hand (take),
-// the way sendDeliverBatch issues them to the channel's outbound core, so
+// the way serveConsumer issues them to the channel's outbound core, so
 // acks can be driven through dispatch without a delivery loop.
 type ackChannel struct {
 	t      *testing.T
@@ -362,16 +353,13 @@ func (a *ackChannel) take(i int) {
 	a.issue(i)
 }
 
-// issue hands the next delivery in queue i's consumer outbox to the
-// channel's outbound core under the next delivery tag.
+// issue takes the next delivery on queue i's consumer ring and hands it to
+// the channel's outbound core under the next delivery tag.
 func (a *ackChannel) issue(i int) {
-	var d delivery
-	select {
-	case d = <-a.cons[i].outbox:
-	default:
+	d, ok := takeOne(a.queues[i], a.cons[i])
+	if !ok {
 		a.t.Fatal("no delivery pumped")
 	}
-	a.queues[i].Pump()
 	a.ch.mu.Lock()
 	a.ch.deliveryTag++
 	a.ch.out.issue(a.ch.deliveryTag, a.queues[i], a.cons[i], d.msg, d.off)
@@ -468,10 +456,8 @@ func TestMultipleRequeueReusesDurableGroup(t *testing.T) {
 	a.take(0)
 	a.settle(true)
 	for i, q := range a.queues {
-		var d delivery
-		select {
-		case d = <-a.cons[i].outbox:
-		default:
+		d, ok := takeOne(q, a.cons[i])
+		if !ok {
 			t.Fatalf("%s: requeued message not redelivered", q.Name)
 		}
 		if !d.redelivered {

@@ -11,7 +11,7 @@ import (
 // BenchmarkFanoutPublishDeliver measures the broker data plane in
 // isolation: assemble one message body (as ingest does from frame
 // payloads), route it through a fanout exchange into every bound queue,
-// drain each queue's consumer outbox, and acknowledge. It is the
+// take from each queue's consumer ring, and acknowledge. It is the
 // structural hot path behind every streaming-rate figure — the per-op
 // cost here bounds broker throughput before the wire is even touched.
 // BenchmarkDurableFanoutPublishDeliver is the durable twin of
@@ -58,8 +58,7 @@ func BenchmarkDurableFanoutPublishDeliver(b *testing.B) {
 				}
 				msg.Release() // publisher's reference
 				for j, c := range conss {
-					d := <-c.outbox
-					queues[j].Pump()
+					d, _ := takeOne(queues[j], c)
 					queues[j].AckN(c, 1)
 					d.msg.Release() // queue's reference, resolved by the ack
 				}
@@ -105,8 +104,7 @@ func BenchmarkFanoutPublishDeliver(b *testing.B) {
 				}
 				msg.Release() // publisher's reference
 				for j, c := range conss {
-					d := <-c.outbox
-					queues[j].Pump()
+					d, _ := takeOne(queues[j], c)
 					queues[j].AckN(c, 1)
 					d.msg.Release() // queue's reference, resolved by the ack
 				}

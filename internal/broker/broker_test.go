@@ -2,6 +2,7 @@ package broker
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -12,6 +13,32 @@ import (
 
 func msg(body string) *Message {
 	return &Message{RoutingKey: "k", Body: []byte(body)}
+}
+
+// takeOne takes c's next pending delivery, as the delivery loop does.
+func takeOne(q *Queue, c *consumer) (qitem, bool) {
+	var buf [1]qitem
+	n := q.take(c, buf[:])
+	return buf[0], n == 1
+}
+
+// takeWait takes c's next delivery, waiting up to 5 s for one to arrive.
+func takeWait(t *testing.T, q *Queue, c *consumer) qitem {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
+		if d, ok := takeOne(q, c); ok {
+			return d
+		}
+	}
+	t.Fatal("no delivery within 5 s")
+	return qitem{}
+}
+
+// pendingLen reports how many deliveries wait on c's ring.
+func pendingLen(q *Queue, c *consumer) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return c.pending.len()
 }
 
 func TestQueueFIFO(t *testing.T) {
@@ -73,7 +100,7 @@ func TestQueueRequeueGoesToHead(t *testing.T) {
 	q.Publish(msg("first"))
 	q.Publish(msg("second"))
 	m, _, _, _, _ := q.Get()
-	q.Requeue(m, offNone)
+	q.RequeueAll([]*Message{m}, []uint64{offNone})
 	m2, _, redelivered, _, _ := q.Get()
 	if string(m2.Body) != "first" || !redelivered {
 		t.Fatalf("requeue order broken: %q redelivered=%v", m2.Body, redelivered)
@@ -90,17 +117,16 @@ func TestQueueConsumerCredit(t *testing.T) {
 		q.Publish(msg(fmt.Sprintf("m%d", i)))
 	}
 	// Only 2 should be pushed (credit 2).
-	if got := len(c.outbox); got != 2 {
-		t.Fatalf("outbox = %d, want 2", got)
+	if got := pendingLen(q, c); got != 2 {
+		t.Fatalf("pending = %d, want 2", got)
 	}
-	<-c.outbox
-	q.Pump() // drained one, but no ack yet: credit still 0
-	if got := len(c.outbox); got != 1 {
-		t.Fatalf("outbox after drain = %d, want 1", got)
+	takeOne(q, c) // took one, but no ack yet: credit still 0
+	if got := pendingLen(q, c); got != 1 {
+		t.Fatalf("pending after take = %d, want 1", got)
 	}
 	q.AckN(c, 1) // returns one credit
-	if got := len(c.outbox); got != 2 {
-		t.Fatalf("outbox after ack = %d, want 2", got)
+	if got := pendingLen(q, c); got != 2 {
+		t.Fatalf("pending after ack = %d, want 2", got)
 	}
 }
 
@@ -111,8 +137,8 @@ func TestQueueRoundRobinAcrossConsumers(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		q.Publish(msg("x"))
 	}
-	if len(c1.outbox) != 3 || len(c2.outbox) != 3 {
-		t.Fatalf("distribution %d/%d, want 3/3", len(c1.outbox), len(c2.outbox))
+	if n1, n2 := pendingLen(q, c1), pendingLen(q, c2); n1 != 3 || n2 != 3 {
+		t.Fatalf("distribution %d/%d, want 3/3", n1, n2)
 	}
 }
 
@@ -132,6 +158,24 @@ func TestQueueRemoveConsumer(t *testing.T) {
 	q.Publish(msg("parked"))
 	if q.Len() != 1 {
 		t.Fatal("message not parked")
+	}
+
+	// Deliveries pending on a removed consumer go back to the head, in
+	// order and redelivered, ahead of the ready tail.
+	q = NewQueue("q", QueueLimits{})
+	c2, _ := q.AddConsumer("c2", false, 3)
+	for i := 0; i < 5; i++ {
+		q.Publish(msg(fmt.Sprint(i)))
+	}
+	if n := pendingLen(q, c2); n != 3 {
+		t.Fatalf("%d pending, want 3", n)
+	}
+	q.RemoveConsumer(c2)
+	for i := 0; i < 5; i++ {
+		m, _, redelivered, _, ok := q.Get()
+		if !ok || string(m.Body) != fmt.Sprint(i) || redelivered != (i < 3) {
+			t.Fatalf("position %d: ok=%v body %q redelivered=%v, want body %d redelivered=%v", i, ok, m.Body, redelivered, i, i < 3)
+		}
 	}
 }
 
@@ -324,7 +368,7 @@ func TestVHostFanoutSharesMessage(t *testing.T) {
 	}
 	m1, _, _, _, _ := q1.Get()
 	// Requeue on q1 must not flag q2's entry as redelivered.
-	q1.Requeue(m1, offNone)
+	q1.RequeueAll([]*Message{m1}, []uint64{offNone})
 	if m2, _, redelivered, _, _ := q2.Get(); m2 != m1 || redelivered {
 		t.Fatalf("shared=%v redelivered=%v, want shared instance with independent flags", m2 == m1, redelivered)
 	}
@@ -479,9 +523,12 @@ func TestConsumerWriterDrainTimeliness(t *testing.T) {
 	done := make(chan struct{})
 	const total = 10_000
 	go func() {
-		for i := 0; i < total; i++ {
-			<-c.outbox
-			q.Pump()
+		for i := 0; i < total; {
+			if _, ok := takeOne(q, c); ok {
+				i++
+			} else {
+				runtime.Gosched()
+			}
 		}
 		close(done)
 	}()

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"ds2hpc/internal/telemetry"
 	"ds2hpc/internal/wire"
@@ -20,7 +19,7 @@ type srvChannel struct {
 	mu          sync.Mutex
 	prefetch    int
 	deliveryTag uint64
-	consumers   map[string]*consumerEntry
+	consumers   map[string]*consumer
 	out         outbound
 	in          inbound
 	closed      bool
@@ -32,30 +31,20 @@ type srvChannel struct {
 	slots  wire.Slots
 }
 
-// consumerEntry pairs a queue consumer with the channel that owns it.
-// scheduled is the dispatch flag of the connection's delivery loop: set
-// when the entry sits in (or is being served from) the loop's ready list,
-// which guarantees one server per consumer at a time and hence
-// per-consumer delivery order.
-type consumerEntry struct {
-	tag       string
-	queue     *Queue
-	cons      *consumer
-	noAck     bool
-	ch        *srvChannel
-	scheduled atomic.Bool
-}
-
 func newSrvChannel(sc *srvConn, id uint16) *srvChannel {
 	return &srvChannel{
 		id:        id,
 		conn:      sc,
-		consumers: map[string]*consumerEntry{},
+		consumers: map[string]*consumer{},
 	}
 }
 
 // teardown cancels consumers and requeues the unsettled deliveries in
-// delivery-tag order (connection or channel close).
+// delivery-tag order (connection or channel close). Once ch.closed is set
+// the delivery loop takes nothing more from this channel's consumers, so
+// teardown alone returns what is left: each consumer's pending ring goes
+// back to the head of its queue, then the unsettled deliveries, taken
+// from those rings earlier, go back ahead of it.
 func (ch *srvChannel) teardown() {
 	ch.mu.Lock()
 	if ch.closed {
@@ -66,20 +55,15 @@ func (ch *srvChannel) teardown() {
 	consumers := ch.consumers
 	unsettled := ch.out.teardown()
 	cut := ch.in.teardown()
-	ch.consumers = map[string]*consumerEntry{}
+	ch.consumers = map[string]*consumer{}
 	ch.mu.Unlock()
 
 	if cut != nil {
 		// A publish cut off mid-assembly: drop the half-built body.
 		cut.Release()
 	}
-	for _, ce := range consumers {
-		ce.queue.RemoveConsumer(ce.cons)
-		// Drain inline as well: on connection death the delivery loop may
-		// already have exited, leaving outbox messages no one else would
-		// return to the queue. (Racing the loop's own closed-drain is
-		// safe — each delivery is received exactly once.)
-		drainOutbox(ce)
+	for _, c := range consumers {
+		c.q.RemoveConsumer(c)
 	}
 	applySettled(unsettled)
 }
@@ -206,8 +190,8 @@ func (ch *srvChannel) onMethod(m wire.Method) error {
 		}
 		// Drop consumer entries that pointed at the deleted queue.
 		ch.mu.Lock()
-		for tag, ce := range ch.consumers {
-			if ce.queue.Name == x.Queue {
+		for tag, c := range ch.consumers {
+			if c.q.Name == x.Queue {
 				delete(ch.consumers, tag)
 			}
 		}
@@ -223,11 +207,11 @@ func (ch *srvChannel) onMethod(m wire.Method) error {
 		return ch.basicConsume(x)
 	case *wire.BasicCancel:
 		ch.mu.Lock()
-		ce, ok := ch.consumers[x.ConsumerTag]
+		c, ok := ch.consumers[x.ConsumerTag]
 		delete(ch.consumers, x.ConsumerTag)
 		ch.mu.Unlock()
 		if ok {
-			ce.queue.RemoveConsumer(ce.cons)
+			c.q.RemoveConsumer(c)
 		}
 		return ch.reply(x.NoWait, &wire.BasicCancelOk{ConsumerTag: x.ConsumerTag})
 	case *wire.BasicPublish:
@@ -280,7 +264,6 @@ func (ch *srvChannel) basicConsume(x *wire.BasicConsume) error {
 
 	var cons *consumer
 	var err error
-	noAck := x.NoAck
 	if _, replay := x.Arguments["x-stream-offset"]; replay {
 		// Replay consume: attach to the queue's segment log at the given
 		// offset instead of the live ready ring. Replay deliveries are
@@ -291,17 +274,24 @@ func (ch *srvChannel) basicConsume(x *wire.BasicConsume) error {
 			from = 0
 		}
 		cons, err = q.AddReplayConsumer(tag, uint64(from))
-		noAck = true
 	} else {
 		cons, err = q.AddConsumer(tag, x.NoAck, prefetch)
 	}
 	if err != nil {
 		return ch.exception(errorCode(err), err.Error(), x)
 	}
-	ce := &consumerEntry{tag: tag, queue: q, cons: cons, noAck: noAck, ch: ch}
 	ch.mu.Lock()
-	ch.consumers[tag] = ce
+	closed := ch.closed
+	if !closed {
+		ch.consumers[tag] = cons
+	}
 	ch.mu.Unlock()
+	if closed {
+		// A server close tore the channel down meanwhile: nothing would
+		// ever remove the consumer.
+		q.RemoveConsumer(cons)
+		return nil
+	}
 
 	// consume-ok goes out before the consumer is armed: once armed, the
 	// delivery loop may write deliveries at once, and a client that reads
@@ -310,10 +300,11 @@ func (ch *srvChannel) basicConsume(x *wire.BasicConsume) error {
 	if !x.NoWait {
 		err = ch.conn.writeMethod(ch.id, &wire.BasicConsumeOk{ConsumerTag: tag})
 	}
-	// Hand delivery writing to the connection's event-driven loop: the
-	// wake hook schedules this consumer whenever its outbox has work, so
-	// an idle consumer costs a map entry, not a parked goroutine.
-	cons.SetWake(func() { ch.conn.wakeConsumer(ce) })
+	// Hand delivery writing to the connection's event-driven loop: once
+	// armed, the consumer is queued there whenever its ring holds
+	// deliveries, so an idle consumer costs a map entry, not a parked
+	// goroutine.
+	q.arm(cons, ch)
 	return err
 }
 
@@ -329,142 +320,70 @@ func (ch *srvChannel) reply(noWait bool, m wire.Method) error {
 // single coalesced write (and one queue-lock round-trip of completions).
 const maxDeliveryBatch = 16
 
-// serveConsumer drains one bounded batch from a consumer's outbox onto
-// the wire and emits it with one flush, instead of one write — and one
-// queue-lock acquisition — per message. It runs on the connection's
-// delivery loop; the entry's scheduled flag guarantees a single server
-// per consumer at a time, preserving per-consumer delivery order. A
-// closed consumer drains back to its queue and stays scheduled forever,
-// so later wakes cannot resurrect it.
-func (ch *srvChannel) serveConsumer(ce *consumerEntry) {
-	select {
-	case <-ce.cons.closed:
-		drainOutbox(ce)
-		return
-	default:
-	}
-	var batch [maxDeliveryBatch]delivery
-	n := 0
-fill:
-	for n < maxDeliveryBatch {
-		select {
-		case d := <-ce.cons.outbox:
-			batch[n] = d
-			n++
-		default:
-			break fill
-		}
-	}
-	if n > 0 {
-		ch.sendDeliverBatch(ce, batch[:n])
-		ce.queue.Pump()
-	}
-	// Unschedule, then re-check: a delivery (or close) that raced the
-	// drain above re-schedules the entry instead of being stranded.
-	ce.scheduled.Store(false)
-	resched := len(ce.cons.outbox) > 0
-	if !resched {
-		select {
-		case <-ce.cons.closed:
-			resched = true
-		default:
-		}
-	}
-	if resched {
-		ch.conn.wakeConsumer(ce)
-	}
-}
-
-// drainOutbox returns a closed consumer's undelivered outbox to the head
-// of its queue in outbox order (a requeue racing a queue delete releases
-// the messages instead). Replay deliveries never re-enter the ring — their
-// messages are log re-reads, not queue-owned references.
-func drainOutbox(ce *consumerEntry) {
-	var msgs []*Message
-	var offs []uint64
-	for {
-		select {
-		case d := <-ce.cons.outbox:
-			if ce.cons.replay {
-				d.msg.Release()
-			} else {
-				msgs, offs = append(msgs, d.msg), append(offs, d.off)
-			}
-		default:
-			ce.queue.RequeueAll(msgs, offs)
-			return
-		}
-	}
-}
-
-var (
-	deliveryBatches   = telemetry.Default.Counter("broker.delivery_batches")
-	deliveriesBatched = telemetry.Default.Counter("broker.deliveries_batched")
-)
-
-// sendDeliverBatch assigns delivery tags to a batch of deliveries under
-// one channel-lock hold and writes all their frames as one coalesced
-// batch. The redelivered flag travels with the delivery (per-queue
-// state), so a concurrent requeue of the shared message cannot flip it
-// mid-serialization. The batch's message references are either issued to
-// the channel's outbound core, requeued, or released — never dropped.
-func (ch *srvChannel) sendDeliverBatch(ce *consumerEntry, batch []delivery) {
-	var msgs [maxDeliveryBatch]*Message
+// serveConsumer takes one bounded batch from a consumer's ring and writes
+// it with one flush, instead of one write — and one queue-lock acquisition
+// — per message. It runs on the connection's delivery loop, which serves
+// a consumer once per time it is queued, so its deliveries go out in
+// order. Checking ch.closed, taking and issuing share one ch.mu hold: a
+// batch is either in the outbound core when teardown empties it or never
+// taken. The write runs with no lock held.
+func (ch *srvChannel) serveConsumer(c *consumer) {
+	var batch [maxDeliveryBatch]qitem
 	var tags [maxDeliveryBatch]uint64
-	var redeliv [maxDeliveryBatch]bool
 	offs := &ch.conn.dispOffs
 	ch.mu.Lock()
 	if ch.closed {
 		ch.mu.Unlock()
-		// Hand the references back to the queue, preserving order (replay
-		// re-reads are simply dropped — the log still has them).
-		for i := len(batch) - 1; i >= 0; i-- {
-			if ce.cons.replay {
-				batch[i].msg.Release()
-			} else {
-				ce.queue.Requeue(batch[i].msg, batch[i].off)
-			}
-		}
 		return
 	}
-	for i, d := range batch {
+	n := c.q.take(c, batch[:])
+	for i, d := range batch[:n] {
 		ch.deliveryTag++
-		msgs[i] = d.msg
 		tags[i] = ch.deliveryTag
 		offs[i] = d.off
-		redeliv[i] = d.redelivered
-		if !ce.noAck {
+		if !c.noAck {
 			// The outbound entry takes over the queue's reference; the
 			// write below needs its own — the moment the entry exists, a
 			// concurrent teardown may requeue the message, and another
 			// consumer could resolve it while these frames are still
 			// being serialized.
 			d.msg.Retain()
-			ch.out.issue(tags[i], ce.queue, ce.cons, d.msg, d.off)
+			ch.out.issue(tags[i], c.q, c, d.msg, d.off)
 		}
 	}
 	ch.mu.Unlock()
+	if n == 0 {
+		return
+	}
 
 	deliveryBatches.Inc()
-	deliveriesBatched.Add(int64(len(batch)))
-	err := ch.conn.writeDeliveries(ch.id, ce.tag, msgs[:len(batch)], tags[:len(batch)], redeliv[:len(batch)])
-	if ce.noAck {
+	deliveriesBatched.Add(int64(n))
+	// The redelivered flag travels with the entry (per-queue state), so a
+	// concurrent requeue of the shared message cannot flip it
+	// mid-serialization.
+	err := ch.conn.writeDeliveries(ch.id, c.tag, batch[:n], tags[:n])
+	if c.noAck {
 		// noAck deliveries resolve immediately: restore credit (even on a
 		// dying connection the pop already happened) and drop the queue's
 		// reference — the bytes are on the wire or lost, at-most-once.
 		// On a durable queue that settlement is committed to the log;
 		// replay deliveries commit nothing (the log is their source).
-		ce.queue.AckN(ce.cons, len(batch))
-		if !ce.cons.replay {
-			ce.queue.CommitAll(offs[:len(batch)])
+		c.q.AckN(c, n)
+		if !c.replay {
+			c.q.CommitAll(offs[:n])
 		}
 	}
 	// Drop the write's (noAck: the queue's) reference per message.
-	for _, d := range batch {
+	for _, d := range batch[:n] {
 		d.msg.Release()
 	}
 	_ = err // on error the connection is going away; teardown requeues the unsettled
 }
+
+var (
+	deliveryBatches   = telemetry.Default.Counter("broker.delivery_batches")
+	deliveriesBatched = telemetry.Default.Counter("broker.deliveries_batched")
+)
 
 func (ch *srvChannel) basicGet(x *wire.BasicGet) error {
 	vh := ch.conn.vh
@@ -475,22 +394,22 @@ func (ch *srvChannel) basicGet(x *wire.BasicGet) error {
 	if !ok {
 		return ch.exception(wire.ReplyNotFound, fmt.Sprintf("no queue %q", x.Queue), x)
 	}
-	msg, off, redelivered, remaining, ok := q.Get()
-	if !ok {
-		return ch.conn.writeMethod(ch.id, &wire.BasicGetEmpty{})
-	}
 	ch.mu.Lock()
 	if ch.closed {
-		// A server close tore the channel down after the pop: the message
-		// goes back, and the connection is on its way out.
+		// A server close tore the channel down: nothing is popped, and
+		// the connection is on its way out.
 		ch.mu.Unlock()
-		q.Requeue(msg, off)
 		return nil
+	}
+	msg, off, redelivered, remaining, ok := q.Get()
+	if !ok {
+		ch.mu.Unlock()
+		return ch.conn.writeMethod(ch.id, &wire.BasicGetEmpty{})
 	}
 	ch.deliveryTag++
 	tag := ch.deliveryTag
 	if !x.NoAck {
-		// As in sendDeliverBatch: the outbound entry takes the queue's
+		// As in serveConsumer: the outbound entry takes the queue's
 		// reference, the write holds its own.
 		msg.Retain()
 		ch.out.issue(tag, q, nil, msg, off)

@@ -21,8 +21,11 @@ type srvConn struct {
 	fr  *wire.FrameReader
 	dec wire.Decoder // serve goroutine only; hot frames land in their channel's slots
 
-	// Lock order: writeMu, then a channel's mu. writeConfirms alone holds
-	// both; every other writer drops ch.mu before it takes writeMu.
+	// Lock order: writeMu, then a channel's mu, then a queue's mu, then
+	// dispMu. writeConfirms alone holds writeMu and ch.mu together; every
+	// other writer drops ch.mu before it takes writeMu. serveConsumer and
+	// basicGet take from a queue under ch.mu, and the pump queues a
+	// consumer on dispReady under q.mu.
 	writeMu sync.Mutex
 	deliver wire.BasicDeliver // writeMu scratch: a delivery batch encodes from it, so the method never escapes
 	ack     wire.BasicAck     // writeMu scratch for confirm frames, likewise
@@ -40,13 +43,13 @@ type srvConn struct {
 	chMu     sync.Mutex
 	channels map[uint16]*srvChannel
 
-	// Event-driven delivery dispatch: consumers with outbox work enqueue
-	// themselves on dispReady (via their wake hook) and one deliveryLoop
-	// goroutine — started lazily on the first consume, shared by every
-	// consumer on this connection — serves them round-robin.
+	// Event-driven delivery dispatch: the queues put consumers whose rings
+	// hold deliveries on dispReady, and one deliveryLoop goroutine —
+	// started lazily on the first consume, shared by every consumer on
+	// this connection — serves them round-robin.
 	dispOnce  sync.Once
 	dispMu    sync.Mutex
-	dispReady []*consumerEntry
+	dispReady []*consumer
 	dispWake  chan struct{}
 	dispDone  chan struct{} // closed once no delivery loop runs or can start
 	// dispOffs is delivery-loop scratch: the durable offsets a noAck batch
@@ -142,17 +145,12 @@ func (sc *srvConn) writeConfirms(chs []*srvChannel) {
 	wire.PutWriter(w)
 }
 
-// wakeConsumer schedules a consumer for this connection's delivery loop.
-// The scheduled CAS makes duplicate wakes free: a consumer is in the
-// ready list at most once, and whoever wins the CAS owns the enqueue.
-// Safe to call from under a queue's lock — it only touches dispatch
-// state, never queue state.
-func (sc *srvConn) wakeConsumer(ce *consumerEntry) {
-	if !ce.scheduled.CompareAndSwap(false, true) {
-		return
-	}
+// schedule puts a consumer on this connection's delivery loop. The queue
+// calls it under q.mu, and only for a consumer not queued already
+// (consumer.queued), so a consumer is on the ready list at most once.
+func (sc *srvConn) schedule(c *consumer) {
 	sc.dispMu.Lock()
-	sc.dispReady = append(sc.dispReady, ce)
+	sc.dispReady = append(sc.dispReady, c)
 	sc.dispMu.Unlock()
 	select {
 	case sc.dispWake <- struct{}{}:
@@ -162,13 +160,13 @@ func (sc *srvConn) wakeConsumer(ce *consumerEntry) {
 }
 
 // deliveryLoop is the connection's single delivery pump: it serves
-// whichever consumers have scheduled outbox work, one bounded batch
-// each, instead of parking one writer goroutine per consumer. 10⁵ idle
-// consumers on a connection cost zero goroutines; the loop exits with
-// the connection (channel teardown drains what it leaves behind).
+// whichever consumers are queued, one bounded batch each, instead of
+// parking one writer goroutine per consumer. 10⁵ idle consumers on a
+// connection cost zero goroutines; the loop exits with the connection
+// (channel teardown returns what it leaves behind).
 func (sc *srvConn) deliveryLoop() {
 	defer close(sc.dispDone)
-	var batch []*consumerEntry
+	var batch []*consumer
 	for {
 		sc.dispMu.Lock()
 		batch, sc.dispReady = sc.dispReady, batch[:0]
@@ -181,8 +179,8 @@ func (sc *srvConn) deliveryLoop() {
 				return
 			}
 		}
-		for _, ce := range batch {
-			ce.ch.serveConsumer(ce)
+		for _, c := range batch {
+			c.ch.serveConsumer(c)
 		}
 	}
 }
@@ -473,7 +471,7 @@ const deliveryFlushBytes = 256 * 1024
 // the batch stays atomic with respect to other writers on this
 // connection; the caller holds a reference on every message until this
 // returns.
-func (sc *srvConn) writeDeliveries(channel uint16, consumerTag string, msgs []*Message, tags []uint64, redelivered []bool) error {
+func (sc *srvConn) writeDeliveries(channel uint16, consumerTag string, batch []qitem, tags []uint64) error {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
 	sc.writeMu.Lock()
@@ -482,9 +480,10 @@ func (sc *srvConn) writeDeliveries(channel uint16, consumerTag string, msgs []*M
 	var bytesOut uint64
 	deliver := &sc.deliver
 	deliver.ConsumerTag = consumerTag
-	for i, msg := range msgs {
+	for i, d := range batch {
+		msg := d.msg
 		deliver.DeliveryTag = tags[i]
-		deliver.Redelivered = redelivered[i]
+		deliver.Redelivered = d.redelivered
 		deliver.Exchange = msg.Exchange
 		deliver.RoutingKey = msg.RoutingKey
 		frames += w.AppendContentFramesZC(channel, deliver, &msg.Props, msg.Body, sc.frameMax)
@@ -505,7 +504,7 @@ func (sc *srvConn) writeDeliveries(channel uint16, consumerTag string, msgs []*M
 	if err := w.FlushFrames(sc.c, frames); err != nil {
 		return err
 	}
-	sc.srv.Stats.MessagesOut.Add(uint64(len(msgs)))
+	sc.srv.Stats.MessagesOut.Add(uint64(len(batch)))
 	sc.srv.Stats.BytesOut.Add(bytesOut)
 	return nil
 }

@@ -30,8 +30,9 @@ func checkBalance(t *testing.T, label string, base int64) {
 
 // TestRefcountLifecycleBalance drives a managed message through every
 // broker exit path — ack (Get + release), nack+requeue, drop-head
-// eviction, reject-publish, purge, and queue delete — and asserts the
-// pool balance returns to zero after each.
+// eviction, reject-publish, purge, and queue delete, with and without
+// deliveries pending on a consumer — and asserts the pool balance returns
+// to zero after each.
 func TestRefcountLifecycleBalance(t *testing.T) {
 	base := wire.LoanedBytes()
 
@@ -90,7 +91,7 @@ func TestRefcountLifecycleBalance(t *testing.T) {
 		}
 		m.Release()
 		got, _, _, _, _ := q.Get()
-		q.Requeue(got, offNone) // nack: the reference moves back to the queue
+		q.RequeueAll([]*Message{got}, []uint64{offNone}) // nack: the reference moves back to the queue
 		again, _, redelivered, _, ok := q.Get()
 		if !ok || !redelivered || again != got {
 			t.Fatalf("requeue lost the message: ok=%v redelivered=%v", ok, redelivered)
@@ -180,6 +181,28 @@ func TestRefcountLifecycleBalance(t *testing.T) {
 		checkBalance(t, "queue delete", base)
 	})
 
+	t.Run("delete-with-pending", func(t *testing.T) {
+		vh := NewVHost("/")
+		q, _ := vh.DeclareQueue("dp-q", false, false, false, false, nil)
+		if _, err := q.AddConsumer("c", false, 2); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			m := newManaged(t, "dp-q", 1024)
+			if _, err := vh.Publish("", "dp-q", m); err != nil {
+				t.Fatal(err)
+			}
+			m.Release()
+		}
+		if q.Len() != 1 {
+			t.Fatalf("%d ready, want 1 beside 2 pending on the consumer", q.Len())
+		}
+		if _, err := vh.DeleteQueue("dp-q", false, false); err != nil {
+			t.Fatal(err)
+		}
+		checkBalance(t, "queue delete with pending deliveries", base)
+	})
+
 	t.Run("requeue-after-delete", func(t *testing.T) {
 		vh := NewVHost("/")
 		q, _ := vh.DeclareQueue("rd-q", false, false, false, false, nil)
@@ -193,7 +216,7 @@ func TestRefcountLifecycleBalance(t *testing.T) {
 			t.Fatal(err)
 		}
 		// A teardown requeue racing the delete must release, not park.
-		q.Requeue(got, offNone)
+		q.RequeueAll([]*Message{got}, []uint64{offNone})
 		checkBalance(t, "requeue after delete", base)
 	})
 }
@@ -332,8 +355,7 @@ func TestDurableLifecycleBalance(t *testing.T) {
 		// Receive the full history; the replay loop then blocks tailing the
 		// log with no message in hand, so cancellation holds no references.
 		for i := 0; i < 3; i++ {
-			d := <-cons.outbox
-			d.msg.Release()
+			takeWait(t, q, cons).msg.Release()
 		}
 		q.RemoveConsumer(cons)
 		// The ready copies are still parked in the queue; delete releases
@@ -417,7 +439,7 @@ func TestServerCloseReleasesQueuedBodies(t *testing.T) {
 		if !ok {
 			t.Fatal("nothing queued")
 		}
-		queue.Requeue(m, off)
+		queue.RequeueAll([]*Message{m}, []uint64{off})
 	}
 	if wire.LoanedBytes() == base {
 		t.Fatal("queued bodies hold no loans; the test would prove nothing")

@@ -379,14 +379,12 @@ func TestChannelCloseRequeuesInDeliveryOrder(t *testing.T) {
 }
 
 // TestChannelCloseRequeuesOutboxInOrder closes a channel whose consumer
-// still has 8 deliveries in its outbox: they go back to the head of their
-// queue in the order they were queued.
+// had all 8 messages moved off the ready ring, onto its pending ring or
+// already into the channel's outbound core by the delivery loop: they go
+// back to the head of their queue in the order they were queued.
 func TestChannelCloseRequeuesOutboxInOrder(t *testing.T) {
 	const n = 8
 	sc := dispatchConn(t, Config{})
-	// Keep the delivery loop from starting, as shutdown does, so every
-	// delivery stays in the outbox.
-	sc.dispOnce.Do(func() { close(sc.dispDone) })
 	dispatchMethod(t, sc, 1, &wire.QueueDeclare{Queue: "outbox-q"})
 	q, _ := sc.vh.Queue("outbox-q")
 	for i := 0; i < n; i++ {
@@ -396,7 +394,7 @@ func TestChannelCloseRequeuesOutboxInOrder(t *testing.T) {
 	}
 	dispatchMethod(t, sc, 1, &wire.BasicConsume{Queue: "outbox-q", ConsumerTag: "c"})
 	if q.Len() != 0 {
-		t.Fatalf("%d messages left in the queue, want all %d in the outbox", q.Len(), n)
+		t.Fatalf("%d messages left in the queue, want all %d with the consumer", q.Len(), n)
 	}
 	dispatchMethod(t, sc, 1, &wire.ChannelClose{})
 	for i := 0; i < n; i++ {
@@ -407,6 +405,54 @@ func TestChannelCloseRequeuesOutboxInOrder(t *testing.T) {
 		if m.Body[0] != byte(i) {
 			t.Fatalf("requeued message %d is body %d, want %d", i, m.Body[0], i)
 		}
+	}
+}
+
+// TestChannelCloseUnderDeliveryLoopRequeuesInOrder closes a channel right
+// after its manual-ack consumer subscribed, while the connection's delivery
+// loop runs: whatever the loop had taken, issued or not, and whatever the
+// consumer still held comes back to the queue before channel.close
+// returns, in publish order.
+func TestChannelCloseUnderDeliveryLoopRequeuesInOrder(t *testing.T) {
+	const n = 64
+	iters := 3000
+	if raceEnabled {
+		iters = 300
+	}
+	failed := 0
+	var first string
+	for it := 0; it < iters; it++ {
+		sc := dispatchConn(t, Config{})
+		dispatchMethod(t, sc, 1, &wire.QueueDeclare{Queue: "loop-q"})
+		q, _ := sc.vh.Queue("loop-q")
+		for i := 0; i < n; i++ {
+			if err := q.Publish(&Message{RoutingKey: "loop-q", Body: []byte{byte(i)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dispatchMethod(t, sc, 1, &wire.BasicConsume{Queue: "loop-q", ConsumerTag: "c"})
+		dispatchMethod(t, sc, 1, &wire.ChannelClose{})
+		for i := 0; i < n; i++ {
+			m, _, _, _, ok := q.Get()
+			var why string
+			switch {
+			case !ok:
+				why = fmt.Sprintf("message %d not back in the queue", i)
+			case m.Body[0] != byte(i):
+				why = fmt.Sprintf("position %d holds body %d", i, m.Body[0])
+			}
+			if why != "" {
+				if failed == 0 {
+					first = why
+				}
+				failed++
+				break
+			}
+		}
+		sc.srv.Close()
+	}
+	if failed > 0 {
+		t.Fatalf("%d of %d iterations did not requeue in order; first: %s", failed, iters, first)
 	}
 }
 
@@ -425,5 +471,23 @@ func TestGetAfterTeardownRequeues(t *testing.T) {
 	dispatchMethod(t, sc, 1, &wire.BasicGet{Queue: "late-get-q"})
 	if q.Len() != 1 {
 		t.Fatalf("queue holds %d messages after the late get, want it back", q.Len())
+	}
+}
+
+// TestConsumeAfterTeardownLeavesNoConsumer: a basic.consume that a server
+// close's teardown overtook from another goroutine registers nothing, so
+// no consumer outlives its channel holding the queue's messages on its
+// ring.
+func TestConsumeAfterTeardownLeavesNoConsumer(t *testing.T) {
+	sc := dispatchConn(t, Config{})
+	dispatchMethod(t, sc, 1, &wire.QueueDeclare{Queue: "late-consume-q"})
+	q, _ := sc.vh.Queue("late-consume-q")
+	if err := q.Publish(&Message{RoutingKey: "late-consume-q", Body: []byte("m")}); err != nil {
+		t.Fatal(err)
+	}
+	sc.channel(1).teardown() // as srvConn.shutdown does, leaving the serve loop running
+	dispatchMethod(t, sc, 1, &wire.BasicConsume{Queue: "late-consume-q", ConsumerTag: "c"})
+	if n, ready := q.ConsumerCount(), q.Len(); n != 0 || ready != 1 {
+		t.Fatalf("late consume left %d consumers and %d ready messages, want 0 and 1", n, ready)
 	}
 }

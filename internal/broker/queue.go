@@ -3,6 +3,7 @@ package broker
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -76,61 +77,32 @@ const OffNone = ^uint64(0)
 // offNone is the package-internal spelling.
 const offNone = OffNone
 
-// delivery is a message en route to one consumer, carrying the per-queue
-// redelivered flag and segment-log offset alongside the shared message.
-type delivery struct {
-	msg         *Message
-	off         uint64
-	redelivered bool
-}
-
-// consumer is a registered basic.consume subscription. Deliveries flow
-// through outbox to the owning connection's delivery loop (one per
-// physical connection, not per consumer), so one slow connection does not
+// consumer is a registered basic.consume subscription. Every delivery of
+// a queue is in exactly one place: the queue's ready ring, a consumer's
+// pending ring, or the outbound core of the channel that issued it. The
+// pump moves ready entries into pending rings under q.mu; the owning
+// connection's delivery loop (one per physical connection, not per
+// consumer) takes them out with take, so one slow connection does not
 // stall the queue's other consumers.
 type consumer struct {
 	tag    string
 	noAck  bool
 	replay bool // fed by a replayLoop from the segment log, not the pump
-	outbox chan delivery
-	closed chan struct{}
+	q      *Queue
+	closed chan struct{} // closed on removal: the replayLoop's stop channel
+	room   chan struct{} // replay only: take signals freed ring room to the replayLoop
 
-	// wake holds the channel layer's func() notification hook, invoked
-	// after every outbox send (and on close) so the connection's delivery
-	// loop schedules this consumer. Stored atomically because the pump
-	// (under q.mu) and the replayLoop (lock-free) both fire it. Nil until
-	// SetWake; test harnesses that drain outbox directly never attach one.
-	wake atomic.Value
-
-	// credit is the number of additional messages that may be pushed
-	// before an ack returns a slot. creditUnlimited when prefetch is 0.
-	credit int
-
-	// owner is invoked by the channel layer; the queue only needs the
-	// drain notification hook.
-	q *Queue
+	// Guarded by q.mu.
+	pending msgRing     // at most outboxCap deliveries, in delivery order
+	credit  int         // deliveries still allowed before an ack; creditUnlimited when prefetch is 0
+	ch      *srvChannel // the channel that delivers, once armed; nil in queue-level tests
+	queued  bool        // on ch's connection's ready list, or being served from it
 }
 
 const creditUnlimited = int(^uint(0) >> 1) // max int
 
-// notify fires the consumer's wake hook, if attached.
-func (c *consumer) notify() {
-	if f, ok := c.wake.Load().(func()); ok {
-		f()
-	}
-}
-
-// SetWake attaches the delivery-notification hook and fires it once,
-// covering any deliveries pumped into the outbox between registration
-// and attachment (AddConsumer pumps immediately, before the channel
-// layer has the *consumer to build its hook around).
-func (c *consumer) SetWake(f func()) {
-	c.wake.Store(f)
-	f()
-}
-
-// outboxCap bounds in-flight deliveries per consumer when prefetch is
-// unlimited; it provides flow control in lieu of credit.
+// outboxCap bounds a consumer's pending ring; with prefetch unlimited it is
+// the flow control in lieu of credit.
 const outboxCap = 64
 
 // Queue is a classic queue: an in-memory FIFO of ready messages plus a set
@@ -324,25 +296,13 @@ func (q *Queue) Purge() int {
 	return n
 }
 
-// Requeue returns a message to the head of the queue (nack/reject requeue,
-// channel close), handing the caller's reference back to the queue. The
-// entry is flagged redelivered and keeps its segment-log offset — a
-// requeue is not a settlement, so nothing is committed. A requeue racing
-// a queue delete releases the message instead of parking it forever.
-func (q *Queue) Requeue(m *Message, off uint64) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.deleted {
-		m.Release()
-		return
-	}
-	q.requeueLocked(m, off)
-	q.pumpLocked()
-}
-
 // RequeueAll returns a batch of messages to the head of the queue in one
-// lock acquisition, preserving their order (msgs[0] ends up at the head).
-// offs carries the entries' segment-log offsets, parallel to msgs.
+// lock acquisition, preserving their order (msgs[0] ends up at the head),
+// handing the caller's references back to the queue (nack/reject requeue,
+// channel close). offs carries the entries' segment-log offsets, parallel
+// to msgs. Each entry is flagged redelivered and keeps its offset: a
+// requeue is not a settlement, so nothing is committed. A requeue racing
+// a queue delete releases the messages instead of parking them forever.
 func (q *Queue) RequeueAll(msgs []*Message, offs []uint64) {
 	if len(msgs) == 0 {
 		return
@@ -371,9 +331,8 @@ func (q *Queue) requeueLocked(m *Message, off uint64) {
 }
 
 // AddConsumer registers a consumer with the given prefetch limit (0 means
-// unlimited) and returns it. The channel layer must drain c.outbox (its
-// connection's delivery loop, scheduled by the consumer's wake hook) and
-// call q.Pump() after each batch it sends.
+// unlimited) and returns it. The pump fills its pending ring at once; the
+// channel layer arms it to have its connection's delivery loop take them.
 func (q *Queue) AddConsumer(tag string, noAck bool, prefetch int) (*consumer, error) {
 	credit := prefetch
 	if credit <= 0 {
@@ -387,23 +346,25 @@ func (q *Queue) AddConsumer(tag string, noAck bool, prefetch int) (*consumer, er
 // replaying history (pair with Options.RetainAll to guarantee offset 0 is
 // still retained). Replay consumers are forcibly noAck — the log is the
 // source of truth and replay must not commit anything — and after draining
-// the retained history they follow the log tail live. The channel layer
-// runs the same writer goroutine as for a pump-fed consumer.
+// the retained history they follow the log tail live. Their deliveries
+// reach the channel layer through the same pending ring.
 func (q *Queue) AddReplayConsumer(tag string, from uint64) (*consumer, error) {
 	if q.log == nil {
 		return nil, fmt.Errorf("%w: queue %q is not durable, cannot replay", ErrPreconditionFailed, q.Name)
 	}
-	c, err := q.addConsumer(&consumer{tag: tag, noAck: true, replay: true, credit: creditUnlimited})
+	c, err := q.addConsumer(&consumer{tag: tag, noAck: true, replay: true, credit: creditUnlimited, room: make(chan struct{}, 1)})
 	if err == nil {
 		go q.replayLoop(c, from)
 	}
 	return c, err
 }
 
-// addConsumer gives c its outbox and registers it, unless the queue is
-// deleted, then pumps (which passes over a replay consumer).
+// addConsumer registers c, unless the queue is deleted, then pumps (which
+// passes over a replay consumer). The ring gets its chunk here, at
+// subscribe time: a consumer's first delivery allocates nothing.
 func (q *Queue) addConsumer(c *consumer) (*consumer, error) {
-	c.outbox, c.closed, c.q = make(chan delivery, outboxCap), make(chan struct{}), q
+	c.closed, c.q = make(chan struct{}), q
+	c.pending.reserve()
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.deleted {
@@ -414,12 +375,11 @@ func (q *Queue) addConsumer(c *consumer) (*consumer, error) {
 	return c, nil
 }
 
-// replayLoop feeds one replay consumer from the segment log. The outbox
-// provides flow control: this goroutine is the consumer's only sender, so
-// a blocking send is safe, and a slow reader simply stalls its own replay.
-// Each record is re-materialized as a fresh pooled message (the log owns
-// no references), so replay rides the same zero-copy delivery path as live
-// traffic.
+// replayLoop feeds one replay consumer from the segment log. Each record
+// is re-materialized as a fresh pooled message (the log owns no
+// references), so replay rides the same zero-copy delivery path as live
+// traffic. A full ring stalls only this consumer's replay: the loop waits
+// for take to signal room.
 func (q *Queue) replayLoop(c *consumer, from uint64) {
 	r := q.log.NewReader(from)
 	defer r.Close()
@@ -437,33 +397,97 @@ func (q *Queue) replayLoop(c *consumer, from uint64) {
 		m := NewMessage(rec.Exchange, rec.Key, rec.Props, len(rec.Body))
 		m.AppendBody(rec.Body)
 		telReplayed.Inc()
-		select {
-		case c.outbox <- delivery{msg: m, off: rec.Offset}:
-			c.notify()
-		case <-c.closed:
-			m.Release()
-			return
+		for !q.offerReplay(c, qitem{msg: m, off: rec.Offset}) {
+			select {
+			case <-c.room:
+			case <-c.closed:
+				m.Release()
+				return
+			}
 		}
 	}
 }
 
-// RemoveConsumer cancels a consumer.
+// offerReplay puts a replay record on c's ring if it has room, and reports
+// whether it did. A removed consumer takes nothing: the record is
+// released, and the replayLoop sees c.closed next.
+func (q *Queue) offerReplay(c *consumer, it qitem) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	select {
+	case <-c.closed:
+		it.msg.Release()
+		return true
+	default:
+	}
+	if c.pending.len() >= outboxCap {
+		return false
+	}
+	q.offerLocked(c, it)
+	return true
+}
+
+// RemoveConsumer cancels a consumer. Its pending deliveries go back to the
+// head of the queue, in order and flagged redelivered, ahead of the ready
+// tail; a replay consumer's are log re-reads and are released instead.
 func (q *Queue) RemoveConsumer(c *consumer) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for i, x := range q.consumers {
-		if x == c {
-			q.consumers = append(q.consumers[:i], q.consumers[i+1:]...)
-			close(c.closed)
-			// Wake the delivery loop so it returns whatever is still
-			// sitting in the outbox to the queue.
-			c.notify()
-			break
-		}
+	i := slices.Index(q.consumers, c)
+	if i < 0 {
+		return // removed before, or the queue was deleted
 	}
+	q.consumers = slices.Delete(q.consumers, i, i+1)
+	close(c.closed)
 	if q.rr >= len(q.consumers) {
 		q.rr = 0
 	}
+	var back [outboxCap]qitem
+	n := 0
+	for ; c.pending.len() > 0; n++ {
+		back[n] = c.pending.popFront()
+	}
+	for i := n - 1; i >= 0; i-- {
+		if c.replay {
+			back[i].msg.Release()
+		} else {
+			q.requeueLocked(back[i].msg, back[i].off)
+		}
+	}
+	q.pumpLocked()
+}
+
+// arm hands c to ch's connection's delivery loop: from now on c is queued
+// there whenever its ring holds deliveries. The channel layer arms a
+// consumer after writing its consume-ok.
+func (q *Queue) arm(c *consumer, ch *srvChannel) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	c.ch = ch
+	q.wakeLocked(c)
+}
+
+// take pops up to len(buf) of c's pending deliveries into buf, in order,
+// and returns how many. In the same lock hold it refills the rings the
+// pop made room in, then unqueues c, or queues it again on its delivery
+// loop if deliveries are left.
+func (q *Queue) take(c *consumer, buf []qitem) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	n := 0
+	for ; n < len(buf) && c.pending.len() > 0; n++ {
+		buf[n] = c.pending.popFront()
+	}
+	if c.replay && n > 0 {
+		select {
+		case c.room <- struct{}{}:
+		default:
+		}
+	}
+	q.pumpLocked()
+	c.queued = false
+	q.wakeLocked(c)
+	return n
 }
 
 // AckN acknowledges n deliveries for consumer c, restoring n prefetch slots
@@ -530,25 +554,17 @@ func (q *Queue) ReleaseN(c *consumer, n int) {
 	q.pumpLocked()
 }
 
-// Pump signals that a consumer's writer drained deliveries from its
-// outbox, freeing buffer room: the queue pushes what now fits, once for
-// the whole batch.
-func (q *Queue) Pump() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.pumpLocked()
-}
-
-// markDeleted flags the queue as gone, cancels all consumers (waking
-// their delivery loops, which return their outboxes), and releases every
-// ready message.
+// markDeleted flags the queue as gone, cancels all consumers, and
+// releases every pending and ready message.
 func (q *Queue) markDeleted() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.deleted = true
 	for _, c := range q.consumers {
 		close(c.closed)
-		c.notify()
+		for c.pending.len() > 0 {
+			c.pending.popFront().msg.Release()
+		}
 	}
 	q.consumers = nil
 	for q.ready.len() > 0 {
@@ -627,9 +643,8 @@ func (q *Queue) addBytesLocked(d int64) {
 	}
 }
 
-// pumpLocked delivers ready messages round-robin to consumers that have
-// both prefetch credit and outbox room. It never blocks: outbox sends are
-// guaranteed by the room check under q.mu (the queue is the only sender).
+// pumpLocked moves ready messages round-robin onto the rings of consumers
+// that have both prefetch credit and ring room.
 func (q *Queue) pumpLocked() {
 	for q.ready.len() > 0 && len(q.consumers) > 0 {
 		c := q.nextConsumerLocked()
@@ -642,8 +657,24 @@ func (q *Queue) pumpLocked() {
 		}
 		q.stats.Delivered++
 		q.tel.delivered.Inc()
-		c.outbox <- delivery{msg: it.msg, off: it.off, redelivered: it.redelivered}
-		c.notify()
+		q.offerLocked(c, it)
+	}
+}
+
+// offerLocked appends it to c's ring and wakes c.
+func (q *Queue) offerLocked(c *consumer, it qitem) {
+	c.pending.pushBack(it)
+	q.wakeLocked(c)
+}
+
+// wakeLocked queues an armed consumer that holds deliveries on its
+// connection's delivery loop, unless it is queued already: c is on the
+// loop's ready list at most once, so one server takes its deliveries at a
+// time, in order.
+func (q *Queue) wakeLocked(c *consumer) {
+	if c.ch != nil && !c.queued && c.pending.len() > 0 {
+		c.queued = true
+		c.ch.conn.schedule(c)
 	}
 }
 
@@ -657,7 +688,7 @@ func (q *Queue) nextConsumerLocked() *consumer {
 			// Replay consumers are fed by their replayLoop, never the pump.
 			continue
 		}
-		if (c.credit == creditUnlimited || c.credit > 0) && len(c.outbox) < cap(c.outbox) {
+		if (c.credit == creditUnlimited || c.credit > 0) && c.pending.len() < outboxCap {
 			q.rr = (q.rr + i + 1) % n
 			return c
 		}

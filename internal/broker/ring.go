@@ -52,6 +52,15 @@ type msgRing struct {
 
 func (r *msgRing) len() int { return r.n }
 
+// reserve gives an unused ring its resident chunk ahead of the first push,
+// so that push allocates nothing on the message path.
+func (r *msgRing) reserve() {
+	if r.head == nil {
+		r.head = newRingChunk(0)
+		r.tail = r.head
+	}
+}
+
 // pushBack appends an entry at the tail.
 func (r *msgRing) pushBack(it qitem) {
 	t := r.tail

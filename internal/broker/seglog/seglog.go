@@ -277,34 +277,35 @@ func (l *Log) append(at uint64, explicit bool, exchange, key string, props *wire
 // sealed segments at the head of the log are compacted away unless
 // Options.RetainAll is set.
 func (l *Log) Ack(off uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.ackLocked(off)
+	return l.AckAll([]uint64{off})
 }
 
-// AckAll appends ack records for every offset with a single sync/rotation
-// check — the broker's batched-ack path.
+// AckAll appends and retires an ack record for every offset, then compacts
+// and runs a single sync/rotation check — the broker's batched-ack path:
+// one fsync per batch under FsyncAlways. Records appended before an error
+// still get that sync.
 func (l *Log) AckAll(offs []uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for _, off := range offs {
-		if err := l.ackLocked(off); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (l *Log) ackLocked(off uint64) error {
 	if l.closed {
 		return ErrClosed
 	}
-	if err := l.appendLocked(recAck, off, nil, nil, nil); err != nil {
+	var err error
+	n := 0
+	for ; n < len(offs); n++ {
+		if err = l.appendLocked(recAck, offs[n], nil, nil, nil); err != nil {
+			break
+		}
+		l.retireLocked(offs[n])
+	}
+	if n == 0 {
 		return err
 	}
-	l.retireLocked(off)
 	l.compactLocked()
-	return l.syncRotateLocked(l.segs[len(l.segs)-1])
+	if serr := l.syncRotateLocked(l.segs[len(l.segs)-1]); err == nil {
+		err = serr
+	}
+	return err
 }
 
 // retireLocked decrements the unacked count of the segment holding off.

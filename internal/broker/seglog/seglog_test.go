@@ -190,6 +190,27 @@ func TestFsyncAlwaysSurvivesCrash(t *testing.T) {
 	}
 }
 
+// TestAckAllSyncsOncePerBatch: under FsyncAlways, AckAll of 100 offsets
+// appends 100 ack records and fsyncs once, not once per record.
+func TestAckAllSyncsOncePerBatch(t *testing.T) {
+	l, _, err := Open(t.TempDir(), Options{Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer l.Close()
+	offs := make([]uint64, 100)
+	for i := range offs {
+		offs[i] = mustAppend(t, l, fmt.Sprintf("msg-%d", i))
+	}
+	before := telFsyncNs.Count()
+	if err := l.AckAll(offs); err != nil {
+		t.Fatalf("ack all: %v", err)
+	}
+	if n := telFsyncNs.Count() - before; n != 1 {
+		t.Fatalf("AckAll of %d offsets recorded %d fsyncs, want 1", len(offs), n)
+	}
+}
+
 func TestFsyncIntervalSyncs(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := Open(dir, Options{Fsync: FsyncInterval, FsyncEvery: time.Millisecond})
