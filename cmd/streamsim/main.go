@@ -6,11 +6,6 @@
 //     tuning, fault script, runs) in one document. See internal/scenario
 //     and examples/scenario for the spec format.
 //
-//   - local: deploy an architecture in-process and run a full experiment
-//     (pattern × workload × producer/consumer counts), printing throughput
-//     and RTT statistics. The flags build a scenario spec, which runs and
-//     reports exactly as `scenario` would.
-//
 //   - distributed: a `coordinator` role assigns queues to remote `producer`
 //     and `consumer` processes (which may run on other hosts against a
 //     shared broker started with rmq-server) and aggregates their metrics,
@@ -25,8 +20,6 @@
 //	streamsim scenario examples/scenario/worksharing.json
 //	streamsim telemetry-sink -addr 127.0.0.1:9191 &
 //	streamsim scenario -watch -forward 127.0.0.1:9191 examples/scenario/worksharing.json
-//	streamsim local -arch DTS -workload Dstream -pattern work-sharing \
-//	    -producers 4 -consumers 4 -msgs 64 -scale 0.1
 //	streamsim coordinator -participants 4 -endpoint amqp://127.0.0.1:5672 -msgs 100
 //	streamsim producer -coord 127.0.0.1:9000 -id 0
 //	streamsim consumer -coord 127.0.0.1:9000 -id 1
@@ -60,8 +53,6 @@ func main() {
 	switch os.Args[1] {
 	case "scenario":
 		err = runScenario(os.Args[2:])
-	case "local":
-		err = runLocal(os.Args[2:])
 	case "coordinator":
 		err = runCoordinator(os.Args[2:])
 	case "producer":
@@ -82,7 +73,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: streamsim {scenario|local|coordinator|producer|consumer|telemetry-sink} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: streamsim {scenario|coordinator|producer|consumer|telemetry-sink} [flags]")
 	os.Exit(2)
 }
 
@@ -296,52 +287,6 @@ func printReport(rep *scenario.Report) {
 			fmt.Printf("  %s  %s\n", e.T.Format("15:04:05"), e)
 		}
 	}
-}
-
-// runLocal is the flag-driven form of a scenario: the flags build one Spec
-// on the paper's three-node, 1 GiB deployment, run like a spec file.
-func runLocal(args []string) error {
-	fs := flag.NewFlagSet("local", flag.ContinueOnError)
-	arch := fs.String("arch", "DTS", "architecture: DTS, PRS(Stunnel), PRS(HAProxy), PRS(HAProxy,4conns), MSS")
-	wl := fs.String("workload", "Dstream", "workload: Dstream, Lstream, generic")
-	pat := fs.String("pattern", "work-sharing", "pattern: "+strings.Join(pattern.Names(), ", "))
-	producers := fs.Int("producers", 2, "producer count")
-	consumers := fs.Int("consumers", 2, "consumer count")
-	msgs := fs.Int("msgs", 32, "messages per producer")
-	runs := fs.Int("runs", 3, "runs per data point")
-	scale := fs.Float64("scale", 0.1, "fabric scale (1.0 = paper rates)")
-	payloadDiv := fs.Int("payload-div", 8, "payload shrink divisor (1 = full size)")
-	telemetryAddr := fs.String("telemetry", "", "serve /metrics and /snapshot.json on this address while the experiment runs")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-
-	stop, err := serveTelemetry(*telemetryAddr)
-	if err != nil {
-		return err
-	}
-	defer stop()
-	rep, err := scenario.Run(context.Background(), scenario.Spec{
-		Deployment: scenario.Deployment{
-			Architecture:     *arch,
-			Nodes:            3,
-			FabricScale:      *scale,
-			MemoryLimitBytes: 1 << 30,
-		},
-		Workload:            scenario.Workload{Name: *wl, PayloadDivisor: *payloadDiv},
-		Pattern:             *pat,
-		Producers:           *producers,
-		Consumers:           *consumers,
-		MessagesPerProducer: *msgs,
-		Runs:                *runs,
-		// One deadline covers the whole run (production plus drain).
-		TimeoutMS: (15 * time.Minute).Milliseconds(),
-	})
-	if err != nil {
-		return err
-	}
-	printReport(rep)
-	return nil
 }
 
 func runCoordinator(args []string) error {

@@ -8,29 +8,6 @@ import (
 	"time"
 )
 
-// TestLocalExperiment smoke-tests the `streamsim local` mode end to end: a
-// tiny in-process DTS experiment must deploy, stream, and report cleanly.
-func TestLocalExperiment(t *testing.T) {
-	err := runLocal([]string{
-		"-arch", "DTS", "-workload", "Dstream", "-pattern", "work-sharing",
-		"-producers", "1", "-consumers", "1", "-msgs", "2", "-runs", "1",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestLocalBadWorkloadRejected checks flag validation surfaces errors
-// instead of exiting the process.
-func TestLocalBadWorkloadRejected(t *testing.T) {
-	if err := runLocal([]string{"-workload", "no-such-workload"}); err == nil {
-		t.Fatal("unknown workload must be rejected")
-	}
-	if err := runLocal([]string{"-no-such-flag"}); err == nil {
-		t.Fatal("unknown flag must be rejected")
-	}
-}
-
 // TestScenarioSubcommand drives the declarative mode end to end: a tiny
 // spec file must deploy, stream, and report cleanly.
 func TestScenarioSubcommand(t *testing.T) {

@@ -245,10 +245,6 @@ type Session struct {
 	once sync.Once
 }
 
-// Conn exposes the owning physical connection (shared with sibling
-// sessions) — useful for tests and for co-locating related channels.
-func (s *Session) Conn() *Connection { return s.Channel.conn }
-
 // Sibling opens another session multiplexed onto the same physical
 // connection, for channels that must observe the same transport (e.g. a
 // closed-loop producer's reply consumer living next to its publish

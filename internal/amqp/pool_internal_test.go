@@ -118,7 +118,7 @@ func TestClientPoolSiblingSharesConn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sib.Conn() != a.Conn() {
+	if sib.Channel.conn != a.Channel.conn {
 		t.Fatal("sibling landed on a different physical connection")
 	}
 	if _, open := p.Stats(); open != 2 {
@@ -127,7 +127,7 @@ func TestClientPoolSiblingSharesConn(t *testing.T) {
 	if err := sib.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if a.Conn().IsClosed() {
+	if a.Channel.conn.IsClosed() {
 		t.Fatal("closing a sibling closed the shared connection")
 	}
 }
@@ -287,10 +287,10 @@ func TestPoolSharedConnFlapResumesOnlyItsSessions(t *testing.T) {
 
 	// Group sessions by physical connection and put one victim session in
 	// confirm mode so the flap leaves an unconfirmed publish behind.
-	victimConn := sessions[0].Conn()
+	victimConn := sessions[0].Channel.conn
 	var victims, bystanders []int
 	for i, sess := range sessions {
-		if sess.Conn() == victimConn {
+		if sess.Channel.conn == victimConn {
 			victims = append(victims, i)
 		} else {
 			bystanders = append(bystanders, i)
@@ -299,7 +299,7 @@ func TestPoolSharedConnFlapResumesOnlyItsSessions(t *testing.T) {
 	if len(victims) != 2 || len(bystanders) != 2 {
 		t.Fatalf("placement: %d/%d sessions on victim/sibling conn, want 2/2", len(victims), len(bystanders))
 	}
-	siblingConn := sessions[bystanders[0]].Conn()
+	siblingConn := sessions[bystanders[0]].Channel.conn
 	confirmer := sessions[victims[0]]
 	if err := confirmer.Confirm(false); err != nil {
 		t.Fatal(err)

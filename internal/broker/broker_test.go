@@ -185,11 +185,11 @@ func TestExchangeDirect(t *testing.T) {
 	q2 := NewQueue("q2", QueueLimits{})
 	e.Bind(q1, "a")
 	e.Bind(q2, "b")
-	if got := e.Route("a"); len(got) != 1 || got[0] != q1 {
-		t.Fatalf("Route(a) = %v", got)
+	if got := e.routeAppend("a", nil); len(got) != 1 || got[0] != q1 {
+		t.Fatalf("route(a) = %v", got)
 	}
-	if got := e.Route("c"); len(got) != 0 {
-		t.Fatalf("Route(c) = %v", got)
+	if got := e.routeAppend("c", nil); len(got) != 0 {
+		t.Fatalf("route(c) = %v", got)
 	}
 }
 
@@ -198,7 +198,7 @@ func TestExchangeFanoutDeduplicates(t *testing.T) {
 	q := NewQueue("q", QueueLimits{})
 	e.Bind(q, "k1")
 	e.Bind(q, "k2")
-	if got := e.Route("anything"); len(got) != 1 {
+	if got := e.routeAppend("anything", nil); len(got) != 1 {
 		t.Fatalf("fanout duplicated queue: %d", len(got))
 	}
 }
@@ -208,7 +208,7 @@ func TestExchangeUnbind(t *testing.T) {
 	q := NewQueue("q", QueueLimits{})
 	e.Bind(q, "a")
 	e.Unbind(q, "a")
-	if len(e.Route("a")) != 0 {
+	if len(e.routeAppend("a", nil)) != 0 {
 		t.Fatal("unbind failed")
 	}
 }
@@ -283,7 +283,7 @@ func TestVHostDeleteQueueCleansBindings(t *testing.T) {
 	if _, err := vh.DeleteQueue("dq", false, false); err != nil {
 		t.Fatal(err)
 	}
-	if len(e.Route("")) != 0 {
+	if len(e.routeAppend("", nil)) != 0 {
 		t.Fatal("binding survived queue delete")
 	}
 	if n, err := vh.Publish("", "dq", msg("x")); err != nil || n != 0 {
@@ -326,16 +326,16 @@ func TestVHostMemoryAccounting(t *testing.T) {
 	q, _ := vh.DeclareQueue("m", false, false, false, false, nil)
 	vh.Publish("", "m", &Message{Body: make([]byte, 100)})
 	vh.Publish("", "m", &Message{Body: make([]byte, 50)})
-	if got := vh.TotalBytes(); got != 150 {
-		t.Fatalf("TotalBytes = %d, want 150", got)
+	if got := vh.totalBytes.Load(); got != 150 {
+		t.Fatalf("totalBytes = %d, want 150", got)
 	}
 	q.Get()
-	if got := vh.TotalBytes(); got != 50 {
-		t.Fatalf("TotalBytes after get = %d, want 50", got)
+	if got := vh.totalBytes.Load(); got != 50 {
+		t.Fatalf("totalBytes after get = %d, want 50", got)
 	}
 	q.Purge()
-	if got := vh.TotalBytes(); got != 0 {
-		t.Fatalf("TotalBytes after purge = %d, want 0", got)
+	if got := vh.totalBytes.Load(); got != 0 {
+		t.Fatalf("totalBytes after purge = %d, want 0", got)
 	}
 }
 

@@ -326,14 +326,20 @@ const maxDeliveryBatch = 16
 // a consumer once per time it is queued, so its deliveries go out in
 // order. Checking ch.closed, taking and issuing share one ch.mu hold: a
 // batch is either in the outbound core when teardown empties it or never
-// taken. The write runs with no lock held.
+// taken. The take and the write share one writeMu hold, so no other
+// frame can overtake a batch once it is taken: a basic.cancel-ok written
+// after RemoveConsumer follows every delivery taken before the removal,
+// and a take after it finds the ring empty.
 func (ch *srvChannel) serveConsumer(c *consumer) {
 	var batch [maxDeliveryBatch]qitem
 	var tags [maxDeliveryBatch]uint64
-	offs := &ch.conn.dispOffs
+	sc := ch.conn
+	offs := &sc.dispOffs
+	sc.writeMu.Lock()
 	ch.mu.Lock()
 	if ch.closed {
 		ch.mu.Unlock()
+		sc.writeMu.Unlock()
 		return
 	}
 	n := c.q.take(c, batch[:])
@@ -353,6 +359,7 @@ func (ch *srvChannel) serveConsumer(c *consumer) {
 	}
 	ch.mu.Unlock()
 	if n == 0 {
+		sc.writeMu.Unlock()
 		return
 	}
 
@@ -361,7 +368,8 @@ func (ch *srvChannel) serveConsumer(c *consumer) {
 	// The redelivered flag travels with the entry (per-queue state), so a
 	// concurrent requeue of the shared message cannot flip it
 	// mid-serialization.
-	err := ch.conn.writeDeliveries(ch.id, c.tag, batch[:n], tags[:n])
+	err := sc.writeDeliveriesLocked(ch.id, c.tag, batch[:n], tags[:n])
+	sc.writeMu.Unlock()
 	if c.noAck {
 		// noAck deliveries resolve immediately: restore credit (even on a
 		// dying connection the pop already happened) and drop the queue's

@@ -22,10 +22,10 @@ type srvConn struct {
 	dec wire.Decoder // serve goroutine only; hot frames land in their channel's slots
 
 	// Lock order: writeMu, then a channel's mu, then a queue's mu, then
-	// dispMu. writeConfirms alone holds writeMu and ch.mu together; every
-	// other writer drops ch.mu before it takes writeMu. serveConsumer and
-	// basicGet take from a queue under ch.mu, and the pump queues a
-	// consumer on dispReady under q.mu.
+	// dispMu. writeConfirms and serveConsumer hold writeMu and ch.mu
+	// together; every other writer drops ch.mu before it takes writeMu.
+	// serveConsumer and basicGet take from a queue under ch.mu, and the
+	// pump queues a consumer on dispReady under q.mu.
 	writeMu sync.Mutex
 	deliver wire.BasicDeliver // writeMu scratch: a delivery batch encodes from it, so the method never escapes
 	ack     wire.BasicAck     // writeMu scratch for confirm frames, likewise
@@ -462,20 +462,17 @@ func (sc *srvConn) write(w *wire.Writer, frames int) error {
 // beyond frameMax can still overshoot; such writers are dropped for GC).
 const deliveryFlushBytes = 256 * 1024
 
-// writeDeliveries emits one basic.deliver frame triplet per message as a
-// single batched vectored write (flushing early if the batch outgrows the
-// pooled buffer classes): frame headers coalesce in the writer buffer
-// while large bodies are borrowed from the shared messages and ride the
-// writev in place — body bytes are never copied between the ingest loan
-// and the socket. All frames are written under one writer-lock hold, so
-// the batch stays atomic with respect to other writers on this
-// connection; the caller holds a reference on every message until this
-// returns.
-func (sc *srvConn) writeDeliveries(channel uint16, consumerTag string, batch []qitem, tags []uint64) error {
+// writeDeliveriesLocked emits one basic.deliver frame triplet per message
+// as a single batched vectored write (flushing early if the batch
+// outgrows the pooled buffer classes): frame headers coalesce in the
+// writer buffer while large bodies are borrowed from the shared messages
+// and ride the writev in place — body bytes are never copied between the
+// ingest loan and the socket. The caller holds writeMu across the whole
+// batch, so it stays atomic with respect to other writers on this
+// connection, and a reference on every message until this returns.
+func (sc *srvConn) writeDeliveriesLocked(channel uint16, consumerTag string, batch []qitem, tags []uint64) error {
 	w := wire.GetWriter()
 	defer wire.PutWriter(w)
-	sc.writeMu.Lock()
-	defer sc.writeMu.Unlock()
 	frames := 0
 	var bytesOut uint64
 	deliver := &sc.deliver

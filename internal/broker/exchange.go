@@ -151,15 +151,10 @@ func (e *Exchange) BindingCount() int {
 	return n
 }
 
-// Route returns the set of queues a message with the given routing key
-// should be delivered to. Duplicates are removed so a queue bound twice
-// receives one copy, matching AMQP semantics.
-func (e *Exchange) Route(routingKey string) []*Queue {
-	return e.routeAppend(routingKey, nil)
-}
-
-// routeAppend appends the routed queues to dst and returns it; the hot
-// publish path passes pooled scratch so steady-state routing is
+// routeAppend appends the queues a message with the given routing key
+// should be delivered to onto dst and returns it. Duplicates are removed
+// so a queue bound twice receives one copy, matching AMQP semantics. The
+// hot publish path passes pooled scratch so steady-state routing is
 // allocation-free. Direct exchanges resolve with one sharded index lookup;
 // fanout and topic exchanges scan every shard's bindings.
 func (e *Exchange) routeAppend(routingKey string, dst []*Queue) []*Queue {

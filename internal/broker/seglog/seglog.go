@@ -462,16 +462,6 @@ func (l *Log) Flush() error {
 	return l.flushLocked()
 }
 
-// Sync flushes and fsyncs the active segment.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	return l.syncLocked()
-}
-
 func (l *Log) syncLoop(stop <-chan struct{}) {
 	defer l.syncWG.Done()
 	t := time.NewTicker(l.opts.FsyncEvery)

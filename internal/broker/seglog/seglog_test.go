@@ -151,7 +151,10 @@ func TestCrashDropsUnflushedTail(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	mustAppend(t, l, "survives")
-	if err := l.Sync(); err != nil {
+	l.mu.Lock()
+	err = l.syncLocked()
+	l.mu.Unlock()
+	if err != nil {
 		t.Fatal(err)
 	}
 	mustAppend(t, l, "buffered-only")

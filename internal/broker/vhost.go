@@ -102,9 +102,6 @@ func NewVHost(name string) *VHost {
 	return vh
 }
 
-// TotalBytes reports ready payload bytes across all queues.
-func (vh *VHost) TotalBytes() int64 { return vh.totalBytes.Load() }
-
 // DeclareExchange creates (or verifies, if passive) an exchange.
 func (vh *VHost) DeclareExchange(name, kind string, passive bool) (*Exchange, error) {
 	s := vh.exchangeShard(name)

@@ -41,28 +41,21 @@
 // whose ring placement points at the rejoined node move back to it, and
 // replicated queues re-establish it as a mirror where placement wants
 // one. Moved (pinned) masters otherwise stay put — no blanket failback.
-//
-// A Shovel component moves messages between queues on different nodes (the
-// RabbitMQ shovel plugin equivalent), which the Deleria example uses to link
-// its forward buffer and event builder.
 package cluster
 
 import (
 	"fmt"
-	"net"
 	"net/url"
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
-	"ds2hpc/internal/amqp"
 	"ds2hpc/internal/broker"
 	"ds2hpc/internal/transport"
 )
 
 // defaultVHost is the vhost the placement-only APIs (OwnerOf, AddrFor)
-// consult; the pattern engine and the example deployments run on it.
+// consult; the pattern engine and core.Deploy's deployments run on it.
 const defaultVHost = "/"
 
 // Options selects the cluster's data-plane behaviour.
@@ -71,9 +64,9 @@ type Options struct {
 	// are ensured on their master, default-exchange publishes to remote
 	// queues are forwarded (confirm-bridged, zero-copy), and consumes on
 	// the wrong node redirect the client to the master. Off, the nodes
-	// are independent brokers that only share deterministic placement —
-	// the legacy behaviour explicit-placement callers (Shovel tests, the
-	// Deleria example) rely on.
+	// are independent brokers that only share deterministic placement,
+	// and clients dial each queue's master (AddrFor) themselves: the
+	// core.Options default (scenario deployments turn it on).
 	Federation bool
 	// VNodes overrides the virtual-node count per ring member (0 = 64).
 	VNodes int
@@ -493,175 +486,4 @@ func (c *Cluster) AddrFor(queue string) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.addrs[i]
-}
-
-// Shovel continuously moves messages from a source queue to a destination
-// queue, acknowledging each message only after it has been republished —
-// the at-least-once contract of the RabbitMQ shovel plugin.
-type Shovel struct {
-	srcConn *amqp.Connection
-	dstConn *amqp.Connection
-	done    chan struct{}
-	stopped chan struct{}
-	moved   chan int64
-}
-
-// ShovelConfig names the endpoints and queues to bridge.
-type ShovelConfig struct {
-	SourceURL  string
-	SourceQ    string
-	DestURL    string
-	DestQ      string
-	Prefetch   int // source prefetch; default 32
-	DialSource func(network, addr string) (net.Conn, error)
-	DialDest   func(network, addr string) (net.Conn, error)
-	// Reconnect, when non-nil, arms both shovel connections with
-	// auto-reconnect and switches the destination channel to confirm
-	// mode with settle-after-confirm: a message is acknowledged at the
-	// source only once the destination broker confirms the republish.
-	// This is what lets a shovel ride out a source- or destination-node
-	// crash without duplicating already-settled messages — settled means
-	// confirmed at the destination and fsynced at the source.
-	Reconnect *amqp.ReconnectPolicy
-}
-
-// NewShovel starts a shovel. Both queues must already exist.
-func NewShovel(cfg ShovelConfig) (*Shovel, error) {
-	if cfg.Prefetch <= 0 {
-		cfg.Prefetch = 32
-	}
-	srcConn, err := amqp.DialConfig(cfg.SourceURL, amqp.Config{Dial: cfg.DialSource, Reconnect: cfg.Reconnect})
-	if err != nil {
-		return nil, fmt.Errorf("cluster: shovel source dial: %w", err)
-	}
-	dstConn, err := amqp.DialConfig(cfg.DestURL, amqp.Config{Dial: cfg.DialDest, Reconnect: cfg.Reconnect})
-	if err != nil {
-		srcConn.Close()
-		return nil, fmt.Errorf("cluster: shovel dest dial: %w", err)
-	}
-	srcCh, err := srcConn.Channel()
-	if err != nil {
-		srcConn.Close()
-		dstConn.Close()
-		return nil, err
-	}
-	if err := srcCh.Qos(cfg.Prefetch, 0, false); err != nil {
-		srcConn.Close()
-		dstConn.Close()
-		return nil, err
-	}
-	deliveries, err := srcCh.Consume(cfg.SourceQ, "shovel", false, false, false, false, nil)
-	if err != nil {
-		srcConn.Close()
-		dstConn.Close()
-		return nil, err
-	}
-	dstCh, err := dstConn.Channel()
-	if err != nil {
-		srcConn.Close()
-		dstConn.Close()
-		return nil, err
-	}
-	var confirms chan amqp.Confirmation
-	if cfg.Reconnect != nil {
-		if err := dstCh.Confirm(false); err != nil {
-			srcConn.Close()
-			dstConn.Close()
-			return nil, err
-		}
-		confirms = dstCh.NotifyPublish(make(chan amqp.Confirmation, cfg.Prefetch))
-	}
-
-	s := &Shovel{
-		srcConn: srcConn,
-		dstConn: dstConn,
-		done:    make(chan struct{}),
-		stopped: make(chan struct{}),
-		moved:   make(chan int64, 1),
-	}
-	go s.run(deliveries, dstCh, cfg.DestQ, confirms)
-	return s, nil
-}
-
-func (s *Shovel) run(deliveries <-chan amqp.Delivery, dstCh *amqp.Channel, destQ string, confirms chan amqp.Confirmation) {
-	defer close(s.stopped)
-	var moved int64
-	for {
-		select {
-		case <-s.done:
-			return
-		case d, ok := <-deliveries:
-			if !ok {
-				return
-			}
-			err := dstCh.Publish("", destQ, false, false, amqp.Publishing{
-				ContentType:   d.ContentType,
-				Headers:       d.Headers,
-				CorrelationID: d.CorrelationID,
-				ReplyTo:       d.ReplyTo,
-				MessageID:     d.MessageID,
-				Timestamp:     d.Timestamp,
-				AppID:         d.AppID,
-				Body:          d.Body,
-			})
-			if err != nil {
-				d.Nack(false, true)
-				if confirms == nil {
-					return
-				}
-				continue // reconnecting shovel: the requeued message redelivers
-			}
-			if confirms != nil {
-				// Settle-after-confirm: publishes are sequential, so the
-				// next confirmation is this publish's verdict (replayed
-				// publishes keep their tags through the reconnect
-				// machinery). A nack or closed channel leaves the source
-				// delivery unacked — redelivered after reconnect.
-				conf, open := <-confirms
-				if !open {
-					return
-				}
-				if !conf.Ack {
-					d.Nack(false, true)
-					continue
-				}
-			}
-			// Without confirms the shovel is at-most-once either way: this
-			// ack follows a publish the destination socket had at best
-			// accepted. A small publish now waits in the destination
-			// connection's send buffer, so the ack can also overtake one
-			// that is not written yet — the same loss on a crash between
-			// the two, in one more place. The confirm-mode shovel waits
-			// for the broker's verdict above and is unaffected.
-			d.Ack(false)
-			moved++
-			select {
-			case <-s.moved:
-			default:
-			}
-			s.moved <- moved
-		}
-	}
-}
-
-// Moved reports how many messages the shovel has transferred so far.
-func (s *Shovel) Moved() int64 {
-	select {
-	case n := <-s.moved:
-		s.moved <- n
-		return n
-	default:
-		return 0
-	}
-}
-
-// Stop terminates the shovel and closes its connections.
-func (s *Shovel) Stop() {
-	close(s.done)
-	s.srcConn.Close()
-	s.dstConn.Close()
-	select {
-	case <-s.stopped:
-	case <-time.After(2 * time.Second):
-	}
 }

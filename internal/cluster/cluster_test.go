@@ -98,78 +98,3 @@ func TestClusterEndToEndAcrossNodes(t *testing.T) {
 		t.Fatal("no delivery")
 	}
 }
-
-func TestShovelMovesMessages(t *testing.T) {
-	c, err := StartWithOptions(2, Options{}, func(int) broker.Config { return broker.Config{} })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	srcAddr, dstAddr := c.Node(0).Addr(), c.Node(1).Addr()
-	src, _ := amqp.Dial("amqp://" + srcAddr)
-	defer src.Close()
-	sch, _ := src.Channel()
-	sch.QueueDeclare("forward-buffer", false, false, false, false, nil)
-
-	dst, _ := amqp.Dial("amqp://" + dstAddr)
-	defer dst.Close()
-	dch, _ := dst.Channel()
-	dch.QueueDeclare("event-builder", false, false, false, false, nil)
-
-	sh, err := NewShovel(ShovelConfig{
-		SourceURL: "amqp://" + srcAddr, SourceQ: "forward-buffer",
-		DestURL: "amqp://" + dstAddr, DestQ: "event-builder",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sh.Stop()
-
-	const n = 20
-	for i := 0; i < n; i++ {
-		sch.Publish("", "forward-buffer", false, false, amqp.Publishing{
-			MessageID: fmt.Sprintf("ev-%d", i),
-			Body:      []byte("event-batch"),
-		})
-	}
-	dc, err := dch.Consume("event-builder", "", true, false, false, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := 0
-	timeout := time.After(10 * time.Second)
-	for got < n {
-		select {
-		case d := <-dc:
-			if string(d.Body) != "event-batch" {
-				t.Fatalf("body %q", d.Body)
-			}
-			got++
-		case <-timeout:
-			t.Fatalf("shovel moved %d of %d (Moved=%d)", got, n, sh.Moved())
-		}
-	}
-	// The shovel counts a message after its publish, so the last delivery
-	// can reach this consumer a moment before the count does.
-	for deadline := time.Now().Add(5 * time.Second); sh.Moved() != int64(n); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("Moved = %d, want %d", sh.Moved(), n)
-		}
-	}
-}
-
-func TestShovelSourceMissingQueue(t *testing.T) {
-	c, err := StartWithOptions(1, Options{}, func(int) broker.Config { return broker.Config{} })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	_, err = NewShovel(ShovelConfig{
-		SourceURL: "amqp://" + c.Node(0).Addr(), SourceQ: "missing",
-		DestURL: "amqp://" + c.Node(0).Addr(), DestQ: "also-missing",
-	})
-	if err == nil {
-		t.Fatal("expected error for missing source queue")
-	}
-}

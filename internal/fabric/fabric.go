@@ -79,11 +79,6 @@ func ACE(scale float64) Profile {
 	}
 }
 
-// TunnelFlowLink builds a per-flow cap for one shared tunnel connection.
-func (p Profile) TunnelFlowLink(name string) *netem.Link {
-	return netem.NewLink(name, p.TunnelFlowBps, 0)
-}
-
 // DSNLink builds the shared link for one Data Streaming Node.
 func (p Profile) DSNLink(name string) *netem.Link {
 	return netem.NewLink(name, p.DSNRateBps, p.ClientLatency)

@@ -66,9 +66,6 @@ func TestLinkConstructors(t *testing.T) {
 	if l := p.IngressProcLink(); l.RateBps != p.IngressProcBps {
 		t.Error("IngressProcLink mismatch")
 	}
-	if l := p.TunnelFlowLink("t"); l.RateBps != p.TunnelFlowBps {
-		t.Error("TunnelFlowLink mismatch")
-	}
 }
 
 func TestDefaultsAreSane(t *testing.T) {

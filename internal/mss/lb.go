@@ -52,8 +52,7 @@ type LoadBalancer struct {
 	ln        net.Listener
 	admission *transport.Admission
 
-	active  atomic.Int32
-	relayed atomic.Uint64
+	relayed atomic.Uint64 // connections relayed
 
 	closeOnce sync.Once
 	closed    chan struct{}
@@ -101,18 +100,6 @@ func NewLoadBalancer(cfg LBConfig) (*LoadBalancer, error) {
 
 // Addr is the public address clients dial.
 func (lb *LoadBalancer) Addr() string { return lb.ln.Addr().String() }
-
-// ActiveConns reports connections currently relayed.
-func (lb *LoadBalancer) ActiveConns() int { return int(lb.active.Load()) }
-
-// Relayed reports the total number of relayed connections.
-func (lb *LoadBalancer) Relayed() uint64 { return lb.relayed.Load() }
-
-// QueueWait reports cumulative time connections spent waiting for an LB
-// worker slot.
-func (lb *LoadBalancer) QueueWait() time.Duration {
-	return lb.admission.QueueWait()
-}
 
 // Close stops the LB.
 func (lb *LoadBalancer) Close() error {
@@ -166,9 +153,7 @@ func (lb *LoadBalancer) handle(raw net.Conn) {
 		client = netem.Wrap(client, lb.cfg.ProcLink)
 		backend = netem.Wrap(backend, lb.cfg.ProcLink)
 	}
-	lb.active.Add(1)
 	lb.relayed.Add(1)
-	defer lb.active.Add(-1)
 	transport.RelayCtx(client, backend, tierMSS)
 }
 
@@ -180,7 +165,6 @@ type Ingress struct {
 	ln       net.Listener
 	procLink *netem.Link
 	dial     func(network, addr string) (net.Conn, error)
-	relayed  atomic.Uint64
 }
 
 // IngressConfig configures the ingress hop.
@@ -215,9 +199,6 @@ func NewIngress(cfg IngressConfig) (*Ingress, error) {
 
 // Addr is the ingress listen address (given to the LB).
 func (ing *Ingress) Addr() string { return ing.ln.Addr().String() }
-
-// Relayed reports total relayed connections.
-func (ing *Ingress) Relayed() uint64 { return ing.relayed.Load() }
 
 // Close stops the ingress.
 func (ing *Ingress) Close() error { return ing.ln.Close() }
@@ -255,7 +236,6 @@ func (ing *Ingress) handle(up net.Conn) {
 		upConn = netem.Wrap(upConn, ing.procLink)
 		backend = netem.Wrap(backend, ing.procLink)
 	}
-	ing.relayed.Add(1)
 	transport.RelayCtx(upConn, backend, tierMSS)
 }
 

@@ -190,11 +190,11 @@ func TestLBWorkerPoolQueues(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if lb.QueueWait() < 50*time.Millisecond {
-		t.Errorf("QueueWait = %v; expected visible queueing with 1 worker", lb.QueueWait())
+	if w := lb.admission.QueueWait(); w < 50*time.Millisecond {
+		t.Errorf("queue wait = %v; expected visible queueing with 1 worker", w)
 	}
-	if lb.Relayed() != 5 {
-		t.Errorf("Relayed = %d, want 5", lb.Relayed())
+	if n := lb.relayed.Load(); n != 5 {
+		t.Errorf("relayed = %d, want 5", n)
 	}
 }
 

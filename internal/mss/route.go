@@ -66,14 +66,3 @@ func (rc *RouteController) Resolve(fqdn string) (string, error) {
 	rc.rr[fqdn]++
 	return backends[i], nil
 }
-
-// Routes lists registered FQDNs.
-func (rc *RouteController) Routes() []string {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	out := make([]string, 0, len(rc.routes))
-	for f := range rc.routes {
-		out = append(out, f)
-	}
-	return out
-}

@@ -44,9 +44,6 @@ type Link struct {
 // DefaultMTU is the pacing chunk size when Link.MTU is zero.
 const DefaultMTU = 64 * 1024
 
-// Gbps converts gigabits per second to bits per second.
-func Gbps(g float64) int64 { return int64(g * 1e9) }
-
 // Mbps converts megabits per second to bits per second.
 func Mbps(m float64) int64 { return int64(m * 1e6) }
 
@@ -176,30 +173,6 @@ func (c *Conn) Write(p []byte) (int, error) {
 
 // Unwrap returns the underlying connection.
 func (c *Conn) Unwrap() net.Conn { return c.Conn }
-
-// Listener wraps an accept loop so every accepted connection is shaped by
-// the same link, emulating a node interface behind a shared uplink.
-type Listener struct {
-	net.Listener
-	link *Link
-}
-
-// WrapListener attaches link emulation to accepted connections.
-func WrapListener(ln net.Listener, l *Link) net.Listener {
-	if l == nil {
-		return ln
-	}
-	return &Listener{Listener: ln, link: l}
-}
-
-// Accept waits for a connection and wraps it in the listener's link.
-func (ln *Listener) Accept() (net.Conn, error) {
-	c, err := ln.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return Wrap(c, ln.link), nil
-}
 
 // Dialer dials TCP connections shaped by a link.
 type Dialer struct {

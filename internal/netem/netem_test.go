@@ -15,16 +15,15 @@ func pipe(t *testing.T, link *Link) (client net.Conn, server net.Conn) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrapped := WrapListener(ln, link)
 	done := make(chan net.Conn, 1)
 	go func() {
-		c, err := wrapped.Accept()
+		c, err := ln.Accept()
 		if err != nil {
 			t.Error(err)
 			close(done)
 			return
 		}
-		done <- c
+		done <- Wrap(c, link)
 	}()
 	d := &Dialer{Link: link}
 	c, err := d.Dial("tcp", ln.Addr().String())
@@ -163,9 +162,6 @@ func TestLatencyPipelined(t *testing.T) {
 }
 
 func TestUnitHelpers(t *testing.T) {
-	if Gbps(1) != 1_000_000_000 {
-		t.Errorf("Gbps(1) = %d", Gbps(1))
-	}
 	if Mbps(100) != 100_000_000 {
 		t.Errorf("Mbps(100) = %d", Mbps(100))
 	}

@@ -28,7 +28,6 @@ import (
 	"ds2hpc/internal/amqp"
 	"ds2hpc/internal/core"
 	"ds2hpc/internal/metrics"
-	"ds2hpc/internal/ranks"
 	"ds2hpc/internal/telemetry"
 	"ds2hpc/internal/workload"
 )
@@ -329,35 +328,44 @@ func (cw *confirmWindow) drain(ctx context.Context) error {
 // runClients runs f(0..n-1) on at most workers goroutines at a time
 // (workers <= 0: one goroutine each), so 100k clients under a budget mean
 // a fixed set of loops instead of 100k goroutines. When every client has
-// a goroutine of its own and mpi is set, they run as an MPI-like rank
-// group behind an mpirun-style synchronized start (Lstream/generic,
-// Table 1); otherwise as plain goroutines (Deleria-style).
+// a goroutine of its own and mpi is set, no f runs before all n
+// goroutines have started: an mpirun-style synchronized start
+// (Lstream/generic, Table 1); otherwise each runs as soon as it starts
+// (Deleria-style). The first failing f's error is returned.
 func runClients(n, workers int, mpi bool, f func(id int) error) error {
 	if workers <= 0 || workers > n {
 		workers = n
 	}
-	if mpi && workers == n {
-		return ranks.NewGroup(n).Run(func(r *ranks.Rank) error {
-			r.Barrier()
-			return f(r.ID())
-		})
-	}
-	idx := make(chan int)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
+	if mpi && workers == n {
+		var start sync.WaitGroup
+		start.Add(n)
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				start.Done()
+				start.Wait()
 				errs[i] = f(i)
-			}
-		}()
+			}(i)
+		}
+	} else {
+		idx := make(chan int)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range idx {
+					errs[i] = f(i)
+				}
+			}()
+		}
+		for i := 0; i < n; i++ {
+			idx <- i
+		}
+		close(idx)
 	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {

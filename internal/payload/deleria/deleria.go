@@ -1,15 +1,14 @@
 // Package deleria implements the GRETA/Deleria event payload format from
 // the paper's Table 1: messages carry a variable number of experimental
-// events batched together in a compressed binary format, while control
-// messages are encoded in JSON. The evaluation fixes events at 2 KiB and
-// batches eight per message, yielding 16 KiB payloads.
+// events batched together in a compressed binary format (Deleria's
+// JSON-encoded control messages are not modelled). The evaluation fixes
+// events at 2 KiB and batches eight per message, yielding 16 KiB payloads.
 package deleria
 
 import (
 	"bytes"
 	"compress/zlib"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -164,27 +163,6 @@ func NewBatch(seq uint64) []Event {
 		events[i] = NewEvent(seq*EventsPerMessage + uint64(i))
 	}
 	return events
-}
-
-// Control is a Deleria control message; these are JSON-encoded (Table 1).
-type Control struct {
-	Type     string `json:"type"` // "start", "stop", "configure"
-	RunID    uint64 `json:"run_id"`
-	Detector uint16 `json:"detector,omitempty"`
-	Param    string `json:"param,omitempty"`
-	Value    string `json:"value,omitempty"`
-}
-
-// EncodeControl marshals a control message.
-func EncodeControl(c *Control) ([]byte, error) { return json.Marshal(c) }
-
-// DecodeControl unmarshals a control message.
-func DecodeControl(data []byte) (*Control, error) {
-	var c Control
-	if err := json.Unmarshal(data, &c); err != nil {
-		return nil, err
-	}
-	return &c, nil
 }
 
 func float64bits(f float64) uint64     { return math.Float64bits(f) }

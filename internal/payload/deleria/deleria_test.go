@@ -69,24 +69,6 @@ func TestEmptyBatch(t *testing.T) {
 	}
 }
 
-func TestControlJSON(t *testing.T) {
-	in := &Control{Type: "configure", RunID: 3, Detector: 17, Param: "beam", Value: "on"}
-	data, err := EncodeControl(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := DecodeControl(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("control mismatch: %+v vs %+v", in, out)
-	}
-	if _, err := DecodeControl([]byte("{broken")); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
 func TestQuickEventRoundTrip(t *testing.T) {
 	f := func(seq uint64) bool {
 		in := []Event{NewEvent(seq % 1_000_000)}

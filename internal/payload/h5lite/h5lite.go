@@ -86,16 +86,6 @@ type File struct {
 	Datasets []Dataset
 }
 
-// Dataset returns the named dataset.
-func (f *File) Dataset(name string) (*Dataset, bool) {
-	for i := range f.Datasets {
-		if f.Datasets[i].Name == name {
-			return &f.Datasets[i], true
-		}
-	}
-	return nil, false
-}
-
 // Encode serializes the container.
 func (f *File) Encode() ([]byte, error) {
 	var buf bytes.Buffer

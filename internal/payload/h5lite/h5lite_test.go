@@ -54,10 +54,10 @@ func TestDatasetLookup(t *testing.T) {
 	f := &File{Datasets: []Dataset{
 		{Name: "one", Type: U8, Dims: []uint64{1}, Data: []byte{9}},
 	}}
-	if ds, ok := f.Dataset("one"); !ok || ds.Data[0] != 9 {
+	if ds, ok := dataset(f, "one"); !ok || ds.Data[0] != 9 {
 		t.Fatal("lookup failed")
 	}
-	if _, ok := f.Dataset("two"); ok {
+	if _, ok := dataset(f, "two"); ok {
 		t.Fatal("phantom dataset")
 	}
 }
@@ -84,7 +84,7 @@ func TestNewFrameFileApproximatesSize(t *testing.T) {
 	if len(data) < want*8/10 || len(data) > want*11/10 {
 		t.Fatalf("encoded %d bytes, want ~%d", len(data), want)
 	}
-	if _, ok := f.Dataset("entry/data/frame"); !ok {
+	if _, ok := dataset(f, "entry/data/frame"); !ok {
 		t.Fatal("frame dataset missing")
 	}
 }
@@ -115,10 +115,20 @@ func TestQuickRoundTripU8(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, ok := out.Dataset(name)
+		got, ok := dataset(out, name)
 		return ok && bytes.Equal(got.Data, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// dataset returns the named dataset of f.
+func dataset(f *File, name string) (*Dataset, bool) {
+	for i := range f.Datasets {
+		if f.Datasets[i].Name == name {
+			return &f.Datasets[i], true
+		}
+	}
+	return nil, false
 }

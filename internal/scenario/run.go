@@ -72,7 +72,7 @@ type Report struct {
 type Option func(*options)
 
 type options struct {
-	tick        time.Duration
+	tick        time.Duration // aggregator sampling period (0 = one second); tests shorten it
 	watch       func(telemetry.Tick)
 	healthWatch func(telemetry.HealthEvent)
 	forwarder   TickForwarder
@@ -110,12 +110,6 @@ func WithHealthWatch(fn func(telemetry.HealthEvent)) Option {
 // Stop it after the scenario returns to flush the tail.
 func WithForwarder(fw TickForwarder) Option {
 	return func(o *options) { o.forwarder = fw }
-}
-
-// WithTickInterval overrides the aggregator's one-second sampling
-// period (tests use short ticks to exercise multi-point timelines).
-func WithTickInterval(d time.Duration) Option {
-	return func(o *options) { o.tick = d }
 }
 
 // WithParallel makes Sweep run up to n grid cells concurrently. Parallel

@@ -537,6 +537,12 @@ func TestColdReplayScenario(t *testing.T) {
 	}
 }
 
+// withTickInterval overrides the aggregator's one-second sampling period:
+// short ticks exercise multi-point timelines and per-tick health rules.
+func withTickInterval(d time.Duration) Option {
+	return func(o *options) { o.tick = d }
+}
+
 // TestReportTelemetry covers the live-telemetry surface of a report:
 // latency percentiles from the streaming histogram and a throughput
 // timeline with at least the final-flush point, plus live watch ticks.
@@ -559,7 +565,7 @@ func TestReportTelemetry(t *testing.T) {
 		Tuning:              Tuning{Window: 2},
 		TimeoutMS:           30000,
 	},
-		WithTickInterval(5*time.Millisecond),
+		withTickInterval(5*time.Millisecond),
 		WithWatch(func(tk telemetry.Tick) {
 			mu.Lock()
 			ticks = append(ticks, tk)
@@ -708,7 +714,7 @@ func TestClusterFailoverHealthEvents(t *testing.T) {
 		// A tick far shorter than the run (~100 ms end to end), so the
 		// failover window spans several rollups: the default rules
 		// evaluate deltas per tick and need a tick before the redirect.
-		WithTickInterval(5*time.Millisecond),
+		withTickInterval(5*time.Millisecond),
 		WithHealthWatch(func(e telemetry.HealthEvent) {
 			liveMu.Lock()
 			live = append(live, e)

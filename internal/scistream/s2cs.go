@@ -163,14 +163,6 @@ func (s *S2CS) Close() error {
 	return err
 }
 
-// Inbound returns the inbound proxy for a session UID (for tests/metrics).
-func (s *S2CS) Inbound(uid string) (*Inbound, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	in, ok := s.inbounds[uid]
-	return in, ok
-}
-
 // Outbound returns the outbound proxy for a session UID (for tests/metrics).
 func (s *S2CS) Outbound(uid string) (*Outbound, bool) {
 	s.mu.Lock()

@@ -69,8 +69,7 @@ type Inbound struct {
 	cfg      InboundConfig
 	ln       net.Listener
 	next     atomic.Uint32
-	active   atomic.Int32
-	relayed  atomic.Uint64
+	relayed  atomic.Uint64 // connections relayed
 	closed   chan struct{}
 	closeOne sync.Once
 }
@@ -104,12 +103,6 @@ func NewInbound(cfg InboundConfig) (*Inbound, error) {
 
 // Addr is the WAN-facing address of the proxy.
 func (in *Inbound) Addr() string { return in.ln.Addr().String() }
-
-// ActiveConns reports currently relayed connections.
-func (in *Inbound) ActiveConns() int { return int(in.active.Load()) }
-
-// Relayed reports total relayed connections.
-func (in *Inbound) Relayed() uint64 { return in.relayed.Load() }
 
 // Close stops the proxy.
 func (in *Inbound) Close() error {
@@ -177,9 +170,7 @@ func (in *Inbound) forward(client net.Conn) {
 		backend = netem.Wrap(backend, in.cfg.ProcLink)
 		client = netem.Wrap(client, in.cfg.ProcLink)
 	}
-	in.active.Add(1)
 	in.relayed.Add(1)
-	defer in.active.Add(-1)
 	transport.RelayCtx(client, backend, tierPRS)
 }
 
@@ -225,8 +216,6 @@ type Outbound struct {
 	pool   []net.Conn
 	next   int
 	closed bool
-
-	relayed atomic.Uint64
 }
 
 // NewOutbound starts the client-facing proxy.
@@ -275,9 +264,6 @@ func NewOutbound(cfg OutboundConfig) (*Outbound, error) {
 
 // Addr is the application-facing address.
 func (o *Outbound) Addr() string { return o.ln.Addr().String() }
-
-// Relayed reports total relayed connections.
-func (o *Outbound) Relayed() uint64 { return o.relayed.Load() }
 
 // Idle reports pre-warmed tunnel connections not yet leased to a client.
 func (o *Outbound) Idle() int {
@@ -391,7 +377,6 @@ func (o *Outbound) acceptLoop() {
 				client = netem.Wrap(client, o.cfg.ProcLink)
 				stream = netem.Wrap(stream, o.cfg.ProcLink)
 			}
-			o.relayed.Add(1)
 			transport.RelayCtx(client, stream, tierPRS)
 		}()
 	}

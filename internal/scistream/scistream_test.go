@@ -510,8 +510,13 @@ func TestS2CSPipelinesRequests(t *testing.T) {
 	}
 	if r := resps[2]; r.Err != "" {
 		t.Errorf("response 2 = %+v, want the inbound proxy", r)
-	} else if _, ok := cs.Inbound(r.UID); !ok {
-		t.Errorf("response 2 names %q, which is no inbound session", r.UID)
+	} else {
+		cs.mu.Lock()
+		_, ok := cs.inbounds[r.UID]
+		cs.mu.Unlock()
+		if !ok {
+			t.Errorf("response 2 names %q, which is no inbound session", r.UID)
+		}
 	}
 	if r := resps[3]; r.Err != "" || r.UID == resps[0].UID {
 		t.Errorf("response 3 = %+v, want a second outbound proxy", r)
@@ -572,7 +577,7 @@ func TestTunnelRejectsUntrustedClient(t *testing.T) {
 		t.Skip("inbound listener gone")
 	}
 	c.Close()
-	if in.Relayed() != 0 {
+	if in.relayed.Load() != 0 {
 		t.Fatal("untrusted peer relayed data")
 	}
 }

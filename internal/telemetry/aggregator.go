@@ -86,9 +86,6 @@ func NewAggregator(interval time.Duration) *Aggregator {
 	return &Aggregator{interval: interval}
 }
 
-// Interval reports the sampling period.
-func (a *Aggregator) Interval() time.Duration { return a.interval }
-
 // OnTick installs a callback invoked after every tick with the rollup.
 // The callback runs on the ticker goroutine; keep it brief.
 func (a *Aggregator) OnTick(fn func(Tick)) {

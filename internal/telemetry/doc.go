@@ -31,15 +31,15 @@
 // out stable pointers; Default is the process-wide registry. Every
 // process-wide counter registers there, the hot-path ones (wire,
 // transport, broker batching, client reconnects) at package init.
-// GaugeFunc and CounterFunc register read-at-export callbacks for
+// GaugeFunc and CounterFuncCtx register read-at-export callbacks for
 // values another subsystem already maintains (a queue's depth, an
 // atomic server stat).
 //
 // # Tagged contexts
 //
 // Intern canonicalizes a "key=value" tag set once (sorted, deduplicated
-// by content) into a small integer Context; CounterCtx and friends
-// resolve (name, Context) through a read-locked cache, so a hot path
+// by content) into a small integer Context; CounterCtx resolves
+// (name, Context) through a read-locked cache, so a hot path
 // that keys series by {queue, node, arch} renders tag strings exactly
 // once — at interning — and never per lookup or per sample
 // (BenchmarkTaggedCounter pins the warm path at 0 allocs/op). A
@@ -66,8 +66,8 @@
 // delta, and flap rules counting downward movements of a gauge. Rules
 // carry warn/critical thresholds with For/Clear tick hysteresis; each
 // state change is a typed HealthEvent appended to the transition log
-// (scenario Reports carry it as HealthEvents) and delivered to an
-// OnEvent callback. The default scenario catalog lives in
+// (scenario Reports carry it as HealthEvents) and returned by Eval to
+// its caller. The default scenario catalog lives in
 // internal/scenario (DefaultHealthRules): queue-depth watermark,
 // reconnect storm, redirect-followed, federation-link flap, and
 // consume stall.

@@ -163,10 +163,9 @@ type ruleState struct {
 // keeps the transition log. It is safe for concurrent use; Eval is
 // expected to run on the aggregator's tick goroutine.
 type HealthMonitor struct {
-	mu      sync.Mutex
-	rules   []*ruleState
-	events  []HealthEvent
-	onEvent func(HealthEvent)
+	mu     sync.Mutex
+	rules  []*ruleState
+	events []HealthEvent
 }
 
 // NewHealthMonitor builds a monitor over the rule set. Rules with an
@@ -182,19 +181,12 @@ func NewHealthMonitor(rules []HealthRule) *HealthMonitor {
 	return m
 }
 
-// OnEvent installs a callback invoked (on the Eval caller's goroutine)
-// for every transition, after it is logged.
-func (m *HealthMonitor) OnEvent(fn func(HealthEvent)) {
-	m.mu.Lock()
-	m.onEvent = fn
-	m.mu.Unlock()
-}
-
 // Eval runs every rule against one tick and returns the transitions it
 // produced (nil for a quiet tick). Transitions are appended to the
-// monitor's log and delivered to the OnEvent callback.
+// monitor's log.
 func (m *HealthMonitor) Eval(t Tick) []HealthEvent {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	var fired []HealthEvent
 	for _, s := range m.rules {
 		v, ok := t.Values[s.rule.Source]
@@ -205,13 +197,6 @@ func (m *HealthMonitor) Eval(t Tick) []HealthEvent {
 		if ok {
 			fired = append(fired, ev)
 			m.events = append(m.events, ev)
-		}
-	}
-	fn := m.onEvent
-	m.mu.Unlock()
-	if fn != nil {
-		for _, ev := range fired {
-			fn(ev)
 		}
 	}
 	return fired
@@ -277,16 +262,4 @@ func (m *HealthMonitor) Events() []HealthEvent {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return append([]HealthEvent(nil), m.events...)
-}
-
-// State reports a rule's current level (HealthOK for unknown rules).
-func (m *HealthMonitor) State(rule string) HealthState {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, s := range m.rules {
-		if s.rule.Name == rule {
-			return s.cur
-		}
-	}
-	return HealthOK
 }

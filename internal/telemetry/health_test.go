@@ -140,23 +140,20 @@ func TestHealthMonitorPlumbing(t *testing.T) {
 		{Name: "depth", Source: "queue_depth", Warn: 100}, // empty Kind → above
 		{Name: "other", Source: "absent", Warn: 1},
 	})
-	var cbEvents []HealthEvent
-	m.OnEvent(func(e HealthEvent) { cbEvents = append(cbEvents, e) })
-
 	// A tick missing a rule's source leaves that rule untouched.
 	fired := m.Eval(Tick{T: time.Unix(1, 0), Values: map[string]float64{"queue_depth": 500}})
 	if len(fired) != 1 || fired[0].Rule != "depth" || fired[0].To != HealthWarn {
 		t.Fatalf("fired = %+v", fired)
 	}
-	if m.State("depth") != HealthWarn || m.State("other") != HealthOK || m.State("unknown") != HealthOK {
-		t.Fatalf("states: depth=%v other=%v", m.State("depth"), m.State("other"))
-	}
-	if len(cbEvents) != 1 || cbEvents[0].Rule != "depth" {
-		t.Fatalf("OnEvent saw %+v", cbEvents)
+	// The untouched rule is still ok: a quiet sample is no transition,
+	// while depth, now warn, clears on one.
+	fired2 := m.Eval(Tick{T: time.Unix(2, 0), Values: map[string]float64{"queue_depth": 0, "absent": 0}})
+	if len(fired2) != 1 || fired2[0].Rule != "depth" || fired2[0].From != HealthWarn || fired2[0].To != HealthOK {
+		t.Fatalf("second tick fired %+v", fired2)
 	}
 
 	evs := m.Events()
-	if len(evs) != 1 || evs[0].FromState != "ok" || evs[0].ToState != "warn" {
+	if len(evs) != 2 || evs[0].FromState != "ok" || evs[0].ToState != "warn" {
 		t.Fatalf("Events() = %+v", evs)
 	}
 	// The log is a copy.

@@ -166,22 +166,6 @@ func (s *HistSnapshot) Quantile(p float64) int64 {
 	return s.Buckets[len(s.Buckets)-1].Upper
 }
 
-// Max returns the upper bound of the highest non-empty bucket.
-func (s *HistSnapshot) Max() int64 {
-	if s == nil || len(s.Buckets) == 0 {
-		return 0
-	}
-	return s.Buckets[len(s.Buckets)-1].Upper
-}
-
-// Mean returns the exact sample mean (the sum is tracked exactly).
-func (s *HistSnapshot) Mean() float64 {
-	if s == nil || s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
 // FractionAtOrBelow reports the fraction of samples whose bucket lies
 // entirely at or below v (conservative: the bucket straddling v is
 // excluded).

@@ -22,11 +22,11 @@ type Registry struct {
 	gaugeFuncs   map[string]func() int64
 	counterFuncs map[string]func() int64
 
-	// ctxProbes caches (name, Context, kind) → probe resolutions so the
-	// interned-context lookup path (CounterCtx and friends in tags.go)
-	// never renders tag strings after the first hit.
+	// ctxProbes caches (name, Context) → counter resolutions so the
+	// interned-context lookup path (CounterCtx in tags.go) never renders
+	// tag strings after the first hit.
 	ctxMu     sync.RWMutex
-	ctxProbes map[ctxProbeKey]any
+	ctxProbes map[ctxProbeKey]*Counter
 }
 
 // NewRegistry creates an empty registry.
@@ -164,15 +164,6 @@ func (r *Registry) GaugeFunc(name string, fn func() int64, tags ...string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.gaugeFuncs[k] = fn
-}
-
-// CounterFunc registers (or replaces) a callback counter read at
-// snapshot time, for cumulative totals maintained elsewhere.
-func (r *Registry) CounterFunc(name string, fn func() int64, tags ...string) {
-	k := Key(name, tags...)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.counterFuncs[k] = fn
 }
 
 // Unregister removes the callback probe (gauge or counter func)

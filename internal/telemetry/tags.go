@@ -64,17 +64,6 @@ func Intern(tags ...string) Context {
 	return c
 }
 
-// Tags returns a copy of the context's canonical tag list (nil for
-// ContextNone).
-func (c Context) Tags() []string {
-	tagIntern.RLock()
-	defer tagIntern.RUnlock()
-	if int(c) >= len(tagIntern.tags) {
-		return nil
-	}
-	return append([]string(nil), tagIntern.tags[int(c)]...)
-}
-
 // String renders the context as the identity suffix exporters use:
 // "{a=1,b=2}", or "" for ContextNone (and unknown contexts).
 func (c Context) String() string {
@@ -93,42 +82,13 @@ func KeyCtx(name string, ctx Context) string {
 	return name + ctx.String()
 }
 
-// ctxProbeKind discriminates the shared context-lookup cache.
-type ctxProbeKind uint8
-
-const (
-	ctxKindCounter ctxProbeKind = iota
-	ctxKindGauge
-	ctxKindWatermark
-	ctxKindHistogram
-)
-
-// ctxProbeKey is the (metric, context, kind) composite the lookup cache
-// keys on. Struct map keys compare without rendering or allocating —
-// this is what makes the tagged hot path free of per-sample string
-// work.
+// ctxProbeKey is the (metric, context) composite the counter lookup
+// cache keys on. Struct map keys compare without rendering or
+// allocating — this is what makes the tagged hot path free of
+// per-sample string work.
 type ctxProbeKey struct {
 	name string
 	ctx  Context
-	kind ctxProbeKind
-}
-
-// ctxLookup is the fast path: a read-locked map hit, no allocation.
-func (r *Registry) ctxLookup(k ctxProbeKey) (any, bool) {
-	r.ctxMu.RLock()
-	p, ok := r.ctxProbes[k]
-	r.ctxMu.RUnlock()
-	return p, ok
-}
-
-// ctxStore publishes a resolved probe into the lookup cache.
-func (r *Registry) ctxStore(k ctxProbeKey, p any) {
-	r.ctxMu.Lock()
-	if r.ctxProbes == nil {
-		r.ctxProbes = map[ctxProbeKey]any{}
-	}
-	r.ctxProbes[k] = p
-	r.ctxMu.Unlock()
 }
 
 // CounterCtx returns the counter registered under name + the interned
@@ -137,46 +97,21 @@ func (r *Registry) ctxStore(k ctxProbeKey, p any) {
 // hit with zero allocations, so a per-sample CounterCtx on a hot path
 // costs one map lookup plus the atomic add.
 func (r *Registry) CounterCtx(name string, ctx Context) *Counter {
-	k := ctxProbeKey{name, ctx, ctxKindCounter}
-	if p, ok := r.ctxLookup(k); ok {
-		return p.(*Counter)
+	k := ctxProbeKey{name, ctx}
+	r.ctxMu.RLock()
+	c, ok := r.ctxProbes[k]
+	r.ctxMu.RUnlock()
+	if ok {
+		return c
 	}
-	c := r.counterByKey(KeyCtx(name, ctx))
-	r.ctxStore(k, c)
+	c = r.counterByKey(KeyCtx(name, ctx))
+	r.ctxMu.Lock()
+	if r.ctxProbes == nil {
+		r.ctxProbes = map[ctxProbeKey]*Counter{}
+	}
+	r.ctxProbes[k] = c
+	r.ctxMu.Unlock()
 	return c
-}
-
-// GaugeCtx returns the gauge registered under name + context.
-func (r *Registry) GaugeCtx(name string, ctx Context) *Gauge {
-	k := ctxProbeKey{name, ctx, ctxKindGauge}
-	if p, ok := r.ctxLookup(k); ok {
-		return p.(*Gauge)
-	}
-	g := r.gaugeByKey(KeyCtx(name, ctx))
-	r.ctxStore(k, g)
-	return g
-}
-
-// WatermarkCtx returns the watermark registered under name + context.
-func (r *Registry) WatermarkCtx(name string, ctx Context) *Watermark {
-	k := ctxProbeKey{name, ctx, ctxKindWatermark}
-	if p, ok := r.ctxLookup(k); ok {
-		return p.(*Watermark)
-	}
-	w := r.watermarkByKey(KeyCtx(name, ctx))
-	r.ctxStore(k, w)
-	return w
-}
-
-// HistogramCtx returns the histogram registered under name + context.
-func (r *Registry) HistogramCtx(name string, ctx Context) *Histogram {
-	k := ctxProbeKey{name, ctx, ctxKindHistogram}
-	if p, ok := r.ctxLookup(k); ok {
-		return p.(*Histogram)
-	}
-	h := r.histogramByKey(KeyCtx(name, ctx))
-	r.ctxStore(k, h)
-	return h
 }
 
 // GaugeFuncCtx registers a read-at-export callback gauge under name +
@@ -190,7 +125,7 @@ func (r *Registry) GaugeFuncCtx(name string, ctx Context, fn func() int64) {
 }
 
 // CounterFuncCtx registers a read-at-export callback counter under
-// name + context (see CounterFunc).
+// name + context: a cumulative total maintained elsewhere.
 func (r *Registry) CounterFuncCtx(name string, ctx Context, fn func() int64) {
 	k := KeyCtx(name, ctx)
 	r.mu.Lock()

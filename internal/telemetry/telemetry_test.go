@@ -68,7 +68,7 @@ func TestRegistryStablePointersAndTags(t *testing.T) {
 	r.Counter("a.b", "q=1").Add(3)
 	r.GaugeFunc("depth", func() int64 { return 42 }, "q=x")
 	r.GaugeFunc("depth", func() int64 { return 7 }, "q=x") // replace
-	r.CounterFunc("total", func() int64 { return 9 })
+	r.CounterFuncCtx("total", ContextNone, func() int64 { return 9 })
 	s := r.Snapshot()
 	if s.Counters[`a.b{q=1}`] != 3 {
 		t.Fatalf("snapshot counters: %+v", s.Counters)

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ds2hpc/internal/telemetry"
@@ -153,9 +154,7 @@ type Admission struct {
 	SetupCost time.Duration
 
 	sem      chan struct{}
-	queuedNs int64 // cumulative queue wait, atomic
-	admitted uint64
-	mu       sync.Mutex
+	queuedNs atomic.Int64 // cumulative queue wait
 }
 
 // NewAdmission builds a gate with the given worker count (minimum 1).
@@ -175,10 +174,7 @@ func (a *Admission) Acquire(cancel <-chan struct{}) error {
 	case <-cancel:
 		return ErrAdmissionClosed
 	}
-	a.mu.Lock()
-	a.queuedNs += int64(time.Since(start))
-	a.admitted++
-	a.mu.Unlock()
+	a.queuedNs.Add(int64(time.Since(start)))
 	return nil
 }
 
@@ -195,14 +191,5 @@ func (a *Admission) Setup() {
 // QueueWait reports cumulative time connections spent waiting for a
 // worker slot.
 func (a *Admission) QueueWait() time.Duration {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return time.Duration(a.queuedNs)
-}
-
-// Admitted reports the total number of connections admitted.
-func (a *Admission) Admitted() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.admitted
+	return time.Duration(a.queuedNs.Load())
 }

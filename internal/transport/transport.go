@@ -141,25 +141,3 @@ func Target(addr string) Hop {
 		}
 	})
 }
-
-// AdmissionGate runs every dial through the admission gate: the dial
-// waits for a worker slot and pays the per-connection setup cost before
-// the connection is returned. The MSS load balancer applies the same
-// Admission on its accept side; the hop form lets paths model managed
-// front doors without a live proxy process.
-func AdmissionGate(a *Admission) Hop {
-	return HopFunc("admission", func(next DialFunc) DialFunc {
-		return func(network, addr string) (net.Conn, error) {
-			if err := a.Acquire(nil); err != nil {
-				return nil, err
-			}
-			defer a.Release()
-			c, err := next(network, addr)
-			if err != nil {
-				return nil, err
-			}
-			a.Setup()
-			return c, nil
-		}
-	})
-}

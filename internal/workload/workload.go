@@ -35,8 +35,8 @@ type Workload struct {
 	// DataRateBps is the workload's steady data rate from Table 1
 	// (32/30/25 Gbps); used by rate-limited producers.
 	DataRateBps int64
-	// MPI reports whether producers/consumers launch under the MPI-like
-	// rank group (Lstream and generic) or independently (Deleria).
+	// MPI reports whether producers launch behind an mpirun-style
+	// synchronized start (Lstream and generic) or independently (Deleria).
 	MPI bool
 }
 
