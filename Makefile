@@ -35,7 +35,7 @@ test:
 
 # smoke runs every checked-in example spec through `streamsim scenario`
 # (README "Bench snapshots" says what each one pins), then one small
-# paper-figure table through `expdriver`.
+# paper-figure table through `streamsim figures`.
 smoke:
 	$(GO) run ./cmd/streamsim scenario examples/scenario/worksharing.json
 	$(GO) run ./cmd/streamsim scenario examples/scenario/pipeline.json
@@ -46,7 +46,7 @@ smoke:
 	$(GO) run ./cmd/streamsim scenario examples/scenario/failover.json
 	$(GO) run ./cmd/streamsim scenario examples/scenario/failover_replicated.json
 	$(GO) run ./cmd/streamsim scenario -clients 10000 examples/scenario/scale10k.json
-	$(GO) run ./cmd/expdriver -fig 4a -cons 1 -msgs 8
+	$(GO) run ./cmd/streamsim figures -fig 4a -cons 1 -msgs 8
 
 race:
 	$(GO) vet ./...

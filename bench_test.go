@@ -116,116 +116,71 @@ func BenchmarkTable1Workloads(b *testing.B) {
 	}
 }
 
-// --------------------------------------------------------------- Figure 4
+// --------------------------------------------------------------- Figures 4-8
 
-func benchWorkSharing(b *testing.B, w workload.Workload) {
-	for _, arch := range core.AllArchitectures {
-		for _, n := range benchConsumerCounts {
-			b.Run(string(arch)+"/cons="+itoa(n), func(b *testing.B) {
-				runPoint(b, benchSpec(arch, w, pattern.WorkSharingName, n))
-			})
-		}
+// benchCells is one figure's cells at bench size over the given consumer
+// counts: one run each within a 90 s deadline.
+func benchCells(f scenario.Figure, counts []int) []scenario.Spec {
+	cells := f.Cells(scenario.FigureGrid{Scale: benchScale, Counts: counts, Msgs: benchMessages, Runs: 1})
+	for i := range cells {
+		cells[i].TimeoutMS = (90 * time.Second).Milliseconds()
 	}
+	return cells
 }
 
-// BenchmarkFig4aDstreamWorkSharing reproduces Figure 4a: Dstream
-// throughput under work sharing across all five architecture variants.
-func BenchmarkFig4aDstreamWorkSharing(b *testing.B) {
-	benchWorkSharing(b, workload.Dstream)
-}
-
-// BenchmarkFig4bLstreamWorkSharing reproduces Figure 4b: Lstream
-// throughput under work sharing.
-func BenchmarkFig4bLstreamWorkSharing(b *testing.B) {
-	benchWorkSharing(b, workload.Lstream)
-}
-
-// --------------------------------------------------------------- Figure 5
-
-// BenchmarkFig5RTTCDF reproduces Figure 5: per-message RTT distributions
-// under work sharing with feedback. The p80_ms metric is the CDF's 80th
-// percentile (the paper's headline CDF statistic).
-func BenchmarkFig5RTTCDF(b *testing.B) {
-	for _, w := range []workload.Workload{workload.Dstream, workload.Lstream} {
-		for _, arch := range scenario.Fig56Architectures {
-			b.Run(w.Name+"/"+string(arch)+"/cons=16", func(b *testing.B) {
-				res := runPoint(b, benchSpec(arch, w, pattern.FeedbackName, 16))
-				if res != nil && res.RTTCount() > 0 {
-					// Emit three CDF probes so the distribution shape is
-					// visible in the bench output.
-					b.ReportMetric(float64(res.PercentileRTT(50))/1e6, "p50_ms")
-					b.ReportMetric(float64(res.PercentileRTT(95))/1e6, "p95_ms")
-				}
-			})
+// benchFigure runs one figure's cells as sub-benchmarks named
+// <architecture>/cons=<n>, prefixed by the workload when the figure spans
+// several. An RTT-probe figure (the CDF figures 5 and 8) also reports the
+// p50 and p95 probes, so the distribution shape is visible in the output.
+func benchFigure(b *testing.B, id string) {
+	f := figure(b, id)
+	for _, spec := range benchCells(f, benchConsumerCounts) {
+		name := spec.Deployment.Architecture + "/cons=" + itoa(spec.Consumers)
+		if len(f.Workloads) > 1 {
+			name = spec.Workload.Name + "/" + name
 		}
-	}
-}
-
-// --------------------------------------------------------------- Figure 6
-
-func benchFeedback(b *testing.B, w workload.Workload) {
-	for _, arch := range scenario.Fig56Architectures {
-		for _, n := range benchConsumerCounts {
-			b.Run(string(arch)+"/cons="+itoa(n), func(b *testing.B) {
-				runPoint(b, benchSpec(arch, w, pattern.FeedbackName, n))
-			})
-		}
-	}
-}
-
-// BenchmarkFig6aDstreamFeedbackRTT reproduces Figure 6a: Dstream median
-// RTT under work sharing with feedback.
-func BenchmarkFig6aDstreamFeedbackRTT(b *testing.B) {
-	benchFeedback(b, workload.Dstream)
-}
-
-// BenchmarkFig6bLstreamFeedbackRTT reproduces Figure 6b: Lstream median
-// RTT under work sharing with feedback.
-func BenchmarkFig6bLstreamFeedbackRTT(b *testing.B) {
-	benchFeedback(b, workload.Lstream)
-}
-
-// --------------------------------------------------------------- Figure 7
-
-// BenchmarkFig7aBroadcastThroughput reproduces Figure 7a: generic-workload
-// broadcast throughput, one producer fanning out to N consumers.
-func BenchmarkFig7aBroadcastThroughput(b *testing.B) {
-	for _, arch := range scenario.Fig78Architectures {
-		for _, n := range benchConsumerCounts {
-			b.Run(string(arch)+"/cons="+itoa(n), func(b *testing.B) {
-				runPoint(b, benchSpec(arch, workload.Generic, pattern.BroadcastName, n))
-			})
-		}
-	}
-}
-
-// BenchmarkFig7bBroadcastGatherRTT reproduces Figure 7b: median RTT when
-// the producer also gathers one reply per consumer per broadcast.
-func BenchmarkFig7bBroadcastGatherRTT(b *testing.B) {
-	for _, arch := range scenario.Fig78Architectures {
-		for _, n := range benchConsumerCounts {
-			b.Run(string(arch)+"/cons="+itoa(n), func(b *testing.B) {
-				runPoint(b, benchSpec(arch, workload.Generic, pattern.BroadcastGatherName, n))
-			})
-		}
-	}
-}
-
-// --------------------------------------------------------------- Figure 8
-
-// BenchmarkFig8BroadcastGatherCDF reproduces Figure 8: RTT distributions
-// for broadcast and gather at a high consumer count.
-func BenchmarkFig8BroadcastGatherCDF(b *testing.B) {
-	for _, arch := range scenario.Fig78Architectures {
-		b.Run(string(arch)+"/cons=16", func(b *testing.B) {
-			res := runPoint(b, benchSpec(arch, workload.Generic, pattern.BroadcastGatherName, 16))
-			if res != nil && res.RTTCount() > 0 {
+		b.Run(name, func(b *testing.B) {
+			res := runPoint(b, spec)
+			if f.Report == scenario.ReportRTTProbes && res != nil && res.RTTCount() > 0 {
 				b.ReportMetric(float64(res.PercentileRTT(50))/1e6, "p50_ms")
 				b.ReportMetric(float64(res.PercentileRTT(95))/1e6, "p95_ms")
 			}
 		})
 	}
 }
+
+// BenchmarkFig4aDstreamWorkSharing reproduces Figure 4a: Dstream
+// throughput under work sharing across all five architecture variants.
+func BenchmarkFig4aDstreamWorkSharing(b *testing.B) { benchFigure(b, "4a") }
+
+// BenchmarkFig4bLstreamWorkSharing reproduces Figure 4b: Lstream
+// throughput under work sharing.
+func BenchmarkFig4bLstreamWorkSharing(b *testing.B) { benchFigure(b, "4b") }
+
+// BenchmarkFig5RTTCDF reproduces Figure 5: per-message RTT distributions
+// under work sharing with feedback at 16 consumers. The p80_ms metric is
+// the CDF's 80th percentile (the paper's headline CDF statistic).
+func BenchmarkFig5RTTCDF(b *testing.B) { benchFigure(b, "5") }
+
+// BenchmarkFig6aDstreamFeedbackRTT reproduces Figure 6a: Dstream median
+// RTT under work sharing with feedback.
+func BenchmarkFig6aDstreamFeedbackRTT(b *testing.B) { benchFigure(b, "6a") }
+
+// BenchmarkFig6bLstreamFeedbackRTT reproduces Figure 6b: Lstream median
+// RTT under work sharing with feedback.
+func BenchmarkFig6bLstreamFeedbackRTT(b *testing.B) { benchFigure(b, "6b") }
+
+// BenchmarkFig7aBroadcastThroughput reproduces Figure 7a: generic-workload
+// broadcast throughput, one producer fanning out to N consumers.
+func BenchmarkFig7aBroadcastThroughput(b *testing.B) { benchFigure(b, "7a") }
+
+// BenchmarkFig7bBroadcastGatherRTT reproduces Figure 7b: median RTT when
+// the producer also gathers one reply per consumer per broadcast.
+func BenchmarkFig7bBroadcastGatherRTT(b *testing.B) { benchFigure(b, "7b") }
+
+// BenchmarkFig8BroadcastGatherCDF reproduces Figure 8: RTT distributions
+// for broadcast and gather at a high consumer count (16).
+func BenchmarkFig8BroadcastGatherCDF(b *testing.B) { benchFigure(b, "8") }
 
 // --------------------------------------------------------------- ablations
 
@@ -329,14 +284,15 @@ func BenchmarkAblationDurabilityPayload(b *testing.B) {
 // BenchmarkOverheadVsDTS reproduces the §5.3 overhead numbers: PRS and MSS
 // throughput overhead relative to the DTS baseline at 8 consumers.
 func BenchmarkOverheadVsDTS(b *testing.B) {
-	base, err := scenario.Run(context.Background(), benchSpec(core.DTS, workload.Dstream, pattern.WorkSharingName, 8))
+	cells := benchCells(figure(b, "overhead"), []int{8})
+	base, err := scenario.Run(context.Background(), cells[0])
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, arch := range []core.ArchitectureName{core.PRSHAProxy, core.MSS} {
-		b.Run(string(arch), func(b *testing.B) {
+	for _, spec := range cells[1:] {
+		b.Run(spec.Deployment.Architecture, func(b *testing.B) {
 			before := telemetry.Default.Snapshot().Counters
-			res := runPoint(b, benchSpec(arch, workload.Dstream, pattern.WorkSharingName, 8))
+			res := runPoint(b, spec)
 			if res != nil {
 				b.ReportMetric(metrics.Overhead(base.Result.Throughput, res.Throughput), "overhead_x")
 			}

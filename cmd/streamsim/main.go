@@ -1,10 +1,14 @@
 // Command streamsim is the Golang streaming simulator of the paper's §5.2.
-// It runs in three modes:
+// It runs in four modes:
 //
 //   - scenario: execute a declarative scenario spec from a JSON file — the
 //     whole data point (deployment, workload, pattern, client counts,
 //     tuning, fault script, runs) in one document. See internal/scenario
 //     and examples/scenario for the spec format.
+//
+//   - figures: rerun the paper's evaluation (§5), one table per entry of
+//     scenario.Figures (-fig 4a … overhead, or all), plus the client-scale
+//     grid (-fig scale).
 //
 //   - distributed: a `coordinator` role assigns queues to remote `producer`
 //     and `consumer` processes (which may run on other hosts against a
@@ -18,6 +22,7 @@
 // Examples:
 //
 //	streamsim scenario examples/scenario/worksharing.json
+//	streamsim figures -fig 4a -cons 1,4,16 -msgs 48
 //	streamsim telemetry-sink -addr 127.0.0.1:9191 &
 //	streamsim scenario -watch -forward 127.0.0.1:9191 examples/scenario/worksharing.json
 //	streamsim coordinator -participants 4 -endpoint amqp://127.0.0.1:5672 -msgs 100
@@ -26,6 +31,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -33,6 +39,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -53,6 +60,8 @@ func main() {
 	switch os.Args[1] {
 	case "scenario":
 		err = runScenario(os.Args[2:])
+	case "figures":
+		err = runFigures(os.Args[2:], os.Stdout)
 	case "coordinator":
 		err = runCoordinator(os.Args[2:])
 	case "producer":
@@ -73,7 +82,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: streamsim {scenario|coordinator|producer|consumer|telemetry-sink} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: streamsim {scenario|figures|coordinator|producer|consumer|telemetry-sink} [flags]")
 	os.Exit(2)
 }
 
@@ -227,11 +236,7 @@ func printReport(rep *scenario.Report) {
 	}
 	fmt.Printf("architecture:   %s\n", spec.Deployment.Architecture)
 	if n := spec.Deployment.ClusterNodes; n > 0 {
-		placement := spec.Deployment.Placement
-		if placement == "" {
-			placement = "ring"
-		}
-		fmt.Printf("cluster:        nodes=%d placement=%s\n", n, placement)
+		fmt.Printf("cluster:        nodes=%d\n", n)
 	}
 	fmt.Printf("workload:       %s\n", spec.Workload.Name)
 	fmt.Printf("pattern:        %s\n", spec.Pattern)
@@ -254,13 +259,8 @@ func printReport(rep *scenario.Report) {
 		fmt.Printf("p50/p95/p99:    %v / %v / %v\n", rep.P50, rep.P95, rep.P99)
 	}
 	if n := len(rep.Timeline); n > 0 {
-		peak := rep.Timeline[0].V
-		for _, p := range rep.Timeline {
-			if p.V > peak {
-				peak = p.V
-			}
-		}
-		fmt.Printf("timeline:       %d point(s), peak %.1f msgs/sec\n", n, peak)
+		peak := slices.MaxFunc(rep.Timeline, func(a, b telemetry.Point) int { return cmp.Compare(a.V, b.V) })
+		fmt.Printf("timeline:       %d point(s), peak %.1f msgs/sec\n", n, peak.V)
 	}
 	if len(spec.Faults) > 0 {
 		fmt.Printf("faults:         %d flaps, %d resets, %d refused dials\n",

@@ -1,11 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"ds2hpc/internal/core"
 )
 
 // TestScenarioSubcommand drives the declarative mode end to end: a tiny
@@ -85,6 +90,40 @@ func TestScenarioRejectsBadInput(t *testing.T) {
 		"pattern": "work-sharing", "messages_per_producer": 0}`
 	if err := runScenario([]string{write("invalid.json", bad)}); err == nil {
 		t.Fatal("invalid spec must be rejected by validation")
+	}
+}
+
+// TestFiguresSubcommand runs one small paper figure end to end: the
+// Figure 4a table prints one row per architecture with one throughput
+// column, and an unknown figure id is an error (a non-zero exit).
+func TestFiguresSubcommand(t *testing.T) {
+	var out bytes.Buffer
+	if err := runFigures([]string{"-fig", "4a", "-cons", "1", "-msgs", "8"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	var lines []string // health transitions, if any, print above the table
+	for _, l := range strings.Split(strings.TrimSpace(out.String()), "\n") {
+		if !strings.HasPrefix(l, "   health ") {
+			lines = append(lines, l)
+		}
+	}
+	if want := "== Figure 4a: Dstream throughput, work sharing (msgs/sec)"; lines[0] != want {
+		t.Fatalf("title = %q, want %q", lines[0], want)
+	}
+	if got := strings.Fields(lines[1]); strings.Join(got, " ") != "architecture cons=1" {
+		t.Fatalf("header = %q", lines[1])
+	}
+	rows := lines[2:]
+	if len(rows) != len(core.AllArchitectures) {
+		t.Fatalf("%d rows, want one per architecture:\n%s", len(rows), out.String())
+	}
+	for i, arch := range core.AllArchitectures {
+		if f := strings.Fields(rows[i]); len(f) != 2 || f[0] != string(arch) {
+			t.Fatalf("row %d = %q, want %s and one throughput", i, rows[i], arch)
+		}
+	}
+	if err := runFigures([]string{"-fig", "4c"}, io.Discard); err == nil {
+		t.Fatal("unknown -fig must be rejected")
 	}
 }
 

@@ -6,7 +6,9 @@
 //
 // The tests speak the declarative scenario API: each data point is one
 // scenario.Spec value executed by scenario.Run, the same path the
-// `streamsim scenario` subcommand drives from a JSON file.
+// `streamsim scenario` subcommand drives from a JSON file. The figure
+// tests take their cells from scenario.Figures, as the benchmarks and
+// `streamsim figures` do, and check what each figure reports.
 //
 // Budgets are deliberately small — a handful of messages and two consumers
 // per point — so the whole suite stays well under a minute; `-short` trims
@@ -72,6 +74,90 @@ func shortArchs(archs []core.ArchitectureName) []core.ArchitectureName {
 	return archs
 }
 
+// figure is the scenario.Figures entry with the given id.
+func figure(tb testing.TB, id string) scenario.Figure {
+	tb.Helper()
+	for _, f := range scenario.Figures {
+		if f.ID == id {
+			return f
+		}
+	}
+	tb.Fatalf("no figure %q in scenario.Figures", id)
+	return scenario.Figure{}
+}
+
+// testCells is one figure's cells at test size: testConsumers consumers
+// and the flat testMessages budget of testSpec.
+func testCells(f scenario.Figure) []scenario.Spec {
+	cells := f.Cells(scenario.FigureGrid{Scale: benchScale, Counts: []int{testConsumers}, Msgs: testMessages, Runs: 1})
+	for i := range cells {
+		cells[i].MessagesPerProducer = testMessages
+		cells[i].TimeoutMS = (30 * time.Second).Milliseconds()
+	}
+	return cells
+}
+
+// testFigure runs one figure's cells at test size, one subtest per
+// architecture (the DTS baseline only under -short) covering each of the
+// figure's workloads, and checks what the figure reports.
+func testFigure(t *testing.T, id string) {
+	f := figure(t, id)
+	cells := testCells(f)
+	for _, arch := range shortArchs(f.Architectures) {
+		t.Run(string(arch), func(t *testing.T) {
+			for _, spec := range cells {
+				if spec.Deployment.Architecture == string(arch) {
+					checkFigure(t, f.Report, testPoint(t, spec))
+				}
+			}
+		})
+	}
+}
+
+// checkFigure asserts what a figure of the given kind reads from one test
+// point. Every message is delivered once (each consumer gets every
+// broadcast message), and an RTT figure has one sample per delivered
+// message (per gathered reply under broadcast-gather).
+func checkFigure(t *testing.T, kind scenario.FigureReport, res *metrics.Result) {
+	t.Helper()
+	want := int64(testConsumers * testMessages)
+	switch kind {
+	case scenario.ReportThroughput:
+		if res.Consumed != want {
+			t.Fatalf("consumed %d, want %d", res.Consumed, want)
+		}
+	case scenario.ReportMedianRTT:
+		if res.RTTCount() != want {
+			t.Fatalf("RTT samples = %d, want %d", res.RTTCount(), want)
+		}
+		if res.MedianRTT() <= 0 {
+			t.Fatal("median RTT must be positive")
+		}
+		if res.PercentileRTT(99) < res.MedianRTT() {
+			t.Fatal("p99 < median")
+		}
+	case scenario.ReportRTTProbes:
+		if res.RTTCount() != want {
+			t.Fatalf("RTT samples = %d, want %d", res.RTTCount(), want)
+		}
+		cdf := res.RTT.CDF(4)
+		if len(cdf) == 0 {
+			t.Fatal("empty CDF")
+		}
+		for i := 1; i < len(cdf); i++ {
+			if cdf[i].P < cdf[i-1].P || cdf[i].V < cdf[i-1].V {
+				t.Fatalf("CDF not monotonic at %d: %+v", i, cdf)
+			}
+		}
+		if last := cdf[len(cdf)-1].P; last != 1 {
+			t.Fatalf("CDF must end at 1, got %v", last)
+		}
+		if res.FractionUnder(res.PercentileRTT(80)) < 0.75 {
+			t.Fatalf("p80 fraction inconsistent: %v", res.FractionUnder(res.PercentileRTT(80)))
+		}
+	}
+}
+
 // --------------------------------------------------------------- Table 1
 
 func TestTable1Workloads(t *testing.T) {
@@ -92,116 +178,28 @@ func TestTable1Workloads(t *testing.T) {
 	}
 }
 
-// --------------------------------------------------------------- Figure 4
+// --------------------------------------------------------------- Figures 4-8
 
-func testWorkSharing(t *testing.T, w workload.Workload) {
-	for _, arch := range shortArchs(core.AllArchitectures) {
-		arch := arch
-		t.Run(string(arch), func(t *testing.T) {
-			res := testPoint(t, testSpec(arch, w, "work-sharing", testConsumers))
-			want := int64(testConsumers * testMessages)
-			if res.Consumed != want {
-				t.Fatalf("consumed %d, want %d", res.Consumed, want)
-			}
-		})
-	}
-}
-
-func TestFig4aDstreamWorkSharing(t *testing.T) { testWorkSharing(t, workload.Dstream) }
+func TestFig4aDstreamWorkSharing(t *testing.T) { testFigure(t, "4a") }
 
 func TestFig4bLstreamWorkSharing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Lstream sweep covered by Fig6b in short mode")
 	}
-	testWorkSharing(t, workload.Lstream)
+	testFigure(t, "4b")
 }
 
-// --------------------------------------------------------------- Figure 5
+func TestFig5RTTCDF(t *testing.T) { testFigure(t, "5") }
 
-func TestFig5RTTCDF(t *testing.T) {
-	for _, arch := range shortArchs(scenario.Fig56Architectures) {
-		arch := arch
-		t.Run(string(arch), func(t *testing.T) {
-			res := testPoint(t, testSpec(arch, workload.Dstream, "work-sharing-feedback", testConsumers))
-			want := testConsumers * testMessages
-			if res.RTTCount() != int64(want) {
-				t.Fatalf("RTT samples = %d, want %d", res.RTTCount(), want)
-			}
-			cdf := res.RTT.CDF(4)
-			if len(cdf) == 0 {
-				t.Fatal("empty CDF")
-			}
-			for i := 1; i < len(cdf); i++ {
-				if cdf[i].P < cdf[i-1].P || cdf[i].V < cdf[i-1].V {
-					t.Fatalf("CDF not monotonic at %d: %+v", i, cdf)
-				}
-			}
-			if last := cdf[len(cdf)-1].P; last != 1 {
-				t.Fatalf("CDF must end at 1, got %v", last)
-			}
-		})
-	}
-}
+func TestFig6aDstreamFeedbackRTT(t *testing.T) { testFigure(t, "6a") }
 
-// --------------------------------------------------------------- Figure 6
+func TestFig6bLstreamFeedbackRTT(t *testing.T) { testFigure(t, "6b") }
 
-func testFeedback(t *testing.T, w workload.Workload) {
-	for _, arch := range shortArchs(scenario.Fig56Architectures) {
-		arch := arch
-		t.Run(string(arch), func(t *testing.T) {
-			res := testPoint(t, testSpec(arch, w, "work-sharing-feedback", testConsumers))
-			if res.MedianRTT() <= 0 {
-				t.Fatal("median RTT must be positive")
-			}
-			if res.PercentileRTT(99) < res.MedianRTT() {
-				t.Fatal("p99 < median")
-			}
-		})
-	}
-}
+func TestFig7aBroadcastThroughput(t *testing.T) { testFigure(t, "7a") }
 
-func TestFig6aDstreamFeedbackRTT(t *testing.T) { testFeedback(t, workload.Dstream) }
+func TestFig7bBroadcastGatherRTT(t *testing.T) { testFigure(t, "7b") }
 
-func TestFig6bLstreamFeedbackRTT(t *testing.T) { testFeedback(t, workload.Lstream) }
-
-// --------------------------------------------------------------- Figure 7
-
-func TestFig7aBroadcastThroughput(t *testing.T) {
-	for _, arch := range shortArchs(scenario.Fig78Architectures) {
-		arch := arch
-		t.Run(string(arch), func(t *testing.T) {
-			res := testPoint(t, testSpec(arch, workload.Generic, "broadcast", testConsumers))
-			// Every consumer receives every broadcast message.
-			want := int64(testConsumers * testMessages)
-			if res.Consumed != want {
-				t.Fatalf("consumed %d, want %d", res.Consumed, want)
-			}
-		})
-	}
-}
-
-func TestFig7bBroadcastGatherRTT(t *testing.T) {
-	for _, arch := range shortArchs(scenario.Fig78Architectures) {
-		arch := arch
-		t.Run(string(arch), func(t *testing.T) {
-			res := testPoint(t, testSpec(arch, workload.Generic, "broadcast-gather", testConsumers))
-			// One gathered reply (and one RTT sample) per consumer per msg.
-			want := testConsumers * testMessages
-			if res.RTTCount() != int64(want) {
-				t.Fatalf("RTT samples = %d, want %d", res.RTTCount(), want)
-			}
-		})
-	}
-}
-
-// --------------------------------------------------------------- Figure 8
-
-func TestFig8BroadcastGatherCDF(t *testing.T) {
-	res := testPoint(t, testSpec(core.DTS, workload.Generic, "broadcast-gather", testConsumers))
-	if res.FractionUnder(res.PercentileRTT(80)) < 0.75 {
-		t.Fatalf("p80 fraction inconsistent: %v", res.FractionUnder(res.PercentileRTT(80)))
-	}
-}
+func TestFig8BroadcastGatherCDF(t *testing.T) { testFigure(t, "8") }
 
 // --------------------------------------------------------------- pipeline
 
@@ -307,11 +305,11 @@ func TestOverheadVsDTS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-architecture comparison skipped under -short")
 	}
-	base := testPoint(t, testSpec(core.DTS, workload.Dstream, "work-sharing", testConsumers))
-	for _, arch := range []core.ArchitectureName{core.PRSHAProxy, core.MSS} {
-		arch := arch
-		t.Run(string(arch), func(t *testing.T) {
-			res := testPoint(t, testSpec(arch, workload.Dstream, "work-sharing", testConsumers))
+	cells := testCells(figure(t, "overhead"))
+	base := testPoint(t, cells[0])
+	for _, spec := range cells[1:] {
+		t.Run(spec.Deployment.Architecture, func(t *testing.T) {
+			res := testPoint(t, spec)
 			ov := metrics.Overhead(base.Throughput, res.Throughput)
 			if ov <= 0 {
 				t.Fatalf("overhead %v must be positive", ov)

@@ -398,8 +398,9 @@ func (c *Cluster) Kill(i int) ([]QueueInfo, error) {
 		}
 	}
 	// Surviving masters drop the dead node from their mirror sets
-	// (releasing any confirms it owed); the dead node's own replication
-	// state and links are discarded.
+	// (releasing any confirms it owed) and re-mirror what it held onto
+	// the next live ring owner; the dead node's own replication state and
+	// links are discarded.
 	for j, rm := range repls {
 		if rm == nil {
 			continue
@@ -408,6 +409,7 @@ func (c *Cluster) Kill(i int) ([]QueueInfo, error) {
 			rm.reset()
 		} else {
 			rm.nodeDown(i)
+			rm.reconcileAll()
 		}
 	}
 	if deadHub != nil {

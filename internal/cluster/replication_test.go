@@ -5,6 +5,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -283,6 +284,47 @@ func TestRestartRejoinsAsMirror(t *testing.T) {
 	// replicated and its history drainable from the current master.
 	waitGauge(t, insync, insyncBase, 1, "insync_mirrors after rejoin")
 	drainAll(t, c, c.OwnerOf(qname), qname, n)
+}
+
+// TestKillReplacesLostMirror kills the node holding a replicated queue's
+// mirror, not its master: the surviving master must re-mirror the queue
+// onto the last node without waiting for a restart or a join.
+func TestKillReplacesLostMirror(t *testing.T) {
+	c := startReplicated(t, t.TempDir())
+
+	qname := queueOwnedBy(t, c, 0, "lost-mirror-q")
+	conn, err := amqp.Dial("amqp://" + c.AddrFor(qname))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, _ := conn.Channel()
+	if _, err := ch.QueueDeclare(qname, true, false, false, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	waitMirrors := func(what string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for c.InSyncMirrors(defaultVHost, qname) != 1 {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: InSyncMirrors = %d, want 1", what, c.InSyncMirrors(defaultVHost, qname))
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	waitMirrors("before the kill")
+	publishReplicated(t, c, qname, 6)
+
+	mirror := slices.DeleteFunc(c.dir.Ring().Owners(qname, 3), func(n int) bool { return n == 0 })[0]
+	moved, err := c.Kill(mirror)
+	if err != nil {
+		t.Fatalf("Kill(%d): %v", mirror, err)
+	}
+	if slices.ContainsFunc(moved, func(q QueueInfo) bool { return q.Name == qname }) {
+		t.Fatalf("killing the mirror node moved the queue (moved=%v)", moved)
+	}
+	waitMirrors("after the mirror's node died")
+	drainAll(t, c, 0, qname, 6)
 }
 
 // writeGate holds the writes of the federation connections dialed to one

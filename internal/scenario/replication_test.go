@@ -18,7 +18,6 @@ func TestRollingNodeKillScenario(t *testing.T) {
 		Deployment: Deployment{
 			Architecture:         "DTS",
 			ClusterNodes:         3,
-			Placement:            "ring",
 			ReplicationFactor:    2,
 			FabricScale:          0.2,
 			DisableClientShaping: true,

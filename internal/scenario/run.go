@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"runtime"
 	"slices"
 	"sync"
@@ -76,7 +77,6 @@ type options struct {
 	watch       func(telemetry.Tick)
 	healthWatch func(telemetry.HealthEvent)
 	forwarder   TickForwarder
-	parallel    int
 }
 
 // TickForwarder receives the scenario's telemetry stream for off-box
@@ -112,17 +112,6 @@ func WithForwarder(fw TickForwarder) Option {
 	return func(o *options) { o.forwarder = fw }
 }
 
-// WithParallel makes Sweep run up to n grid cells concurrently. Parallel
-// cells cannot share one deployment (their queue names would collide on
-// one broker), so each cell deploys its own — trading setup cost and
-// memory for sweep wall-clock, which is what a clients×architecture grid
-// into the 10⁴–10⁵ range needs. Watch callbacks from concurrent cells
-// interleave. Run/RunOn ignore the option; n <= 1 keeps the sequential
-// shared-deployment sweep.
-func WithParallel(n int) Option {
-	return func(o *options) { o.parallel = n }
-}
-
 func buildOptions(opts []Option) options {
 	var o options
 	for _, fn := range opts {
@@ -146,34 +135,24 @@ type liveMetrics struct {
 	baseErrors   int64
 }
 
+// read adds the current run's count to the completed runs' total.
+func (lm *liveMetrics) read(base *int64, cur func(*metrics.Collector) int64) int64 {
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	if lm.cur == nil {
+		return *base
+	}
+	return *base + cur(lm.cur)
+}
+
 func (lm *liveMetrics) consumed() int64 {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	n := lm.baseConsumed
-	if lm.cur != nil {
-		n += lm.cur.ConsumedTotal()
-	}
-	return n
+	return lm.read(&lm.baseConsumed, (*metrics.Collector).ConsumedTotal)
 }
-
 func (lm *liveMetrics) produced() int64 {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	n := lm.baseProduced
-	if lm.cur != nil {
-		n += lm.cur.ProducedTotal()
-	}
-	return n
+	return lm.read(&lm.baseProduced, (*metrics.Collector).ProducedTotal)
 }
-
 func (lm *liveMetrics) errors() int64 {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	n := lm.baseErrors
-	if lm.cur != nil {
-		n += lm.cur.ErrorsTotal()
-	}
-	return n
+	return lm.read(&lm.baseErrors, (*metrics.Collector).ErrorsTotal)
 }
 
 // beginRun points the live view at a fresh collector.
@@ -260,23 +239,39 @@ func Run(ctx context.Context, spec Spec, opts ...Option) (*Report, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	depOpts := spec.options()
-	cleanup, err := spec.applyDurability(&depOpts)
+	dep, inj, teardown, err := deploy(spec)
 	if err != nil {
 		return nil, err
 	}
-	defer cleanup()
-	var inj *transport.Injector
+	defer teardown()
+	return runOn(ctx, dep, inj, spec, buildOptions(opts))
+}
+
+// deploy stands up the spec's deployment, with durable storage in a fresh
+// temporary directory when the spec declares durability but names none,
+// and the fault injector composed into every client path when the spec
+// scripts transport faults. teardown closes it and removes that directory.
+func deploy(spec Spec) (dep core.Deployment, inj *transport.Injector, teardown func(), err error) {
+	opts := spec.options()
+	cleanup := func() {}
+	if spec.Deployment.Durability != nil && opts.DataDir == "" {
+		dir, err := os.MkdirTemp("", "ds2hpc-durable-")
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("scenario: durability temp dir: %w", err)
+		}
+		opts.DataDir = dir
+		cleanup = func() { os.RemoveAll(dir) }
+	}
 	if spec.needsInjector() {
 		inj = transport.NewInjector()
-		depOpts.Faults = inj
+		opts.Faults = inj
 	}
-	dep, err := core.Deploy(core.ArchitectureName(spec.Deployment.Architecture), depOpts)
+	dep, err = core.Deploy(core.ArchitectureName(spec.Deployment.Architecture), opts)
 	if err != nil {
-		return nil, fmt.Errorf("scenario: deploy %s: %w", spec.Deployment.Architecture, err)
+		cleanup()
+		return nil, nil, nil, fmt.Errorf("scenario: deploy %s: %w", spec.Deployment.Architecture, err)
 	}
-	defer dep.Close()
-	return runOn(ctx, dep, inj, spec, buildOptions(opts))
+	return dep, inj, func() { dep.Close(); cleanup() }, nil
 }
 
 // RunOn executes the scenario's workload, pattern, counts and tuning on an
@@ -441,21 +436,20 @@ func runOn(ctx context.Context, dep core.Deployment, inj *transport.Injector, sp
 
 // crashWatcher returns the watcher of the spec's broker-restart, node-kill
 // or rolling-node-kill fault (Validate allows at most one of them), or nil
-// when none is declared. The watcher polls the run's consumed count until
-// stop closes; completed cycles count into *restarts or *kills.
+// when none is declared. A node-kill is a rolling kill of one victim. The
+// watcher polls the run's consumed count until stop closes; completed
+// cycles count into *restarts or *kills.
 func crashWatcher(dep core.Deployment, spec Spec, restarts, kills *int) func(consumed func() int64, stop <-chan struct{}) {
 	total := spec.totalMessages()
 	for _, f := range spec.Faults {
-		at := int64(f.AtFraction * float64(total))
 		switch f.Kind {
 		case FaultBrokerRestart:
 			return func(consumed func() int64, stop <-chan struct{}) {
-				watchBrokerRestart(dep, f, at, consumed, stop, restarts)
+				watchBrokerRestart(dep, f, int64(f.AtFraction*float64(total)), consumed, stop, restarts)
 			}
 		case FaultNodeKill:
-			return func(consumed func() int64, stop <-chan struct{}) {
-				watchNodeKill(dep, f, at, consumed, stop, kills)
-			}
+			f.Count = 1
+			fallthrough
 		case FaultRollingNodeKill:
 			return func(consumed func() int64, stop <-chan struct{}) {
 				watchRollingNodeKill(dep, f, total, spec.Deployment.ReplicationFactor, consumed, stop, kills)
@@ -465,11 +459,26 @@ func crashWatcher(dep core.Deployment, spec Spec, restarts, kills *int) func(con
 	return nil
 }
 
-// watchBrokerRestart executes one broker-restart fault cycle: poll the
-// run's consumed count until it crosses the threshold, hard-kill every
-// broker node, wait out the outage, and bring the nodes back on their
-// original addresses. The stop channel abandons the wait (run over), but
-// a crash that already happened always completes its restart half so the
+// waitUntil polls ready every millisecond until it holds (true) or stop
+// closes first (false).
+func waitUntil(ready func() bool, stop <-chan struct{}) bool {
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	for !ready() {
+		select {
+		case <-stop:
+			return false
+		case <-tick.C:
+		}
+	}
+	return true
+}
+
+// watchBrokerRestart executes one broker-restart fault cycle: wait for the
+// run's consumed count to cross the threshold, hard-kill every broker
+// node, wait out the outage, and bring the nodes back on their original
+// addresses. The stop channel abandons the wait (run over), but a crash
+// that already happened always completes its restart half so the
 // deployment is never left dead. Completed cycles increment *restarts,
 // which the caller reads only after the watcher is done.
 func watchBrokerRestart(dep core.Deployment, f Fault, at int64,
@@ -478,14 +487,8 @@ func watchBrokerRestart(dep core.Deployment, f Fault, at int64,
 	if down <= 0 {
 		down = 50 * time.Millisecond
 	}
-	tick := time.NewTicker(time.Millisecond)
-	defer tick.Stop()
-	for consumed() < at {
-		select {
-		case <-stop:
-			return
-		case <-tick.C:
-		}
+	if !waitUntil(func() bool { return consumed() >= at }, stop) {
+		return
 	}
 	cl := dep.Cluster()
 	n := cl.Size()
@@ -504,66 +507,33 @@ func watchBrokerRestart(dep core.Deployment, f Fault, at int64,
 	}
 }
 
-// watchNodeKill executes one node-kill fault: poll the run's consumed
-// count until it crosses the threshold, then hard-kill the victim node —
-// the fault's explicit pick, or the node mastering the most queues — and
-// fail its queues over to survivors. The node stays down for the rest of
-// the run; clients ride the failover through seed rotation and redirects.
-// Completed kills increment *kills, which the caller reads only after the
-// watcher is done.
-func watchNodeKill(dep core.Deployment, f Fault, at int64,
-	consumed func() int64, stop <-chan struct{}, kills *int) {
-	tick := time.NewTicker(time.Millisecond)
-	defer tick.Stop()
-	for consumed() < at {
-		select {
-		case <-stop:
-			return
-		case <-tick.C:
-		}
-	}
-	cl := dep.Cluster()
-	victim := 0
-	if f.Node != nil {
-		victim = *f.Node
-	} else if busiest, ok := cl.Directory().Busiest(); ok {
-		victim = busiest
-	}
-	if _, err := cl.Kill(victim); err == nil {
-		*kills++
-	}
-}
-
 // watchRollingNodeKill executes a rolling kill schedule: the k-th victim
 // dies once the run's consumed count crosses at_fraction + k·every_fraction
-// of the production budget. The first victim is the fault's explicit pick
-// or the busiest master; each subsequent victim is the node the previous
-// failover moved the most queues onto — the schedule chases the promoted
-// masters, the worst case for a replicated deployment. Like a rolling
-// restart waiting for readiness, a later victim also waits, while enough
-// nodes survive to hold rf copies, until every queue the previous failover
-// moved has rf-1 in-sync mirrors again (for at most resyncWait): killed
-// without one, the queue relocates. Killed nodes stay down for the rest of
-// the run. Each completed kill increments *kills.
+// of the production budget, and its queues fail over to survivors. The
+// first victim is the fault's explicit pick or the busiest master; each
+// subsequent victim is the node the previous failover moved the most
+// queues onto — the schedule chases the promoted masters, the worst case
+// for a replicated deployment. Like a rolling restart waiting for
+// readiness, a later victim also waits, while enough nodes survive to hold
+// rf copies, until every queue the previous failover moved has rf-1
+// in-sync mirrors again (for at most resyncWait): killed without one, the
+// queue relocates. Killed nodes stay down for the rest of the run; clients
+// ride the failover through seed rotation and redirects. Each completed
+// kill increments *kills, which the caller reads only after the watcher is
+// done.
 func watchRollingNodeKill(dep core.Deployment, f Fault, total int64, rf int,
 	consumed func() int64, stop <-chan struct{}, kills *int) {
 	const resyncWait = 2 * time.Second
 	cl := dep.Cluster()
 	resynced := func() bool { return true }
-	tick := time.NewTicker(time.Millisecond)
-	defer tick.Stop()
 	victim := -1
 	if f.Node != nil {
 		victim = *f.Node
 	}
 	for k := 0; k < f.Count; k++ {
 		at := int64((f.AtFraction + float64(k)*f.EveryFraction) * float64(total))
-		for consumed() < at || !resynced() {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-			}
+		if !waitUntil(func() bool { return consumed() >= at && resynced() }, stop) {
+			return
 		}
 		if victim < 0 {
 			busiest, ok := cl.Directory().Busiest()
@@ -611,65 +581,34 @@ func statsDelta(before, after transport.Stats) transport.Stats {
 	}
 }
 
-// ConsumerCounts is the x-axis of every figure: 1-64 consumers.
-var ConsumerCounts = []int{1, 2, 4, 8, 16, 32, 64}
-
-// Sweep runs the scenario across consumer counts on one shared deployment
-// (the x-axis of every figure; an empty slice means ConsumerCounts).
+// Sweep runs the scenario across consumer counts (a figure's x-axis) on
+// one shared deployment, one cell after another.
 // Producers scale with consumers except for single-producer patterns,
 // matching §5.2 ("all other tests were performed with an equal number of
 // producers and consumers"). A fault script, when present, is re-armed
 // for every point. Points already collected are returned alongside the
-// first error. Under WithParallel(n), grid cells run concurrently (at
-// most n at a time) on independent per-cell deployments instead, and
-// the returned points are the prefix of cells completed before the
-// first failing cell.
+// first error.
 func Sweep(ctx context.Context, spec Spec, consumerCounts []int, opts ...Option) ([]*Report, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
-	}
-	if len(consumerCounts) == 0 {
-		consumerCounts = ConsumerCounts
 	}
 	singleProducer := false
 	if g, ok := pattern.Lookup(spec.Pattern); ok {
 		singleProducer = g.SingleProducer
 	}
-	cells := make([]Spec, len(consumerCounts))
-	for i, n := range consumerCounts {
-		s := spec
-		s.Consumers = n
-		if singleProducer {
-			s.Producers = 1
-		} else {
-			s.Producers = n
-		}
-		cells[i] = s
-	}
-	o := buildOptions(opts)
-	if o.parallel > 1 {
-		return sweepParallel(ctx, cells, o.parallel, opts)
-	}
-
-	depOpts := spec.options()
-	cleanup, err := spec.applyDurability(&depOpts)
+	dep, inj, teardown, err := deploy(spec)
 	if err != nil {
 		return nil, err
 	}
-	defer cleanup()
-	var inj *transport.Injector
-	if spec.needsInjector() {
-		inj = transport.NewInjector()
-		depOpts.Faults = inj
-	}
-	dep, err := core.Deploy(core.ArchitectureName(spec.Deployment.Architecture), depOpts)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: deploy %s: %w", spec.Deployment.Architecture, err)
-	}
-	defer dep.Close()
-
+	defer teardown()
+	o := buildOptions(opts)
 	var points []*Report
-	for _, s := range cells {
+	for _, n := range consumerCounts {
+		s := spec
+		s.Consumers, s.Producers = n, n
+		if singleProducer {
+			s.Producers = 1
+		}
 		rep, err := runOn(ctx, dep, inj, s, o)
 		if err != nil {
 			return points, err
@@ -679,43 +618,11 @@ func Sweep(ctx context.Context, spec Spec, consumerCounts []int, opts ...Option)
 	return points, nil
 }
 
-// sweepParallel runs each grid cell as a full scenario.Run — its own
-// deployment, so concurrent cells can't collide on queue names inside a
-// shared broker — with at most cap cells in flight. Results keep the
-// grid order regardless of completion order.
-func sweepParallel(ctx context.Context, cells []Spec, cap int, opts []Option) ([]*Report, error) {
-	if cap > len(cells) {
-		cap = len(cells)
-	}
-	reports := make([]*Report, len(cells))
-	errs := make([]error, len(cells))
-	sem := make(chan struct{}, cap)
-	var wg sync.WaitGroup
-	for i := range cells {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			reports[i], errs[i] = Run(ctx, cells[i], opts...)
-		}(i)
-	}
-	wg.Wait()
-	var points []*Report
-	for i, err := range errs {
-		if err != nil {
-			return points, fmt.Errorf("scenario: sweep cell %d (consumers=%d): %w", i, cells[i].Consumers, err)
-		}
-		points = append(points, reports[i])
-	}
-	return points, nil
-}
-
 // armFaults programs the injector for one run. Byte thresholds are armed
 // relative to the traffic already counted, so multi-run scenarios re-fire
 // their script each run.
 func armFaults(inj *transport.Injector, spec Spec, w workload.Workload) {
-	total := spec.totalPayloadBytes(w)
+	total := spec.totalMessages() * int64(w.PayloadBytes)
 	for _, f := range spec.Faults {
 		down := time.Duration(f.DownMS) * time.Millisecond
 		if down <= 0 {

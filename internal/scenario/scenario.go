@@ -75,10 +75,6 @@ type Deployment struct {
 	// Mutually exclusive with Nodes (which keeps the nodes independent
 	// placement-sharing brokers).
 	ClusterNodes int `json:"cluster_nodes,omitempty"`
-	// Placement names the clustered placement policy; "ring" (the
-	// consistent-hash ring) is the only policy and the default. Only
-	// valid alongside ClusterNodes.
-	Placement string `json:"placement,omitempty"`
 	// FabricScale scales the emulated ACE testbed rates (1.0 = paper
 	// rates; default 1.0).
 	FabricScale float64 `json:"fabric_scale,omitempty"`
@@ -175,15 +171,11 @@ const (
 	// DownMS. Requires deployment.durability (so queues recover) and
 	// deployment.reconnect (so clients survive the outage).
 	FaultBrokerRestart = "broker-restart"
-	// FaultNodeKill hard-kills ONE broker node — the master of the most
-	// queues unless Node picks one — once the run's consumed-message
-	// count crosses AtFraction of the production budget, and fails its
-	// queues over to surviving nodes. The dead node stays down for the
-	// rest of the run: clients ride the failover through seed rotation
-	// and master redirects. Requires deployment.cluster_nodes >= 2
-	// (placement, federation and redirects), deployment.durability (so
-	// moved queues replay their segment logs on the new master) and
-	// deployment.reconnect.
+	// FaultNodeKill is a rolling-node-kill of one victim that also runs
+	// without replication: the dead master's queues then relocate with
+	// their segment logs (shared-storage failover) and replay on the new
+	// master. Requires deployment.cluster_nodes >= 2, durability and
+	// reconnect.
 	FaultNodeKill = "node-kill"
 	// FaultRollingNodeKill hard-kills Count broker nodes one after
 	// another: the first (the master of the most queues unless Node picks
@@ -247,13 +239,6 @@ func Load(path string) (Spec, error) {
 	}
 	return spec, nil
 }
-
-// Fig56Architectures are the variants of Figures 5 and 6 (Stunnel is
-// dropped after its poor work-sharing results, §5.4).
-var Fig56Architectures = []core.ArchitectureName{core.DTS, core.PRSHAProxy, core.PRSHAProxy4Conns, core.MSS}
-
-// Fig78Architectures are the variants of Figures 7 and 8.
-var Fig78Architectures = []core.ArchitectureName{core.DTS, core.PRSHAProxy, core.MSS}
 
 // PaperPoint is the Spec of one figure data point of §5 on the ACE fabric
 // scaled by scale: three broker nodes with a 1 GiB memory limit, payloads
@@ -367,15 +352,6 @@ func (s Spec) Validate() error {
 	if s.Deployment.ClusterNodes > 0 && s.Deployment.Nodes > 0 {
 		return bad("deployment.cluster_nodes and deployment.nodes are mutually exclusive")
 	}
-	switch s.Deployment.Placement {
-	case "":
-	case "ring":
-		if s.Deployment.ClusterNodes <= 0 {
-			return bad("deployment.placement requires deployment.cluster_nodes")
-		}
-	default:
-		return bad("unknown placement policy %q (known: ring)", s.Deployment.Placement)
-	}
 	if rf := s.Deployment.ReplicationFactor; rf != 0 {
 		if rf < 2 {
 			return bad("deployment.replication_factor must be >= 2 (R-1 mirrors), got %d", rf)
@@ -387,7 +363,7 @@ func (s Spec) Validate() error {
 			return bad("deployment.replication_factor mirrors segment logs: deployment.durability is required")
 		}
 	}
-	flaps, restarts, kills := 0, 0, 0
+	flaps, crashes := 0, 0
 	for i, f := range s.Faults {
 		switch f.Kind {
 		case FaultFlap:
@@ -407,75 +383,48 @@ func (s Spec) Validate() error {
 			if f.LatencyMS <= 0 {
 				return bad("faults[%d]: latency-spike needs latency_ms > 0", i)
 			}
-		case FaultBrokerRestart:
+		case FaultBrokerRestart, FaultNodeKill, FaultRollingNodeKill:
+			// The crash faults act on the cluster, and one watcher runs
+			// one of them per run; a node-kill is a rolling kill of one
+			// victim.
+			crashes++
+			if crashes > 1 {
+				return bad("at most one broker-restart, node-kill or rolling-node-kill fault per scenario")
+			}
 			if f.AtFraction <= 0 || f.AtFraction > 1 {
-				return bad("faults[%d]: broker-restart needs at_fraction in (0,1]", i)
+				return bad("faults[%d]: %s needs at_fraction in (0,1]", i, f.Kind)
 			}
 			if s.Deployment.Durability == nil {
-				return bad("faults[%d]: broker-restart loses in-memory queues: deployment.durability is required", i)
+				return bad("faults[%d]: %s loses in-memory queues: deployment.durability is required", i, f.Kind)
 			}
 			if s.Deployment.Reconnect == nil {
-				return bad("faults[%d]: broker-restart drops every client: deployment.reconnect is required", i)
+				return bad("faults[%d]: %s drops clients: deployment.reconnect is required", i, f.Kind)
 			}
-			restarts++
-		case FaultNodeKill:
-			if f.AtFraction <= 0 || f.AtFraction > 1 {
-				return bad("faults[%d]: node-kill needs at_fraction in (0,1]", i)
+			if f.Kind == FaultBrokerRestart {
+				continue
 			}
-			if s.Deployment.ClusterNodes < 2 {
-				return bad("faults[%d]: node-kill needs deployment.cluster_nodes >= 2 (failover needs a survivor)", i)
+			victims := 1
+			if f.Kind == FaultRollingNodeKill {
+				if f.EveryFraction <= 0 || f.EveryFraction > 1 {
+					return bad("faults[%d]: rolling-node-kill needs every_fraction in (0,1]", i)
+				}
+				if f.Count < 1 {
+					return bad("faults[%d]: rolling-node-kill needs count >= 1", i)
+				}
+				if s.Deployment.ReplicationFactor < 2 {
+					return bad("faults[%d]: rolling-node-kill survives on mirrors: deployment.replication_factor >= 2 is required", i)
+				}
+				victims = f.Count
 			}
-			if s.Deployment.Durability == nil {
-				return bad("faults[%d]: node-kill loses in-memory queues: deployment.durability is required", i)
-			}
-			if s.Deployment.Reconnect == nil {
-				return bad("faults[%d]: node-kill drops the node's clients: deployment.reconnect is required", i)
+			if victims >= s.Deployment.ClusterNodes {
+				return bad("faults[%d]: %s of %d node(s) needs deployment.cluster_nodes > %d (a survivor must remain)", i, f.Kind, victims, victims)
 			}
 			if f.Node != nil && (*f.Node < 0 || *f.Node >= s.Deployment.ClusterNodes) {
-				return bad("faults[%d]: node-kill node %d out of range [0,%d)", i, *f.Node, s.Deployment.ClusterNodes)
+				return bad("faults[%d]: %s node %d out of range [0,%d)", i, f.Kind, *f.Node, s.Deployment.ClusterNodes)
 			}
-			kills++
-		case FaultRollingNodeKill:
-			if f.AtFraction <= 0 || f.AtFraction > 1 {
-				return bad("faults[%d]: rolling-node-kill needs at_fraction in (0,1]", i)
-			}
-			if f.EveryFraction <= 0 || f.EveryFraction > 1 {
-				return bad("faults[%d]: rolling-node-kill needs every_fraction in (0,1]", i)
-			}
-			if f.Count < 1 {
-				return bad("faults[%d]: rolling-node-kill needs count >= 1", i)
-			}
-			if f.Count >= s.Deployment.ClusterNodes {
-				return bad("faults[%d]: rolling-node-kill count %d needs deployment.cluster_nodes > %d (a survivor must remain)", i, f.Count, f.Count)
-			}
-			if s.Deployment.ReplicationFactor < 2 {
-				return bad("faults[%d]: rolling-node-kill survives on mirrors: deployment.replication_factor >= 2 is required", i)
-			}
-			if s.Deployment.Durability == nil {
-				return bad("faults[%d]: rolling-node-kill loses in-memory queues: deployment.durability is required", i)
-			}
-			if s.Deployment.Reconnect == nil {
-				return bad("faults[%d]: rolling-node-kill drops the nodes' clients: deployment.reconnect is required", i)
-			}
-			if f.Node != nil && (*f.Node < 0 || *f.Node >= s.Deployment.ClusterNodes) {
-				return bad("faults[%d]: rolling-node-kill node %d out of range [0,%d)", i, *f.Node, s.Deployment.ClusterNodes)
-			}
-			kills++
 		default:
 			return bad("faults[%d]: unknown kind %q", i, f.Kind)
 		}
-	}
-	// One watcher arms one crash/restart cycle per run.
-	if restarts > 1 {
-		return bad("at most one broker-restart fault per scenario")
-	}
-	if kills > 1 {
-		return bad("at most one node-kill or rolling-node-kill fault per scenario")
-	}
-	// Both watchers would race on the same nodes (restart resurrecting
-	// the killed one mid-failover).
-	if restarts > 0 && kills > 0 {
-		return bad("broker-restart and node-kill cannot be combined")
 	}
 	// The injector has one byte-trigger arm slot; a second flap step
 	// would silently overwrite the first.
@@ -500,19 +449,10 @@ func (s Spec) Validate() error {
 		// Below rules legitimately warn at 0 (a stalled rate); above and
 		// flap rules with a zero warn threshold would breach on every tick.
 		if r.Kind != telemetry.RuleBelow && r.Warn <= 0 {
-			return bad("health[%d] (%s): %s rules need warn > 0", i, r.Name, ruleKindName(r.Kind))
+			return bad("health[%d] (%s): above and flap rules need warn > 0", i, r.Name)
 		}
 	}
 	return nil
-}
-
-// ruleKindName renders a health-rule kind for error messages (the empty
-// kind defaults to above).
-func ruleKindName(kind string) string {
-	if kind == "" {
-		return telemetry.RuleAbove
-	}
-	return kind
 }
 
 // timeout resolves the run deadline.
@@ -546,7 +486,9 @@ func (s Spec) workload() (workload.Workload, error) {
 	return w, nil
 }
 
-// options builds the core deployment options declared by the spec.
+// options builds the core deployment options declared by the spec (an
+// empty durable data directory is left for deploy to create). Call only on
+// a validated spec.
 func (s Spec) options() core.Options {
 	d := s.Deployment
 	scale := d.FabricScale
@@ -577,40 +519,17 @@ func (s Spec) options() core.Options {
 			MaxDelay:    time.Duration(r.MaxDelayMS) * time.Millisecond,
 		}
 	}
-	return opts
-}
-
-// applyDurability resolves the spec's durability declaration onto the
-// deployment options. When no data directory is declared, a fresh temp dir
-// is created and the returned cleanup removes it (a no-op otherwise).
-// Call only on a validated spec.
-func (s Spec) applyDurability(opts *core.Options) (cleanup func(), err error) {
-	cleanup = func() {}
-	d := s.Deployment.Durability
-	if d == nil {
-		return cleanup, nil
-	}
-	dir := d.DataDir
-	if dir == "" {
-		dir, err = os.MkdirTemp("", "ds2hpc-durable-")
-		if err != nil {
-			return cleanup, fmt.Errorf("scenario: durability temp dir: %w", err)
+	if dur := d.Durability; dur != nil {
+		fs, _ := seglog.ParseFsync(dur.Fsync) // Validate rejects a bad policy
+		opts.DataDir = dur.DataDir
+		opts.Durability = seglog.Options{
+			Fsync:        fs,
+			FsyncEvery:   time.Duration(dur.FsyncIntervalMS) * time.Millisecond,
+			SegmentBytes: dur.SegmentBytes,
+			RetainAll:    dur.RetainAll,
 		}
-		cleanup = func() { os.RemoveAll(dir) }
 	}
-	fs, err := seglog.ParseFsync(d.Fsync)
-	if err != nil {
-		cleanup()
-		return func() {}, fmt.Errorf("%w: %v", ErrBadSpec, err)
-	}
-	opts.DataDir = dir
-	opts.Durability = seglog.Options{
-		Fsync:        fs,
-		FsyncEvery:   time.Duration(d.FsyncIntervalMS) * time.Millisecond,
-		SegmentBytes: d.SegmentBytes,
-		RetainAll:    d.RetainAll,
-	}
-	return cleanup, nil
+	return opts
 }
 
 // needsInjector reports whether any declared fault runs through the
@@ -626,7 +545,8 @@ func (s Spec) needsInjector() bool {
 }
 
 // totalMessages is the scenario's per-run production budget, the base of
-// the broker-restart fault's consumed-fraction threshold.
+// every fractional fault threshold (times the payload size for the
+// byte-triggered ones).
 func (s Spec) totalMessages() int64 {
 	producers := s.Producers
 	if g, ok := pattern.Lookup(s.Pattern); ok && g.SingleProducer {
@@ -636,10 +556,4 @@ func (s Spec) totalMessages() int64 {
 		producers = 1
 	}
 	return int64(producers) * int64(s.MessagesPerProducer)
-}
-
-// totalPayloadBytes is the scenario's per-run payload volume, the base of
-// fractional fault thresholds.
-func (s Spec) totalPayloadBytes(w workload.Workload) int64 {
-	return s.totalMessages() * int64(w.PayloadBytes)
 }

@@ -418,27 +418,31 @@ func TestStunnelSweepMarksInfeasible(t *testing.T) {
 	}
 }
 
-// TestPaperPoint pins PaperPoint, one point per pattern, against the specs
-// the figure drivers wrote out by hand before it existed (expdriver's
-// defaults: scale 0.1, 48 messages, one run, 15 minutes; the last row is
-// the figure tests' pipeline point).
-func TestPaperPoint(t *testing.T) {
-	paper := func(arch, wl, pat string, prod, cons, msgs, window int) Spec {
-		return Spec{
-			Deployment: Deployment{
-				Architecture:     arch,
-				Nodes:            3,
-				FabricScale:      0.1,
-				MemoryLimitBytes: 1 << 30,
-			},
-			Workload:            Workload{Name: wl, PayloadDivisor: 8},
-			Pattern:             pat,
-			Producers:           prod,
-			Consumers:           cons,
-			MessagesPerProducer: msgs,
-			Tuning:              Tuning{Window: window},
-		}
+// paperSpec is a figure data point written out by hand: three nodes on
+// the ACE fabric at scale 0.1 with a 1 GiB memory limit and payloads
+// shrunk by 8.
+func paperSpec(arch, wl, pat string, prod, cons, msgs, window int) Spec {
+	return Spec{
+		Deployment: Deployment{
+			Architecture:     arch,
+			Nodes:            3,
+			FabricScale:      0.1,
+			MemoryLimitBytes: 1 << 30,
+		},
+		Workload:            Workload{Name: wl, PayloadDivisor: 8},
+		Pattern:             pat,
+		Producers:           prod,
+		Consumers:           cons,
+		MessagesPerProducer: msgs,
+		Tuning:              Tuning{Window: window},
 	}
+}
+
+// TestPaperPoint pins PaperPoint, one point per pattern, against the specs
+// the figure drivers wrote out by hand before it existed (scale 0.1 and 48
+// messages, the figures' defaults; the last row is the figure tests'
+// pipeline point).
+func TestPaperPoint(t *testing.T) {
 	cases := []struct {
 		name string
 		got  Spec
@@ -446,19 +450,19 @@ func TestPaperPoint(t *testing.T) {
 	}{
 		{"overhead work-sharing",
 			PaperPoint(core.PRSHAProxy, "Dstream", "work-sharing", 4, 0.1, 48),
-			paper("PRS(HAProxy)", "Dstream", "work-sharing", 4, 4, 48, 4)},
+			paperSpec("PRS(HAProxy)", "Dstream", "work-sharing", 4, 4, 48, 4)},
 		{"fig5 feedback",
 			PaperPoint(core.PRSHAProxy4Conns, "Lstream", "work-sharing-feedback", 16, 0.1, 48),
-			paper("PRS(HAProxy,4conns)", "Lstream", "work-sharing-feedback", 16, 16, 8, 2)},
+			paperSpec("PRS(HAProxy,4conns)", "Lstream", "work-sharing-feedback", 16, 16, 8, 2)},
 		{"fig7a broadcast cell",
 			PaperPoint(core.MSS, "generic", "broadcast", 16, 0.1, 48),
-			paper("MSS", "generic", "broadcast", 1, 16, 6, 4)},
+			paperSpec("MSS", "generic", "broadcast", 1, 16, 6, 4)},
 		{"fig8 broadcast-gather",
 			PaperPoint(core.DTS, "generic", "broadcast-gather", 16, 0.1, 48),
-			paper("DTS", "generic", "broadcast-gather", 1, 16, 6, 4)},
+			paperSpec("DTS", "generic", "broadcast-gather", 1, 16, 6, 4)},
 		{"figure-test pipeline",
 			PaperPoint(core.DTS, "Dstream", "pipeline", 2, 0.1, 4),
-			paper("DTS", "Dstream", "pipeline", 2, 2, 4, 4)},
+			paperSpec("DTS", "Dstream", "pipeline", 2, 2, 4, 4)},
 	}
 	for _, tc := range cases {
 		if !reflect.DeepEqual(tc.got, tc.want) {
@@ -467,6 +471,75 @@ func TestPaperPoint(t *testing.T) {
 		if err := tc.got.Validate(); err != nil {
 			t.Errorf("%s: %v", tc.name, err)
 		}
+	}
+}
+
+// TestFigureCells pins every Figures entry, at the defaults of `streamsim
+// figures` (scale 0.1, consumers 1,4,16, 48 messages, one run), to the
+// cells the paper's grid runs, written out here without PaperPoint: every
+// workload (Lstream and generic get a sixth and an eighth of the Dstream
+// budget), architecture and consumer count, one run each within 15
+// minutes. Throughput and median-RTT figures run every count, RTT probes
+// the highest, the overhead the middle one.
+func TestFigureCells(t *testing.T) {
+	all := []string{"DTS", "PRS(Stunnel)", "PRS(HAProxy)", "PRS(HAProxy,4conns)", "MSS"}
+	feedback := []string{"DTS", "PRS(HAProxy)", "PRS(HAProxy,4conns)", "MSS"}
+	family := []string{"DTS", "PRS(HAProxy)", "MSS"}
+	row, high, mid := []int{1, 4, 16}, []int{16}, []int{4}
+	type grid struct {
+		workloads []string
+		msgs      []int // per workload
+		pattern   string
+		archs     []string
+		counts    []int
+		single    bool // one producer at every consumer count
+		window    int
+	}
+	want := map[string]grid{
+		"4a":       {[]string{"Dstream"}, []int{48}, "work-sharing", all, row, false, 4},
+		"4b":       {[]string{"Lstream"}, []int{8}, "work-sharing", all, row, false, 4},
+		"5":        {[]string{"Dstream", "Lstream"}, []int{48, 8}, "work-sharing-feedback", feedback, high, false, 2},
+		"6a":       {[]string{"Dstream"}, []int{48}, "work-sharing-feedback", feedback, row, false, 2},
+		"6b":       {[]string{"Lstream"}, []int{8}, "work-sharing-feedback", feedback, row, false, 2},
+		"7a":       {[]string{"generic"}, []int{6}, "broadcast", family, row, true, 4},
+		"7b":       {[]string{"generic"}, []int{6}, "broadcast-gather", family, row, true, 4},
+		"8":        {[]string{"generic"}, []int{6}, "broadcast-gather", family, high, true, 4},
+		"overhead": {[]string{"Dstream"}, []int{48}, "work-sharing", family, mid, false, 4},
+	}
+	for _, f := range Figures {
+		g, ok := want[f.ID]
+		if !ok {
+			t.Errorf("figure %q is not in the paper's grid", f.ID)
+			continue
+		}
+		delete(want, f.ID)
+		var cells []Spec
+		for i, wl := range g.workloads {
+			for _, arch := range g.archs {
+				for _, n := range g.counts {
+					prod := n
+					if g.single {
+						prod = 1
+					}
+					spec := paperSpec(arch, wl, g.pattern, prod, n, g.msgs[i], g.window)
+					spec.Runs = 1
+					spec.TimeoutMS = (15 * time.Minute).Milliseconds()
+					cells = append(cells, spec)
+				}
+			}
+		}
+		got := f.Cells(FigureGrid{Scale: 0.1, Counts: []int{1, 4, 16}, Msgs: 48, Runs: 1})
+		if !reflect.DeepEqual(got, cells) {
+			t.Errorf("figure %s cells:\n got %+v\nwant %+v", f.ID, got, cells)
+		}
+		for _, spec := range got {
+			if err := spec.Validate(); err != nil {
+				t.Errorf("figure %s: %v", f.ID, err)
+			}
+		}
+	}
+	for id := range want {
+		t.Errorf("figure %q missing from Figures", id)
 	}
 }
 
@@ -646,7 +719,6 @@ func TestClusterFailoverScenario(t *testing.T) {
 		Deployment: Deployment{
 			Architecture:         "DTS",
 			ClusterNodes:         3,
-			Placement:            "ring",
 			FabricScale:          0.2,
 			DisableClientShaping: true,
 			FastControlPlane:     true,
@@ -695,7 +767,6 @@ func TestClusterFailoverHealthEvents(t *testing.T) {
 		Deployment: Deployment{
 			Architecture:         "DTS",
 			ClusterNodes:         3,
-			Placement:            "ring",
 			FabricScale:          0.2,
 			DisableClientShaping: true,
 			FastControlPlane:     true,

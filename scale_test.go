@@ -126,32 +126,3 @@ func TestClientScaleSocketShape(t *testing.T) {
 		}
 	}
 }
-
-// TestParallelSweepMatchesSequential locks the WithParallel sweep to the
-// sequential contract: same cells, same per-point consumed counts, points
-// in grid order.
-func TestParallelSweepMatchesSequential(t *testing.T) {
-	spec := scaleSpec(32, 48)
-	counts := []int{2, 4, 8}
-	seq, err := scenario.Sweep(context.Background(), spec, counts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := scenario.Sweep(context.Background(), spec, counts, scenario.WithParallel(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) != len(counts) || len(par) != len(counts) {
-		t.Fatalf("got %d sequential / %d parallel points, want %d", len(seq), len(par), len(counts))
-	}
-	for i := range counts {
-		if seq[i].Spec.Consumers != counts[i] || par[i].Spec.Consumers != counts[i] {
-			t.Fatalf("point %d out of grid order: seq=%d par=%d want %d",
-				i, seq[i].Spec.Consumers, par[i].Spec.Consumers, counts[i])
-		}
-		if seq[i].Result.Consumed != par[i].Result.Consumed {
-			t.Fatalf("point %d: sequential consumed %d, parallel consumed %d",
-				i, seq[i].Result.Consumed, par[i].Result.Consumed)
-		}
-	}
-}
