@@ -36,6 +36,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -144,7 +145,7 @@ func runScenario(args []string) error {
 	if err != nil {
 		return err
 	}
-	printReport(rep)
+	printReport(os.Stdout, rep)
 	return nil
 }
 
@@ -228,65 +229,76 @@ func printRollup(tk telemetry.Tick) {
 	fmt.Println(line)
 }
 
-// printReport writes the human-readable result of one scenario.
-func printReport(rep *scenario.Report) {
+// printReport writes the human-readable result of one scenario to w.
+func printReport(w io.Writer, rep *scenario.Report) {
 	spec := rep.Spec
 	if spec.Name != "" {
-		fmt.Printf("scenario:       %s\n", spec.Name)
+		fmt.Fprintf(w, "scenario:       %s\n", spec.Name)
 	}
-	fmt.Printf("architecture:   %s\n", spec.Deployment.Architecture)
+	fmt.Fprintf(w, "architecture:   %s\n", spec.Deployment.Architecture)
 	if n := spec.Deployment.ClusterNodes; n > 0 {
-		fmt.Printf("cluster:        nodes=%d\n", n)
+		fmt.Fprintf(w, "cluster:        nodes=%d\n", n)
 	}
-	fmt.Printf("workload:       %s\n", spec.Workload.Name)
-	fmt.Printf("pattern:        %s\n", spec.Pattern)
+	fmt.Fprintf(w, "workload:       %s\n", spec.Workload.Name)
+	fmt.Fprintf(w, "pattern:        %s\n", spec.Pattern)
 	if rep.Infeasible {
-		fmt.Printf("infeasible:     %s with %d producers (tunnel connection limit)\n",
+		fmt.Fprintf(w, "infeasible:     %s with %d producers (tunnel connection limit)\n",
 			spec.Deployment.Architecture, spec.Producers)
 		return
 	}
 	r := rep.Result
-	fmt.Printf("consumed:       %d msgs over %d run(s)\n", r.Consumed, max(spec.Runs, 1))
-	fmt.Printf("throughput:     %.1f msgs/sec (aggregate)\n", r.Throughput)
+	fmt.Fprintf(w, "consumed:       %d msgs over %d run(s)\n", r.Consumed, max(spec.Runs, 1))
+	fmt.Fprintf(w, "throughput:     %.1f msgs/sec (aggregate)\n", r.Throughput)
 	if r.RTTCount() > 0 {
-		fmt.Printf("median RTT:     %v\n", r.MedianRTT())
-		fmt.Printf("p80 / p95 RTT:  %v / %v\n", r.PercentileRTT(80), r.PercentileRTT(95))
+		fmt.Fprintf(w, "median RTT:     %v\n", r.MedianRTT())
+		fmt.Fprintf(w, "p80 / p95 RTT:  %v / %v\n", r.PercentileRTT(80), r.PercentileRTT(95))
 	}
 	if r.Errors > 0 {
-		fmt.Printf("backpressure:   %d rejected publishes retried\n", r.Errors)
+		fmt.Fprintf(w, "backpressure:   %d rejected publishes retried\n", r.Errors)
 	}
 	if rep.P50 > 0 {
-		fmt.Printf("p50/p95/p99:    %v / %v / %v\n", rep.P50, rep.P95, rep.P99)
+		fmt.Fprintf(w, "p50/p95/p99:    %v / %v / %v\n", rep.P50, rep.P95, rep.P99)
 	}
 	if n := len(rep.Timeline); n > 0 {
 		peak := slices.MaxFunc(rep.Timeline, func(a, b telemetry.Point) int { return cmp.Compare(a.V, b.V) })
-		fmt.Printf("timeline:       %d point(s), peak %.1f msgs/sec\n", n, peak.V)
+		fmt.Fprintf(w, "timeline:       %d point(s), peak %.1f msgs/sec\n", n, peak.V)
 	}
-	if len(spec.Faults) > 0 {
-		fmt.Printf("faults:         %d flaps, %d resets, %d refused dials\n",
+	if slices.ContainsFunc(spec.Faults, transportFault) {
+		fmt.Fprintf(w, "faults:         %d flaps, %d resets, %d refused dials\n",
 			rep.Faults.Flaps, rep.Faults.Resets, rep.Faults.Refused)
 	}
 	if rep.BrokerRestarts > 0 {
-		fmt.Printf("broker kills:   %d hard restart(s) survived, durable queues replayed\n",
+		fmt.Fprintf(w, "broker kills:   %d hard restart(s) survived, durable queues replayed\n",
 			rep.BrokerRestarts)
 	}
 	if rep.NodeKills > 0 {
-		fmt.Printf("node kills:     %d queue-master(s) failed over\n", rep.NodeKills)
+		fmt.Fprintf(w, "node kills:     %d queue-master(s) failed over\n", rep.NodeKills)
 	}
 	if rep.Promotions > 0 || rep.MirrorCatchups > 0 {
-		fmt.Printf("replication:    %d mirror promotion(s), %d mirror catchup(s)\n",
+		fmt.Fprintf(w, "replication:    %d mirror promotion(s), %d mirror catchup(s)\n",
 			rep.Promotions, rep.MirrorCatchups)
 	}
 	if rep.Redirects > 0 || rep.FederatedMsgs > 0 {
-		fmt.Printf("cluster plane:  %d redirect(s) followed, %d federated publish(es)\n",
+		fmt.Fprintf(w, "cluster plane:  %d redirect(s) followed, %d federated publish(es)\n",
 			rep.Redirects, rep.FederatedMsgs)
 	}
 	if n := len(rep.HealthEvents); n > 0 {
-		fmt.Printf("health:         %d transition(s)\n", n)
+		fmt.Fprintf(w, "health:         %d transition(s)\n", n)
 		for _, e := range rep.HealthEvents {
-			fmt.Printf("  %s  %s\n", e.T.Format("15:04:05"), e)
+			fmt.Fprintf(w, "  %s  %s\n", e.T.Format("15:04:05"), e)
 		}
 	}
+}
+
+// transportFault reports whether the transport injector carries f out, so
+// that the injector's counts report it. Crash faults (broker restarts and
+// node kills) bypass the injector and report on lines of their own.
+func transportFault(f scenario.Fault) bool {
+	switch f.Kind {
+	case scenario.FaultFlap, scenario.FaultFlapEvery, scenario.FaultLatencySpike:
+		return true
+	}
+	return false
 }
 
 func runCoordinator(args []string) error {

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"ds2hpc/internal/core"
+	"ds2hpc/internal/metrics"
+	"ds2hpc/internal/scenario"
 )
 
 // TestScenarioSubcommand drives the declarative mode end to end: a tiny
@@ -90,6 +92,38 @@ func TestScenarioRejectsBadInput(t *testing.T) {
 		"pattern": "work-sharing", "messages_per_producer": 0}`
 	if err := runScenario([]string{write("invalid.json", bad)}); err == nil {
 		t.Fatal("invalid spec must be rejected by validation")
+	}
+}
+
+// TestReportFaultLines: the injector's fault line prints for a spec with a
+// transport fault and not for one whose only faults are node kills or
+// broker restarts, which bypass the injector; their own lines still print.
+func TestReportFaultLines(t *testing.T) {
+	report := func(kind string, rep scenario.Report) string {
+		rep.Spec.Faults, rep.Result = []scenario.Fault{{Kind: kind}}, &metrics.Result{}
+		var out bytes.Buffer
+		printReport(&out, &rep)
+		return out.String()
+	}
+	for _, tc := range []struct {
+		kind      string
+		rep       scenario.Report
+		want      string
+		wantFault bool
+	}{
+		{scenario.FaultFlap, scenario.Report{}, "faults:         1 flaps, 2 resets, 3 refused dials", true},
+		{scenario.FaultNodeKill, scenario.Report{NodeKills: 1}, "node kills:     1 queue-master(s) failed over", false},
+		{scenario.FaultRollingNodeKill, scenario.Report{NodeKills: 2}, "node kills:     2 queue-master(s) failed over", false},
+		{scenario.FaultBrokerRestart, scenario.Report{BrokerRestarts: 1}, "broker kills:   1 hard restart(s) survived", false},
+	} {
+		tc.rep.Faults.Flaps, tc.rep.Faults.Resets, tc.rep.Faults.Refused = 1, 2, 3
+		out := report(tc.kind, tc.rep)
+		if !strings.Contains(out, tc.want) {
+			t.Errorf("%s: report lacks %q:\n%s", tc.kind, tc.want, out)
+		}
+		if got := strings.Contains(out, "faults:"); got != tc.wantFault {
+			t.Errorf("%s: fault line printed = %v, want %v:\n%s", tc.kind, got, tc.wantFault, out)
+		}
 	}
 }
 

@@ -12,16 +12,22 @@ import (
 // consuming. One outstanding synchronous call is allowed at a time; content
 // flows (deliveries, confirms, returns) are asynchronous and come from the
 // connection's owner goroutine, which also closes every channel it sends
-// on (see Connection).
+// on (see Connection). The channel's open completes with its first call
+// that waits for a reply, which fails with the broker's *Error if the
+// broker refused the open (see Connection.Channel).
 type Channel struct {
 	conn *Connection
 	id   uint16
 
 	// rpc carries replies from the owner, which closes it when the channel
-	// ends. quit, closed by Close, releases the owner's sends to this
-	// channel's consumers and listeners.
+	// ends. owed counts the replies due on it, ahead of the next call's
+	// own, for methods written without waiting: channel.open, and a
+	// replay's pipelined calls. Only the transport of ch.gen owes them; the
+	// replay forgets what a dead one owed. quit, closed by Close, releases
+	// the owner's sends to this channel's consumers and listeners.
 	callMu sync.Mutex
 	rpc    chan wire.Method
+	owed   int
 	quit   chan struct{}
 
 	mu        sync.Mutex
@@ -31,7 +37,8 @@ type Channel struct {
 	notifyCls []chan *Error
 	log       confirmLog // confirm-mode publishes until their verdicts
 	closed    bool
-	quitting  bool // quit is closed
+	exc       *Error // the broker's reason, when it closed the channel
+	quitting  bool   // quit is closed
 
 	// gen is the transport generation the channel's state was last
 	// established on (its opening, or a replay); a method the replay
@@ -83,10 +90,18 @@ func retriable(m wire.Method) bool {
 	return true
 }
 
-func (ch *Channel) isClosed() bool {
+// closedErr is nil while the channel is open; once it is closed, it is the
+// broker's exception if the broker closed it, ErrClosed otherwise.
+func (ch *Channel) closedErr() error {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
-	return ch.closed
+	switch {
+	case !ch.closed:
+		return nil
+	case ch.exc != nil:
+		return ch.exc
+	}
+	return ErrClosed
 }
 
 // call sends a synchronous method and waits for its -ok response. On a
@@ -157,19 +172,81 @@ func (ch *Channel) callOnce(gen chan struct{}, m wire.Method, noWait bool) (wire
 	return ch.callLocked(gen, m, noWait)
 }
 
+// callLocked writes m and, unless noWait, reads the replies owed ahead of
+// m's and then m's own. The caller holds callMu.
 func (ch *Channel) callLocked(gen chan struct{}, m wire.Method, noWait bool) (wire.Method, error) {
-	if ch.isClosed() {
-		return nil, ErrClosed
-	}
-	if err := ch.conn.writeMethodGen(gen, ch.id, m); err != nil {
-		if err == errSuspended {
-			<-gen // closed once the owner has seen the loss
-		}
+	if err := ch.send(gen, m, true); err != nil {
 		return nil, err
 	}
 	if noWait {
 		return nil, nil
 	}
+	if err := ch.awaitOwed(gen); err != nil {
+		return nil, err
+	}
+	return ch.recv(gen)
+}
+
+// send writes m on the transport of generation gen; after errSuspended it
+// returns once the owner has seen the loss. The caller holds callMu.
+func (ch *Channel) send(gen chan struct{}, m wire.Method, inline bool) error {
+	if err := ch.closedErr(); err != nil {
+		return err
+	}
+	err := ch.conn.writeMethodGen(gen, ch.id, m, inline)
+	if err == errSuspended {
+		<-gen // closed once the owner has seen the loss
+	}
+	return err
+}
+
+// open writes channel.open behind the scheduled flush, and the channel
+// owes its reply to the next call that waits.
+func (ch *Channel) open(gen chan struct{}) error {
+	ch.callMu.Lock()
+	defer ch.callMu.Unlock()
+	err := ch.send(gen, &wire.ChannelOpen{}, false)
+	if err == nil {
+		ch.owed = 1
+	}
+	return err
+}
+
+// awaitOpen waits for what the channel owes, its open's reply on a fresh
+// channel, without a call of its own. An open that a transport loss
+// interrupted completes through the replay.
+func (ch *Channel) awaitOpen() error {
+	gen, err := ch.conn.admit()
+	if err != nil {
+		return err
+	}
+	ch.callMu.Lock()
+	err = ch.awaitOwed(gen)
+	ch.callMu.Unlock()
+	if errors.Is(err, errSuspended) {
+		if !ch.conn.awaitResume() {
+			return ErrClosed
+		}
+		return nil
+	}
+	return err
+}
+
+// awaitOwed reads the replies the channel owes, under callMu. Each is an
+// -ok, since a method that fails closes the channel instead.
+func (ch *Channel) awaitOwed(gen chan struct{}) error {
+	for ; ch.owed > 0; ch.owed-- {
+		if _, err := ch.recv(gen); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// recv reads one reply on the transport of generation gen; it fails with
+// errSuspended when that transport is lost first, and with closedErr when
+// the channel ends.
+func (ch *Channel) recv(gen chan struct{}) (wire.Method, error) {
 	var resp wire.Method
 	ok := true
 	select {
@@ -184,7 +261,7 @@ func (ch *Channel) callLocked(gen chan struct{}, m wire.Method, noWait bool) (wi
 		}
 	}
 	if !ok {
-		return nil, ErrClosed
+		return nil, ch.closedErr()
 	}
 	return resp, nil
 }
@@ -295,9 +372,13 @@ func notifyClosed(listeners []chan *Error, err *Error) {
 func (ch *Channel) onMethod(m wire.Method) {
 	switch x := m.(type) {
 	case *wire.ChannelClose:
+		exc := &Error{Code: x.ReplyCode, Reason: x.ReplyText}
+		ch.mu.Lock()
+		ch.exc = exc
+		ch.mu.Unlock()
 		ch.conn.writeMethod(ch.id, &wire.ChannelCloseOk{})
 		ch.conn.removeChannel(ch.id)
-		ch.shutdown(&Error{Code: x.ReplyCode, Reason: x.ReplyText}, nil)
+		ch.shutdown(exc, nil)
 	case *wire.ChannelCloseOk:
 		ch.conn.removeChannel(ch.id)
 		ch.shutdown(nil, x)
@@ -749,17 +830,19 @@ func (a *epochAcker) settle(kind settleKind, tag uint64, multiple, requeue bool)
 	return err
 }
 
-// replayState re-establishes this channel on the transport of generation
-// gen: channel.open and confirm mode through the ordinary call path, then
-// every publish the log holds unresolved, republished in sequence order
-// under the tags 1..k the log renumbers them to, and the channel's gate
-// opens behind them. Only errSuspended (the transport died) is returned; a
-// channel the broker closes is skipped.
-func (ch *Channel) replayState(gen chan struct{}) error {
-	c := ch.conn
+// reopenCalls is the first replay round's part for this channel (see
+// Connection.pipeline), under callMu: the channel's state now belongs to
+// the transport of generation gen, what a dead transport owed is
+// forgotten, and the calls are channel.open and, in confirm mode,
+// confirm.select. A closed channel re-issues nothing.
+func (ch *Channel) reopenCalls(gen chan struct{}) []wire.Method {
+	ch.owed = 0
+	for range len(ch.rpc) {
+		<-ch.rpc // only callMu's holder receives: this cannot block
+	}
 	ch.mu.Lock()
+	defer ch.mu.Unlock()
 	if ch.closed {
-		ch.mu.Unlock()
 		return nil
 	}
 	ch.gen = gen
@@ -767,16 +850,15 @@ func (ch *Channel) replayState(gen chan struct{}) error {
 	if ch.subs.confirm {
 		calls = append(calls, &wire.ConfirmSelect{})
 	}
-	ch.mu.Unlock()
+	return calls
+}
 
-	for _, m := range calls {
-		if _, err := ch.callOnce(gen, m, false); err != nil {
-			if errors.Is(err, errSuspended) {
-				return err
-			}
-			return nil
-		}
-	}
+// resume ends the first replay round for a re-opened channel: every
+// publish the log holds unresolved is republished in sequence order under
+// the tags 1..k the log renumbers them to, and the channel's gate opens
+// behind them.
+func (ch *Channel) resume(gen chan struct{}) error {
+	c := ch.conn
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	c.mu.Lock()
@@ -808,34 +890,16 @@ func (ch *Channel) replayState(gen chan struct{}) error {
 	return nil
 }
 
-// replaySubscriptions re-issues the record's basic.qos and basic.consume
-// calls on the transport of generation gen, through the ordinary call
-// path (the owner routes each -ok and the redeliveries that follow). Each
-// consumer is re-checked under callMu, which Cancel's basic.cancel also
-// takes, so a consumer cancelled meanwhile is skipped and one cancelled
-// later is cancelled on this transport too; a tag is never subscribed
-// twice on one transport.
-func (ch *Channel) replaySubscriptions(gen chan struct{}) error {
+// subscriptionCalls is the second replay round's part: the record's
+// basic.qos and basic.consume calls. It is read under callMu, which
+// Cancel's basic.cancel also takes, so a consumer cancelled by then is
+// skipped and one cancelled later is cancelled on this transport too; a
+// tag is never subscribed twice on one transport.
+func (ch *Channel) subscriptionCalls(chan struct{}) []wire.Method {
 	ch.mu.Lock()
-	calls := ch.subs.replay()
-	ch.mu.Unlock()
-	for _, m := range calls {
-		ch.callMu.Lock()
-		want := true
-		if spec, ok := m.(*wire.BasicConsume); ok {
-			ch.mu.Lock()
-			cc := ch.subs.find(spec.ConsumerTag)
-			want = cc != nil && &cc.spec == spec && !cc.cancelled
-			ch.mu.Unlock()
-		}
-		var err error
-		if want {
-			_, err = ch.callLocked(gen, m, false)
-		}
-		ch.callMu.Unlock()
-		if err != nil {
-			return err
-		}
+	defer ch.mu.Unlock()
+	if ch.closed {
+		return nil
 	}
-	return nil
+	return ch.subs.replay()
 }

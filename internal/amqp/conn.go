@@ -309,13 +309,15 @@ func (c *Connection) Reconnects() uint64 { return c.reconnects.Load() }
 // interval (zero when disabled).
 func (c *Connection) handshake(raw net.Conn, fr *wire.FrameReader) (time.Duration, error) {
 	cfg := c.cfg
-	write := func(m wire.Method) error {
-		w, err := encodeMethod(0, m)
-		if err != nil {
-			return err
-		}
+	// write sends ms in one write: a marshal error is reported before a
+	// byte goes out.
+	write := func(ms ...wire.Method) error {
+		w := wire.GetWriter()
 		defer wire.PutWriter(w)
-		return w.FlushFrames(raw, 1)
+		for _, m := range ms {
+			w.AppendMethodFrame(0, m)
+		}
+		return w.FlushFrames(raw, len(ms))
 	}
 	if err := wire.WriteProtocolHeader(raw); err != nil {
 		return 0, err
@@ -362,12 +364,10 @@ func (c *Connection) handshake(raw net.Conn, fr *wire.FrameReader) (time.Duratio
 	if tune.Heartbeat < hb {
 		hb = tune.Heartbeat
 	}
+	// tune-ok awaits no reply, so it shares connection.open's write.
 	if err := write(&wire.ConnectionTuneOk{
 		ChannelMax: tune.ChannelMax, FrameMax: frameMax, Heartbeat: hb,
-	}); err != nil {
-		return 0, err
-	}
-	if err := write(&wire.ConnectionOpen{VirtualHost: c.vhost}); err != nil {
+	}, &wire.ConnectionOpen{VirtualHost: c.vhost}); err != nil {
 		return 0, err
 	}
 	m, err = readMethod(fr)
@@ -417,11 +417,17 @@ var ErrChannelMax = errors.New("amqp: negotiated channel limit reached")
 // Pools size their per-connection session fan-out from it.
 func (c *Connection) ChannelMax() int { return int(c.chanMax.Load()) }
 
-// Channel opens a new channel. Ids of cleanly closed channels are
-// recycled, so long-lived connections can churn through far more than
-// ChannelMax short-lived channels. A channel registered before a
-// transport loss is opened by the reconnect's replay, so an interrupted
-// channel.open is not re-issued.
+// Channel opens a new channel. It waits for no reply: channel.open goes
+// into the connection's send buffer, and the open completes with the
+// channel's first call that waits for one (a declare, Qos, Consume,
+// Confirm, Get, Cancel or Close), which reads channel.open-ok before its
+// own reply and leaves in the same write. A refused open surfaces there,
+// as the broker's *Error. Channel itself fails only for what it can tell
+// locally: ErrChannelMax, or ErrClosed on a closed or closing connection.
+// Ids of cleanly closed channels are recycled, so long-lived connections
+// can churn through far more than ChannelMax short-lived channels. A
+// channel registered before a transport loss is opened by the reconnect's
+// replay, so an interrupted channel.open is not re-issued.
 func (c *Connection) Channel() (*Channel, error) {
 	var ch *Channel
 	var gen chan struct{}
@@ -451,7 +457,7 @@ func (c *Connection) Channel() (*Channel, error) {
 		c.channels[id] = ch
 		c.mu.Unlock()
 	}
-	_, err := ch.callOnce(gen, &wire.ChannelOpen{}, false)
+	err := ch.open(gen)
 	if errors.Is(err, errSuspended) {
 		if c.awaitResume() {
 			return ch, nil
@@ -472,9 +478,19 @@ func (c *Connection) NotifyClose(ch chan *Error) chan *Error {
 	return listen(&c.mu, &c.closed, &c.notifyCls, ch)
 }
 
+// closeLinger bounds how long Close waits for connection.close-ok when a
+// reply is still on its way.
+const closeLinger = time.Second
+
 // Close performs an orderly shutdown: a best-effort connection.close,
 // then the socket is closed, and Close returns once the owner has closed
 // every channel and listener. Never call it from a ConsumeFunc handler.
+//
+// A reply that reaches a closed socket makes the peer reset the
+// connection, and the peer then drops whatever it has not read yet. So
+// when a channel still owes a reply, or a call still waits for one, Close
+// half-closes the socket where it can and waits, at most closeLinger, for
+// the broker's close-ok, which follows everything sent before it.
 func (c *Connection) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -487,15 +503,40 @@ func (c *Connection) Close() error {
 	c.mu.Unlock()
 	if first {
 		c.writeMu.Lock()
-		if !c.down {
-			c.writeMethodLocked(0, &wire.ConnectionClose{ReplyCode: wire.ReplySuccess, ReplyText: "bye"})
-		}
+		sent := !c.down && c.writeMethodLocked(0, &wire.ConnectionClose{ReplyCode: wire.ReplySuccess, ReplyText: "bye"}) == nil
 		c.writeMu.Unlock()
 		close(c.quit)
+		if sent && c.awaitingReplies() {
+			if hc, ok := conn.(interface{ CloseWrite() error }); ok {
+				hc.CloseWrite()
+			}
+			select {
+			case <-c.done:
+			case <-time.After(closeLinger):
+			}
+		}
 		conn.Close()
 	}
 	<-c.done
 	return nil
+}
+
+// awaitingReplies reports whether some channel owes a reply or has a call
+// waiting for one.
+func (c *Connection) awaitingReplies() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, ch := range c.channels {
+		if !ch.callMu.TryLock() {
+			return true
+		}
+		owed := ch.owed
+		ch.callMu.Unlock()
+		if owed > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // IsClosed reports whether the connection is terminated.
@@ -663,13 +704,13 @@ func (c *Connection) install(raw net.Conn) (*wire.FrameReader, chan struct{}) {
 }
 
 // replay re-establishes every channel on the transport of generation gen
-// while the owner serves it, through the ordinary call path: first each
-// channel's channel.open, confirm mode and unresolved publishes, which
-// opens that channel's gate, then the prefetch and consumers of each
-// channel's replay record, so no delivery (and no handler) runs before
-// every gate is open. A transport loss ends the pass; the next
-// transport's replay starts over. Once it completes, the connection
-// resumes.
+// while the owner serves it, in two pipelined rounds (see pipeline): first
+// each channel's channel.open and confirm mode, after whose replies the
+// channel's unresolved publishes are resent and its gate opens, then the
+// prefetch and consumers of each channel's replay record, so no delivery
+// (and no handler) runs before every gate is open. A transport loss ends
+// the pass; the next transport's replay starts over. Once it completes,
+// the connection resumes.
 func (c *Connection) replay(gen chan struct{}, done chan struct{}) {
 	defer close(done)
 	c.mu.Lock()
@@ -679,15 +720,11 @@ func (c *Connection) replay(gen chan struct{}, done chan struct{}) {
 	}
 	c.mu.Unlock()
 	sort.Slice(chans, func(i, j int) bool { return chans[i].id < chans[j].id })
-	for _, ch := range chans {
-		if errors.Is(ch.replayState(gen), errSuspended) {
-			return
-		}
+	if c.pipeline(gen, chans, (*Channel).reopenCalls, (*Channel).resume) != nil {
+		return
 	}
-	for _, ch := range chans {
-		if errors.Is(ch.replaySubscriptions(gen), errSuspended) {
-			return
-		}
+	if c.pipeline(gen, chans, (*Channel).subscriptionCalls, nil) != nil {
+		return
 	}
 	c.mu.Lock()
 	if c.genCh == gen && c.resumedCh != nil {
@@ -695,6 +732,58 @@ func (c *Connection) replay(gen chan struct{}, done chan struct{}) {
 		c.resumedCh = nil
 	}
 	c.mu.Unlock()
+}
+
+// pipeline issues one replay round on the transport of generation gen.
+// Under each channel's callMu, calls names what the channel re-issues and
+// the channel comes to owe their replies; every channel's calls then leave
+// in one write. Each channel in id order reads its replies and, if all came,
+// runs then. A channel owes at most what its rpc buffers; calls past that
+// go one round trip each, after the rest. A transport loss or Close ends
+// the round with an error; a channel the broker closes is skipped.
+func (c *Connection) pipeline(gen chan struct{}, chans []*Channel, calls func(*Channel, chan struct{}) []wire.Method, then func(*Channel, chan struct{}) error) error {
+	rest := make([][]wire.Method, len(chans))
+	w := wire.GetWriter()
+	frames := 0
+	for i, ch := range chans {
+		ch.callMu.Lock()
+		ms := calls(ch, gen)
+		n := min(len(ms), cap(ch.rpc))
+		for _, m := range ms[:n] {
+			mw, err := encodeMethod(ch.id, m)
+			if err != nil {
+				continue // unreachable: it encoded when first issued
+			}
+			w.AppendWriter(mw)
+			wire.PutWriter(mw)
+			ch.owed++
+			frames++
+		}
+		rest[i] = ms[n:]
+		ch.callMu.Unlock()
+	}
+	err := c.sendGen(gen, w, frames, true)
+	wire.PutWriter(w)
+	if err != nil {
+		return err
+	}
+	for i, ch := range chans {
+		ch.callMu.Lock()
+		err := ch.awaitOwed(gen)
+		for _, m := range rest[i] {
+			if err == nil {
+				_, err = ch.callLocked(gen, m, false)
+			}
+		}
+		if err == nil && then != nil {
+			err = then(ch, gen)
+		}
+		ch.callMu.Unlock()
+		if errors.Is(err, errSuspended) {
+			return err
+		}
+	}
+	return nil
 }
 
 // shutdown ends the connection for good. Only the owner calls it: it
@@ -801,7 +890,9 @@ func (c *Connection) dispatchFrame(f wire.Frame) (stop bool, e *Error) {
 				c.writeMethod(0, &wire.ConnectionCloseOk{})
 				return true, &Error{Code: cl.ReplyCode, Reason: cl.ReplyText}
 			}
-			return false, nil
+			// close-ok answers Close, which is waiting for it.
+			_, closeOk := m.(*wire.ConnectionCloseOk)
+			return closeOk, nil
 		}
 		if ch != nil {
 			ch.onMethod(m)
@@ -951,27 +1042,37 @@ func (c *Connection) writeMethodLocked(channel uint16, m wire.Method) error {
 	return c.sendLocked(w, 1, true)
 }
 
-// writeMethodGen writes a synchronous method only if the transport
-// generation still matches gen, so a call never lands on a transport
-// whose reply would go to a different waiter. Socket failures on a
-// reconnecting connection close the socket, so the owner sees the loss
-// too, and surface as errSuspended; marshal errors stay as-is — they are
-// permanent and must not be retried.
-func (c *Connection) writeMethodGen(gen chan struct{}, channel uint16, m wire.Method) error {
+// writeMethodGen writes a synchronous method through sendGen: inline, or
+// as channel.open goes, behind the scheduled flush. A marshal error is
+// returned as it is: it is permanent and must not be retried.
+func (c *Connection) writeMethodGen(gen chan struct{}, channel uint16, m wire.Method, inline bool) error {
 	w, err := encodeMethod(channel, m)
 	if err != nil {
 		return err
 	}
 	defer wire.PutWriter(w)
+	return c.sendGen(gen, w, 1, inline)
+}
+
+// sendGen sends w's frames, as sendLocked, only if the transport
+// generation still matches gen, so a call never lands on a transport whose
+// reply would go to a different waiter, and not once Close has begun.
+// Socket failures on a reconnecting connection close the socket, so the
+// owner sees the loss too, and surface as errSuspended.
+func (c *Connection) sendGen(gen chan struct{}, w *wire.Writer, frames int, inline bool) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	c.mu.Lock()
-	ok := c.genCh == gen
+	live, quitting := c.genCh == gen, c.quitting
 	c.mu.Unlock()
-	if !ok {
+	switch {
+	case quitting:
+		return ErrClosed
+	case !live:
 		return errSuspended
 	}
-	if err = c.sendLocked(w, 1, true); err != nil && c.reconnectEnabled() {
+	err := c.sendLocked(w, frames, inline)
+	if err != nil && c.reconnectEnabled() {
 		c.conn.Close()
 		err = errSuspended
 	}
@@ -1052,7 +1153,7 @@ func (c *Connection) lockOpen(ch *Channel) error {
 		gate := ch.gate
 		c.writeMu.Unlock()
 		<-gate
-		if ch.isClosed() {
+		if ch.closedErr() != nil {
 			return ErrClosed
 		}
 		c.writeMu.Lock()

@@ -14,65 +14,18 @@ import (
 	"ds2hpc/internal/wire"
 )
 
-// scriptedBroker accepts one connection, answers the handshake, a
-// channel.open and a basic.consume (tag "c"), then writes the frames the
-// script appended and keeps the socket open until the test ends.
+// scriptedBroker answers a channel.open and a basic.consume (tag "c"),
+// then writes the frames the script appended.
 func scriptedBroker(t *testing.T, script func(w *wire.Writer)) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	t.Cleanup(func() { ln.Close(); <-done })
-	go func() {
-		defer close(done)
-		c, err := ln.Accept()
-		if err != nil {
-			return
+	return fakeBroker(t, func(w *wire.Writer, channel uint16, m wire.Method) {
+		switch m.(type) {
+		case *wire.ChannelOpen:
+			w.AppendMethodFrame(channel, &wire.ChannelOpenOk{})
+		case *wire.BasicConsume:
+			w.AppendMethodFrame(channel, &wire.BasicConsumeOk{ConsumerTag: "c"})
+			script(w)
 		}
-		defer c.Close()
-		c.SetDeadline(time.Now().Add(20 * time.Second))
-		fr := wire.NewFrameReader(c, 0)
-		w := wire.NewWriter()
-		reply := func(channel uint16, m wire.Method) bool {
-			w.AppendMethodFrame(channel, m)
-			return w.FlushFrames(c, 1) == nil
-		}
-		if wire.ReadProtocolHeader(c) != nil || !reply(0, &wire.ConnectionStart{Mechanisms: "PLAIN", Locales: "en_US"}) {
-			return
-		}
-		for {
-			f, err := fr.ReadFrame()
-			if err != nil {
-				return // the client hung up: the test is over
-			}
-			if f.Type != wire.FrameMethod {
-				continue
-			}
-			m, err := wire.ParseMethod(f.Payload)
-			if err != nil {
-				return
-			}
-			ok := true
-			switch m.(type) {
-			case *wire.ConnectionStartOk:
-				ok = reply(0, &wire.ConnectionTune{ChannelMax: 2047, FrameMax: wire.DefaultFrameMax})
-			case *wire.ConnectionOpen:
-				ok = reply(0, &wire.ConnectionOpenOk{})
-			case *wire.ChannelOpen:
-				ok = reply(f.Channel, &wire.ChannelOpenOk{})
-			case *wire.BasicConsume:
-				w.AppendMethodFrame(f.Channel, &wire.BasicConsumeOk{ConsumerTag: "c"})
-				script(w)
-				ok = w.FlushFrames(c, 0) == nil
-			}
-			if !ok {
-				return
-			}
-		}
-	}()
-	return "amqp://" + ln.Addr().String()
+	})
 }
 
 func contentHeader(t testing.TB, bodySize uint64) []byte {

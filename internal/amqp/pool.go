@@ -84,8 +84,10 @@ func NewClientPool(cfg PoolConfig) *ClientPool {
 
 // Session opens a logical client: a channel on the least-loaded pooled
 // connection, dialing a new connection when the fan-out policy asks for
-// one. The returned Session is used exactly like a Channel; Close
-// releases only the channel, never the shared connection.
+// one. It waits for the broker's channel.open-ok, so a connection that
+// dies before answering gets the session re-placed, and a pool closed
+// meanwhile hands out nothing. The returned Session is used exactly like
+// a Channel; Close releases only the channel, never the shared connection.
 func (p *ClientPool) Session() (*Session, error) {
 	for {
 		p.mu.Lock()
@@ -102,6 +104,9 @@ func (p *ClientPool) Session() (*Session, error) {
 		p.mu.Unlock()
 
 		ch, err := pc.conn.Channel()
+		if err == nil {
+			err = ch.awaitOpen()
+		}
 		if err != nil {
 			p.mu.Lock()
 			pc.sessions--

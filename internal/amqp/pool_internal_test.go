@@ -35,18 +35,6 @@ func (c *Connection) dropTransport() {
 	raw.Close()
 }
 
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
-
 func TestClientPoolPlacement(t *testing.T) {
 	s := poolBroker(t)
 	p := NewClientPool(PoolConfig{URL: "amqp://" + s.Addr(), SessionsPerConn: 4})
@@ -132,10 +120,12 @@ func TestClientPoolSiblingSharesConn(t *testing.T) {
 	}
 }
 
-// silentBroker completes the AMQP handshake on every connection it
-// accepts and then answers nothing, so a channel.open sent to it stays in
-// flight until the client gives up on the connection.
-func silentBroker(t *testing.T) string {
+// fakeBroker completes the AMQP handshake on every connection it accepts
+// and hands each channel method to answer, which appends the frames to
+// reply with, if any, to w. With a nil answer it answers nothing, so a
+// channel.open sent to it stays in flight until the client gives up on
+// the connection.
+func fakeBroker(t *testing.T, answer func(w *wire.Writer, channel uint16, m wire.Method)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -155,32 +145,33 @@ func silentBroker(t *testing.T) string {
 			go func() {
 				defer wg.Done()
 				defer c.Close()
+				c.SetDeadline(time.Now().Add(20 * time.Second))
 				fr := wire.NewFrameReader(c, 0)
 				w := wire.NewWriter()
-				reply := func(m wire.Method) bool {
-					w.AppendMethodFrame(0, m)
-					return w.FlushFrames(c, 1) == nil
-				}
-				if wire.ReadProtocolHeader(c) != nil || !reply(&wire.ConnectionStart{Mechanisms: "PLAIN", Locales: "en_US"}) {
+				w.AppendMethodFrame(0, &wire.ConnectionStart{Mechanisms: "PLAIN", Locales: "en_US"})
+				if wire.ReadProtocolHeader(c) != nil || w.FlushFrames(c, 0) != nil {
 					return
 				}
 				for {
 					f, err := fr.ReadFrame()
 					if err != nil {
-						return
+						return // the client hung up
 					}
 					m, err := wire.ParseMethod(f.Payload)
 					if f.Type != wire.FrameMethod || err != nil {
 						continue
 					}
-					ok := true
 					switch m.(type) {
 					case *wire.ConnectionStartOk:
-						ok = reply(&wire.ConnectionTune{ChannelMax: 2047, FrameMax: wire.DefaultFrameMax})
+						w.AppendMethodFrame(0, &wire.ConnectionTune{ChannelMax: 2047, FrameMax: wire.DefaultFrameMax})
 					case *wire.ConnectionOpen:
-						ok = reply(&wire.ConnectionOpenOk{})
+						w.AppendMethodFrame(0, &wire.ConnectionOpenOk{})
+					default:
+						if f.Channel != 0 && answer != nil {
+							answer(w, f.Channel, m)
+						}
 					}
-					if !ok {
+					if w.FlushFrames(c, 0) != nil {
 						return
 					}
 				}
@@ -197,7 +188,12 @@ func silentBroker(t *testing.T) string {
 // in-flight Session gives its slot back.
 func TestClientPoolCloseDuringSessions(t *testing.T) {
 	const n = 4
-	p := NewClientPool(PoolConfig{URL: silentBroker(t)})
+	opens := make(chan struct{}, n)
+	p := NewClientPool(PoolConfig{URL: fakeBroker(t, func(_ *wire.Writer, _ uint16, m wire.Method) {
+		if _, ok := m.(*wire.ChannelOpen); ok {
+			opens <- struct{}{}
+		}
+	})})
 	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func() {
@@ -205,7 +201,10 @@ func TestClientPoolCloseDuringSessions(t *testing.T) {
 			errs <- err
 		}()
 	}
-	waitFor(t, "sessions in flight", func() bool { _, open := p.Stats(); return open == n })
+	// Every session is in flight once its channel.open reached the broker.
+	for i := 0; i < n; i++ {
+		<-opens
+	}
 	p.Close()
 	for i := 0; i < n; i++ {
 		if err := <-errs; !errors.Is(err, ErrPoolClosed) {
@@ -258,12 +257,9 @@ func TestPoolSharedConnFlapResumesOnlyItsSessions(t *testing.T) {
 
 	publish := func(i int, body string) {
 		t.Helper()
-		// A publish racing the flap may see the dying transport; the
-		// producer contract is to republish, as the pattern layer does.
-		waitFor(t, "publish "+body, func() bool {
-			return sessions[i].Publish("", fmt.Sprintf("flap-q-%d", i), false, false,
-				Publishing{Body: []byte(body)}) == nil
-		})
+		if err := sessions[i].Publish("", fmt.Sprintf("flap-q-%d", i), false, false, Publishing{Body: []byte(body)}); err != nil {
+			t.Fatalf("session %d: publish %q: %v", i, body, err)
+		}
 	}
 	expect := func(i int, body string) {
 		t.Helper()
@@ -311,8 +307,11 @@ func TestPoolSharedConnFlapResumesOnlyItsSessions(t *testing.T) {
 	// on the dead (or resuming) transport and must be replayed.
 	publish(victims[0], "outage")
 
-	waitFor(t, "victim reconnect", func() bool { return victimConn.Reconnects() >= 1 })
+	// The confirm log replays it once the victim has reconnected.
 	expect(victims[0], "outage")
+	if victimConn.Reconnects() == 0 {
+		t.Fatal("the outage publish was delivered, but the victim never reconnected")
+	}
 	select {
 	case conf := <-confirms:
 		if !conf.Ack {

@@ -3,7 +3,9 @@ package amqp_test
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -41,7 +43,25 @@ func dialFaulted(t *testing.T, s *broker.Server, in *transport.Injector) *amqp.C
 func TestReconnectResumesPublishAndConsume(t *testing.T) {
 	s := startBroker(t, broker.Config{})
 	in := transport.NewInjector()
-	conn := dialFaulted(t, s, in)
+	// The redial reports itself and waits for release: the connection has
+	// seen the loss and suspended its channels by then.
+	redialing, release := make(chan struct{}), make(chan struct{})
+	var dials atomic.Int32
+	path := transport.Path{in.Hop()}.Dial()
+	conn, err := amqp.DialConfig("amqp://"+s.Addr(), amqp.Config{
+		Dial: func(network, addr string) (net.Conn, error) {
+			if dials.Add(1) == 2 {
+				close(redialing)
+				<-release
+			}
+			return path(network, addr)
+		},
+		Reconnect: testPolicy(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
 
 	ch := openChannel(t, conn)
 	if _, err := ch.QueueDeclare("rq", false, false, false, false, nil); err != nil {
@@ -95,8 +115,12 @@ func TestReconnectResumesPublishAndConsume(t *testing.T) {
 
 	for i := 0; i < total; i++ {
 		if i == total/2 {
-			// Mid-run transport loss: live connections reset.
+			// Mid-run transport loss behind unconfirmed publishes; the next
+			// publishes are made once the connection is suspended, and wait
+			// for the replay to re-open the channel.
 			in.ResetConns()
+			<-redialing
+			close(release)
 		}
 		err := ch.Publish("", "rq", false, false, amqp.Publishing{
 			MessageID: fmt.Sprintf("m%d", i),
@@ -105,9 +129,6 @@ func TestReconnectResumesPublishAndConsume(t *testing.T) {
 		if err != nil {
 			t.Fatalf("publish %d: %v", i, err)
 		}
-		// A small pacing delay keeps publishes spread across the outage
-		// window so some land while suspended (queued for replay).
-		time.Sleep(time.Millisecond)
 	}
 
 	if err := <-done; err != nil {
@@ -430,5 +451,53 @@ func TestReconnectKeepsPerConsumerPrefetch(t *testing.T) {
 	}
 	if held != 1 {
 		t.Fatalf("consumer a holds %d unacked deliveries after the replay, want 1 (prefetch 1)", held)
+	}
+}
+
+// TestReconnectReplaysMoreConsumersThanOneRound subscribes more consumers
+// on one channel than the replay pipelines in one round (a channel owes at
+// most what its reply buffer holds): after a link cut every one of them
+// is subscribed again and gets its message.
+func TestReconnectReplaysMoreConsumersThanOneRound(t *testing.T) {
+	const consumers = 12
+	s := startBroker(t, broker.Config{})
+	in := transport.NewInjector()
+	conn := dialFaulted(t, s, in)
+	ch := openChannel(t, conn)
+	var inboxes []<-chan amqp.Delivery
+	for i := 0; i < consumers; i++ {
+		q := fmt.Sprintf("many-%d", i)
+		if _, err := ch.QueueDeclare(q, false, false, false, false, nil); err != nil {
+			t.Fatal(err)
+		}
+		d, err := ch.Consume(q, "", true, false, false, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inboxes = append(inboxes, d)
+	}
+	// In confirm mode, a publish that races the cut is replayed, not lost.
+	pub := openChannel(t, conn)
+	if err := pub.Confirm(false); err != nil {
+		t.Fatal(err)
+	}
+	in.ResetConns()
+	for i := range inboxes {
+		if err := pub.Publish("", fmt.Sprintf("many-%d", i), false, false, amqp.Publishing{Body: []byte{byte(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, d := range inboxes {
+		select {
+		case m, ok := <-d:
+			if !ok || len(m.Body) != 1 || m.Body[0] != byte(i) {
+				t.Fatalf("consumer %d: delivery %v (open %v)", i, m.Body, ok)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("consumer %d got nothing after the reconnect", i)
+		}
+	}
+	if conn.Reconnects() == 0 {
+		t.Fatal("connection never reconnected")
 	}
 }

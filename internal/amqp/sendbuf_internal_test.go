@@ -9,6 +9,9 @@ package amqp
 import (
 	"bytes"
 	"crypto/tls"
+	"errors"
+	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"strconv"
@@ -339,31 +342,192 @@ func TestBadPublishPoisonsNothing(t *testing.T) {
 	}
 }
 
-// TestNoFlushGoroutineOutlivesClose: the scheduled flush is a goroutine
-// per batch, not per connection; with the connection closed and the
-// broker gone, the process is back to the goroutines it started with.
-func TestNoFlushGoroutineOutlivesClose(t *testing.T) {
-	base := runtime.NumGoroutine()
-	s, err := broker.Listen(broker.Config{Addr: "127.0.0.1:0"})
+// recDial dials through a fresh recConn per transport, recording from the
+// first byte, and hands each one to dialed.
+func recDial(dialed chan<- *recConn) func(network, addr string) (net.Conn, error) {
+	return func(network, addr string) (net.Conn, error) {
+		raw, err := net.DialTimeout(network, addr, 5*time.Second)
+		if err != nil {
+			return nil, err
+		}
+		rec := &recConn{Conn: raw, wrote: make(chan struct{}, 4096), on: true}
+		dialed <- rec
+		return rec, nil
+	}
+}
+
+// framesOf parses b, whole frames only, into its method frames.
+func framesOf(t *testing.T, b []byte) []wire.Frame {
+	t.Helper()
+	fr := wire.NewFrameReader(bytes.NewReader(b), 0)
+	var fs []wire.Frame
+	for {
+		f, err := fr.ReadFrame()
+		if err == io.EOF {
+			return fs
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Payload = append([]byte(nil), f.Payload...)
+		fs = append(fs, f)
+	}
+}
+
+// TestHandshakeSharesTuneOkAndOpenWrite: connection.tune-ok awaits no
+// reply, so it leaves in connection.open's write. A dial is three writes:
+// the protocol header, start-ok, and tune-ok with open.
+func TestHandshakeSharesTuneOkAndOpenWrite(t *testing.T) {
+	s := poolBroker(t)
+	dialed := make(chan *recConn, 1)
+	c, err := DialConfig("amqp://"+s.Addr(), Config{Dial: recDial(dialed)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	c, err := Dial("amqp://" + s.Addr())
+	defer c.Close()
+	sizes, stream := (<-dialed).snapshot()
+	if len(sizes) != 3 {
+		t.Fatalf("the handshake took %d writes %v, want 3", len(sizes), sizes)
+	}
+	fs := framesOf(t, stream[sizes[0]+sizes[1]:])
+	if len(fs) != 2 {
+		t.Fatalf("the last handshake write carries %d frames, want tune-ok and open", len(fs))
+	}
+	for i, want := range []wire.Method{&wire.ConnectionTuneOk{}, &wire.ConnectionOpen{}} {
+		m, err := wire.ParseMethod(fs[i].Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gc, gm := m.ID()
+		if wc, wm := want.ID(); gc != wc || gm != wm {
+			t.Fatalf("frame %d of the last handshake write is %T, want %T", i, m, want)
+		}
+	}
+}
+
+// TestChannelOpenRidesFirstCall: Channel waits for no reply — against a
+// broker that answers nothing it still returns at once — and its
+// channel.open leaves in the first call's write, which reads open-ok and
+// then its own reply.
+func TestChannelOpenRidesFirstCall(t *testing.T) {
+	silent, err := DialConfig(fakeBroker(t, nil), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	if _, err := silent.Channel(); err != nil {
+		t.Fatalf("Channel against a broker that answers nothing: %v", err)
+	}
+
+	c, _, rec := dialRecorded(t, false)
+	// One P: the flush channel.open schedules cannot run before the
+	// declare's inline write has taken everything pending.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rec.mark()
+	ch, err := c.Channel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ch.QueueDeclare("sb-q", false, false, false, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := append(methodFrame(ch.id, &wire.ChannelOpen{}), methodFrame(ch.id, &wire.QueueDeclare{Queue: "sb-q"})...)
+	if sizes, stream := rec.snapshot(); len(sizes) != 1 || !bytes.Equal(stream, want) {
+		t.Fatalf("Channel then QueueDeclare left as writes %v, want one write of open and declare (%d bytes)", sizes, len(want))
+	}
+}
+
+// TestRefusedOpenSurfacesOnFirstCall: a broker that answers channel.open
+// with channel.close fails the channel's first waiting call with its
+// exception, and Close on the refused channel returns.
+func TestRefusedOpenSurfacesOnFirstCall(t *testing.T) {
+	url := fakeBroker(t, func(w *wire.Writer, channel uint16, m wire.Method) {
+		if _, ok := m.(*wire.ChannelOpen); ok {
+			w.AppendMethodFrame(channel, &wire.ChannelClose{ReplyCode: wire.ReplyNotAllowed, ReplyText: "no channels here"})
+		}
+	})
+	c, err := DialConfig(url, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	ch, err := c.Channel()
 	if err != nil {
+		t.Fatalf("Channel: %v (the refusal belongs to the first waiting call)", err)
+	}
+	_, err = ch.QueueDeclare("refused-q", false, false, false, false, nil)
+	var exc *Error
+	if !errors.As(err, &exc) || exc.Code != wire.ReplyNotAllowed {
+		t.Fatalf("first call on a refused channel: err = %v, want the broker's %d exception", err, wire.ReplyNotAllowed)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- ch.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close on a refused channel still blocked after 5 s")
+	}
+}
+
+// TestReconnectReplaysChannelsInTwoWrites: a reconnect re-establishes
+// four channels — confirm mode, one prefetch, two consumers each — with
+// two writes after the handshake: every channel.open and confirm.select,
+// then every basic.qos and basic.consume. One round trip per call took 20.
+func TestReconnectReplaysChannelsInTwoWrites(t *testing.T) {
+	s := poolBroker(t)
+	dialed := make(chan *recConn, 4)
+	c, err := DialConfig("amqp://"+s.Addr(), Config{
+		Dial:      recDial(dialed),
+		Reconnect: &ReconnectPolicy{MaxAttempts: 50, Delay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond},
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 200; i++ {
-		if err := ch.Publish("", "nowhere", false, false, Publishing{Body: make([]byte, 512)}); err != nil {
+	defer c.Close()
+	<-dialed
+	var opens, subs []byte
+	for i := 0; i < 4; i++ {
+		ch, err := c.Channel()
+		if err != nil {
 			t.Fatal(err)
 		}
+		if err := ch.Confirm(false); err != nil {
+			t.Fatal(err)
+		}
+		if err := ch.Qos(1, 0, false); err != nil {
+			t.Fatal(err)
+		}
+		opens = append(opens, methodFrame(ch.id, &wire.ChannelOpen{})...)
+		opens = append(opens, methodFrame(ch.id, &wire.ConfirmSelect{})...)
+		subs = append(subs, methodFrame(ch.id, &wire.BasicQos{PrefetchCount: 1})...)
+		for _, side := range []string{"a", "b"} {
+			q, tag := fmt.Sprintf("replay-%d-%s", i, side), "c"+side
+			if _, err := ch.QueueDeclare(q, false, false, false, false, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ch.Consume(q, tag, false, false, false, false, nil); err != nil {
+				t.Fatal(err)
+			}
+			subs = append(subs, methodFrame(ch.id, &wire.BasicConsume{Queue: q, ConsumerTag: tag})...)
+		}
 	}
-	c.Close()
-	s.Close()
-	waitFor(t, "goroutines back to the baseline", func() bool { return runtime.NumGoroutine() <= base })
+
+	c.dropTransport()
+	rec := <-dialed
+	// The loss suspended the connection before the redial; this returns
+	// once the replay has resumed it.
+	if !c.awaitResume() {
+		t.Fatal("the connection closed instead of resuming")
+	}
+	sizes, stream := rec.snapshot()
+	if len(sizes) != 5 {
+		t.Fatalf("the new transport took %d writes %v, want the handshake's 3 and the replay's 2", len(sizes), sizes)
+	}
+	replay := stream[sizes[0]+sizes[1]+sizes[2]:]
+	if got := replay[:sizes[3]]; !bytes.Equal(got, opens) {
+		t.Fatalf("the replay's first write is %d bytes, want every channel's open and confirm.select (%d)", len(got), len(opens))
+	}
+	if got := replay[sizes[3]:]; !bytes.Equal(got, subs) {
+		t.Fatalf("the replay's second write is %d bytes, want every channel's qos and consumers (%d)", len(got), len(subs))
+	}
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -357,4 +358,33 @@ func TestCloseFlushesDeferredPublishes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestNoFlushGoroutineOutlivesClose: the scheduled flush is a goroutine
+// per batch, not per connection; with the connection closed and the
+// broker gone, the process is back to the goroutines it started with.
+func TestNoFlushGoroutineOutlivesClose(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s, err := broker.Listen(broker.Config{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := amqp.Dial("amqp://" + s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ch, err := c.Channel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if err := ch.Publish("", "nowhere", false, false, amqp.Publishing{Body: make([]byte, 512)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Close()
+	s.Close()
+	waitFor(t, "goroutines back to the baseline", func() bool { return runtime.NumGoroutine() <= base })
 }

@@ -7,6 +7,7 @@ package broker
 
 import (
 	"crypto/tls"
+	"fmt"
 	"net"
 	"reflect"
 	"sync/atomic"
@@ -440,6 +441,70 @@ func TestConsumeOkPrecedesDeliveries(t *testing.T) {
 	m := p.next()
 	if _, ok := m.(*wire.BasicConsumeOk); !ok {
 		t.Fatalf("first frame after basic.consume is %T, want basic.consume-ok", m)
+	}
+}
+
+// TestPipelinedChannelMethodsAnsweredInOrder: one client write carries,
+// for each of two channels, channel.open, confirm.select, queue.declare,
+// basic.qos and basic.consume on a queue already holding messages. Each
+// channel's replies come back in the order of its calls, and its
+// consume-ok before the consumer's first delivery: what a client that
+// writes calls without waiting for each reply, as the client's reconnect
+// replay does, relies on.
+func TestPipelinedChannelMethodsAnsweredInOrder(t *testing.T) {
+	const ready, prefetch = 8, 4
+	p := newConfirmPeer(t, Config{}, false)
+	chans := []uint16{2, 3}
+	queue := func(id uint16) string { return fmt.Sprintf("pipelined-%d", id) }
+	for _, id := range chans {
+		p.declare(queue(id), nil)
+	}
+	for _, id := range chans {
+		for i := 0; i < ready; i++ {
+			p.publish("", queue(id), false)
+		}
+	}
+	p.flush()
+	p.readAcks(uint64(len(chans) * ready))
+
+	for _, id := range chans {
+		p.method(id, &wire.ChannelOpen{})
+		p.method(id, &wire.ConfirmSelect{})
+		p.method(id, &wire.QueueDeclare{Queue: queue(id)})
+		p.method(id, &wire.BasicQos{PrefetchCount: prefetch})
+		p.method(id, &wire.BasicConsume{Queue: queue(id), ConsumerTag: "c"})
+	}
+	p.flush()
+	replies := []wire.Method{&wire.ChannelOpenOk{}, &wire.ConfirmSelectOk{}, &wire.QueueDeclareOk{}, &wire.BasicQosOk{}, &wire.BasicConsumeOk{}}
+	answered, delivered := map[uint16]int{}, map[uint16]int{}
+	for delivered[chans[0]] < prefetch || delivered[chans[1]] < prefetch {
+		f, err := p.fr.ReadFrame()
+		if err != nil {
+			t.Fatalf("read frame: %v", err)
+		}
+		if f.Type != wire.FrameMethod {
+			continue // a delivery's header and body
+		}
+		m, err := wire.ParseMethod(f.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := m.(*wire.BasicDeliver); ok {
+			if answered[f.Channel] < len(replies) {
+				t.Fatalf("channel %d: a delivery after %d of its %d replies", f.Channel, answered[f.Channel], len(replies))
+			}
+			delivered[f.Channel]++
+			continue
+		}
+		n := answered[f.Channel]
+		if n == len(replies) {
+			t.Fatalf("channel %d: %T after every reply", f.Channel, m)
+		}
+		gc, gm := m.ID()
+		if wc, wm := replies[n].ID(); gc != wc || gm != wm {
+			t.Fatalf("channel %d: reply %d is %T, want %T", f.Channel, n+1, m, replies[n])
+		}
+		answered[f.Channel]++
 	}
 }
 
