@@ -296,7 +296,7 @@ func TestAllocsPublishIngest(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		sc.flushConfirms()
+		sc.preRead()
 		m, _, _, _, ok := q.Get()
 		if !ok {
 			t.Fatal("publish not queued")

@@ -427,22 +427,34 @@ func TestQuickQueueFIFOProperty(t *testing.T) {
 	}
 }
 
+// TestQuickQueueByteAccounting: a reject-publish queue sized to the sum
+// of the bodies accepts exactly those publishes and refuses one byte
+// more; once they are all got, it accepts the whole sum again.
 func TestQuickQueueByteAccounting(t *testing.T) {
 	f := func(sizes []uint16) bool {
-		q := NewQueue("q", QueueLimits{})
-		var want int64
-		for _, s := range sizes {
-			n := int(s % 4096)
-			q.Publish(&Message{Body: make([]byte, n)})
-			want += int64(n)
+		if len(sizes) == 0 {
+			return true // MaxBytes 0 is no limit
 		}
-		if q.Bytes() != want {
+		var sum int64
+		for _, s := range sizes {
+			sum += 1 + int64(s%4096)
+		}
+		q := NewQueue("q", QueueLimits{MaxBytes: sum, Overflow: OverflowRejectPublish})
+		fill := func() bool {
+			for _, s := range sizes {
+				if q.Publish(&Message{Body: make([]byte, 1+int(s%4096))}) != nil {
+					return false
+				}
+			}
+			return q.Publish(&Message{Body: make([]byte, 1)}) == ErrQueueFull
+		}
+		if !fill() {
 			return false
 		}
 		for range sizes {
 			q.Get()
 		}
-		return q.Bytes() == 0
+		return fill()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

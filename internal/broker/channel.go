@@ -68,9 +68,9 @@ func (ch *srvChannel) teardown() {
 	applySettled(unsettled)
 }
 
-// exception sends a channel.close to the client — after the confirms of the
-// publishes that preceded the failure — and tears the channel down. Serve
-// goroutine only.
+// exception appends a channel.close — after the confirms of the publishes
+// that preceded the failure — and tears the channel down. Serve goroutine
+// only.
 func (ch *srvChannel) exception(code uint16, text string, m wire.Method) error {
 	// A node going down says nothing more. Crash tears its queues down
 	// before it drops their connections, and a channel exception for a
@@ -88,10 +88,10 @@ func (ch *srvChannel) exception(code uint16, text string, m wire.Method) error {
 	if m != nil {
 		classID, methodID = m.ID()
 	}
-	ch.conn.flushConfirms()
+	ch.conn.appendConfirms()
 	ch.teardown()
 	ch.conn.removeChannel(ch.id)
-	return ch.conn.writeMethod(ch.id, &wire.ChannelClose{
+	return ch.send(&wire.ChannelClose{
 		ReplyCode: code, ReplyText: text, ClassID: classID, MethodID: methodID,
 	})
 }
@@ -115,11 +115,11 @@ func (ch *srvChannel) onMethod(m wire.Method) error {
 	case *wire.ChannelClose:
 		ch.teardown()
 		ch.conn.removeChannel(ch.id)
-		return ch.conn.writeMethod(ch.id, &wire.ChannelCloseOk{})
+		return ch.send(&wire.ChannelCloseOk{})
 	case *wire.ChannelCloseOk:
 		return nil
 	case *wire.ChannelFlow:
-		return ch.conn.writeMethod(ch.id, &wire.ChannelFlowOk{Active: x.Active})
+		return ch.send(&wire.ChannelFlowOk{Active: x.Active})
 
 	case *wire.ExchangeDeclare:
 		if _, err := vh.DeclareExchange(x.Exchange, x.Type, x.Passive); err != nil {
@@ -175,7 +175,7 @@ func (ch *srvChannel) onMethod(m wire.Method) error {
 		if e, ok := vh.Exchange(x.Exchange); ok {
 			e.Unbind(q, x.RoutingKey)
 		}
-		return ch.conn.writeMethod(ch.id, &wire.QueueUnbindOk{})
+		return ch.send(&wire.QueueUnbindOk{})
 	case *wire.QueuePurge:
 		q, ok := vh.Queue(x.Queue)
 		if !ok {
@@ -202,7 +202,7 @@ func (ch *srvChannel) onMethod(m wire.Method) error {
 		ch.mu.Lock()
 		ch.prefetch = int(x.PrefetchCount)
 		ch.mu.Unlock()
-		return ch.conn.writeMethod(ch.id, &wire.BasicQosOk{})
+		return ch.send(&wire.BasicQosOk{})
 	case *wire.BasicConsume:
 		return ch.basicConsume(x)
 	case *wire.BasicCancel:
@@ -293,13 +293,11 @@ func (ch *srvChannel) basicConsume(x *wire.BasicConsume) error {
 		return nil
 	}
 
-	// consume-ok goes out before the consumer is armed: once armed, the
-	// delivery loop may write deliveries at once, and a client that reads
-	// them before the -ok can have its consumer's buffer filled while
-	// Consume still waits for the reply.
-	if !x.NoWait {
-		err = ch.conn.writeMethod(ch.id, &wire.BasicConsumeOk{ConsumerTag: tag})
-	}
+	// consume-ok is appended before the consumer is armed: once armed,
+	// the delivery loop may append deliveries at once, and a client that
+	// reads them before the -ok can have its consumer's buffer filled
+	// while Consume still waits for the reply.
+	err = ch.reply(x.NoWait, &wire.BasicConsumeOk{ConsumerTag: tag})
 	// Hand delivery writing to the connection's event-driven loop: once
 	// armed, the consumer is queued there whenever its ring holds
 	// deliveries, so an idle consumer costs a map entry, not a parked
@@ -308,68 +306,81 @@ func (ch *srvChannel) basicConsume(x *wire.BasicConsume) error {
 	return err
 }
 
-// reply writes m, the -ok of a method, unless the method said no-wait.
+// reply appends m, the -ok of a method, unless the method said no-wait.
 func (ch *srvChannel) reply(noWait bool, m wire.Method) error {
 	if noWait {
 		return nil
 	}
-	return ch.conn.writeMethod(ch.id, m)
+	return ch.send(m)
 }
 
-// maxDeliveryBatch caps how many queued deliveries one writer drains into a
-// single coalesced write (and one queue-lock round-trip of completions).
-const maxDeliveryBatch = 16
+// send appends method m under ch.mu, behind every frame the channel
+// appended in an earlier hold. The next kernel read flushes it.
+func (ch *srvChannel) send(m wire.Method) error {
+	ch.mu.Lock()
+	defer ch.mu.Unlock()
+	return ch.conn.appendMethod(ch.id, m)
+}
+
+// maxDeliveryBatch and maxDeliveryBytes bound one delivery batch, which
+// is one write and one queue-lock round-trip of completions: a 1 MiB
+// body leaves in a write of its own.
+const (
+	maxDeliveryBatch = 16
+	maxDeliveryBytes = 256 * 1024
+)
 
 // serveConsumer takes one bounded batch from a consumer's ring and writes
-// it with one flush, instead of one write — and one queue-lock acquisition
-// — per message. It runs on the connection's delivery loop, which serves
-// a consumer once per time it is queued, so its deliveries go out in
-// order. Checking ch.closed, taking and issuing share one ch.mu hold: a
-// batch is either in the outbound core when teardown empties it or never
-// taken. The take and the write share one writeMu hold, so no other
-// frame can overtake a batch once it is taken: a basic.cancel-ok written
-// after RemoveConsumer follows every delivery taken before the removal,
-// and a take after it finds the ring empty.
+// it with one flush. It runs on the connection's delivery loop, which
+// serves a consumer once per time it is queued, so its deliveries go out
+// in order. Checking ch.closed, taking, issuing and appending share one
+// ch.mu hold, so teardown finds a batch in the outbound core and the send
+// buffer or not taken at all, and a cancel-ok appended after
+// RemoveConsumer follows every delivery taken before the removal.
 func (ch *srvChannel) serveConsumer(c *consumer) {
 	var batch [maxDeliveryBatch]qitem
-	var tags [maxDeliveryBatch]uint64
 	sc := ch.conn
 	offs := &sc.dispOffs
-	sc.writeMu.Lock()
+	n := 0
 	ch.mu.Lock()
-	if ch.closed {
+	if !ch.closed {
+		n = c.q.take(c, batch[:])
+	}
+	if n == 0 {
 		ch.mu.Unlock()
-		sc.writeMu.Unlock()
 		return
 	}
-	n := c.q.take(c, batch[:])
+	var bytesOut uint64
+	sc.outMu.Lock()
+	deliver := &sc.deliver
+	deliver.ConsumerTag = c.tag
 	for i, d := range batch[:n] {
+		msg := d.msg
 		ch.deliveryTag++
-		tags[i] = ch.deliveryTag
 		offs[i] = d.off
 		if !c.noAck {
 			// The outbound entry takes over the queue's reference; the
-			// write below needs its own — the moment the entry exists, a
-			// concurrent teardown may requeue the message, and another
-			// consumer could resolve it while these frames are still
-			// being serialized.
-			d.msg.Retain()
-			ch.out.issue(tags[i], c.q, c, d.msg, d.off)
+			// send buffer's borrow needs its own, since once ch.mu drops
+			// a teardown may requeue the message before the flush below.
+			msg.Retain()
+			ch.out.issue(ch.deliveryTag, c.q, c, msg, d.off)
 		}
+		// The redelivered flag travels with the entry (per-queue state),
+		// so a concurrent requeue of the shared message cannot flip it.
+		deliver.DeliveryTag = ch.deliveryTag
+		deliver.Redelivered = d.redelivered
+		deliver.Exchange = msg.Exchange
+		deliver.RoutingKey = msg.RoutingKey
+		sc.outFrames += sc.bufLocked().AppendContentFramesZC(ch.id, deliver, &msg.Props, msg.Body, sc.frameMax)
+		bytesOut += uint64(len(msg.Body))
 	}
+	sc.outMu.Unlock()
 	ch.mu.Unlock()
-	if n == 0 {
-		sc.writeMu.Unlock()
-		return
-	}
-
+	sc.flush()
+	sc.srv.Stats.MessagesOut.Add(uint64(n))
+	sc.srv.Stats.BytesOut.Add(bytesOut)
 	deliveryBatches.Inc()
 	deliveriesBatched.Add(int64(n))
-	// The redelivered flag travels with the entry (per-queue state), so a
-	// concurrent requeue of the shared message cannot flip it
-	// mid-serialization.
-	err := sc.writeDeliveriesLocked(ch.id, c.tag, batch[:n], tags[:n])
-	sc.writeMu.Unlock()
 	if c.noAck {
 		// noAck deliveries resolve immediately: restore credit (even on a
 		// dying connection the pop already happened) and drop the queue's
@@ -381,11 +392,10 @@ func (ch *srvChannel) serveConsumer(c *consumer) {
 			c.q.CommitAll(offs[:n])
 		}
 	}
-	// Drop the write's (noAck: the queue's) reference per message.
+	// Drop the send buffer's (noAck: the queue's) reference per message.
 	for _, d := range batch[:n] {
 		d.msg.Release()
 	}
-	_ = err // on error the connection is going away; teardown requeues the unsettled
 }
 
 var (
@@ -411,32 +421,47 @@ func (ch *srvChannel) basicGet(x *wire.BasicGet) error {
 	}
 	msg, off, redelivered, remaining, ok := q.Get()
 	if !ok {
+		err := ch.conn.appendMethod(ch.id, &wire.BasicGetEmpty{})
 		ch.mu.Unlock()
-		return ch.conn.writeMethod(ch.id, &wire.BasicGetEmpty{})
+		return err
 	}
 	ch.deliveryTag++
 	tag := ch.deliveryTag
 	if !x.NoAck {
 		// As in serveConsumer: the outbound entry takes the queue's
-		// reference, the write holds its own.
+		// reference, the send buffer holds its own.
 		msg.Retain()
 		ch.out.issue(tag, q, nil, msg, off)
 	}
-	ch.mu.Unlock()
-	err := ch.conn.writeContent(ch.id, &wire.BasicGetOk{
+	ch.sendContentLocked(&wire.BasicGetOk{
 		DeliveryTag:  tag,
 		Redelivered:  redelivered,
 		Exchange:     msg.Exchange,
 		RoutingKey:   msg.RoutingKey,
 		MessageCount: uint32(remaining),
-	}, &msg.Props, msg.Body)
-	// Drop the write's (NoAck: the queue's) reference; a NoAck get is a
-	// settlement, so the durable offset commits.
+	}, msg)
+	ch.mu.Unlock()
+	// The flush ends the body's borrow; then drop the send buffer's
+	// (NoAck: the queue's) reference. A NoAck get is a settlement, so the
+	// durable offset commits.
+	ch.conn.flush()
 	msg.Release()
 	if x.NoAck {
 		q.Commit(off)
 	}
-	return err
+	return nil
+}
+
+// sendContentLocked appends the frames of one message on this channel; a
+// body chunk of 2 KiB or more is borrowed, not copied. The caller holds
+// ch.mu, and a reference on msg until its flush returns.
+func (ch *srvChannel) sendContentLocked(m wire.Method, msg *Message) {
+	sc := ch.conn
+	sc.outMu.Lock()
+	sc.outFrames += sc.bufLocked().AppendContentFramesZC(ch.id, m, &msg.Props, msg.Body, sc.frameMax)
+	sc.outMu.Unlock()
+	sc.srv.Stats.MessagesOut.Add(1)
+	sc.srv.Stats.BytesOut.Add(uint64(len(msg.Body)))
 }
 
 var (
@@ -538,8 +563,8 @@ func (ch *srvChannel) onBody(b []byte) error {
 func (ch *srvChannel) completePublish(p publish) error {
 	msg, method, tag := p.msg, &p.method, p.tag
 	vh, hook := ch.conn.vh, ch.conn.srv.cfg.Cluster
-	// The publisher's reference covers routing and the mandatory-return
-	// write below; the queues' references are retained by vhost.Publish.
+	// The publisher's reference covers routing and the mandatory return
+	// below; the queues' references are retained by vhost.Publish.
 	defer msg.Release()
 	ch.conn.srv.Stats.MessagesIn.Add(1)
 	ch.conn.srv.Stats.BytesIn.Add(uint64(len(msg.Body)))
@@ -589,15 +614,17 @@ func (ch *srvChannel) completePublish(p publish) error {
 	case errors.Is(err, ErrNotFound):
 		return ch.exception(wire.ReplyNotFound, err.Error(), &wire.BasicPublish{})
 	case err == nil && routed == 0 && method.Mandatory:
-		ch.conn.flushConfirms()
-		if err := ch.conn.writeContent(ch.id, &wire.BasicReturn{
+		// The flush ends the body's borrow before the deferred release.
+		ch.conn.appendConfirms()
+		ch.mu.Lock()
+		ch.sendContentLocked(&wire.BasicReturn{
 			ReplyCode:  wire.ReplyNoRoute,
 			ReplyText:  "NO_ROUTE",
 			Exchange:   method.Exchange,
 			RoutingKey: method.RoutingKey,
-		}, &msg.Props, msg.Body); err != nil {
-			return err
-		}
+		}, msg)
+		ch.mu.Unlock()
+		ch.conn.flush()
 	}
 	// Backpressure (queue full, memory alarm) nacks, so a producer in
 	// confirm mode can retry.
@@ -606,7 +633,7 @@ func (ch *srvChannel) completePublish(p publish) error {
 }
 
 // verdict records the serve goroutine's verdict on publish tag (0: none
-// is owed) and lists the channel for the connection's next flushConfirms.
+// is owed) and lists the channel for the connection's next appendConfirms.
 func (ch *srvChannel) verdict(tag uint64, ok bool) {
 	if tag == 0 {
 		return
@@ -625,8 +652,8 @@ func (ch *srvChannel) verdict(tag uint64, ok bool) {
 // carries the master's address. Consumers must sit on the master (that is
 // where the ready ring and the segment log live), so the broker points
 // the client there instead of proxying a delivery stream. Returning
-// errConnClosed ends the serve loop cleanly after the close frame is on
-// the wire. A nil return means the queue is local (or the node is not
+// errConnClosed ends the serve loop, whose exit flush puts the close
+// frame on the wire. A nil return means the queue is local (or the node is not
 // clustered) and the caller proceeds.
 func (ch *srvChannel) redirectIfRemote(vhost, queue string, m wire.Method) error {
 	hook := ch.conn.srv.cfg.Cluster
@@ -639,7 +666,7 @@ func (ch *srvChannel) redirectIfRemote(vhost, queue string, m wire.Method) error
 	}
 	hook.NoteRedirect(vhost, queue)
 	classID, methodID := m.ID()
-	_ = ch.conn.writeMethod(0, &wire.ConnectionClose{
+	_ = ch.conn.appendMethod(0, &wire.ConnectionClose{
 		ReplyCode: wire.ReplyRedirect,
 		ReplyText: addr,
 		ClassID:   classID,
@@ -649,7 +676,7 @@ func (ch *srvChannel) redirectIfRemote(vhost, queue string, m wire.Method) error
 }
 
 // ClusterConfirm resolves a bridged publish's tag with the verdict of its
-// master or mirrors, and writes what that made writable on this channel.
+// master or mirrors, and sends what that made sendable on this channel.
 // It runs on a federation link's read loop, or on the serve goroutine
 // inside the hook call that bridged the publish. A channel closed since
 // the publish drops the verdict: a channel reopened under its id numbers
@@ -657,6 +684,7 @@ func (ch *srvChannel) redirectIfRemote(vhost, queue string, m wire.Method) error
 func (ch *srvChannel) ClusterConfirm(seq uint64, ok bool) {
 	ch.mu.Lock()
 	ch.in.resolve(seq, ok)
+	ch.conn.appendVerdictsLocked(ch)
 	ch.mu.Unlock()
-	ch.conn.writeConfirms([]*srvChannel{ch})
+	ch.conn.flush()
 }

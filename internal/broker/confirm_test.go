@@ -19,15 +19,24 @@ import (
 )
 
 // countingConn counts the Write calls that reach a socket, into a counter
-// several connections may share.
+// several connections may share, and the Read calls that return data.
 type countingConn struct {
 	net.Conn
 	writes *atomic.Int64
+	reads  atomic.Int64
 }
 
 func (c *countingConn) Write(p []byte) (int, error) {
 	c.writes.Add(1)
 	return c.Conn.Write(p)
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.reads.Add(1)
+	}
+	return n, err
 }
 
 // confirmPeer is a raw-frame client on channel 1, in confirm mode, of a
@@ -38,6 +47,9 @@ type confirmPeer struct {
 	fr  *wire.FrameReader
 	srv *countingConn
 	w   *wire.Writer
+	// served is closed once the broker's serve goroutine has returned,
+	// which is after the connection's teardown.
+	served chan struct{}
 
 	resolved map[uint64]bool // confirm tags above frontier with a verdict so far
 	frontier uint64          // every tag at or below it has its verdict
@@ -83,9 +95,9 @@ func newConfirmPeer(t testing.TB, cfg Config, secure bool) *confirmPeer {
 	}
 	p := &confirmPeer{t: t, c: cli, srv: &countingConn{Conn: raw, writes: new(atomic.Int64)}, w: wire.NewWriter(), resolved: map[uint64]bool{}}
 	sc := newSrvConn(s, p.srv)
-	served := make(chan struct{})
-	go func() { sc.serve(); close(served) }()
-	t.Cleanup(func() { p.c.Close(); sc.shutdown(); <-served })
+	p.served = make(chan struct{})
+	go func() { sc.serve(); close(p.served) }()
+	t.Cleanup(func() { p.c.Close(); sc.shutdown(); <-p.served })
 
 	if secure {
 		p.c = tls.Client(cli, id.ClientConfig("127.0.0.1"))
@@ -505,6 +517,38 @@ func TestPipelinedChannelMethodsAnsweredInOrder(t *testing.T) {
 			t.Fatalf("channel %d: reply %d is %T, want %T", f.Channel, n+1, m, replies[n])
 		}
 		answered[f.Channel]++
+	}
+}
+
+// TestPipelinedRepliesShareWrites: one client write carries, for each of
+// two channels, channel.open, confirm.select, queue.declare and
+// basic.qos. The broker appends its replies to the connection's send
+// buffer and writes them before its next kernel read, so it answers the
+// burst in no more socket writes than the kernel reads it took to
+// receive it, not in one write per reply.
+func TestPipelinedRepliesShareWrites(t *testing.T) {
+	for _, l := range confirmListeners {
+		t.Run(l.name, func(t *testing.T) {
+			p := newConfirmPeer(t, Config{}, l.secure)
+			chans := []uint16{2, 3}
+			reads, writes := p.srv.reads.Load(), p.srv.writes.Load()
+			for _, id := range chans {
+				p.method(id, &wire.ChannelOpen{})
+				p.method(id, &wire.ConfirmSelect{})
+				p.method(id, &wire.QueueDeclare{Queue: fmt.Sprintf("share-%d", id)})
+				p.method(id, &wire.BasicQos{PrefetchCount: 4})
+			}
+			p.flush()
+			for range chans {
+				for _, want := range []wire.Method{&wire.ChannelOpenOk{}, &wire.ConfirmSelectOk{}, &wire.QueueDeclareOk{}, &wire.BasicQosOk{}} {
+					p.expect(want)
+				}
+			}
+			reads, writes = p.srv.reads.Load()-reads, p.srv.writes.Load()-writes
+			if writes > reads {
+				t.Fatalf("%d replies took %d socket writes for a burst received in %d kernel reads", 4*len(chans), writes, reads)
+			}
+		})
 	}
 }
 

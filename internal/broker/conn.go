@@ -14,26 +14,32 @@ import (
 )
 
 // srvConn is the server side of one client connection: it owns the frame
-// reader loop, the shared writer, and the channel map.
+// reader loop, the send buffer, and the channel map.
 type srvConn struct {
 	srv *Server
 	c   net.Conn
 	fr  *wire.FrameReader
 	dec wire.Decoder // serve goroutine only; hot frames land in their channel's slots
 
-	// Lock order: writeMu, then a channel's mu, then a queue's mu, then
-	// dispMu. writeConfirms and serveConsumer hold writeMu and ch.mu
-	// together; every other writer drops ch.mu before it takes writeMu.
-	// serveConsumer and basicGet take from a queue under ch.mu, and the
-	// pump queues a consumer on dispReady under q.mu.
-	writeMu sync.Mutex
-	deliver wire.BasicDeliver // writeMu scratch: a delivery batch encodes from it, so the method never escapes
-	ack     wire.BasicAck     // writeMu scratch for confirm frames, likewise
-	nack    wire.BasicNack
+	// Every frame goes through out, the one ordered send buffer, so wire
+	// order is append order. A channel's frames are appended under its
+	// ch.mu, in the hold of the state change they report (a take, a
+	// cancel, a teardown, a verdict). flush swaps out and writes it under
+	// writeMu, which guards only the socket.
+	//
+	// Lock order: a channel's mu, then a queue's mu, then dispMu; outMu is
+	// a leaf, and no goroutine holding any of them takes writeMu.
+	writeMu   sync.Mutex
+	outMu     sync.Mutex
+	out       *wire.Writer // nil while empty: a pooled writer from the first append to the next flush
+	outFrames int
+	deliver   wire.BasicDeliver // outMu scratch: a delivery batch encodes from it, so the method never escapes
+	ack       wire.BasicAck     // outMu scratch for confirm frames, likewise
+	nack      wire.BasicNack
 
 	// ackDirty lists the channels the serve goroutine recorded verdicts on
-	// since its last flushConfirms, which writes them before the next
-	// kernel read (see preReadConn): a burst of pipelined publishes is
+	// since its last appendConfirms, which appends them before the next
+	// kernel read (see preRead): a burst of pipelined publishes is
 	// answered by one write, and nothing waits across a blocking read.
 	// Serve-goroutine state: no lock.
 	ackDirty []*srvChannel
@@ -91,7 +97,7 @@ func newSrvConn(s *Server, raw net.Conn) *srvConn {
 		dispDone: make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	rd := &preReadConn{Conn: raw, hook: sc.flushConfirms}
+	rd := &preReadConn{Conn: raw, hook: sc.preRead}
 	var r io.Reader = rd
 	sc.c = raw
 	if s.cfg.TLS != nil {
@@ -103,46 +109,98 @@ func newSrvConn(s *Server, raw net.Conn) *srvConn {
 	return sc
 }
 
-// flushConfirms writes the verdicts of every channel on ackDirty in one
-// write, right before the serve goroutine's next kernel read. Serve
-// goroutine only.
-func (sc *srvConn) flushConfirms() {
-	if len(sc.ackDirty) == 0 {
-		return
+// preRead runs before every kernel read of the serve goroutine: it
+// appends the verdicts decided since the last read and writes whatever
+// the buffer holds. With nothing pending it takes no writeMu, so reading
+// never waits on another goroutine's write.
+func (sc *srvConn) preRead() {
+	sc.appendConfirms()
+	sc.outMu.Lock()
+	pending := sc.out != nil
+	sc.outMu.Unlock()
+	if pending {
+		sc.flush()
 	}
-	sc.writeConfirms(sc.ackDirty)
+}
+
+// appendConfirms appends the verdicts of every channel on ackDirty.
+// Serve goroutine only.
+func (sc *srvConn) appendConfirms() {
 	for i, ch := range sc.ackDirty {
+		ch.mu.Lock()
+		sc.appendVerdictsLocked(ch)
+		ch.mu.Unlock()
 		ch.listed = false
 		sc.ackDirty[i] = nil
 	}
 	sc.ackDirty = sc.ackDirty[:0]
 }
 
-// writeConfirms writes the frames the inbound cores of chs emit in one
-// write. Drain and write share one writeMu hold, so whichever goroutine
-// flushes, a channel's frames reach the wire in the order its core
-// emitted them. A write error is dropped: the connection is going away.
-func (sc *srvConn) writeConfirms(chs []*srvChannel) {
-	w := wire.GetWriter()
-	frames := 0
-	sc.writeMu.Lock()
-	for _, ch := range chs {
-		ch.mu.Lock()
-		for _, f := range ch.in.flush() {
-			if f.nack {
-				sc.nack.DeliveryTag, sc.nack.Multiple = f.tag, f.multiple
-				w.AppendMethodFrame(ch.id, &sc.nack)
-			} else {
-				sc.ack.DeliveryTag, sc.ack.Multiple = f.tag, f.multiple
-				w.AppendMethodFrame(ch.id, &sc.ack)
-			}
-			frames++
-		}
-		ch.mu.Unlock()
+// appendVerdictsLocked appends the frames ch's inbound core emits. The
+// caller holds ch.mu, so whichever goroutine drains the core, a channel's
+// confirms reach the buffer in the order the core emitted them.
+func (sc *srvConn) appendVerdictsLocked(ch *srvChannel) {
+	frames := ch.in.flush()
+	if len(frames) == 0 {
+		return
 	}
-	_ = w.FlushFrames(sc.c, frames)
-	sc.writeMu.Unlock()
-	wire.PutWriter(w)
+	sc.outMu.Lock()
+	w := sc.bufLocked()
+	for _, f := range frames {
+		if f.nack {
+			sc.nack.DeliveryTag, sc.nack.Multiple = f.tag, f.multiple
+			w.AppendMethodFrame(ch.id, &sc.nack)
+		} else {
+			sc.ack.DeliveryTag, sc.ack.Multiple = f.tag, f.multiple
+			w.AppendMethodFrame(ch.id, &sc.ack)
+		}
+	}
+	sc.outFrames += len(frames)
+	sc.outMu.Unlock()
+}
+
+// bufLocked returns the send buffer, taking a pooled writer for the
+// first frame since the last flush. The caller holds outMu.
+func (sc *srvConn) bufLocked() *wire.Writer {
+	if sc.out == nil {
+		sc.out = wire.GetWriter()
+	}
+	return sc.out
+}
+
+// appendMethod appends one method frame. It encodes m apart first, so a
+// method that does not encode (an over-long string) leaves the buffer as
+// it was.
+func (sc *srvConn) appendMethod(channel uint16, m wire.Method) error {
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
+	w.AppendMethodFrame(channel, m)
+	if err := w.Err(); err != nil {
+		return err
+	}
+	sc.outMu.Lock()
+	sc.bufLocked().AppendWriter(w)
+	sc.outFrames++
+	sc.outMu.Unlock()
+	return nil
+}
+
+// flush writes everything appended so far in one write. It swaps the
+// buffer out under writeMu, so when it returns every frame appended
+// before the call is on the wire (or lost with the connection) and a
+// caller may drop what its frames borrowed. A write error is dropped:
+// the connection is going away.
+func (sc *srvConn) flush() {
+	sc.writeMu.Lock()
+	defer sc.writeMu.Unlock()
+	sc.outMu.Lock()
+	w, frames := sc.out, sc.outFrames
+	sc.out, sc.outFrames = nil, 0
+	sc.outMu.Unlock()
+	if w != nil {
+		_ = w.FlushFrames(sc.c, frames)
+		wire.PutWriter(w)
+	}
 }
 
 // schedule puts a consumer on this connection's delivery loop. The queue
@@ -227,13 +285,16 @@ func (sc *srvConn) serve() {
 			return
 		}
 		if err := sc.dispatch(f); err != nil {
-			if errors.Is(err, errConnClosed) {
-				return
+			if !errors.Is(err, errConnClosed) {
+				// A framing error ends the connection, but the publishes
+				// before it were routed: their verdicts go out, then the
+				// connection.close that says why (unless its text is too
+				// long to encode).
+				sc.appendConfirms()
+				sc.appendMethod(0, &wire.ConnectionClose{ReplyCode: wire.ReplyFrameError, ReplyText: err.Error()})
+				sc.srv.logf("broker: dispatch: %v", err)
 			}
-			// A framing error ends the connection, but the publishes
-			// before it were routed: their verdicts still go out.
-			sc.flushConfirms()
-			sc.srv.logf("broker: dispatch: %v", err)
+			sc.flush()
 			return
 		}
 	}
@@ -258,7 +319,7 @@ func (sc *srvConn) handshake() error {
 		Mechanisms: "PLAIN",
 		Locales:    "en_US",
 	}
-	if err := sc.writeMethod(0, start); err != nil {
+	if err := sc.appendMethod(0, start); err != nil {
 		return err
 	}
 	if _, err := sc.expectMethod(0); err != nil { // start-ok
@@ -266,7 +327,7 @@ func (sc *srvConn) handshake() error {
 	}
 	hb := uint16(sc.srv.cfg.Heartbeat / time.Second)
 	tune := &wire.ConnectionTune{ChannelMax: 2047, FrameMax: sc.frameMax, Heartbeat: hb}
-	if err := sc.writeMethod(0, tune); err != nil {
+	if err := sc.appendMethod(0, tune); err != nil {
 		return err
 	}
 	m, err := sc.expectMethod(0)
@@ -294,7 +355,7 @@ func (sc *srvConn) handshake() error {
 		return fmt.Errorf("broker: expected connection.open, got %T", m)
 	}
 	sc.vh = sc.srv.VHost(open.VirtualHost)
-	return sc.writeMethod(0, &wire.ConnectionOpenOk{})
+	return sc.appendMethod(0, &wire.ConnectionOpenOk{})
 }
 
 // expectMethod reads one method frame on the given channel.
@@ -317,7 +378,11 @@ func (sc *srvConn) heartbeatLoop() {
 		case <-sc.done:
 			return
 		case <-t.C:
-			sc.writeFrame(wire.Frame{Type: wire.FrameHeartbeat, Channel: 0})
+			sc.outMu.Lock()
+			sc.bufLocked().AppendRawFrame(wire.FrameHeartbeat, 0, nil)
+			sc.outFrames++
+			sc.outMu.Unlock()
+			sc.flush()
 		}
 	}
 }
@@ -342,10 +407,10 @@ func (sc *srvConn) dispatch(f wire.Frame) error {
 		case *wire.BasicPublish, *wire.BasicAck, *wire.BasicNack, *wire.BasicReject:
 			// Answered by nothing, or by a confirm that is itself deferred.
 		default:
-			// Whatever this method makes the serve goroutine write (an
+			// Whatever this method makes the serve goroutine append (an
 			// -ok, a channel exception, a close) follows the confirms of
 			// the publishes that came before it.
-			sc.flushConfirms()
+			sc.appendConfirms()
 		}
 		if f.Channel == 0 {
 			return sc.connectionMethod(m)
@@ -375,7 +440,7 @@ func (sc *srvConn) dispatch(f wire.Frame) error {
 func (sc *srvConn) connectionMethod(m wire.Method) error {
 	switch m.(type) {
 	case *wire.ConnectionClose:
-		sc.writeMethod(0, &wire.ConnectionCloseOk{})
+		sc.appendMethod(0, &wire.ConnectionCloseOk{})
 		return errConnClosed
 	case *wire.ConnectionCloseOk:
 		return errConnClosed
@@ -398,7 +463,7 @@ func (sc *srvConn) channelMethod(id uint16, ch *srvChannel, m wire.Method) error
 		sc.chMu.Lock()
 		sc.channels[id] = ch
 		sc.chMu.Unlock()
-		return sc.writeMethod(id, &wire.ChannelOpenOk{})
+		return ch.send(&wire.ChannelOpenOk{})
 	}
 	if ch == nil {
 		// A late close-ok for a channel the server already closed.
@@ -415,93 +480,4 @@ func (sc *srvConn) removeChannel(id uint16) {
 	sc.chMu.Lock()
 	delete(sc.channels, id)
 	sc.chMu.Unlock()
-}
-
-// writeFrame serializes a frame onto the wire with a single write.
-func (sc *srvConn) writeFrame(f wire.Frame) error {
-	w := wire.GetWriter()
-	w.AppendRawFrame(f.Type, f.Channel, f.Payload)
-	return sc.write(w, 1)
-}
-
-// writeMethod encodes and writes a method frame with a single write.
-func (sc *srvConn) writeMethod(channel uint16, m wire.Method) error {
-	w := wire.GetWriter()
-	w.AppendMethodFrame(channel, m)
-	return sc.write(w, 1)
-}
-
-// writeContent coalesces the method + header + body frame triplet of one
-// message into a single (vectored) write, so frames from concurrent
-// deliveries never interleave within a message and each message costs one
-// syscall. Large bodies are borrowed, not copied: the caller must hold a
-// message reference across this call, which every delivery path does.
-func (sc *srvConn) writeContent(channel uint16, m wire.Method, props *wire.Properties, body []byte) error {
-	w := wire.GetWriter()
-	if err := sc.write(w, w.AppendContentFramesZC(channel, m, props, body, sc.frameMax)); err != nil {
-		return err
-	}
-	sc.srv.Stats.MessagesOut.Add(1)
-	sc.srv.Stats.BytesOut.Add(uint64(len(body)))
-	return nil
-}
-
-// write puts the frames w holds on the wire in one write under writeMu,
-// unless encoding them failed, and recycles w.
-func (sc *srvConn) write(w *wire.Writer, frames int) error {
-	defer wire.PutWriter(w)
-	sc.writeMu.Lock()
-	defer sc.writeMu.Unlock()
-	return w.FlushFrames(sc.c, frames)
-}
-
-// deliveryFlushBytes bounds how many coalesced bytes accumulate across
-// messages before the batch writer flushes mid-batch. Together with one
-// maximum-size message it stays under the pooled-writer retention cap, so
-// batches of large bodies keep recycling their writers (a single body far
-// beyond frameMax can still overshoot; such writers are dropped for GC).
-const deliveryFlushBytes = 256 * 1024
-
-// writeDeliveriesLocked emits one basic.deliver frame triplet per message
-// as a single batched vectored write (flushing early if the batch
-// outgrows the pooled buffer classes): frame headers coalesce in the
-// writer buffer while large bodies are borrowed from the shared messages
-// and ride the writev in place — body bytes are never copied between the
-// ingest loan and the socket. The caller holds writeMu across the whole
-// batch, so it stays atomic with respect to other writers on this
-// connection, and a reference on every message until this returns.
-func (sc *srvConn) writeDeliveriesLocked(channel uint16, consumerTag string, batch []qitem, tags []uint64) error {
-	w := wire.GetWriter()
-	defer wire.PutWriter(w)
-	frames := 0
-	var bytesOut uint64
-	deliver := &sc.deliver
-	deliver.ConsumerTag = consumerTag
-	for i, d := range batch {
-		msg := d.msg
-		deliver.DeliveryTag = tags[i]
-		deliver.Redelivered = d.redelivered
-		deliver.Exchange = msg.Exchange
-		deliver.RoutingKey = msg.RoutingKey
-		frames += w.AppendContentFramesZC(channel, deliver, &msg.Props, msg.Body, sc.frameMax)
-		bytesOut += uint64(len(msg.Body))
-		if w.Len() >= deliveryFlushBytes {
-			if err := w.Err(); err != nil {
-				return err
-			}
-			if err := w.FlushFrames(sc.c, frames); err != nil {
-				return err
-			}
-			frames = 0
-		}
-	}
-	if err := w.Err(); err != nil {
-		return err
-	}
-	if err := w.FlushFrames(sc.c, frames); err != nil {
-		return err
-	}
-	sc.srv.Stats.MessagesOut.Add(uint64(len(batch)))
-	sc.srv.Stats.BytesOut.Add(bytesOut)
-	return nil
 }

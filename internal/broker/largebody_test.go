@@ -242,9 +242,9 @@ func TestContentTripletIsOneSocketWrite(t *testing.T) {
 // TestBodyFrameOverrunEndsConnection: content that breaks its framing
 // is a framing error — body frames carrying more than the header
 // declared, or a basic.publish before the previous publish's body
-// completed. The connection ends, the broker writes nothing (not even the
-// confirm of a complete publish behind the cut-off one), and the
-// half-built body's loan is returned.
+// completed. The broker confirms nothing (not even the complete publish
+// behind the cut-off one), answers with one connection.close 501 and
+// closes the connection, and the half-built body's loan is returned.
 func TestBodyFrameOverrunEndsConnection(t *testing.T) {
 	header, err := wire.EncodeContentHeader(&wire.ContentHeader{ClassID: wire.ClassBasic, BodySize: 10})
 	if err != nil {
@@ -272,13 +272,14 @@ func TestBodyFrameOverrunEndsConnection(t *testing.T) {
 		p.declare("overrun-q", nil)
 		tc.frames(p)
 		p.flush()
+		m := p.next()
+		if c, ok := m.(*wire.ConnectionClose); !ok || c.ReplyCode != wire.ReplyFrameError {
+			t.Fatalf("%s: broker answered with %T %+v, want connection.close %d", tc.name, m, m, wire.ReplyFrameError)
+		}
 		if f, err := p.fr.ReadFrame(); err == nil {
-			t.Fatalf("%s: broker answered with frame type %d, want the connection closed", tc.name, f.Type)
+			t.Fatalf("%s: frame type %d after connection.close, want the connection closed", tc.name, f.Type)
 		}
-		deadline := time.Now().Add(5 * time.Second)
-		for wire.LoanedBytes() != base && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond) // teardown follows the close the peer saw
-		}
+		<-p.served
 		checkBalance(t, "after "+tc.name, base)
 	}
 }

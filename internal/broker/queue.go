@@ -173,13 +173,6 @@ func (q *Queue) Len() int {
 	return q.ready.len()
 }
 
-// Bytes reports the total ready payload bytes.
-func (q *Queue) Bytes() int64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.bytes
-}
-
 // ConsumerCount reports the number of active consumers.
 func (q *Queue) ConsumerCount() int {
 	q.mu.Lock()
@@ -468,15 +461,17 @@ func (q *Queue) arm(c *consumer, ch *srvChannel) {
 }
 
 // take pops up to len(buf) of c's pending deliveries into buf, in order,
-// and returns how many. In the same lock hold it refills the rings the
-// pop made room in, then unqueues c, or queues it again on its delivery
-// loop if deliveries are left.
+// and returns how many; it stops after the one that brings their bodies
+// to maxDeliveryBytes. In the same lock hold it refills the rings the pop
+// made room in, then unqueues c, or queues it again on its delivery loop
+// if deliveries are left.
 func (q *Queue) take(c *consumer, buf []qitem) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	n := 0
-	for ; n < len(buf) && c.pending.len() > 0; n++ {
+	for bytes := 0; n < len(buf) && c.pending.len() > 0 && bytes < maxDeliveryBytes; n++ {
 		buf[n] = c.pending.popFront()
+		bytes += len(buf[n].msg.Body)
 	}
 	if c.replay && n > 0 {
 		select {
