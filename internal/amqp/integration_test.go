@@ -654,7 +654,8 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 	case <-time.After(15 * time.Second):
 		t.Fatal("not all messages consumed")
 	}
-	if got := s.Stats.MessagesIn.Load(); got != producers*perProducer {
-		t.Errorf("broker MessagesIn = %d, want %d", got, producers*perProducer)
+	q, _ := s.VHost("/").Queue("stress")
+	if got := q.Stats().Published; got != producers*perProducer {
+		t.Errorf("stress queue Published = %d, want %d", got, producers*perProducer)
 	}
 }

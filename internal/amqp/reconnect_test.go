@@ -458,6 +458,14 @@ func TestReconnectKeepsPerConsumerPrefetch(t *testing.T) {
 // on one channel than the replay pipelines in one round (a channel owes at
 // most what its reply buffer holds): after a link cut every one of them
 // is subscribed again and gets its message.
+//
+// The broker may drop the cut connection only after the replay has
+// subscribed the consumers again, and until it does, an autoAck delivery
+// can go to the old connection's consumer and die with it, which AMQP
+// allows. So a manual-ack sentinel consumer on the same channel holds one
+// delivery across the cut: the broker requeues it once it has removed
+// every consumer of the old channel, and its redelivery is the event the
+// publishes wait for.
 func TestReconnectReplaysMoreConsumersThanOneRound(t *testing.T) {
 	const consumers = 12
 	s := startBroker(t, broker.Config{})
@@ -476,12 +484,31 @@ func TestReconnectReplaysMoreConsumersThanOneRound(t *testing.T) {
 		}
 		inboxes = append(inboxes, d)
 	}
-	// In confirm mode, a publish that races the cut is replayed, not lost.
-	pub := openChannel(t, conn)
-	if err := pub.Confirm(false); err != nil {
+	if _, err := ch.QueueDeclare("many-sentinel", false, false, false, false, nil); err != nil {
 		t.Fatal(err)
 	}
+	sentinel, err := ch.Consume("many-sentinel", "", false, false, false, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub := openChannel(t, conn)
+	if err := pub.Publish("", "many-sentinel", false, false, amqp.Publishing{Body: []byte("held")}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-sentinel:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the sentinel got nothing before the cut")
+	}
 	in.ResetConns()
+	select {
+	case d, ok := <-sentinel:
+		if !ok || !d.Redelivered {
+			t.Fatalf("the sentinel got %q (redelivered %v, open %v) after the cut, want its held delivery again", d.Body, d.Redelivered, ok)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the broker never requeued the sentinel's held delivery")
+	}
 	for i := range inboxes {
 		if err := pub.Publish("", fmt.Sprintf("many-%d", i), false, false, amqp.Publishing{Body: []byte{byte(i)}}); err != nil {
 			t.Fatal(err)

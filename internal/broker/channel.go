@@ -350,7 +350,6 @@ func (ch *srvChannel) serveConsumer(c *consumer) {
 		ch.mu.Unlock()
 		return
 	}
-	var bytesOut uint64
 	sc.outMu.Lock()
 	deliver := &sc.deliver
 	deliver.ConsumerTag = c.tag
@@ -372,13 +371,10 @@ func (ch *srvChannel) serveConsumer(c *consumer) {
 		deliver.Exchange = msg.Exchange
 		deliver.RoutingKey = msg.RoutingKey
 		sc.outFrames += sc.bufLocked().AppendContentFramesZC(ch.id, deliver, &msg.Props, msg.Body, sc.frameMax)
-		bytesOut += uint64(len(msg.Body))
 	}
 	sc.outMu.Unlock()
 	ch.mu.Unlock()
 	sc.flush()
-	sc.srv.Stats.MessagesOut.Add(uint64(n))
-	sc.srv.Stats.BytesOut.Add(bytesOut)
 	deliveryBatches.Inc()
 	deliveriesBatched.Add(int64(n))
 	if c.noAck {
@@ -460,8 +456,6 @@ func (ch *srvChannel) sendContentLocked(m wire.Method, msg *Message) {
 	sc.outMu.Lock()
 	sc.outFrames += sc.bufLocked().AppendContentFramesZC(ch.id, m, &msg.Props, msg.Body, sc.frameMax)
 	sc.outMu.Unlock()
-	sc.srv.Stats.MessagesOut.Add(1)
-	sc.srv.Stats.BytesOut.Add(uint64(len(msg.Body)))
 }
 
 var (
@@ -566,8 +560,6 @@ func (ch *srvChannel) completePublish(p publish) error {
 	// The publisher's reference covers routing and the mandatory return
 	// below; the queues' references are retained by vhost.Publish.
 	defer msg.Release()
-	ch.conn.srv.Stats.MessagesIn.Add(1)
-	ch.conn.srv.Stats.BytesIn.Add(uint64(len(msg.Body)))
 	var target ConfirmTarget // the bridge, nil when no confirm is owed
 	if tag != 0 {
 		target = ch

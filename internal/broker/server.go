@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ds2hpc/internal/broker/seglog"
@@ -59,15 +58,6 @@ type Config struct {
 	Logger *log.Logger
 }
 
-// Stats are server-wide cumulative counters.
-type Stats struct {
-	ConnectionsAccepted atomic.Uint64
-	MessagesIn          atomic.Uint64
-	MessagesOut         atomic.Uint64
-	BytesIn             atomic.Uint64
-	BytesOut            atomic.Uint64
-}
-
 // Server is one broker node.
 type Server struct {
 	cfg Config
@@ -78,8 +68,7 @@ type Server struct {
 	conns  map[*srvConn]struct{}
 	closed bool
 
-	Stats Stats
-	wg    sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 // Listen starts a broker node and its accept loop.
@@ -256,7 +245,6 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return
 		}
-		s.Stats.ConnectionsAccepted.Add(1)
 		telConnsAccepted.Inc()
 		sc := newSrvConn(s, c)
 		s.mu.Lock()

@@ -5,7 +5,7 @@
 // # Cluster model
 //
 // Placement: a consistent-hash Ring (64 virtual nodes per member,
-// deterministic, topology-versioned) assigns every queue a master node.
+// deterministic) assigns every queue a master node.
 // A shared metadata Directory pins each declared queue to the master
 // that owned it at declare time and records every node's address, so
 // any node answers "who masters queue q" locally.
@@ -27,27 +27,31 @@
 // (reserved "!mirror.*" exchanges) and withholds producer confirms until
 // the mirrors that gate them have appended. See replication.go.
 //
-// Failover: Kill hard-crashes a node and retires it from the ring. A
-// replicated queue it mastered promotes a mirror only if one is in-sync,
-// its replica holding every offset the master confirmed and has not
-// settled. Any other durable queue relocates to a surviving ring owner
-// (the shared-storage model of a rescheduled pod); transient queues
-// restart empty. Either way the new master mirrors the queue afresh.
-// Clients ride the failover through amqp.Config.Reconnect: dead-address
-// dials rotate through Config.Seeds, a survivor redirects mis-routed
-// consumers to the new master, and channel state plus unconfirmed
-// publishes replay on arrival. Restart re-registers the node with the
-// ring and runs a rebalance-on-join audit: quiescent unreplicated queues
-// whose ring placement points at the rejoined node move back to it, and
-// replicated queues re-establish it as a mirror where placement wants
-// one. Moved (pinned) masters otherwise stay put — no blanket failback.
+// Failover: one planner decides and one executor acts (plan.go). Kill
+// hard-crashes a node, retires it from the ring and carries out
+// planFailover: a replicated queue it mastered promotes a mirror only if
+// one is in-sync, its replica holding every offset the master confirmed
+// and has not settled. Any other durable queue relocates to a surviving
+// ring owner (the shared-storage model of a rescheduled pod); transient
+// queues restart empty. Either way the new master mirrors the queue
+// afresh, and the survivors re-mirror what the dead node held. Clients
+// ride the failover through amqp.Config.Reconnect: dead-address dials
+// rotate through Config.Seeds, a survivor redirects mis-routed consumers
+// to the new master, and channel state plus unconfirmed publishes replay
+// on arrival. Restart re-registers the node with the ring and carries out
+// planJoin: quiescent unreplicated queues whose ring placement points at
+// the rejoined node move back to it, and replicated queues re-establish
+// it as a mirror where placement wants one. Moved (pinned) masters
+// otherwise stay put — no blanket failback.
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"ds2hpc/internal/broker"
@@ -85,6 +89,9 @@ type Options struct {
 // hard-killed (Crash) and brought back (Restart) on the same address and
 // data directory, modeling a broker pod dying and being rescheduled; Kill
 // additionally fails the node's queues over to the surviving masters.
+//
+// Only nodes changes once StartWithOptions returns (Restart replaces a
+// node's server), so only nodes is read under mu.
 type Cluster struct {
 	mu    sync.Mutex
 	nodes []*broker.Server
@@ -95,14 +102,6 @@ type Cluster struct {
 	hubs   []*fedHub      // per-node federation hubs (nil entries without federation)
 	stores []*mirrorStore // per-node standby replica stores (nil without replication)
 	repls  []*replManager // per-node master-side replication state (nil without replication)
-}
-
-// storeOf returns node i's standby replica store (nil on unreplicated
-// clusters) without racing Restart's slice writes.
-func (c *Cluster) storeOf(i int) *mirrorStore {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stores[i]
 }
 
 // nodeOrNil is Node for callers that may run while the cluster is still
@@ -172,7 +171,7 @@ func StartWithOptions(n int, opts Options, configFor func(i int) broker.Config) 
 	// nodes had addresses; reconcile now that every node listens.
 	for _, rm := range c.repls {
 		if rm != nil {
-			rm.reconcileAll()
+			rm.remirror(-1)
 		}
 	}
 	return c, nil
@@ -182,9 +181,8 @@ func StartWithOptions(n int, opts Options, configFor func(i int) broker.Config) 
 func (c *Cluster) Close() error {
 	c.mu.Lock()
 	nodes := append([]*broker.Server(nil), c.nodes...)
-	hubs := append([]*fedHub(nil), c.hubs...)
 	c.mu.Unlock()
-	for _, h := range hubs {
+	for _, h := range c.hubs {
 		if h != nil {
 			h.closeAll()
 		}
@@ -199,11 +197,7 @@ func (c *Cluster) Close() error {
 }
 
 // Size reports the number of nodes.
-func (c *Cluster) Size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.nodes)
-}
+func (c *Cluster) Size() int { return len(c.addrs) }
 
 // Node returns node i.
 func (c *Cluster) Node(i int) *broker.Server {
@@ -224,21 +218,17 @@ func (c *Cluster) Crash(i int) {
 // data directory holds, and re-registers it with the placement ring and
 // metadata directory: the node resumes answering for the durable queues
 // it recovered, rejoins placement for queues declared from now on, and
-// sibling federation links re-establish lazily on the next forward.
-// Rejoining triggers a directory-driven ownership audit
-// (rebalanceOnJoin): quiescent unreplicated queues whose ring placement
-// points at this node move back, and replicated masters re-establish the
+// sibling federation links re-establish lazily on the next forward. It
+// then carries out planJoin: quiescent unreplicated queues the ring places
+// on this node again move back, and replicated masters re-establish the
 // node as a catching-up mirror wherever placement wants one. Queues that
 // failed over to other masters are otherwise not failed back. Clients
 // with reconnect policies re-attach transparently because the address is
 // stable.
 func (c *Cluster) Restart(i int) error {
-	c.mu.Lock()
 	cfg := c.cfgs[i]
 	cfg.Addr = c.addrs[i]
-	rm := c.repls[i]
-	c.mu.Unlock()
-	if rm != nil {
+	if rm := c.repls[i]; rm != nil {
 		// The in-process manager outlived the crashed broker; its mirror
 		// census is stale now. Recovery below re-registers what this node
 		// still masters.
@@ -253,223 +243,185 @@ func (c *Cluster) Restart(i int) error {
 	c.mu.Unlock()
 	c.dir.SetAddr(i, s.Addr())
 	c.dir.NodeUp(i)
-	c.rebalanceOnJoin(i)
-	return nil
-}
-
-// rebalanceOnJoin audits queue ownership after node i re-enters the
-// ring. Unreplicated registered queues whose ring placement now points
-// at the rejoined node — and that are quiescent (empty, no consumers) —
-// are surrendered by their current master and re-pinned here: durable
-// logs move directories (both nodes are alive, so this is an ordinary
-// handover, not failover), transient queues re-declare empty. Busy
-// queues stay put; a mid-traffic move would tear consumers down for no
-// robustness gain. Replicated queues keep their master and instead
-// reconcile mirror placement, which re-establishes the rejoined node as
-// a catching-up mirror where the ring wants one.
-func (c *Cluster) rebalanceOnJoin(i int) {
-	c.mu.Lock()
-	repls := append([]*replManager(nil), c.repls...)
-	c.mu.Unlock()
-	for _, q := range c.dir.Queues() {
-		owner, ok := c.dir.Ring().Owner(q.Name)
-		if !ok || owner != i || q.Node == i {
-			continue
-		}
-		if rm := repls[q.Node]; rm != nil && rm.replicated(q.VHost, q.Name) {
-			continue // mirror reconcile below handles replicated queues
-		}
-		src := c.nodeOrNil(q.Node)
-		if src == nil {
-			continue
-		}
-		vh := src.VHost(q.VHost)
-		sq, have := vh.Queue(q.Name)
-		if !have || sq.Len() > 0 || sq.ConsumerCount() > 0 {
-			continue
-		}
-		if err := vh.SurrenderQueue(q.Name); err != nil {
-			continue
-		}
-		if q.Durable {
-			moved := q
-			moved.Node = i
-			c.mu.Lock()
-			srcDir := c.cfgs[q.Node].DataDir
-			c.mu.Unlock()
-			if srcDir != "" {
-				if err := c.moveQueueLog(srcDir, moved); err != nil {
-					continue
-				}
-			}
-		}
-		nvh := c.Node(i).VHost(q.VHost)
-		if _, err := nvh.DeclareQueue(q.Name, q.Durable, false, false, false, nil); err != nil {
-			continue
-		}
-		c.dir.Repin(q.VHost, q.Name, i)
-		if rm := repls[i]; rm != nil {
-			rm.queueRegistered(q.VHost, q.Name, q.Durable)
-		}
-	}
-	for j, rm := range repls {
-		if rm != nil && j != i {
-			rm.reconcileAll()
-		}
-	}
+	return c.run(planJoin(c.view(i, true)))
 }
 
 // Kill fails node i: the node is hard-crashed (as Crash), retired from
-// the placement ring, and every queue it mastered is reassigned. A
-// replicated queue with an in-sync mirror promotes the most advanced one,
-// whose standby log already sits on its own disk. Any other durable queue
-// relocates to a surviving ring owner: a stale standby replica there is
-// discarded, and the dead node's segment-log directory is carried over
-// (shared-storage failover) and replayed. Transient queues restart empty.
-// It returns the reassigned queues with Node set to each new master.
-// Clients follow via their reconnect policy: dials to the dead address
-// rotate through Config.Seeds, and the first survivor they reach
-// redirects mis-routed consumers to the new master.
+// the placement ring, and every queue it mastered is reassigned as
+// planFailover decides: an in-sync mirror is promoted, any other queue
+// relocates to a surviving ring owner. It returns the reassigned queues
+// with Node set to each new master. Clients follow via their reconnect
+// policy: dials to the dead address rotate through Config.Seeds, and the
+// first survivor they reach redirects mis-routed consumers to the new
+// master.
 func (c *Cluster) Kill(i int) ([]QueueInfo, error) {
-	c.mu.Lock()
-	deadDir := c.cfgs[i].DataDir
-	deadHub := c.hubs[i]
-	deadRepl := c.repls[i]
-	deadStore := c.stores[i]
-	repls := append([]*replManager(nil), c.repls...)
-	hubs, deadAddr := append([]*fedHub(nil), c.hubs...), c.addrs[i]
-	c.mu.Unlock()
 	// Survivors drop their links to the node before it dies, or its death
 	// would replay what they carry to whatever listens there next.
-	for j, h := range hubs {
+	for j, h := range c.hubs {
 		if h != nil && j != i {
-			h.closeTo(deadAddr)
+			h.closeTo(c.addrs[i])
 		}
 	}
 	c.Node(i).Crash()
-	if deadStore != nil {
-		deadStore.crash()
+	if c.stores[i] != nil {
+		c.stores[i].crash()
 	}
-	// The dead master's in-process replication state outlives its broker:
-	// its cores know which mirrors are promotable.
-	promoted := make(map[string]bool)
-	moved := c.dir.NodeDownWith(i, func(q QueueInfo) (int, bool) {
-		node, ok := deadRepl.choosePromotion(q)
-		promoted[qkey(q.VHost, q.Name)] = ok
-		return node, ok
-	})
-	var first error
-	for _, q := range moved {
-		if promoted[qkey(q.VHost, q.Name)] {
-			if err := c.promoteMirror(q); err != nil && first == nil {
-				first = err
-			}
-			continue
-		}
-		if q.Durable && deadDir != "" {
-			// A standby replica of the queue on the new master is stale;
-			// the relocated log takes its directory.
-			if st := c.storeOf(q.Node); st != nil {
-				if err := st.wipe(q.VHost, q.Name, true); err != nil && first == nil {
-					first = err
-				}
-			}
-			if err := c.moveQueueLog(deadDir, q); err != nil && first == nil {
-				first = err
-			}
-		}
-		// Re-declare on the new master: with a relocated segment log this
-		// replays the queue's durable state (ready + unacked records);
-		// without one it starts empty.
-		vh := c.Node(q.Node).VHost(q.VHost)
-		if _, err := vh.DeclareQueue(q.Name, q.Durable, false, false, false, nil); err != nil && first == nil {
-			first = fmt.Errorf("cluster: failover declare %q on node %d: %w", q.Name, q.Node, err)
+	c.dir.Ring().Remove(i)
+	// The dead master's replication cores outlive its broker: the plan
+	// reads which mirrors they call in-sync before they are dropped.
+	plan := planFailover(c.view(i, false))
+	err := c.run(plan)
+	if c.repls[i] != nil {
+		c.repls[i].reset()
+	}
+	if c.hubs[i] != nil {
+		c.hubs[i].closeAll()
+	}
+	var moved []QueueInfo
+	for _, a := range plan {
+		if a.kind == actRepin {
+			moved = append(moved, a.q)
 		}
 	}
-	// Only now does the directory name the new masters. Pinned any
-	// earlier, a consumer re-dialing a new master could be answered 404
-	// (the queue not declared there yet) and a publish landing there would
-	// route to no queue. Pinned, each new master mirrors its durable
-	// queues afresh.
-	for _, q := range moved {
-		c.dir.Repin(q.VHost, q.Name, q.Node)
-		if rm := repls[q.Node]; rm != nil {
-			rm.queueRegistered(q.VHost, q.Name, q.Durable)
-		}
-	}
-	// Surviving masters drop the dead node from their mirror sets
-	// (releasing any confirms it owed) and re-mirror what it held onto
-	// the next live ring owner; the dead node's own replication state and
-	// links are discarded.
-	for j, rm := range repls {
-		if rm == nil {
-			continue
-		}
-		if j == i {
-			rm.reset()
-		} else {
-			rm.nodeDown(i)
-			rm.reconcileAll()
-		}
-	}
-	if deadHub != nil {
-		deadHub.closeAll()
-	}
-	return moved, first
+	return moved, err
 }
 
-// promoteMirror flips one replicated queue's standby replica on its
-// already-chosen new master (q.Node) into the live queue: the replica
-// log closes cleanly, sheds its MIRROR marker, and the declare recovers
-// it in place. Once Kill re-pins the queue there, the promoted master
-// re-establishes mirrors on the surviving ring members.
-func (c *Cluster) promoteMirror(q QueueInfo) error {
-	st := c.storeOf(q.Node)
-	if st == nil {
-		return fmt.Errorf("cluster: promote %q: node %d has no mirror store", q.Name, q.Node)
+// view snapshots what a plan reads once node has left the ring (join
+// false) or rejoined it: the directory's queues, the ring's placement, the
+// dead master's in-sync mirrors with their frontiers (its replication
+// cores outlive its broker), and for a join whether each queue the ring
+// places on node is replicated or quiescent on its master.
+func (c *Cluster) view(node int, join bool) view {
+	ring, stores, repls := c.dir.Ring(), c.stores, c.repls
+	v := view{node: node, nodes: make([]nodeView, len(c.cfgs))}
+	for j := range v.nodes {
+		v.nodes[j] = nodeView{dataDir: c.cfgs[j].DataDir != "", standby: stores[j] != nil && ring.Has(j), replicates: stores[j] != nil}
 	}
-	if err := st.promote(q.VHost, q.Name); err != nil {
-		return err
+	for _, q := range c.dir.Queues() {
+		qv := queueView{QueueInfo: q, owner: -1}
+		if o, ok := ring.Owner(q.Name); ok {
+			qv.owner = o
+		}
+		switch {
+		case !join && q.Node == node:
+			if rq := repls[node].get(q.VHost, q.Name); rq != nil {
+				rq.mu.Lock()
+				nodes := rq.set.promotable()
+				rq.mu.Unlock()
+				for _, n := range nodes {
+					r := replica{node: n}
+					if stores[n] != nil {
+						r.next = stores[n].nextOffset(q.VHost, q.Name)
+					}
+					qv.insync = append(qv.insync, r)
+				}
+			}
+		case join && qv.owner == node && q.Node != node:
+			qv.replicated = repls[q.Node].replicated(q.VHost, q.Name)
+			if src := c.nodeOrNil(q.Node); src != nil {
+				sq, ok := src.VHost(q.VHost).Queue(q.Name)
+				qv.quiescent = ok && sq.Len() == 0 && sq.ConsumerCount() == 0
+			}
+		}
+		v.queues = append(v.queues, qv)
 	}
-	vh := c.Node(q.Node).VHost(q.VHost)
-	if _, err := vh.DeclareQueue(q.Name, true, false, false, false, nil); err != nil {
-		return fmt.Errorf("cluster: promote declare %q on node %d: %w", q.Name, q.Node, err)
+	slices.SortFunc(v.queues, func(a, b queueView) int {
+		return cmp.Or(cmp.Compare(a.VHost, b.VHost), cmp.Compare(a.Name, b.Name))
+	})
+	return v
+}
+
+// run carries out a plan in order and returns its first error. A queue
+// whose action fails takes no further action, so it is never pinned on a
+// master that did not declare it.
+func (c *Cluster) run(plan []action) error {
+	var first error
+	failed := make(map[string]bool)
+	for _, a := range plan {
+		k := qkey(a.q.VHost, a.q.Name)
+		if failed[k] {
+			continue
+		}
+		if err := c.act(a); err != nil {
+			failed[k] = true
+			if first == nil {
+				first = err
+			}
+		}
 	}
-	promotions.Inc()
+	return first
+}
+
+// act carries out one action of a plan.
+func (c *Cluster) act(a action) error {
+	q := a.q
+	st, rm := c.stores[q.Node], c.repls[q.Node]
+	switch a.kind {
+	case actSurrender:
+		return c.Node(a.from).VHost(q.VHost).SurrenderQueue(q.Name)
+	case actRepin:
+		c.dir.Repin(q.VHost, q.Name, q.Node)
+		if rm != nil {
+			rm.queueRegistered(q.VHost, q.Name, q.Durable)
+		}
+		return nil
+	case actRemirror:
+		rm.remirror(a.from)
+		return nil
+	case actPromote:
+		// The replica log closes cleanly and sheds its MIRROR marker.
+		if st == nil {
+			return fmt.Errorf("cluster: promote %q: node %d has no mirror store", q.Name, q.Node)
+		}
+		if err := st.promote(q.VHost, q.Name); err != nil {
+			return err
+		}
+		promotions.Inc()
+	case actRelocate:
+		if a.wipe {
+			if err := st.wipe(q.VHost, q.Name, true); err != nil {
+				return err
+			}
+		}
+		if a.log {
+			if err := c.moveQueueLog(c.cfgs[a.from].DataDir, q); err != nil {
+				return err
+			}
+		}
+	}
+	// The declare recovers whatever log the queue's directory now holds:
+	// a promoted replica, a relocated log, or none.
+	if _, err := c.Node(q.Node).VHost(q.VHost).DeclareQueue(q.Name, q.Durable, false, false, false, nil); err != nil {
+		return fmt.Errorf("cluster: declare %q on node %d: %w", q.Name, q.Node, err)
+	}
 	return nil
 }
 
-// moveQueueLog relocates one queue's segment-log directory from the dead
-// node's data directory to its new master's. A missing source directory
-// is fine — the queue never persisted anything.
-func (c *Cluster) moveQueueLog(deadDir string, q QueueInfo) error {
-	c.mu.Lock()
+// moveQueueLog relocates one queue's segment-log directory from the data
+// directory of the node it leaves to its new master's. A missing source
+// directory is fine — the queue never persisted anything.
+func (c *Cluster) moveQueueLog(srcDir string, q QueueInfo) error {
 	dstDir := c.cfgs[q.Node].DataDir
-	c.mu.Unlock()
 	if dstDir == "" {
 		return nil // new master keeps the queue memory-only
 	}
-	src := filepath.Join(deadDir, url.QueryEscape(q.VHost), url.QueryEscape(q.Name))
+	src := filepath.Join(srcDir, url.QueryEscape(q.VHost), url.QueryEscape(q.Name))
 	if _, err := os.Stat(src); os.IsNotExist(err) {
 		return nil
 	}
 	dstVH := filepath.Join(dstDir, url.QueryEscape(q.VHost))
 	if err := os.MkdirAll(dstVH, 0o755); err != nil {
-		return fmt.Errorf("cluster: failover move %q: %w", q.Name, err)
+		return fmt.Errorf("cluster: move %q: %w", q.Name, err)
 	}
 	dst := filepath.Join(dstVH, url.QueryEscape(q.Name))
 	if err := os.Rename(src, dst); err != nil {
-		return fmt.Errorf("cluster: failover move %q: %w", q.Name, err)
+		return fmt.Errorf("cluster: move %q: %w", q.Name, err)
 	}
 	return nil
 }
 
 // Addrs returns every node's listen address (stable across restarts).
-func (c *Cluster) Addrs() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.addrs...)
-}
+func (c *Cluster) Addrs() []string { return append([]string(nil), c.addrs...) }
 
 // Directory exposes the cluster's metadata directory.
 func (c *Cluster) Directory() *Directory { return c.dir }
@@ -483,9 +435,4 @@ func (c *Cluster) OwnerOf(queue string) int {
 }
 
 // AddrFor returns the listen address of the queue's master node.
-func (c *Cluster) AddrFor(queue string) string {
-	i := c.OwnerOf(queue)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.addrs[i]
-}
+func (c *Cluster) AddrFor(queue string) string { return c.addrs[c.OwnerOf(queue)] }

@@ -78,7 +78,7 @@ func (d *Directory) Addr(i int) string {
 	return d.addrs[i]
 }
 
-// Ring exposes the placement ring (for topology-version checks).
+// Ring exposes the placement ring.
 func (d *Directory) Ring() *Ring { return d.ring }
 
 // Owner answers the master node for a queue: the pinned assignment if
@@ -123,69 +123,28 @@ func (d *Directory) Queues() []QueueInfo {
 	return out
 }
 
-// MasterCount returns how many registered queues node i masters.
-func (d *Directory) MasterCount(i int) int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	n := 0
-	for _, q := range d.queues {
-		if q.Node == i {
-			n++
-		}
-	}
-	return n
-}
-
 // Busiest returns the ring member mastering the most registered queues
 // (lowest index wins ties) — the node a queue-master kill script targets.
 func (d *Directory) Busiest() (int, bool) {
 	members := d.ring.Members()
-	if len(members) == 0 {
-		return 0, false
-	}
-	best, bestCount := -1, -1
-	for _, m := range members {
-		c := d.MasterCount(m)
-		if c > bestCount {
-			best, bestCount = m, c
-		}
-	}
-	return best, best >= 0
-}
-
-// NodeDownWith retires node i from the ring and picks a new master for
-// every queue it mastered: choose may pick one (a replicated queue's
-// promotable mirror); returning ok=false falls back to the surviving ring
-// owner. It returns those queues with Node set to the new master but
-// leaves their pins on node i: the failover driver re-creates each queue
-// on its new master and only then re-pins it (Repin), so no client is
-// ever sent to a master that lacks its queue.
-func (d *Directory) NodeDownWith(i int, choose func(QueueInfo) (int, bool)) []QueueInfo {
-	d.ring.Remove(i)
+	count := make(map[int]int)
 	d.mu.RLock()
-	defer d.mu.RUnlock()
-	var moved []QueueInfo
 	for _, q := range d.queues {
-		if q.Node != i {
-			continue
-		}
-		to, ok := choose(*q)
-		if !ok {
-			to, ok = d.ring.Owner(q.Name)
-		}
-		if !ok {
-			continue // last node down; nowhere to move
-		}
-		m := *q
-		m.Node = to
-		moved = append(moved, m)
+		count[q.Node]++
 	}
-	return moved
+	d.mu.RUnlock()
+	best := -1
+	for _, m := range members {
+		if best < 0 || count[m] > count[best] {
+			best = m
+		}
+	}
+	return max(best, 0), best >= 0
 }
 
-// Repin atomically re-pins a registered queue to a new master node —
-// the rebalance-on-join path. It is a no-op for unknown queues or when
-// the pin already points at node.
+// Repin atomically re-pins a registered queue to a new master node once
+// the queue exists there. It is a no-op for unknown queues or when the
+// pin already points at node.
 func (d *Directory) Repin(vhost, name string, node int) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()

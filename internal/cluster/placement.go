@@ -26,16 +26,11 @@ type ringPoint struct {
 // nodes compute identical ownership, which is what lets every cluster
 // node (and the pattern engine's co-location helpers) answer "who masters
 // queue q" without a coordination round.
-//
-// The ring is topology-versioned: every membership change bumps Version,
-// so callers can cheaply detect "ownership may have moved" and refresh
-// cached routes.
 type Ring struct {
 	mu      sync.RWMutex
 	vnodes  int
 	points  []ringPoint
 	members map[int]bool
-	version uint64
 }
 
 // NewRing creates an empty ring with the given virtual-node count per
@@ -87,32 +82,28 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Add joins node to the ring. Adding a current member is a no-op (no
-// version bump), so re-registration after a restart is idempotent.
-// It reports whether membership changed.
-func (r *Ring) Add(node int) bool {
+// Add joins node to the ring. Adding a current member is a no-op, so
+// re-registration after a restart is idempotent.
+func (r *Ring) Add(node int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.members[node] {
-		return false
+		return
 	}
 	r.members[node] = true
 	for i := 0; i < r.vnodes; i++ {
 		r.points = append(r.points, ringPoint{hash: vnodeHash(node, i), node: node})
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
-	r.version++
-	return true
 }
 
 // Remove retires node from the ring; its arc is absorbed by the
-// clockwise successors. Removing a non-member is a no-op. It reports
-// whether membership changed.
-func (r *Ring) Remove(node int) bool {
+// clockwise successors. Removing a non-member is a no-op.
+func (r *Ring) Remove(node int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.members[node] {
-		return false
+		return
 	}
 	delete(r.members, node)
 	kept := r.points[:0]
@@ -122,8 +113,6 @@ func (r *Ring) Remove(node int) bool {
 		}
 	}
 	r.points = kept
-	r.version++
-	return true
 }
 
 // Owner returns the node mastering key, or ok=false on an empty ring.
@@ -168,14 +157,6 @@ func (r *Ring) Owners(key string, n int) []int {
 		out = append(out, p.node)
 	}
 	return out
-}
-
-// Version returns the topology version; it increments on every
-// membership change.
-func (r *Ring) Version() uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.version
 }
 
 // Members returns the current member set (unordered membership test

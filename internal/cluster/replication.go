@@ -348,17 +348,6 @@ func (rm *replManager) get(vhost, queue string) *replQueue {
 	return rm.queues[qkey(vhost, queue)]
 }
 
-// all snapshots the queues this node masters.
-func (rm *replManager) all() []*replQueue {
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	qs := make([]*replQueue, 0, len(rm.queues))
-	for _, rq := range rm.queues {
-		qs = append(qs, rq)
-	}
-	return qs
-}
-
 // queueRegistered is the replication entry point: a durable queue this
 // node masters gets a replQueue and mirror establishment kicks off.
 // Idempotent — redeclares and recovery re-registrations re-run the
@@ -605,42 +594,6 @@ func (rm *replManager) replicateSettle(vhost, queue string, off uint64, offs []u
 	msg.Release()
 }
 
-// nodeDown drops a dead node from every queue's mirror set, releasing any
-// confirms it owed.
-func (rm *replManager) nodeDown(node int) {
-	for _, rq := range rm.all() {
-		var b workBuf
-		rq.mu.Lock()
-		w := rq.set.leave(b.work(), node, 0)
-		rq.mu.Unlock()
-		rq.carry(w, nil)
-	}
-}
-
-// choosePromotion picks the dead master's successor for one of its
-// queues: the live promotable mirror whose replica has applied furthest.
-// ok=false (none, or no replicated queue) relocates the queue instead.
-func (rm *replManager) choosePromotion(q QueueInfo) (int, bool) {
-	rq := rm.get(q.VHost, q.Name)
-	if rq == nil {
-		return 0, false
-	}
-	rq.mu.Lock()
-	nodes := rq.set.promotable()
-	rq.mu.Unlock()
-	best, bestOff := -1, uint64(0)
-	for _, node := range nodes {
-		st := rm.c.storeOf(node)
-		if st == nil || !rm.c.dir.Ring().Has(node) {
-			continue // the mirror died too
-		}
-		if off := st.nextOffset(q.VHost, q.Name); best < 0 || off > bestOff {
-			best, bestOff = node, off
-		}
-	}
-	return best, best >= 0
-}
-
 // InSyncMirrors reports how many mirrors of the queue a kill of its
 // master could promote (0 for an unreplicated queue).
 func (c *Cluster) InSyncMirrors(vhost, queue string) int {
@@ -653,11 +606,26 @@ func (c *Cluster) InSyncMirrors(vhost, queue string) int {
 	return rq.set.insync
 }
 
-// reconcileAll re-runs mirror placement for every mastered queue — the
-// rebalance-on-join audit's replication half: a node re-entering the ring
-// is re-established (reset + catch-up) wherever placement wants it.
-func (rm *replManager) reconcileAll() {
-	for _, rq := range rm.all() {
+// remirror drops a dead node (dead >= 0) from every mastered queue's
+// mirror set, releasing any confirms it owed, and re-runs mirror
+// placement: a lost mirror is replaced on the next live ring owner, and a
+// node re-entering the ring is re-established (reset + catch-up)
+// wherever placement wants it.
+func (rm *replManager) remirror(dead int) {
+	rm.mu.Lock()
+	qs := make([]*replQueue, 0, len(rm.queues))
+	for _, rq := range rm.queues {
+		qs = append(qs, rq)
+	}
+	rm.mu.Unlock()
+	for _, rq := range qs {
+		if dead >= 0 {
+			var b workBuf
+			rq.mu.Lock()
+			w := rq.set.leave(b.work(), dead, 0)
+			rq.mu.Unlock()
+			rq.carry(w, nil)
+		}
 		rm.ensureMirrors(rq)
 	}
 }
